@@ -1,15 +1,12 @@
 """Benchmarks for the zero-copy offload data plane (PR 5).
 
-A/B of the pooled/streaming copy path against the legacy copy map
-(``tobytes()`` + frame concat + whole-file slurps + per-store fresh
-arrays) on every backend, plus the arena's lease/release hot path.  The
-CI regression guard (``scripts/check_bench_regression.py``) watches the
-``dataplane``/``buffers``-named benches; the pooled-vs-legacy speedup
-itself is asserted deterministically in ``test_dataplane_store_speedup_ab``
-so the benchmark cannot silently stop demonstrating the win.
+Store/load rounds of the pooled/streaming copy path on every backend,
+plus the arena's lease/release hot path.  The CI regression guard
+(``scripts/check_bench_regression.py``) watches the
+``dataplane``/``buffers``-named benches; each bench also asserts the
+deterministic invariant (real allocations skipped) so the data plane
+cannot silently fall back to a copy per tensor.
 """
-
-import time
 
 import numpy as np
 
@@ -39,7 +36,7 @@ def _load_round(store):
         store.read(name, TENSOR.shape, TENSOR.dtype)
 
 
-def test_dataplane_filestore_store_pooled(benchmark, tmp_path):
+def test_dataplane_filestore_store(benchmark, tmp_path):
     store = TensorFileStore(tmp_path)
     benchmark(_store_round, store)
     emit(
@@ -50,35 +47,20 @@ def test_dataplane_filestore_store_pooled(benchmark, tmp_path):
     assert store.copy_stats.snapshot().allocs_avoided > 0
 
 
-def test_dataplane_filestore_store_legacy(benchmark, tmp_path):
-    store = TensorFileStore(tmp_path, legacy_copies=True)
-    benchmark(_store_round, store)
-    snap = store.copy_stats.snapshot()
-    emit("Data plane — filestore store path (legacy copies)",
-         [f"copies: {snap.copies}"])
-    assert snap.allocs_avoided == 0
-
-
-def test_dataplane_filestore_load_pooled(benchmark, tmp_path):
+def test_dataplane_filestore_load(benchmark, tmp_path):
     store = TensorFileStore(tmp_path)
     _store_round(store)
     benchmark(_load_round, store)
     assert store.copy_stats.snapshot().allocs_avoided > 0
 
 
-def test_dataplane_chunkstore_store_pooled(benchmark, tmp_path):
+def test_dataplane_chunkstore_store(benchmark, tmp_path):
     store = ChunkedTensorStore(tmp_path, chunk_bytes=4 * MiB)
     benchmark(_store_round, store)
     assert store.copy_stats.snapshot().allocs_avoided > 0
 
 
-def test_dataplane_chunkstore_store_legacy(benchmark, tmp_path):
-    store = ChunkedTensorStore(tmp_path, chunk_bytes=4 * MiB, legacy_copies=True)
-    benchmark(_store_round, store)
-    assert store.copy_stats.snapshot().allocs_avoided == 0
-
-
-def test_dataplane_cpu_store_pooled(benchmark):
+def test_dataplane_cpu_store(benchmark):
     """CPU-tier stores copy into leased arena buffers.
 
     The win here is structural, not a microbench ratio: both paths are
@@ -119,53 +101,3 @@ def test_dataplane_buffers_arena_lease_hot_path(benchmark):
     stats = arena.stats()
     assert stats.leaked == 0
     assert stats.hit_rate > 0.9
-
-
-def test_dataplane_store_speedup_ab(benchmark, tmp_path):
-    """The headline A/B: the streaming writer's store path vs the legacy
-    copy map on the same machine and backend (>= 2x measured where this
-    PR was recorded; 2.0-3.7x across local runs).
-
-    Measured inline (not via the benchmark fixture) so both sides run
-    back-to-back under identical cache/page conditions; the fixture
-    times the pooled side only, keeping the guard on the fast path.
-    The wall-clock ratio is *reported*, not asserted — this bench is
-    bound by real disk writes, and the repo's guard policy (see
-    ``scripts/check_bench_regression.py``) excludes such latencies from
-    hard gates; the deterministic invariant (the pooled path performs
-    fewer copies and skips real allocations) is what fails the suite.
-    """
-
-    big = np.random.default_rng(11).random(4 * MiB // 8)  # 4 MiB of float64
-
-    def rate(store, rounds=7):
-        # min-of-rounds: the least noise-sensitive estimator for a
-        # wall-clock ratio on shared CI runners (same choice as the
-        # regression guard's default --stat min).
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            for name in NAMES[:8]:
-                store.write(name, big)
-            best = min(best, time.perf_counter() - start)
-        return 8 * big.nbytes / best
-
-    legacy_store = TensorFileStore(tmp_path / "legacy", legacy_copies=True)
-    pooled_store = TensorFileStore(tmp_path / "pooled")
-    legacy = rate(legacy_store)
-    pooled = rate(pooled_store)
-    ratio = pooled / legacy
-    emit(
-        "Data plane — store-path A/B (filestore)",
-        [f"legacy: {legacy / 1e6:.0f} MB/s",
-         f"pooled: {pooled / 1e6:.0f} MB/s",
-         f"speedup: {ratio:.2f}x (reported, not gated; local target >= 2x)"],
-    )
-    # The deterministic invariant IS gated: same traffic, strictly fewer
-    # Python-level copies, and real allocations skipped.
-    legacy_snap = legacy_store.copy_stats.snapshot()
-    pooled_snap = pooled_store.copy_stats.snapshot()
-    assert legacy_store.bytes_written == pooled_store.bytes_written
-    assert pooled_snap.copies < legacy_snap.copies
-    assert pooled_snap.allocs_avoided > 0 and legacy_snap.allocs_avoided == 0
-    benchmark(_store_round, TensorFileStore(tmp_path / "bench"))

@@ -26,7 +26,7 @@ def _run(fair):
     return MultiTenantHarness(JOBS, fair=fair).run()
 
 
-def test_tenant_harness_fair_share_run(benchmark):
+def test_tenant_harness_fair_run(benchmark):
     result = benchmark(_run, True)
     emit(
         "Multi-tenant QoS — fair-share DRR over a shared lane",

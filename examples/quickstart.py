@@ -57,7 +57,6 @@ def run(
     cpu_pool_bytes: Optional[int] = None,
     chunk_bytes: Optional[int] = None,
     fifo_io: bool = False,
-    legacy_dataplane: bool = False,
     io_backend: str = "thread",
     io_direct: bool = False,
 ) -> dict:
@@ -82,7 +81,6 @@ def run(
                 chunk_bytes=chunk_bytes,
                 throttle_bytes_per_s=STORE_THROTTLE_BYTES_PER_S,
                 policy=policy,  # one policy governs decide() and place()
-                legacy_dataplane=legacy_dataplane,
                 fifo_io=fifo_io,
                 io_backend=io_backend,
                 io_direct=io_direct,
@@ -143,7 +141,6 @@ def main(
     cpu_pool_bytes: Optional[int] = None,
     chunk_bytes: Optional[int] = None,
     fifo_io: bool = False,
-    legacy_dataplane: bool = False,
     io_backend: str = "thread",
     io_direct: bool = False,
 ) -> None:
@@ -152,7 +149,6 @@ def main(
           + (f"  cpu_pool={cpu_pool_bytes}B" if cpu_pool_bytes is not None else "")
           + (f"  chunk={chunk_bytes}B" if chunk_bytes is not None else "")
           + ("  io=fifo" if fifo_io else "  io=priority")
-          + ("  dataplane=legacy" if legacy_dataplane else "  dataplane=pooled")
           + f"  backend={io_backend}" + ("+O_DIRECT" if io_direct else "")
           + "\n")
     baseline = run(offload=False)
@@ -162,7 +158,6 @@ def main(
         cpu_pool_bytes=cpu_pool_bytes,
         chunk_bytes=chunk_bytes,
         fifo_io=fifo_io,
-        legacy_dataplane=legacy_dataplane,
         io_backend=io_backend,
         io_direct=io_direct,
     )
@@ -220,7 +215,7 @@ def main(
         # The scheduler must visibly work on this workload: obsolete
         # stores are cancelled before they hit the SSD (trace 'x' marks).
         assert sched.cancelled >= 1, "expected >=1 cancelled store per quickstart run"
-    if dataplane is not None and not legacy_dataplane:
+    if dataplane is not None:
         # The pooled data plane must visibly work too: the streaming
         # writer / arena must have skipped real allocations this run.
         assert dataplane.allocs_avoided > 0, "expected the data plane to avoid allocs"

@@ -18,8 +18,9 @@ Usage::
     python -m repro autotune             # static vs adaptive budget under drift
     python -m repro faults               # fault-scenario runner (--functional
                                          #   for the live chaos recovery demo)
-    python -m repro dataplane            # pooled vs legacy copy-path A/B
-                                         #   (MB/s, copies/step, bit-exactness)
+    python -m repro dataplane            # data-plane rates per backend
+                                         #   (MB/s, copies/step, bit-exactness;
+                                         #   --io-backend adds a syscall A/B)
     python -m repro tenants              # multi-tenant fair-share vs FIFO A/B
                                          #   (Jain's index, weights, quotas)
     python -m repro kv                   # KV-cache paging vs HBM-only serving
@@ -196,7 +197,6 @@ def cmd_quickstart(args: argparse.Namespace) -> None:
         cpu_pool_bytes=cpu_pool_bytes,
         chunk_bytes=args.chunk_bytes,
         fifo_io=args.fifo_io,
-        legacy_dataplane=args.legacy_dataplane,
         io_backend=args.io_backend,
         io_direct=args.io_direct,
     )
@@ -647,12 +647,14 @@ def cmd_faults(args: argparse.Namespace) -> None:
 
 
 def cmd_dataplane(args: argparse.Namespace) -> None:
-    """Zero-copy data plane A/B: pooled/streaming vs the legacy copy map.
+    """Zero-copy data plane: per-backend rates and the copy books.
 
     Two surfaces: a store/load microbench of every backend (MB/s both
-    ways), and a functional mini-training A/B proving the pooled path
-    changes *nothing* about the numerics (losses bit-exact) while
-    avoiding real allocations (``allocs_avoided`` / copies per step).
+    ways, copies made, allocations avoided), and the tiered quickstart
+    as a functional run — losses identical to the no-offload run while
+    real allocations are avoided (``allocs_avoided`` / copies per
+    step).  ``--io-backend uring|gds-sim`` adds a syscall A/B against
+    the thread backend at identical bytes.
     """
     import shutil
     import tempfile
@@ -685,10 +687,10 @@ def cmd_dataplane(args: argparse.Namespace) -> None:
         read_s = _time.perf_counter() - start
         return write_s, read_s, store.copy_stats.snapshot()
 
-    def bench_cpu(legacy):
-        off = CPUOffloader(PinnedMemoryPool(), legacy_copies=legacy)
-        # Warm-up pass: both paths pay first-touch faults once; steady
-        # state is what differs (the arena reuses, legacy re-allocates).
+    def bench_cpu():
+        off = CPUOffloader(PinnedMemoryPool())
+        # Warm-up pass: first-touch faults are paid once; the steady
+        # state (the arena reusing its buffers) is what is timed.
         for tid in tids:
             off.store(tid, data)
         start = _time.perf_counter()
@@ -708,63 +710,33 @@ def cmd_dataplane(args: argparse.Namespace) -> None:
     total_mb = iters * size / 1e6
     print(f"data-plane microbench: {iters} x {args.size_mb} MiB tensors "
           f"({total_mb:.0f} MB per direction)\n")
-    print(f"{'backend':>12} {'path':>8} {'store MB/s':>11} {'load MB/s':>10} "
+    print(f"{'backend':>12} {'store MB/s':>11} {'load MB/s':>10} "
           f"{'copies':>7} {'avoided':>8}")
-    speedups = {}
     for backend in ("filestore", "chunkstore", "cpu pool"):
-        rates = {}
-        for legacy in (True, False):
-            if backend == "cpu pool":
-                write_s, read_s, snap = bench_cpu(legacy)
-            else:
-                tmpdir = tempfile.mkdtemp(prefix="dp-bench-")
-                try:
-                    if backend == "filestore":
-                        store = TensorFileStore(tmpdir, legacy_copies=legacy)
-                    else:
-                        store = ChunkedTensorStore(
-                            tmpdir, chunk_bytes=4 << 20, legacy_copies=legacy
-                        )
-                    write_s, read_s, snap = bench_store(store)
-                    store.clear()
-                finally:
-                    shutil.rmtree(tmpdir, ignore_errors=True)
-            label = "legacy" if legacy else "pooled"
-            rates[label] = total_mb / write_s
-            print(f"{backend:>12} {label:>8} {total_mb / write_s:>11.0f} "
-                  f"{total_mb / read_s:>10.0f} {snap.copies:>7} "
-                  f"{snap.allocs_avoided:>8}")
-        speedups[backend] = rates["pooled"] / rates["legacy"]
-    for backend, ratio in speedups.items():
-        print(f"store-path speedup ({backend}): {ratio:.2f}x")
+        if backend == "cpu pool":
+            write_s, read_s, snap = bench_cpu()
+        else:
+            tmpdir = tempfile.mkdtemp(prefix="dp-bench-")
+            try:
+                if backend == "filestore":
+                    store = TensorFileStore(tmpdir)
+                else:
+                    store = ChunkedTensorStore(tmpdir, chunk_bytes=4 << 20)
+                write_s, read_s, snap = bench_store(store)
+                store.clear()
+            finally:
+                shutil.rmtree(tmpdir, ignore_errors=True)
+        print(f"{backend:>12} {total_mb / write_s:>11.0f} "
+              f"{total_mb / read_s:>10.0f} {snap.copies:>7} "
+              f"{snap.allocs_avoided:>8}")
 
-    from examples.quickstart import STEPS, run
+    from examples.quickstart import STEPS, main as quickstart_main, run
 
     if not args.no_functional:
-        print("\nfunctional A/B (tiered target, 5 steps each):")
-        results = {}
-        for legacy in (True, False):
-            results["legacy" if legacy else "pooled"] = run(
-                offload=True,
-                target="tiered",
-                cpu_pool_bytes=1 << 20,
-                chunk_bytes=64 << 10,
-                legacy_dataplane=legacy,
-            )
-        for label, result in results.items():
-            dp = result["dataplane"]
-            print(f"  {label:>6}: {dp.copies / STEPS:.1f} copies/step "
-                  f"({dp.bytes_copied / 1e6:.2f} MB copied), "
-                  f"{dp.allocs_avoided} allocs avoided, "
-                  f"arena hit rate {dp.arena_hit_rate:.0%}")
-        assert results["pooled"]["losses"] == results["legacy"]["losses"], (
-            "pooled data plane must be bit-exact vs the legacy copy path"
-        )
-        pooled = results["pooled"]["dataplane"]
-        legacy_dp = results["legacy"]["dataplane"]
-        assert pooled.allocs_avoided > 0, "pooled run must avoid allocations"
-        assert pooled.copies < legacy_dp.copies, "pooled run must copy less"
-        print("losses bit-exact across pooled vs legacy data planes. ✓")
+        # The quickstart prints copies/step, allocs avoided and the arena
+        # hit rate, and asserts the losses match the no-offload run.
+        print("\nfunctional run (tiered target):")
+        quickstart_main(target="tiered", cpu_pool_bytes=1 << 20, chunk_bytes=64 << 10)
 
     if args.io_backend in (None, "thread"):
         return
@@ -1023,12 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="use the paper's FIFO dequeue instead of the "
                      "priority-aware I/O scheduler",
             )
-            p.add_argument(
-                "--legacy-dataplane", action="store_true",
-                help="run the pre-PR5 copy map (fresh allocation per CPU "
-                     "store, tobytes/slurp file I/O) instead of the pooled "
-                     "zero-copy data plane",
-            )
         if name in ("quickstart", "dataplane"):
             p.add_argument(
                 "--io-backend", choices=IO_BACKENDS,
@@ -1052,11 +1018,11 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--iters", type=int, default=24,
-                help="stores/loads per backend and path",
+                help="stores/loads per backend",
             )
             p.add_argument(
                 "--no-functional", action="store_true",
-                help="skip the functional mini-training A/B (microbench only)",
+                help="skip the functional mini-training run (microbench only)",
             )
         if name == "tenants":
             p.add_argument(

@@ -7,8 +7,8 @@ Public surface:
 - :class:`~repro.core.offloader.SSDOffloader` /
   :class:`~repro.core.offloader.CPUOffloader` /
   :class:`~repro.core.tiered.TieredOffloader` — transfer backends
-  (:func:`~repro.core.offloader.make_offloader` builds one from a config
-  target string).
+  (:func:`~repro.core.engine.build_engine` builds one from an
+  :class:`~repro.core.engine.EngineConfig`).
 - :class:`~repro.core.policy.OffloadPolicy` / ``PolicyConfig`` — Alg. 1
   decisions, knobs, and the :class:`~repro.core.policy.Tier` placement.
 - :class:`~repro.core.ids.TensorIDRegistry` — ``get_id()`` deduplication
@@ -41,7 +41,6 @@ from repro.core.offloader import (
     Offloader,
     PinnedMemoryPool,
     SSDOffloader,
-    make_offloader,
 )
 from repro.core.tiered import TieredOffloader, TierStats
 from repro.core.tensor_cache import ActivationRecord, CacheStats, RecordState, TensorCache
@@ -76,7 +75,6 @@ __all__ = [
     "Tier",
     "PinnedMemoryPool",
     "OFFLOAD_TARGETS",
-    "make_offloader",
     "TensorCache",
     "ActivationRecord",
     "CacheStats",

@@ -1,31 +1,18 @@
 """The engine facade: one typed construction path for the offload stack.
 
-Growing a second front-end (the KV-cache paging server in
-:mod:`repro.serve`) next to the original :class:`~repro.train.trainer.Trainer`
-exposed two API problems:
-
-1. **Construction sprawl** — the only way to build the data plane was the
-   ``make_offloader(target, store_dir, cpu_pool_bytes, chunk_bytes, ...)``
-   kwarg pile, after which every caller still had to build an
-   :class:`~repro.io.scheduler.IOScheduler` (or let
-   :class:`~repro.core.tensor_cache.TensorCache` build one implicitly) and
-   wire the two together by hand.
-2. **Stats sprawl** — telemetry was scattered over four ad-hoc accessors
-   (``Offloader.dataplane_stats()``, ``IOScheduler.consume_completion_stats()``,
-   ``TensorCache.consume_step_stats()`` and the tenancy books), each with
-   its own consuming/non-consuming semantics.
-
-This module fixes both:
+Two front-ends share the offload stack — the original
+:class:`~repro.train.trainer.Trainer` and the KV-cache paging server in
+:mod:`repro.serve` — and both build it, and read its telemetry, here:
 
 - :class:`EngineConfig` is the single typed configuration record;
   invalid combinations raise :class:`EngineConfigError` (a
-  :class:`ValueError` subclass, so legacy ``except ValueError`` callers
-  keep working) with the same messages ``make_offloader`` always used.
+  :class:`ValueError` subclass, so ``except ValueError`` callers work).
 - :func:`build_engine` returns an :class:`Engine` bundling the offloader,
   a lazily-started scheduler, the placement policy and the optional
   tenant registry.  ``Trainer`` runs construct a cache via
   :meth:`Engine.cache`; the KV front-end drives the offloader/scheduler
-  pair directly; ``make_offloader()`` survives as a thin shim over it.
+  pair directly; callers that only need the synchronous backend take
+  ``engine.offloader``.
 - :meth:`Engine.stats` returns one :class:`EngineStats` snapshot
   aggregating every book non-destructively — reading it never steals the
   adaptive controller's bandwidth windows or resets a counter.
@@ -52,6 +39,7 @@ from repro.io.scheduler import (
     ChannelWindow,
     IOScheduler,
     LaneHealthSnapshot,
+    Priority,
     SchedulerStats,
 )
 from repro.io.tenancy import TenantRegistry, TenantStats
@@ -68,9 +56,8 @@ IO_BACKENDS = ("thread", "uring", "gds-sim")
 class EngineConfigError(ValueError):
     """An :class:`EngineConfig` describes an impossible engine.
 
-    Subclasses :class:`ValueError` so code written against the historic
-    ``make_offloader`` error contract (``except ValueError`` /
-    ``pytest.raises(ValueError)``) is unaffected by the typed upgrade.
+    Subclasses :class:`ValueError` so ``except ValueError`` /
+    ``pytest.raises(ValueError)`` callers catch it too.
     """
 
 
@@ -78,7 +65,7 @@ class EngineConfigError(ValueError):
 class EngineConfig:
     """Typed configuration for one offload engine (data + I/O plane).
 
-    Data-plane knobs (the former ``make_offloader`` axis):
+    Data-plane knobs:
 
     Attributes:
         target: ``"ssd"``, ``"cpu"`` or ``"tiered"`` (see
@@ -94,7 +81,6 @@ class EngineConfig:
             fresh when ``None`` and shared between the offloader, the
             cache and any paging front-end so per-tenant placement hooks
             take effect everywhere.
-        legacy_dataplane: run the pre-PR5 copy map (A/B baseline).
         promote_on_load: tiered only — copy SSD residents back into the
             pinned pool on load when there is room.
         durable: journal the chunk store's index to a manifest under
@@ -159,7 +145,6 @@ class EngineConfig:
     throttle_bytes_per_s: Optional[float] = None
     array: Any = None
     policy: Optional[OffloadPolicy] = None
-    legacy_dataplane: bool = False
     promote_on_load: bool = True
     durable: bool = False
     store_roots: Any = None
@@ -182,9 +167,9 @@ class EngineConfig:
     def validate(self) -> None:
         """Raise :class:`EngineConfigError` on an inconsistent config.
 
-        Keeps the exact messages ``make_offloader`` raised for the
-        combinations it rejected (an experiment flag that does nothing
-        is worse than an error), plus checks for the scheduler axis.
+        Rejects every combination in which a field would be silently
+        ignored (an experiment flag that does nothing is worse than an
+        error), plus checks for the scheduler axis.
         """
         if self.target not in OFFLOAD_TARGETS:
             raise EngineConfigError(
@@ -238,6 +223,11 @@ class EngineConfig:
             )
         if self.io_deadlines:
             for cls, deadline in self.io_deadlines.items():
+                if cls not in Priority.__members__:
+                    raise EngineConfigError(
+                        f"io_deadlines names unknown priority class {cls!r}; "
+                        f"expected one of {tuple(Priority.__members__)}"
+                    )
                 if deadline <= 0:
                     raise EngineConfigError(
                         f"io_deadlines[{cls!r}] must be positive: {deadline}"
@@ -351,8 +341,8 @@ class Engine:
 
     Use :func:`build_engine` rather than constructing directly.  The
     scheduler is built lazily on first access, so callers that only
-    need the synchronous offloader (the ``make_offloader()`` shim, unit
-    fixtures) never spawn worker threads.
+    need the synchronous offloader (``build_engine(...).offloader``,
+    unit fixtures) never spawn worker threads.
     """
 
     def __init__(self, config: EngineConfig) -> None:
@@ -378,7 +368,6 @@ class Engine:
                 throttle_bytes_per_s=cfg.throttle_bytes_per_s,
                 array=cfg.array,
                 chunk_bytes=cfg.chunk_bytes,
-                legacy_copies=cfg.legacy_dataplane,
                 durable=cfg.durable,
                 store_roots=cfg.store_roots,
             )
@@ -386,7 +375,6 @@ class Engine:
             return CPUOffloader(
                 PinnedMemoryPool(cfg.cpu_pool_bytes),
                 throttle_bytes_per_s=cfg.throttle_bytes_per_s,
-                legacy_copies=cfg.legacy_dataplane,
             )
         return TieredOffloader(
             cfg.store_dir,
@@ -396,7 +384,6 @@ class Engine:
             promote_on_load=cfg.promote_on_load,
             throttle_bytes_per_s=cfg.throttle_bytes_per_s,
             array=cfg.array,
-            legacy_dataplane=cfg.legacy_dataplane,
             durable=cfg.durable,
             store_roots=cfg.store_roots,
             probe_backoff_s=cfg.probe_backoff_s,
@@ -543,20 +530,6 @@ class Engine:
         if store is not None and hasattr(store, "gc_runs"):
             return store
         return None
-
-    # Thin delegating accessors: the historic per-object entry points,
-    # now all views over the same stats() aggregation.
-    def dataplane_stats(self) -> DataPlaneStats:
-        return self.stats().dataplane
-
-    def tenant_stats(self) -> Dict[str, TenantStats]:
-        return self.stats().tenants
-
-    def pool_stats(self) -> Optional[PoolBooks]:
-        return self.stats().pool
-
-    def channel_windows(self) -> Dict[str, Dict[str, ChannelWindow]]:
-        return self.stats().channels
 
     # ---------------------------------------------------------------- teardown
     def shutdown(self) -> None:

@@ -31,7 +31,6 @@ import enum
 import logging
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -156,7 +155,7 @@ class CacheStats:
     #: Data-plane copy map (refreshed from the offloader's telemetry by
     #: :meth:`TensorCache.dataplane_stats` / ``on_step_end``): bytes the
     #: backend actually memcpy'd, allocations the pooled/streaming paths
-    #: avoided versus the legacy copy map, and the arena's lease hit rate.
+    #: avoided versus a copy per stage, and the arena's lease hit rate.
     bytes_copied: int = 0
     allocs_avoided: int = 0
     arena_hit_rate: float = 0.0
@@ -290,29 +289,6 @@ class TensorCache:
     def current(self) -> MicrobatchRecords:
         return self._microbatches[self._current_mb]
 
-    @property
-    def store_pool(self) -> IOScheduler:
-        """Deprecated alias from the two-FIFO-pool era; both channels now
-        live on the scheduler (``drain``/``pending`` keep working)."""
-        warnings.warn(
-            "TensorCache.store_pool is deprecated; the two FIFO pools were "
-            "replaced by one priority scheduler — use TensorCache.scheduler",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.scheduler
-
-    @property
-    def load_pool(self) -> IOScheduler:
-        """Deprecated alias; see :attr:`store_pool`."""
-        warnings.warn(
-            "TensorCache.load_pool is deprecated; the two FIFO pools were "
-            "replaced by one priority scheduler — use TensorCache.scheduler",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.scheduler
-
     def register_weights(self, module: Module) -> int:
         """Record all parameters (and transposes) in the exclusion set."""
         return self.registry.record_module_weights(module)
@@ -411,7 +387,7 @@ class TensorCache:
                 if rec.location != "gpu":
                     # Reclaim SSD space for this step's files.
                     try:
-                        self._delete_backing(rec.tid)
+                        self.offloader.release(rec.tid)
                     except Exception:  # pragma: no cover - best-effort cleanup
                         logger.debug("cleanup failed for %s", rec.tid)
         if leftover:
@@ -486,19 +462,6 @@ class TensorCache:
         if watermark is not None and set_watermark is not None:
             set_watermark(watermark)
             self.offloader.apply_watermark()
-
-    def _delete_backing(self, tid: TensorID) -> None:
-        release = getattr(self.offloader, "release", None)
-        if release is not None:
-            release(tid)
-            return
-        # Legacy duck-typed backends without the Offloader.release API.
-        store = getattr(self.offloader, "file_store", None)
-        if store is not None:
-            store.delete(tid.filename())
-        evict = getattr(self.offloader, "evict", None)
-        if evict is not None:
-            evict(tid)
 
     # ----------------------------------------------------------- fwd hooks
     def _forward_pre_hook(self, module: Module, inputs: Tuple[Any, ...]) -> None:

@@ -102,8 +102,6 @@ class TieredOffloader(Offloader):
         promote_on_load: copy SSD-resident tensors back into the pool on
             load when there is free room (no demotion is triggered for a
             promotion — promotions must never thrash the warm set).
-        legacy_dataplane: run both tiers with the pre-PR5 copy map (the
-            ``repro dataplane`` / ``bench_dataplane.py`` A/B baseline).
         durable / store_roots: forwarded to the SSD tier's chunk store
             (manifest journaling and write-leveling, service mode).
         throttle_bytes_per_s / array / gds: forwarded to the SSD tier.
@@ -119,23 +117,19 @@ class TieredOffloader(Offloader):
         throttle_bytes_per_s: Optional[float] = None,
         array=None,
         gds: Optional[GDSRegistry] = None,
-        legacy_dataplane: bool = False,
         durable: bool = False,
         store_roots=None,
         probe_backoff_s: Optional[float] = None,
     ) -> None:
         if cpu_pool_bytes < 0:
             raise ValueError(f"cpu_pool_bytes must be >= 0: {cpu_pool_bytes}")
-        self.cpu = CPUOffloader(
-            PinnedMemoryPool(cpu_pool_bytes), legacy_copies=legacy_dataplane
-        )
+        self.cpu = CPUOffloader(PinnedMemoryPool(cpu_pool_bytes))
         self.ssd = SSDOffloader(
             store_dir,
             throttle_bytes_per_s=throttle_bytes_per_s,
             array=array,
             gds=gds,
             chunk_bytes=chunk_bytes,
-            legacy_copies=legacy_dataplane,
             durable=durable,
             store_roots=store_roots,
         )
@@ -453,7 +447,7 @@ class TieredOffloader(Offloader):
 
     @property
     def arena(self):
-        """The CPU tier's buffer arena (None in legacy-dataplane mode)."""
+        """The CPU tier's buffer arena."""
         return self.cpu.arena
 
     def dataplane_stats(self) -> DataPlaneStats:

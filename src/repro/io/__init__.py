@@ -3,9 +3,8 @@
 - :class:`~repro.io.scheduler.IOScheduler` — priority-aware scheduler with
   per-tier lanes, deadline promotion, store cancellation and write
   coalescing; the cache's I/O spine.
-- :class:`~repro.io.aio.AsyncIOPool` — FIFO worker pool (the paper's tensor
-  cache runs one pool for stores and one for loads, Sec. III-C2; kept as
-  the baseline the scheduler is measured against).
+- :class:`~repro.io.aio.IOJob` — the unit of I/O work: state machine,
+  completion event, done callbacks, cancel/claim handshake.
 - :class:`~repro.io.filestore.TensorFileStore` — real file-backed tensor
   persistence with optional bandwidth throttling and SSD wear accounting.
 - :class:`~repro.io.chunkstore.ChunkedTensorStore` — chunk-coalescing
@@ -37,7 +36,6 @@
 """
 
 from repro.io.aio import (
-    AsyncIOPool,
     IOBackend,
     IOJob,
     IOLaneStats,
@@ -91,7 +89,6 @@ from repro.io.uring import (
 )
 
 __all__ = [
-    "AsyncIOPool",
     "IOBackend",
     "IOJob",
     "IOLaneStats",

@@ -2,13 +2,13 @@
 
 The paper's tensor cache owns two pools — "one for storing tensors and
 the other for loading tensors.  Submitted jobs are executed in
-first-in-first-out (FIFO) order." (Sec. III-C2.)  The cache now runs on
-the priority-aware :class:`~repro.io.scheduler.IOScheduler` instead;
-:class:`AsyncIOPool` remains as the paper-faithful baseline (deprecated
-for direct construction).  :class:`IOJob` is the shared unit of work:
-observable state (pending/running/done/failed/cancelled), a completion
-event, done callbacks, and a ``cancel``/``run`` handshake that lets
-exactly one side win the PENDING race.
+first-in-first-out (FIFO) order." (Sec. III-C2.)  The cache runs on
+the priority-aware :class:`~repro.io.scheduler.IOScheduler` instead
+(``fifo=True`` is the paper-faithful dequeue order).  :class:`IOJob` is
+the unit of work: observable state
+(pending/running/done/failed/cancelled), a completion event, done
+callbacks, and a ``cancel``/``run`` handshake that lets exactly one side
+win the PENDING race.
 
 This module also defines the pluggable **lane execution backend**
 (:class:`IOBackend`): the scheduler's worker loop dequeues a batch and
@@ -20,8 +20,8 @@ reproduces the pre-backend worker-loop semantics operation-for-operation
 
 Backend contract (docs/architecture.md §10): for every request in the
 batch the backend must (1) win :meth:`IOJob.claim` before touching it —
-a lost claim means a canceller or a promoted duplicate got there first
-and the request must be skipped silently; (2) bracket the body with
+a lost claim means a canceller got there first and the request must be
+skipped silently; (2) bracket the body with
 :meth:`IOScheduler.begin_request` / :meth:`IOScheduler.finish_request`
 so channel telemetry, health, retry books, lease release, and tenant
 refunds all fire exactly once; (3) leave every claimed request in a
@@ -35,9 +35,7 @@ from __future__ import annotations
 
 import enum
 import logging
-import queue
 import threading
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -200,9 +198,8 @@ class IOJob:
         """Atomically take the PENDING -> RUNNING transition.
 
         Exactly one caller wins against :meth:`cancel` and against other
-        claimers (a promoted request briefly has two queue entries, so
-        two workers can race to execute it).  The loser must not run the
-        job — nor report start/done events for it.
+        claimers.  The loser must not run the job — nor report
+        start/done events for it.
         """
         with self._lock:
             if self.state is not JobState.PENDING:
@@ -286,7 +283,7 @@ class IOJob:
         """Run the claimed job body; caller must have won :meth:`claim`.
 
         Equivalent to ``complete(*run_body())`` — the synchronous path
-        used by the thread backend and by plain pool jobs.  The terminal
+        used by the thread backend.  The terminal
         state is DONE, or FAILED with the last error via ``.error``.
         """
         result, error = self.run_body()
@@ -397,8 +394,7 @@ class ThreadBackend(IOBackend):
         batch_syscalls = 0
         for request in batch:
             if not request.claim():
-                # Lost to cancel() or a competing claim on a promoted
-                # duplicate; the winner owns all bookkeeping.
+                # Lost to cancel(); the winner owns all bookkeeping.
                 continue
             claimed += 1
             if claimed > 1:
@@ -428,106 +424,3 @@ class ThreadBackend(IOBackend):
                 stats.batches += 1
             if claimed > 1:
                 stats.batched_requests += claimed
-
-
-class AsyncIOPool:
-    """A FIFO pool of worker threads (deprecated for direct construction).
-
-    The pools survive as the paper-faithful FIFO baseline, but new code
-    should go through :class:`~repro.io.scheduler.IOScheduler` (with
-    ``io_backend="thread"`` for the equivalent execution model) — the
-    scheduler owns lanes, priorities, retries, and telemetry the pool
-    never had.  Direct construction warns the same way PR 7 deprecated
-    ``TensorCache.store_pool``/``load_pool``.
-
-    Job-state handling is owned entirely by :class:`IOJob`: the pool's
-    pending/idle books ride the job's done callbacks (one firing per
-    terminal transition, cancellation included) instead of a duplicate
-    bookkeeping path in the worker loop.
-
-    Args:
-        num_workers: worker thread count (1 preserves strict FIFO
-            completion order, matching a single SSD queue; more workers
-            model deeper NVMe queues).
-        name: thread-name prefix for debugging.
-    """
-
-    def __init__(self, num_workers: int = 1, name: str = "io") -> None:
-        if num_workers < 1:
-            raise ValueError(f"need at least one worker: {num_workers}")
-        warnings.warn(
-            "AsyncIOPool is deprecated; submit through IOScheduler "
-            "(io_backend='thread' preserves the blocking execution model)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.name = name
-        self._queue: "queue.Queue[Optional[IOJob]]" = queue.Queue()
-        self._shutdown = False
-        self._lock = threading.Lock()
-        self._pending = 0
-        self._idle = threading.Event()
-        self._idle.set()
-        self._workers = [
-            threading.Thread(target=self._worker_loop, name=f"{name}-{i}", daemon=True)
-            for i in range(num_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
-
-    def _worker_loop(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                return
-            job.run()
-
-    def _on_job_done(self, job: IOJob) -> None:
-        # The completion callback IOJob already owns fires exactly once
-        # per terminal transition (DONE/FAILED/CANCELLED), so the books
-        # cannot double-count a job a canceller beat the worker to.
-        with self._lock:
-            self._pending -= 1
-            if self._pending == 0:
-                self._idle.set()
-
-    def submit(self, fn: Callable[[], Any], label: str = "") -> IOJob:
-        """Enqueue work; returns the job handle."""
-        with self._lock:
-            if self._shutdown:
-                raise RuntimeError(f"pool {self.name} is shut down")
-            self._pending += 1
-            self._idle.clear()
-        job = IOJob(fn, label=label)
-        job.add_done_callback(self._on_job_done)
-        self._queue.put(job)
-        return job
-
-    @property
-    def pending(self) -> int:
-        with self._lock:
-            return self._pending
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until every submitted job has finished."""
-        return self._idle.wait(timeout)
-
-    def shutdown(self) -> None:
-        """Drain and stop the workers (idempotent)."""
-        with self._lock:
-            if self._shutdown:
-                return
-            self._shutdown = True
-        self._idle.wait()
-        for _ in self._workers:
-            self._queue.put(None)
-        for worker in self._workers:
-            worker.join(timeout=5)
-
-    close = shutdown
-
-    def __enter__(self) -> "AsyncIOPool":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.shutdown()

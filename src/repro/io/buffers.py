@@ -35,7 +35,7 @@ storm of first-touch on cold pages.
 :class:`CopyCounter` is the shared copy-count telemetry: every component
 of the data plane (file store, chunk store, CPU offloader) counts the
 memcpys it performs and the allocations the streaming/pooled path avoided
-versus the legacy copy map, so "we eliminated the copies" is a printed
+versus a copy per stage, so "we eliminated the copies" is a printed
 number, not a claim.
 """
 
@@ -386,7 +386,7 @@ class DataPlaneStats:
 
     ``bytes_copied``/``copies`` count the memcpys actually performed,
     ``allocs_avoided`` the allocations the pooled/streaming paths skipped
-    versus the legacy copy map (``tobytes()`` temporaries, header+payload
+    versus a copy per stage (``tobytes()`` temporaries, header+payload
     concats, whole-file slurps, per-store fresh arrays).  The arena
     fields surface the pool's reuse quality — ``arena_hit_rate`` is the
     fraction of leases served without allocating.

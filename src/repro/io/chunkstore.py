@@ -34,9 +34,8 @@ view; the flush hands the ``bytearray`` to the kernel directly instead
 of materializing a ``bytes`` payload first; ranged reads ``readinto``
 the destination array (one disk-to-array transfer), and open-chunk reads
 copy once out of a ``memoryview`` window over the staging buffer.
-``legacy_copies=True`` restores the old copy map for A/B benchmarks, and
-``copy_stats`` (:class:`~repro.io.buffers.CopyCounter`) counts both
-sides.
+``copy_stats`` (:class:`~repro.io.buffers.CopyCounter`) counts the
+copies made and the allocations avoided.
 
 **Durability + endurance (service mode):** ``durable=True`` journals
 every index mutation — chunk flushes, deletes, clears, compactions —
@@ -130,9 +129,6 @@ class ChunkedTensorStore:
             :class:`TensorFileStore` semantics (applied to chunk flushes
             and ranged reads).
         array: optional SSD/RAID0 wear model charged with the traffic.
-        legacy_copies: restore the pre-streaming copy map (``tobytes()``
-            staging, ``bytes`` flush payloads, slice+copy reads) — the
-            A/B baseline for ``bench_dataplane.py``.
         durable: journal every index mutation to ``root/manifest.log``
             and replay an existing manifest on construction — the crash
             -recovery substrate of the service mode.  A durable store's
@@ -150,7 +146,6 @@ class ChunkedTensorStore:
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         throttle_bytes_per_s: Optional[float] = None,
         array: Optional[Union[SSD, RAID0Array]] = None,
-        legacy_copies: bool = False,
         durable: bool = False,
         roots: Optional[Sequence[Union[str, Path]]] = None,
     ) -> None:
@@ -169,7 +164,6 @@ class ChunkedTensorStore:
         self.chunk_bytes = chunk_bytes
         self.throttle_bytes_per_s = throttle_bytes_per_s
         self.array = array
-        self.legacy_copies = legacy_copies
         self.durable = durable
         self.copy_stats = CopyCounter()
         #: FD table of the last batched backend that drove this store
@@ -568,9 +562,9 @@ class ChunkedTensorStore:
     def _flush_locked(self) -> None:
         """Write the open chunk as one file; caller holds the lock.
 
-        The staging ``bytearray`` is handed to the kernel directly — the
-        legacy ``bytes(buf)`` payload temporary is skipped — and then
-        dropped, so the chunk-sized allocation is paid once per chunk,
+        The staging ``bytearray`` is handed to the kernel directly — no
+        ``bytes(buf)`` payload temporary — and then dropped, so the
+        chunk-sized allocation is paid once per chunk,
         not once per flush plus once per payload copy.
         """
         if not self._open_entries:
@@ -640,7 +634,7 @@ class ChunkedTensorStore:
         if self.fault_gate is not None:
             self.fault_gate(self._chunk_root.get(chunk_id, 0), nbytes)
         ctx = current_io_context()
-        if ctx is not None and not self.legacy_copies:
+        if ctx is not None:
             # Batched backend: one pwritev over a pre-opened descriptor.
             # The chunk staging buffer is ordinary (unaligned) host
             # memory, so a direct descriptor is demoted to buffered —
@@ -662,12 +656,8 @@ class ChunkedTensorStore:
             self.copy_stats.count_avoided(1)  # the bytes() payload temp
         else:
             with open(self._chunk_path(chunk_id), "wb") as f:
-                if self.legacy_copies:
-                    f.write(bytes(self._open_buf))
-                    self.copy_stats.count_copy(nbytes)
-                else:
-                    f.write(self._open_buf)
-                    self.copy_stats.count_avoided(1)  # the bytes() payload temp
+                f.write(self._open_buf)
+                self.copy_stats.count_avoided(1)  # the bytes() payload temp
             syscalls = 3  # open + write + close
             count_syscalls(syscalls)
         return syscalls
@@ -686,13 +676,9 @@ class ChunkedTensorStore:
         nbytes = contiguous.nbytes
         if copied:
             self.copy_stats.count_copy(nbytes)
-        if self.legacy_copies:
-            raw = contiguous.tobytes()
-            self.copy_stats.count_copy(nbytes, copies=2)  # tobytes + extend
-        else:
-            raw = memoryview(contiguous.reshape(-1)).cast("B")
-            self.copy_stats.count_copy(nbytes)  # the one staging append
-            self.copy_stats.count_avoided(1)  # the tobytes() temporary
+        raw = memoryview(contiguous.reshape(-1)).cast("B")
+        self.copy_stats.count_copy(nbytes)  # the one staging append
+        self.copy_stats.count_avoided(1)  # the tobytes() temporary
         crc = zlib.crc32(raw)
         with self._lock:
             self._delete_locked(tensor_id)  # overwrite drops the old copy
@@ -732,15 +718,6 @@ class ChunkedTensorStore:
             open_loc = self._open_entries.get(tensor_id)
             if open_loc is not None:
                 self._check_length(tensor_id, open_loc, expected)
-                if self.legacy_copies:
-                    raw = bytes(
-                        self._open_buf[
-                            open_loc.offset : open_loc.offset + open_loc.nbytes
-                        ]
-                    )
-                    self._verify(tensor_id, open_loc, raw)
-                    self.copy_stats.count_copy(open_loc.nbytes, copies=2)
-                    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
                 # The staging buffer mutates under this lock only; copy
                 # out through a released-before-return window so the
                 # bytearray is never left with a live buffer export (a
@@ -763,16 +740,7 @@ class ChunkedTensorStore:
             path = self._chunk_path(loc.chunk_id)
         self._check_length(tensor_id, loc, expected)
         ctx = current_io_context()
-        if self.legacy_copies:
-            with open(path, "rb") as f:
-                f.seek(loc.offset)
-                raw = f.read(loc.nbytes)
-            self._verify(tensor_id, loc, raw)
-            data = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-            self.copy_stats.count_copy(loc.nbytes, copies=2)
-            syscalls = 4  # open + seek + read + close
-            count_syscalls(syscalls)
-        elif ctx is not None:
+        if ctx is not None:
             # Batched backend: one preadv at the tensor's chunk offset,
             # straight into the destination array.
             self._attach_fd_table(ctx.fds)
@@ -832,8 +800,7 @@ class ChunkedTensorStore:
 
         The index is internally consistent here, so a mismatch is a
         deterministic caller shape/dtype bug — ``ValueError`` (fail
-        fast, non-retryable), matching the legacy ``frombuffer`` /
-        ``reshape`` behaviour; corruption keeps raising the retryable
+        fast, non-retryable); corruption keeps raising the retryable
         :class:`IntegrityError` from the crc/short-read checks.
         """
         if loc.nbytes != expected:

@@ -31,10 +31,11 @@ with the crc32 computed directly over the view.  The read path validates
 the header (magic, framed length vs the expected tensor size, and the
 on-disk file size) *before* touching the payload, then ``readinto``\\ s
 the destination array directly: one disk-to-array transfer, zero staging
-buffers.  The on-disk format is bit-identical to the legacy writer
-(``frame_payload``), which remains for equivalence tests and the
-``legacy_copies=True`` A/B baseline; :class:`~repro.io.buffers.CopyCounter`
-telemetry (``copy_stats``) makes the eliminated copies a printed number.
+buffers.  The on-disk format is bit-identical to
+``frame_payload(data.tobytes())`` — the 20-line reference pair
+``frame_payload``/``unframe_payload`` that tests compare files against;
+:class:`~repro.io.buffers.CopyCounter` telemetry (``copy_stats``) makes
+the eliminated copies a printed number.
 
 **Batched backends (PR 8):** when a lane backend installs an
 :class:`~repro.io.uring.IOContext` (``io_backend="uring"`` /
@@ -127,10 +128,6 @@ class TensorFileStore:
         throttle_bytes_per_s: if set, sleep so that transfers do not exceed
             this bandwidth — used to emulate slow SSDs in tests.
         array: optional SSD/RAID0 model charged with the traffic.
-        legacy_copies: restore the pre-streaming copy map (``tobytes()``
-            + frame concat on write, whole-file slurp + ``frombuffer``
-            copy on read) — the A/B baseline for ``bench_dataplane.py``
-            and the byte-equivalence tests.
     """
 
     def __init__(
@@ -138,7 +135,6 @@ class TensorFileStore:
         root: Union[str, Path],
         throttle_bytes_per_s: Optional[float] = None,
         array: Optional[Union[SSD, RAID0Array]] = None,
-        legacy_copies: bool = False,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -146,7 +142,6 @@ class TensorFileStore:
             raise ValueError(f"throttle must be positive: {throttle_bytes_per_s}")
         self.throttle_bytes_per_s = throttle_bytes_per_s
         self.array = array
-        self.legacy_copies = legacy_copies
         self.copy_stats = CopyCounter()
         #: The FD table of the last batched backend that drove this
         #: store (self-attached by the vectored paths) — ``delete``/
@@ -237,14 +232,7 @@ class TensorFileStore:
         if copied:
             self.copy_stats.count_copy(nbytes)
         ctx = current_io_context()
-        if self.legacy_copies:
-            # Legacy copy map: tobytes() temporary + header concat.
-            with open(path, "wb") as f:
-                f.write(frame_payload(contiguous.tobytes()))
-            self.copy_stats.count_copy(nbytes, copies=2)
-            syscalls = 3  # open + write + close
-            count_syscalls(syscalls)
-        elif ctx is not None:
+        if ctx is not None:
             syscalls = self._write_vectored(path, data, contiguous, nbytes, ctx)
             self.copy_stats.count_avoided(2)  # tobytes() + frame concat
         else:
@@ -278,7 +266,7 @@ class TensorFileStore:
         start = time.monotonic()
         path = self.path_for(tensor_id)
         ctx = current_io_context()
-        if ctx is not None and not self.legacy_copies:
+        if ctx is not None:
             # Batched backend: missing-file detection rides the open
             # (no separate exists() stat).
             data, syscalls = self._read_vectored(tensor_id, path, shape, dtype, ctx)
@@ -295,49 +283,42 @@ class TensorFileStore:
         if not path.exists():
             raise FileNotFoundError(f"no offloaded tensor at {path}")
         label = f"tensor {tensor_id!r} at {path}"
-        if self.legacy_copies:
-            payload = unframe_payload(path.read_bytes(), label)
-            data = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-            self.copy_stats.count_copy(data.nbytes, copies=2)
-            syscalls = 3  # open + read + close (the whole-file slurp)
-        else:
-            dtype = np.dtype(dtype)
-            numel = int(np.prod(shape, dtype=np.int64))
-            expected = numel * dtype.itemsize
-            flat = np.empty(numel, dtype)
-            with open(path, "rb") as f:
-                length, crc = parse_frame_header(f.read(FRAME_HEADER_BYTES), label)
-                file_size = os.fstat(f.fileno()).st_size
-                if file_size != FRAME_HEADER_BYTES + length:
-                    # Header and file disagree: corruption — retryable.
-                    raise IntegrityError(
-                        f"torn write: {label} frames {length} payload bytes, "
-                        f"found {max(0, file_size - FRAME_HEADER_BYTES)}"
-                    )
-                if length != expected:
-                    # Header and file agree with each other but not with
-                    # the caller: a deterministic shape/dtype bug, not
-                    # corruption — fail fast (ValueError is
-                    # non-retryable), matching the legacy frombuffer/
-                    # reshape behaviour.
-                    raise ValueError(
-                        f"{label} holds {length} payload bytes, "
-                        f"caller expected {expected}"
-                    )
-                view = memoryview(flat)
-                got = f.readinto(view)
-                if got != length:
-                    raise IntegrityError(
-                        f"torn write: {label} frames {length} payload bytes, read {got}"
-                    )
-                if zlib.crc32(view) != crc:
-                    raise IntegrityError(
-                        f"checksum mismatch for {label}: bit-rot or torn write"
-                    )
-            data = flat.reshape(shape)
-            self.copy_stats.count_copy(data.nbytes)
-            self.copy_stats.count_avoided(1)  # the whole-file bytes slurp
-            syscalls = 5  # open + header read + fstat + readinto + close
+        dtype = np.dtype(dtype)
+        numel = int(np.prod(shape, dtype=np.int64))
+        expected = numel * dtype.itemsize
+        flat = np.empty(numel, dtype)
+        with open(path, "rb") as f:
+            length, crc = parse_frame_header(f.read(FRAME_HEADER_BYTES), label)
+            file_size = os.fstat(f.fileno()).st_size
+            if file_size != FRAME_HEADER_BYTES + length:
+                # Header and file disagree: corruption — retryable.
+                raise IntegrityError(
+                    f"torn write: {label} frames {length} payload bytes, "
+                    f"found {max(0, file_size - FRAME_HEADER_BYTES)}"
+                )
+            if length != expected:
+                # Header and file agree with each other but not with
+                # the caller: a deterministic shape/dtype bug, not
+                # corruption — fail fast (ValueError is
+                # non-retryable).
+                raise ValueError(
+                    f"{label} holds {length} payload bytes, "
+                    f"caller expected {expected}"
+                )
+            view = memoryview(flat)
+            got = f.readinto(view)
+            if got != length:
+                raise IntegrityError(
+                    f"torn write: {label} frames {length} payload bytes, read {got}"
+                )
+            if zlib.crc32(view) != crc:
+                raise IntegrityError(
+                    f"checksum mismatch for {label}: bit-rot or torn write"
+                )
+        data = flat.reshape(shape)
+        self.copy_stats.count_copy(data.nbytes)
+        self.copy_stats.count_avoided(1)  # the whole-file bytes slurp
+        syscalls = 5  # open + header read + fstat + readinto + close
         count_syscalls(syscalls)
         self._throttle(data.nbytes, start)
         with self._lock:

@@ -1,11 +1,10 @@
 """Priority-aware I/O scheduler: the successor of the two FIFO pools.
 
 The paper's tensor cache drives all traffic through two strictly FIFO
-worker pools (Sec. III-C2, :class:`~repro.io.aio.AsyncIOPool`).  Under
-load that design inverts priorities: a backlog of low-urgency stores can
-starve the loads sitting on the backward critical path.  This module
-replaces the pools with one :class:`IOScheduler` that understands *what*
-each request is for:
+worker pools (Sec. III-C2).  Under load that design inverts priorities:
+a backlog of low-urgency stores can starve the loads sitting on the
+backward critical path.  This module replaces the pools with one
+:class:`IOScheduler` that understands *what* each request is for:
 
 - **per-tier lanes** — every storage tier (``"ssd"``, ``"cpu"``) gets its
   own worker group and request queue, modelling that PCIe traffic to host
@@ -39,19 +38,18 @@ each request is for:
 original behaviour — which keeps an apples-to-apples baseline for the
 priority-vs-FIFO comparison in benchmarks and tests.
 
-**Multi-tenancy** (architecture §8): pass a
-:class:`~repro.io.tenancy.TenantRegistry` and each lane swaps its heap
-for a weighted fair-share queue — priority classes stay strictly
-ordered, but *within* a class tenants are served by deficit round-robin
-over per-tenant subqueues, so one tenant's backlog cannot starve
-another's.  The registry also gates admission (byte quotas reject or
-park over-budget submissions; parked requests re-enter when a refund
-frees headroom) and paces bandwidth-quota'd tenants (soft token bucket,
+**Multi-tenancy** (architecture §8): every lane owns one
+:class:`_FairQueue` — priority classes stay strictly ordered, and
+*within* a class tenants are served by deficit round-robin over
+per-tenant subqueues, so one tenant's backlog cannot starve another's.
+Pass a :class:`~repro.io.tenancy.TenantRegistry` to give tenants their
+own subqueues; it also gates admission (byte quotas reject or park
+over-budget submissions; parked requests re-enter when a refund frees
+headroom) and paces bandwidth-quota'd tenants (soft token bucket,
 work-conserving).  Telemetry, request books and lane health all grow a
 per-tenant dimension with the same exact-reconciliation bar as the
-global books.  Without a registry the legacy single-heap path runs
-unchanged — the default-tenant behaviour is byte-identical to the
-pre-tenancy scheduler.
+global books.  Single-job and ``fifo=True`` runs are configurations of
+the same queue (see :class:`_FairQueue`).
 
 **Failure model** (see :mod:`repro.io.errors` for the taxonomy and
 ``docs/architecture.md`` §6 for the map): a request whose body raises is
@@ -82,7 +80,6 @@ traffic off the lane without declaring the device gone.
 from __future__ import annotations
 
 import enum
-import heapq
 import logging
 import threading
 import time
@@ -548,12 +545,12 @@ class _ClassRing:
         #: not merely one request per turn.
         self.fresh = True
 
-    def push(self, request: IORequest) -> None:
-        queue = self.queues.get(request.tenant)
+    def push(self, tenant: str, request: IORequest) -> None:
+        queue = self.queues.get(tenant)
         if queue is None:
-            queue = self.queues[request.tenant] = deque()
-            self.order.append(request.tenant)
-            self.deficit.setdefault(request.tenant, 0.0)
+            queue = self.queues[tenant] = deque()
+            self.order.append(tenant)
+            self.deficit.setdefault(tenant, 0.0)
         queue.append(request)
 
     def retire(self, tenant: str) -> None:
@@ -594,6 +591,20 @@ class _ClassRing:
             if not queue:
                 self.retire(tenant)
                 continue
+            if len(self.order) == 1:
+                # A lone backlogged tenant: DRR over one queue is FIFO,
+                # and the credit it would earn is forfeited the moment it
+                # idles, so serve its head without the quantum-per-visit
+                # loop (a 1 MiB head would take 16 visits of a 64 KiB
+                # quantum, each reading the weight under the registry
+                # lock).  Nobody else can use the device, so the token
+                # bucket is charged by force (work-conserving).
+                head = queue.popleft()
+                if bw_gate is not None:
+                    bw_gate(head.tenant, head.nbytes, True)
+                if not queue:
+                    self.retire(tenant)
+                return head, dropped
             if self.fresh:
                 self.deficit[tenant] = (
                     self.deficit.get(tenant, 0.0) + quantum * weight_of(tenant)
@@ -626,28 +637,48 @@ class _ClassRing:
 class _FairQueue:
     """Per-lane weighted fair-share queue: priority classes stay
     strictly ordered (a blocking load still overtakes every store);
-    *within* a class tenants are served by :class:`_ClassRing` DRR."""
+    *within* a class tenants are served by :class:`_ClassRing` DRR.
 
-    def __init__(self, registry: TenantRegistry) -> None:
+    The scheduler's two degenerate modes are configurations of this one
+    structure, not a second one.  ``per_tenant=False`` (no registry was
+    passed) files every request under the default tenant's subqueue: a
+    ring of one, so dequeue is priority class then submission order.
+    ``fifo=True`` additionally files every request under one class key,
+    so dequeue is strict submission order whatever the priorities and
+    tenants.  Neither mode paces bandwidth — a shared subqueue has no
+    other tenant to yield to.
+    """
+
+    def __init__(
+        self, registry: TenantRegistry, fifo: bool = False, per_tenant: bool = True
+    ) -> None:
         self.registry = registry
+        self.fifo = fifo
+        self.per_tenant = per_tenant and not fifo
         self.classes: Dict[int, _ClassRing] = {}
         #: Queued entries, live + stale (drives the workers' wait
         #: predicate; stale entries are dropped lazily by pop()).
         self.size = 0
 
+    def _keys(self, request: IORequest) -> Tuple[int, str]:
+        """The (class key, subqueue key) ``request`` files under."""
+        cls = 0 if self.fifo else int(request.priority)
+        return cls, request.tenant if self.per_tenant else DEFAULT_TENANT
+
     def push(self, request: IORequest) -> None:
-        cls = int(request.priority)
+        cls, tenant = self._keys(request)
         ring = self.classes.get(cls)
         if ring is None:
             ring = self.classes[cls] = _ClassRing()
-        ring.push(request)
+        ring.push(tenant, request)
         self.size += 1
 
     def pop(self) -> Optional[IORequest]:
+        bw_gate = self.registry.bw_admit if self.per_tenant else None
         for cls in sorted(self.classes):
             ring = self.classes[cls]
             request, dropped = ring.pop(
-                self.registry.weight, self.registry.quantum_bytes, self._bw_gate
+                self.registry.weight, self.registry.quantum_bytes, bw_gate
             )
             self.size -= dropped
             if not ring.order:
@@ -657,17 +688,14 @@ class _FairQueue:
                 return request
         return None
 
-    def _bw_gate(self, tenant: str, nbytes: int, force: bool) -> bool:
-        return self.registry.bw_admit(tenant, nbytes, force=force)
-
     def remove(self, request: IORequest) -> bool:
         """Unlink a queued request (promotion re-push); False when it
         is not queued here (already popped, or parked)."""
-        cls = int(request.priority)
+        cls, tenant = self._keys(request)
         ring = self.classes.get(cls)
         if ring is None:
             return False
-        queue = ring.queues.get(request.tenant)
+        queue = ring.queues.get(tenant)
         if queue is None:
             return False
         try:
@@ -676,15 +704,17 @@ class _FairQueue:
             return False
         self.size -= 1
         if not queue:
-            ring.retire(request.tenant)
+            ring.retire(tenant)
             if not ring.order:
                 del self.classes[cls]
         return True
 
-    def peek_tenant_head(self, tenant: str) -> Optional[IORequest]:
-        """The tenant's most urgent live queued request (coalescing
-        looks here for the next batch member, so a batch never crosses
-        tenants — adjacency within the owner is the point)."""
+    def peek_behind(self, head: IORequest) -> Optional[IORequest]:
+        """The most urgent live request queued in ``head``'s subqueue
+        (coalescing looks here for the next batch member, so a batch
+        never crosses tenants — adjacency within the owner is the
+        point)."""
+        _, tenant = self._keys(head)
         for cls in sorted(self.classes):
             ring = self.classes[cls]
             queue = ring.queues.get(tenant)
@@ -705,33 +735,28 @@ class _FairQueue:
 class _Lane:
     """One tier's queue + bookkeeping (workers live on the scheduler)."""
 
-    def __init__(self, name: str, fair: Optional[_FairQueue] = None) -> None:
+    def __init__(self, name: str, queue: _FairQueue) -> None:
         self.name = name
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
-        #: Heap of (priority value, seq, entry priority snapshot, request).
-        self.heap: List[Tuple[int, int, int, IORequest]] = []
-        self.seq = 0
+        self.queue = queue
         self.pending = 0  # submitted, not yet finished or cancelled
         self.idle = threading.Event()
         self.idle.set()
-        #: Fair-share queue replacing the heap when the scheduler runs
-        #: with a tenant registry (None = legacy single-heap path).
-        self.fair = fair
 
     def has_work(self) -> bool:
-        return bool(self.heap) if self.fair is None else self.fair.size > 0
+        return self.queue.size > 0
 
 
 class IOScheduler:
     """Single scheduler owning per-tier lanes with priority dequeue.
 
     Args:
-        num_store_workers / num_load_workers: kept for drop-in
-            compatibility with the two FIFO pools; their sum is each
-            lane's worker count (total channel concurrency per tier is
-            unchanged, but any worker may serve any class — that is what
-            lets a blocking load overtake the store backlog).
+        num_store_workers / num_load_workers: per-channel worker
+            counts, as the paper's two pools were sized; their sum is
+            each lane's worker count (any worker may serve any class —
+            that is what lets a blocking load overtake the store
+            backlog).
         lanes: tier names to create lanes for.
         fifo: ignore priority classes and dequeue in submission order
             (the paper's baseline behaviour; promotion becomes a no-op).
@@ -745,10 +770,10 @@ class IOScheduler:
         tenants: a :class:`~repro.io.tenancy.TenantRegistry` to share
             the lanes across jobs: enables quota admission and — unless
             ``fifo`` — weighted fair-share (DRR) dequeue across tenants
-            within each priority class.  ``None`` (the default) keeps
-            the legacy single-heap path, byte-identical to the
-            pre-tenancy scheduler (a registry is still created for
-            bookkeeping, but never drives dequeue order).
+            within each priority class.  With ``None`` (the default)
+            every request queues as the default tenant's, so dequeue is
+            priority class then submission order (a registry is still
+            created for bookkeeping, but never drives dequeue order).
         name: thread-name prefix.
         backend: the lane execution backend
             (:class:`~repro.io.aio.IOBackend`).  ``None`` installs the
@@ -807,12 +832,11 @@ class IOScheduler:
         self.coalesce_bytes = coalesce_bytes
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
-        #: Tenant registry: admission control + per-tenant books.  Fair
-        #: dequeue engages only when a registry was passed explicitly
-        #: (and not in FIFO mode) — the implicit bookkeeping registry
-        #: must not perturb the legacy heap order.
+        #: Tenant registry: admission control + per-tenant books.  Only
+        #: a registry passed explicitly gives tenants their own
+        #: subqueues — the implicit bookkeeping registry must not
+        #: perturb the priority-then-submission order.
         self.tenants = tenants if tenants is not None else TenantRegistry()
-        self.fair_share = tenants is not None and not fifo
         #: Requests held by quota admission, per tenant, in submit
         #: order; not on any lane (pending/drain ignore them) until a
         #: refund re-admits them.  Guarded by _park_lock.
@@ -859,7 +883,10 @@ class IOScheduler:
         self.backend = backend if backend is not None else ThreadBackend()
         self.backend.bind(self)
         self._lanes: Dict[str, _Lane] = {
-            lane: _Lane(lane, _FairQueue(self.tenants) if self.fair_share else None)
+            lane: _Lane(
+                lane,
+                _FairQueue(self.tenants, fifo=fifo, per_tenant=tenants is not None),
+            )
             for lane in lanes
         }
         workers_per_lane = num_store_workers + num_load_workers
@@ -916,9 +943,6 @@ class IOScheduler:
             )
         return lane
 
-    def _sort_key(self, request: IORequest) -> int:
-        return 0 if self.fifo else int(request.priority)
-
     def submit(self, request: IORequest) -> IORequest:
         """Enqueue a typed request on its tier lane; returns the request.
 
@@ -963,14 +987,7 @@ class IOScheduler:
             if not shut:
                 lane.pending += 1
                 lane.idle.clear()
-                if lane.fair is not None:
-                    lane.fair.push(request)
-                else:
-                    heapq.heappush(
-                        lane.heap,
-                        (self._sort_key(request), lane.seq, int(request.priority), request),
-                    )
-                    lane.seq += 1
+                lane.queue.push(request)
                 lane.cond.notify()
         if shut:
             # Admission already booked/charged this request; undo it so
@@ -1143,14 +1160,11 @@ class IOScheduler:
     def promote(self, request: Optional[IORequest], priority: Priority = Priority.BLOCKING_LOAD) -> bool:
         """Raise a PENDING request's urgency (deadline promotion).
 
-        Legacy path: re-pushes the request with the new class; the stale
-        heap entry is skipped at dequeue time (its priority snapshot no
-        longer matches).  Fair path: the request is unlinked from its
-        class ring and re-pushed under the new class (no stale entries).
-        A parked request just has its priority raised — it enters the
-        queue with it when admission unparks it.  No-op in FIFO mode,
-        for requests already at least that urgent, and for requests
-        that left the queue.
+        The request is unlinked from its class ring and re-pushed at
+        the back of the new class (no stale entries).  A parked request
+        just has its priority raised — it enters the queue with it when
+        admission unparks it.  No-op in FIFO mode, for requests already
+        at least that urgent, and for requests that left the queue.
         """
         if request is None or self.fifo:
             return False
@@ -1171,19 +1185,10 @@ class IOScheduler:
                 return False
             if int(priority) >= int(request.priority):
                 return False
-            if lane.fair is not None:
-                requeue = lane.fair.remove(request)
-                request.priority = Priority(priority)
-                if requeue:
-                    lane.fair.push(request)
-                    lane.cond.notify()
-            else:
-                request.priority = Priority(priority)
-                heapq.heappush(
-                    lane.heap,
-                    (self._sort_key(request), lane.seq, int(request.priority), request),
-                )
-                lane.seq += 1
+            requeue = lane.queue.remove(request)
+            request.priority = Priority(priority)
+            if requeue:
+                lane.queue.push(request)
                 lane.cond.notify()
         with self._stats_lock:
             self.stats.promotions += 1
@@ -1191,24 +1196,19 @@ class IOScheduler:
         return True
 
     # ----------------------------------------------------------------- workers
-    def _pop_valid_locked(self, lane: _Lane) -> Optional[IORequest]:
-        """Pop the most urgent live entry; drops stale/cancelled ones."""
-        while lane.heap:
-            _, _, entry_priority, request = heapq.heappop(lane.heap)
-            if request.state is not JobState.PENDING:
-                continue  # cancelled while queued (or stale duplicate)
-            if entry_priority != int(request.priority):
-                continue  # stale entry left behind by a promotion
-            return request
-        return None
-
     def _pop_batch_locked(self, lane: _Lane) -> List[IORequest]:
         """Pop one request, plus — for small stores — the adjacent small
         stores queued behind it, to run back-to-back as one batch.
 
-        Stores are the lowest class, so when a store is at the front the
-        whole heap is stores: draining from the top preserves priority
+        The queue picks the head (priority class, then DRR across
+        tenants); coalescing then drains the *same subqueue's* queued
+        small stores/demotions (in its class order) into the batch.
+        Stores are the lowest classes, so when one is at the front
+        nothing more urgent is queued: draining preserves priority
         order while guaranteeing the batch is adjacent in queue order.
+        A batch never mixes tenants, so coalescing cannot become a
+        fairness loophole (the bytes a batch moves are all charged to
+        the tenant DRR selected).
 
         Members claimed into a batch ride behind its head even if another
         worker goes idle — adjacency is the point (one chunk submission).
@@ -1217,40 +1217,7 @@ class IOScheduler:
         only a step-end deadline, and claimed members stay cancellable
         until the worker reaches them.
         """
-        if lane.fair is not None:
-            return self._pop_batch_fair_locked(lane)
-        head = self._pop_valid_locked(lane)
-        if head is None:
-            return []
-        batch = [head]
-        if (
-            self.coalesce_bytes <= 0
-            or head.kind not in ("store", "demote")
-            or head.nbytes >= self.coalesce_bytes
-        ):
-            return batch
-        total = head.nbytes
-        while lane.heap:
-            _, _, entry_priority, nxt = lane.heap[0]
-            if nxt.state is not JobState.PENDING or entry_priority != int(nxt.priority):
-                heapq.heappop(lane.heap)  # stale: drop and keep scanning
-                continue
-            if nxt.kind not in ("store", "demote"):
-                break
-            if total + nxt.nbytes > self.coalesce_bytes:
-                break
-            heapq.heappop(lane.heap)
-            batch.append(nxt)
-            total += nxt.nbytes
-        return batch
-
-    def _pop_batch_fair_locked(self, lane: _Lane) -> List[IORequest]:
-        """Fair-path dequeue: DRR picks the head; coalescing then
-        drains the *same tenant's* queued small stores/demotions (in
-        its class order) into the batch — a batch never mixes tenants,
-        so coalescing cannot become a fairness loophole (the bytes a
-        batch moves are all charged to the tenant DRR selected)."""
-        head = lane.fair.pop()
+        head = lane.queue.pop()
         if head is None:
             return []
         batch = [head]
@@ -1262,14 +1229,14 @@ class IOScheduler:
             return batch
         total = head.nbytes
         while True:
-            nxt = lane.fair.peek_tenant_head(head.tenant)
+            nxt = lane.queue.peek_behind(head)
             if (
                 nxt is None
                 or nxt.kind not in ("store", "demote")
                 or total + nxt.nbytes > self.coalesce_bytes
             ):
                 break
-            lane.fair.remove(nxt)
+            lane.queue.remove(nxt)
             batch.append(nxt)
             total += nxt.nbytes
         return batch

@@ -424,8 +424,7 @@ class UringBackend(IOBackend):
         batch_syscalls = 0
         for request in batch:
             if not request.claim():
-                # Lost to cancel() or a competing claim on a promoted
-                # duplicate; the winner owns all bookkeeping.
+                # Lost to cancel(); the winner owns all bookkeeping.
                 continue
             claimed += 1
             if claimed > 1:

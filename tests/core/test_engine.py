@@ -1,7 +1,5 @@
-"""Engine facade: typed config validation, shim equivalence, one stats
-snapshot, and the pool-deprecation regression."""
-
-import warnings
+"""Engine facade: typed config validation, construction wiring and the
+one stats snapshot."""
 
 import numpy as np
 import pytest
@@ -9,13 +7,9 @@ import pytest
 from repro.core import (
     EngineConfig,
     EngineConfigError,
-    OffloadPolicy,
     build_engine,
-    make_offloader,
 )
 from repro.core.ids import TensorID
-from repro.core.offloader import CPUOffloader, SSDOffloader
-from repro.core.tiered import TieredOffloader
 from repro.io.tenancy import TenantRegistry
 
 DATA = np.arange(256, dtype=np.float32)
@@ -39,6 +33,12 @@ DATA = np.arange(256, dtype=np.float32)
         (dict(target="cpu", num_store_workers=0), "at least one worker"),
         (dict(target="cpu", num_load_workers=0), "at least one worker"),
         (dict(target="cpu", prefetch_window=-1), "prefetch_window must be >= 0"),
+        (dict(target="cpu", io_deadlines={"BLOCKING_LOAD": 0.0}),
+         "must be positive"),
+        # An unknown class name must fail at build time, not on the first
+        # lazy engine.scheduler access.
+        (dict(target="cpu", io_deadlines={"BLOCKING": 1.0}),
+         "unknown priority class 'BLOCKING'"),
     ],
 )
 def test_config_validation_is_typed(kwargs, message):
@@ -47,52 +47,12 @@ def test_config_validation_is_typed(kwargs, message):
 
 
 def test_config_error_is_a_value_error():
-    # The historic make_offloader contract: callers catch ValueError.
+    # Callers that catch ValueError catch the typed error too.
     assert issubclass(EngineConfigError, ValueError)
     with pytest.raises(ValueError, match="ssd target requires store_dir"):
-        make_offloader("ssd")
+        build_engine(target="ssd")
     with pytest.raises(ValueError, match="unknown offload target"):
-        make_offloader("dram")
-
-
-# ---------------------------------------------------------- shim equivalence
-def test_make_offloader_matches_build_engine_ssd(tmp_path):
-    via_shim = make_offloader("ssd", store_dir=tmp_path / "a", chunk_bytes=4096)
-    via_engine = build_engine(
-        EngineConfig(target="ssd", store_dir=tmp_path / "b", chunk_bytes=4096)
-    ).offloader
-    assert type(via_shim) is type(via_engine) is SSDOffloader
-    tid = TensorID(stamp=1, shape=tuple(DATA.shape))
-    via_shim.store(tid, DATA)
-    assert np.array_equal(via_shim.load(tid, DATA.shape, DATA.dtype), DATA)
-
-
-def test_make_offloader_matches_build_engine_cpu():
-    via_shim = make_offloader("cpu", cpu_pool_bytes=1 << 20)
-    via_engine = build_engine(
-        EngineConfig(target="cpu", cpu_pool_bytes=1 << 20)
-    ).offloader
-    assert type(via_shim) is type(via_engine) is CPUOffloader
-    assert via_shim.pool.capacity_bytes == via_engine.pool.capacity_bytes
-
-
-def test_make_offloader_matches_build_engine_tiered(tmp_path):
-    policy = OffloadPolicy()
-    via_shim = make_offloader(
-        "tiered", store_dir=tmp_path / "a", cpu_pool_bytes=1 << 16, policy=policy
-    )
-    via_engine = build_engine(
-        EngineConfig(
-            target="tiered",
-            store_dir=tmp_path / "b",
-            cpu_pool_bytes=1 << 16,
-            policy=policy,
-        )
-    ).offloader
-    assert type(via_shim) is type(via_engine) is TieredOffloader
-    # The shared policy is wired through both construction paths.
-    assert via_shim.policy is policy
-    assert via_engine.policy is policy
+        build_engine(target="dram")
 
 
 # ------------------------------------------------------------------ wiring
@@ -171,19 +131,6 @@ def test_stats_snapshot_is_detached(tmp_path):
         engine.shutdown()
 
 
-def test_delegating_accessors_are_views_of_stats(tmp_path):
-    engine = build_engine(
-        EngineConfig(target="tiered", store_dir=tmp_path, cpu_pool_bytes=1 << 16)
-    )
-    try:
-        assert engine.pool_stats().capacity_bytes == 1 << 16
-        assert engine.dataplane_stats() is not None
-        assert engine.tenant_stats() == {}
-        assert engine.channel_windows() == {}
-    finally:
-        engine.shutdown()
-
-
 def test_stats_never_steals_the_controller_feed(tmp_path):
     """engine.stats() must not drain consume_completion_stats()."""
     engine = build_engine(EngineConfig(target="ssd", store_dir=tmp_path))
@@ -194,21 +141,5 @@ def test_stats_never_steals_the_controller_feed(tmp_path):
         engine.scheduler.drain()
         engine.stats()  # peek — must leave the destructive feed intact
         del cache
-    finally:
-        engine.shutdown()
-
-
-# -------------------------------------------------------------- deprecation
-def test_store_pool_and_load_pool_deprecated(tmp_path):
-    engine = build_engine(EngineConfig(target="ssd", store_dir=tmp_path))
-    cache = engine.cache()
-    try:
-        with pytest.warns(DeprecationWarning, match="store_pool is deprecated"):
-            assert cache.store_pool is cache.scheduler
-        with pytest.warns(DeprecationWarning, match="load_pool is deprecated"):
-            assert cache.load_pool is cache.scheduler
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cache.scheduler  # the replacement accessor stays silent
     finally:
         engine.shutdown()

@@ -80,11 +80,9 @@ def test_engine_context_manager(tmp_path):
     assert engine.closed
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_scheduler_and_backends_close_aliases(tmp_path):
     """Every layer of the I/O plane is a context manager with an
     idempotent ``close`` — the leak-freedom building blocks."""
-    from repro.io.aio import AsyncIOPool
     from repro.io.scheduler import IOScheduler
     from repro.io.uring import UringBackend
 
@@ -95,10 +93,6 @@ def test_scheduler_and_backends_close_aliases(tmp_path):
     with UringBackend() as backend:
         pass
     backend.close()
-
-    with AsyncIOPool() as pool:
-        pass
-    pool.close()
 
 
 def test_stats_available_after_shutdown(tmp_path):

@@ -3,8 +3,8 @@
 Covers the offloader-level mechanics (placement, demotion on pool
 exhaustion, promotion on load, refcounted chunk reclaim), the policy's
 tier-placement rule, the cache integration (per-record tier, forwarding
-across tiers, end-to-end training equivalence), the ``make_offloader``
-config factory, and the chunk-coalescing write-count win.
+across tiers, end-to-end training equivalence), the ``build_engine``
+target axis, and the chunk-coalescing write-count win.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from repro.core import (
     TensorCache,
     Tier,
     TieredOffloader,
-    make_offloader,
+    build_engine,
 )
 from repro.core.ids import TensorID
 
@@ -162,9 +162,9 @@ def test_tiered_honours_shared_policy(tmp_path):
     policy = OffloadPolicy(
         PolicyConfig(cpu_tier_max_tensor_bytes=DATA.nbytes - 1)
     )
-    off = make_offloader(
-        "tiered", store_dir=tmp_path, cpu_pool_bytes=8 * DATA.nbytes, policy=policy
-    )
+    off = build_engine(
+        target="tiered", store_dir=tmp_path, cpu_pool_bytes=8 * DATA.nbytes, policy=policy
+    ).offloader
     try:
         off.store(_tid(1), DATA)  # above the cap: bypasses the pool
         assert off.tier_of(_tid(1)) is Tier.SSD
@@ -182,30 +182,23 @@ def test_location_names_the_tier(tiered):
 
 
 # -------------------------------------------------------------------- factory
-def test_make_offloader_targets(tmp_path):
-    assert isinstance(make_offloader("ssd", store_dir=tmp_path / "s"), SSDOffloader)
-    cpu = make_offloader("cpu", cpu_pool_bytes=1024)
+def test_build_engine_targets(tmp_path):
+    ssd = build_engine(target="ssd", store_dir=tmp_path / "s").offloader
+    assert isinstance(ssd, SSDOffloader)
+    cpu = build_engine(target="cpu", cpu_pool_bytes=1024).offloader
     assert isinstance(cpu, CPUOffloader)
     assert cpu.pool.capacity_bytes == 1024
-    tiered = make_offloader(
-        "tiered", store_dir=tmp_path / "t", cpu_pool_bytes=2048, chunk_bytes=512
-    )
+    policy = OffloadPolicy()
+    tiered = build_engine(
+        target="tiered",
+        store_dir=tmp_path / "t",
+        cpu_pool_bytes=2048,
+        chunk_bytes=512,
+        policy=policy,
+    ).offloader
     assert isinstance(tiered, TieredOffloader)
+    assert tiered.policy is policy  # one policy governs decide() and place()
     tiered.shutdown()
-
-
-def test_make_offloader_validation(tmp_path):
-    with pytest.raises(ValueError):
-        make_offloader("ssd")
-    with pytest.raises(ValueError):
-        make_offloader("tiered", store_dir=tmp_path)  # needs a pool bound
-    with pytest.raises(ValueError):
-        make_offloader("tape", store_dir=tmp_path)
-    # Knobs that would be silently inert for the target are rejected.
-    with pytest.raises(ValueError):
-        make_offloader("cpu", chunk_bytes=4096)
-    with pytest.raises(ValueError):
-        make_offloader("ssd", store_dir=tmp_path, cpu_pool_bytes=4096)
 
 
 # ---------------------------------------------------------- cache integration

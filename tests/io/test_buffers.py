@@ -1,7 +1,8 @@
 """Tests for the zero-copy data plane: the buffer arena's lease/release
 accounting (including under concurrency and fault interleavings), the
-streaming checksum writers' byte-for-byte equivalence with the legacy
-copy path, and the conditional-copy bit-exactness fixes."""
+streaming checksum writers' byte-for-byte equivalence with the
+``frame_payload`` reference frame, and the conditional-copy
+bit-exactness fixes."""
 
 import threading
 
@@ -22,7 +23,12 @@ from repro.io.buffers import (
 from repro.io.chunkstore import ChunkedTensorStore
 from repro.io.errors import IntegrityError, PermanentIOError
 from repro.io.faults import FaultPlan, inject_faults
-from repro.io.filestore import FRAME_HEADER_BYTES, TensorFileStore, frame_payload
+from repro.io.filestore import (
+    FRAME_HEADER_BYTES,
+    TensorFileStore,
+    frame_payload,
+    unframe_payload,
+)
 from repro.io.scheduler import IORequest, IOScheduler, Priority
 
 DATA = np.arange(256, dtype=np.float32)  # 1 KiB
@@ -170,25 +176,18 @@ def test_concurrent_lease_release_no_corruption_no_leaks():
 # --------------------------------------------------- streaming writer parity
 def test_filestore_streaming_bytes_identical_to_legacy_frame(tmp_path):
     data = np.random.default_rng(3).random((31, 17)).astype(np.float32)
-    streaming = TensorFileStore(tmp_path / "new")
-    legacy = TensorFileStore(tmp_path / "old", legacy_copies=True)
-    streaming.write("t", data)
-    legacy.write("t", data)
-    new_bytes = streaming.path_for("t").read_bytes()
-    old_bytes = legacy.path_for("t").read_bytes()
-    assert new_bytes == old_bytes
-    assert new_bytes == frame_payload(data.tobytes())
-    # Cross-reads: either reader accepts either writer's file.
-    np.testing.assert_array_equal(
-        legacy.read("t", data.shape, data.dtype), data
-    )
-    np.testing.assert_array_equal(
-        streaming.read("t", data.shape, data.dtype), data
-    )
-    swapped = TensorFileStore(tmp_path / "old")  # streaming reader, legacy file
-    np.testing.assert_array_equal(
-        swapped.read("t", data.shape, data.dtype), data
-    )
+    store = TensorFileStore(tmp_path)
+    store.write("t", data)
+    written = store.path_for("t").read_bytes()
+    # The streaming writer's file IS the reference frame, byte for byte
+    # (so a store written before the streaming path existed replays).
+    assert written == frame_payload(data.tobytes())
+    assert unframe_payload(written, "t") == data.tobytes()
+    np.testing.assert_array_equal(store.read("t", data.shape, data.dtype), data)
+    # Cross-read: the streaming reader accepts a hand-framed file.
+    other = np.random.default_rng(4).random((31, 17)).astype(np.float32)
+    store.path_for("u").write_bytes(frame_payload(other.tobytes()))
+    np.testing.assert_array_equal(store.read("u", other.shape, other.dtype), other)
 
 
 def test_filestore_streaming_write_avoids_copies(tmp_path):
@@ -206,20 +205,17 @@ def test_chunkstore_streaming_bytes_identical_to_legacy(tmp_path):
         f"t{i}": np.random.default_rng(i).random(97 + i).astype(np.float32)
         for i in range(5)
     }
-    streaming = ChunkedTensorStore(tmp_path / "new", chunk_bytes=1 << 20)
-    legacy = ChunkedTensorStore(
-        tmp_path / "old", chunk_bytes=1 << 20, legacy_copies=True
+    store = ChunkedTensorStore(tmp_path, chunk_bytes=1 << 20)
+    for name, arr in tensors.items():
+        store.write(name, arr)
+    store.flush()
+    # A chunk file is the tensors' raw bytes back to back (checksums live
+    # in the index), exactly what per-tensor tobytes() staging produced.
+    assert store.path_for("t0").read_bytes() == b"".join(
+        arr.tobytes() for arr in tensors.values()
     )
     for name, arr in tensors.items():
-        streaming.write(name, arr)
-        legacy.write(name, arr)
-    streaming.flush()
-    legacy.flush()
-    assert streaming.path_for("t0").read_bytes() == legacy.path_for("t0").read_bytes()
-    for name, arr in tensors.items():
-        np.testing.assert_array_equal(
-            streaming.read(name, arr.shape, arr.dtype), arr
-        )
+        np.testing.assert_array_equal(store.read(name, arr.shape, arr.dtype), arr)
 
 
 def test_chunkstore_open_chunk_read_is_an_owned_copy(tmp_path):
@@ -298,22 +294,18 @@ def test_owned_copy_single_copy_both_ways():
 
 def test_cpu_offloader_load_bit_exact_and_owned():
     off = CPUOffloader(PinnedMemoryPool())
-    legacy = CPUOffloader(PinnedMemoryPool(), legacy_copies=True)
     data = np.random.default_rng(5).random(256).astype(np.float32)
     off.store(_tid(1), data)
-    legacy.store(_tid(1), data)
     for dtype in (np.float32, np.float64):
         pooled = off.load(_tid(1), data.shape, dtype)
-        reference = legacy.load(_tid(1), data.shape, dtype)
         assert pooled.dtype == np.dtype(dtype)
-        np.testing.assert_array_equal(pooled, reference)
+        np.testing.assert_array_equal(pooled, data.astype(dtype))
     # Ownership: mutating the resident buffer must not reach the loaded
     # copy (the GPU-reinstate boundary owns its bytes).
     loaded = off.load(_tid(1), data.shape, np.float32)
     off.peek(_tid(1))[:] = 0.0
     np.testing.assert_array_equal(loaded, data)
     off.shutdown()
-    legacy.shutdown()
 
 
 # --------------------------------------------------- CPU offloader + arena

@@ -4,7 +4,6 @@ retry-with-backoff, the scheduler's FAILED accounting + worker
 survival, and the per-lane health tracker."""
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from repro.io import (
     Priority,
     TensorFileStore,
 )
-from repro.io.aio import AsyncIOPool, IOJob, JobState
+from repro.io.aio import IOJob, JobState
 from repro.io.errors import (
     IntegrityError,
     PermanentIOError,
@@ -306,23 +305,6 @@ def test_iojob_default_budget_is_zero():
     job.run()
     assert job.state is JobState.FAILED
     assert len(calls) == 1
-
-
-def test_pool_jobs_keep_one_shot_semantics():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pool = AsyncIOPool(1)
-    calls = []
-
-    def flaky():
-        calls.append(1)
-        raise TransientIOError("blip")
-
-    job = pool.submit(flaky)
-    assert job.wait(5)
-    assert job.state is JobState.FAILED
-    assert len(calls) == 1
-    pool.shutdown()
 
 
 # --------------------------------------------------------- scheduler failures

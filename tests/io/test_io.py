@@ -1,8 +1,7 @@
-"""Tests for the async I/O substrate: pools, file store, GDS paths."""
+"""Tests for the async I/O substrate: jobs on a lane, file store, GDS paths."""
 
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -10,114 +9,143 @@ import pytest
 from repro.device.pcie import GPU_LINK_GEN4_X16
 from repro.device.ssd import INTEL_OPTANE_P5800X_1600GB, RAID0Array
 from repro.io import (
-    AsyncIOPool,
     BounceBufferPath,
     ChunkedTensorStore,
     DirectGDSPath,
     GDSRegistry,
+    IORequest,
+    IOScheduler,
+    Priority,
     TensorFileStore,
 )
 from repro.io.aio import JobState
 from repro.tensor.tensor import Tensor
 
 
-# ------------------------------------------------------------------ AsyncIOPool
-def _pool(num_workers: int) -> AsyncIOPool:
-    """Build the deprecated FIFO pool without tripping its warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return AsyncIOPool(num_workers)
+# ------------------------------------------------- IOJob on a scheduler lane
+# The paper's two FIFO pools became IOScheduler lanes; these pin down the
+# IOJob contract (result, error capture, callbacks, closure drop) and the
+# lane's pending/drain/shutdown books as a plain submitter sees them.
+def _sched(**kwargs) -> IOScheduler:
+    return IOScheduler(
+        num_store_workers=1, num_load_workers=1, lanes=("ssd",), **kwargs
+    )
 
 
-def test_pool_construction_warns_deprecated():
-    with pytest.warns(DeprecationWarning, match="IOScheduler"):
-        pool = AsyncIOPool(1)
-    pool.shutdown()
+def _submit(sched: IOScheduler, fn) -> IORequest:
+    return sched.submit(IORequest(fn, kind="store", priority=Priority.STORE))
 
 
 def test_pool_executes_jobs():
-    pool = _pool(1)
-    job = pool.submit(lambda: 42)
+    sched = _sched()
+    job = _submit(sched, lambda: 42)
     assert job.wait(5)
     assert job.result == 42
     assert job.state is JobState.DONE
-    pool.shutdown()
+    sched.shutdown()
 
 
 def test_pool_fifo_order_single_worker():
-    pool = _pool(1)
+    """``fifo=True`` with one free worker executes in strict submission
+    order (the paper's single-queue pool)."""
+    sched = _sched(fifo=True, coalesce_bytes=0)
+    release = threading.Event()
+    held = threading.Event()
+
+    def hold():
+        held.set()
+        release.wait(5)
+
+    _submit(sched, hold)  # parks one of the lane's two workers
+    assert held.wait(5)
     order = []
-    for i in range(20):
-        pool.submit(lambda i=i: order.append(i))
-    pool.drain(5)
+    jobs = [_submit(sched, lambda i=i: order.append(i)) for i in range(20)]
+    # Release the parked worker only once the free one has run all 20,
+    # so two workers never execute concurrently.
+    assert jobs[-1].wait(5)
+    release.set()
+    assert sched.drain(5)
     assert order == list(range(20))
-    pool.shutdown()
+    sched.shutdown()
 
 
 def test_pool_error_captured_not_raised():
-    pool = _pool(1)
+    sched = _sched()
 
     def boom():
         raise ValueError("io error")
 
-    job = pool.submit(boom)
+    job = _submit(sched, boom)
     job.wait(5)
     assert job.state is JobState.FAILED
     assert isinstance(job.error, ValueError)
-    pool.shutdown()
+    sched.shutdown()
 
 
 def test_pool_done_callback_fires():
-    pool = _pool(1)
+    sched = _sched()
     fired = threading.Event()
-    job = pool.submit(lambda: 1)
+    release = threading.Event()
+    job = _submit(sched, release.wait)
     job.add_done_callback(lambda j: fired.set())
+    release.set()
     assert fired.wait(5)
-    pool.shutdown()
+    sched.shutdown()
 
 
 def test_pool_done_callback_after_completion_runs_immediately():
-    pool = _pool(1)
-    job = pool.submit(lambda: 1)
+    sched = _sched()
+    job = _submit(sched, lambda: 1)
     job.wait(5)
     fired = []
     job.add_done_callback(lambda j: fired.append(1))
     assert fired == [1]
-    pool.shutdown()
+    sched.shutdown()
 
 
 def test_pool_drops_closure_after_run():
     """The job must not pin the stored tensor after completion (GPU memory
     is reclaimed by refcount once the store finishes)."""
-    pool = _pool(1)
-    job = pool.submit(lambda: None)
+    sched = _sched()
+    job = _submit(sched, lambda: None)
     job.wait(5)
     assert job.fn is None
-    pool.shutdown()
+    sched.shutdown()
 
 
 def test_pool_pending_and_drain():
-    pool = _pool(1)
+    sched = _sched(coalesce_bytes=0)
     release = threading.Event()
-    pool.submit(release.wait)
-    pool.submit(lambda: 1)
-    assert pool.pending == 2
+    _submit(sched, release.wait)
+    _submit(sched, release.wait)
+    _submit(sched, lambda: 1)  # both workers are held: this one queues
+    assert sched.pending() == 3
+    assert not sched.drain(0.01)
     release.set()
-    assert pool.drain(5)
-    assert pool.pending == 0
-    pool.shutdown()
+    assert sched.drain(5)
+    assert sched.pending() == 0
+    sched.shutdown()
 
 
 def test_pool_shutdown_rejects_new_work():
-    pool = _pool(1)
-    pool.shutdown()
+    """A submission refused at shutdown leaves every book untouched."""
+    sched = _sched()
+    _submit(sched, lambda: 1)
+    sched.shutdown()
+    late = IORequest(lambda: 1, kind="store", priority=Priority.STORE, nbytes=64)
     with pytest.raises(RuntimeError):
-        pool.submit(lambda: 1)
+        sched.submit(late)
+    assert late.state is JobState.PENDING  # never enqueued, never run
+    assert sched.stats.submitted == sched.stats.executed == 1
+    books = sched.tenants.stats_of("default")
+    assert books.submitted == 1 and books.submitted_bytes == 0
 
 
 def test_pool_validation():
     with pytest.raises(ValueError):
-        AsyncIOPool(0)
+        _sched(retry_backoff_s=-1.0)
+    with pytest.raises(ValueError):
+        IOScheduler(num_store_workers=1, num_load_workers=0)
 
 
 # --------------------------------------------------------------- TensorFileStore

@@ -400,10 +400,10 @@ def test_batch_of_one_survivor_counts_no_coalescing():
     sched.shutdown()
 
 
-# --------------------------------------------------------------- stale entries
+# --------------------------------------------------------------- promotions
 def test_promoted_request_stale_heap_entry_runs_once():
-    """Promotion re-pushes the request, leaving a stale heap entry; the
-    dequeue must skip the duplicate so the request executes exactly once."""
+    """Promotion unlinks the request from its old class and re-pushes it
+    under the new one: exactly one queue entry, exactly one execution."""
     gate = threading.Event()
     ran = []
     sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
@@ -416,15 +416,15 @@ def test_promoted_request_stale_heap_entry_runs_once():
     gate.set()
     assert sched.drain(5)
     assert sorted(ran) == ["load", "store"]  # no double execution
-    assert sched.stats.executed == 4  # 2 gates + load + store, stale skipped
+    assert sched.stats.executed == 4  # 2 gates + load + store, nothing twice
     assert sched.stats.submitted == 4
     sched.shutdown()
 
 
 def test_stale_entry_skipped_inside_batch_scan():
-    """A promoted store's stale entry sits at the heap top while the
-    (still PENDING) request was already popped as the batch head: the
-    batch scan must drop the stale duplicate and keep coalescing."""
+    """A promoted store pops as the batch head from its new class; the
+    batch scan behind it must not meet it again in its old class, and
+    must keep coalescing the plain stores."""
     gate = threading.Event()
     ran = []
     sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
@@ -432,9 +432,8 @@ def test_stale_entry_skipped_inside_batch_scan():
     head = sched.submit(_req(lambda: ran.append("head"), nbytes=64, tid="head"))
     sched.submit(_req(lambda: ran.append("b"), nbytes=16, tid="b"))
     sched.submit(_req(lambda: ran.append("c"), nbytes=16, tid="c"))
-    # Raise the head one class (store -> demotion): its new entry pops
-    # first and its stale STORE-priority entry is next at the heap top
-    # during the batch scan, while the request is still PENDING.
+    # Raise the head one class (store -> demotion): it pops first, and
+    # the batch scan then walks the STORE class it used to sit in.
     assert sched.promote(head, Priority.DEMOTION)
     gate.set()
     assert sched.drain(5)
@@ -443,6 +442,28 @@ def test_stale_entry_skipped_inside_batch_scan():
     assert sched.stats.coalesced_batches == 1
     assert sched.stats.coalesced_requests == 2
     assert sched.stats.promotions == 1
+    sched.shutdown()
+
+
+def test_lone_tenant_large_request_served_without_drr_rounds():
+    """Registry-less scheduler: every request is the default tenant's, a
+    ring of one.  A 4 MiB head (64 quanta) is served directly, without
+    consulting the weight once."""
+    gate = threading.Event()
+    ran = []
+    sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
+
+    def no_weight(name):
+        raise AssertionError("a ring of one must not run DRR rounds")
+
+    sched.tenants.weight = no_weight
+    _block_workers(sched, gate)
+    big = sched.submit(_req(lambda: ran.append("big"), nbytes=4 << 20, tid="big"))
+    small = sched.submit(_req(lambda: ran.append("small"), nbytes=64, tid="small"))
+    gate.set()
+    assert sched.drain(5)
+    assert big.state is JobState.DONE and small.state is JobState.DONE
+    assert sorted(ran) == ["big", "small"]
     sched.shutdown()
 
 

@@ -12,7 +12,8 @@ books, DRR no-starvation, park/unpark conservation, per-tenant
 telemetry, tenant-scoped lane health and tiered-SSD death isolation,
 per-tenant placement hooks, pool/arena per-tenant accounting, and the
 regression guard that the default (single-tenant) path dequeues in
-exactly the legacy order.
+exactly the pre-tenancy order (priority class, then submission order),
+and that ``fifo=True`` is strict submission order even with a registry.
 """
 
 import threading
@@ -574,36 +575,97 @@ def test_cpu_offloader_shutdown_clears_all_tenants():
 
 
 def test_default_tenant_fair_path_matches_legacy_order():
-    """The single-tenant fair path dequeues in exactly the legacy heap
-    order (priority class, then submission order) — the byte-identical
-    guard for pre-tenancy workloads."""
+    """The single-tenant queue dequeues in exactly the pre-tenancy order
+    (priority class, then submission order), with or without an explicit
+    registry — the byte-identical guard for single-job workloads."""
 
     def run(sched):
         order = []
         gate = threading.Event()
+        hold = threading.Event()
         try:
             _block_worker(sched, gate)
-            for i in range(6):
+            stores = [
                 sched.submit(_req(lambda i=i: order.append(f"s{i}"),
                                   nbytes=1024, tid=f"s{i}"))
+                for i in range(6)
+            ]
             for i in range(3):
                 sched.submit(_req(lambda i=i: order.append(f"l{i}"),
                                   kind="load", priority=Priority.PREFETCH_LOAD,
                                   nbytes=512, tid=f"l{i}"))
             sched.submit(_req(lambda: order.append("d0"), kind="demote",
                               priority=Priority.DEMOTION, nbytes=256, tid="d0"))
+            # One worker stays parked so a single worker executes: the
+            # execution order IS the dequeue order.
+            sched.submit(_req(hold.wait, kind="load",
+                              priority=Priority.BLOCKING_LOAD, tid="hold"))
             gate.set()
+            assert stores[-1].wait(5)  # lowest class, last submitted
+            hold.set()
             sched.drain()
         finally:
             gate.set()
+            hold.set()
             sched.shutdown()
         return order
 
-    legacy = run(IOScheduler(num_store_workers=1, num_load_workers=1,
-                             lanes=("ssd",), coalesce_bytes=0))
-    fair = run(IOScheduler(num_store_workers=1, num_load_workers=1,
-                           lanes=("ssd",), coalesce_bytes=0,
-                           tenants=TenantRegistry()))
-    assert legacy == fair
-    assert legacy[:3] == ["l0", "l1", "l2"]  # class order preserved
-    assert legacy[3] == "d0"
+    expected = ["l0", "l1", "l2", "d0", "s0", "s1", "s2", "s3", "s4", "s5"]
+    implicit = run(IOScheduler(num_store_workers=1, num_load_workers=1,
+                               lanes=("ssd",), coalesce_bytes=0))
+    explicit = run(IOScheduler(num_store_workers=1, num_load_workers=1,
+                               lanes=("ssd",), coalesce_bytes=0,
+                               tenants=TenantRegistry()))
+    assert implicit == expected
+    assert explicit == expected
+
+
+def test_fifo_with_registry_is_strict_submission_order():
+    """``fifo=True`` files every request under one class and one
+    subqueue: two tenants of unequal weight and mixed priority classes
+    still dequeue in exact submission order, and promotion is a no-op."""
+    reg = TenantRegistry(quantum_bytes=1024)
+    reg.register("heavy", weight=4.0)
+    reg.register("light", weight=1.0)
+    sched = IOScheduler(num_store_workers=1, num_load_workers=1,
+                        lanes=("ssd",), coalesce_bytes=0, fifo=True,
+                        tenants=reg)
+    script = [
+        ("light", "store", Priority.STORE),
+        ("heavy", "store", Priority.STORE),
+        ("light", "load", Priority.PREFETCH_LOAD),
+        ("heavy", "load", Priority.BLOCKING_LOAD),
+        ("light", "demote", Priority.DEMOTION),
+        ("heavy", "store", Priority.STORE),
+        ("light", "load", Priority.BLOCKING_LOAD),
+        ("heavy", "load", Priority.PREFETCH_LOAD),
+    ]
+    order = []
+    gate = threading.Event()
+    hold = threading.Event()
+    try:
+        # Gate jobs go first in FIFO order too; afterwards one worker is
+        # re-parked on ``hold`` so a single worker executes the script.
+        _block_worker(sched, gate)
+        sched.submit(_req(hold.wait, tid="hold"))
+        requests = [
+            sched.submit(_req(lambda i=i: order.append(i), kind=kind,
+                              priority=priority, nbytes=4096, tid=f"r{i}",
+                              tenant=tenant))
+            for i, (tenant, kind, priority) in enumerate(script)
+        ]
+        assert not sched.promote(requests[2])  # queued prefetch: no-op in FIFO
+        assert requests[2].priority is Priority.PREFETCH_LOAD
+        gate.set()
+        assert requests[-1].wait(5)
+        hold.set()
+        assert sched.drain(5)
+    finally:
+        gate.set()
+        hold.set()
+        sched.shutdown()
+    assert order == list(range(len(script)))
+    assert sched.stats.promotions == 0
+    for tenant in ("heavy", "light"):
+        books = reg.stats_of(tenant)
+        assert books.submitted == books.executed == 4

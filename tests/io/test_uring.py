@@ -23,7 +23,6 @@ from repro.core import (
     PolicyConfig,
     TensorCache,
     build_engine,
-    make_offloader,
 )
 from repro.data import SyntheticCorpus, TokenBatchLoader
 from repro.device import GPU
@@ -419,7 +418,7 @@ def _train(tmp_path, name, backend=None, plan=None):
         IOScheduler(backend=backend) if backend is not None else None
     )
     cache = TensorCache(
-        make_offloader("ssd", store_dir=tmp_path / name, policy=policy),
+        build_engine(target="ssd", store_dir=tmp_path / name, policy=policy).offloader,
         policy=policy,
         scheduler=scheduler,
     )

@@ -5,7 +5,8 @@ The failure model's acceptance bar is *exact* reconciliation: whatever
 mixture of successes, injected failures, cancellations and promotions a
 run throws at the scheduler, once drained the books must balance —
 ``submitted == executed + failed + cancelled`` — with every request in a
-terminal state, no pending work, and every worker alive.  PR 5 extends
+terminal state, no pending work, and every worker alive, in priority
+and in FIFO mode alike (one queue, two configurations).  PR 5 extends
 the bar to the data plane: requests randomly carry buffer-arena leases,
 and no interleaving may leak one — at drain,
 ``leased_requests == leases_released`` and the arena's outstanding count
@@ -46,11 +47,12 @@ def _body(mode, counter):
 
 
 @settings(deadline=None, max_examples=25)
-@given(st.lists(_OPS, min_size=1, max_size=40))
-def test_scheduler_counters_always_reconcile(ops):
+@given(st.lists(_OPS, min_size=1, max_size=40), st.booleans())
+def test_scheduler_counters_always_reconcile(ops, fifo):
     sched = IOScheduler(
         num_store_workers=1,
         num_load_workers=1,
+        fifo=fifo,
         max_retries=2,
         retry_backoff_s=0.0,
     )
@@ -132,8 +134,8 @@ _TENANT_OPS = st.tuples(
 
 
 @settings(deadline=None, max_examples=25)
-@given(st.lists(_TENANT_OPS, min_size=1, max_size=40))
-def test_multi_tenant_books_reconcile_per_tenant(ops):
+@given(st.lists(_TENANT_OPS, min_size=1, max_size=40), st.booleans())
+def test_multi_tenant_books_reconcile_per_tenant(ops, fifo):
     """Random multi-tenant interleavings: each tenant's books reconcile
     exactly (``submitted == executed + failed + cancelled``), the
     per-tenant books sum to the global ones, the capped tenant's quota
@@ -153,6 +155,7 @@ def test_multi_tenant_books_reconcile_per_tenant(ops):
         max_retries=2,
         retry_backoff_s=0.0,
         tenants=registry,
+        fifo=fifo,
     )
     requests = {"a": [], "b": [], "c": []}
     rejected = {"a": 0, "b": 0, "c": 0}

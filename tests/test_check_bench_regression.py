@@ -164,7 +164,7 @@ def test_dataplane_guarded_only_by_the_explicit_wide_invocation(tmp_path):
     default gate (their min wall-clock swings ~2x between identical
     runs) but fail CI's explicit dataplane invocation — the bench-smoke
     job's BENCH_PR5 guard with a wide threshold."""
-    name = "bench_dataplane.py::test_dataplane_filestore_store_pooled"
+    name = "bench_dataplane.py::test_dataplane_filestore_store"
     base = _write(tmp_path, "base.json", {name: 0.010})
     cur = _write(tmp_path, "cur.json", {name: 0.030})  # 3x: catastrophic
     assert guard.main(["--baseline", base, "--current", cur]) == 0  # default gate
