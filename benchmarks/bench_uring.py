@@ -1,18 +1,17 @@
-"""Benchmarks for the batched SQ/CQ I/O backend (PR 8).
+"""Benchmarks for the lane backends (PR 8, one store path since PR 14).
 
-A/B of the uring-style submission/completion backend against the
-thread-per-job blocking model on the scheduler's store path, plus the
-simulated GDS lane's routing win.  The CI regression guard
-(``scripts/check_bench_regression.py``) watches the ``uring``/
-``backend``-named benches; the syscall reduction itself is asserted
-deterministically in ``test_uring_backend_fewer_syscalls_ab`` so the
-benchmark cannot silently stop demonstrating the win.
+The reaper backend against inline settlement on the scheduler's store
+path, plus the simulated GDS routing in the SSD store.  The CI
+regression guard (``scripts/check_bench_regression.py``) watches the
+``uring``/``backend``-named benches; that a backend never changes what
+reaches the kernel is asserted deterministically in
+``test_backends_issue_identical_syscalls``.
 """
 
 import numpy as np
 
 from repro.io import (
-    GDSSimBackend,
+    GDSRegistry,
     IORequest,
     IOScheduler,
     Priority,
@@ -89,32 +88,33 @@ def test_thread_backend_store_round(benchmark, tmp_path):
         sched.shutdown()
 
 
-def test_uring_backend_fewer_syscalls_ab(tmp_path):
-    """The PR's headline invariant, asserted deterministically: at
-    identical bytes written, the batched backend reaches the kernel
-    strictly fewer times than thread-per-job blocking I/O."""
+def test_backends_issue_identical_syscalls(tmp_path):
+    """Asserted deterministically: at identical bytes written, the
+    reaper backend reaches the kernel exactly as often as inline
+    settlement — the store, not the backend, issues the syscalls."""
     thread_store, thread_lane, _ = _run_one_round(tmp_path, "thread", None)
     uring_store, uring_lane, _ = _run_one_round(tmp_path, "uring", UringBackend())
     assert uring_store.bytes_written == thread_store.bytes_written
-    assert uring_store.write_syscalls < thread_store.write_syscalls
-    assert uring_lane.syscalls < thread_lane.syscalls
+    assert uring_store.write_syscalls == thread_store.write_syscalls
+    assert uring_lane.syscalls == thread_lane.syscalls == thread_store.write_syscalls
     emit(
-        "SQ/CQ backend — syscalls at equal bytes (16 x 1 MiB stores)",
+        "lane backends — syscalls at equal bytes (16 x 1 MiB stores)",
         [f"thread: {thread_lane.syscalls} syscalls",
-         f"uring:  {uring_lane.syscalls} syscalls "
-         f"({thread_lane.syscalls - uring_lane.syscalls} fewer)"],
+         f"uring:  {uring_lane.syscalls} syscalls"],
     )
 
 
-def test_gds_sim_backend_skips_bounce_copies(tmp_path):
+def test_gds_sim_store_skips_bounce_copies(tmp_path):
     """Registered storages route past the host bounce buffer: the
     ``bounce_copies_skipped`` counter must move on a registered round."""
-    backend = GDSSimBackend()
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, backend=backend)
-    store = TensorFileStore(tmp_path)
+    registry = GDSRegistry()
+    sched = IOScheduler(
+        num_store_workers=1, num_load_workers=1, backend=UringBackend()
+    )
+    store = TensorFileStore(tmp_path, gds=registry)
     tensors = [Tensor(TENSOR.copy()) for _ in range(N_TENSORS)]
     for t in tensors:
-        backend.registry.register(t.untyped_storage())
+        registry.register(t.untyped_storage())
     try:
         requests = [
             sched.submit(
@@ -131,14 +131,14 @@ def test_gds_sim_backend_skips_bounce_copies(tmp_path):
         assert sched.drain(30)
         for request in requests:
             assert request.error is None
-        lane = sched.backend_stats_snapshot()["ssd"]
+        books = store.copy_stats.snapshot()
         emit(
-            "SQ/CQ backend — GDS-sim routing (16 registered stores)",
-            [f"bounce copies skipped: {lane.bounce_copies_skipped}",
-             f"bounce copies staged: {lane.bounce_copies}"],
+            "GDS-sim routing (16 registered stores)",
+            [f"bounce copies skipped: {books.bounce_copies_skipped}",
+             f"bounce copies staged: {books.bounce_copies}"],
         )
-        assert lane.bounce_copies_skipped > 0
-        assert lane.bounce_copies == 0
-        assert backend.arena.stats().outstanding_bytes == 0
+        assert books.bounce_copies_skipped > 0
+        assert books.bounce_copies == 0
+        assert store.arena.stats().outstanding_bytes == 0
     finally:
         sched.shutdown()

@@ -193,13 +193,13 @@ def main(
         for lane, ls in sorted(engine_stats.io_lanes.items()):
             if not ls.batches:
                 continue
-            line = (f"io backend [{engine_stats.io_backend}] lane {lane}: "
-                    f"{ls.syscalls} syscalls over {ls.batches} batches "
-                    f"({ls.batched_requests} requests batched)")
-            if ls.bounce_copies or ls.bounce_copies_skipped:
-                line += (f", bounce copies {ls.bounce_copies} "
-                         f"(skipped {ls.bounce_copies_skipped})")
-            print(line)
+            print(f"io backend [{engine_stats.io_backend}] lane {lane}: "
+                  f"{ls.syscalls} syscalls over {ls.batches} batches "
+                  f"({ls.batched_requests} requests batched)")
+        plane = engine_stats.dataplane
+        if plane.bounce_copies or plane.bounce_copies_skipped:
+            print(f"gds routing: bounce copies {plane.bounce_copies} "
+                  f"(skipped {plane.bounce_copies_skipped})")
     tracer = ssdtrain["tracer"]
     if tracer is not None:
         overlap = tracer.stats()

@@ -653,8 +653,7 @@ def cmd_dataplane(args: argparse.Namespace) -> None:
     ways, copies made, allocations avoided), and the tiered quickstart
     as a functional run — losses identical to the no-offload run while
     real allocations are avoided (``allocs_avoided`` / copies per
-    step).  ``--io-backend uring|gds-sim`` adds a syscall A/B against
-    the thread backend at identical bytes.
+    step).
     """
     import shutil
     import tempfile
@@ -730,59 +729,13 @@ def cmd_dataplane(args: argparse.Namespace) -> None:
               f"{total_mb / read_s:>10.0f} {snap.copies:>7} "
               f"{snap.allocs_avoided:>8}")
 
-    from examples.quickstart import STEPS, main as quickstart_main, run
-
     if not args.no_functional:
+        from examples.quickstart import main as quickstart_main
+
         # The quickstart prints copies/step, allocs avoided and the arena
         # hit rate, and asserts the losses match the no-offload run.
         print("\nfunctional run (tiered target):")
         quickstart_main(target="tiered", cpu_pool_bytes=1 << 20, chunk_bytes=64 << 10)
-
-    if args.io_backend in (None, "thread"):
-        return
-    print(f"\nI/O backend A/B (ssd target, {STEPS} steps each): "
-          f"thread vs {args.io_backend}"
-          + (" with O_DIRECT" if args.io_direct else ""))
-    ab = {}
-    for backend in ("thread", args.io_backend):
-        ab[backend] = run(
-            offload=True,
-            target="ssd",
-            io_backend=backend,
-            io_direct=args.io_direct and backend != "thread",
-        )
-    totals = {}
-    for backend, result in ab.items():
-        lanes = result["engine_stats"].io_lanes
-        syscalls = sum(ls.syscalls for ls in lanes.values())
-        batched = sum(ls.batched_requests for ls in lanes.values())
-        bounced = sum(ls.bounce_copies for ls in lanes.values())
-        skipped = sum(ls.bounce_copies_skipped for ls in lanes.values())
-        totals[backend] = (syscalls, skipped, result["offloaded"])
-        line = (f"  {backend:>8}: {syscalls} syscalls "
-                f"({syscalls / STEPS:.0f}/step) for "
-                f"{result['offloaded'] / 1e6:.2f} MB offloaded, "
-                f"{batched} requests batched")
-        if bounced or skipped:
-            line += f", bounce copies {bounced} (skipped {skipped})"
-        print(line)
-    assert ab["thread"]["losses"] == ab[args.io_backend]["losses"], (
-        "batched backends must be bit-exact vs the thread backend"
-    )
-    assert totals["thread"][2] == totals[args.io_backend][2], (
-        "A/B runs must offload identical bytes"
-    )
-    assert totals[args.io_backend][0] < totals["thread"][0], (
-        f"{args.io_backend} must issue strictly fewer syscalls than "
-        f"thread at identical bytes"
-    )
-    if args.io_backend == "gds-sim":
-        assert totals["gds-sim"][1] > 0, (
-            "gds-sim must skip host bounce copies for registered tensors"
-        )
-    print(f"losses bit-exact, {args.io_backend} used "
-          f"{totals['thread'][0] - totals[args.io_backend][0]} fewer "
-          f"syscalls at identical bytes. ✓")
 
 
 def cmd_tenants(args: argparse.Namespace) -> None:
@@ -995,21 +948,18 @@ def build_parser() -> argparse.ArgumentParser:
                 help="use the paper's FIFO dequeue instead of the "
                      "priority-aware I/O scheduler",
             )
-        if name in ("quickstart", "dataplane"):
             p.add_argument(
-                "--io-backend", choices=IO_BACKENDS,
-                default="thread" if name == "quickstart" else None,
-                help="lane execution backend: blocking thread-per-job, "
-                     "batched SQ/CQ submission (uring), or the simulated "
-                     "GPUDirect-Storage lane (gds-sim)"
-                     + ("" if name == "quickstart"
-                        else "; selecting one runs a backend A/B vs thread"),
+                "--io-backend", choices=IO_BACKENDS, default="thread",
+                help="who settles finished requests: the lane worker "
+                     "(thread), a completion reaper (uring), or the reaper "
+                     "plus simulated GPUDirect-Storage routing in the SSD "
+                     "store (gds-sim)",
             )
             p.add_argument(
                 "--io-direct", action="store_true",
-                help="use O_DIRECT-aligned writes (uring/gds-sim backends "
-                     "only; falls back to buffered I/O if the filesystem "
-                     "refuses O_DIRECT)",
+                help="per-tensor SSD store writes with O_DIRECT (falls "
+                     "back to buffered I/O per file if the filesystem "
+                     "refuses; not with --chunk-bytes)",
             )
         if name == "dataplane":
             p.add_argument(

@@ -42,8 +42,9 @@ from repro.io.scheduler import (
     Priority,
     SchedulerStats,
 )
+from repro.io.gds import GDSRegistry
 from repro.io.tenancy import TenantRegistry, TenantStats
-from repro.io.uring import GDSSimBackend, UringBackend
+from repro.io.uring import UringBackend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.tensor_cache import TensorCache
@@ -106,16 +107,16 @@ class EngineConfig:
             quota admission + weighted fair-share dequeue.
         prefetch_window: look-ahead depth handed to caches built via
             :meth:`Engine.cache`.
-        io_backend: how lane workers reach the kernel (:data:`IO_BACKENDS`).
-            ``"thread"`` (default) is the blocking per-request model;
-            ``"uring"`` batches each dequeued batch into vectored
-            submissions over pre-opened descriptors with a dedicated
-            completion reaper; ``"gds-sim"`` adds simulated
-            GPUDirect-Storage routing against the offloader's
-            :class:`~repro.io.gds.GDSRegistry`.
-        io_direct: open write descriptors ``O_DIRECT`` (uring/gds-sim
-            only) — aligned staging via arena leases, per-file fallback
-            where the filesystem refuses.
+        io_backend: who settles a finished request (:data:`IO_BACKENDS`).
+            ``"thread"`` (default): the lane worker, inline; ``"uring"``:
+            a dedicated completion reaper; ``"gds-sim"``: the reaper,
+            plus a :class:`~repro.io.gds.GDSRegistry` handed to the SSD
+            tier's per-tensor store for simulated GPUDirect-Storage
+            routing.  The syscalls issued are the same under all three.
+        io_direct: the per-tensor SSD store opens write descriptors
+            ``O_DIRECT`` — aligned staging via arena leases, per-file
+            fallback where the filesystem refuses.  Needs an ssd/tiered
+            target without ``chunk_bytes`` (chunk files are buffered).
 
     Degraded-mode knobs (architecture §12):
 
@@ -203,9 +204,14 @@ class EngineConfig:
                 f"unknown io_backend {self.io_backend!r}; "
                 f"expected one of {IO_BACKENDS}"
             )
-        if self.io_direct and self.io_backend == "thread":
+        if self.io_direct and self.target == "cpu":
             raise EngineConfigError(
-                "io_direct requires io_backend='uring' or 'gds-sim'"
+                "io_direct applies to the ssd/tiered targets, not cpu"
+            )
+        if self.io_direct and self.chunk_bytes is not None:
+            raise EngineConfigError(
+                "io_direct applies to the per-tensor store; chunk files "
+                "(chunk_bytes) are always buffered"
             )
         if self.durable and self.target not in ("ssd", "tiered"):
             raise EngineConfigError(
@@ -328,8 +334,8 @@ class EngineStats:
     arena: Optional[ArenaStats] = None
     #: Which lane execution backend the I/O plane runs.
     io_backend: str = "thread"
-    #: Per-lane backend books (syscalls, batched requests, reap lag,
-    #: GDS-sim bounce routing) — empty until the lazy scheduler exists.
+    #: Per-lane backend books (syscalls, batched requests, reap lag)
+    #: — empty until the lazy scheduler exists.
     io_lanes: Dict[str, IOLaneStats] = field(default_factory=dict)
     #: SSD endurance / lifespan books — ``None`` unless the engine runs
     #: a chunked store (the only backend with wear-relevant batching).
@@ -362,14 +368,18 @@ class Engine:
         from repro.core.tiered import TieredOffloader  # circular-import guard
 
         cfg = self.config
+        # Pack-time registrations are what the SSD store routes on.
+        gds = GDSRegistry() if cfg.io_backend == "gds-sim" else None
         if cfg.target == "ssd":
             return SSDOffloader(
                 cfg.store_dir,
                 throttle_bytes_per_s=cfg.throttle_bytes_per_s,
                 array=cfg.array,
+                gds=gds,
                 chunk_bytes=cfg.chunk_bytes,
                 durable=cfg.durable,
                 store_roots=cfg.store_roots,
+                io_direct=cfg.io_direct,
             )
         if cfg.target == "cpu":
             return CPUOffloader(
@@ -384,9 +394,11 @@ class Engine:
             promote_on_load=cfg.promote_on_load,
             throttle_bytes_per_s=cfg.throttle_bytes_per_s,
             array=cfg.array,
+            gds=gds,
             durable=cfg.durable,
             store_roots=cfg.store_roots,
             probe_backoff_s=cfg.probe_backoff_s,
+            io_direct=cfg.io_direct,
         )
 
     @property
@@ -410,14 +422,8 @@ class Engine:
                     kwargs["hedge_delay_s"] = cfg.hedge_delay_s
                 if cfg.io_slow_request_s is not None:
                     kwargs["slow_request_s"] = cfg.io_slow_request_s
-                if cfg.io_backend == "uring":
-                    kwargs["backend"] = UringBackend(direct=cfg.io_direct)
-                elif cfg.io_backend == "gds-sim":
-                    # Share the offloader's registry so pack-time
-                    # registrations are what the lane routes on.
-                    kwargs["backend"] = GDSSimBackend(
-                        registry=self._gds_registry(), direct=cfg.io_direct
-                    )
+                if cfg.io_backend in ("uring", "gds-sim"):
+                    kwargs["backend"] = UringBackend()  # settle on a reaper
                 self._scheduler = IOScheduler(
                     num_store_workers=cfg.num_store_workers,
                     num_load_workers=cfg.num_load_workers,
@@ -429,14 +435,6 @@ class Engine:
                 if set_scheduler is not None:
                     set_scheduler(self._scheduler)
             return self._scheduler
-
-    def _gds_registry(self):
-        """The offloader's GDS registry (SSD tier's), if it has one."""
-        off = self.offloader
-        gds = getattr(off, "gds", None)
-        if gds is None:
-            gds = getattr(getattr(off, "ssd", None), "gds", None)
-        return gds
 
     @property
     def scheduler_started(self) -> bool:
@@ -479,13 +477,6 @@ class Engine:
             snap.lane_health = sched.health.snapshot()
             snap.tenants = sched.tenants.stats_snapshot()
             snap.io_lanes = sched.backend_stats_snapshot()
-            # GDS-sim bounce routing is data-plane telemetry: fold the
-            # backend's books into the aggregated copy map.
-            for lane_stats in snap.io_lanes.values():
-                snap.dataplane.bounce_copies += lane_stats.bounce_copies
-                snap.dataplane.bounce_copies_skipped += (
-                    lane_stats.bounce_copies_skipped
-                )
         elif self.tenants is not None:
             snap.tenants = self.tenants.stats_snapshot()
         pool = getattr(off, "pool", None)
@@ -536,8 +527,8 @@ class Engine:
         """Stop the I/O plane (if started) and release the data plane.
 
         Idempotent and leak-free: scheduler workers and the uring
-        reaper are joined (not abandoned as daemons), cached
-        descriptors are closed, and a durable store keeps its files +
+        reaper are joined (not abandoned as daemons), the stores close
+        their descriptors, and a durable store keeps its files +
         manifest while an ephemeral one is cleared.  A 20×-restart
         regression test holds this to a thread/FD baseline.
         """

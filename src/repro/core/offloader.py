@@ -5,9 +5,9 @@ from a target":
 
 - :class:`SSDOffloader` — the primary target.  Persists tensors through a
   :class:`~repro.io.filestore.TensorFileStore` (real file I/O standing in
-  for kvikio/GDS) and registers buffers with the
-  :class:`~repro.io.gds.GDSRegistry` the way the CUDA-malloc hook library
-  does.
+  for kvikio/GDS) and, when given a
+  :class:`~repro.io.gds.GDSRegistry`, registers buffers with it the way
+  the CUDA-malloc hook library does.
 - :class:`CPUOffloader` — host-memory target backed by a pre-allocated
   pinned pool whose size is fixed after profiling the first training step
   (Sec. III-A; the paper keeps it for future work on remote storage).
@@ -132,7 +132,13 @@ class SSDOffloader(Offloader):
         store_dir: directory of the RAID0 array mount (e.g. ``/mnt/md1``).
         throttle_bytes_per_s: optional bandwidth cap for tests.
         array: SSD wear-model to charge with traffic.
-        gds: registry emulating the CUDA-malloc-hook GDS registration.
+        gds: registry emulating the CUDA-malloc-hook GDS registration,
+            handed to the per-tensor store, which routes writes on it
+            (``io_backend="gds-sim"``).  ``None`` (the default) turns
+            routing off and makes :meth:`register_tensor` a no-op.
+        io_direct: the per-tensor store opens write descriptors
+            ``O_DIRECT`` (not available with ``chunk_bytes``: chunk
+            files are always buffered).
         chunk_bytes: if set, back the offloader with a
             :class:`~repro.io.chunkstore.ChunkedTensorStore` of this chunk
             size — small activations coalesce into one sequential write
@@ -153,9 +159,13 @@ class SSDOffloader(Offloader):
         chunk_bytes: Optional[int] = None,
         durable: bool = False,
         store_roots=None,
+        io_direct: bool = False,
     ) -> None:
         self.file_store: Union[TensorFileStore, ChunkedTensorStore]
+        self.gds = gds
         if chunk_bytes is not None:
+            if io_direct:
+                raise ValueError("io_direct requires the per-tensor store (no chunk_bytes)")
             self.file_store = ChunkedTensorStore(
                 store_dir,
                 chunk_bytes=chunk_bytes,
@@ -173,12 +183,14 @@ class SSDOffloader(Offloader):
                 store_dir,
                 throttle_bytes_per_s=throttle_bytes_per_s,
                 array=array,
+                direct=io_direct,
+                gds=gds,
             )
-        self.gds = gds if gds is not None else GDSRegistry()
 
     def register_tensor(self, tensor: Tensor) -> None:
         """Register the tensor's buffer for GDS, as the malloc hook would."""
-        self.gds.register(tensor.untyped_storage())
+        if self.gds is not None:
+            self.gds.register(tensor.untyped_storage())
 
     def store(self, tid: TensorID, data: np.ndarray) -> None:
         self.file_store.write(tid.filename(), data)

@@ -104,7 +104,8 @@ class TieredOffloader(Offloader):
             promotion — promotions must never thrash the warm set).
         durable / store_roots: forwarded to the SSD tier's chunk store
             (manifest journaling and write-leveling, service mode).
-        throttle_bytes_per_s / array / gds: forwarded to the SSD tier.
+        throttle_bytes_per_s / array / gds / io_direct: forwarded to the
+            SSD tier.
     """
 
     def __init__(
@@ -120,6 +121,7 @@ class TieredOffloader(Offloader):
         durable: bool = False,
         store_roots=None,
         probe_backoff_s: Optional[float] = None,
+        io_direct: bool = False,
     ) -> None:
         if cpu_pool_bytes < 0:
             raise ValueError(f"cpu_pool_bytes must be >= 0: {cpu_pool_bytes}")
@@ -132,6 +134,7 @@ class TieredOffloader(Offloader):
             chunk_bytes=chunk_bytes,
             durable=durable,
             store_roots=store_roots,
+            io_direct=io_direct,
         )
         self.policy = policy if policy is not None else OffloadPolicy()
         self.promote_on_load = promote_on_load

@@ -26,13 +26,13 @@
   :class:`TenantContext` / :class:`TenantRegistry` (weights, byte and
   bandwidth quotas, admission) plus the thread-local tenant scope that
   attributes every store/load to its owning job.
-- :mod:`~repro.io.uring` — the batched submission/completion-queue lane
-  backend: vectored multi-request submissions over a pre-opened FD
-  table, a dedicated completion reaper, an ``O_DIRECT``-aligned write
-  path and the simulated GPUDirect-Storage lane
-  (:class:`GDSSimBackend`); :class:`~repro.io.aio.ThreadBackend` is the
-  default blocking model behind the same :class:`~repro.io.aio.IOBackend`
-  interface.
+- :mod:`~repro.io.fdtable` — the one positioned-I/O path from a store to
+  the kernel: ``pwritev``/``preadv`` over descriptors borrowed from the
+  store's own LRU-bounded :class:`FDTable`.
+- :mod:`~repro.io.uring` — :class:`UringBackend`, the lane backend that
+  settles completions on a dedicated reaper thread;
+  :class:`~repro.io.aio.ThreadBackend` (the default) settles on the lane
+  worker.  Both run the one lane loop of :class:`~repro.io.aio.IOBackend`.
 """
 
 from repro.io.aio import (
@@ -59,6 +59,7 @@ from repro.io.errors import (
     retry_call,
 )
 from repro.io.faults import FaultInjector, FaultPlan, inject_faults
+from repro.io.fdtable import FDTable
 from repro.io.filestore import TensorFileStore
 from repro.io.gds import BounceBufferPath, DirectGDSPath, GDSRegistry
 from repro.io.scheduler import (
@@ -79,14 +80,7 @@ from repro.io.tenancy import (
     jain_index,
     tenant_scope,
 )
-from repro.io.uring import (
-    FDTable,
-    GDSSimBackend,
-    IOContext,
-    UringBackend,
-    current_io_context,
-    io_context,
-)
+from repro.io.uring import UringBackend
 
 __all__ = [
     "IOBackend",
@@ -94,11 +88,7 @@ __all__ = [
     "IOLaneStats",
     "ThreadBackend",
     "UringBackend",
-    "GDSSimBackend",
     "FDTable",
-    "IOContext",
-    "current_io_context",
-    "io_context",
     "count_syscalls",
     "syscall_tape",
     "ArenaStats",

@@ -10,25 +10,26 @@ the unit of work: observable state
 callbacks, and a ``cancel``/``run`` handshake that lets exactly one side
 win the PENDING race.
 
-This module also defines the pluggable **lane execution backend**
+This module also defines the **lane execution backend**
 (:class:`IOBackend`): the scheduler's worker loop dequeues a batch and
-hands it to the installed backend, which decides *how* the member
-requests hit the kernel.  :class:`ThreadBackend` is the default and
-reproduces the pre-backend worker-loop semantics operation-for-operation
-(the ``io_backend="thread"`` escape hatch); the submission/completion
--queue backend lives in :mod:`repro.io.uring`.
+hands it to the installed backend, whose :meth:`IOBackend.run_batch` is
+the one per-request loop in the stack.  A backend decides only *which
+thread settles a finished body*: :class:`ThreadBackend` (the default)
+settles on the lane worker, inline; the reaper backend lives in
+:mod:`repro.io.uring`.  How the bytes reach the kernel is the stores'
+business (:mod:`repro.io.fdtable`) and the same under every backend.
 
 Backend contract (docs/architecture.md §10): for every request in the
-batch the backend must (1) win :meth:`IOJob.claim` before touching it —
-a lost claim means a canceller got there first and the request must be
-skipped silently; (2) bracket the body with
+batch the loop (1) wins :meth:`IOJob.claim` before touching it — a lost
+claim means a canceller got there first and the request is skipped
+silently; (2) brackets the body with
 :meth:`IOScheduler.begin_request` / :meth:`IOScheduler.finish_request`
 so channel telemetry, health, retry books, lease release, and tenant
-refunds all fire exactly once; (3) leave every claimed request in a
+refunds all fire exactly once; (3) leaves every claimed request in a
 terminal state (DONE/FAILED) even when the body raises something
 unexpected — ``finish_request`` enforces this.  Retries happen inside
-the body via :func:`~repro.io.errors.retry_call`; the backend never
-re-runs a finished request.
+the body via :func:`~repro.io.errors.retry_call`; a finished request is
+never re-run.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ class IOJob:
         the submitting worker holds the job for the backoff sleeps — the
         budget bounds that occupancy).  Returns ``(result, error)``; the
         job stays RUNNING until :meth:`complete` applies the outcome, so
-        a completion-queue backend can reap on another thread.
+        a reaper backend can settle it on another thread.
         """
         try:
             result = retry_call(
@@ -279,19 +280,10 @@ class IOJob:
             self.done_event.set()
         self._dispatch(callbacks)
 
-    def execute(self) -> None:
-        """Run the claimed job body; caller must have won :meth:`claim`.
-
-        Equivalent to ``complete(*run_body())`` — the synchronous path
-        used by the thread backend.  The terminal
-        state is DONE, or FAILED with the last error via ``.error``.
-        """
-        result, error = self.run_body()
-        self.complete(result, error)
-
     def run(self) -> None:
+        """Claim, run and settle on the calling thread (no backend)."""
         if self.claim():
-            self.execute()
+            self.complete(*self.run_body())
 
 
 # --------------------------------------------------------------------------
@@ -305,13 +297,10 @@ class IOLaneStats:
 
     ``syscalls`` counts kernel round-trips attributed to this lane's
     request bodies via the syscall tape; ``batched_requests`` counts the
-    members of multi-request submissions (batches of >= 2);
-    ``bounce_copies`` / ``bounce_copies_skipped`` book the GDS-sim
-    routing decisions (host staging copy made vs. elided);
-    ``direct_fallbacks`` counts files the filesystem refused to open
-    with ``O_DIRECT``; ``reap_lag_s`` accumulates the delay between a
-    request's I/O finishing and its completion being reaped (zero on the
-    thread backend, where the two coincide).
+    members of multi-request batches (>= 2 claimed); ``reaped`` and
+    ``reap_lag_s`` count the completions a reaper thread settled and the
+    delay between each request's I/O finishing and that settlement (both
+    zero on the thread backend, where the lane worker settles inline).
     """
 
     syscalls: int = 0
@@ -319,9 +308,6 @@ class IOLaneStats:
     batched_requests: int = 0
     reaped: int = 0
     reap_lag_s: float = 0.0
-    bounce_copies: int = 0
-    bounce_copies_skipped: int = 0
-    direct_fallbacks: int = 0
 
     def merge(self, other: "IOLaneStats") -> "IOLaneStats":
         """Fold ``other`` into self (returns self for chaining)."""
@@ -330,19 +316,31 @@ class IOLaneStats:
         self.batched_requests += other.batched_requests
         self.reaped += other.reaped
         self.reap_lag_s += other.reap_lag_s
-        self.bounce_copies += other.bounce_copies
-        self.bounce_copies_skipped += other.bounce_copies_skipped
-        self.direct_fallbacks += other.direct_fallbacks
         return self
 
 
-class IOBackend:
-    """How a lane batch reaches the kernel (see the module docstring).
+class _Batch:
+    """What the members of one dequeued batch share while they settle."""
 
-    Subclasses implement :meth:`run_batch`.  The scheduler calls
+    __slots__ = ("lane", "done_members")
+
+    def __init__(self, lane: str) -> None:
+        self.lane = lane
+        self.done_members = 0
+
+
+class IOBackend:
+    """The lane loop, and who settles a finished body.
+
+    :meth:`run_batch` is the only per-request loop in the stack: claim,
+    begin, run the body under the syscall tape, book the lane, hand the
+    outcome to :meth:`_hand_off`.  Subclasses differ only in that last
+    step — *which thread* runs :meth:`_settle` (apply the outcome, fire
+    done callbacks, finish, book coalescing, notify): the lane worker
+    itself (:class:`ThreadBackend`) or a reaper
+    (:class:`~repro.io.uring.UringBackend`).  The scheduler calls
     :meth:`bind` once at construction and :meth:`shutdown` after its
-    workers have been joined (so no batch is in flight when the backend
-    tears down its reaper/FD state).
+    workers have been joined (so no batch is in flight).
     """
 
     name = "backend"
@@ -355,9 +353,62 @@ class IOBackend:
     def bind(self, scheduler) -> None:
         self.scheduler = scheduler
 
-    def run_batch(self, lane: str, batch: List["IOJob"]) -> None:
+    def run_batch(self, lane: str, requests: List["IOJob"]) -> None:
         """Execute one dequeued batch for ``lane``; must not raise."""
+        batch = _Batch(lane)
+        claimed = 0
+        for request in requests:
+            if not request.claim():
+                # Lost to cancel(); the winner owns all bookkeeping.
+                continue
+            claimed += 1
+            if claimed > 1:
+                request.coalesced = True
+            self.scheduler.begin_request(request)
+            tape = syscall_tape()
+            try:
+                with tape, tenant_scope(request.tenant):
+                    result, error = request.run_body()
+            except BaseException as exc:  # belt: run_body must not raise
+                result, error = None, exc
+            # Booked before the hand-off: settling wakes the waiter, and
+            # a reader that drained must find this request on the books.
+            with self._stats_lock:
+                stats = self._lane(lane)
+                stats.syscalls += tape.count
+                if claimed == 1:
+                    stats.batches += 1
+                elif claimed == 2:
+                    stats.batched_requests += 2
+                else:
+                    stats.batched_requests += 1
+            self._hand_off(batch, request, result, error)
+
+    def _hand_off(
+        self, batch: _Batch, request: "IOJob", result: Any, error: Optional[BaseException]
+    ) -> None:
+        """Get :meth:`_settle` called with these arguments, once."""
         raise NotImplementedError
+
+    def _settle(
+        self, batch: _Batch, request: "IOJob", result: Any, error: Optional[BaseException]
+    ) -> None:
+        """Apply a body's outcome and close the request's books."""
+        sched = self.scheduler
+        try:
+            # Done callbacks fire here — inside the request's tenant
+            # scope, so refunds/arena attribution land on the right tenant.
+            with tenant_scope(request.tenant):
+                request.complete(result, error)
+        except Exception:
+            logger.exception("request %s raised outside the job body", request.label)
+        finally:
+            sched.finish_request(request)
+        if request.state is JobState.DONE:
+            batch.done_members += 1
+            if batch.done_members > 1:
+                sched.book_coalesced(batch.done_members, request.nbytes)
+        sched.notify_done(request)
 
     def lane_stats(self) -> Dict[str, IOLaneStats]:
         """Non-destructive snapshot of the per-lane telemetry."""
@@ -376,51 +427,9 @@ class IOBackend:
 
 
 class ThreadBackend(IOBackend):
-    """The default backend: blocking I/O on the dequeuing worker thread.
-
-    This is the pre-backend worker loop, operation for operation — the
-    ``io_backend="thread"`` A/B escape hatch.  The only additions are
-    observational: the syscall tape around each body and the per-lane
-    batch books, neither of which touches request semantics.
-    """
+    """The default backend: the dequeuing lane worker settles each body
+    as soon as it returns, before it runs the next one."""
 
     name = "thread"
 
-    def run_batch(self, lane: str, batch: List["IOJob"]) -> None:
-        sched = self.scheduler
-        claimed = 0
-        done_members = 0
-        trailing_done_bytes = 0
-        batch_syscalls = 0
-        for request in batch:
-            if not request.claim():
-                # Lost to cancel(); the winner owns all bookkeeping.
-                continue
-            claimed += 1
-            if claimed > 1:
-                request.coalesced = True
-            sched.begin_request(request)
-            tape = syscall_tape()
-            try:
-                with tape, tenant_scope(request.tenant):
-                    request.execute()
-            except Exception:
-                logger.exception(
-                    "request %s raised outside the job body", request.label
-                )
-            finally:
-                batch_syscalls += tape.count
-                sched.finish_request(request)
-            if request.state is JobState.DONE:
-                done_members += 1
-                if done_members > 1:
-                    trailing_done_bytes += request.nbytes
-            sched.notify_done(request)
-        sched.book_coalesced(done_members, trailing_done_bytes)
-        with self._stats_lock:
-            stats = self._lane(lane)
-            stats.syscalls += batch_syscalls
-            if claimed:
-                stats.batches += 1
-            if claimed > 1:
-                stats.batched_requests += claimed
+    _hand_off = IOBackend._settle

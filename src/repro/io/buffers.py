@@ -42,7 +42,7 @@ number, not a claim.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -112,29 +112,48 @@ class CopySnapshot:
     copies: int = 0
     bytes_copied: int = 0
     allocs_avoided: int = 0
+    bounce_copies: int = 0
+    bounce_copies_skipped: int = 0
+    direct_fallbacks: int = 0
 
 
 class CopyCounter:
-    """Thread-safe memcpy/allocation telemetry for one data-plane stage."""
+    """Thread-safe memcpy/allocation telemetry for one data-plane stage.
+
+    Also books the stage's staging *decisions*: GDS-sim bounce routing
+    (:meth:`count_bounce`) and ``O_DIRECT`` refusals
+    (:meth:`count_direct_fallback`).
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._copies = 0
-        self._bytes_copied = 0
-        self._allocs_avoided = 0
+        self._snap = CopySnapshot()
 
     def count_copy(self, nbytes: int, copies: int = 1) -> None:
         with self._lock:
-            self._copies += copies
-            self._bytes_copied += nbytes * copies
+            self._snap.copies += copies
+            self._snap.bytes_copied += nbytes * copies
 
     def count_avoided(self, allocs: int = 1) -> None:
         with self._lock:
-            self._allocs_avoided += allocs
+            self._snap.allocs_avoided += allocs
+
+    def count_bounce(self, skipped: bool) -> None:
+        """One GDS-sim routing decision: host bounce copy made or elided."""
+        with self._lock:
+            if skipped:
+                self._snap.bounce_copies_skipped += 1
+            else:
+                self._snap.bounce_copies += 1
+
+    def count_direct_fallback(self) -> None:
+        """One file the filesystem or device refused ``O_DIRECT`` for."""
+        with self._lock:
+            self._snap.direct_fallbacks += 1
 
     def snapshot(self) -> CopySnapshot:
         with self._lock:
-            return CopySnapshot(self._copies, self._bytes_copied, self._allocs_avoided)
+            return replace(self._snap)
 
 
 def owned_copy(
@@ -403,10 +422,13 @@ class DataPlaneStats:
     arena_retained_bytes: int = 0
     #: GDS-sim routing books: host bounce-staging copies actually made
     #: for unregistered storages, and the ones elided because the
-    #: storage was GDS-registered (the direct lane).  Zero under the
-    #: thread/uring backends, which never stage.
+    #: storage was GDS-registered (the direct lane).  Zero unless the
+    #: SSD store routes on a registry (``io_backend="gds-sim"``).
     bounce_copies: int = 0
     bounce_copies_skipped: int = 0
+    #: Files the filesystem or device refused ``O_DIRECT`` for
+    #: (``io_direct=True``); each fell back to buffered I/O.
+    direct_fallbacks: int = 0
 
     @property
     def arena_hit_rate(self) -> float:
@@ -416,6 +438,9 @@ class DataPlaneStats:
         self.copies += snap.copies
         self.bytes_copied += snap.bytes_copied
         self.allocs_avoided += snap.allocs_avoided
+        self.bounce_copies += snap.bounce_copies
+        self.bounce_copies_skipped += snap.bounce_copies_skipped
+        self.direct_fallbacks += snap.direct_fallbacks
 
     def add_arena(self, stats: ArenaStats) -> None:
         self.arena_leases += stats.leases
@@ -440,4 +465,5 @@ class DataPlaneStats:
         self.arena_retained_bytes += other.arena_retained_bytes
         self.bounce_copies += other.bounce_copies
         self.bounce_copies_skipped += other.bounce_copies_skipped
+        self.direct_fallbacks += other.direct_fallbacks
         return self

@@ -27,15 +27,21 @@ The store intentionally mirrors the :class:`TensorFileStore` API
 so :class:`~repro.core.offloader.SSDOffloader` can swap it in behind an
 unchanged :class:`~repro.core.tensor_cache.TensorCache`.
 
-**Zero-copy streaming (PR 5):** ``write`` appends the tensor's
-contiguous ``memoryview`` straight into the open-chunk staging buffer
-(no ``tobytes()`` temporary) with the index crc32 computed over the same
-view; the flush hands the ``bytearray`` to the kernel directly instead
-of materializing a ``bytes`` payload first; ranged reads ``readinto``
-the destination array (one disk-to-array transfer), and open-chunk reads
-copy once out of a ``memoryview`` window over the staging buffer.
-``copy_stats`` (:class:`~repro.io.buffers.CopyCounter`) counts the
-copies made and the allocations avoided.
+**One positioned-I/O path:** ``write`` appends the tensor's contiguous
+``memoryview`` straight into the open-chunk staging buffer (no
+``tobytes()`` temporary) with the index crc32 computed over the same
+view.  The store owns an LRU-bounded :class:`~repro.io.fdtable.FDTable`
+for its chunk files and every transfer borrows a descriptor from it: a
+flush (and a compaction rewrite) is one ``pwritev`` of the staging
+``bytearray`` — no ``bytes`` payload temporary — and a ranged read one
+``preadv`` at the tensor's chunk offset straight into the destination
+array; open-chunk reads copy once out of a ``memoryview`` window over
+the staging buffer.  Chunk descriptors are always buffered (never
+``O_DIRECT``): the staging buffer is ordinary unaligned host memory and
+a flush is already one large sequential write.  ``copy_stats``
+(:class:`~repro.io.buffers.CopyCounter`) counts the copies made and the
+allocations avoided; ``write_syscalls``/``read_syscalls`` are measured
+by the syscall tape.
 
 **Durability + endurance (service mode):** ``durable=True`` journals
 every index mutation — chunk flushes, deletes, clears, compactions —
@@ -49,7 +55,7 @@ journal record — the crash signature — is skipped, not fatal.  On top
 of the journal sit the week-long-run endurance features:
 :meth:`compact` rewrites chunks whose dead-byte ratio crossed a
 threshold (live tensors migrate to a fresh chunk, the hole-ridden file
-is unlinked, every attached FD table is invalidated), and ``roots``
+is unlinked and its descriptor forgotten), and ``roots``
 spreads chunk placement across several store directories by cumulative
 bytes written (write-leveling).
 """
@@ -71,9 +77,9 @@ from repro.device.ssd import RAID0Array, SSD
 from repro.io.aio import count_syscalls, syscall_tape
 from repro.io.buffers import CopyCounter
 from repro.io.errors import IntegrityError, is_enospc
-from repro.io.filestore import contiguous_view
+from repro.io.fdtable import FDTable, preadv_full, pwritev_full
+from repro.io.filestore import StoreTraffic, contiguous_view
 from repro.io.manifest import JournalWriter, read_journal
-from repro.io.uring import current_io_context, preadv_full, pwritev_full
 
 #: Default chunk size: 4 MiB — large enough that a P5800X-class SSD sees
 #: near-sequential bandwidth, small enough to bound the open-chunk buffer.
@@ -166,14 +172,11 @@ class ChunkedTensorStore:
         self.array = array
         self.durable = durable
         self.copy_stats = CopyCounter()
-        #: FD table of the last batched backend that drove this store
-        #: (self-attached by the vectored paths); chunk reclaim
-        #: invalidates its cached descriptors.  Every table ever
-        #: attached is remembered in ``_fd_tables`` so an unlink
-        #: invalidates across backend swaps (service restarts), not just
-        #: the most recent driver.
-        self.fd_table = None
-        self._fd_tables: List[object] = []
+        #: Descriptors of this store's chunk files; every unlink path
+        #: (refcount-zero reclaim, :meth:`clear`, :meth:`compact`)
+        #: forgets the chunk's entry so an open descriptor can never
+        #: outlive the unlink and serve a deleted file's inode.
+        self.fds = FDTable()
         #: Injectable per-root failure seam: ``fault_gate(root_index,
         #: nbytes)`` runs before every physical chunk write and may
         #: raise (the chaos harness injects per-root ``ENOSPC`` here).
@@ -199,12 +202,7 @@ class ChunkedTensorStore:
         #: criterion; survives replay so wear stays balanced for life.
         self._root_bytes: List[int] = [0] * len(self.roots)
 
-        self._bytes_written = 0
-        self._bytes_read = 0
-        self._write_count = 0
-        self._read_count = 0
-        self._write_syscalls = 0
-        self._read_syscalls = 0
+        self._traffic = StoreTraffic()
         self._reclaimed_bytes = 0
         self._open_dead_bytes = 0
         self._gc_runs = 0
@@ -290,8 +288,8 @@ class ChunkedTensorStore:
                         refcount=len(entries),
                         live_bytes=live,
                     )
-                    self._bytes_written += total if op == "flush" else live
-                    self._write_count += 1
+                    self._traffic.bytes_written += total if op == "flush" else live
+                    self._traffic.write_count += 1
                     self._root_bytes[root] += total
                 if op == "compact":
                     victim = int(record["victim"])
@@ -363,36 +361,36 @@ class ChunkedTensorStore:
     @property
     def bytes_written(self) -> int:
         with self._lock:
-            return self._bytes_written
+            return self._traffic.bytes_written
 
     @property
     def bytes_read(self) -> int:
         with self._lock:
-            return self._bytes_read
+            return self._traffic.bytes_read
 
     @property
     def write_count(self) -> int:
         """Physical chunk-file writes — the number tests compare against
         the per-tensor store's one-write-per-tensor count."""
         with self._lock:
-            return self._write_count
+            return self._traffic.write_count
 
     @property
     def read_count(self) -> int:
         with self._lock:
-            return self._read_count
+            return self._traffic.read_count
 
     @property
     def write_syscalls(self) -> int:
         """Kernel round-trips spent flushing chunks."""
         with self._lock:
-            return self._write_syscalls
+            return self._traffic.write_syscalls
 
     @property
     def read_syscalls(self) -> int:
         """Kernel round-trips spent on ranged chunk reads."""
         with self._lock:
-            return self._read_syscalls
+            return self._traffic.read_syscalls
 
     @property
     def reclaimed_bytes(self) -> int:
@@ -499,12 +497,7 @@ class ChunkedTensorStore:
 
     def reset_stats(self) -> None:
         with self._lock:
-            self._bytes_written = 0
-            self._bytes_read = 0
-            self._write_count = 0
-            self._read_count = 0
-            self._write_syscalls = 0
-            self._read_syscalls = 0
+            self._traffic = StoreTraffic()
             self._reclaimed_bytes = 0
 
     # ------------------------------------------------------------------- I/O
@@ -533,23 +526,14 @@ class ChunkedTensorStore:
             chunk_id = loc.chunk_id if loc is not None else self._open_id
         return self._chunk_path(chunk_id)
 
-    def _attach_fd_table(self, table: object) -> None:
-        """Remember a batched backend's FD table for unlink invalidation."""
-        if self.fd_table is not table:
-            self.fd_table = table
-        if table not in self._fd_tables:
-            self._fd_tables.append(table)
-
-    def _invalidate_tables(self, path: Path) -> None:
-        """Drop ``path``'s cached descriptor from every attached table.
-
-        Called on **every** chunk unlink path — refcount-zero reclaim,
-        :meth:`clear`, :meth:`compact` — so an open LRU entry can never
-        outlive the unlink and serve (or worse, write through to) a
-        deleted file's inode.
-        """
-        for table in self._fd_tables:
-            table.invalidate(str(path))
+    def _unlink_chunk(self, path: Path) -> None:
+        """Remove a chunk file, then forget its descriptor (that order:
+        a read racing the unlink must not re-cache the dead inode)."""
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            pass
+        self.fds.invalidate(str(path))
 
     def _throttle(self, nbytes: int, start: float) -> None:
         if self.throttle_bytes_per_s is None:
@@ -576,7 +560,7 @@ class ChunkedTensorStore:
         while True:
             root_index = self._chunk_root.get(chunk_id, 0)
             try:
-                syscalls = self._write_chunk_locked(chunk_id, nbytes)
+                syscalls = self._write_chunk_locked(chunk_id)
                 break
             except OSError as exc:
                 if not is_enospc(exc):
@@ -592,7 +576,7 @@ class ChunkedTensorStore:
                 if len(self._full_roots) >= len(self.roots):
                     raise
                 self._chunk_root[chunk_id] = self._pick_root_locked()
-        self._write_syscalls += syscalls
+        self._traffic.write_syscalls += syscalls
         self._chunks[chunk_id] = _ChunkMeta(
             chunk_id=chunk_id,
             total_bytes=nbytes,
@@ -620,47 +604,36 @@ class ChunkedTensorStore:
         self._root_bytes[self._chunk_root.get(chunk_id, 0)] += nbytes
         self._open_id = self._alloc_chunk_id_locked()
         self._chunk_root[self._open_id] = self._pick_root_locked()
-        self._bytes_written += nbytes
-        self._write_count += 1
+        self._traffic.bytes_written += nbytes
+        self._traffic.write_count += 1
         if self.array is not None:
             self.array.record_write(nbytes)
         self._throttle(nbytes, start)
 
-    def _write_chunk_locked(self, chunk_id: int, nbytes: int) -> int:
-        """One physical chunk-file write (the flush loop's retryable
-        unit); returns the syscalls it cost.  The ``fault_gate`` seam
-        fires first, so injected per-root failures surface exactly where
-        a real full filesystem would."""
+    def _write_chunk_locked(self, chunk_id: int) -> int:
+        """One physical write of the open chunk (the flush loop's
+        retryable unit); returns the syscalls it cost.  The
+        ``fault_gate`` seam fires first, so injected per-root failures
+        surface exactly where a real full filesystem would."""
         if self.fault_gate is not None:
-            self.fault_gate(self._chunk_root.get(chunk_id, 0), nbytes)
-        ctx = current_io_context()
-        if ctx is not None:
-            # Batched backend: one pwritev over a pre-opened descriptor.
-            # The chunk staging buffer is ordinary (unaligned) host
-            # memory, so a direct descriptor is demoted to buffered —
-            # chunk flushes are already large sequential writes and the
-            # staging buffer *is* the host bounce by design.
-            self._attach_fd_table(ctx.fds)
-            path = str(self._chunk_path(chunk_id))
-            tape = syscall_tape()
-            with tape:
-                fd, direct, cached, _ = ctx.fds.acquire_write(path)
-                if direct:
-                    fd = ctx.fds.acquire_read(path)
-                    cached = True
-                pwritev_full(fd, [self._open_buf])
-                if cached:
-                    os.ftruncate(fd, nbytes)
-                    count_syscalls(1)
-            syscalls = tape.count
-            self.copy_stats.count_avoided(1)  # the bytes() payload temp
-        else:
-            with open(self._chunk_path(chunk_id), "wb") as f:
-                f.write(self._open_buf)
-                self.copy_stats.count_avoided(1)  # the bytes() payload temp
-            syscalls = 3  # open + write + close
-            count_syscalls(syscalls)
+            self.fault_gate(self._chunk_root.get(chunk_id, 0), len(self._open_buf))
+        syscalls = self._pwrite_chunk(chunk_id, self._open_buf)
+        self.copy_stats.count_avoided(1)  # the bytes() payload temp
         return syscalls
+
+    def _pwrite_chunk(self, chunk_id: int, buf: bytearray) -> int:
+        """Write ``buf`` as chunk ``chunk_id``'s whole file in one
+        ``pwritev``; returns the syscalls issued."""
+        tape = syscall_tape()
+        path = str(self._chunk_path(chunk_id))
+        with tape, self.fds.borrow_write(path) as (fd, _direct, cached):
+            pwritev_full(fd, [buf])
+            if cached:
+                # Chunk ids are never reissued, so only a retried flush
+                # can find its own torn first attempt here.
+                os.ftruncate(fd, len(buf))
+                count_syscalls(1)
+        return tape.count
 
     def write(self, tensor_id: str, data: np.ndarray) -> Path:
         """Append ``data`` to the open chunk; flush it when full.
@@ -707,9 +680,10 @@ class ChunkedTensorStore:
 
         Tensors still in the open chunk are served from memory without
         any file I/O — one copy out of a ``memoryview`` window over the
-        staging buffer; flushed tensors cost one ranged ``readinto`` the
-        destination array.  Both paths validate the index-held length
-        before touching payload bytes.
+        staging buffer; flushed tensors cost one ``preadv`` at the
+        tensor's chunk offset, straight into the destination array.
+        Both validate the index-held length before touching payload
+        bytes.
         """
         start = time.monotonic()
         dtype = np.dtype(dtype)
@@ -739,57 +713,34 @@ class ChunkedTensorStore:
                 raise FileNotFoundError(f"no offloaded tensor {tensor_id!r} in chunk store")
             path = self._chunk_path(loc.chunk_id)
         self._check_length(tensor_id, loc, expected)
-        ctx = current_io_context()
-        if ctx is not None:
-            # Batched backend: one preadv at the tensor's chunk offset,
-            # straight into the destination array.
-            self._attach_fd_table(ctx.fds)
-            flat = np.empty(expected // dtype.itemsize, dtype)
-            view = memoryview(flat)
-            tape = syscall_tape()
-            with tape:
-                try:
-                    fd = ctx.fds.acquire_read(str(path))
-                except FileNotFoundError:
-                    raise FileNotFoundError(
-                        f"no offloaded tensor {tensor_id!r} in chunk store"
-                    ) from None
-                got = preadv_full(fd, [view], offset=loc.offset)
-            syscalls = tape.count
-            if got != loc.nbytes:
-                raise IntegrityError(
-                    f"torn write: tensor {tensor_id!r} expected {loc.nbytes} bytes "
-                    f"in chunk {loc.chunk_id}, read {got}"
-                )
-            self._verify(tensor_id, loc, view)
-            data = flat.reshape(shape)
-            self.copy_stats.count_copy(loc.nbytes)
-            self.copy_stats.count_avoided(1)  # the ranged-read bytes temp
-        else:
-            flat = np.empty(expected // dtype.itemsize, dtype)
-            view = memoryview(flat)
-            with open(path, "rb") as f:
-                f.seek(loc.offset)
-                got = f.readinto(view)
-            if got != loc.nbytes:
-                # readinto always fills the full-size destination view,
-                # so the short-read case needs its own length check; the
-                # crc (and its message) stays centralized in _verify.
-                raise IntegrityError(
-                    f"torn write: tensor {tensor_id!r} expected {loc.nbytes} bytes "
-                    f"in chunk {loc.chunk_id}, read {got}"
-                )
-            self._verify(tensor_id, loc, view)
-            data = flat.reshape(shape)
-            self.copy_stats.count_copy(loc.nbytes)
-            self.copy_stats.count_avoided(1)  # the ranged-read bytes temp
-            syscalls = 4  # open + seek + readinto + close
-            count_syscalls(syscalls)
+        flat = np.empty(expected // dtype.itemsize, dtype)
+        view = memoryview(flat)
+        tape = syscall_tape()
+        with tape:
+            try:
+                with self.fds.borrow_read(str(path)) as fd:
+                    got = preadv_full(fd, [view], offset=loc.offset)
+            except FileNotFoundError:
+                raise FileNotFoundError(
+                    f"no offloaded tensor {tensor_id!r} in chunk store"
+                ) from None
+        if got != loc.nbytes:
+            # The destination view is full-size whatever the file holds,
+            # so the short-read case needs its own length check; the
+            # crc (and its message) stays centralized in _verify.
+            raise IntegrityError(
+                f"torn write: tensor {tensor_id!r} expected {loc.nbytes} bytes "
+                f"in chunk {loc.chunk_id}, read {got}"
+            )
+        self._verify(tensor_id, loc, view)
+        data = flat.reshape(shape)
+        self.copy_stats.count_copy(loc.nbytes)
+        self.copy_stats.count_avoided(1)  # the ranged-read bytes temp
         self._throttle(loc.nbytes, start)
         with self._lock:
-            self._bytes_read += loc.nbytes
-            self._read_count += 1
-            self._read_syscalls += syscalls
+            self._traffic.bytes_read += loc.nbytes
+            self._traffic.read_count += 1
+            self._traffic.read_syscalls += tape.count
         if self.array is not None:
             self.array.record_read(loc.nbytes)
         return data
@@ -848,12 +799,7 @@ class ChunkedTensorStore:
         meta.refcount -= 1
         meta.live_bytes -= loc.nbytes
         if meta.refcount <= 0:
-            path = self._chunk_path(meta.chunk_id)
-            self._invalidate_tables(path)
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
+            self._unlink_chunk(self._chunk_path(meta.chunk_id))
             self._reclaimed_bytes += meta.total_bytes
             del self._chunks[meta.chunk_id]
             self._chunk_root.pop(meta.chunk_id, None)
@@ -873,8 +819,8 @@ class ChunkedTensorStore:
         For each victim the live tensors are read back (crc-verified —
         GC doubles as a scrub), packed into a fresh chunk written in one
         I/O on the least-worn root, the index is repointed, the old file
-        is unlinked with every attached FD table invalidated, and a
-        ``compact`` journal record makes the move durable.  Returns the
+        is unlinked and its descriptor forgotten, and a ``compact``
+        journal record makes the move durable.  Returns the
         dead bytes reclaimed (0 when nothing crossed the threshold).
 
         Runs entirely under the store lock: reads and writes briefly
@@ -918,11 +864,12 @@ class ChunkedTensorStore:
             if loc.chunk_id == meta.chunk_id
         ]
         live.sort(key=lambda item: item[1].offset)
+        raw = memoryview(bytearray(meta.total_bytes))
         try:
-            raw = old_path.read_bytes()
+            with self.fds.borrow_read(str(old_path)) as fd:
+                raw = raw[: preadv_full(fd, [raw])]  # a short file reads short
         except FileNotFoundError:
-            raw = b""
-        count_syscalls(3)  # open + read + close
+            raw = raw[:0]
         buf = bytearray()
         new_id = self._alloc_chunk_id_locked()
         moved: List[Tuple[str, _TensorLoc]] = []
@@ -945,19 +892,15 @@ class ChunkedTensorStore:
         root = self._pick_root_locked()
         self._chunk_root[new_id] = root
         if moved:
-            new_path = self._chunk_path(new_id)
-            with open(new_path, "wb") as f:
-                f.write(buf)
-            count_syscalls(3)  # open + write + close
-            self._write_syscalls += 3
+            self._traffic.write_syscalls += self._pwrite_chunk(new_id, buf)
             self._chunks[new_id] = _ChunkMeta(
                 chunk_id=new_id,
                 total_bytes=nbytes,
                 refcount=len(moved),
                 live_bytes=nbytes,
             )
-            self._bytes_written += nbytes
-            self._write_count += 1
+            self._traffic.bytes_written += nbytes
+            self._traffic.write_count += 1
             self._root_bytes[root] += nbytes
             if self.array is not None:
                 self.array.record_write(nbytes)
@@ -977,11 +920,7 @@ class ChunkedTensorStore:
                 ],
             }
         )
-        self._invalidate_tables(old_path)
-        try:
-            old_path.unlink()
-        except FileNotFoundError:
-            pass
+        self._unlink_chunk(old_path)
         del self._chunks[meta.chunk_id]
         self._chunk_root.pop(meta.chunk_id, None)
         self._reclaimed_bytes += meta.total_bytes
@@ -991,7 +930,8 @@ class ChunkedTensorStore:
         return dead
 
     def close(self) -> None:
-        """Flush the open chunk and release the journal — keep the data.
+        """Flush the open chunk, release the journal and the cached
+        descriptors — keep the data.
 
         The durable counterpart of :meth:`clear`: every chunk file (and
         the manifest) stays on disk so a fresh store on the same root
@@ -1006,6 +946,7 @@ class ChunkedTensorStore:
             if self._journal is not None:
                 self._journal.sync()
                 self._journal.close()
+        self.fds.close_all()
 
     def clear(self) -> None:
         """Remove every chunk file and reset the in-memory state.
@@ -1032,8 +973,8 @@ class ChunkedTensorStore:
             for chunk_id in chunk_ids:
                 self._chunk_root.pop(chunk_id, None)
         for path in paths:
-            self._invalidate_tables(path)
             try:
                 path.unlink()
             except FileNotFoundError:
                 pass
+        self.fds.close_all()

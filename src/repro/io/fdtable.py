@@ -1,0 +1,258 @@
+"""Positioned I/O over store-owned descriptors.
+
+The one path from a store operation to the kernel: every file write is
+one ``os.pwritev`` and every read one ``os.preadv`` (:func:`pwritev_full`
+/ :func:`preadv_full`, which resume short transfers) over a descriptor
+borrowed from the store's own :class:`FDTable` — pre-opened descriptors
+keyed by path (io_uring's fixed-file table), LRU-bounded, so the read
+that follows a write skips the ``open``/``close`` pair.
+
+Descriptors are **borrowed, not handed out**: :meth:`FDTable.borrow_write`
+/ :meth:`FDTable.borrow_read` are context managers, and a descriptor that
+is evicted (LRU) or invalidated (its file was deleted) while borrowed is
+closed only when its last borrower returns.  Without that rule another
+thread's eviction could close the fd mid-transfer, the kernel could hand
+the same number to the next ``open``, and a resumed short transfer would
+land in *another tensor's file*.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+import weakref
+from collections import OrderedDict
+from contextlib import contextmanager
+from typing import Iterator, List, Sequence, Tuple
+
+from repro.io.aio import count_syscalls
+
+__all__ = ["FDTable", "MAX_OPEN_FDS", "preadv_full", "pwritev_full"]
+
+#: Descriptors a store keeps open at once.  Well inside the default
+#: 1024-fd soft limit even with a file store and a chunk store per
+#: engine; an evicted path simply reopens on its next touch.
+MAX_OPEN_FDS = 128
+
+
+# --------------------------------------------------------------------------
+# Vectored-syscall helpers
+# --------------------------------------------------------------------------
+
+
+def _flat_views(buffers: Sequence) -> List[memoryview]:
+    """Byte-granular views over ``buffers`` (kept writable for reads)."""
+    views = []
+    for buf in buffers:
+        view = buf if isinstance(buf, memoryview) else memoryview(buf)
+        if view.ndim != 1 or view.format != "B":
+            view = view.cast("B")
+        views.append(view)
+    return views
+
+
+def _advance(views: List[memoryview], moved: int) -> None:
+    """Drop/trim the leading ``moved`` bytes from the iovec list."""
+    while views and moved >= views[0].nbytes:
+        moved -= views[0].nbytes
+        views.pop(0)
+    if views and moved:
+        views[0] = views[0][moved:]
+
+
+def pwritev_full(fd: int, buffers: Sequence, offset: int = 0) -> int:
+    """Write every byte of ``buffers`` at ``offset`` via ``os.pwritev``.
+
+    One syscall in the common case; short writes resume from where the
+    kernel stopped.  Returns the total bytes written.
+    """
+    views = _flat_views(buffers)
+    total = 0
+    while views:
+        written = os.pwritev(fd, views, offset)
+        count_syscalls(1)
+        if written <= 0:
+            raise OSError(f"pwritev made no progress at offset {offset}")
+        total += written
+        offset += written
+        _advance(views, written)
+    return total
+
+
+def preadv_full(fd: int, buffers: Sequence, offset: int = 0) -> int:
+    """Fill ``buffers`` from ``offset`` via ``os.preadv``; stops at EOF.
+
+    Returns the total bytes read (callers use the shortfall — or the
+    overshoot into a probe buffer — to detect torn/oversized files
+    without a separate ``fstat``).
+    """
+    views = _flat_views(buffers)
+    total = 0
+    while views:
+        got = os.preadv(fd, views, offset)
+        count_syscalls(1)
+        if got == 0:  # EOF
+            break
+        total += got
+        offset += got
+        _advance(views, got)
+    return total
+
+
+# --------------------------------------------------------------------------
+# FD table
+# --------------------------------------------------------------------------
+
+
+class _FDEntry:
+    __slots__ = ("fd", "direct", "borrowers", "retired")
+
+    def __init__(self, fd: int, direct: bool) -> None:
+        self.fd = fd
+        self.direct = direct
+        #: Transfers currently running on ``fd``.
+        self.borrowers = 0
+        #: Dropped from the table (evicted / invalidated) while borrowed:
+        #: the last borrower to return closes it.
+        self.retired = False
+
+
+def _close_fd(fd: int) -> None:
+    try:
+        os.close(fd)
+    except OSError:  # pragma: no cover - close failures are benign
+        pass
+
+
+def _close_dropped(entries: "OrderedDict[str, _FDEntry]") -> None:
+    """Finaliser of a table nobody closed.  A borrower holds a reference
+    to its table, so none can be mid-transfer here."""
+    for entry in entries.values():
+        _close_fd(entry.fd)
+    entries.clear()
+
+
+class FDTable:
+    """A store's pre-opened file descriptors, keyed by path.
+
+    The LRU bound (``max_open``) keeps the table inside the process's fd
+    budget; stores build theirs with :data:`MAX_OPEN_FDS`, the argument
+    exists for the eviction tests.  A table dropped without
+    :meth:`close_all` closes its descriptors when it is collected.
+    """
+
+    def __init__(self, max_open: int = MAX_OPEN_FDS) -> None:
+        if max_open < 1:
+            raise ValueError(f"max_open must be >= 1: {max_open}")
+        self.max_open = max_open
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[str, _FDEntry]" = OrderedDict()
+        self.opens = 0
+        self.closes = 0
+        weakref.finalize(self, _close_dropped, self._entries)
+
+    # ------------------------------------------------------------- internals
+    def _open_locked(self, path: str, flags: int, direct: bool = False) -> _FDEntry:
+        fd = os.open(path, flags, 0o644)
+        count_syscalls(1)
+        self.opens += 1
+        entry = self._entries[path] = _FDEntry(fd, direct)
+        while len(self._entries) > self.max_open:
+            _, evicted = self._entries.popitem(last=False)
+            self._retire_locked(evicted)
+        return entry
+
+    def _retire_locked(self, entry: _FDEntry) -> None:
+        """Close a descriptor the table no longer maps — now, or when
+        its last borrower returns."""
+        if entry.borrowers:
+            entry.retired = True
+            return
+        _close_fd(entry.fd)
+        count_syscalls(1)
+        self.closes += 1
+
+    def _return(self, entry: _FDEntry) -> None:
+        with self._lock:
+            entry.borrowers -= 1
+            if entry.retired:
+                self._retire_locked(entry)
+
+    # -------------------------------------------------------------- borrowing
+    @contextmanager
+    def borrow_write(
+        self, path: str, direct: bool = False
+    ) -> Iterator[Tuple[int, bool, bool]]:
+        """Borrow a descriptor for writing ``path``.
+
+        Yields ``(fd, direct, cached)``: ``cached`` is whether the
+        descriptor was reused (the caller must ``ftruncate`` after a
+        reused write — a fresh descriptor opens with ``O_TRUNC``);
+        ``direct`` whether it carries ``O_DIRECT``.  A fresh open asks
+        for ``O_DIRECT`` when ``direct`` is set and falls back to a
+        buffered descriptor when the filesystem refuses (common on
+        tmpfs/overlayfs) — the caller sees ``direct=False, cached=False``.
+        """
+        with self._lock:
+            entry = self._entries.get(path)
+            cached = entry is not None
+            if cached:
+                self._entries.move_to_end(path)
+            else:
+                flags = os.O_RDWR | os.O_CREAT | os.O_TRUNC
+                if direct:
+                    try:
+                        entry = self._open_locked(path, flags | os.O_DIRECT, True)
+                    except OSError:
+                        pass  # refused: per-file fallback to buffered
+                if entry is None:
+                    entry = self._open_locked(path, flags)
+            entry.borrowers += 1
+        try:
+            yield entry.fd, entry.direct, cached
+        finally:
+            self._return(entry)
+
+    @contextmanager
+    def borrow_read(self, path: str) -> Iterator[int]:
+        """Borrow a buffered (never ``O_DIRECT``) descriptor for ``path``.
+
+        Loads land in caller-owned destination arrays whose alignment
+        nobody guarantees, so a cached direct descriptor is replaced by
+        a buffered one (docs/architecture.md §10).  Raises
+        :class:`FileNotFoundError` when the path does not exist and no
+        descriptor is cached.
+        """
+        with self._lock:
+            entry = self._entries.get(path)
+            if entry is not None and entry.direct:
+                del self._entries[path]
+                self._retire_locked(entry)
+                entry = None
+            if entry is None:
+                entry = self._open_locked(path, os.O_RDWR)
+            else:
+                self._entries.move_to_end(path)
+            entry.borrowers += 1
+        try:
+            yield entry.fd
+        finally:
+            self._return(entry)
+
+    # ------------------------------------------------------------ forgetting
+    def invalidate(self, path: str) -> None:
+        """Forget ``path``'s descriptor (its file was deleted)."""
+        with self._lock:
+            entry = self._entries.pop(path, None)
+            if entry is not None:
+                self._retire_locked(entry)
+
+    def close_all(self) -> None:
+        """Forget every descriptor; the table stays usable."""
+        with self._lock:
+            while self._entries:
+                self._retire_locked(self._entries.popitem()[1])
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)

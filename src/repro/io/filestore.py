@@ -24,31 +24,34 @@ heals on re-read; corruption at rest exhausts the retry budget and
 surfaces.  All byte accounting (stats, throttle, wear model) stays on
 the payload — the 16-byte frame is bookkeeping, not traffic.
 
-**Zero-copy streaming (PR 5):** the store writes the 16-byte header and
-then the tensor's contiguous ``memoryview`` as two writes — no
-``tobytes()`` temporary, no header+payload ``bytes`` concatenation —
-with the crc32 computed directly over the view.  The read path validates
-the header (magic, framed length vs the expected tensor size, and the
-on-disk file size) *before* touching the payload, then ``readinto``\\ s
-the destination array directly: one disk-to-array transfer, zero staging
-buffers.  The on-disk format is bit-identical to
-``frame_payload(data.tobytes())`` — the 20-line reference pair
+**One positioned-I/O path:** the store owns an LRU-bounded
+:class:`~repro.io.fdtable.FDTable` for its own files and every transfer
+is one vectored syscall over a descriptor borrowed from it.  ``write``
+is a single ``pwritev`` of the 16-byte header and the tensor's
+contiguous ``memoryview`` — no ``tobytes()`` temporary, no
+header+payload ``bytes`` concatenation, the crc32 computed directly over
+the view.  ``read`` is a single ``preadv`` scattering into the header,
+the destination array and a one-byte probe: the header (magic, framed
+length vs the expected tensor size) and the transfer length (a shortfall
+is a torn write, an overshoot into the probe an oversized file) are
+validated before the payload is trusted — one disk-to-array transfer,
+zero staging buffers, no ``fstat``.  The on-disk format is bit-identical
+to ``frame_payload(data.tobytes())`` — the 20-line reference pair
 ``frame_payload``/``unframe_payload`` that tests compare files against;
 :class:`~repro.io.buffers.CopyCounter` telemetry (``copy_stats``) makes
-the eliminated copies a printed number.
+the eliminated copies a printed number and ``write_syscalls``/
+``read_syscalls`` (measured by the syscall tape, never assumed) the
+kernel round-trips.
 
-**Batched backends (PR 8):** when a lane backend installs an
-:class:`~repro.io.uring.IOContext` (``io_backend="uring"`` /
-``"gds-sim"``), ``write``/``read`` route through vectored entry points:
-one ``pwritev``/``preadv`` over a pre-opened descriptor from the
-backend's FD table carries the *same* frame bytes (a one-byte probe in
-the read scatter replaces the ``fstat`` torn-write check), with an
-optional ``O_DIRECT`` staged-aligned write path and GDS-sim bounce
-routing (registered storages skip the host staging copy).  Per-store
-``write_syscalls``/``read_syscalls`` counters plus the backend's syscall
-tape make the saved kernel round-trips a printed number too.  With no
-context installed the classic buffered paths run unchanged —
-``io_backend="thread"`` stays byte- and syscall-identical.
+Two staging decisions belong to this store, and it books both on
+``copy_stats``: ``direct=True`` opens write descriptors ``O_DIRECT`` and
+stages each frame through an aligned arena lease (per-file fallback to
+buffered where the filesystem refuses), and a ``gds``
+:class:`~repro.io.gds.GDSRegistry` turns on simulated GPUDirect-Storage
+routing — arrays of registered storages go straight to disk, anything
+else is staged through a host bounce lease first.  Neither changes a
+byte on disk.  The store behaves the same on every thread and under
+every ``io_backend``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ import struct
 import threading
 import time
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
@@ -65,9 +69,10 @@ import numpy as np
 
 from repro.device.ssd import RAID0Array, SSD
 from repro.io.aio import count_syscalls, syscall_tape
-from repro.io.buffers import DIRECT_ALIGNMENT, CopyCounter
+from repro.io.buffers import DIRECT_ALIGNMENT, BufferArena, CopyCounter
 from repro.io.errors import IntegrityError
-from repro.io.uring import IOContext, current_io_context, preadv_full, pwritev_full
+from repro.io.fdtable import FDTable, preadv_full, pwritev_full
+from repro.io.gds import GDSRegistry
 
 #: Checksum-frame header: magic, payload length (LE u64), crc32 (LE u32).
 FRAME_MAGIC = b"RPRO"
@@ -90,8 +95,8 @@ def parse_frame_header(header: bytes, label: str) -> Tuple[int, int]:
     """Validate a frame header prefix; returns ``(payload_len, crc32)``.
 
     The single source of truth for the fixed 16-byte header — both the
-    whole-file :func:`unframe_payload` and the streaming ``readinto``
-    reader validate through it, so a frame-format change has one site.
+    whole-file :func:`unframe_payload` and the store's ``preadv`` reader
+    validate through it, so a frame-format change has one site.
     Raises :class:`IntegrityError` on a short header or bad magic.
     """
     if len(header) < FRAME_HEADER_BYTES:
@@ -120,6 +125,22 @@ def unframe_payload(raw: bytes, label: str) -> bytes:
     return payload
 
 
+@dataclass
+class StoreTraffic:
+    """A store's cumulative traffic books (guarded by the store's lock).
+
+    The syscall counts are what the syscall tape measured around each
+    transfer — never an assumed per-operation constant.
+    """
+
+    bytes_written: int = 0
+    bytes_read: int = 0
+    write_count: int = 0
+    read_count: int = 0
+    write_syscalls: int = 0
+    read_syscalls: int = 0
+
+
 class TensorFileStore:
     """Stores numpy arrays as raw files, one per tensor id.
 
@@ -128,6 +149,15 @@ class TensorFileStore:
         throttle_bytes_per_s: if set, sleep so that transfers do not exceed
             this bandwidth — used to emulate slow SSDs in tests.
         array: optional SSD/RAID0 model charged with the traffic.
+        direct: open write descriptors with ``O_DIRECT`` where the
+            platform and filesystem allow; refused files fall back to
+            buffered I/O, counted on ``copy_stats.direct_fallbacks``.
+        gds: registry of GDS-registered storages; when given, writes are
+            routed past or through a host bounce buffer by registration
+            (``copy_stats.bounce_copies_skipped`` / ``bounce_copies``).
+
+    Descriptors are closed by :meth:`close`/:meth:`clear`, or when a
+    store nobody closed is collected.
     """
 
     def __init__(
@@ -135,6 +165,8 @@ class TensorFileStore:
         root: Union[str, Path],
         throttle_bytes_per_s: Optional[float] = None,
         array: Optional[Union[SSD, RAID0Array]] = None,
+        direct: bool = False,
+        gds: Optional[GDSRegistry] = None,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -142,61 +174,52 @@ class TensorFileStore:
             raise ValueError(f"throttle must be positive: {throttle_bytes_per_s}")
         self.throttle_bytes_per_s = throttle_bytes_per_s
         self.array = array
+        self.direct = direct and hasattr(os, "O_DIRECT")
+        self.gds = gds
         self.copy_stats = CopyCounter()
-        #: The FD table of the last batched backend that drove this
-        #: store (self-attached by the vectored paths) — ``delete``/
-        #: ``clear`` invalidate its cached descriptors so a reopened
-        #: path never resurrects stale bytes.
-        self.fd_table = None
+        self.fds = FDTable()
+        #: Staging leases: aligned frames for ``O_DIRECT`` writes and
+        #: host bounce buffers for unregistered GDS-sim sources.
+        self.arena = BufferArena() if self.direct or gds is not None else None
         self._lock = threading.Lock()
-        self._bytes_written = 0
-        self._bytes_read = 0
-        self._write_count = 0
-        self._read_count = 0
-        self._write_syscalls = 0
-        self._read_syscalls = 0
+        self._traffic = StoreTraffic()
 
     # ------------------------------------------------------------------ stats
     @property
     def bytes_written(self) -> int:
         with self._lock:
-            return self._bytes_written
+            return self._traffic.bytes_written
 
     @property
     def bytes_read(self) -> int:
         with self._lock:
-            return self._bytes_read
+            return self._traffic.bytes_read
 
     @property
     def write_count(self) -> int:
         with self._lock:
-            return self._write_count
+            return self._traffic.write_count
 
     @property
     def read_count(self) -> int:
         with self._lock:
-            return self._read_count
+            return self._traffic.read_count
 
     @property
     def write_syscalls(self) -> int:
-        """Kernel round-trips spent writing (open/write/close/ftruncate)."""
+        """Kernel round-trips spent writing (open/pwritev/ftruncate)."""
         with self._lock:
-            return self._write_syscalls
+            return self._traffic.write_syscalls
 
     @property
     def read_syscalls(self) -> int:
-        """Kernel round-trips spent reading (open/read/fstat/close)."""
+        """Kernel round-trips spent reading (open/preadv)."""
         with self._lock:
-            return self._read_syscalls
+            return self._traffic.read_syscalls
 
     def reset_stats(self) -> None:
         with self._lock:
-            self._bytes_written = 0
-            self._bytes_read = 0
-            self._write_count = 0
-            self._read_count = 0
-            self._write_syscalls = 0
-            self._read_syscalls = 0
+            self._traffic = StoreTraffic()
 
     # ------------------------------------------------------------------- I/O
     def path_for(self, tensor_id: str) -> Path:
@@ -213,10 +236,13 @@ class TensorFileStore:
     def write(self, tensor_id: str, data: np.ndarray) -> Path:
         """Persist ``data``; returns the file path.
 
-        Streaming path: header and payload land as two writes, the crc32
-        is computed over the tensor's contiguous view, and no
-        intermediate ``bytes`` object is ever built.  The resulting file
-        is bit-identical to ``frame_payload(data.tobytes())``.
+        One ``pwritev`` carries the header and the tensor's contiguous
+        view — the crc32 is computed over the view and no intermediate
+        ``bytes`` object is ever built — and a reused descriptor is
+        ``ftruncate``\\ d so no stale tail survives.  The resulting file
+        is bit-identical to ``frame_payload(data.tobytes())``.  With a
+        ``gds`` registry, registered source arrays go straight to disk
+        and unregistered ones are staged through a host bounce lease.
 
         Contract: ``data`` must not mutate during the call.  The zero-copy
         path reads the source twice (crc pass, write pass) — a concurrent
@@ -231,175 +257,69 @@ class TensorFileStore:
         nbytes = contiguous.nbytes
         if copied:
             self.copy_stats.count_copy(nbytes)
-        ctx = current_io_context()
-        if ctx is not None:
-            syscalls = self._write_vectored(path, data, contiguous, nbytes, ctx)
-            self.copy_stats.count_avoided(2)  # tobytes() + frame concat
-        else:
-            view = memoryview(contiguous.reshape(-1)).cast("B")
-            with open(path, "wb") as f:
-                f.write(_FRAME_HEADER.pack(FRAME_MAGIC, nbytes, zlib.crc32(view)))
-                f.write(view)
-            self.copy_stats.count_avoided(2)  # tobytes() + frame concat
-            syscalls = 4  # open + header write + payload write + close
-            count_syscalls(syscalls)
-        self._throttle(nbytes, start)
-        with self._lock:
-            self._bytes_written += nbytes
-            self._write_count += 1
-            self._write_syscalls += syscalls
-        if self.array is not None:
-            self.array.record_write(nbytes)
-        return path
-
-    def read(self, tensor_id: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """Read a tensor back as a fresh array of ``shape``/``dtype``.
-
-        Streaming path: the header is read and validated first (magic,
-        framed length against both the expected tensor size and the
-        on-disk file size — a torn write is rejected *before* any
-        payload bytes are slurped), then the payload is ``readinto`` the
-        destination array directly: one disk-to-array transfer, and the
-        only allocation is the returned array itself — the ownership
-        copy the GPU-reinstate boundary demands.
-        """
-        start = time.monotonic()
-        path = self.path_for(tensor_id)
-        ctx = current_io_context()
-        if ctx is not None:
-            # Batched backend: missing-file detection rides the open
-            # (no separate exists() stat).
-            data, syscalls = self._read_vectored(tensor_id, path, shape, dtype, ctx)
-            self.copy_stats.count_copy(data.nbytes)
-            self.copy_stats.count_avoided(1)  # the whole-file bytes slurp
-            self._throttle(data.nbytes, start)
-            with self._lock:
-                self._bytes_read += data.nbytes
-                self._read_count += 1
-                self._read_syscalls += syscalls
-            if self.array is not None:
-                self.array.record_read(data.nbytes)
-            return data
-        if not path.exists():
-            raise FileNotFoundError(f"no offloaded tensor at {path}")
-        label = f"tensor {tensor_id!r} at {path}"
-        dtype = np.dtype(dtype)
-        numel = int(np.prod(shape, dtype=np.int64))
-        expected = numel * dtype.itemsize
-        flat = np.empty(numel, dtype)
-        with open(path, "rb") as f:
-            length, crc = parse_frame_header(f.read(FRAME_HEADER_BYTES), label)
-            file_size = os.fstat(f.fileno()).st_size
-            if file_size != FRAME_HEADER_BYTES + length:
-                # Header and file disagree: corruption — retryable.
-                raise IntegrityError(
-                    f"torn write: {label} frames {length} payload bytes, "
-                    f"found {max(0, file_size - FRAME_HEADER_BYTES)}"
-                )
-            if length != expected:
-                # Header and file agree with each other but not with
-                # the caller: a deterministic shape/dtype bug, not
-                # corruption — fail fast (ValueError is
-                # non-retryable).
-                raise ValueError(
-                    f"{label} holds {length} payload bytes, "
-                    f"caller expected {expected}"
-                )
-            view = memoryview(flat)
-            got = f.readinto(view)
-            if got != length:
-                raise IntegrityError(
-                    f"torn write: {label} frames {length} payload bytes, read {got}"
-                )
-            if zlib.crc32(view) != crc:
-                raise IntegrityError(
-                    f"checksum mismatch for {label}: bit-rot or torn write"
-                )
-        data = flat.reshape(shape)
-        self.copy_stats.count_copy(data.nbytes)
-        self.copy_stats.count_avoided(1)  # the whole-file bytes slurp
-        syscalls = 5  # open + header read + fstat + readinto + close
-        count_syscalls(syscalls)
-        self._throttle(data.nbytes, start)
-        with self._lock:
-            self._bytes_read += data.nbytes
-            self._read_count += 1
-            self._read_syscalls += syscalls
-        if self.array is not None:
-            self.array.record_read(data.nbytes)
-        return data
-
-    # ------------------------------------------------------- vectored paths
-    def _write_vectored(
-        self,
-        path: Path,
-        source: np.ndarray,
-        contiguous: np.ndarray,
-        nbytes: int,
-        ctx: IOContext,
-    ) -> int:
-        """Batched-backend write over a pre-opened descriptor.
-
-        One ``pwritev`` carries header + payload (bit-identical to the
-        streaming frame); a reused descriptor is ``ftruncate``\\ d so no
-        stale tail survives.  A GDS-sim context routes by registration:
-        registered source arrays go straight to disk (the direct lane),
-        unregistered ones are staged through a host bounce lease first.
-        Returns the syscalls issued.
-        """
-        if self.fd_table is not ctx.fds:
-            self.fd_table = ctx.fds
         payload = memoryview(contiguous.reshape(-1)).cast("B")
-        lease = None
-        if ctx.gds is not None:
-            if ctx.gds.is_array_registered(source):
-                ctx.note_bounce(skipped=True)
-            elif ctx.arena is not None:
-                lease = ctx.arena.lease(nbytes)
-                staged = lease.view((nbytes,), np.uint8)
+        bounce = None
+        if self.gds is not None:
+            if self.gds.is_array_registered(data):
+                self.copy_stats.count_bounce(skipped=True)
+            else:
+                bounce = self.arena.lease(nbytes)
+                staged = bounce.view((nbytes,), np.uint8)
                 staged[:] = np.frombuffer(payload, dtype=np.uint8)
                 self.copy_stats.count_copy(nbytes)
-                ctx.note_bounce(skipped=False)
+                self.copy_stats.count_bounce(skipped=False)
                 payload = memoryview(staged)
         tape = syscall_tape()
         try:
             with tape:
                 header = _FRAME_HEADER.pack(FRAME_MAGIC, nbytes, zlib.crc32(payload))
-                total = FRAME_HEADER_BYTES + nbytes
-                fd, direct, cached, _ = ctx.fds.acquire_write(str(path))
-                if direct and self._pwrite_direct(fd, header, payload, total, ctx):
-                    pass
-                else:
-                    if direct:
-                        # O_DIRECT open succeeded but the write path
-                        # refused (or no staging arena): demote this
-                        # path's descriptor to buffered and carry on.
-                        fd = ctx.fds.acquire_read(str(path))
-                        cached = True
-                    pwritev_full(fd, [header, payload])
-                    if cached:
-                        # A fresh descriptor opened with O_TRUNC; a
-                        # reused one must drop any longer stale frame.
-                        os.ftruncate(fd, total)
-                        count_syscalls(1)
+                self._write_frame(str(path), header, payload)
         finally:
-            if lease is not None:
-                lease.release()
-        return tape.count
+            if bounce is not None:
+                bounce.release()
+        self.copy_stats.count_avoided(2)  # tobytes() + frame concat
+        self._throttle(nbytes, start)
+        with self._lock:
+            self._traffic.bytes_written += nbytes
+            self._traffic.write_count += 1
+            self._traffic.write_syscalls += tape.count
+        if self.array is not None:
+            self.array.record_write(nbytes)
+        return path
 
-    def _pwrite_direct(
-        self, fd: int, header: bytes, payload: memoryview, total: int, ctx: IOContext
-    ) -> bool:
+    def _write_frame(self, path: str, header: bytes, payload: memoryview) -> None:
+        with self.fds.borrow_write(path, direct=self.direct) as (fd, direct, cached):
+            if self.direct and not direct and not cached:
+                self.copy_stats.count_direct_fallback()  # refused at open
+            if not direct:
+                self._pwrite_buffered(fd, header, payload, truncate=cached)
+                return
+            if self._pwrite_direct(fd, header, payload):
+                return
+        # The O_DIRECT open succeeded but the device refused the write:
+        # demote this path's descriptor to buffered and carry on.
+        with self.fds.borrow_read(path) as fd:
+            self._pwrite_buffered(fd, header, payload, truncate=True)
+
+    @staticmethod
+    def _pwrite_buffered(fd: int, header: bytes, payload: memoryview, truncate: bool) -> None:
+        pwritev_full(fd, [header, payload])
+        if truncate:
+            # A fresh descriptor opened with O_TRUNC; a reused one must
+            # drop any longer stale frame.
+            os.ftruncate(fd, FRAME_HEADER_BYTES + payload.nbytes)
+            count_syscalls(1)
+
+    def _pwrite_direct(self, fd: int, header: bytes, payload: memoryview) -> bool:
         """``O_DIRECT`` write: stage the frame into an aligned arena
         lease, zero-pad to the alignment unit, ``pwrite`` the padded
         block, then ``ftruncate`` to the true frame length — the on-disk
         bytes stay bit-identical to the buffered path.  Returns False to
-        demote (no staging arena, or the device refused the write).
+        demote (the device refused the write).
         """
-        if ctx.arena is None:
-            return False
+        total = FRAME_HEADER_BYTES + payload.nbytes
         padded = -(-total // DIRECT_ALIGNMENT) * DIRECT_ALIGNMENT
-        lease = ctx.arena.lease(padded, aligned=True)
+        lease = self.arena.lease(padded, aligned=True)
         try:
             buf = lease.view((padded,), np.uint8)
             buf[:FRAME_HEADER_BYTES] = np.frombuffer(header, dtype=np.uint8)
@@ -417,7 +337,7 @@ class TensorFileStore:
                 except OSError:
                     if offset:
                         raise  # partial direct write: surface, don't demote
-                    ctx.note_direct_fallback()
+                    self.copy_stats.count_direct_fallback()
                     return False
                 count_syscalls(1)
                 if written <= 0:
@@ -429,25 +349,20 @@ class TensorFileStore:
         finally:
             lease.release()
 
-    def _read_vectored(
-        self,
-        tensor_id: str,
-        path: Path,
-        shape: Tuple[int, ...],
-        dtype: np.dtype,
-        ctx: IOContext,
-    ) -> Tuple[np.ndarray, int]:
-        """Batched-backend read: one ``preadv`` scatter fills the header,
-        the destination array, and a one-byte probe.
+    def read(self, tensor_id: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """Read a tensor back as a fresh array of ``shape``/``dtype``.
 
-        The probe replaces the classic path's ``fstat``: overshooting
-        into it means the file holds more than the frame claims, a
-        shortfall means a torn write — both rejected before the payload
-        is trusted, with the classic path's error taxonomy.  Returns
-        ``(data, syscalls)``.
+        One ``preadv`` scatter fills the header, the destination array
+        and a one-byte probe: one disk-to-array transfer, and the only
+        allocation is the returned array itself — the ownership copy the
+        GPU-reinstate boundary demands.  Overshooting into the probe
+        means the file holds more than the frame claims, a shortfall
+        means a torn write — both rejected before the payload is
+        trusted.  Missing-file detection rides the open (no separate
+        ``exists()`` stat).
         """
-        if self.fd_table is not ctx.fds:
-            self.fd_table = ctx.fds
+        start = time.monotonic()
+        path = self.path_for(tensor_id)
         dtype = np.dtype(dtype)
         numel = int(np.prod(shape, dtype=np.int64))
         expected = numel * dtype.itemsize
@@ -458,10 +373,10 @@ class TensorFileStore:
         tape = syscall_tape()
         with tape:
             try:
-                fd = ctx.fds.acquire_read(str(path))
+                with self.fds.borrow_read(str(path)) as fd:
+                    got = preadv_full(fd, [header, memoryview(flat), probe])
             except FileNotFoundError:
                 raise FileNotFoundError(f"no offloaded tensor at {path}") from None
-            got = preadv_full(fd, [header, memoryview(flat), probe])
         length, crc = parse_frame_header(
             bytes(header[: min(got, FRAME_HEADER_BYTES)]), label
         )
@@ -476,38 +391,53 @@ class TensorFileStore:
             length > expected and payload_got == expected + 1
         ):
             # Header and file agree with each other but not with the
-            # caller: a deterministic shape/dtype bug — fail fast
-            # (ValueError is non-retryable), like the classic path.
+            # caller: a deterministic shape/dtype bug, not corruption —
+            # fail fast (ValueError is non-retryable).
             raise ValueError(
                 f"{label} holds {length} payload bytes, caller expected {expected}"
             )
         else:
+            # Header and file disagree: corruption — retryable.
             raise IntegrityError(
                 f"torn write: {label} frames {length} payload bytes, "
                 f"found {max(0, payload_got)}"
             )
         if zlib.crc32(memoryview(flat)) != crc:
             raise IntegrityError(f"checksum mismatch for {label}: bit-rot or torn write")
-        return flat.reshape(shape), tape.count
+        data = flat.reshape(shape)
+        self.copy_stats.count_copy(data.nbytes)
+        self.copy_stats.count_avoided(1)  # the whole-file bytes slurp
+        self._throttle(data.nbytes, start)
+        with self._lock:
+            self._traffic.bytes_read += data.nbytes
+            self._traffic.read_count += 1
+            self._traffic.read_syscalls += tape.count
+        if self.array is not None:
+            self.array.record_read(data.nbytes)
+        return data
 
     def delete(self, tensor_id: str) -> None:
         """Best-effort removal of an offloaded tensor file."""
         path = self.path_for(tensor_id)
-        table = self.fd_table
-        if table is not None:
-            table.invalidate(str(path))
         try:
             path.unlink()
         except FileNotFoundError:
             pass
+        # Unlink first, forget second: a read racing the delete (a hedged
+        # duplicate) either borrows the old descriptor — closed when it
+        # returns — or finds no file; it can never re-cache a descriptor
+        # of the unlinked inode for a later write to land in.
+        self.fds.invalidate(str(path))
+
+    def close(self) -> None:
+        """Close every cached descriptor; the files stay (idempotent)."""
+        self.fds.close_all()
 
     def clear(self) -> None:
         """Remove every tensor file (used between steps/tests)."""
-        table = self.fd_table
         for path in self.root.glob("*.bin"):
-            if table is not None:
-                table.invalidate(str(path))
             try:
                 path.unlink()
             except FileNotFoundError:
                 pass
+        self.close()

@@ -777,10 +777,9 @@ class IOScheduler:
         name: thread-name prefix.
         backend: the lane execution backend
             (:class:`~repro.io.aio.IOBackend`).  ``None`` installs the
-            default :class:`~repro.io.aio.ThreadBackend` — blocking
-            per-request I/O on the dequeuing worker, byte-identical to
-            the pre-backend scheduler; :mod:`repro.io.uring` provides
-            the batched SQ/CQ and simulated-GDS backends.
+            default :class:`~repro.io.aio.ThreadBackend` — the lane
+            worker settles each request inline;
+            :class:`~repro.io.uring.UringBackend` settles on a reaper.
     """
 
     def __init__(
@@ -876,10 +875,8 @@ class IOScheduler:
         self._tenant_windows: Dict[Tuple[str, str, str], ChannelWindow] = {}
         self._tenant_usage: Dict[Tuple[str, str, str], List[float]] = {}
         self._listeners: List[Callable[[str, IORequest], None]] = []
-        #: How dequeued batches reach the kernel.  The default thread
-        #: backend reproduces the pre-backend worker loop operation for
-        #: operation; see :class:`~repro.io.aio.IOBackend` for the
-        #: contract a replacement must honour.
+        #: Runs dequeued batches and decides which thread settles them
+        #: (:class:`~repro.io.aio.IOBackend`).
         self.backend = backend if backend is not None else ThreadBackend()
         self.backend.bind(self)
         self._lanes: Dict[str, _Lane] = {
@@ -1390,7 +1387,7 @@ class IOScheduler:
     @staticmethod
     def _force_terminal(request: IORequest) -> None:
         """Last-resort guarantee that a claimed request reaches a
-        terminal state.  ``execute()`` fails the job on any body
+        terminal state.  ``complete()`` fails the job on any body
         exception, but a *done callback* raising mid-dispatch can
         propagate out with the remaining callbacks unrun; re-finishing
         is not possible (the state is already terminal), so this only
@@ -1577,20 +1574,19 @@ class IOScheduler:
         """Emit the ``"done"`` listener event for a finished request."""
         self._safe_notify("done", request)
 
-    def book_coalesced(self, done_members: int, trailing_done_bytes: int) -> None:
-        """Book one multi-request submission's coalescing outcome.
+    def book_coalesced(self, done_members: int, nbytes: int) -> None:
+        """Book a batch's ``done_members``-th DONE member as coalesced.
 
-        ``done_members`` counts the batch members that reached DONE;
-        only the trailing ones (beyond the head) count as coalesced
-        work, preserving ``coalesced_requests <= executed``.  A batch
-        with fewer than two DONE members books nothing.
+        Called for every member that reaches DONE after the batch's
+        first (``done_members >= 2``): only the trailing ones count as
+        coalesced work, preserving ``coalesced_requests <= executed``,
+        and the second one makes the batch a coalesced batch.
         """
-        if done_members <= 1:
-            return
         with self._stats_lock:
-            self.stats.coalesced_batches += 1
-            self.stats.coalesced_requests += done_members - 1
-            self.stats.coalesced_bytes += trailing_done_bytes
+            if done_members == 2:
+                self.stats.coalesced_batches += 1
+            self.stats.coalesced_requests += 1
+            self.stats.coalesced_bytes += nbytes
 
     def note_reap_lag(self, request: IORequest, lag_s: float) -> None:
         """Credit completion-reap delay to the request's channel window.
@@ -1612,8 +1608,7 @@ class IOScheduler:
 
     def backend_stats_snapshot(self) -> Dict[str, IOLaneStats]:
         """Non-destructive per-lane backend telemetry (syscalls, batch
-        membership, GDS-sim routing) — the ``EngineStats.io_lanes``
-        surface."""
+        membership, reap lag) — the ``EngineStats.io_lanes`` surface."""
         return self.backend.lane_stats()
 
     def _worker_loop(self, lane: _Lane) -> None:
@@ -1624,11 +1619,9 @@ class IOScheduler:
                 if not lane.has_work() and self._shutdown.is_set():
                     return
                 batch = self._pop_batch_locked(lane)
-            # How the batch's members reach the kernel is the installed
-            # backend's business (blocking per-request I/O on this
-            # thread, or SQ/CQ submission with a separate reaper); the
-            # scheduler's books are updated through the begin/finish
-            # hooks the backend is contractually bound to call.  The
+            # The backend runs the members' bodies on this thread and
+            # settles them here or on its reaper; the scheduler's books
+            # are updated through the begin/finish hooks.  The
             # backend must not raise — but one poisoned batch still must
             # not kill the lane and hang drain() on the work queued
             # behind it, so the residual hazard is contained here too.

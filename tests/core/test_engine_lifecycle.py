@@ -20,8 +20,10 @@ TID = TensorID(stamp=1, shape=(256,))
 
 
 def _cycle(config):
-    """One full engine life: build, touch the lazy I/O plane, shut down."""
+    """One full engine life: build, store and load through the lazy I/O
+    plane's owner, shut down."""
     engine = build_engine(config)
+    engine.scheduler  # spawn the lane workers (and the uring reaper)
     engine.offloader.store(TID, DATA)
     back = engine.offloader.load(TID, DATA.shape, DATA.dtype)
     assert np.array_equal(back, DATA)
@@ -36,6 +38,7 @@ def _open_fds():
     "config",
     [
         EngineConfig(target="cpu"),
+        EngineConfig(target="ssd", store_dir="PLACEHOLDER"),
         EngineConfig(target="ssd", store_dir="PLACEHOLDER", chunk_bytes=4096),
         EngineConfig(
             target="ssd",
@@ -44,8 +47,16 @@ def _open_fds():
             durable=True,
             io_backend="uring",
         ),
+        # A pool too small for DATA: the store demotes straight to the
+        # SSD tier's chunk store, on the default backend.
+        EngineConfig(
+            target="tiered",
+            store_dir="PLACEHOLDER",
+            cpu_pool_bytes=512,
+            chunk_bytes=4096,
+        ),
     ],
-    ids=["cpu", "ssd-chunked", "ssd-durable-uring"],
+    ids=["cpu", "ssd", "ssd-chunked", "ssd-durable-uring", "tiered"],
 )
 def test_twenty_cycles_leak_no_threads_or_fds(tmp_path, config):
     config.store_dir = tmp_path if config.store_dir else None

@@ -12,7 +12,6 @@ import pytest
 
 from repro.io.chunkstore import ChunkedTensorStore
 from repro.io.manifest import frame_record, read_journal
-from repro.io.uring import FDTable, IOContext, io_context
 
 CHUNK = 4096
 ELEMS = 256  # 1 KiB float32 => 4 tensors per chunk
@@ -265,57 +264,45 @@ def test_single_root_layout_unchanged_by_leveling(tmp_path):
 
 
 # ----------------------------------------------------- FD-table invalidation
-def _uring_ctx():
-    return IOContext(fds=FDTable(), lane="ssd", arena=None, gds=None)
-
-
-def test_delete_then_read_misses_under_uring(tmp_path):
+def test_delete_then_read_misses_and_forgets_the_descriptor(tmp_path):
     """Regression: a chunk unlinked by refcount-zero delete must drop
     its cached descriptor — a stale fd would serve the deleted inode."""
     store = ChunkedTensorStore(tmp_path, chunk_bytes=CHUNK, durable=True)
-    ctx = _uring_ctx()
-    with io_context(ctx):
-        _fill(store, 4)  # exactly one flushed chunk
-        path = store.path_for(f"t0_{ELEMS}")
-        store.read(f"t0_{ELEMS}", (ELEMS,), np.float32)  # caches a read fd
-        for i in range(4):
-            store.delete(f"t{i}_{ELEMS}")  # refcount 0 -> unlink
-        assert not path.exists()
-        with pytest.raises(FileNotFoundError):
-            store.read(f"t0_{ELEMS}", (ELEMS,), np.float32)
-    # The unlink invalidated the cached descriptor, so the table cannot
-    # resurrect the deleted file either.
+    _fill(store, 4)  # exactly one flushed chunk
+    path = store.path_for(f"t0_{ELEMS}")
+    store.read(f"t0_{ELEMS}", (ELEMS,), np.float32)
+    assert len(store.fds) == 1  # the flush's descriptor served the read
+    for i in range(4):
+        store.delete(f"t{i}_{ELEMS}")  # refcount 0 -> unlink
+    assert not path.exists()
+    assert len(store.fds) == 0
     with pytest.raises(FileNotFoundError):
-        ctx.fds.acquire_read(str(path))
-    ctx.fds.close_all()
+        store.read(f"t0_{ELEMS}", (ELEMS,), np.float32)
     store.close()
 
 
-def test_compaction_invalidates_every_attached_table(tmp_path):
-    """A service restart swaps backends; the unlink must invalidate the
-    *old* generation's FD table too, not just the current driver's."""
+def test_compaction_forgets_the_victims_descriptor(tmp_path):
     store = ChunkedTensorStore(tmp_path, chunk_bytes=CHUNK, durable=True)
-    old_gen, new_gen = _uring_ctx(), _uring_ctx()
-    with io_context(old_gen):
-        _fill(store, 4)
-        victim = store.path_for(f"t0_{ELEMS}")
-        store.read(f"t0_{ELEMS}", (ELEMS,), np.float32)
-    with io_context(new_gen):
-        store.read(f"t1_{ELEMS}", (ELEMS,), np.float32)
-        for i in (0, 1):
-            store.delete(f"t{i}_{ELEMS}")
-        assert store.compact(max_dead_ratio=0.5) > 0
+    _fill(store, 4)
+    victim = store.path_for(f"t0_{ELEMS}")
+    store.read(f"t0_{ELEMS}", (ELEMS,), np.float32)
+    for i in (0, 1):
+        store.delete(f"t{i}_{ELEMS}")
+    assert store.compact(max_dead_ratio=0.5) > 0
     assert not victim.exists()
-    for table in (old_gen.fds, new_gen.fds):
-        with pytest.raises(FileNotFoundError):
-            table.acquire_read(str(victim))
-        table.close_all()
+    # Only the rewritten chunk's descriptor is left; the table cannot
+    # resurrect the victim.
+    assert len(store.fds) == 1
+    with pytest.raises(FileNotFoundError):
+        with store.fds.borrow_read(str(victim)):
+            pass
     # Survivors migrated intact through the compaction.
     for i in (2, 3):
         assert np.array_equal(
             store.read(f"t{i}_{ELEMS}", (ELEMS,), np.float32), _tensor(i)
         )
     store.close()
+    assert len(store.fds) == 0
 
 
 # ------------------------------------------------------------------ lifecycle

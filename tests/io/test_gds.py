@@ -1,10 +1,10 @@
-"""Tests for GDS registration semantics and the simulated GDS lane.
+"""Tests for GDS registration semantics and the simulated GDS routing.
 
-Satellite of the SQ/CQ backend PR: the registry's array-identity index
-(weakref expiry, ``id()``-reuse guard) and the GDS-sim routing rule —
-registered storages go direct (no host bounce), everything else falls
-back to the bounce-buffer staging path, like real GDS with buffers the
-driver never saw allocated.
+The registry's array-identity index (weakref expiry, ``id()``-reuse
+guard) and the routing rule of a :class:`TensorFileStore` that was
+handed a registry — registered storages go direct (no host bounce),
+everything else falls back to the bounce-buffer staging path, like real
+GDS with buffers the driver never saw allocated.
 """
 
 import gc
@@ -12,7 +12,7 @@ import gc
 import numpy as np
 import pytest
 
-from repro.io import GDSRegistry, GDSSimBackend, TensorFileStore, io_context
+from repro.io import GDSRegistry, TensorFileStore
 from repro.io.filestore import frame_payload
 from repro.tensor.tensor import Tensor
 
@@ -73,70 +73,68 @@ def test_registry_guards_against_id_reuse():
     assert not registry.is_array_registered(t.data.copy())
 
 
-# ---------------------------------------------------------------- GDS-sim lane
+# ------------------------------------------------------------- GDS-sim routing
 @pytest.fixture
-def gds_lane(tmp_path):
-    backend = GDSSimBackend()
-    store = TensorFileStore(tmp_path)
-    ctx = backend._context_for("ssd")
-    yield backend, store, ctx
-    ctx.fds.close_all()
+def gds_store(tmp_path):
+    store = TensorFileStore(tmp_path, gds=GDSRegistry())
+    yield store
+    store.close()
 
 
-def test_gds_sim_registered_store_skips_the_bounce(gds_lane):
-    backend, store, ctx = gds_lane
+def test_gds_sim_registered_store_skips_the_bounce(gds_store):
     t, storage = _storage(64)
-    backend.registry.register(storage)
-    with io_context(ctx):
-        store.write("reg", t.data)
-    stats = backend.lane_stats()["ssd"]
-    assert stats.bounce_copies_skipped == 1
-    assert stats.bounce_copies == 0
+    gds_store.gds.register(storage)
+    gds_store.write("reg", t.data)
+    books = gds_store.copy_stats.snapshot()
+    assert books.bounce_copies_skipped == 1
+    assert books.bounce_copies == 0
     # Zero staging leases were taken for the direct write.
-    assert backend.arena.stats().leases == 0
+    assert gds_store.arena.stats().leases == 0
 
 
-def test_gds_sim_unregistered_buffer_falls_back_to_bounce(gds_lane):
-    backend, store, ctx = gds_lane
+def test_gds_sim_unregistered_buffer_falls_back_to_bounce(gds_store):
     data = np.arange(64, dtype=np.float32)  # never registered
-    with io_context(ctx):
-        store.write("unreg", data)
-    stats = backend.lane_stats()["ssd"]
-    assert stats.bounce_copies == 1
-    assert stats.bounce_copies_skipped == 0
+    gds_store.write("unreg", data)
+    books = gds_store.copy_stats.snapshot()
+    assert books.bounce_copies == 1
+    assert books.bounce_copies_skipped == 0
     # The bounce staged through exactly one arena lease, then returned it.
-    arena = backend.arena.stats()
+    arena = gds_store.arena.stats()
     assert arena.leases == 1
     assert arena.outstanding_bytes == 0
 
 
-def test_gds_sim_expired_registration_falls_back_to_bounce(gds_lane):
+def test_gds_sim_expired_registration_falls_back_to_bounce(gds_store):
     """A collected storage (the weakref-expiry case) must demote its
     payload's route to the bounce path rather than crash or misroute."""
-    backend, store, ctx = gds_lane
     t, storage = _storage(64)
     payload = t.data
-    backend.registry.register(storage)
+    gds_store.gds.register(storage)
     del t, storage
     gc.collect()
-    with io_context(ctx):
-        store.write("expired", payload)
-    stats = backend.lane_stats()["ssd"]
-    assert stats.bounce_copies == 1
-    assert stats.bounce_copies_skipped == 0
+    gds_store.write("expired", payload)
+    books = gds_store.copy_stats.snapshot()
+    assert books.bounce_copies == 1
+    assert books.bounce_copies_skipped == 0
 
 
-def test_gds_sim_both_routes_write_identical_frames(gds_lane):
+def test_gds_sim_both_routes_write_identical_frames(gds_store):
     """Routing is a staging decision, never a data decision."""
-    backend, store, ctx = gds_lane
     t, storage = _storage(64)
-    backend.registry.register(storage)
-    with io_context(ctx):
-        store.write("reg", t.data)
-        store.write("unreg", t.data.copy())
+    gds_store.gds.register(storage)
+    gds_store.write("reg", t.data)
+    gds_store.write("unreg", t.data.copy())
     expected = frame_payload(t.data.tobytes())
-    assert store.path_for("reg").read_bytes() == expected
-    assert store.path_for("unreg").read_bytes() == expected
-    with io_context(ctx):
-        assert np.array_equal(store.read("reg", (64,), np.float32), t.data)
-        assert np.array_equal(store.read("unreg", (64,), np.float32), t.data)
+    assert gds_store.path_for("reg").read_bytes() == expected
+    assert gds_store.path_for("unreg").read_bytes() == expected
+    assert np.array_equal(gds_store.read("reg", (64,), np.float32), t.data)
+    assert np.array_equal(gds_store.read("unreg", (64,), np.float32), t.data)
+
+
+def test_store_without_a_registry_never_routes(tmp_path):
+    store = TensorFileStore(tmp_path)
+    store.write("t", np.arange(64, dtype=np.float32))
+    books = store.copy_stats.snapshot()
+    assert (books.bounce_copies, books.bounce_copies_skipped) == (0, 0)
+    assert store.arena is None  # nothing to stage for
+    store.close()

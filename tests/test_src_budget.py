@@ -8,7 +8,7 @@ a reviewer sees it.
 
 from pathlib import Path
 
-SRC_LINE_CEILING = 21_800
+SRC_LINE_CEILING = 21_450
 
 
 def test_src_line_count_stays_under_the_committed_ceiling():
