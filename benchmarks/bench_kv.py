@@ -54,7 +54,6 @@ def test_kv_pool_append_fetch_hot_path(benchmark):
             num_layers=2,
             hbm_capacity_bytes=(NUM_BLOCKS // 2) * BLOCK_BYTES,
             strategy=SplitToken(hbm_recent_blocks=4, cpu_window_blocks=8),
-            sync_mode=True,
         )
         rid = f"req{run}"
         pool.begin_request(rid, context_tokens=(NUM_BLOCKS // 2) * BLOCK_TOKENS)
@@ -83,7 +82,7 @@ def test_kv_pool_append_fetch_hot_path(benchmark):
 
 
 def test_kv_prefetch_planning_hot_path(benchmark):
-    """The look-ahead planning + sync prefetch migration cycle — what
+    """The look-ahead planning + inline prefetch migration cycle — what
     the serving loop pays between decode rounds."""
     engine = build_engine(EngineConfig(target="cpu"))
     payloads = _payloads()
@@ -95,7 +94,6 @@ def test_kv_prefetch_planning_hot_path(benchmark):
         strategy=LookAheadBatch(
             base=SplitToken(hbm_recent_blocks=1, cpu_window_blocks=64), depth=4
         ),
-        sync_mode=True,
     )
     counter = [0]
 

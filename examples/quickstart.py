@@ -119,8 +119,8 @@ def run(
             tier_stats = getattr(cache.offloader, "stats", None)
             sched_stats = cache.scheduler.stats
             cache_stats = cache.stats
-            dataplane = cache.dataplane_stats()
             engine_stats = engine.stats()
+            dataplane = engine_stats.dataplane
     finally:
         trainer.close()
     return {

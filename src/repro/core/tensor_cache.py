@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.ids import TensorID, TensorIDRegistry
 from repro.core.offloader import Offloader
-from repro.core.policy import Decision, KeepReason, OffloadPolicy, StepAccounting, Tier
+from repro.core.policy import Decision, KeepReason, OffloadPolicy, StepAccounting
 from repro.io.aio import IOJob, JobState
 from repro.io.scheduler import IORequest, IOScheduler, Priority
 from repro.tensor import flags
@@ -61,8 +61,25 @@ class RecordState(enum.Enum):
     CONSUMED = "consumed"
 
 
+#: The transitions :meth:`ActivationRecord.trans_state` admits (Fig. 4).
+#: OFFLOADING -> LOADED is data forwarding (or a failed store whose
+#: tensor is still in hand); there is no way back out of CONSUMED.
+_LEGAL_TRANSITIONS = {
+    RecordState.OFFLOADING: {RecordState.OFFLOADED, RecordState.LOADED},
+    RecordState.OFFLOADED: {RecordState.LOADING},
+    RecordState.LOADING: {RecordState.LOADED},
+    RecordState.LOADED: {RecordState.CONSUMED},
+    RecordState.KEPT: {RecordState.CONSUMED},
+    RecordState.CONSUMED: set(),
+}
+
+
 class ActivationRecord:
-    """State of one managed activation (one row of the Fig. 4 tables)."""
+    """State of one managed activation (one row of the Fig. 4 tables).
+
+    Where the backing copy lives is the offloader's fact, not the
+    record's: ask ``offloader.tier_of(tid)`` / ``offloader.location(tid)``.
+    """
 
     __slots__ = (
         "tid",
@@ -79,16 +96,15 @@ class ActivationRecord:
         "loaded_event",
         "error",
         "lock",
-        "location",
-        "tier",
     )
 
-    def __init__(self, tid: TensorID, tensor: Tensor) -> None:
+    def __init__(self, tid: TensorID, tensor: Tensor, state: RecordState) -> None:
         self.tid = tid
         self.shape = tuple(tensor.shape)
         self.dtype = tensor.dtype
         self.nbytes = tensor.nbytes
-        self.state = RecordState.KEPT
+        #: Pack's decision: KEPT (resident, available) or OFFLOADING.
+        self.state = state
         self.tensor: Optional[Tensor] = tensor
         self.scopes: List[int] = []
         self.store_job: Optional[IOJob] = None
@@ -98,10 +114,27 @@ class ActivationRecord:
         self.loaded_event = threading.Event()
         self.error: Optional[BaseException] = None
         self.lock = threading.Lock()
-        self.location = "gpu"
-        #: Which tier holds the backing copy (GPU until a store completes;
-        #: a tiered offloader reports CPU or SSD via ``tier_of``).
-        self.tier = Tier.GPU
+        if state is RecordState.KEPT:
+            self.loaded_event.set()
+
+    def trans_state(self, new: RecordState) -> None:
+        """The one writer of :attr:`state` after construction; callers
+        hold :attr:`lock` once the record is shared.
+
+        Refuses a transition outside the table loudly (the record is
+        left untouched) and applies what each arrival implies: reaching
+        OFFLOADED or CONSUMED drops the tensor reference (GPU memory goes
+        back via refcount), reaching LOADED publishes availability.
+        """
+        if new not in _LEGAL_TRANSITIONS[self.state]:
+            raise RuntimeError(
+                f"illegal transition {self.state.name} -> {new.name} for {self.tid}"
+            )
+        self.state = new
+        if new in (RecordState.OFFLOADED, RecordState.CONSUMED):
+            self.tensor = None
+        elif new is RecordState.LOADED:
+            self.loaded_event.set()
 
 
 @dataclass
@@ -152,13 +185,6 @@ class CacheStats:
     #: (slow verdict): optional look-ahead traffic sheds so blocking
     #: loads get the remaining bandwidth.
     prefetch_shed: int = 0
-    #: Data-plane copy map (refreshed from the offloader's telemetry by
-    #: :meth:`TensorCache.dataplane_stats` / ``on_step_end``): bytes the
-    #: backend actually memcpy'd, allocations the pooled/streaming paths
-    #: avoided versus a copy per stage, and the arena's lease hit rate.
-    bytes_copied: int = 0
-    allocs_avoided: int = 0
-    arena_hit_rate: float = 0.0
 
 
 @dataclass
@@ -263,26 +289,12 @@ class TensorCache:
         self._segment_order: List[int] = []
         self._last_segment_id: Optional[int] = None
         self._shutdown = False
-        # A tiered backend moves tensors between tiers behind the cache's
-        # back (demotion on pool pressure, promotion on load); subscribe
-        # so each record's tier/location column stays truthful.
-        set_listener = getattr(offloader, "set_tier_listener", None)
-        if set_listener is not None:
-            set_listener(self._on_tier_change)
         # A tiered backend routes its demotion writes through the same
         # scheduler (DEMOTION class on the SSD lane) so spills queue
         # behind loads and stay cancellable.
         set_scheduler = getattr(offloader, "set_scheduler", None)
         if set_scheduler is not None:
             set_scheduler(self.scheduler)
-
-    def _on_tier_change(self, tid: TensorID, tier: Tier) -> None:
-        rec = self._find_record(tid)
-        if rec is None:
-            return
-        with rec.lock:
-            rec.tier = tier
-            rec.location = self.offloader.location(tid)
 
     # ------------------------------------------------------------- plumbing
     @property
@@ -367,13 +379,20 @@ class TensorCache:
         for rec in records:
             with rec.lock:
                 if rec.state in (RecordState.LOADED, RecordState.KEPT):
-                    rec.tensor = None
                     rec.scopes.clear()
-                    rec.state = RecordState.CONSUMED
+                    rec.trans_state(RecordState.CONSUMED)
 
     def on_step_end(self) -> None:
         """Step boundary: wait for in-flight stores, release records, and
-        finalize first-step profiling."""
+        finalize first-step profiling.
+
+        A record's backing copy is released iff its store job finished
+        DONE (a cancelled or failed store left nothing behind).  That is
+        read off the job, not off anything ``_on_store_done`` sets: the
+        scheduler's own done-callback is what lets ``drain()`` return,
+        and it is registered before the cache's, so this method can run
+        before ``_on_store_done`` does.
+        """
         self.scheduler.drain()
         with self._lock:
             tables = list(self._microbatches.items())
@@ -381,10 +400,11 @@ class TensorCache:
         leftover = 0
         for _, table in tables:
             for rec in table.records.values():
-                if rec.state not in (RecordState.CONSUMED,):
+                if rec.state is not RecordState.CONSUMED:
                     leftover += 1
                 rec.tensor = None
-                if rec.location != "gpu":
+                job = rec.store_job
+                if job is not None and job.state is JobState.DONE:
                     # Reclaim SSD space for this step's files.
                     try:
                         self.offloader.release(rec.tid)
@@ -398,22 +418,6 @@ class TensorCache:
         self._step_index += 1
         self._keep_all_hint = False
         self.accounting.reset()
-        self.dataplane_stats()  # keep the copy-map counters step-fresh
-
-    def dataplane_stats(self):
-        """The backend's copy-map telemetry (see
-        :class:`~repro.io.buffers.DataPlaneStats`), refreshed into
-        :class:`CacheStats` so ``stats.bytes_copied`` /
-        ``stats.allocs_avoided`` / ``stats.arena_hit_rate`` are always
-        readable alongside the traffic counters."""
-        from repro.io.buffers import DataPlaneStats
-
-        getter = getattr(self.offloader, "dataplane_stats", None)
-        dp = getter() if getter is not None else DataPlaneStats()
-        self.stats.bytes_copied = dp.bytes_copied
-        self.stats.allocs_avoided = dp.allocs_avoided
-        self.stats.arena_hit_rate = dp.arena_hit_rate
-        return dp
 
     # ----------------------------------------------------------- autotuning
     def consume_step_stats(self) -> StepCacheStats:
@@ -513,8 +517,7 @@ class TensorCache:
                 if id(module) in rec.scopes:
                     rec.scopes.remove(id(module))
                 if not rec.scopes and rec.state in (RecordState.LOADED, RecordState.KEPT):
-                    rec.tensor = None
-                    rec.state = RecordState.CONSUMED
+                    rec.trans_state(RecordState.CONSUMED)
 
     # -------------------------------------------------------- pack / unpack
     def pack_hook(self, t: Any) -> Any:
@@ -559,19 +562,21 @@ class TensorCache:
                 self.accounting.dedup_hits += 1
                 self._extend_scopes(table, rec, scope_ids)
                 return tid
-            rec = ActivationRecord(tid, t)
+            rec = ActivationRecord(
+                tid,
+                t,
+                RecordState.KEPT if decision is Decision.KEEP else RecordState.OFFLOADING,
+            )
             table.records[tid] = rec
             table.pack_order.append(tid)
             self._extend_scopes(table, rec, scope_ids)
 
         if decision is Decision.KEEP:
-            rec.state = RecordState.KEPT
             rec.keep_reason = self.policy.keep_reason(
                 in_backward=decision_inputs["in_backward"],
                 in_keep_scope=decision_inputs["in_keep_scope"],
                 accounting=self.accounting,
             )
-            rec.loaded_event.set()
             with self._counter_lock:
                 self.stats.kept_tensors += 1
                 self.stats.kept_bytes += t.nbytes
@@ -580,8 +585,6 @@ class TensorCache:
 
         # Decision.OFFLOAD: async store; the job holds the only strong
         # reference after this function returns, and drops it on completion.
-        rec.state = RecordState.OFFLOADING
-        rec.location = self.offloader.location(tid)
         with self._counter_lock:
             self.accounting.offloaded_bytes += t.nbytes
             self.stats.stored_tensors += 1
@@ -645,34 +648,23 @@ class TensorCache:
                         rec.tid,
                         job.error,
                     )
-                    rec.state = RecordState.LOADED
-                    rec.location = "gpu"
-                    rec.tier = Tier.GPU
-                    rec.loaded_event.set()
+                    if rec.state is RecordState.OFFLOADING:
+                        rec.trans_state(RecordState.LOADED)
                     return
                 rec.error = job.error
                 rec.loaded_event.set()
                 return
-            self._refresh_placement_locked(rec)
-            if rec.forwarded:
-                # A consumer already adopted the in-memory reference; the
-                # record stays resident (data forwarding, Sec. III-C2).
-                rec.state = RecordState.LOADED
-                rec.loaded_event.set()
-            else:
-                rec.tensor = None  # release GPU memory via refcount
-                rec.state = RecordState.OFFLOADED
-
-    def _refresh_placement_locked(self, rec: ActivationRecord) -> None:
-        """Re-read where the offloader put the record; caller holds rec.lock.
-
-        A tiered backend only knows the landing tier once the store (or a
-        promotion/demotion) has actually happened, so the record's Fig. 4
-        "file path" column and tier are refreshed after each transfer.
-        """
-        rec.location = self.offloader.location(rec.tid)
-        tier_of = getattr(self.offloader, "tier_of", None)
-        rec.tier = tier_of(rec.tid) if tier_of is not None else Tier.SSD
+            if rec.state is not RecordState.OFFLOADING:
+                # A consumer that found the job finished adopted the
+                # reference (and may have consumed it) before this
+                # callback ran; there is nothing left to publish.
+                return
+            # Forwarded: a consumer flagged the in-memory reference while
+            # the store ran, so the record stays resident (Sec. III-C2).
+            # Otherwise GPU memory is released via refcount.
+            rec.trans_state(
+                RecordState.LOADED if rec.forwarded else RecordState.OFFLOADED
+            )
 
     def unpack_hook(self, obj: Any) -> Any:
         """Alg. 1 ``unpack_hook``: wait for availability, return the tensor."""
@@ -760,22 +752,18 @@ class TensorCache:
                     self._book_forwarding_locked(rec)
                     self.stats.cancelled_stores += 1
                     self.stats.cancelled_store_bytes += rec.nbytes
-                    rec.state = RecordState.LOADED
-                    rec.location = "gpu"
-                    rec.tier = Tier.GPU
-                    rec.loaded_event.set()
+                    rec.trans_state(RecordState.LOADED)
                     return
                 if job is not None and job.done_event.is_set():
                     # Store already finished; its done callback ran (or
                     # will run) with forwarded=False.
                     if rec.tensor is not None:
                         self._book_forwarding_locked(rec)
-                        rec.state = RecordState.LOADED
-                        rec.loaded_event.set()
+                        rec.trans_state(RecordState.LOADED)
                     else:
                         # The reference is gone: this is a reload, not a
                         # forwarding hit — no counters.
-                        rec.state = RecordState.OFFLOADED
+                        rec.trans_state(RecordState.OFFLOADED)
                         rec.forwarded = False
                         self._submit_load_locked(rec, blocking=blocking)
                     return
@@ -800,19 +788,19 @@ class TensorCache:
 
     def _submit_load_locked(self, rec: ActivationRecord, blocking: bool = False) -> None:
         """Submit the tier read for ``rec``; caller holds ``rec.lock``."""
-        rec.state = RecordState.LOADING
+        rec.trans_state(RecordState.LOADING)
         self.stats.prefetch_issued += 1
 
         def do_load(record: ActivationRecord = rec) -> None:
             data = self.offloader.load(record.tid, record.shape, record.dtype)
             tensor = Tensor(data, device=self._device)
             with record.lock:
+                if record.state is not RecordState.LOADING:
+                    # A hedged duplicate that lost: first completion wins,
+                    # and a record backward already consumed stays so.
+                    return
                 record.tensor = tensor
-                record.state = RecordState.LOADED
-                # A tiered backend may have promoted the backing copy
-                # (SSD -> CPU) as part of this load; re-read placement.
-                self._refresh_placement_locked(record)
-                record.loaded_event.set()
+                record.trans_state(RecordState.LOADED)
             self.stats.loaded_tensors += 1
             self.stats.loaded_bytes += record.nbytes
 
@@ -834,8 +822,8 @@ class TensorCache:
                 # Tail-latency insurance: with hedging enabled, the
                 # scheduler's watchdog may re-run this body as a
                 # duplicate read.  ``do_load`` is idempotent — it
-                # re-reads the same tier copy and publishes the same
-                # values under the record lock.
+                # re-reads the same tier copy, and only the first
+                # completion publishes.
                 hedge_fn=do_load,
             )
         )

@@ -24,9 +24,8 @@ making room by demotion is this module's job.
 
 The class implements the full :class:`~repro.core.offloader.Offloader`
 API, so an unchanged :class:`~repro.core.tensor_cache.TensorCache` can
-drive all three tiers; the cache additionally records each record's tier
-(:attr:`ActivationRecord.tier`) by calling :meth:`tier_of` when a store
-completes.
+drive all three tiers.  Placement has one owner — this class: anyone who
+wants a tensor's tier or path asks :meth:`tier_of` / :meth:`location`.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import logging
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -147,9 +146,6 @@ class TieredOffloader(Offloader):
         self._tier: Dict[TensorID, Tier] = {}
         #: CPU-resident tids in LRU order (oldest first = first demoted).
         self._lru: "OrderedDict[TensorID, int]" = OrderedDict()
-        #: Observer for demotions/promotions (the cache keeps its Fig. 4
-        #: records' tier column truthful through it).
-        self._tier_listener: Optional[Callable[[TensorID, Tier], None]] = None
         #: With a scheduler attached, demotions run as DEMOTION-priority
         #: requests on the SSD store lane instead of inline: the pool
         #: bytes are reclaimed immediately, the SSD write happens when
@@ -418,11 +414,6 @@ class TieredOffloader(Offloader):
             f" for tenant {tenant!r}" if tenant else "",
         )
 
-    def set_tier_listener(self, listener: Callable[[TensorID, Tier], None]) -> None:
-        """Register a callback fired after a tensor moves tier (demotion
-        or promotion).  Called with no offloader lock held."""
-        self._tier_listener = listener
-
     def set_scheduler(self, scheduler: Optional[IOScheduler]) -> None:
         """Route demotion writes through a priority-aware scheduler.
 
@@ -430,13 +421,6 @@ class TieredOffloader(Offloader):
         keeps demotions synchronous, which standalone users rely on.
         """
         self._scheduler = scheduler
-
-    def _fire(self, events: List[Tuple[TensorID, Tier]]) -> None:
-        listener = self._tier_listener
-        if listener is None:
-            return
-        for tid, tier in events:
-            listener(tid, tier)
 
     # -------------------------------------------------------------- plumbing
     @property
@@ -486,7 +470,6 @@ class TieredOffloader(Offloader):
 
     # ------------------------------------------------------------------ store
     def store(self, tid: TensorID, data: np.ndarray) -> None:
-        events: List[Tuple[TensorID, Tier]] = []
         nbytes = int(np.asarray(data).nbytes)
         owner = current_tenant()
         # Never race the background spill writer on the same tid: the
@@ -600,7 +583,7 @@ class TieredOffloader(Offloader):
                 # scoped to other tenants still leaves their residents
                 # demotable (and _make_room skips the dead ones).
                 if not self._ssd_unhealthy():
-                    self._make_room(nbytes, events)
+                    self._make_room(nbytes)
                 self.cpu.store(tid, data)
                 self._tier[tid] = Tier.CPU
                 self._tid_owner[tid] = owner
@@ -608,7 +591,6 @@ class TieredOffloader(Offloader):
                 self._lru.move_to_end(tid)
                 self.stats.cpu_stored_tensors += 1
                 self.stats.cpu_stored_bytes += nbytes
-        self._fire(events)
 
     def _retry_store_after_compaction(self, tid: TensorID, data) -> bool:
         """ENOSPC recovery: force a GC pass to reclaim dead bytes, then
@@ -632,7 +614,7 @@ class TieredOffloader(Offloader):
             raise
         return True
 
-    def _make_room(self, nbytes: int, events: List[Tuple[TensorID, Tier]]) -> None:
+    def _make_room(self, nbytes: int) -> None:
         """Demote LRU pool residents until ``nbytes`` fits; holds the lock.
 
         With the SSD tier dead there is nowhere to demote *to*: stop
@@ -658,15 +640,13 @@ class TieredOffloader(Offloader):
                 # can spill, so the pool overflows (already allowed by
                 # the tenant breaker) rather than failing the store.
                 return
-            if not self._demote_locked(victim, victim_bytes, events):
+            if not self._demote_locked(victim, victim_bytes):
                 # The spill could not run (device full, not dead): stop
                 # demoting and let the pool overflow rather than fail.
                 self.pool.overflow_allowed = True
                 return
 
-    def _demote_locked(
-        self, tid: TensorID, nbytes: int, events: List[Tuple[TensorID, Tier]]
-    ) -> bool:
+    def _demote_locked(self, tid: TensorID, nbytes: int) -> bool:
         """Returns True when the victim was demoted (or its spill was
         queued); False when the spill could not run and the victim stays
         CPU-resident — the caller stops making room."""
@@ -740,10 +720,6 @@ class TieredOffloader(Offloader):
         self._tier[tid] = Tier.SSD
         self.stats.demotions += 1
         self.stats.demoted_bytes += nbytes
-        if self._scheduler is None:
-            # Async demotions fire the tier event when the write lands
-            # (:meth:`_run_demotion`), not when the spill is queued.
-            events.append((tid, Tier.SSD))
         return True
 
     def _run_demotion(self, tid: TensorID) -> None:
@@ -761,7 +737,6 @@ class TieredOffloader(Offloader):
                 return  # released, reloaded or re-stored before the write
             self._writing_demotions[tid] = buf
             self._writing_events[tid] = threading.Event()
-        landed_tier = Tier.SSD
         try:
             try:
                 retry_call(lambda: self.ssd.store(tid, buf))
@@ -808,14 +783,12 @@ class TieredOffloader(Offloader):
                     self._lru.move_to_end(tid)
                     self.stats.failovers += 1
                     self.stats.failover_bytes += buf.nbytes
-                landed_tier = Tier.CPU
         finally:
             with self._lock:
                 self._writing_demotions.pop(tid, None)
                 event = self._writing_events.pop(tid, None)
             if event is not None:
                 event.set()
-        self._fire([(tid, landed_tier)])
 
     def _await_inflight_write(self, tid: TensorID) -> None:
         """Block (lock-free) until an in-flight spill write of ``tid``
@@ -880,7 +853,6 @@ class TieredOffloader(Offloader):
         applying the watermark between steps costs idle-lane time only —
         and each spill stays cancellable until it runs.
         """
-        events: List[Tuple[TensorID, Tier]] = []
         demoted = 0
         with self._lock:
             if self._lane_slow():
@@ -890,26 +862,19 @@ class TieredOffloader(Offloader):
                 return 0
             while self._lru and self.cpu_free_bytes() < self._free_watermark_bytes:
                 victim, victim_bytes = next(iter(self._lru.items()))
-                if not self._demote_locked(victim, victim_bytes, events):
+                if not self._demote_locked(victim, victim_bytes):
                     break
                 demoted += 1
-        self._fire(events)
         return demoted
 
     def demote(self, tid: TensorID) -> bool:
         """Explicitly spill one CPU-resident tensor to SSD (True if moved)."""
-        events: List[Tuple[TensorID, Tier]] = []
         with self._lock:
             nbytes = self._lru.get(tid)
-            if nbytes is None:
-                return False
-            moved = self._demote_locked(tid, nbytes, events)
-        self._fire(events)
-        return moved
+            return nbytes is not None and self._demote_locked(tid, nbytes)
 
     # ------------------------------------------------------------------- load
     def load(self, tid: TensorID, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        events: List[Tuple[TensorID, Tier]] = []
         with self._lock:
             tier = self._tier.get(tid)
             if tier is Tier.CPU:
@@ -954,7 +919,6 @@ class TieredOffloader(Offloader):
                         self._lru[tid] = buf.nbytes
                         self.stats.promotions += 1
                         self.stats.promoted_bytes += buf.nbytes
-                        events.append((tid, Tier.CPU))
             else:
                 if self._scheduler is None:
                     # Standalone mode: apply the retry rule here (with a
@@ -975,8 +939,6 @@ class TieredOffloader(Offloader):
                     self._lru[tid] = data.nbytes
                     self.stats.promotions += 1
                     self.stats.promoted_bytes += data.nbytes
-                    events.append((tid, Tier.CPU))
-        self._fire(events)
         return data
 
     # ---------------------------------------------------------------- reclaim

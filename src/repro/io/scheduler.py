@@ -870,10 +870,6 @@ class IOScheduler:
         #: tracks the union of execution intervals across the lane's
         #: workers so busy_s never double-counts overlap.
         self._channel_usage: Dict[Tuple[str, str], List[float]] = {}
-        #: Per-(tenant, lane, channel) mirrors of the two dicts above —
-        #: the per-tenant telemetry surface (autotune per tenant).
-        self._tenant_windows: Dict[Tuple[str, str, str], ChannelWindow] = {}
-        self._tenant_usage: Dict[Tuple[str, str, str], List[float]] = {}
         self._listeners: List[Callable[[str, IORequest], None]] = []
         #: Runs dequeued batches and decides which thread settles them
         #: (:class:`~repro.io.aio.IOBackend`).
@@ -1238,55 +1234,32 @@ class IOScheduler:
             total += nxt.nbytes
         return batch
 
-    @staticmethod
-    def _usage_open(usage_map, key, at: float) -> None:
-        usage = usage_map.setdefault(key, [0, 0.0])
-        if usage[0] == 0:
-            usage[1] = at  # a new busy interval opens
-        usage[0] += 1
-
-    @staticmethod
-    def _usage_close(usage_map, windows_map, key, request: IORequest) -> None:
-        window = windows_map.setdefault(key, ChannelWindow())
-        if request.state is not JobState.FAILED:
-            # A failed request moved no usable bytes; counting them
-            # would inflate the observed bandwidth the adaptive
-            # controller trusts.  Its busy time is still real, so the
-            # interval-union accounting below proceeds either way.
-            window.nbytes += request.nbytes
-            window.queued_s += max(0.0, request.started_at - request.submitted_at)
-            window.count += 1
-        usage = usage_map[key]
-        usage[0] -= 1
-        if usage[0] == 0:
-            # Last concurrent request on the channel: the busy
-            # interval closes, credited once for all of them.
-            window.busy_s += max(0.0, request.finished_at - usage[1])
-
     def _channel_started(self, request: IORequest) -> None:
-        channel = _channel_of(request.kind)
+        key = (request.lane, _channel_of(request.kind))
         with self._stats_lock:
-            self._usage_open(
-                self._channel_usage, (request.lane, channel), request.started_at
-            )
-            self._usage_open(
-                self._tenant_usage,
-                (request.tenant, request.lane, channel),
-                request.started_at,
-            )
+            usage = self._channel_usage.setdefault(key, [0, 0.0])
+            if usage[0] == 0:
+                usage[1] = request.started_at  # a new busy interval opens
+            usage[0] += 1
 
     def _record_completion(self, request: IORequest) -> None:
-        channel = _channel_of(request.kind)
+        key = (request.lane, _channel_of(request.kind))
         with self._stats_lock:
-            self._usage_close(
-                self._channel_usage, self._windows, (request.lane, channel), request
-            )
-            self._usage_close(
-                self._tenant_usage,
-                self._tenant_windows,
-                (request.tenant, request.lane, channel),
-                request,
-            )
+            window = self._windows.setdefault(key, ChannelWindow())
+            if request.state is not JobState.FAILED:
+                # A failed request moved no usable bytes; counting them
+                # would inflate the observed bandwidth the adaptive
+                # controller trusts.  Its busy time is still real, so the
+                # interval-union accounting below proceeds either way.
+                window.nbytes += request.nbytes
+                window.queued_s += max(0.0, request.started_at - request.submitted_at)
+                window.count += 1
+            usage = self._channel_usage[key]
+            usage[0] -= 1
+            if usage[0] == 0:
+                # Last concurrent request on the channel: the busy
+                # interval closes, credited once for all of them.
+                window.busy_s += max(0.0, request.finished_at - usage[1])
 
     def stats_snapshot(self) -> SchedulerStats:
         """A point-in-time copy of the cumulative counters.
@@ -1347,31 +1320,6 @@ class IOScheduler:
         out: Dict[str, Dict[str, ChannelWindow]] = {}
         for (lane, channel), window in windows.items():
             out.setdefault(lane, {})[channel] = window
-        return out
-
-    def consume_tenant_completion_stats(
-        self,
-    ) -> Dict[str, Dict[str, Dict[str, ChannelWindow]]]:
-        """Per-tenant completion windows since the last call:
-        ``{tenant: {lane: {"write" | "read": ChannelWindow}}}``.
-
-        The per-tenant mirror of :meth:`consume_completion_stats` (same
-        interval-union busy accounting, scoped to one tenant's
-        requests) — the feed for per-tenant bandwidth reporting and a
-        future per-tenant autotune.  The two surfaces drain independent
-        window dicts, so consuming one does not reset the other.
-        """
-        now = time.monotonic()
-        with self._stats_lock:
-            for key, usage in self._tenant_usage.items():
-                if usage[0] > 0:
-                    window = self._tenant_windows.setdefault(key, ChannelWindow())
-                    window.busy_s += max(0.0, now - usage[1])
-                    usage[1] = now
-            windows, self._tenant_windows = self._tenant_windows, {}
-        out: Dict[str, Dict[str, Dict[str, ChannelWindow]]] = {}
-        for (tenant, lane, channel), window in windows.items():
-            out.setdefault(tenant, {}).setdefault(lane, {})[channel] = window
         return out
 
     def _safe_notify(self, event: str, request: IORequest) -> None:
@@ -1602,9 +1550,6 @@ class IOScheduler:
         with self._stats_lock:
             window = self._windows.setdefault((request.lane, channel), ChannelWindow())
             window.reap_lag_s += lag_s
-            tenant_key = (request.tenant, request.lane, channel)
-            tenant_window = self._tenant_windows.setdefault(tenant_key, ChannelWindow())
-            tenant_window.reap_lag_s += lag_s
 
     def backend_stats_snapshot(self) -> Dict[str, IOLaneStats]:
         """Non-destructive per-lane backend telemetry (syscalls, batch

@@ -17,28 +17,20 @@ tier holds it:
   via the per-tenant :meth:`~repro.core.policy.OffloadPolicy
   .set_tenant_policy` hook.
 
-Traffic rides the shared :class:`~repro.io.scheduler.IOScheduler` with
-the serving-appropriate classes: decode-blocking reads are
-``BLOCKING_LOAD``, look-ahead prefetch is ``PREFETCH_LOAD`` (and is
-*promoted* to blocking the moment a decode arrives before it lands —
-the same deadline-promotion machinery backward passes use), writeback
-is ``STORE``.  Every request is mapped to its user's tenant, so the
-PR 6 fair-share/quota books account KV traffic per user with no new
-mechanism.
-
-Two I/O modes:
-
-- ``sync_mode=False`` (default): writebacks and prefetches run as
-  scheduler requests, overlapping the caller; an in-flight writeback's
-  payload is parked on the block and a read of it is served locally
-  (cancelling the queued write when possible — the demotion-
-  cancellation idea at the serving layer).
-- ``sync_mode=True``: writebacks and prefetches run inline on the
-  calling thread, so *placement is a pure function of the call
-  sequence* — the determinism the seeded server simulation and the
-  ``repro kv`` asserts require.  Demand fetches still flow through the
-  scheduler as ``BLOCKING_LOAD`` (the pool waits, so determinism is
-  preserved).
+Traffic is inline except where a decode blocks: page-outs and look-ahead
+prefetches run on the calling thread (under the block's tenant scope, so
+the PR 6 fair-share/quota books account KV bytes per user with no new
+mechanism), which makes *placement a pure function of the call sequence*
+— the determinism the seeded server simulation and the ``repro kv``
+asserts require.  Demand fetches ride the shared
+:class:`~repro.io.scheduler.IOScheduler` as ``BLOCKING_LOAD`` requests
+and the pool waits for them, so they are deterministic too.  A block is
+therefore only ever in one of two states, ``HBM`` or ``ENGINE``; the
+in-flight half of a residency machine (parked payloads, forwarding,
+cancel-or-wait) belongs to the training-side tensor cache, the one
+asynchronous front-end.  The pool is driven from one thread; its lock
+keeps the table and counters coherent for concurrent *readers*
+(``tier_census``, ``hbm_used_bytes``).
 """
 
 from __future__ import annotations
@@ -83,10 +75,8 @@ class BlockKey:
 
 
 class BlockState(enum.Enum):
-    HBM = "hbm"              # resident in the pool's HBM budget
-    WRITEBACK = "writeback"  # engine store in flight; payload parked
-    ENGINE = "engine"        # held by the tiered engine (CPU or SSD)
-    FETCHING = "fetching"    # prefetch load in flight
+    HBM = "hbm"        # resident in the pool's HBM budget
+    ENGINE = "engine"  # held by the tiered engine (CPU or SSD)
 
 
 class BlockMeta:
@@ -101,8 +91,6 @@ class BlockMeta:
         "dtype",
         "state",
         "data",
-        "pending_data",
-        "request",
         "prefetched",
         "last_access_seq",
         "context_blocks",
@@ -126,9 +114,6 @@ class BlockMeta:
         self.dtype = data.dtype
         self.state = BlockState.HBM
         self.data: Optional[np.ndarray] = None
-        #: Payload parked while an async writeback is in flight.
-        self.pending_data: Optional[np.ndarray] = None
-        self.request: Optional[IORequest] = None
         #: Set when a prefetch was issued for this block and not yet
         #: consumed by an access — the hit-accounting flag.
         self.prefetched = False
@@ -164,8 +149,9 @@ class KVPoolStats:
     writebacks: int = 0
     writeback_bytes: int = 0
     evictions: int = 0
-    writebacks_cancelled: int = 0
-    writeback_failures: int = 0
+    #: Always 0: page-outs are inline, so no read can find one in flight
+    #: to be forwarded from.  Kept because the frozen benchmark
+    #: (``benchmarks/e2e/wl_kv.py``) sums it into its access count.
     forward_hits: int = 0
     released_blocks: int = 0
 
@@ -198,9 +184,6 @@ class KVBlockPool:
         hbm_capacity_bytes: the simulated HBM budget for resident blocks.
         strategy: a :class:`~repro.serve.paging.PagingStrategy`
             (default :class:`~repro.serve.paging.PreferHBM`).
-        sync_mode: run writeback/prefetch inline for determinism (the
-            server simulation's mode); demand fetches always flow
-            through the scheduler's ``BLOCKING_LOAD`` class.
     """
 
     def __init__(
@@ -211,7 +194,6 @@ class KVBlockPool:
         num_layers: int = 2,
         hbm_capacity_bytes: int = 1 << 20,
         strategy: Optional[PagingStrategy] = None,
-        sync_mode: bool = False,
     ) -> None:
         if block_tokens < 1:
             raise ValueError(f"block_tokens must be >= 1: {block_tokens}")
@@ -226,7 +208,6 @@ class KVBlockPool:
         self.num_layers = num_layers
         self.hbm_capacity_bytes = hbm_capacity_bytes
         self.paging = PagingPolicy(strategy)
-        self.sync_mode = sync_mode
         self.stats = KVPoolStats()
         self._lock = threading.RLock()
         self._table: Dict[BlockKey, BlockMeta] = {}
@@ -310,18 +291,16 @@ class KVBlockPool:
     # ----------------------------------------------------- HBM admission
     def _admit_hbm(self, meta: BlockMeta, data: np.ndarray) -> None:
         """Make the block HBM-resident, evicting colder blocks for room."""
-        to_evict: List[BlockMeta] = []
+        to_evict: List[Tuple[BlockMeta, np.ndarray]] = []
         with self._lock:
             while self._hbm_used + meta.nbytes > self.hbm_capacity_bytes:
                 victim = self._pick_victim(exclude=meta)
                 if victim is None:
                     break
-                victim_data = victim.data
+                to_evict.append((victim, victim.data))
                 victim.data = None
-                victim.state = BlockState.WRITEBACK
+                victim.state = BlockState.ENGINE
                 self._hbm_used -= victim.nbytes
-                victim.pending_data = victim_data
-                to_evict.append(victim)
                 self.stats.evictions += 1
             if self._hbm_used + meta.nbytes <= self.hbm_capacity_bytes:
                 meta.data = data
@@ -333,11 +312,9 @@ class KVBlockPool:
                 # Nothing evictable and no room: the new block itself
                 # pages out (its strategy tier hint, or pool-first).
                 overflow = meta
-        for victim in to_evict:
+        for victim, victim_data in to_evict:
             hint = self.paging.strategy.eviction_tier(victim.context())
-            self._page_out(
-                victim, victim.pending_data, hint, already_marked=True
-            )
+            self._page_out(victim, victim_data, hint)
         if overflow is not None:
             hint = self.paging.strategy.eviction_tier(meta.context())
             self._page_out(meta, data, hint)
@@ -353,128 +330,62 @@ class KVBlockPool:
         ordered = self.paging.strategy.eviction_order(resident)
         return ordered[0] if ordered else None
 
-    # ------------------------------------------------------------ writeback
+    # ------------------------------------------------------------- page-out
     def _page_out(
-        self,
-        meta: BlockMeta,
-        data: np.ndarray,
-        tier_hint: Optional[Tier],
-        already_marked: bool = False,
+        self, meta: BlockMeta, data: np.ndarray, tier_hint: Optional[Tier]
     ) -> None:
-        offloader = self.engine.offloader
-        tid = meta.tid
+        """Hand the block's bytes to the engine, inline."""
         with self._lock:
+            meta.state = BlockState.ENGINE
             meta.prefetched = False
             self.stats.writebacks += 1
             self.stats.writeback_bytes += meta.nbytes
-        if self.sync_mode:
-            with tenant_scope(meta.tenant), self.paging.hint(tier_hint):
-                offloader.store(tid, data)
-            with self._lock:
-                meta.pending_data = None
-                meta.request = None
-                meta.state = BlockState.ENGINE
-            return
-
-        def body() -> None:
-            # Runs on a scheduler worker under tenant_scope(request.tenant).
-            with self.paging.hint(tier_hint):
-                offloader.store(tid, data)
-
-        request = IORequest(
-            body,
-            kind="store",
-            priority=Priority.STORE,
-            tensor_id=str(tid),
-            nbytes=meta.nbytes,
-            lane=offloader.store_lane(tid, meta.nbytes),
-            label=f"kv-writeback:{meta.key.request_id}/{meta.key.layer}/{meta.key.index}",
-            tenant=meta.tenant,
-        )
-        with self._lock:
-            if not already_marked:
-                meta.state = BlockState.WRITEBACK
-            meta.pending_data = data
-            meta.request = request
-        request.add_done_callback(lambda job: self._on_writeback_done(meta, job))
-        self.engine.scheduler.submit(request)
-
-    def _on_writeback_done(self, meta: BlockMeta, job) -> None:
-        from repro.io.aio import JobState
-
-        with self._lock:
-            if meta.request is not job:
-                return  # superseded (forwarded / released meanwhile)
-            meta.request = None
-            if meta.state is not BlockState.WRITEBACK:
-                return
-            if job.state is JobState.DONE:
-                meta.state = BlockState.ENGINE
-                meta.pending_data = None
-            elif job.state is JobState.FAILED:
-                # Correctness over capacity: keep the payload parked so
-                # reads still serve it (the block simply never leaves
-                # the writeback state's local copy).
-                self.stats.writeback_failures += 1
+        with tenant_scope(meta.tenant), self.paging.hint(tier_hint):
+            self.engine.offloader.store(meta.tid, data)
 
     # -------------------------------------------------------------- prefetch
     def prefetch(self, schedule: Sequence[str]) -> int:
         """Run the strategy's look-ahead plan for the decode ``schedule``.
 
-        Returns the number of blocks a prefetch was issued for.  In
-        async mode each becomes a ``PREFETCH_LOAD`` on the engine's
-        load lane; in sync mode the block is migrated into HBM inline
-        (the look-ahead happens between decode rounds).
+        Each planned engine-resident block is migrated into HBM inline
+        (the look-ahead happens between decode rounds).  Returns the
+        number of blocks brought back.
         """
-        keys = self.paging.strategy.prefetch_plan(schedule, self)
+        offloader = self.engine.offloader
         issued = 0
-        for key in keys:
+        for key in self.paging.strategy.prefetch_plan(schedule, self):
             meta = self._table.get(key)
             if meta is None:
                 continue
             with self._lock:
                 if meta.state is not BlockState.ENGINE or meta.prefetched:
                     continue
+                # Set before _admit_hbm: a block that overflows straight
+                # back to the engine has the flag cleared by its page-out.
                 meta.prefetched = True
+            try:
+                with tenant_scope(meta.tenant):
+                    data = offloader.load(meta.tid, meta.shape, meta.dtype)
+            except BaseException:
+                # The block is still ENGINE and nothing was prefetched: a
+                # stuck flag would skip it forever and book its next HBM
+                # read as a prefetch hit.
+                with self._lock:
+                    meta.prefetched = False
+                raise
+            offloader.release(meta.tid)
+            with self._lock:
+                self.stats.prefetch_issued += 1
             issued += 1
-            if self.sync_mode:
-                data = self._engine_load(meta, blocking=False)
-                self.engine.offloader.release(meta.tid)
-                self._admit_hbm(meta, data)
-            else:
-                self._submit_prefetch(meta)
-        with self._lock:
-            self.stats.prefetch_issued += issued
+            self._admit_hbm(meta, data)
         return issued
-
-    def _submit_prefetch(self, meta: BlockMeta) -> None:
-        offloader = self.engine.offloader
-        tid, shape, dtype = meta.tid, meta.shape, meta.dtype
-
-        def body() -> np.ndarray:
-            return offloader.load(tid, shape, dtype)
-
-        request = IORequest(
-            body,
-            kind="load",
-            priority=Priority.PREFETCH_LOAD,
-            tensor_id=str(tid),
-            nbytes=meta.nbytes,
-            lane=offloader.load_lane(tid),
-            label=f"kv-prefetch:{meta.key.request_id}/{meta.key.layer}/{meta.key.index}",
-            tenant=meta.tenant,
-        )
-        with self._lock:
-            meta.state = BlockState.FETCHING
-            meta.request = request
-        self.engine.scheduler.submit(request)
 
     # ----------------------------------------------------------------- fetch
     def fetch(self, request_id: str, layer: int, index: int) -> np.ndarray:
         """Read one block for a decode step (always returns the bytes).
 
-        HBM residents are free; an in-flight prefetch is *promoted* to
-        the blocking class and awaited (hit); an engine-resident block
+        HBM residents are free (a hit, or a *prefetch* hit when a
+        look-ahead brought the block back); an engine-resident block
         costs a ``BLOCKING_LOAD`` demand fetch (miss).  Fetched blocks
         are re-admitted to HBM — they are the decode working set.
         """
@@ -483,104 +394,21 @@ class KVBlockPool:
             meta = self._table.get(key)
             if meta is None:
                 raise KeyError(f"no KV block for {request_id!r}/{layer}/{index}")
-            state = meta.state
             meta.last_access_seq = next(self._seq)
-            if state is BlockState.HBM:
+            if meta.state is BlockState.HBM:
                 if meta.prefetched:
                     meta.prefetched = False
                     self.stats.prefetch_hits += 1
                 else:
                     self.stats.hbm_hits += 1
                 return meta.data
-            request = meta.request
-            pending = meta.pending_data
-
-        if state is BlockState.WRITEBACK:
-            return self._fetch_forwarded(meta, request, pending)
-        if state is BlockState.FETCHING:
-            return self._fetch_prefetched(meta, request)
-        return self._fetch_demand(meta)
-
-    def _fetch_forwarded(
-        self,
-        meta: BlockMeta,
-        request: Optional[IORequest],
-        pending: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Serve a block whose writeback is still in flight from its
-        parked payload (data forwarding at the serving layer)."""
-        from repro.io.aio import JobState
-
-        cancelled = False
-        if request is not None:
-            cancelled = self.engine.scheduler.cancel(request)
-            if not cancelled:
-                request.wait()
-        with self._lock:
-            self.stats.forward_hits += 1
-            if cancelled:
-                self.stats.writebacks_cancelled += 1
-            meta.request = None
-            meta.pending_data = None
-        if not cancelled and (
-            request is None or request.state is JobState.DONE
-        ):
-            # The store landed after all; drop the engine copy since the
-            # block is going HBM-resident again.
-            self.engine.offloader.release(meta.tid)
-        data = pending
-        self._admit_hbm(meta, data)
-        return data
-
-    def _fetch_prefetched(
-        self, meta: BlockMeta, request: Optional[IORequest]
-    ) -> np.ndarray:
-        """A decode arrived before its prefetch landed: promote the
-        request to the blocking class (deadline promotion, exactly the
-        backward-pass machinery) and wait it out."""
-        from repro.io.aio import JobState
-
-        if request is not None:
-            self.engine.scheduler.promote(request)
-            request.wait()
-        if request is not None and request.state is JobState.DONE:
-            data = request.result
-            self.engine.offloader.release(meta.tid)
-            with self._lock:
-                meta.request = None
-                meta.prefetched = False
-                self.stats.prefetch_hits += 1
-                self.stats.fetched_bytes += meta.nbytes
-            self._admit_hbm(meta, data)
-            return data
-        # Prefetch failed or was cancelled: fall back to a demand fetch.
-        with self._lock:
-            meta.request = None
-            meta.prefetched = False
-            meta.state = BlockState.ENGINE
         return self._fetch_demand(meta)
 
     def _fetch_demand(self, meta: BlockMeta) -> np.ndarray:
-        data = self._engine_load(meta, blocking=True)
-        self.engine.offloader.release(meta.tid)
-        with self._lock:
-            self.stats.demand_fetches += 1
-            self.stats.fetched_bytes += meta.nbytes
-        self._admit_hbm(meta, data)
-        return data
-
-    def _engine_load(self, meta: BlockMeta, blocking: bool) -> np.ndarray:
-        """Load one block's bytes out of the engine.
-
-        Blocking loads always ride the scheduler's ``BLOCKING_LOAD``
-        class (the decode-blocking read path); sync-mode prefetch loads
-        run inline under the tenant's scope.
-        """
+        """The decode-blocking read: one ``BLOCKING_LOAD`` on the engine's
+        load lane, awaited."""
         offloader = self.engine.offloader
         tid, shape, dtype = meta.tid, meta.shape, meta.dtype
-        if not blocking:
-            with tenant_scope(meta.tenant):
-                return offloader.load(tid, shape, dtype)
         request = IORequest(
             lambda: offloader.load(tid, shape, dtype),
             kind="load",
@@ -595,7 +423,14 @@ class KVBlockPool:
         request.wait()
         if request.error is not None:
             raise request.error
-        return request.result
+        data = request.result
+        offloader.release(tid)
+        with self._lock:
+            meta.prefetched = False
+            self.stats.demand_fetches += 1
+            self.stats.fetched_bytes += meta.nbytes
+        self._admit_hbm(meta, data)
+        return data
 
     # --------------------------------------------------------------- release
     def release_request(self, request_id: str) -> int:
@@ -605,32 +440,15 @@ class KVBlockPool:
             if entry is None:
                 return 0
             metas = [self._table.pop(key) for key in entry.keys]
-        released = 0
-        for meta in metas:
-            with self._lock:
-                state = meta.state
-                request = meta.request
-                if state is BlockState.HBM:
+            for meta in metas:
+                if meta.state is BlockState.HBM:
                     self._hbm_used -= meta.nbytes
                     meta.data = None
-            if state in (BlockState.WRITEBACK, BlockState.FETCHING):
-                if request is not None and not self.engine.scheduler.cancel(
-                    request
-                ):
-                    request.wait()
-                    # The engine I/O ran to completion; drop its copy.
-                    self.engine.offloader.release(meta.tid)
-                elif request is not None and state is BlockState.FETCHING:
-                    # Cancelled prefetch: the engine still holds the block.
-                    self.engine.offloader.release(meta.tid)
-                meta.pending_data = None
-                meta.request = None
-            elif state is BlockState.ENGINE:
+            self.stats.released_blocks += len(metas)
+        for meta in metas:
+            if meta.state is BlockState.ENGINE:
                 self.engine.offloader.release(meta.tid)
-            released += 1
-        with self._lock:
-            self.stats.released_blocks += released
-        return released
+        return len(metas)
 
     # ----------------------------------------------------------------- views
     @property
@@ -661,8 +479,7 @@ class KVBlockPool:
             ]
 
     def block_tier(self, key: BlockKey) -> str:
-        """Where a block's authoritative bytes live right now:
-        ``"hbm"``, ``"writeback"``, ``"fetching"``, ``"cpu"`` or
+        """Where a block's bytes live right now: ``"hbm"``, ``"cpu"`` or
         ``"ssd"``."""
         with self._lock:
             meta = self._table.get(key)
@@ -670,10 +487,6 @@ class KVBlockPool:
                 raise KeyError(f"unknown block {key}")
             if meta.state is BlockState.HBM:
                 return "hbm"
-            if meta.state is BlockState.WRITEBACK:
-                return "writeback"
-            if meta.state is BlockState.FETCHING:
-                return "fetching"
         return self.engine.offloader.tier_of(meta.tid).value
 
     def tier_census(self) -> Dict[str, int]:
@@ -687,9 +500,3 @@ class KVBlockPool:
             except KeyError:
                 continue  # released concurrently
         return dict(census)
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait for in-flight writebacks/prefetches (async mode)."""
-        if self.engine.scheduler_started:
-            return self.engine.scheduler.drain(timeout)
-        return True

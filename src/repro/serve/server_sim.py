@@ -15,9 +15,9 @@ the same machine:
   the rest queue until enough HBM frees up.
 
 Determinism contract (the ``repro kv`` asserts and the seeded-trace
-test lean on it): the pool runs in ``sync_mode`` — placement and
-migration are pure functions of the call sequence — and every duration
-is *virtual*, derived from byte counts and the cost-model rates, never
+test lean on it): the pool's page-outs and prefetches are inline —
+placement and migration are pure functions of the call sequence — and
+every duration is *virtual*, derived from byte counts and the cost-model rates, never
 from wall time.  Same trace + same config → bit-identical results.
 
 KV payloads are regenerated from the seed for verification: after a
@@ -222,7 +222,6 @@ class KVServerSim:
                 num_layers=cfg.num_layers,
                 hbm_capacity_bytes=cfg.hbm_capacity_bytes,
                 strategy=make_strategy(cfg.strategy),
-                sync_mode=True,
             )
         try:
             return self._run_loop(pool, engine)
@@ -413,7 +412,7 @@ class KVServerSim:
 
         cfg = self.config
         tier = pool.block_tier(BlockKey(request_id=rid, layer=layer, index=index))
-        if tier in ("hbm", "writeback", "fetching"):
+        if tier == "hbm":
             return 0.0
         rate = (
             cfg.cpu_fetch_bytes_per_s

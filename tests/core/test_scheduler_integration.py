@@ -115,8 +115,6 @@ def test_forwarding_cancels_pending_store(gpu, tmp_path):
             assert cache.stats.cancelled_store_bytes == t3.nbytes
             rec = cache._find_record(tid3)
             assert rec.state is RecordState.LOADED
-            assert rec.location == "gpu"
-            assert rec.tier is Tier.GPU
             assert rec.store_job.state is JobState.CANCELLED
 
             gate.set()
@@ -127,6 +125,14 @@ def test_forwarding_cancels_pending_store(gpu, tmp_path):
             for tid in (tid1, tid2):
                 r = cache._find_record(tid)
                 assert r.state is RecordState.OFFLOADED
+        # Step end releases exactly the copies that were written: the
+        # cancelled store left nothing behind to release.
+        released = []
+        original_release = offloader.release
+        offloader.release = lambda tid: (released.append(tid), original_release(tid))
+        cache.on_step_end()
+        assert sorted(released, key=str) == sorted((tid1, tid2), key=str)
+        assert list((tmp_path / "s").iterdir()) == []
     finally:
         gate.set()
         cache.shutdown()

@@ -374,3 +374,95 @@ def test_failed_store_recovery_reverses_offload_accounting(gpu, make_cache):
     assert cache.stats.kept_bytes == x.nbytes
     assert cache.accounting.offloaded_bytes == 0  # no budget consumed
     assert cache.accounting.kept_bytes == x.nbytes
+
+
+# ------------------------------------------------------------ the state machine
+def test_illegal_transition_raises_and_leaves_record_untouched(gpu):
+    from repro.core import ActivationRecord, RecordState
+    from repro.core.ids import TensorID
+
+    x = Tensor(np.ones((8, 8), dtype=np.float32), device=gpu)
+    tid = TensorID(stamp=1, shape=(8, 8))
+
+    rec = ActivationRecord(tid, x, RecordState.OFFLOADING)
+    rec.trans_state(RecordState.OFFLOADED)
+    assert rec.tensor is None and not rec.loaded_event.is_set()
+    with pytest.raises(RuntimeError, match="OFFLOADED -> KEPT"):
+        rec.trans_state(RecordState.KEPT)
+    assert rec.state is RecordState.OFFLOADED
+    assert not rec.loaded_event.is_set()
+
+    kept = ActivationRecord(tid, x, RecordState.KEPT)
+    assert kept.loaded_event.is_set()
+    kept.trans_state(RecordState.CONSUMED)
+    assert kept.tensor is None
+    with pytest.raises(RuntimeError, match="CONSUMED -> LOADED"):
+        kept.trans_state(RecordState.LOADED)
+    assert kept.state is RecordState.CONSUMED and kept.tensor is None
+
+
+def test_late_duplicate_load_on_consumed_record_is_dropped(gpu, make_cache):
+    """A hedged duplicate of a load may finish after backward consumed
+    the record: first completion wins, the record stays CONSUMED."""
+    from repro.core import RecordState
+
+    cache = make_cache()
+    x = Tensor(np.ones((64, 64), dtype=np.float32), device=gpu, requires_grad=True)
+    with cache:
+        tid = cache.pack_hook(x)
+        cache.scheduler.drain(5)
+        assert np.array_equal(cache.unpack_hook(tid).data, x.data)
+        rec = cache._find_record(tid)
+        duplicate = rec.load_job.hedge_fn
+        cache.on_backward_end()
+        assert rec.state is RecordState.CONSUMED
+        duplicate()
+        assert rec.state is RecordState.CONSUMED and rec.tensor is None
+        assert cache.stats.loaded_tensors == 1
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 64 * 1024])
+def test_step_end_releases_stores_whose_done_callback_runs_late(
+    gpu, tmp_path, chunk_bytes
+):
+    """``drain()`` returns on the scheduler's own done-callback, so the
+    cache's ``_on_store_done`` may still be pending when ``on_step_end``
+    runs; the release decision must not depend on it."""
+    import time
+
+    offloader = SSDOffloader(tmp_path / "late", chunk_bytes=chunk_bytes)
+    cache = TensorCache(
+        offloader, policy=OffloadPolicy(PolicyConfig(min_offload_numel=64))
+    )
+    on_store_done = cache._on_store_done
+    late_callbacks = []
+
+    def late(rec, job):
+        time.sleep(0.01)
+        late_callbacks.append(rec.tid)
+        on_store_done(rec, job)
+
+    cache._on_store_done = late
+    store = offloader.file_store
+    raced = 0
+    try:
+        for step in range(20):
+            with cache:
+                tids = [
+                    cache.pack_hook(
+                        Tensor(np.full((64, 64), step + i, dtype=np.float32), device=gpu)
+                    )
+                    for i in range(4)
+                ]
+            cache.on_step_end()
+            raced += len(set(tids) - set(late_callbacks))
+            on_disk = sum(p.stat().st_size for p in store.root.iterdir())
+            if chunk_bytes is None:
+                assert on_disk == 0, f"step {step} left files behind"
+            else:
+                assert store.tensor_ids() == ()
+                assert store.bytes_written == on_disk + store.reclaimed_bytes
+        assert raced > 0, "no step end ever ran ahead of a store-done callback"
+        assert cache.stats.stored_tensors == 80
+    finally:
+        cache.shutdown()

@@ -253,16 +253,16 @@ def test_cache_records_tier_per_activation(gpu, tiny_gpt_config, tmp_path):
         with cache:
             loss = model(tokens, targets)
             cache.scheduler.drain()
-            records = list(cache.current.records.values())
-            tiers = {rec.tier for rec in records}
+            offloader = cache.offloader
+            tids = list(cache.current.records)
+            tiers = {offloader.tier_of(tid) for tid in tids}
             # The bounded pool splits the step's records across both tiers,
-            # and every stored record names its tier in the Fig. 4 column.
+            # and the offloader names each one's tier and path (the Fig. 4
+            # "file path" column has one owner).
             assert Tier.CPU in tiers and Tier.SSD in tiers
-            for rec in records:
-                if rec.tier is Tier.CPU:
-                    assert rec.location.startswith("tier:cpu:")
-                elif rec.tier is Tier.SSD:
-                    assert rec.location.startswith("tier:ssd:")
+            for tid in tids:
+                tier = offloader.tier_of(tid)
+                assert offloader.location(tid).startswith(f"tier:{tier.value}:")
             cache.on_backward_begin()
             loss.backward()
             cache.on_backward_end()
@@ -311,7 +311,12 @@ def test_tiered_step_end_reclaims_all_tiers(gpu, tiny_gpt_config, tmp_path):
 # ----------------------------------------------------------- chunk coalescing
 def test_chunked_ssd_writes_at_least_4x_fewer_files(gpu, tiny_gpt_config, tmp_path):
     """Acceptance: for a quickstart-sized step, chunk coalescing cuts the
-    SSD write count by >= 4x versus one file per tensor."""
+    SSD write count by >= 4x versus one file per tensor.
+
+    How many stores forwarding cancels before they run differs from run
+    to run, so each ratio's two sides come from the *same* run: stores
+    executed against physical writes made.
+    """
 
     def run_step(offloader):
         cache = TensorCache(
@@ -327,15 +332,14 @@ def test_chunked_ssd_writes_at_least_4x_fewer_files(gpu, tiny_gpt_config, tmp_pa
         finally:
             cache.shutdown()
 
-    stored, per_tensor_writes = run_step(SSDOffloader(tmp_path / "per-tensor"))
-    # One file per store that actually ran (forwarding may have cancelled
-    # a queued store or two before it hit the SSD).
-    assert per_tensor_writes == stored
+    executed, per_tensor_writes = run_step(SSDOffloader(tmp_path / "per-tensor"))
+    # One file per store that actually ran.
+    assert per_tensor_writes == executed
 
-    _, chunk_writes = run_step(
+    executed, chunk_writes = run_step(
         SSDOffloader(tmp_path / "chunked", chunk_bytes=64 * 1024)
     )
-    assert per_tensor_writes >= 4 * max(chunk_writes, 1)
+    assert executed >= 4 * max(chunk_writes, 1)
 
 
 def test_tiered_with_chunked_ssd_trains_correctly(gpu, tiny_gpt_config, tmp_path):

@@ -351,24 +351,6 @@ def test_bandwidth_quota_stays_work_conserving():
 # ------------------------------------------------- per-tenant telemetry
 
 
-def test_per_tenant_completion_windows():
-    reg = TenantRegistry()
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1,
-                        lanes=("ssd",), tenants=reg, coalesce_bytes=0)
-    try:
-        for tenant, nbytes in (("a", 1000), ("a", 1000), ("b", 500)):
-            sched.submit(_req(lambda: None, nbytes=nbytes, tenant=tenant))
-        sched.drain()
-    finally:
-        sched.shutdown()
-    windows = sched.consume_tenant_completion_stats()
-    assert windows["a"]["ssd"]["write"].nbytes == 2000
-    assert windows["a"]["ssd"]["write"].count == 2
-    assert windows["b"]["ssd"]["write"].nbytes == 500
-    # Drained: a second consume starts empty.
-    assert sched.consume_tenant_completion_stats() == {}
-
-
 def test_scheduler_books_reconcile_per_tenant():
     reg = TenantRegistry()
     sched = IOScheduler(num_store_workers=1, num_load_workers=1,

@@ -38,15 +38,13 @@ def engine(tmp_path):
     eng.shutdown()
 
 
-def make_pool(engine, *, blocks_in_hbm=4, strategy=None, sync_mode=True, **kw):
+def make_pool(engine, *, blocks_in_hbm=4, strategy=None):
     return KVBlockPool(
         engine,
         block_tokens=BLOCK_TOKENS,
         num_layers=2,
         hbm_capacity_bytes=blocks_in_hbm * BLOCK_BYTES,
         strategy=strategy,
-        sync_mode=sync_mode,
-        **kw,
     )
 
 
@@ -112,6 +110,19 @@ def test_bit_exact_round_trip_through_each_tier(engine):
     # Fetches re-admit to HBM; pool books must reconcile.
     assert pool.stats.demand_fetches == 2
     assert pool.stats.fetched_bytes == 2 * BLOCK_BYTES
+
+
+def test_release_drops_paged_out_blocks_from_the_engine(engine):
+    pool = make_pool(engine, blocks_in_hbm=0)
+    pool.begin_request("r1")
+    keys = [pool.append_block("r1", 0, payload(i)) for i in range(4)]
+    tids = [pool._table[key].tid for key in keys]
+    assert all(pool.block_tier(key) in ("cpu", "ssd") for key in keys)
+    assert pool.release_request("r1") == 4
+    assert pool.stats.released_blocks == 4
+    assert pool.tier_census() == {}
+    assert all(engine.offloader.tier_of(tid).value == "gpu" for tid in tids)
+    assert engine.offloader.pool.used == 0
 
 
 # ---------------------------------------------------------------- eviction
@@ -191,56 +202,58 @@ def test_eviction_clears_prefetched_flag(engine):
     assert pool.prefetch(["r1"]) >= 1
 
 
-# -------------------------------------------------------------- async mode
-def test_async_writeback_completes_and_round_trips(engine):
-    pool = make_pool(engine, blocks_in_hbm=0, sync_mode=False)
-    pool.begin_request("r1")
-    data = payload(3)
-    key = pool.append_block("r1", 0, data)
-    assert pool.drain(timeout=10.0)
-    assert pool.block_tier(key) in ("cpu", "ssd")
-    assert pool.stats.writebacks == 1
-    # The fetch re-admits, overflows the zero-budget HBM, and pages out
-    # again — a second writeback.
-    assert np.array_equal(pool.fetch("r1", 0, 0), data)
-    assert pool.stats.writebacks == 2
+def test_failed_prefetch_load_leaves_block_unflagged(engine, monkeypatch):
+    """A prefetch whose inline load raises must not poison the block:
+    still ENGINE, un-flagged, re-issued by the next prefetch, and its
+    later HBM read booked as a plain hit."""
+    import errno
 
-
-def test_async_forwarding_serves_parked_payload(engine):
-    """A read during an in-flight writeback is served locally."""
-    pool = make_pool(engine, blocks_in_hbm=0, sync_mode=False)
-    pool.begin_request("r1")
-    data = payload(4)
-    pool.append_block("r1", 0, data)
-    out = pool.fetch("r1", 0, 0)  # races the writeback: forward either way
-    assert np.array_equal(out, data)
-    assert pool.stats.forward_hits + pool.stats.hbm_hits + pool.stats.demand_fetches >= 1
-    pool.drain(timeout=10.0)
-
-
-def test_async_prefetch_promotion(engine):
     strategy = LookAheadBatch(base=PreferHBM(), depth=1)
-    pool = make_pool(engine, strategy=strategy, blocks_in_hbm=0, sync_mode=False)
-    pool.begin_request("r1")
-    data = payload(5)
-    pool.append_block("r1", 0, data)
-    assert pool.drain(timeout=10.0)
+    pool = make_pool(engine, strategy=strategy, blocks_in_hbm=1)
+    pool.begin_request("r1", context_tokens=2 * BLOCK_TOKENS)
+    data = payload(7)
+    k0 = pool.append_block("r1", 0, data)
+    pool.append_block("r1", 0, payload(8))  # evicts k0 to the engine
+    meta = pool._table[k0]
+    assert meta.state is BlockState.ENGINE
+
+    real_load = engine.offloader.load
+    faults = [OSError(errno.EIO, "injected read fault")]
+
+    def flaky_load(*args, **kwargs):
+        if faults:
+            raise faults.pop()
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(engine.offloader, "load", flaky_load)
+    with pytest.raises(OSError):
+        pool.prefetch(["r1"])
+    assert meta.state is BlockState.ENGINE
+    assert not meta.prefetched
+    assert pool.stats.prefetch_issued == 0
+
+    # The next look-ahead re-issues it, and that one does hit.
     assert pool.prefetch(["r1"]) == 1
-    out = pool.fetch("r1", 0, 0)  # may promote the in-flight prefetch
-    assert np.array_equal(out, data)
-    assert pool.stats.prefetch_hits == 1
-    scheduler_stats = engine.stats().scheduler
-    assert scheduler_stats.submitted >= 2  # writeback + prefetch at least
+    assert pool.stats.prefetch_issued == 1
+    assert np.array_equal(pool.fetch("r1", 0, 0), data)
+    assert np.array_equal(pool.fetch("r1", 0, 0), data)
+    assert (pool.stats.prefetch_hits, pool.stats.hbm_hits) == (1, 1)
+    assert pool.stats.demand_fetches == 0
 
 
-def test_async_release_with_inflight_io(engine):
-    pool = make_pool(engine, blocks_in_hbm=0, sync_mode=False)
-    pool.begin_request("r1")
-    for i in range(4):
-        pool.append_block("r1", 0, payload(i))
-    assert pool.release_request("r1") == 4
-    assert pool.drain(timeout=10.0)
-    assert pool.tier_census() == {}
+def test_demand_fetch_clears_a_stale_prefetched_flag(engine):
+    """A block that reaches HBM by demand fetch reads as a plain hit
+    afterwards, whatever the flag said while it was paged out."""
+    pool = make_pool(engine, blocks_in_hbm=1)
+    pool.begin_request("r1", context_tokens=2 * BLOCK_TOKENS)
+    k0 = pool.append_block("r1", 0, payload(0))
+    pool.append_block("r1", 0, payload(1))  # evicts k0
+    pool._table[k0].prefetched = True  # as a failed look-ahead once left it
+    pool.fetch("r1", 0, 0)
+    pool.fetch("r1", 0, 0)
+    assert (pool.stats.demand_fetches, pool.stats.hbm_hits) == (1, 1)
+    assert pool.stats.prefetch_hits == 0
+    assert pool.stats.prefetch_hit_rate == 0.0
 
 
 # ----------------------------------------------------------------- tenancy
@@ -285,3 +298,4 @@ def test_blocks_marked_prefetched_state_transitions(engine):
     assert meta.state is BlockState.ENGINE
     pool.fetch("r1", 0, 0)
     assert meta.state is BlockState.ENGINE  # hbm capacity 0: paged out again
+    assert pool.stats.writebacks == 2

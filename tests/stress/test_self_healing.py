@@ -528,7 +528,6 @@ def test_kv_pool_survives_die_then_heal_with_breaker_transitions(tmp_path):
             num_layers=1,
             hbm_capacity_bytes=4 * block_bytes,
             strategy=SplitToken(hbm_recent_blocks=1, cpu_window_blocks=1),
-            sync_mode=True,
         )
         rng = np.random.default_rng(21)
 
