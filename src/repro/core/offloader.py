@@ -71,8 +71,8 @@ class Offloader:
         return "cpu" if self.default_tier is Tier.CPU else "ssd"
 
     def load_lane(self, tid: TensorID) -> str:
-        """Scheduler lane a load of ``tid`` should queue on (by the tier
-        currently holding the tensor)."""
+        """Scheduler lane a load of ``tid`` should queue on: a lock-free
+        prediction from the tier holding it (called under a record lock)."""
         return "cpu" if self.tier_of(tid) is Tier.CPU else "ssd"
 
     def store(self, tid: TensorID, data: np.ndarray) -> None:
@@ -426,12 +426,6 @@ class CPUOffloader(Offloader):
             data = owned_copy(buf.reshape(shape), dtype, self.copy_stats)
         self._throttle(data.nbytes, start)
         return data
-
-    def peek(self, tid: TensorID) -> Optional[np.ndarray]:
-        """The stored buffer itself (no copy) — used by tier demotion,
-        which hands the bytes straight to the SSD store."""
-        with self._lock:
-            return self._buffers.get(tid)
 
     def take(
         self, tid: TensorID

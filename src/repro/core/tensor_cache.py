@@ -83,6 +83,7 @@ class ActivationRecord:
 
     __slots__ = (
         "tid",
+        "pack_index",
         "shape",
         "dtype",
         "nbytes",
@@ -98,8 +99,12 @@ class ActivationRecord:
         "lock",
     )
 
-    def __init__(self, tid: TensorID, tensor: Tensor, state: RecordState) -> None:
+    def __init__(
+        self, tid: TensorID, tensor: Tensor, state: RecordState, pack_index: int = 0
+    ) -> None:
         self.tid = tid
+        #: Position in the owning table's ``pack_order``.
+        self.pack_index = pack_index
         self.shape = tuple(tensor.shape)
         self.dtype = tensor.dtype
         self.nbytes = tensor.nbytes
@@ -143,7 +148,7 @@ class MicrobatchRecords:
     each micro-batch", Sec. III-A)."""
 
     records: Dict[TensorID, ActivationRecord] = field(default_factory=dict)
-    pack_order: List[TensorID] = field(default_factory=list)
+    pack_order: List[ActivationRecord] = field(default_factory=list)
     tids_by_scope: Dict[int, List[TensorID]] = field(default_factory=dict)
     backward_cursor: int = 0
 
@@ -566,9 +571,10 @@ class TensorCache:
                 tid,
                 t,
                 RecordState.KEPT if decision is Decision.KEEP else RecordState.OFFLOADING,
+                pack_index=len(table.pack_order),
             )
             table.records[tid] = rec
-            table.pack_order.append(tid)
+            table.pack_order.append(rec)
             self._extend_scopes(table, rec, scope_ids)
 
         if decision is Decision.KEEP:
@@ -675,7 +681,7 @@ class TensorCache:
         rec = self._find_record(obj)
         if rec is None:
             raise KeyError(f"tensor cache has no record for {obj}")
-        self._advance_cursor(obj)
+        self._advance_cursor(rec)
         # Unpack is the definition of backward-blocking: submit (or
         # deadline-promote) the load at the head of its lane.
         self._ensure_available(rec, blocking=True)
@@ -707,14 +713,12 @@ class TensorCache:
                     return table.records[tid]
         return None
 
-    def _advance_cursor(self, tid: TensorID) -> None:
+    def _advance_cursor(self, rec: ActivationRecord) -> None:
         table = self.current
-        try:
-            index = table.pack_order.index(tid)
-        except ValueError:
-            return
-        if index < table.backward_cursor:
-            table.backward_cursor = index
+        if table.records.get(rec.tid) is not rec:
+            return  # another micro-batch's record
+        if rec.pack_index < table.backward_cursor:
+            table.backward_cursor = rec.pack_index
         self._prefetch_ahead(table)
 
     # -------------------------------------------------------------- prefetch
@@ -852,10 +856,7 @@ class TensorCache:
         cursor = table.backward_cursor
         low = max(0, cursor - self.prefetch_window)
         for index in range(cursor - 1, low - 1, -1):
-            tid = table.pack_order[index]
-            rec = table.records.get(tid)
-            if rec is None:
-                continue
+            rec = table.pack_order[index]
             with rec.lock:
                 state = rec.state
             if state in (RecordState.OFFLOADED, RecordState.OFFLOADING):

@@ -33,8 +33,9 @@ from __future__ import annotations
 import logging
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -70,7 +71,7 @@ class TierStats:
     ssd_loaded_bytes: int = 0
     cancelled_demotions: int = 0    # SSD writes avoided: victim released
     cancelled_demotion_bytes: int = 0
-    demotion_forward_hits: int = 0  # loads served from an in-flight demotion
+    demotion_forward_hits: int = 0  # loads served from a parked (queued / mid-write) buffer
     #: Stores/demotions re-routed to the CPU tier because the SSD store
     #: is dead (permanent I/O failure) or its write exhausted the retry
     #: budget — the failure-recovery path, not normal placement.
@@ -86,6 +87,23 @@ class TierStats:
     enospc_events: int = 0
     #: Breaker probe rounds that re-closed and resurrected the SSD tier.
     resurrections: int = 0
+
+
+class _Transfer:
+    """One tensor's SSD transfer(s) running with the tier lock released.
+
+    A write (spill or direct store) parks its bytes in ``buf``, which
+    serves loads meanwhile; reads count themselves in ``readers``.
+    ``done`` is set when the entry leaves the in-flight map: re-store
+    and release of the tensor wait for that.
+    """
+
+    __slots__ = ("buf", "readers", "done")
+
+    def __init__(self, buf: Optional["np.ndarray"] = None) -> None:
+        self.buf = buf
+        self.readers = 0
+        self.done = threading.Event()
 
 
 class TieredOffloader(Offloader):
@@ -138,28 +156,26 @@ class TieredOffloader(Offloader):
         self.policy = policy if policy is not None else OffloadPolicy()
         self.promote_on_load = promote_on_load
         self.stats = TierStats()
-        # Coarse lock over placement metadata and tier moves.  I/O on the
-        # cache's store/load pools serializes through it; the functional
-        # engine models mechanism, not device parallelism, so correctness
-        # of the demote/promote/forward dance wins over overlap here.
+        # Metadata lock: the tid-keyed maps below, pool accounting, lease
+        # hand-offs, counters, scheduler submit/cancel.  Never held
+        # across ``ssd.load``/``ssd.store`` or a wait on a transfer
+        # (docs/architecture.md section 3); placement reads skip it.
         self._lock = threading.RLock()
         self._tier: Dict[TensorID, Tier] = {}
         #: CPU-resident tids in LRU order (oldest first = first demoted).
         self._lru: "OrderedDict[TensorID, int]" = OrderedDict()
-        #: With a scheduler attached, demotions run as DEMOTION-priority
-        #: requests on the SSD store lane instead of inline: the pool
-        #: bytes are reclaimed immediately, the SSD write happens when
-        #: the lane gets to it, and releasing (or re-loading) the victim
-        #: first *cancels* the write.  The buffers park here meanwhile.
+        #: Demotions are DEMOTION-priority requests on the ssd lane (with
+        #: no scheduler, run by the demoting call once it has released
+        #: the tier lock): the pool bytes are reclaimed immediately, and
+        #: releasing (or re-loading) the victim first *cancels* the
+        #: write.  The buffers park here meanwhile.
         self._scheduler: Optional[IOScheduler] = None
         self._pending_demotions: Dict[TensorID, "np.ndarray"] = {}
         self._demotion_reqs: Dict[TensorID, IORequest] = {}
-        #: Demotions whose SSD write is in flight *outside* the tier lock
-        #: (so a slow/throttled write never blocks loads on other tids).
-        #: Readers serve the parked buffer; writers to the same tid wait
-        #: on the event before touching the SSD copy.
-        self._writing_demotions: Dict[TensorID, "np.ndarray"] = {}
-        self._writing_events: Dict[TensorID, threading.Event] = {}
+        self._unscheduled_spills: List[IORequest] = []
+        #: SSD transfers running outside the tier lock, one entry per
+        #: tid whatever the kind (spill write, direct store, reads).
+        self._inflight: Dict[TensorID, _Transfer] = {}
         #: Target free headroom the pool keeps between steps (bytes);
         #: installed by the adaptive controller, enforced on demand by
         #: :meth:`apply_watermark`.  0 = no proactive demotion.
@@ -238,11 +254,7 @@ class TieredOffloader(Offloader):
     def dead_tenants(self) -> Set[str]:
         """Tenants whose own SSD breaker is currently open (copy)."""
         with self._lock:
-            return {
-                tenant
-                for tenant, breaker in self._tenant_breakers.items()
-                if breaker.is_open
-            }
+            return {t for t, breaker in self._tenant_breakers.items() if breaker.is_open}
 
     def _tenant_breaker_open(self, tenant: str) -> bool:
         breaker = self._tenant_breakers.get(tenant)
@@ -253,9 +265,7 @@ class TieredOffloader(Offloader):
         with self._lock:
             breaker = self._tenant_breakers.get(tenant)
             if breaker is None:
-                breaker = CircuitBreaker(
-                    name=f"ssd/{tenant}", backoff_s=self._breaker.backoff_s
-                )
+                breaker = CircuitBreaker(name=f"ssd/{tenant}", backoff_s=self._breaker.backoff_s)
                 if self._breaker_listener is not None:
                     breaker.add_listener(self._breaker_listener)
                 self._tenant_breakers[tenant] = breaker
@@ -307,9 +317,7 @@ class TieredOffloader(Offloader):
             # degraded placement, and knocking a HALF_OPEN breaker back
             # to OPEN would double its backoff and starve the canary
             # probes (probe failures re-open it via the breaker itself).
-            if breaker.state == BreakerState.CLOSED and breaker.trip(
-                "store failure"
-            ):
+            if breaker.state == BreakerState.CLOSED and breaker.trip("store failure"):
                 logger.warning(
                     "SSD breaker opened for tenant %r; "
                     "failing that tenant's placements over to the CPU tier",
@@ -322,12 +330,8 @@ class TieredOffloader(Offloader):
             if self._scheduler is not None:
                 self._scheduler.health.mark_dead("ssd", tenant=tenant)
             return
-        if self._breaker.state == BreakerState.CLOSED and self._breaker.trip(
-            "store failure"
-        ):
-            logger.warning(
-                "SSD breaker opened; failing all placements over to the CPU tier"
-            )
+        if self._breaker.state == BreakerState.CLOSED and self._breaker.trip("store failure"):
+            logger.warning("SSD breaker opened; failing all placements over to the CPU tier")
         self.pool.overflow_allowed = True
         if self._scheduler is not None:
             self._scheduler.health.mark_dead("ssd")
@@ -347,17 +351,14 @@ class TieredOffloader(Offloader):
         """
         result = self._probe_one(self._breaker, None)
         if tenant is not None and tenant != DEFAULT_TENANT:
-            with self._lock:
-                scoped = self._tenant_breakers.get(tenant)
+            scoped = self._tenant_breakers.get(tenant)
             if scoped is not None:
                 scoped_result = self._probe_one(scoped, tenant)
                 if result is None:
                     result = scoped_result
         return result
 
-    def _probe_one(
-        self, breaker: CircuitBreaker, tenant: Optional[str]
-    ) -> Optional[bool]:
+    def _probe_one(self, breaker: CircuitBreaker, tenant: Optional[str]) -> Optional[bool]:
         if not breaker.allow_probe():
             return None
         if self._canary_probe():
@@ -417,8 +418,9 @@ class TieredOffloader(Offloader):
     def set_scheduler(self, scheduler: Optional[IOScheduler]) -> None:
         """Route demotion writes through a priority-aware scheduler.
 
-        The cache wires its own scheduler in; ``None`` (the default)
-        keeps demotions synchronous, which standalone users rely on.
+        The cache wires its own scheduler in; with ``None`` (the
+        default) the call that demotes runs the spill itself before it
+        returns, which standalone users rely on.
         """
         self._scheduler = scheduler
 
@@ -464,18 +466,58 @@ class TieredOffloader(Offloader):
         self.ssd.register_tensor(tensor)
 
     def tier_of(self, tid: TensorID) -> Tier:
-        """Which tier currently holds ``tid`` (GPU if never stored)."""
+        """Which tier currently holds ``tid`` (GPU if never stored).  No
+        lock: callers route on it, :meth:`load` copes with what it finds."""
+        return self._tier.get(tid, Tier.GPU)
+
+    # ----------------------------------------------------- in-flight transfers
+    @contextmanager
+    def _locked_when_idle(self, tid: TensorID) -> Iterator[None]:
+        """Hold the tier lock at a moment no SSD transfer of ``tid`` is in
+        flight; the waiting happens with the lock released."""
+        while True:
+            with self._lock:
+                transfer = self._inflight.get(tid)
+                if transfer is None:
+                    yield
+                    return
+            transfer.done.wait()
+
+    def _end_transfer(self, tid: TensorID, transfer: _Transfer) -> None:
         with self._lock:
-            return self._tier.get(tid, Tier.GPU)
+            if self._inflight.get(tid) is transfer:
+                del self._inflight[tid]
+        transfer.done.set()
+
+    def _ssd_io(self, fn):
+        """One SSD call, never under the tier lock.  Standalone mode has
+        no request-level retry above it: the stack's rule applies here."""
+        return fn() if self._scheduler is not None else retry_call(fn)
+
+    def _place(self, owner: str, nbytes: int) -> Tuple[Tier, str]:
+        """Where a store lands, and why when that is not the policy's
+        plain answer (``"dead"`` / ``"shed"``).
+
+        With a dead SSD tier there is exactly one viable placement —
+        judged per tenant: another tenant's latch must not move this
+        one's.  Otherwise the policy sees the capacity the pool *could*
+        free: every resident is demotable.
+        """
+        if self._ssd_unhealthy(owner):
+            return Tier.CPU, "dead"
+        placement = self.policy.place_for(
+            owner, nbytes=nbytes, cpu_free_bytes=self.cpu_capacity_bytes
+        )
+        if placement is Tier.SSD and self._lane_slow() and nbytes <= self.cpu_free_bytes():
+            # Brownout shed: the lane is alive but slow, and the pool can
+            # absorb this store without demoting into that very lane.
+            return Tier.CPU, "shed"
+        return placement, ""
 
     # ------------------------------------------------------------------ store
     def store(self, tid: TensorID, data: np.ndarray) -> None:
         nbytes = int(np.asarray(data).nbytes)
         owner = current_tenant()
-        # Never race the background spill writer on the same tid: the
-        # re-store logic below assumes the SSD copy is either absent or
-        # fully landed.
-        self._await_inflight_write(tid)
         # Opt-in self-healing on the hot path: with a tripped breaker
         # whose backoff has elapsed, spend one cheap canary before
         # deciding placement (single-flight — a store storm cannot
@@ -485,123 +527,104 @@ class TieredOffloader(Offloader):
             self._breaker.is_open or self._tenant_breaker_open(owner)
         ):
             self.maybe_probe_ssd(owner)
-        with self._lock:
-            # With a dead SSD tier there is exactly one viable placement;
-            # otherwise the policy sees the capacity the pool *could*
-            # free: every resident is demotable, so the whole pool is
-            # reclaimable.  Death is judged per-tenant: another tenant's
-            # latch must not move this tenant's placements.
-            ssd_down = self._ssd_unhealthy(owner)
-            if ssd_down:
+        with self._locked_when_idle(tid):
+            placement, why = self._place(owner, nbytes)
+            if why == "dead":
                 self._mark_ssd_dead(owner)  # sync the latch + pool overflow
-                placement = Tier.CPU
-            else:
-                placement = self.policy.place_for(
-                    owner, nbytes=nbytes, cpu_free_bytes=self.cpu_capacity_bytes
-                )
-                if (
-                    placement is Tier.SSD
-                    and self._lane_slow()
-                    and nbytes <= self.cpu_free_bytes()
-                ):
-                    # Brownout shed: the lane is alive but slow, and the
-                    # pool can absorb this store without demoting into
-                    # the very lane that is struggling.  Keep it warm.
-                    placement = Tier.CPU
-                    self.stats.shed_stores += 1
-                    self.stats.shed_bytes += nbytes
+            elif why == "shed":
+                self.stats.shed_stores += 1
+                self.stats.shed_bytes += nbytes
             # Re-store: drop the old backing copy first.  A cross-tier
-            # move would otherwise leak it (orphaned SSD file / pinned
-            # chunk refcount), and a CPU-tier overwrite must free its old
-            # bytes *before* _make_room or it demotes an innocent victim.
-            # An in-flight demotion of the same tid is obsolete either
-            # way: cancel it so the stale bytes never reach the SSD.
-            old = self._tier.get(tid)
-            if old is Tier.CPU:
-                self.cpu.evict(tid)
-                self._lru.pop(tid, None)
-            elif old is Tier.SSD:
-                cancelled = self._cancel_pending_demotion_locked(tid)
-                if cancelled is not None:
-                    # The queued spill held the old bytes; they are
-                    # obsolete, so the lease goes straight back.
-                    _, stale_lease = cancelled
-                    if stale_lease is not None:
-                        stale_lease.release()
-                elif placement is not Tier.SSD:
-                    self.ssd.release(tid)
-            if placement is Tier.SSD:
-                try:
-                    if self._scheduler is None:
-                        # Standalone (scheduler-less) mode has no job-level
-                        # retry above it; apply the stack's retry rule here,
-                        # matching the sync demotion path.
-                        retry_call(lambda: self.ssd.store(tid, data))
-                    else:
-                        self.ssd.store(tid, data)
-                except PermanentIOError as exc:
+            # move would otherwise leak it, and a CPU-tier overwrite must
+            # free its old bytes *before* _make_room demotes for them.
+            self._drop_locked(tid)
+            if placement is Tier.CPU:
+                self._store_cpu_locked(tid, data, nbytes, owner)
+            else:
+                # Written unlocked; the bytes in hand serve loads until
+                # the write lands and the tid joins a tier.
+                transfer = self._inflight[tid] = _Transfer(np.asarray(data))
+        if placement is Tier.SSD:
+            self._store_direct(tid, data, nbytes, owner, transfer)
+        self._run_unscheduled_spills()
+
+    def _store_cpu_locked(self, tid: TensorID, data, nbytes: int, owner: str) -> None:
+        # Global death means nowhere to demote *to*; a latch scoped to
+        # other tenants leaves theirs demotable (_make_room skips the dead).
+        if not self._ssd_unhealthy():
+            self._make_room(nbytes)
+        self.cpu.store(tid, data)
+        self._resident_locked(tid, nbytes)
+        self._tid_owner[tid] = owner
+        self.stats.cpu_stored_tensors += 1
+        self.stats.cpu_stored_bytes += nbytes
+
+    def _resident_locked(self, tid: TensorID, nbytes: int, promoted: bool = False) -> None:
+        self._tier[tid] = Tier.CPU
+        self._lru[tid] = nbytes
+        self._lru.move_to_end(tid)
+        if promoted:
+            self.stats.promotions += 1
+            self.stats.promoted_bytes += nbytes
+
+    def _store_direct(
+        self, tid: TensorID, data, nbytes: int, owner: str, transfer: _Transfer
+    ) -> None:
+        """The policy-bypass SSD write: tier lock released, re-taken to
+        book the landing or to fix the books after a failure."""
+        failure: Optional[OSError] = None
+        try:
+            try:
+                self._ssd_io(lambda: self.ssd.store(tid, data))
+            except OSError as exc:
+                if not isinstance(exc, PermanentIOError) and not is_enospc(exc):
+                    # Transient errors propagate: the request's bounded
+                    # retry re-enters store() with the books consistent.
+                    raise
+                failure = exc
+            with self._lock:
+                landed = failure is None
+                if isinstance(failure, PermanentIOError):
                     # Tier failover: the device is gone, the bytes are in
                     # hand — land them in the pinned pool (overflow
-                    # allowed) instead of failing the step.  Transient
-                    # errors propagate: the request's bounded retry
-                    # re-enters this method with the books consistent.
-                    logger.warning("SSD store failed for %s (%s); failing over", tid, exc)
+                    # allowed) instead of failing the step.
+                    logger.warning("SSD store failed for %s (%s); failing over", tid, failure)
                     self._mark_ssd_dead(owner)
-                    placement = Tier.CPU
-                    self.stats.failovers += 1
-                    self.stats.failover_bytes += nbytes
-                except OSError as exc:
-                    if not is_enospc(exc):
-                        raise
+                elif failure is not None:
                     # Resource exhaustion is not device death: the
                     # breaker stays closed.  Compact to free dead bytes
                     # and retry once; a genuinely full device degrades
                     # this store to the CPU tier (overflow-tolerant)
                     # instead of failing the step.
                     self.stats.enospc_events += 1
-                    if self._retry_store_after_compaction(tid, data):
-                        self._tier[tid] = Tier.SSD
-                        self._tid_owner[tid] = owner
-                        self.stats.ssd_stored_tensors += 1
-                        self.stats.ssd_stored_bytes += nbytes
-                    else:
+                    landed = self._retry_store_after_compaction(tid, data)
+                    if not landed:
                         logger.warning(
                             "SSD store of %s hit ENOSPC even after "
                             "compaction; degrading to the CPU tier", tid,
                         )
-                        placement = Tier.CPU
                         self.pool.overflow_allowed = True
-                        self.stats.failovers += 1
-                        self.stats.failover_bytes += nbytes
-                else:
+                if landed:
                     self._tier[tid] = Tier.SSD
                     self._tid_owner[tid] = owner
                     self.stats.ssd_stored_tensors += 1
                     self.stats.ssd_stored_bytes += nbytes
-            if placement is Tier.CPU:
-                # Global death means nowhere to demote *to*; a latch
-                # scoped to other tenants still leaves their residents
-                # demotable (and _make_room skips the dead ones).
-                if not self._ssd_unhealthy():
-                    self._make_room(nbytes)
-                self.cpu.store(tid, data)
-                self._tier[tid] = Tier.CPU
-                self._tid_owner[tid] = owner
-                self._lru[tid] = nbytes
-                self._lru.move_to_end(tid)
-                self.stats.cpu_stored_tensors += 1
-                self.stats.cpu_stored_bytes += nbytes
+                else:
+                    self.stats.failovers += 1
+                    self.stats.failover_bytes += nbytes
+                    self._store_cpu_locked(tid, data, nbytes, owner)
+        finally:
+            self._end_transfer(tid, transfer)
 
     def _retry_store_after_compaction(self, tid: TensorID, data) -> bool:
         """ENOSPC recovery: force a GC pass to reclaim dead bytes, then
-        retry the SSD store once.  Holds the tier lock (callers do).
-        Returns True when the retried write landed."""
+        retry the SSD store once; True when the retry landed.  The one
+        SSD write under the tier lock: rare, and compaction mutates the
+        store index the books are being fixed against."""
         compact = getattr(self.ssd.file_store, "compact", None)
         if compact is None:
             return False
-        logger.warning(
-            "SSD store of %s hit ENOSPC; compacting and retrying", tid
-        )
+        logger.warning("SSD store of %s hit ENOSPC; compacting and retrying", tid)
         try:
             compact(max_dead_ratio=0.01)
         except OSError:
@@ -640,103 +663,82 @@ class TieredOffloader(Offloader):
                 # can spill, so the pool overflows (already allowed by
                 # the tenant breaker) rather than failing the store.
                 return
-            if not self._demote_locked(victim, victim_bytes):
-                # The spill could not run (device full, not dead): stop
-                # demoting and let the pool overflow rather than fail.
-                self.pool.overflow_allowed = True
-                return
+            self._demote_locked(victim, victim_bytes)
 
-    def _demote_locked(self, tid: TensorID, nbytes: int) -> bool:
-        """Returns True when the victim was demoted (or its spill was
-        queued); False when the spill could not run and the victim stays
-        CPU-resident — the caller stops making room."""
-        owner = self._tid_owner.get(tid, DEFAULT_TENANT)
-        if self._scheduler is None:
-            buf = self.cpu.peek(tid)
-            if buf is None:  # raced with a release
-                self._lru.pop(tid, None)
-                self._tier.pop(tid, None)
-                self._tid_owner.pop(tid, None)
-                return True
-            try:
-                retry_call(lambda: self.ssd.store(tid, buf))
-            except Exception as exc:
-                # The victim stays CPU-resident (nothing was evicted
-                # yet): no data moved, no data lost.  A dead device
-                # flips degraded mode (scoped to the victim's tenant)
-                # so the caller stops demoting their residents.
-                if isinstance(exc, PermanentIOError):
-                    logger.warning("demotion of %s hit a dead SSD (%s)", tid, exc)
-                    self._mark_ssd_dead(owner)
-                    return False
-                if is_enospc(exc):
-                    # Full, not dead: keep the victim warm; the caller
-                    # overflows the pool instead of failing the store.
-                    self.stats.enospc_events += 1
-                    logger.warning(
-                        "demotion of %s hit ENOSPC; keeping it CPU-resident", tid
-                    )
-                    return False
-                raise
-            self.cpu.evict(tid)
-        else:
-            # Asynchronous spill: reclaim the pool accounting now (the
-            # in-flight buffer plays the staging role), queue the SSD
-            # write at DEMOTION priority — behind every load, ahead of
-            # fresh stores — and keep it cancellable until it runs.
-            # ``take`` transfers the arena lease along with the buffer:
-            # the parked bytes are the tensor's only copy, so the arena
-            # must not recycle that memory until the write lands (the
-            # request's lease is released on its DONE, or handed back on
-            # cancellation / failover reinstate).
-            taken = self.cpu.take(tid)
-            if taken is None:  # raced with a release (tier lock says no)
-                self._lru.pop(tid, None)
-                self._tier.pop(tid, None)
-                return True
-            buf, lease = taken
-            self._pending_demotions[tid] = buf
-            # max_retries=0: _run_demotion is stateful (it pops the
-            # parked buffer), so job-level re-execution would find it
-            # gone; the SSD write retries *inside* the body instead.
-            # The spill is charged to (and its health attributed to) the
-            # *victim's* tenant — pool pressure from tenant A must never
-            # bill tenant B's demotion to A, nor let B's write failures
-            # poison A's lane-health verdict.
-            request = IORequest(
-                lambda t=tid: self._run_demotion(t),
-                kind="demote",
-                priority=Priority.DEMOTION,
-                tensor_id=str(tid),
-                nbytes=nbytes,
-                lane="ssd",
-                max_retries=0,
-                lease=lease,
-                tenant=owner,
-            )
-            self._demotion_reqs[tid] = request
+    def _demote_locked(self, tid: TensorID, nbytes: int) -> None:
+        """Reclaim ``tid``'s pool bytes now and queue its SSD write at
+        DEMOTION priority — behind every load, ahead of fresh stores —
+        cancellable until it runs (a failed write reinstates the buffer).
+
+        ``take`` transfers the arena lease along with the buffer: the
+        parked bytes are the tensor's only copy, so the arena must not
+        recycle that memory until the write lands (the request's lease is
+        released on its DONE, or handed back on cancellation / reinstate).
+        """
+        taken = self.cpu.take(tid)
+        if taken is None:  # raced with a release (tier lock says no)
+            self._lru.pop(tid, None)
+            self._tier.pop(tid, None)
+            self._tid_owner.pop(tid, None)
+            return
+        buf, lease = taken
+        self._pending_demotions[tid] = buf
+        # max_retries=0: _run_demotion is stateful (it pops the parked
+        # buffer), so job-level re-execution would find it gone; the SSD
+        # write retries *inside* the body instead.  The spill is charged
+        # to (and its health attributed to) the *victim's* tenant — pool
+        # pressure from tenant A must never bill tenant B's demotion to
+        # A, nor let B's write failures poison A's lane-health verdict.
+        request = IORequest(
+            lambda: self._run_demotion(tid, request),
+            kind="demote",
+            priority=Priority.DEMOTION,
+            tensor_id=str(tid),
+            nbytes=nbytes,
+            lane="ssd",
+            max_retries=0,
+            lease=lease,
+            tenant=self._tid_owner.get(tid, DEFAULT_TENANT),
+        )
+        self._demotion_reqs[tid] = request
+        if self._scheduler is not None:
             self._scheduler.submit(request)
+        else:
+            self._unscheduled_spills.append(request)
         self._lru.pop(tid, None)
         self._tier[tid] = Tier.SSD
         self.stats.demotions += 1
         self.stats.demoted_bytes += nbytes
-        return True
 
-    def _run_demotion(self, tid: TensorID) -> None:
-        """Scheduler-side half of a demotion: the actual SSD write.
+    def _run_unscheduled_spills(self) -> None:
+        """Standalone mode: the call that queued spills runs them itself,
+        once it no longer holds the tier lock."""
+        while self._unscheduled_spills:
+            with self._lock:
+                if not self._unscheduled_spills:
+                    return
+                request = self._unscheduled_spills.pop(0)
+            request.run()
+            lease = request.detach_lease()  # a scheduler would, on DONE
+            if lease is not None:
+                lease.release()
+
+    def _run_demotion(self, tid: TensorID, request: IORequest) -> None:
+        """The write half of a demotion, on a lane worker (or, with no
+        scheduler, on the demoting caller).
 
         The write runs with the tier lock released — a throttled spill
         must not stall unrelated loads — with the buffer parked in
-        ``_writing_demotions`` so concurrent readers of this tid are
-        still served, and mutators wait on the per-tid event.
+        ``_inflight``: readers of this tid are served, mutators wait.
         """
         with self._lock:
-            buf = self._pending_demotions.pop(tid, None)
-            request = self._demotion_reqs.pop(tid, None)
-            if buf is None:
-                return  # released, reloaded or re-stored before the write
-            self._writing_demotions[tid] = buf
-            self._writing_events[tid] = threading.Event()
+            if self._demotion_reqs.get(tid) is not request:
+                # Released, reloaded or re-stored before the write; a newer
+                # spill of the tid runs under its own request (and lease).
+                return
+            del self._demotion_reqs[tid]
+            buf = self._pending_demotions.pop(tid)
+            transfer = self._inflight[tid] = _Transfer(buf)
         try:
             try:
                 retry_call(lambda: self.ssd.store(tid, buf))
@@ -750,17 +752,15 @@ class TieredOffloader(Offloader):
                     tid,
                     exc,
                 )
-                lease: Optional[BufferLease] = None
-                if request is not None:
-                    # The request will complete DONE (the data is safe),
-                    # but the SSD lane must still learn about the write
-                    # it failed — an SSD that flakes every demotion has
-                    # to accumulate toward the death verdict.
-                    request.health_error = exc
-                    # Reinstate keeps the parked buffer alive: detach the
-                    # lease so the request's DONE does not hand the
-                    # memory back to the arena while the CPU tier owns it.
-                    lease = request.detach_lease()
+                # The request will complete DONE (the data is safe), but
+                # the SSD lane must still learn about the write it failed
+                # — an SSD that flakes every demotion has to accumulate
+                # toward the death verdict.
+                request.health_error = exc
+                # Reinstate keeps the parked buffer alive: detach the
+                # lease so the request's DONE does not hand the memory
+                # back to the arena while the CPU tier owns it.
+                lease = request.detach_lease()
                 owner = self._tid_owner.get(tid, DEFAULT_TENANT)
                 with self._lock:
                     if isinstance(exc, PermanentIOError):
@@ -774,31 +774,13 @@ class TieredOffloader(Offloader):
                         # lease) re-enter the CPU tier as-is.
                         self.cpu.adopt(tid, buf, lease, tenant=owner)
                     finally:
-                        if not self._breaker.is_open and not self._tenant_breaker_open(
-                            owner
-                        ):
+                        if not self._breaker.is_open and not self._tenant_breaker_open(owner):
                             self.pool.overflow_allowed = previous_overflow
-                    self._tier[tid] = Tier.CPU
-                    self._lru[tid] = buf.nbytes
-                    self._lru.move_to_end(tid)
+                    self._resident_locked(tid, buf.nbytes)
                     self.stats.failovers += 1
                     self.stats.failover_bytes += buf.nbytes
         finally:
-            with self._lock:
-                self._writing_demotions.pop(tid, None)
-                event = self._writing_events.pop(tid, None)
-            if event is not None:
-                event.set()
-
-    def _await_inflight_write(self, tid: TensorID) -> None:
-        """Block (lock-free) until an in-flight spill write of ``tid``
-        lands, so store/release never race the background writer."""
-        while True:
-            with self._lock:
-                event = self._writing_events.get(tid)
-            if event is None:
-                return
-            event.wait()
+            self._end_transfer(tid, transfer)
 
     def _cancel_pending_demotion_locked(
         self, tid: TensorID
@@ -861,17 +843,19 @@ class TieredOffloader(Offloader):
                 # blocking loads get what bandwidth remains.
                 return 0
             while self._lru and self.cpu_free_bytes() < self._free_watermark_bytes:
-                victim, victim_bytes = next(iter(self._lru.items()))
-                if not self._demote_locked(victim, victim_bytes):
-                    break
+                self._demote_locked(*next(iter(self._lru.items())))
                 demoted += 1
+        self._run_unscheduled_spills()
         return demoted
 
     def demote(self, tid: TensorID) -> bool:
         """Explicitly spill one CPU-resident tensor to SSD (True if moved)."""
         with self._lock:
             nbytes = self._lru.get(tid)
-            return nbytes is not None and self._demote_locked(tid, nbytes)
+            if nbytes is not None:
+                self._demote_locked(tid, nbytes)
+        self._run_unscheduled_spills()
+        return nbytes is not None and self._tier.get(tid) is Tier.SSD
 
     # ------------------------------------------------------------------- load
     def load(self, tid: TensorID, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
@@ -883,15 +867,15 @@ class TieredOffloader(Offloader):
                 self.stats.cpu_hits += 1
                 self.stats.cpu_hit_bytes += data.nbytes
                 return data
-            if tier is None:
-                raise KeyError(f"tensor {tid} was never stored in any tier")
-            writing = self._writing_demotions.get(tid)
-            if writing is not None:
-                # The spill write is mid-flight on a lane worker: the
+            transfer = self._inflight.get(tid)
+            if transfer is not None and transfer.buf is not None:
+                # A write of this tid is mid-flight outside the lock: the
                 # parked buffer is authoritative — serve it without
                 # waiting for (or blocking) the write.
                 self.stats.demotion_forward_hits += 1
-                return owned_copy(writing.reshape(shape), dtype, self.cpu.copy_stats)
+                return owned_copy(transfer.buf.reshape(shape), dtype, self.cpu.copy_stats)
+            if tier is None:
+                raise KeyError(f"tensor {tid} was never stored in any tier")
             pending = self._pending_demotions.get(tid)
             if pending is not None:
                 # Demotion forwarding: the victim is being re-read while
@@ -915,62 +899,72 @@ class TieredOffloader(Offloader):
                             tid, buf, lease,
                             tenant=self._tid_owner.get(tid, DEFAULT_TENANT),
                         )
-                        self._tier[tid] = Tier.CPU
-                        self._lru[tid] = buf.nbytes
-                        self.stats.promotions += 1
-                        self.stats.promoted_bytes += buf.nbytes
-            else:
-                if self._scheduler is None:
-                    # Standalone mode: apply the retry rule here (with a
-                    # scheduler, the surrounding load request retries).
-                    data = retry_call(lambda: self.ssd.load(tid, shape, dtype))
-                else:
-                    data = self.ssd.load(tid, shape, dtype)
-                self.stats.ssd_loads += 1
-                self.stats.ssd_loaded_bytes += data.nbytes
-                if self.promote_on_load and data.nbytes <= self.cpu_free_bytes():
-                    # Promote in the owner's scope: the pool bytes must
-                    # land on the tenant that stored the tensor even when
-                    # a different tenant's thread triggers the promotion.
-                    with tenant_scope(self._tid_owner.get(tid, DEFAULT_TENANT)):
-                        self.cpu.store(tid, data)
-                    self.ssd.release(tid)
-                    self._tier[tid] = Tier.CPU
-                    self._lru[tid] = data.nbytes
-                    self.stats.promotions += 1
-                    self.stats.promoted_bytes += data.nbytes
+                        self._resident_locked(tid, buf.nbytes, promoted=True)
+                return data
+            # An SSD read: registered, so nothing replaces or drops the
+            # copy under it, then run unlocked — reads of different tids
+            # (and a hedged duplicate of this one) overlap.
+            if transfer is None:
+                transfer = self._inflight[tid] = _Transfer()
+            transfer.readers += 1
+        data = None
+        try:
+            data = self._ssd_io(lambda: self.ssd.load(tid, shape, dtype))
+        finally:
+            with self._lock:
+                transfer.readers -= 1
+                if transfer.readers == 0:
+                    self._end_transfer(tid, transfer)
+                if data is not None:
+                    self.stats.ssd_loads += 1
+                    self.stats.ssd_loaded_bytes += data.nbytes
+                    if (
+                        self.promote_on_load
+                        # The last reader out promotes: once, and never
+                        # while a duplicate still reads the copy promotion
+                        # releases.  Still-SSD also says "not shut down".
+                        and transfer.readers == 0
+                        and self._tier.get(tid) is Tier.SSD
+                        and data.nbytes <= self.cpu_free_bytes()
+                    ):
+                        # Promote in the owner's scope: the pool bytes
+                        # land on the tenant that stored the tensor even
+                        # when another tenant's thread promotes.
+                        with tenant_scope(self._tid_owner.get(tid, DEFAULT_TENANT)):
+                            self.cpu.store(tid, data)
+                        self.ssd.release(tid)
+                        self._resident_locked(tid, data.nbytes, promoted=True)
         return data
 
     # ---------------------------------------------------------------- reclaim
     def release(self, tid: TensorID) -> None:
-        # A spill write in flight lands before its file is deleted (the
-        # writer owns the bytes until then).
-        self._await_inflight_write(tid)
-        with self._lock:
-            tier = self._tier.pop(tid, None)
-            self._lru.pop(tid, None)
-            self._tid_owner.pop(tid, None)
-            if tier is Tier.CPU:
-                self.cpu.evict(tid)
-            elif tier is Tier.SSD:
-                # A queued demotion of a released tensor is an SSD write
-                # for data nobody will read again: cancel it outright.
-                cancelled = self._cancel_pending_demotion_locked(tid)
-                if cancelled is None:
-                    self.ssd.release(tid)
-                else:
-                    _, lease = cancelled
-                    if lease is not None:
-                        lease.release()
+        # An in-flight transfer finishes first: a spill lands before its
+        # file is deleted, a reader gets the complete copy.
+        with self._locked_when_idle(tid):
+            self._drop_locked(tid)
+
+    def _drop_locked(self, tid: TensorID) -> None:
+        """Forget ``tid`` and free its backing copy, whichever tier."""
+        tier = self._tier.pop(tid, None)
+        self._lru.pop(tid, None)
+        self._tid_owner.pop(tid, None)
+        if tier is Tier.CPU:
+            self.cpu.evict(tid)
+        elif tier is Tier.SSD:
+            # A queued demotion of a dropped tensor is an SSD write for
+            # data nobody will read again: cancel it outright.
+            cancelled = self._cancel_pending_demotion_locked(tid)
+            if cancelled is None:
+                self.ssd.release(tid)
+            elif cancelled[1] is not None:
+                cancelled[1].release()
 
     def location(self, tid: TensorID) -> str:
-        with self._lock:
-            tier = self._tier.get(tid)
-            demoting = tid in self._pending_demotions
+        tier = self._tier.get(tid)  # lock-free, like tier_of
         if tier is Tier.CPU:
             return f"tier:cpu:{self.cpu.location(tid)}"
         if tier is Tier.SSD:
-            suffix = "!queued" if demoting else ""
+            suffix = "!queued" if tid in self._pending_demotions else ""
             return f"tier:ssd{suffix}:{self.ssd.location(tid)}"
         return f"tier:gpu:{tid.filename()}"
 
@@ -985,21 +979,9 @@ class TieredOffloader(Offloader):
 
         The actual landing tier is decided inside :meth:`store` (the pool
         may have filled meanwhile); the prediction only routes the queue
-        slot, and the pool-capacity input mirrors :meth:`store`'s ("every
-        resident is demotable").
+        slot.  Takes no tier lock.
         """
-        tenant = current_tenant()
-        if self._ssd_unhealthy(tenant):
-            return "cpu"  # dead SSD (for this tenant): placement fails over
-        placement = self.policy.place_for(
-            tenant, nbytes=nbytes, cpu_free_bytes=self.cpu_capacity_bytes
-        )
-        if (
-            placement is Tier.SSD
-            and self._lane_slow()
-            and nbytes <= self.cpu_free_bytes()
-        ):
-            return "cpu"  # brownout shed: mirror store()'s placement
+        placement, _ = self._place(current_tenant(), nbytes)
         return "cpu" if placement is Tier.CPU else "ssd"
 
     def shutdown(self) -> None:
@@ -1011,6 +993,7 @@ class TieredOffloader(Offloader):
                 request.cancel()
             self._pending_demotions.clear()
             self._demotion_reqs.clear()
+            self._unscheduled_spills.clear()
             self._tier.clear()
             self._lru.clear()
             self._tid_owner.clear()

@@ -842,27 +842,24 @@ class ChunkedTensorStore:
                 and (meta.total_bytes - meta.live_bytes) / meta.total_bytes
                 >= max_dead_ratio
             ]
-            victims.sort(
-                key=lambda m: (m.total_bytes - m.live_bytes), reverse=True
-            )
+            victims.sort(key=lambda m: m.total_bytes - m.live_bytes, reverse=True)
             if max_chunks is not None:
                 victims = victims[:max_chunks]
             for meta in victims:
                 reclaimed_dead += self._compact_one_locked(meta)
             if reclaimed_dead > 0:
                 # Space was reclaimed: give previously-full roots another
-                # chance.  The next ENOSPC simply re-marks them.
+                # chance.  The next ENOSPC simply re-marks them.  Reclaimed
+                # means closed: an unlinked file keeps its blocks while the
+                # table holds its descriptor (FDTable.invalidate).
                 self._full_roots.clear()
+                self.fds.close_deleted()
         return reclaimed_dead
 
     def _compact_one_locked(self, meta: _ChunkMeta) -> int:
         """Migrate one chunk's live tensors to a fresh chunk; unlink it."""
         old_path = self._chunk_path(meta.chunk_id)
-        live = [
-            (tid, loc)
-            for tid, loc in self._index.items()
-            if loc.chunk_id == meta.chunk_id
-        ]
+        live = [(tid, loc) for tid, loc in self._index.items() if loc.chunk_id == meta.chunk_id]
         live.sort(key=lambda item: item[1].offset)
         raw = memoryview(bytearray(meta.total_bytes))
         try:

@@ -21,9 +21,9 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from contextlib import contextmanager
-from typing import Iterator, List, Sequence, Tuple
+from typing import Deque, Iterator, List, Sequence, Tuple
 
 from repro.io.aio import count_syscalls
 
@@ -33,6 +33,9 @@ __all__ = ["FDTable", "MAX_OPEN_FDS", "preadv_full", "pwritev_full"]
 #: 1024-fd soft limit even with a file store and a chunk store per
 #: engine; an evicted path simply reopens on its next touch.
 MAX_OPEN_FDS = 128
+
+#: Deleted files' descriptors held open until the next create (:meth:`FDTable.invalidate`).
+LIMBO_FDS = 32
 
 
 # --------------------------------------------------------------------------
@@ -124,10 +127,10 @@ def _close_fd(fd: int) -> None:
         pass
 
 
-def _close_dropped(entries: "OrderedDict[str, _FDEntry]") -> None:
+def _close_dropped(entries: "OrderedDict[str, _FDEntry]", limbo: "Deque[_FDEntry]") -> None:
     """Finaliser of a table nobody closed.  A borrower holds a reference
     to its table, so none can be mid-transfer here."""
-    for entry in entries.values():
+    for entry in (*entries.values(), *limbo):
         _close_fd(entry.fd)
     entries.clear()
 
@@ -147,12 +150,15 @@ class FDTable:
         self.max_open = max_open
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _FDEntry]" = OrderedDict()
+        self._limbo: Deque[_FDEntry] = deque()
         self.opens = 0
         self.closes = 0
-        weakref.finalize(self, _close_dropped, self._entries)
+        weakref.finalize(self, _close_dropped, self._entries, self._limbo)
 
     # ------------------------------------------------------------- internals
     def _open_locked(self, path: str, flags: int, direct: bool = False) -> _FDEntry:
+        if flags & os.O_CREAT and self._limbo:
+            self._retire_locked(self._limbo.popleft(), counted=False)
         fd = os.open(path, flags, 0o644)
         count_syscalls(1)
         self.opens += 1
@@ -162,14 +168,15 @@ class FDTable:
             self._retire_locked(evicted)
         return entry
 
-    def _retire_locked(self, entry: _FDEntry) -> None:
+    def _retire_locked(self, entry: _FDEntry, counted: bool = True) -> None:
         """Close a descriptor the table no longer maps — now, or when
-        its last borrower returns."""
+        its last borrower returns.  A deleted file's close belongs to its
+        delete, not to the write it runs under: not ``counted`` there."""
         if entry.borrowers:
             entry.retired = True
             return
         _close_fd(entry.fd)
-        count_syscalls(1)
+        count_syscalls(int(counted))
         self.closes += 1
 
     def _return(self, entry: _FDEntry) -> None:
@@ -241,14 +248,32 @@ class FDTable:
 
     # ------------------------------------------------------------ forgetting
     def invalidate(self, path: str) -> None:
-        """Forget ``path``'s descriptor (its file was deleted)."""
+        """Forget ``path``'s descriptor (its file was deleted).
+
+        It is closed when the next file is created (or past
+        :data:`LIMBO_FDS` of them, oldest first), not now: the last close
+        frees the file's page-cache pages, and freed right before a write
+        they are the pages that write gets.  Freed at delete time they
+        idle, a hypervisor that reclaims idle guest memory takes them,
+        and the next chunk write pays milliseconds per MiB to fault them
+        back (docs/architecture.md section 10).
+        """
         with self._lock:
             entry = self._entries.pop(path, None)
             if entry is not None:
-                self._retire_locked(entry)
+                self._limbo.append(entry)
+                if len(self._limbo) > LIMBO_FDS:
+                    self._retire_locked(self._limbo.popleft())
+
+    def close_deleted(self) -> None:
+        """Close deleted files' descriptors now: an open unlinked file keeps its blocks."""
+        with self._lock:
+            while self._limbo:
+                self._retire_locked(self._limbo.popleft())
 
     def close_all(self) -> None:
         """Forget every descriptor; the table stays usable."""
+        self.close_deleted()
         with self._lock:
             while self._entries:
                 self._retire_locked(self._entries.popitem()[1])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import traceback
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,96 @@ def make_cache(tmp_path):
     yield _make
     for cache in caches:
         cache.shutdown()
+
+
+# ------------------------------------------------- tier-lock discipline
+# ``TieredOffloader._lock`` is a metadata lock: device I/O never runs
+# under it and the cache's hooks never take it (docs/architecture.md
+# section 3).  These helpers turn that rule into a check a test can fail.
+#: The one SSD write allowed under the lock (rare ENOSPC recovery).
+_LOCKED_IO_ALLOWED = "_retry_store_after_compaction"
+
+
+def guard_tier_lock(offloader, violations: list) -> None:
+    """Wrap ``offloader.ssd.store``/``.load`` to record every call made by
+    a thread that owns the tier lock.  Violations are collected, not
+    raised: a lane worker's exception would be swallowed as a job error."""
+    for op in ("store", "load"):
+        inner = getattr(offloader.ssd, op)
+
+        def guarded(*args, _inner=inner, _op=op):
+            if offloader._lock._is_owned():
+                stack = traceback.extract_stack()
+                if not any(frame.name == _LOCKED_IO_ALLOWED for frame in stack):
+                    callers = " <- ".join(frame.name for frame in reversed(stack[-6:-1]))
+                    violations.append(f"ssd.{_op} called under the tier lock: {callers}")
+            return _inner(*args)
+
+        setattr(offloader.ssd, op, guarded)
+
+
+@pytest.fixture
+def tier_lock_discipline(monkeypatch):
+    """Guard every ``TieredOffloader`` the test builds (directly or through
+    ``build_engine``) and fail the test if one did device I/O under its
+    tier lock.  Yields the violation list for tests that add their own."""
+    from repro.core.tiered import TieredOffloader
+
+    violations: list = []
+    construct = TieredOffloader.__init__
+
+    def guarded_init(self, *args, **kwargs):
+        construct(self, *args, **kwargs)
+        guard_tier_lock(self, violations)
+
+    monkeypatch.setattr(TieredOffloader, "__init__", guarded_init)
+    yield violations
+    assert not violations, "\n".join(violations)
+
+
+class TierLockSpy:
+    """Stands in for a tier ``RLock`` and records every acquisition made
+    while the acquiring thread is inside one of the watched calls."""
+
+    def __init__(self, lock, violations: list) -> None:
+        self._lock = lock
+        self._violations = violations
+        self._inside = threading.local()
+
+    def watch(self, monkeypatch, cls, names) -> None:
+        """Mark the calling thread as "inside" for the duration of each
+        ``cls.<name>`` call (patched on the class, so hook registrations
+        made later pick the wrapper up)."""
+        for name in names:
+            inner = getattr(cls, name)
+
+            def watched(*args, _inner=inner, _name=name, **kwargs):
+                outer = getattr(self._inside, "name", None)
+                self._inside.name = outer or _name
+                try:
+                    return _inner(*args, **kwargs)
+                finally:
+                    self._inside.name = outer
+
+            monkeypatch.setattr(cls, name, watched)
+
+    def acquire(self, *args, **kwargs):
+        inside = getattr(self._inside, "name", None)
+        if inside is not None:
+            self._violations.append(f"tier lock acquired inside {inside}")
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def _is_owned(self) -> bool:
+        return self._lock._is_owned()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc) -> None:
+        self.release()
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:

@@ -8,6 +8,7 @@ demotion cancellation in the tiered offloader, and the trace surface.
 import threading
 
 import numpy as np
+import pytest
 
 from repro.core import OffloadPolicy, PolicyConfig, SSDOffloader, TensorCache
 from repro.core.policy import Tier
@@ -17,6 +18,9 @@ from repro.io import IORequest, IOScheduler, Priority
 from repro.io.aio import JobState
 from repro.io.trace import attach_tracer
 from repro.tensor.tensor import Tensor
+
+# No TieredOffloader built here may do device I/O under its tier lock.
+pytestmark = pytest.mark.usefixtures("tier_lock_discipline")
 
 
 def _policy():

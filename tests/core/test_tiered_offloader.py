@@ -24,6 +24,9 @@ from repro.core.ids import TensorID
 
 from tests.core.test_tensor_cache import _fresh_model, _run_model_step
 
+# No TieredOffloader built here may do device I/O under its tier lock.
+pytestmark = pytest.mark.usefixtures("tier_lock_discipline")
+
 DATA = np.arange(256, dtype=np.float32)  # 1 KiB
 
 

@@ -290,9 +290,10 @@ def test_compaction_forgets_the_victims_descriptor(tmp_path):
         store.delete(f"t{i}_{ELEMS}")
     assert store.compact(max_dead_ratio=0.5) > 0
     assert not victim.exists()
-    # Only the rewritten chunk's descriptor is left; the table cannot
-    # resurrect the victim.
-    assert len(store.fds) == 1
+    # Only the rewritten chunk's descriptor is left — the victim's is
+    # closed, not waiting for the next create: compaction wants its
+    # blocks back now — and the table cannot resurrect the victim.
+    assert len(store.fds) == 1 == store.fds.opens - store.fds.closes
     with pytest.raises(FileNotFoundError):
         with store.fds.borrow_read(str(victim)):
             pass

@@ -129,6 +129,62 @@ def test_fdtable_invalidate_forgets_deleted_paths(tmp_path):
     table.close_all()
 
 
+def _is_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+def test_fdtable_closes_a_deleted_files_descriptor_at_the_next_create(tmp_path):
+    """A deleted file's pages must be freed right before the next file's
+    first write, not at delete time (docs/architecture.md section 10)."""
+    table = FDTable()
+    paths = [str(tmp_path / f"dead{i}.bin") for i in range(3)]
+    fds = []
+    for i, path in enumerate(paths):
+        with table.borrow_write(path) as (fd, _, _):
+            os.write(fd, b"abc"[i : i + 1])
+            fds.append(fd)
+    for path in paths:
+        os.unlink(path)
+        table.invalidate(path)
+    # Forgotten by the table, the names gone, the descriptors still open.
+    assert len(table) == 0 and table.closes == 0 and list(tmp_path.iterdir()) == []
+    assert [os.pread(fd, 1, 0) for fd in fds] == [b"a", b"b", b"c"]
+    live = str(tmp_path / "live.bin")
+    with table.borrow_write(live):  # a create: closes the oldest, and only it
+        assert table.closes == 1
+        assert [os.pread(fd, 1, 0) for fd in fds[1:]] == [b"b", b"c"]
+    with table.borrow_read(live):  # not a create: closes nothing
+        pass
+    with table.borrow_write(live):  # cached descriptor, no open at all
+        pass
+    assert table.closes == 1
+    table.close_all()
+    assert table.opens == table.closes == 4 and not any(_is_open(fd) for fd in fds)
+
+
+def test_fdtable_holds_a_bounded_number_of_deleted_descriptors(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.io.fdtable.LIMBO_FDS", 2)
+    gc.collect()
+    before = _open_fds()
+    table = FDTable()
+    paths = [str(tmp_path / f"{i}.bin") for i in range(5)]
+    for path in paths:
+        with table.borrow_write(path):
+            pass
+    for path in paths:  # a step end: every file dies, none is born
+        os.unlink(path)
+        table.invalidate(path)
+    # Past the bound the oldest is closed at once.
+    assert (table.opens, table.closes) == (5, 3) and _open_fds() == before + 2
+    del table
+    gc.collect()  # a dropped table closes the waiting descriptors too
+    assert _open_fds() == before
+
+
 def test_fdtable_read_demotes_direct_descriptors(tmp_path):
     if not hasattr(os, "O_DIRECT"):
         pytest.skip("platform has no O_DIRECT")
