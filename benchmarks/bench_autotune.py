@@ -4,9 +4,7 @@ Two surfaces:
 
 - the **controller hot path** — ``AutotuneController.observe`` runs once
   per training step inside the training loop, so its cost must stay in
-  the microseconds; the CI regression guard watches this one
-  (``scripts/check_bench_regression.py`` guards ``autotune``-named
-  benches);
+  the microseconds;
 - the **drift A/B** — the end-to-end value claim: under a 2x mid-run
   write-bandwidth drop the adaptive run's backward stall collapses
   versus the static one-shot budget, asserted here so the benchmark

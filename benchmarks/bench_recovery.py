@@ -5,9 +5,7 @@ Wall-clock benches for the two hot paths this PR adds to every request
 derivation — plus the failover store path a dead SSD reroutes through,
 and two deterministic recovery assertions: hedged reads must win races
 under a browning-out lane, and a healed tier must resurrect via canary
-probes with the post-resurrection store bit-exact.  The CI regression
-guard (``scripts/check_bench_regression.py``) watches the
-``breaker``/``hedge``/``recovery``-named benches.
+probes with the post-resurrection store bit-exact.
 """
 
 import threading

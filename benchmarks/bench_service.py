@@ -4,8 +4,6 @@ Wall-clock benches for the two costs the long-running service pays that
 a single-run engine never does — **manifest replay** on every restart
 and **chunk compaction** on the endurance path — plus a deterministic
 GC-reclaim assertion so the compactor cannot silently stop reclaiming.
-The CI regression guard (``scripts/check_bench_regression.py``) watches
-the ``service``/``manifest``-named benches.
 """
 
 import numpy as np

@@ -3,11 +3,9 @@
 A/B of the weighted DRR fair-share dequeue against naive FIFO on the
 shared-lane harness (virtual device clock, so the numbers are CPU-bound
 and deterministic), plus the registry's quota-admission hot path that
-sits on every ``submit``.  The CI regression guard
-(``scripts/check_bench_regression.py``) watches the ``tenant``-named
-benches; the fairness win itself is asserted deterministically in
-``test_tenant_fair_vs_fifo_jain_ab`` so the benchmark cannot silently
-stop demonstrating it.
+sits on every ``submit``.  The fairness win itself is asserted
+deterministically in ``test_tenant_fair_vs_fifo_jain_ab`` so the
+benchmark cannot silently stop demonstrating it.
 """
 
 from repro.io import TenantRegistry

@@ -1,10 +1,8 @@
 """Benchmarks for the lane backends (PR 8, one store path since PR 14).
 
 The reaper backend against inline settlement on the scheduler's store
-path, plus the simulated GDS routing in the SSD store.  The CI
-regression guard (``scripts/check_bench_regression.py``) watches the
-``uring``/``backend``-named benches; that a backend never changes what
-reaches the kernel is asserted deterministically in
+path, plus the simulated GDS routing in the SSD store.  That a backend
+never changes what reaches the kernel is asserted deterministically in
 ``test_backends_issue_identical_syscalls``.
 """
 

@@ -8,7 +8,7 @@ the pytest invocation points at this directory (or anything inside it),
 a :func:`pytest_collect_file` hook collects the ``bench_*.py`` files, so
 both forms work unmodified::
 
-    pytest benchmarks -q                        # whole suite (CI bench-smoke)
+    pytest benchmarks -q --benchmark-disable    # whole suite, assertions only (CI)
     pytest benchmarks/bench_ablations.py -q     # one file (explicit path)
 
 Every collected benchmark also carries the ``bench`` marker, so

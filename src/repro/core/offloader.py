@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -303,15 +303,22 @@ class PinnedMemoryPool:
             return self.capacity_bytes
 
 
+class _Resident(NamedTuple):
+    """One host-resident tensor: its buffer, the arena lease under it and
+    the tenant charged for the pool bytes."""
+
+    buf: np.ndarray
+    lease: BufferLease
+    owner: str
+
+
 class CPUOffloader(Offloader):
     """Host-memory offloader backed by the pinned pool.
 
     Stores copy into **leased arena buffers** (``np.copyto`` into a
     reused, already-faulted allocation) instead of a fresh
     ``np.array(copy=True)`` per tensor; the lease lives exactly as long
-    as the resident buffer (released on evict/overwrite/shutdown, or
-    transferred wholesale to a demotion via :meth:`take` /
-    :meth:`adopt`).
+    as the resident buffer (released on evict/overwrite/shutdown).
 
     Args:
         pool: pinned-pool capacity accounting.
@@ -336,12 +343,7 @@ class CPUOffloader(Offloader):
         self.arena = BufferArena(pool=self.pool)
         self.copy_stats = CopyCounter()
         self._lock = threading.Lock()
-        self._buffers: Dict[TensorID, np.ndarray] = {}
-        self._leases: Dict[TensorID, BufferLease] = {}
-        #: Owning tenant per resident tensor — pool bytes must be freed
-        #: against the tenant they were charged to, even when the free
-        #: happens on another tenant's thread (evict/demote/shutdown).
-        self._owners: Dict[TensorID, str] = {}
+        self._residents: Dict[TensorID, _Resident] = {}
 
     def _throttle(self, nbytes: int, start: float) -> None:
         if self.throttle_bytes_per_s is None:
@@ -351,10 +353,11 @@ class CPUOffloader(Offloader):
         if required > elapsed:
             time.sleep(required - elapsed)
 
-    def store(self, tid: TensorID, data: np.ndarray) -> None:
-        start = time.monotonic()
+    def copy_in(self, data: np.ndarray, owner: str) -> Tuple[np.ndarray, BufferLease]:
+        """Charge ``owner``'s pool share and copy ``data`` into a leased
+        arena buffer; whoever keeps the pair frees and releases it (this
+        backend's table, or the tiered offloader's entry)."""
         src = np.asarray(data)
-        owner = current_tenant()
         # Capacity first: a refused allocation must not leak a lease.
         self.pool.alloc(src.nbytes, tenant=owner)
         lease: Optional[BufferLease] = None
@@ -368,53 +371,36 @@ class CPUOffloader(Offloader):
             if lease is not None:  # a failed view/copy must not leak it
                 lease.release()
             raise
-        self.adopt(tid, copy, lease, _alloc=False, tenant=owner)
+        return copy, lease
+
+    def store(self, tid: TensorID, data: np.ndarray) -> None:
+        start = time.monotonic()
+        owner = current_tenant()
+        copy, lease = self.copy_in(data, owner)
+        with self._lock:
+            old = self._residents.get(tid)
+            self._residents[tid] = _Resident(copy, lease, owner)
+        if old is not None:
+            self._free(old)
         self._throttle(copy.nbytes, start)
 
-    def adopt(
-        self,
-        tid: TensorID,
-        buf: np.ndarray,
-        lease: Optional[BufferLease] = None,
-        _alloc: bool = True,
-        tenant: Optional[str] = None,
-    ) -> None:
-        """Take ownership of an already-host-resident buffer (zero copy).
-
-        The tier-failover and demotion-cancellation paths hand a parked
-        buffer (and its arena lease) back without re-copying it; the
-        pool is charged unless the caller already did (``_alloc=False``).
-        The owning tenant defaults to the lease's owner (failover hands
-        back the original tenant's lease), then the calling scope.
-        """
-        owner = tenant
-        if owner is None:
-            owner = lease.tenant if lease is not None else current_tenant()
-        if _alloc:
-            self.pool.alloc(buf.nbytes, tenant=owner)
-        with self._lock:
-            old = self._buffers.get(tid)
-            old_lease = self._leases.pop(tid, None)
-            old_owner = self._owners.get(tid)
-            self._buffers[tid] = buf
-            self._owners[tid] = owner
-            if lease is not None:
-                self._leases[tid] = lease
-        if old is not None:
-            self.pool.free(old.nbytes, tenant=old_owner)
-        if old_lease is not None:
-            old_lease.release()
+    def _free(self, resident: _Resident) -> None:
+        # Against the tenant the bytes were charged to, even when the free
+        # happens on another tenant's thread (evict/overwrite/shutdown).
+        self.pool.free(resident.buf.nbytes, tenant=resident.owner)
+        resident.lease.release()
 
     def owner_of(self, tid: TensorID) -> Optional[str]:
         """The tenant charged for ``tid``'s pool bytes (None if absent)."""
         with self._lock:
-            return self._owners.get(tid)
+            resident = self._residents.get(tid)
+        return resident.owner if resident is not None else None
 
     def load(self, tid: TensorID, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         start = time.monotonic()
         with self._lock:
-            buf = self._buffers.get(tid)
-            if buf is None:
+            resident = self._residents.get(tid)
+            if resident is None:
                 raise KeyError(f"tensor {tid} not in host pool")
             # The single ownership copy at the GPU-reinstate boundary
             # — a plain copy when the dtype already matches, one
@@ -423,60 +409,25 @@ class CPUOffloader(Offloader):
             # lease a concurrent evict/overwrite releases may be
             # recycled by the next store, so reading it unlocked
             # could observe torn bytes.
-            data = owned_copy(buf.reshape(shape), dtype, self.copy_stats)
+            data = owned_copy(resident.buf.reshape(shape), dtype, self.copy_stats)
         self._throttle(data.nbytes, start)
         return data
 
-    def take(
-        self, tid: TensorID
-    ) -> Optional[Tuple[np.ndarray, Optional[BufferLease]]]:
-        """Remove ``tid`` and transfer buffer *and lease* to the caller.
-
-        Unlike :meth:`evict`, the arena lease is NOT released: an async
-        demotion parks the buffer until its SSD write lands, and the
-        arena must not hand that memory to anyone else meanwhile.  The
-        caller releases the lease (write landed / cancelled) or adopts
-        it back (failover reinstate).
-        """
-        with self._lock:
-            buf = self._buffers.pop(tid, None)
-            lease = self._leases.pop(tid, None)
-            owner = self._owners.pop(tid, None)
-        if buf is None:
-            return None
-        self.pool.free(buf.nbytes, tenant=owner)
-        return buf, lease
-
     def evict(self, tid: TensorID) -> None:
         with self._lock:
-            buf = self._buffers.pop(tid, None)
-            lease = self._leases.pop(tid, None)
-            owner = self._owners.pop(tid, None)
-        if buf is not None:
-            self.pool.free(buf.nbytes, tenant=owner)
-        if lease is not None:
-            lease.release()
+            resident = self._residents.pop(tid, None)
+        if resident is not None:
+            self._free(resident)
 
     def location(self, tid: TensorID) -> str:
         return f"pinned://{tid.filename()}"
 
-    def contains(self, tid: TensorID) -> bool:
-        with self._lock:
-            return tid in self._buffers
-
     def shutdown(self) -> None:
         with self._lock:
-            buffers = [
-                (buf, self._owners.get(tid)) for tid, buf in self._buffers.items()
-            ]
-            leases = list(self._leases.values())
-            self._buffers.clear()
-            self._leases.clear()
-            self._owners.clear()
-        for buf, owner in buffers:
-            self.pool.free(buf.nbytes, tenant=owner)
-        for lease in leases:
-            lease.release()
+            residents = list(self._residents.values())
+            self._residents.clear()
+        for resident in residents:
+            self._free(resident)
 
 
 #: Target names accepted by ``EngineConfig.target`` (the CLI/config axis).

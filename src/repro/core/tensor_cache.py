@@ -245,26 +245,15 @@ class TensorCache:
         offloader: Offloader,
         policy: Optional[OffloadPolicy] = None,
         registry: Optional[TensorIDRegistry] = None,
-        num_store_workers: int = 2,
-        num_load_workers: int = 2,
         prefetch_window: int = 8,
         scheduler: Optional[IOScheduler] = None,
-        fifo_io: bool = False,
     ) -> None:
         self.offloader = offloader
         self.policy = policy if policy is not None else OffloadPolicy()
         self.registry = registry if registry is not None else TensorIDRegistry()
         # One priority-aware scheduler replaces the paper's two FIFO
-        # pools; ``fifo_io=True`` restores FIFO dequeue for A/B runs.
-        self.scheduler = (
-            scheduler
-            if scheduler is not None
-            else IOScheduler(
-                num_store_workers=num_store_workers,
-                num_load_workers=num_load_workers,
-                fifo=fifo_io,
-            )
-        )
+        # pools; lanes are sized (or made FIFO) on the scheduler handed in.
+        self.scheduler = scheduler if scheduler is not None else IOScheduler()
         self.prefetch_window = prefetch_window
         self.stats = CacheStats()
         self.accounting = StepAccounting()

@@ -30,6 +30,7 @@ wants a tensor's tier or path asks :meth:`tier_of` / :meth:`location`.
 
 from __future__ import annotations
 
+import enum
 import logging
 import threading
 from collections import OrderedDict
@@ -47,7 +48,7 @@ from repro.io.buffers import BufferLease, DataPlaneStats, owned_copy
 from repro.io.errors import PermanentIOError, is_enospc, retry_call
 from repro.io.gds import GDSRegistry
 from repro.io.scheduler import IORequest, IOScheduler, Priority
-from repro.io.tenancy import DEFAULT_TENANT, current_tenant, tenant_scope
+from repro.io.tenancy import DEFAULT_TENANT, current_tenant
 from repro.tensor.tensor import Tensor
 
 logger = logging.getLogger(__name__)
@@ -89,21 +90,112 @@ class TierStats:
     resurrections: int = 0
 
 
-class _Transfer:
-    """One tensor's SSD transfer(s) running with the tier lock released.
+class _State(enum.Enum):
+    """Where one stored tensor's bytes are (the state column of the
+    tier's table; docs/architecture.md section 3 draws the machine)."""
 
-    A write (spill or direct store) parks its bytes in ``buf``, which
-    serves loads meanwhile; reads count themselves in ``readers``.
-    ``done`` is set when the entry leaves the in-flight map: re-store
-    and release of the tensor wait for that.
+    CPU = "cpu"  # in the pinned pool: buffer + lease on the entry, pool bytes charged
+    QUEUED = "queued"  # demoted: pool bytes freed, buffer + lease parked, spill queued
+    SPILLING = "spilling"  # the spill write runs outside the lock, from the parked buffer
+    STORING = "storing"  # a direct-placement write runs, from the caller's bytes (no lease)
+    SSD = "ssd"  # on the device only
+    GONE = "gone"  # released, replaced by a re-store, or shut down
+
+
+#: The transitions :meth:`_Entry.trans_state` admits; ``None`` is an
+#: entry no state was given yet.  A store lands in the pool, starts a
+#: direct write, or (restart) is replayed from a durable store; a
+#: demotion queues, is cancelled by a re-read or starts writing; a write
+#: lands, fails back into the pool, or — transient direct-store error,
+#: shutdown under the write — ends the entry.
+_LEGAL_TRANSITIONS = {
+    None: {_State.CPU, _State.STORING, _State.SSD},
+    _State.CPU: {_State.QUEUED, _State.GONE},
+    _State.QUEUED: {_State.CPU, _State.SPILLING, _State.GONE},
+    _State.SPILLING: {_State.SSD, _State.CPU, _State.GONE},
+    _State.STORING: {_State.SSD, _State.CPU, _State.GONE},
+    _State.SSD: {_State.CPU, _State.GONE},
+    _State.GONE: set(),
+}
+
+#: The public vocabulary: what :meth:`TieredOffloader.tier_of` answers.
+#: A demoted tensor is the SSD tier's from the moment its pool bytes are
+#: reclaimed; a direct store is in no tier until it lands.
+_TIER_OF = {
+    _State.CPU: Tier.CPU,
+    _State.QUEUED: Tier.SSD,
+    _State.SPILLING: Tier.SSD,
+    _State.STORING: Tier.GPU,
+    _State.SSD: Tier.SSD,
+    _State.GONE: Tier.GPU,
+}
+
+_WRITING = (_State.SPILLING, _State.STORING)
+
+
+class _Entry:
+    """One tensor's row in the tier's table, from its store until it is
+    released or replaced.
+
+    The entry owns the host buffer and the arena lease under it for as
+    long as host bytes exist — resident in the pool or parked behind a
+    spill, the same two fields — so nothing is ever handed between
+    owners.  All fields are guarded by the tier lock; ``state`` is also
+    read without it (placement reads).
     """
 
-    __slots__ = ("buf", "readers", "done")
+    state: Optional[_State] = None
 
-    def __init__(self, buf: Optional["np.ndarray"] = None) -> None:
-        self.buf = buf
+    def __init__(self, owner: str) -> None:
+        #: Tenant charged for the pool bytes and billed for the spill.
+        self.owner = owner
+        self.nbytes = 0
+        self.buf: Optional["np.ndarray"] = None
+        self.lease: Optional[BufferLease] = None
+        #: The queued DEMOTION request; set exactly while QUEUED.
+        self.spill: Optional[IORequest] = None
+        #: SSD reads of this tensor running outside the lock.
         self.readers = 0
-        self.done = threading.Event()
+        #: Present while a write or a read of the tensor is in flight, set
+        #: when the last one ends; re-store and release wait on it,
+        #: unlocked.  ``None`` while the tensor is idle (most never
+        #: leave the pool, and an event costs more than their store).
+        self.idle: Optional[threading.Event] = None
+
+    def hold(self, buf: "np.ndarray", lease: Optional[BufferLease] = None) -> None:
+        """Host bytes for the tensor: a pool copy with its lease, or the
+        caller's array for the duration of a direct write."""
+        self.buf, self.lease, self.nbytes = buf, lease, buf.nbytes
+
+    def trans_state(self, new: _State) -> None:
+        """The one writer of :attr:`state`; callers hold the tier lock.
+
+        Refuses a transition outside the table loudly (the entry is left
+        untouched) and applies what each move implies: leaving QUEUED
+        forgets the spill request, arriving on the SSD or at GONE drops
+        the host buffer and releases its lease, and the idle event
+        follows the writes.
+        """
+        if new not in _LEGAL_TRANSITIONS[self.state]:
+            old = self.state.name if self.state is not None else "(new)"
+            raise RuntimeError(f"illegal tier transition {old} -> {new.name}")
+        self.state = new
+        self.spill = None
+        if new in (_State.SSD, _State.GONE):
+            if self.lease is not None:
+                self.lease.release()
+            self.buf = self.lease = None
+        self.sync_idle()
+
+    def sync_idle(self) -> None:
+        """Make :attr:`idle` say whether a write or a read is in flight;
+        called after every change to ``state`` or ``readers``."""
+        busy = self.readers > 0 or self.state in _WRITING
+        if busy and self.idle is None:
+            self.idle = threading.Event()
+        elif not busy and self.idle is not None:
+            self.idle.set()
+            self.idle = None
 
 
 class TieredOffloader(Offloader):
@@ -156,26 +248,22 @@ class TieredOffloader(Offloader):
         self.policy = policy if policy is not None else OffloadPolicy()
         self.promote_on_load = promote_on_load
         self.stats = TierStats()
-        # Metadata lock: the tid-keyed maps below, pool accounting, lease
-        # hand-offs, counters, scheduler submit/cancel.  Never held
-        # across ``ssd.load``/``ssd.store`` or a wait on a transfer
-        # (docs/architecture.md section 3); placement reads skip it.
+        # Metadata lock: the table below, pool accounting, counters,
+        # scheduler submit/cancel.  Never held across ``ssd.load`` /
+        # ``ssd.store`` or a wait on a transfer (docs/architecture.md
+        # section 3); placement reads skip it.
         self._lock = threading.RLock()
-        self._tier: Dict[TensorID, Tier] = {}
-        #: CPU-resident tids in LRU order (oldest first = first demoted).
-        self._lru: "OrderedDict[TensorID, int]" = OrderedDict()
-        #: Demotions are DEMOTION-priority requests on the ssd lane (with
-        #: no scheduler, run by the demoting call once it has released
-        #: the tier lock): the pool bytes are reclaimed immediately, and
-        #: releasing (or re-loading) the victim first *cancels* the
-        #: write.  The buffers park here meanwhile.
+        #: The table: one entry per stored tensor, whatever its tier.
+        self._entries: Dict[TensorID, _Entry] = {}
+        #: The CPU-state entries in LRU order (oldest first = first demoted).
+        self._lru: "OrderedDict[TensorID, _Entry]" = OrderedDict()
+        #: Demotions are DEMOTION-priority requests on the ssd lane: the
+        #: pool bytes are reclaimed immediately, and releasing (or
+        #: re-loading) the victim first *cancels* the write.  With no
+        #: scheduler they wait here for the demoting call to run them
+        #: once it has released the tier lock.
         self._scheduler: Optional[IOScheduler] = None
-        self._pending_demotions: Dict[TensorID, "np.ndarray"] = {}
-        self._demotion_reqs: Dict[TensorID, IORequest] = {}
         self._unscheduled_spills: List[IORequest] = []
-        #: SSD transfers running outside the tier lock, one entry per
-        #: tid whatever the kind (spill write, direct store, reads).
-        self._inflight: Dict[TensorID, _Transfer] = {}
         #: Target free headroom the pool keeps between steps (bytes);
         #: installed by the adaptive controller, enforced on demand by
         #: :meth:`apply_watermark`.  0 = no proactive demotion.
@@ -207,17 +295,13 @@ class TieredOffloader(Offloader):
         #: ``pool.overflow_allowed`` before the first trip, restored when
         #: the last open breaker closes (resurrection exits overflow).
         self._overflow_before_trip: Optional[bool] = None
-        #: Owning tenant per stored tensor: demotions/evictions of a
-        #: victim must run (and account) against the tenant that stored
-        #: it, not whichever tenant's store triggered the pool pressure.
-        self._tid_owner: Dict[TensorID, str] = {}
         if durable:
-            self._rehydrate_tier_map()
+            self._rehydrate_table()
 
-    def _rehydrate_tier_map(self) -> None:
-        """Seed the tier map from a replayed durable store.
+    def _rehydrate_table(self) -> None:
+        """Seed the table from a replayed durable store.
 
-        The tier map is in-memory state; after a service restart every
+        The table is in-memory state; after a service restart every
         replayed SSD-resident tensor would otherwise read as "never
         stored".  Host-tier residents are genuinely gone (RAM died with
         the process), so only the SSD side is rebuilt.
@@ -231,7 +315,8 @@ class TieredOffloader(Offloader):
                 tid = TensorID.from_filename(name)
             except ValueError:
                 continue  # foreign key in a shared store directory
-            self._tier[tid] = Tier.SSD
+            entry = self._entries[tid] = _Entry(DEFAULT_TENANT)
+            entry.trans_state(_State.SSD)
 
     # ---------------------------------------------------------------- failover
     @property
@@ -468,7 +553,8 @@ class TieredOffloader(Offloader):
     def tier_of(self, tid: TensorID) -> Tier:
         """Which tier currently holds ``tid`` (GPU if never stored).  No
         lock: callers route on it, :meth:`load` copes with what it finds."""
-        return self._tier.get(tid, Tier.GPU)
+        entry = self._entries.get(tid)
+        return _TIER_OF[entry.state] if entry is not None else Tier.GPU
 
     # ----------------------------------------------------- in-flight transfers
     @contextmanager
@@ -477,17 +563,12 @@ class TieredOffloader(Offloader):
         flight; the waiting happens with the lock released."""
         while True:
             with self._lock:
-                transfer = self._inflight.get(tid)
-                if transfer is None:
+                entry = self._entries.get(tid)
+                idle = entry.idle if entry is not None else None
+                if idle is None:
                     yield
                     return
-            transfer.done.wait()
-
-    def _end_transfer(self, tid: TensorID, transfer: _Transfer) -> None:
-        with self._lock:
-            if self._inflight.get(tid) is transfer:
-                del self._inflight[tid]
-        transfer.done.set()
+            idle.wait()
 
     def _ssd_io(self, fn):
         """One SSD call, never under the tier lock.  Standalone mode has
@@ -516,7 +597,8 @@ class TieredOffloader(Offloader):
 
     # ------------------------------------------------------------------ store
     def store(self, tid: TensorID, data: np.ndarray) -> None:
-        nbytes = int(np.asarray(data).nbytes)
+        data = np.asarray(data)
+        nbytes = data.nbytes
         owner = current_tenant()
         # Opt-in self-healing on the hot path: with a tripped breaker
         # whose backoff has elapsed, spend one cheap canary before
@@ -538,42 +620,48 @@ class TieredOffloader(Offloader):
             # move would otherwise leak it, and a CPU-tier overwrite must
             # free its old bytes *before* _make_room demotes for them.
             self._drop_locked(tid)
+            entry = _Entry(owner)
             if placement is Tier.CPU:
-                self._store_cpu_locked(tid, data, nbytes, owner)
+                self._store_cpu_locked(tid, entry, data)
             else:
                 # Written unlocked; the bytes in hand serve loads until
-                # the write lands and the tid joins a tier.
-                transfer = self._inflight[tid] = _Transfer(np.asarray(data))
+                # the write lands and the tensor joins a tier.
+                entry.hold(data)
+                entry.trans_state(_State.STORING)
+                self._entries[tid] = entry
         if placement is Tier.SSD:
-            self._store_direct(tid, data, nbytes, owner, transfer)
+            self._store_direct(tid, entry)
         self._run_unscheduled_spills()
 
-    def _store_cpu_locked(self, tid: TensorID, data, nbytes: int, owner: str) -> None:
+    def _store_cpu_locked(self, tid: TensorID, entry: _Entry, data: np.ndarray) -> None:
+        """Copy ``data`` into the pool for ``entry``: a fresh store, or a
+        direct write failing over with the caller's bytes in hand."""
         # Global death means nowhere to demote *to*; a latch scoped to
-        # other tenants leaves theirs demotable (_make_room skips the dead).
+        # other tenants leaves theirs demotable (_next_victim skips the dead).
         if not self._ssd_unhealthy():
-            self._make_room(nbytes)
-        self.cpu.store(tid, data)
-        self._resident_locked(tid, nbytes)
-        self._tid_owner[tid] = owner
+            self._make_room(data.nbytes)
+        entry.hold(*self.cpu.copy_in(data, entry.owner))
+        self._entries[tid] = entry
+        self._resident_locked(tid, entry)
         self.stats.cpu_stored_tensors += 1
-        self.stats.cpu_stored_bytes += nbytes
+        self.stats.cpu_stored_bytes += entry.nbytes
 
-    def _resident_locked(self, tid: TensorID, nbytes: int, promoted: bool = False) -> None:
-        self._tier[tid] = Tier.CPU
-        self._lru[tid] = nbytes
-        self._lru.move_to_end(tid)
+    def _resident_locked(self, tid: TensorID, entry: _Entry, promoted: bool = False) -> None:
+        """``entry``'s bytes are in the pool and charged to its owner:
+        CPU state, youngest in the LRU order."""
+        entry.trans_state(_State.CPU)
+        self._lru[tid] = entry
         if promoted:
             self.stats.promotions += 1
-            self.stats.promoted_bytes += nbytes
+            self.stats.promoted_bytes += entry.nbytes
 
-    def _store_direct(
-        self, tid: TensorID, data, nbytes: int, owner: str, transfer: _Transfer
-    ) -> None:
-        """The policy-bypass SSD write: tier lock released, re-taken to
-        book the landing or to fix the books after a failure."""
-        failure: Optional[OSError] = None
+    def _store_direct(self, tid: TensorID, entry: _Entry) -> None:
+        """The policy-bypass SSD write of the caller's bytes on ``entry``:
+        tier lock released, re-taken to book the landing or to fix the
+        books after a failure."""
+        data = entry.buf
         try:
+            failure: Optional[OSError] = None
             try:
                 self._ssd_io(lambda: self.ssd.store(tid, data))
             except OSError as exc:
@@ -583,13 +671,15 @@ class TieredOffloader(Offloader):
                     raise
                 failure = exc
             with self._lock:
+                if self._entries.get(tid) is not entry:
+                    return  # shut down under the write
                 landed = failure is None
                 if isinstance(failure, PermanentIOError):
                     # Tier failover: the device is gone, the bytes are in
                     # hand — land them in the pinned pool (overflow
                     # allowed) instead of failing the step.
                     logger.warning("SSD store failed for %s (%s); failing over", tid, failure)
-                    self._mark_ssd_dead(owner)
+                    self._mark_ssd_dead(entry.owner)
                 elif failure is not None:
                     # Resource exhaustion is not device death: the
                     # breaker stays closed.  Compact to free dead bytes
@@ -605,16 +695,21 @@ class TieredOffloader(Offloader):
                         )
                         self.pool.overflow_allowed = True
                 if landed:
-                    self._tier[tid] = Tier.SSD
-                    self._tid_owner[tid] = owner
                     self.stats.ssd_stored_tensors += 1
-                    self.stats.ssd_stored_bytes += nbytes
+                    self.stats.ssd_stored_bytes += entry.nbytes
+                    entry.trans_state(_State.SSD)
                 else:
                     self.stats.failovers += 1
-                    self.stats.failover_bytes += nbytes
-                    self._store_cpu_locked(tid, data, nbytes, owner)
+                    self.stats.failover_bytes += entry.nbytes
+                    self._store_cpu_locked(tid, entry, data)
         finally:
-            self._end_transfer(tid, transfer)
+            if entry.state is _State.STORING:
+                # Neither landed nor failed over (the write raised, or the
+                # offloader shut down under it): the tensor is in no tier.
+                with self._lock:
+                    if self._entries.get(tid) is entry:
+                        del self._entries[tid]
+                    entry.trans_state(_State.GONE)
 
     def _retry_store_after_compaction(self, tid: TensorID, data) -> bool:
         """ENOSPC recovery: force a GC pass to reclaim dead bytes, then
@@ -637,78 +732,74 @@ class TieredOffloader(Offloader):
             raise
         return True
 
-    def _make_room(self, nbytes: int) -> None:
-        """Demote LRU pool residents until ``nbytes`` fits; holds the lock.
+    def _next_victim(self) -> Optional[Tuple[TensorID, _Entry]]:
+        """The least recently used resident whose owner can still spill;
+        ``None`` when nobody can.
 
-        With the SSD tier dead there is nowhere to demote *to*: stop
-        making room and let the pool overflow instead (degraded mode).
-        A *tenant-scoped* latch only shrinks the victim set — that
+        With the SSD tier dead there is nowhere to demote *to*.  A
+        *tenant-scoped* latch only shrinks the victim set — that
         tenant's residents are pinned (their spill target is gone) while
         everyone else's remain demotable.
         """
-        while self._lru and self.cpu_free_bytes() < nbytes:
-            if self._ssd_unhealthy():
-                self._mark_ssd_dead()
-                return
-            victim: Optional[TensorID] = None
-            victim_bytes = 0
-            for cand, cand_bytes in self._lru.items():
-                cand_owner = self._tid_owner.get(cand, DEFAULT_TENANT)
-                if self._tenant_breakers and self._ssd_unhealthy(cand_owner):
-                    continue  # this tenant's bytes cannot spill anymore
-                victim, victim_bytes = cand, cand_bytes
-                break
-            if victim is None:
-                # Every resident belongs to a dead-SSD tenant: nothing
-                # can spill, so the pool overflows (already allowed by
-                # the tenant breaker) rather than failing the store.
-                return
-            self._demote_locked(victim, victim_bytes)
+        if self._ssd_unhealthy():
+            return None
+        for tid, entry in self._lru.items():
+            if self._tenant_breakers and self._ssd_unhealthy(entry.owner):
+                continue  # this tenant's bytes cannot spill anymore
+            return tid, entry
+        return None
 
-    def _demote_locked(self, tid: TensorID, nbytes: int) -> None:
+    def _make_room(self, nbytes: int) -> None:
+        """Demote LRU pool residents until ``nbytes`` fits; holds the lock.
+
+        When nothing can spill the pool overflows instead (degraded
+        mode; a tenant breaker already allows it) rather than failing
+        the store.
+        """
+        while self.cpu_free_bytes() < nbytes:
+            victim = self._next_victim()
+            if victim is None:
+                if self._ssd_unhealthy():
+                    self._mark_ssd_dead()
+                return
+            self._demote_locked(*victim)
+
+    def _demote_locked(self, tid: TensorID, entry: _Entry) -> None:
         """Reclaim ``tid``'s pool bytes now and queue its SSD write at
         DEMOTION priority — behind every load, ahead of fresh stores —
-        cancellable until it runs (a failed write reinstates the buffer).
+        cancellable until it runs (a failed write reinstates the tensor).
 
-        ``take`` transfers the arena lease along with the buffer: the
-        parked bytes are the tensor's only copy, so the arena must not
-        recycle that memory until the write lands (the request's lease is
-        released on its DONE, or handed back on cancellation / reinstate).
+        Buffer and lease stay on the entry: the parked bytes are the
+        tensor's only copy, so the arena must not recycle that memory
+        until the write lands.
         """
-        taken = self.cpu.take(tid)
-        if taken is None:  # raced with a release (tier lock says no)
-            self._lru.pop(tid, None)
-            self._tier.pop(tid, None)
-            self._tid_owner.pop(tid, None)
-            return
-        buf, lease = taken
-        self._pending_demotions[tid] = buf
-        # max_retries=0: _run_demotion is stateful (it pops the parked
-        # buffer), so job-level re-execution would find it gone; the SSD
-        # write retries *inside* the body instead.  The spill is charged
-        # to (and its health attributed to) the *victim's* tenant — pool
-        # pressure from tenant A must never bill tenant B's demotion to
-        # A, nor let B's write failures poison A's lane-health verdict.
+        # max_retries=0: _run_demotion is stateful (it leaves QUEUED
+        # once), so job-level re-execution would find nothing to do; the
+        # SSD write retries *inside* the body instead.  The spill is
+        # charged to (and its health attributed to) the *victim's* tenant
+        # — pool pressure from tenant A must never bill tenant B's
+        # demotion to A, nor let B's write failures poison A's
+        # lane-health verdict.
         request = IORequest(
-            lambda: self._run_demotion(tid, request),
+            lambda: self._run_demotion(tid, entry, request),
             kind="demote",
             priority=Priority.DEMOTION,
             tensor_id=str(tid),
-            nbytes=nbytes,
+            nbytes=entry.nbytes,
             lane="ssd",
             max_retries=0,
-            lease=lease,
-            tenant=self._tid_owner.get(tid, DEFAULT_TENANT),
+            tenant=entry.owner,
         )
-        self._demotion_reqs[tid] = request
         if self._scheduler is not None:
             self._scheduler.submit(request)
         else:
             self._unscheduled_spills.append(request)
-        self._lru.pop(tid, None)
-        self._tier[tid] = Tier.SSD
+        del self._lru[tid]
+        self.pool.free(entry.nbytes, tenant=entry.owner)
+        entry.trans_state(_State.QUEUED)
+        entry.spill = request
         self.stats.demotions += 1
-        self.stats.demoted_bytes += nbytes
+        self.stats.demoted_bytes += entry.nbytes
 
     def _run_unscheduled_spills(self) -> None:
         """Standalone mode: the call that queued spills runs them itself,
@@ -719,95 +810,69 @@ class TieredOffloader(Offloader):
                     return
                 request = self._unscheduled_spills.pop(0)
             request.run()
-            lease = request.detach_lease()  # a scheduler would, on DONE
-            if lease is not None:
-                lease.release()
 
-    def _run_demotion(self, tid: TensorID, request: IORequest) -> None:
+    def _run_demotion(self, tid: TensorID, entry: _Entry, request: IORequest) -> None:
         """The write half of a demotion, on a lane worker (or, with no
         scheduler, on the demoting caller).
 
         The write runs with the tier lock released — a throttled spill
-        must not stall unrelated loads — with the buffer parked in
-        ``_inflight``: readers of this tid are served, mutators wait.
+        must not stall unrelated loads — from the buffer on the entry:
+        readers of this tid are served from it, mutators wait.
         """
         with self._lock:
-            if self._demotion_reqs.get(tid) is not request:
+            if entry.spill is not request:
                 # Released, reloaded or re-stored before the write; a newer
-                # spill of the tid runs under its own request (and lease).
+                # spill of the tensor runs under its own request.
                 return
-            del self._demotion_reqs[tid]
-            buf = self._pending_demotions.pop(tid)
-            transfer = self._inflight[tid] = _Transfer(buf)
+            entry.trans_state(_State.SPILLING)
+            buf = entry.buf
+        error: Optional[Exception] = None
         try:
-            try:
-                retry_call(lambda: self.ssd.store(tid, buf))
-            except Exception as exc:
+            retry_call(lambda: self.ssd.store(tid, buf))
+        except Exception as exc:
+            error = exc
+        with self._lock:
+            if self._entries.get(tid) is not entry:
+                entry.trans_state(_State.GONE)  # shut down under the write
+            elif error is None:
+                entry.trans_state(_State.SSD)
+            else:
                 # The parked buffer is the only copy of this tensor: a
-                # failed spill must never lose it.  Reinstate it in the
-                # pinned pool (overflow allowed — reinstatement cannot be
-                # refused), and write the SSD off on permanent death.
+                # failed spill must never lose it.  It re-enters the pool
+                # as-is (overflow allowed — reinstatement cannot be
+                # refused), and the SSD is written off on permanent death.
                 logger.warning(
                     "demotion write for %s failed (%s); reinstating in the CPU tier",
                     tid,
-                    exc,
+                    error,
                 )
                 # The request will complete DONE (the data is safe), but
                 # the SSD lane must still learn about the write it failed
                 # — an SSD that flakes every demotion has to accumulate
                 # toward the death verdict.
-                request.health_error = exc
-                # Reinstate keeps the parked buffer alive: detach the
-                # lease so the request's DONE does not hand the memory
-                # back to the arena while the CPU tier owns it.
-                lease = request.detach_lease()
-                owner = self._tid_owner.get(tid, DEFAULT_TENANT)
-                with self._lock:
-                    if isinstance(exc, PermanentIOError):
-                        self._mark_ssd_dead(owner)
-                    elif is_enospc(exc):
-                        self.stats.enospc_events += 1
-                    previous_overflow = self.pool.overflow_allowed
-                    self.pool.overflow_allowed = True
-                    try:
-                        # Zero-copy reinstate: the parked buffer (and its
-                        # lease) re-enter the CPU tier as-is.
-                        self.cpu.adopt(tid, buf, lease, tenant=owner)
-                    finally:
-                        if not self._breaker.is_open and not self._tenant_breaker_open(owner):
-                            self.pool.overflow_allowed = previous_overflow
-                    self._resident_locked(tid, buf.nbytes)
-                    self.stats.failovers += 1
-                    self.stats.failover_bytes += buf.nbytes
-        finally:
-            self._end_transfer(tid, transfer)
+                request.health_error = error
+                if isinstance(error, PermanentIOError):
+                    self._mark_ssd_dead(entry.owner)
+                elif is_enospc(error):
+                    self.stats.enospc_events += 1
+                previous_overflow = self.pool.overflow_allowed
+                self.pool.overflow_allowed = True
+                self.pool.alloc(entry.nbytes, tenant=entry.owner)
+                if not self._breaker.is_open and not self._tenant_breaker_open(entry.owner):
+                    self.pool.overflow_allowed = previous_overflow
+                self._resident_locked(tid, entry)
+                self.stats.failovers += 1
+                self.stats.failover_bytes += entry.nbytes
 
-    def _cancel_pending_demotion_locked(
-        self, tid: TensorID
-    ) -> Optional[Tuple["np.ndarray", Optional[BufferLease]]]:
-        """Pull ``tid`` out of the demotion queue; returns (buffer, lease).
-
-        Whoever pops the parked buffer first — this canceller or the
-        lane worker's :meth:`_run_demotion` — wins the race under the
-        tier lock; a successful pop here means the SSD write never
-        happens, and the queued request is cancelled (or no-ops if the
-        worker already claimed it).  The arena lease is detached from the
-        request *before* the cancel, so its terminal state cannot release
-        memory the caller is about to adopt; the caller now owns the
-        lease (release it, or adopt it back into the CPU tier).
-        """
-        buf = self._pending_demotions.pop(tid, None)
-        if buf is None:
-            return None
-        request = self._demotion_reqs.pop(tid, None)
-        lease: Optional[BufferLease] = None
-        if request is not None:
-            lease = request.detach_lease()
-            if self._scheduler is not None:
-                self._scheduler.cancel(request)
+    def _cancel_spill_locked(self, entry: _Entry) -> None:
+        """Withdraw ``entry``'s queued spill: the SSD write never happens.
+        The caller moves the entry out of QUEUED under the same lock
+        hold, so a worker that already claimed the request finds it is
+        no longer the entry's spill and returns."""
+        if self._scheduler is not None:
+            self._scheduler.cancel(entry.spill)
         self.stats.cancelled_demotions += 1
-        self.stats.cancelled_demotion_bytes += buf.nbytes
-        return buf, lease
+        self.stats.cancelled_demotion_bytes += entry.nbytes
 
     @property
     def free_watermark_bytes(self) -> int:
@@ -842,8 +907,11 @@ class TieredOffloader(Offloader):
                 # — keep them off a lane that is already struggling so
                 # blocking loads get what bandwidth remains.
                 return 0
-            while self._lru and self.cpu_free_bytes() < self._free_watermark_bytes:
-                self._demote_locked(*next(iter(self._lru.items())))
+            while self.cpu_free_bytes() < self._free_watermark_bytes:
+                victim = self._next_victim()
+                if victim is None:
+                    break
+                self._demote_locked(*victim)
                 demoted += 1
         self._run_unscheduled_spills()
         return demoted
@@ -851,70 +919,59 @@ class TieredOffloader(Offloader):
     def demote(self, tid: TensorID) -> bool:
         """Explicitly spill one CPU-resident tensor to SSD (True if moved)."""
         with self._lock:
-            nbytes = self._lru.get(tid)
-            if nbytes is not None:
-                self._demote_locked(tid, nbytes)
+            entry = self._lru.get(tid)
+            if entry is not None:
+                self._demote_locked(tid, entry)
         self._run_unscheduled_spills()
-        return nbytes is not None and self._tier.get(tid) is Tier.SSD
+        return entry is not None and self.tier_of(tid) is Tier.SSD
 
     # ------------------------------------------------------------------- load
     def load(self, tid: TensorID, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         with self._lock:
-            tier = self._tier.get(tid)
-            if tier is Tier.CPU:
-                data = self.cpu.load(tid, shape, dtype)
-                self._lru.move_to_end(tid)
-                self.stats.cpu_hits += 1
-                self.stats.cpu_hit_bytes += data.nbytes
-                return data
-            transfer = self._inflight.get(tid)
-            if transfer is not None and transfer.buf is not None:
-                # A write of this tid is mid-flight outside the lock: the
-                # parked buffer is authoritative — serve it without
-                # waiting for (or blocking) the write.
-                self.stats.demotion_forward_hits += 1
-                return owned_copy(transfer.buf.reshape(shape), dtype, self.cpu.copy_stats)
-            if tier is None:
+            entry = self._entries.get(tid)
+            if entry is None:
                 raise KeyError(f"tensor {tid} was never stored in any tier")
-            pending = self._pending_demotions.get(tid)
-            if pending is not None:
-                # Demotion forwarding: the victim is being re-read while
-                # its spill is still queued — serve the in-flight buffer.
-                # When the pool has room again, cancel the now-pointless
-                # SSD write and reinstate the tensor (a promotion that
-                # never touched the SSD); otherwise the spill proceeds,
-                # since the queued buffer is the only backing copy.
-                data = owned_copy(pending.reshape(shape), dtype, self.cpu.copy_stats)
+            if entry.buf is not None:
+                # Host bytes, resident or parked, are authoritative.  The
+                # single ownership copy at the GPU-reinstate boundary is
+                # made under the lock: a released lease's memory may be
+                # recycled by the next store.
+                data = owned_copy(entry.buf.reshape(shape), dtype, self.cpu.copy_stats)
+                if entry.state is _State.CPU:
+                    self._lru.move_to_end(tid)
+                    self.stats.cpu_hits += 1
+                    self.stats.cpu_hit_bytes += data.nbytes
+                    return data
+                # Demotion forwarding: a queued or mid-flight write is
+                # served without waiting for (or blocking) it.
                 self.stats.demotion_forward_hits += 1
-                if self.promote_on_load and pending.nbytes <= self.cpu_free_bytes():
-                    cancelled = self._cancel_pending_demotion_locked(tid)
-                    if cancelled is not None:
-                        # Zero-copy promotion: the parked buffer (and its
-                        # lease) re-enter the CPU tier without touching
-                        # the SSD — or copying the bytes again.  Charged
-                        # to the owning tenant, not the (possibly
-                        # different) reader.
-                        buf, lease = cancelled
-                        self.cpu.adopt(
-                            tid, buf, lease,
-                            tenant=self._tid_owner.get(tid, DEFAULT_TENANT),
-                        )
-                        self._resident_locked(tid, buf.nbytes, promoted=True)
+                if (
+                    entry.state is _State.QUEUED
+                    and self.promote_on_load
+                    and entry.nbytes <= self.cpu_free_bytes()
+                ):
+                    # The pool has room again: cancel the now-pointless
+                    # SSD write and reinstate the tensor, a promotion that
+                    # touches neither the SSD nor the bytes.  Otherwise
+                    # the spill proceeds — the parked buffer is the only
+                    # backing copy.  Charged to the owning tenant, not
+                    # the (possibly different) reader.
+                    self._cancel_spill_locked(entry)
+                    self.pool.alloc(entry.nbytes, tenant=entry.owner)
+                    self._resident_locked(tid, entry, promoted=True)
                 return data
             # An SSD read: registered, so nothing replaces or drops the
             # copy under it, then run unlocked — reads of different tids
             # (and a hedged duplicate of this one) overlap.
-            if transfer is None:
-                transfer = self._inflight[tid] = _Transfer()
-            transfer.readers += 1
+            entry.readers += 1
+            entry.sync_idle()
         data = None
         try:
             data = self._ssd_io(lambda: self.ssd.load(tid, shape, dtype))
         finally:
             with self._lock:
-                transfer.readers -= 1
-                if transfer.readers == 0:
-                    self._end_transfer(tid, transfer)
+                entry.readers -= 1
+                entry.sync_idle()
                 if data is not None:
                     self.stats.ssd_loads += 1
                     self.stats.ssd_loaded_bytes += data.nbytes
@@ -923,17 +980,15 @@ class TieredOffloader(Offloader):
                         # The last reader out promotes: once, and never
                         # while a duplicate still reads the copy promotion
                         # releases.  Still-SSD also says "not shut down".
-                        and transfer.readers == 0
-                        and self._tier.get(tid) is Tier.SSD
+                        and entry.readers == 0
+                        and entry.state is _State.SSD
                         and data.nbytes <= self.cpu_free_bytes()
                     ):
-                        # Promote in the owner's scope: the pool bytes
-                        # land on the tenant that stored the tensor even
-                        # when another tenant's thread promotes.
-                        with tenant_scope(self._tid_owner.get(tid, DEFAULT_TENANT)):
-                            self.cpu.store(tid, data)
+                        # Charged to the tenant that stored the tensor
+                        # even when another tenant's thread promotes.
+                        entry.hold(*self.cpu.copy_in(data, entry.owner))
                         self.ssd.release(tid)
-                        self._resident_locked(tid, data.nbytes, promoted=True)
+                        self._resident_locked(tid, entry, promoted=True)
         return data
 
     # ---------------------------------------------------------------- reclaim
@@ -944,27 +999,29 @@ class TieredOffloader(Offloader):
             self._drop_locked(tid)
 
     def _drop_locked(self, tid: TensorID) -> None:
-        """Forget ``tid`` and free its backing copy, whichever tier."""
-        tier = self._tier.pop(tid, None)
-        self._lru.pop(tid, None)
-        self._tid_owner.pop(tid, None)
-        if tier is Tier.CPU:
-            self.cpu.evict(tid)
-        elif tier is Tier.SSD:
+        """Forget ``tid`` and free its backing copy, whichever tier; the
+        caller holds the lock with the entry idle."""
+        entry = self._entries.pop(tid, None)
+        if entry is None:
+            return
+        if entry.state is _State.CPU:
+            del self._lru[tid]
+            self.pool.free(entry.nbytes, tenant=entry.owner)
+        elif entry.state is _State.QUEUED:
             # A queued demotion of a dropped tensor is an SSD write for
             # data nobody will read again: cancel it outright.
-            cancelled = self._cancel_pending_demotion_locked(tid)
-            if cancelled is None:
-                self.ssd.release(tid)
-            elif cancelled[1] is not None:
-                cancelled[1].release()
+            self._cancel_spill_locked(entry)
+        else:
+            self.ssd.release(tid)
+        entry.trans_state(_State.GONE)
 
     def location(self, tid: TensorID) -> str:
-        tier = self._tier.get(tid)  # lock-free, like tier_of
-        if tier is Tier.CPU:
+        entry = self._entries.get(tid)  # lock-free, like tier_of
+        state = entry.state if entry is not None else _State.GONE
+        if state is _State.CPU:
             return f"tier:cpu:{self.cpu.location(tid)}"
-        if tier is Tier.SSD:
-            suffix = "!queued" if tid in self._pending_demotions else ""
+        if _TIER_OF[state] is Tier.SSD:
+            suffix = "!queued" if state is _State.QUEUED else ""
             return f"tier:ssd{suffix}:{self.ssd.location(tid)}"
         return f"tier:gpu:{tid.filename()}"
 
@@ -986,16 +1043,18 @@ class TieredOffloader(Offloader):
 
     def shutdown(self) -> None:
         with self._lock:
-            # Queued spill writes are pointless now; drop them without
-            # touching the cancellation counters (nothing was saved,
-            # the whole store is going away).
-            for request in self._demotion_reqs.values():
-                request.cancel()
-            self._pending_demotions.clear()
-            self._demotion_reqs.clear()
-            self._unscheduled_spills.clear()
-            self._tier.clear()
+            for entry in self._entries.values():
+                if entry.state is _State.QUEUED:
+                    # Queued spill writes are pointless now; drop them
+                    # without touching the cancellation counters (nothing
+                    # was saved, the whole store is going away).
+                    entry.spill.cancel()
+                elif entry.state is _State.CPU:
+                    self.pool.free(entry.nbytes, tenant=entry.owner)
+                if entry.state not in _WRITING:  # a write ends its own entry
+                    entry.trans_state(_State.GONE)
+            self._entries.clear()
             self._lru.clear()
-            self._tid_owner.clear()
+            self._unscheduled_spills.clear()
         self.cpu.shutdown()
         self.ssd.shutdown()

@@ -142,7 +142,6 @@ class IORequest(IOJob):
         label: str = "",
         max_retries: Optional[int] = None,
         retry_backoff_s: Optional[float] = None,
-        lease=None,
         tenant: Optional[str] = None,
         deadline_s: Optional[float] = None,
         hedge_fn: Optional[Callable[[], object]] = None,
@@ -180,15 +179,6 @@ class IORequest(IOJob):
         #: the CPU tier): the request completes DONE, but the lane must
         #: still learn about the device failure it papered over.
         self.health_error: Optional[BaseException] = None
-        #: Optional :class:`~repro.io.buffers.BufferLease` riding with the
-        #: request (e.g. a queued demotion's parked buffer).  The
-        #: scheduler releases whatever is still attached when the request
-        #: reaches ANY terminal state (DONE / FAILED / CANCELLED) — no
-        #: outcome may leak arena memory.  Code that wants to keep the
-        #: bytes (cancellation reinstate, failover recovery) must
-        #: :meth:`detach_lease` first; detach-then-decide under the
-        #: owner's lock is the race-free order.
-        self.lease = lease
         #: Per-request deadline override (seconds of *execution* time
         #: before the watchdog abandons it); ``None`` inherits the
         #: scheduler's per-class deadline, if any.
@@ -208,12 +198,6 @@ class IORequest(IOJob):
         self.submitted_at: float = 0.0
         self.started_at: float = 0.0
         self.finished_at: float = 0.0
-
-    def detach_lease(self):
-        """Atomically take ownership of the attached lease (or None)."""
-        with self._lock:
-            lease, self.lease = self.lease, None
-        return lease
 
 
 @dataclass
@@ -244,14 +228,6 @@ class SchedulerStats:
     coalesced_batches: int = 0
     coalesced_requests: int = 0
     coalesced_bytes: int = 0
-    #: Requests submitted carrying a buffer lease, and those leases
-    #: resolved at a terminal state — released back to the arena by the
-    #: scheduler, or already detached by an owner that kept the bytes
-    #: (cancellation reinstate, failover recovery).  Once drained,
-    #: ``leased_requests == leases_released`` — the no-leak invariant the
-    #: property suite pins down.
-    leased_requests: int = 0
-    leases_released: int = 0
     #: Hedged-read books: duplicates issued by the watchdog for stuck
     #: blocking loads, and the subset whose result completed the primary
     #: first (the stall the hedge actually cut).
@@ -990,14 +966,9 @@ class IOScheduler:
         # Finishing — by execution or by cancellation — is bookkept in one
         # place so the pending count never double-decrements on the
         # cancel-vs-dequeue race.
-        had_lease = request.lease is not None
-        request.add_done_callback(
-            lambda req, ln=lane, leased=had_lease: self._on_request_done(ln, req, leased)
-        )
+        request.add_done_callback(lambda req, ln=lane: self._on_request_done(ln, req))
         with self._stats_lock:
             self.stats.submitted += 1
-            if had_lease:
-                self.stats.leased_requests += 1
             cls = request.priority.name
             self.stats.submitted_by_class[cls] = (
                 self.stats.submitted_by_class.get(cls, 0) + 1
@@ -1005,23 +976,8 @@ class IOScheduler:
         self._safe_notify("submit", request)
         return request
 
-    def _on_request_done(
-        self, lane: _Lane, request: IORequest, leased: bool = False
-    ) -> None:
+    def _on_request_done(self, lane: _Lane, request: IORequest) -> None:
         state = request.state
-        if leased:
-            # Whatever terminal state this is, the riding lease must not
-            # leak: release anything still attached (an owner that kept
-            # the bytes detached it first, which counts as resolved).
-            # Resolved BEFORE the pending decrement below — drain()
-            # returns the moment every lane goes idle, and the no-leak
-            # invariants (leased == released, arena outstanding == 0)
-            # must already hold at that point.
-            lease = request.detach_lease()
-            if lease is not None:
-                lease.release()
-            with self._stats_lock:
-                self.stats.leases_released += 1
         with lane.cond:
             lane.pending -= 1
             if lane.pending == 0:

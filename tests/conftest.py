@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import traceback
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -115,6 +116,42 @@ def tier_lock_discipline(monkeypatch):
     monkeypatch.setattr(TieredOffloader, "__init__", guarded_init)
     yield violations
     assert not violations, "\n".join(violations)
+
+
+def assert_tier_books(tiered, sched=None, drained: bool = False) -> None:
+    """The tier's byte-exact books, read off its one table under the tier
+    lock: pool bytes are the CPU-state entries' and every outstanding
+    arena lease sits on an entry (both in total and per tenant), the LRU
+    orders exactly the CPU-state entries, and (given ``sched``, drained
+    first) every submitted request reached a terminal state.
+    ``drained`` is the variant for "every tensor was released"."""
+    from repro.core.tiered import _State
+
+    if sched is not None:
+        assert sched.drain(10)
+        stats = sched.stats
+        assert stats.submitted == stats.executed + stats.failed + stats.cancelled
+    with tiered._lock:
+        entries = dict(tiered._entries)
+        for tid, entry in entries.items():
+            assert entry.state not in (None, _State.GONE), f"{tid}: {entry.state}"
+            assert (entry.spill is not None) == (entry.state is _State.QUEUED), tid
+        resident = {tid: e for tid, e in entries.items() if e.state is _State.CPU}
+        assert set(tiered._lru) == set(resident)
+        assert tiered.pool.used == sum(e.nbytes for e in resident.values())
+        pool_bytes = Counter()
+        for entry in resident.values():
+            pool_bytes[entry.owner] += entry.nbytes
+        assert tiered.pool.used_by_tenant() == pool_bytes
+        arena = tiered.arena.stats()
+        leases = Counter(e.owner for e in entries.values() if e.lease is not None)
+        assert arena.outstanding == sum(leases.values())
+        assert arena.outstanding_by_tenant == leases
+        assert arena.leases == arena.releases + arena.outstanding
+        assert arena.leaked == 0
+        if drained:
+            assert not entries, f"table not empty: {entries}"
+            assert tiered.pool.used == 0
 
 
 class TierLockSpy:

@@ -186,9 +186,8 @@ def test_backward_arrival_promotes_pending_prefetch(gpu, tmp_path):
     cache = TensorCache(
         offloader,
         policy=_policy(),
-        num_store_workers=1,
-        num_load_workers=1,
         prefetch_window=8,
+        scheduler=IOScheduler(num_store_workers=1, num_load_workers=1),
     )
     try:
         with cache:

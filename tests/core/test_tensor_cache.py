@@ -19,6 +19,7 @@ from repro.core import (
     TensorCache,
 )
 from repro.device import MemoryTag
+from repro.io import IOScheduler
 from repro.models import GPT
 from repro.nn.linear import Linear
 from repro.tensor import ops
@@ -167,7 +168,7 @@ def test_data_forwarding_on_slow_store(gpu, tmp_path):
     cache = TensorCache(
         offloader,
         policy=OffloadPolicy(PolicyConfig(min_offload_numel=64)),
-        num_store_workers=1,
+        scheduler=IOScheduler(num_store_workers=1),
     )
     try:
         layer = Linear(64, 64, rng=np.random.default_rng(0)).to(gpu)

@@ -21,6 +21,7 @@ from repro.core.tiered import TieredOffloader
 from repro.io import IORequest, IOScheduler, Priority
 from repro.io.errors import PermanentIOError
 from repro.io.faults import FaultPlan, inject_faults
+from tests.conftest import assert_tier_books
 
 pytestmark = pytest.mark.usefixtures("tier_lock_discipline")
 
@@ -53,7 +54,7 @@ def _store_on_ssd(tiered: TieredOffloader, tid: TensorID, data: np.ndarray) -> N
         assert tiered.demote(tid)
         if tiered._scheduler is not None:
             assert tiered._scheduler.drain(WAIT)  # the spill has landed
-    assert tiered.tier_of(tid) is Tier.SSD and not tiered._pending_demotions
+    assert tiered.location(tid).startswith("tier:ssd:")  # landed, not queued
 
 
 class _Gate:
@@ -111,28 +112,6 @@ def _notify_on_wait(event: threading.Event) -> threading.Event:
     return arrived
 
 
-def _assert_books(tiered: TieredOffloader, sched: IOScheduler = None) -> None:
-    arena = tiered.arena.stats()
-    assert arena.leases == arena.releases + arena.outstanding
-    assert arena.leaked == 0
-    if sched is not None:
-        assert sched.drain(WAIT)
-        stats = sched.stats
-        assert stats.submitted == stats.executed + stats.failed + stats.cancelled
-
-
-def _assert_drained(tiered: TieredOffloader, sched: IOScheduler = None) -> None:
-    """After every tensor was released nothing may be left behind."""
-    _assert_books(tiered, sched)
-    with tiered._lock:
-        for name in (
-            "_tier", "_lru", "_tid_owner", "_pending_demotions", "_demotion_reqs", "_inflight",
-        ):
-            assert not getattr(tiered, name), f"{name} not empty: {getattr(tiered, name)}"
-    assert tiered.pool.used == 0
-    assert tiered.arena.stats().outstanding == 0
-
-
 # ------------------------------------------- what proceeds during a transfer
 def _assert_nothing_waits_on(tiered: TieredOffloader, parked: TensorID, box) -> None:
     """With a transfer of ``parked`` stuck inside the device call, every
@@ -166,7 +145,7 @@ def test_nothing_waits_on_a_parked_ssd_load(tmp_path):
         assert np.array_equal(box["result"], a)
         tiered.release(_tid(1))
         tiered.release(_tid(51))
-        _assert_drained(tiered)
+        assert_tier_books(tiered, drained=True)
     finally:
         tiered.shutdown()
 
@@ -190,7 +169,7 @@ def test_nothing_waits_on_a_parked_direct_ssd_store(tmp_path):
         assert np.array_equal(tiered.load(_tid(1), SHAPE, F32), a)
         tiered.release(_tid(1))
         tiered.release(_tid(51))
-        _assert_drained(tiered)
+        assert_tier_books(tiered, drained=True)
     finally:
         tiered.shutdown()
 
@@ -228,7 +207,7 @@ def test_ssd_loads_of_different_tensors_overlap(tmp_path):
         assert tiered.stats_snapshot().ssd_loads == 2
         tiered.release(_tid(1))
         tiered.release(_tid(2))
-        _assert_drained(tiered, sched)
+        assert_tier_books(tiered, sched, drained=True)
     finally:
         sched.shutdown()
         tiered.shutdown()
@@ -251,7 +230,7 @@ def test_release_or_restore_during_an_inflight_read(tmp_path, mutation):
         tiered.ssd.release = lambda tid: (order.append("ssd.release"), release_copy(tid))
         reader = _spawn(tiered.load, _tid(1), SHAPE, F32)
         assert gate.entered.acquire(timeout=WAIT)
-        blocked = _notify_on_wait(tiered._inflight[_tid(1)].done)
+        blocked = _notify_on_wait(tiered._entries[_tid(1)].idle)
         if mutation == "release":
             mutator = _spawn(tiered.release, _tid(1))
         else:
@@ -274,7 +253,7 @@ def test_release_or_restore_during_an_inflight_read(tmp_path, mutation):
             assert tiered.tier_of(_tid(1)) is expected
             assert np.array_equal(tiered.load(_tid(1), SHAPE, F32), new)
             tiered.release(_tid(1))
-        _assert_drained(tiered)
+        assert_tier_books(tiered, drained=True)
     finally:
         tiered.shutdown()
 
@@ -330,9 +309,9 @@ def test_hedged_duplicate_read_promotes_once(tmp_path):
         assert tiered.tier_of(_tid(1)) is Tier.CPU
         assert tiered.pool.used == NBYTES  # charged once
         assert np.array_equal(tiered.load(_tid(1), SHAPE, F32), a)
-        _assert_books(tiered, sched)
+        assert_tier_books(tiered, sched)
         tiered.release(_tid(1))
-        _assert_drained(tiered, sched)
+        assert_tier_books(tiered, sched, drained=True)
     finally:
         sched.shutdown()
         tiered.shutdown()
@@ -364,7 +343,7 @@ def test_permanent_read_error_outside_the_lock_reaches_the_health_books(tmp_path
             assert isinstance(job.error, PermanentIOError)
             failures += 1
             assert failures <= 16, "the lane never learned about the dead device"
-        assert not tiered._inflight
+        assert tiered._entries[_tid(1)].readers == 0 and tiered._entries[_tid(1)].idle is None
         assert tiered.stats_snapshot().ssd_loads == 0  # failed reads are not booked
         # The verdict moves placement: the next bypass-sized store stays warm.
         assert tiered.store_lane(_tid(2), NBYTES) == "cpu"
@@ -372,7 +351,7 @@ def test_permanent_read_error_outside_the_lock_reaches_the_health_books(tmp_path
         assert tiered.tier_of(_tid(2)) is Tier.CPU and tiered.ssd_dead
         tiered.release(_tid(2))
         tiered.release(_tid(1))
-        _assert_drained(tiered, sched)
+        assert_tier_books(tiered, sched, drained=True)
     finally:
         sched.shutdown()
         tiered.shutdown()
@@ -399,25 +378,9 @@ def test_shutdown_with_a_read_in_flight_leaks_nothing(tmp_path):
     else:
         assert isinstance(reader["error"], (KeyError, FileNotFoundError))
     assert tiered.stats_snapshot().promotions == 0
-    _assert_drained(tiered)
+    assert_tier_books(tiered, drained=True)
     assert store.fds.opens == store.fds.closes
     assert set(threading.enumerate()) <= threads_before
-
-
-# ------------------------------------------------------------------- bugfix
-def test_demotion_racing_a_release_forgets_the_owner(tmp_path):
-    """A demotion that finds its victim already gone from the pool drops
-    the tier, LRU *and* owner entries."""
-    tiered = _tiered(tmp_path)
-    tiered.set_scheduler(sched := IOScheduler(num_store_workers=1, num_load_workers=1))
-    try:
-        tiered.store(_tid(1), _data(10))
-        tiered.cpu.evict(_tid(1))  # the release's half that already ran
-        assert not tiered.demote(_tid(1))
-        _assert_drained(tiered, sched)
-    finally:
-        sched.shutdown()
-        tiered.shutdown()
 
 
 # ------------------------------------------------------------------- stress
@@ -475,7 +438,7 @@ def test_many_threads_hammering_few_tensors_keep_the_books(tmp_path, scheduled):
         assert not errors, errors[:5]
         for i in shapes:
             tiered.release(tid_of(i))
-        _assert_drained(tiered, sched)
+        assert_tier_books(tiered, sched, drained=True)
     finally:
         if scheduled:
             sched.shutdown()

@@ -22,6 +22,7 @@ from repro.core import (
 )
 from repro.core.ids import TensorID
 
+from tests.conftest import assert_tier_books
 from tests.core.test_tensor_cache import _fresh_model, _run_model_step
 
 # No TieredOffloader built here may do device I/O under its tier lock.
@@ -39,6 +40,67 @@ def tiered(tmp_path):
     off = TieredOffloader(tmp_path / "tiers", cpu_pool_bytes=2 * DATA.nbytes)
     yield off
     off.shutdown()
+
+
+# ------------------------------------------------------------ the entry machine
+def _entry_in(state):
+    """An entry walked from (new) to ``state`` along legal edges, holding
+    a buffer and a counting stand-in for its arena lease."""
+    from repro.core.tiered import _LEGAL_TRANSITIONS, _Entry
+
+    paths = {None: []}
+    frontier = [None]
+    while frontier:
+        here = frontier.pop(0)
+        for there in _LEGAL_TRANSITIONS[here]:
+            if there not in paths:
+                paths[there] = paths[here] + [there]
+                frontier.append(there)
+    assert set(paths) == set(_LEGAL_TRANSITIONS)  # every state is reachable
+
+    class Lease:
+        released = 0
+
+        def release(self):
+            self.released += 1
+
+    entry = _Entry("tenant")
+    entry.hold(DATA.copy(), Lease())
+    for step in paths[state]:
+        entry.trans_state(step)
+    return entry
+
+
+def test_entry_trans_state_admits_exactly_the_table():
+    from repro.core.tiered import _LEGAL_TRANSITIONS, _State
+
+    for old, legal in _LEGAL_TRANSITIONS.items():
+        for new in _State:
+            entry = _entry_in(old)
+            before = (entry.state, entry.buf, entry.lease, entry.idle)
+            if new in legal:
+                entry.trans_state(new)
+                assert entry.state is new
+                continue
+            with pytest.raises(RuntimeError, match="illegal tier transition"):
+                entry.trans_state(new)
+            assert (entry.state, entry.buf, entry.lease, entry.idle) == before
+
+
+def test_entry_owns_buffer_and_lease_until_the_bytes_leave_the_host():
+    """Resident, parked or mid-write the entry keeps both; landing on the
+    SSD or being dropped releases the lease exactly once; a write in
+    flight is what makes the entry busy."""
+    from repro.core.tiered import _State
+
+    for state in (_State.CPU, _State.QUEUED, _State.SPILLING):
+        entry = _entry_in(state)
+        lease = entry.lease
+        assert entry.buf is not None and lease.released == 0
+        assert (entry.idle is not None) == (state is _State.SPILLING)
+        entry.trans_state(_State.SSD if state is _State.SPILLING else _State.GONE)
+        assert entry.buf is None and entry.lease is None and lease.released == 1
+        assert entry.idle is None
 
 
 # ------------------------------------------------------------------ placement
@@ -305,8 +367,7 @@ def test_tiered_step_end_reclaims_all_tiers(gpu, tiny_gpt_config, tmp_path):
         cache.register_weights(model)
         cache.attach(model)
         _run_model_step(model, gpu, cache)
-        assert cache.offloader.pool.used == 0
-        assert not cache.offloader._tier
+        assert_tier_books(cache.offloader, drained=True)
     finally:
         cache.shutdown()
 
@@ -436,6 +497,32 @@ def test_sync_demotion_on_dead_ssd_keeps_victim_resident(tmp_path):
         assert off.pool.overflow_bytes == data.nbytes
         out = off.load(_tid(1), (64, 64), np.dtype(np.float32))
         assert np.array_equal(out, data)
+    finally:
+        off.shutdown()
+
+
+@pytest.mark.parametrize("tenant", [None, "doomed"])
+def test_watermark_never_demotes_into_an_open_breaker(tmp_path, tenant):
+    """Proactive demotion picks its victims the way pool pressure does:
+    with the SSD written off — for everyone, or for the tenant that owns
+    every resident — the watermark writes nothing and moves nothing."""
+    from repro.io.tenancy import DEFAULT_TENANT, tenant_scope
+
+    off = TieredOffloader(tmp_path / "t", cpu_pool_bytes=4 * DATA.nbytes)
+    writes = []
+    ssd_store = off.ssd.store
+    off.ssd.store = lambda tid, data: (writes.append(tid), ssd_store(tid, data))
+    try:
+        with tenant_scope(tenant or DEFAULT_TENANT):
+            for i in range(4):
+                off.store(_tid(i), DATA + i)
+        off._mark_ssd_dead(tenant)
+        assert off.ssd_dead_for(tenant or DEFAULT_TENANT)
+        off.set_free_watermark(2 * DATA.nbytes)
+        assert off.apply_watermark() == 0
+        assert not writes
+        assert all(off.tier_of(_tid(i)) is Tier.CPU for i in range(4))
+        assert_tier_books(off)
     finally:
         off.shutdown()
 

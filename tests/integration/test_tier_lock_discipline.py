@@ -17,7 +17,7 @@ from repro.models import GPT, ModelConfig
 from repro.optim import SGD
 from repro.train import PlacementStrategy, Trainer
 
-from tests.conftest import TierLockSpy
+from tests.conftest import TierLockSpy, assert_tier_books
 
 CONFIG = ModelConfig(
     arch="gpt", hidden=64, num_layers=2, vocab_size=61, seq_len=16, head_dim=16
@@ -73,4 +73,4 @@ def test_tiered_uring_training_keeps_io_and_hooks_off_the_tier_lock(
     # (how many loads a parked buffer served instead is timing).
     assert stats.demotions > 0 and stats.ssd_loads + stats.demotion_forward_hits > 0
     assert losses == _losses()  # bit-exact against the no-offload run
-    assert offloader.pool.used == 0 and not offloader._tier and not offloader._inflight
+    assert_tier_books(offloader, drained=True)

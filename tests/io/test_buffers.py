@@ -21,7 +21,7 @@ from repro.io.buffers import (
     size_class,
 )
 from repro.io.chunkstore import ChunkedTensorStore
-from repro.io.errors import IntegrityError, PermanentIOError
+from repro.io.errors import IntegrityError
 from repro.io.faults import FaultPlan, inject_faults
 from repro.io.filestore import (
     FRAME_HEADER_BYTES,
@@ -30,6 +30,7 @@ from repro.io.filestore import (
     unframe_payload,
 )
 from repro.io.scheduler import IORequest, IOScheduler, Priority
+from tests.conftest import assert_tier_books
 
 DATA = np.arange(256, dtype=np.float32)  # 1 KiB
 
@@ -303,7 +304,7 @@ def test_cpu_offloader_load_bit_exact_and_owned():
     # Ownership: mutating the resident buffer must not reach the loaded
     # copy (the GPU-reinstate boundary owns its bytes).
     loaded = off.load(_tid(1), data.shape, np.float32)
-    off._buffers[_tid(1)][:] = 0.0
+    off._residents[_tid(1)].buf[:] = 0.0
     np.testing.assert_array_equal(loaded, data)
     off.shutdown()
 
@@ -343,7 +344,7 @@ def test_pool_exhaustion_leaks_no_lease():
     off.shutdown()
 
 
-# ------------------------------------------- scheduler lease lifecycle rules
+# ------------------------------------------- tiered demotion lease lifecycle
 def _hold_workers(sched: IOScheduler, lane: str = "ssd"):
     """Park every worker of a lane on a gate so submissions stay PENDING.
 
@@ -367,95 +368,11 @@ def _hold_workers(sched: IOScheduler, lane: str = "ssd"):
     return gate
 
 
-def test_scheduler_releases_lease_on_every_terminal_state():
-    arena = BufferArena()
-    sched = IOScheduler(num_store_workers=2, num_load_workers=2, retry_backoff_s=0.0)
-    try:
-        done = sched.submit(
-            IORequest(
-                lambda: None, kind="store", priority=Priority.STORE,
-                lane="ssd", lease=arena.lease(100),
-            )
-        )
-        failed = sched.submit(
-            IORequest(
-                lambda: (_ for _ in ()).throw(PermanentIOError("brick")),
-                kind="store", priority=Priority.STORE, lane="ssd",
-                max_retries=0, lease=arena.lease(100),
-            )
-        )
-        gate = _hold_workers(sched, "cpu")
-        cancelled = sched.submit(
-            IORequest(
-                lambda: None, kind="store", priority=Priority.STORE,
-                lane="cpu", lease=arena.lease(100),
-            )
-        )
-        assert sched.cancel(cancelled)
-        gate.set()
-        assert sched.drain(10)
-        assert done.state.name == "DONE"
-        assert failed.state.name == "FAILED"
-        assert cancelled.state.name == "CANCELLED"
-        stats = arena.stats()
-        assert stats.outstanding == 0
-        assert stats.leaked == 0
-        assert sched.stats.leased_requests == 3
-        assert sched.stats.leases_released == 3
-    finally:
-        sched.shutdown()
-
-
-def test_detached_lease_is_not_double_released():
-    arena = BufferArena()
-    sched = IOScheduler(num_store_workers=2, num_load_workers=2)
-    try:
-        gate = _hold_workers(sched)
-        lease = arena.lease(100)
-        req = IORequest(
-            lambda: None, kind="store", priority=Priority.STORE,
-            lane="ssd", lease=lease,
-        )
-        sched.submit(req)
-        taken = req.detach_lease()  # the owner keeps the bytes...
-        assert taken is lease
-        assert req.detach_lease() is None
-        sched.cancel(req)
-        gate.set()
-        assert sched.drain(10)
-        # ...so the scheduler released nothing, but the request still
-        # counts as resolved — and the owner's release balances the books.
-        assert arena.stats().outstanding == 1
-        assert sched.stats.leases_released == 1
-        taken.release()
-        assert arena.stats().leaked == 0
-    finally:
-        sched.shutdown()
-
-
-# ------------------------------------------- tiered demotion lease lifecycle
 @pytest.fixture
 def sched():
     scheduler = IOScheduler(num_store_workers=2, num_load_workers=2)
     yield scheduler
     scheduler.shutdown()
-
-
-def _resident_cpu_count(off: TieredOffloader) -> int:
-    with off.cpu._lock:
-        return len(off.cpu._buffers)
-
-
-def _assert_arena_exact(off: TieredOffloader) -> None:
-    """Every outstanding lease is a live CPU-resident buffer or a parked
-    demotion — the 'arena accounting exact' bar."""
-    stats = off.arena.stats()
-    with off._lock:
-        # These tests make no direct-to-SSD stores and no SSD reads run
-        # while they look, so every in-flight transfer is a spill write.
-        parked = len(off._pending_demotions) + len(off._inflight)
-    assert stats.leaked == 0
-    assert stats.outstanding == _resident_cpu_count(off) + parked
 
 
 def test_demotion_transfers_lease_and_releases_on_write(tmp_path, sched):
@@ -464,7 +381,7 @@ def test_demotion_transfers_lease_and_releases_on_write(tmp_path, sched):
     for i in range(4):  # 2 fit, 2 demote
         off.store(_tid(i), DATA + i)
     assert sched.drain(10)
-    _assert_arena_exact(off)
+    assert_tier_books(off)
     assert off.stats.demotions == 2
     for i in range(4):
         np.testing.assert_array_equal(
@@ -494,7 +411,7 @@ def test_cancelled_demotion_hands_lease_back(tmp_path, sched):
     finally:
         gate.set()
     assert sched.drain(10)
-    _assert_arena_exact(off)
+    assert_tier_books(off)
     off.shutdown()
     assert off.arena.stats().leaked == 0
 
@@ -518,7 +435,7 @@ def test_demotion_forward_promotion_adopts_lease_zero_copy(tmp_path, sched):
     finally:
         gate.set()
     assert sched.drain(10)
-    _assert_arena_exact(off)
+    assert_tier_books(off)
     off.shutdown()
     assert off.arena.stats().leaked == 0
 
@@ -535,7 +452,7 @@ def test_failed_demotion_reinstates_lease_with_exact_books(tmp_path, sched):
     assert sched.drain(10)
     assert off.ssd_dead
     assert off.stats.failovers >= 1
-    _assert_arena_exact(off)
+    assert_tier_books(off)
     for i in range(4):  # every tensor survived, bit-exact, via the pool
         np.testing.assert_array_equal(
             off.load(_tid(i), DATA.shape, DATA.dtype), DATA + i
@@ -587,8 +504,7 @@ def test_arena_leases_always_reconcile(ops):
                     off.set_free_watermark(2 * DATA.nbytes)
                     off.apply_watermark()
             assert sched.drain(10)
-            _assert_arena_exact(off)
-            assert sched.stats.leased_requests == sched.stats.leases_released
+            assert_tier_books(off)
             off.shutdown()
             stats = off.arena.stats()
             assert stats.outstanding == 0

@@ -6,26 +6,21 @@ mixture of successes, injected failures, cancellations and promotions a
 run throws at the scheduler, once drained the books must balance —
 ``submitted == executed + failed + cancelled`` — with every request in a
 terminal state, no pending work, and every worker alive, in priority
-and in FIFO mode alike (one queue, two configurations).  PR 5 extends
-the bar to the data plane: requests randomly carry buffer-arena leases,
-and no interleaving may leak one — at drain,
-``leased_requests == leases_released`` and the arena's outstanding count
-is zero."""
+and in FIFO mode alike (one queue, two configurations)."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.io import BufferArena, IORequest, IOScheduler, Priority
+from repro.io import IORequest, IOScheduler, Priority
 from repro.io.aio import JobState
 from repro.io.errors import PermanentIOError, TransientIOError
 
 #: One scripted operation: (op kind, fault mode, lane, priority index,
-#: cancel-after-submit?, carry-an-arena-lease?).
+#: cancel-after-submit?).
 _OPS = st.tuples(
     st.sampled_from(["store", "load", "demote"]),
     st.sampled_from(["ok", "ok", "transient_heals", "transient_fatal", "permanent", "bug"]),
     st.sampled_from(["ssd", "cpu"]),
     st.integers(min_value=0, max_value=3),
-    st.booleans(),
     st.booleans(),
 )
 
@@ -56,11 +51,10 @@ def test_scheduler_counters_always_reconcile(ops, fifo):
         max_retries=2,
         retry_backoff_s=0.0,
     )
-    arena = BufferArena()
     requests = []
     promoted_candidates = []
     try:
-        for i, (kind, mode, lane, prio_index, cancel_it, leased) in enumerate(ops):
+        for i, (kind, mode, lane, prio_index, cancel_it) in enumerate(ops):
             counter = {"n": 0}
             priority = list(Priority)[prio_index]
             if kind == "load" and priority is Priority.STORE:
@@ -74,7 +68,6 @@ def test_scheduler_counters_always_reconcile(ops, fifo):
                 lane=lane,
                 # transient_fatal must actually exhaust: give it no budget
                 max_retries=0 if mode == "transient_fatal" else None,
-                lease=arena.lease((i + 1) * 16) if leased else None,
             )
             sched.submit(req)
             requests.append((req, mode))
@@ -109,12 +102,6 @@ def test_scheduler_counters_always_reconcile(ops, fifo):
         # Coalescing/cancellation sub-counters never exceed their totals.
         assert stats.coalesced_requests <= stats.executed
         assert stats.cancelled_stores <= stats.cancelled
-        # No interleaving may leak a lease: every leased request was
-        # resolved at its terminal state and the arena got everything back.
-        assert stats.leased_requests == stats.leases_released
-        arena_stats = arena.stats()
-        assert arena_stats.outstanding == 0
-        assert arena_stats.leaked == 0
         # Workers all survived the interleaving.
         for worker in sched._workers:
             assert worker.is_alive()
