@@ -774,7 +774,11 @@ class TensorCache:
     def _book_forwarding_locked(self, rec: ActivationRecord) -> None:
         """Record one forwarding hit; caller holds ``rec.lock`` and has
         established that forwarding genuinely happens (the lost-race
-        reload path must never book one)."""
+        reload path must never book one).  A record is a hit once:
+        prefetch, backward pre-hook and unpack all revisit it while its
+        store is still running."""
+        if rec.forwarded:
+            return
         rec.forwarded = True
         self.stats.forwarded_tensors += 1
         self.accounting.forwarding_hits += 1

@@ -353,9 +353,13 @@ class IOBackend:
     def bind(self, scheduler) -> None:
         self.scheduler = scheduler
 
-    def run_batch(self, lane: str, requests: List["IOJob"]) -> None:
-        """Execute one dequeued batch for ``lane``; must not raise."""
+    def run_batch(self, lane: str, requests: List["IOJob"], inline: bool = False) -> None:
+        """Execute one batch for ``lane``; must not raise.  ``inline``
+        (:meth:`IOScheduler.run_inline`) settles on the calling thread
+        under every backend: the caller is about to read the outcome, so
+        a reaper could only add a hand-off to it."""
         batch = _Batch(lane)
+        hand_off = self._settle if inline else self._hand_off
         claimed = 0
         for request in requests:
             if not request.claim():
@@ -382,7 +386,7 @@ class IOBackend:
                     stats.batched_requests += 2
                 else:
                     stats.batched_requests += 1
-            self._hand_off(batch, request, result, error)
+            hand_off(batch, request, result, error)
 
     def _hand_off(
         self, batch: _Batch, request: "IOJob", result: Any, error: Optional[BaseException]

@@ -82,24 +82,29 @@ def pwritev_full(fd: int, buffers: Sequence, offset: int = 0) -> int:
     return total
 
 
-def preadv_full(fd: int, buffers: Sequence, offset: int = 0) -> int:
+def preadv_full(fd: int, buffers: Sequence, offset: int = 0, probe: int = 0) -> int:
     """Fill ``buffers`` from ``offset`` via ``os.preadv``; stops at EOF.
 
     Returns the total bytes read (callers use the shortfall — or the
     overshoot into a probe buffer — to detect torn/oversized files
-    without a separate ``fstat``).
+    without a separate ``fstat``).  ``probe`` is how many trailing bytes
+    of ``buffers`` are such a probe: a regular file returns
+    ``min(asked, available)``, so a transfer short by exactly the probe
+    has found EOF where the caller expected it and is not resumed only
+    to be told so.  An oversized file still fills the probe; a torn one
+    comes back shorter and resumes.
     """
     views = _flat_views(buffers)
-    total = 0
-    while views:
+    want = left = sum(view.nbytes for view in views)
+    while left > probe:
         got = os.preadv(fd, views, offset)
         count_syscalls(1)
         if got == 0:  # EOF
             break
-        total += got
+        left -= got
         offset += got
         _advance(views, got)
-    return total
+    return want - left
 
 
 # --------------------------------------------------------------------------

@@ -353,8 +353,9 @@ class TensorFileStore:
         """Read a tensor back as a fresh array of ``shape``/``dtype``.
 
         One ``preadv`` scatter fills the header, the destination array
-        and a one-byte probe: one disk-to-array transfer, and the only
-        allocation is the returned array itself — the ownership copy the
+        and a one-byte probe: one disk-to-array transfer — one syscall,
+        the empty probe being the EOF answer — and the only allocation
+        is the returned array itself — the ownership copy the
         GPU-reinstate boundary demands.  Overshooting into the probe
         means the file holds more than the frame claims, a shortfall
         means a torn write — both rejected before the payload is
@@ -374,7 +375,7 @@ class TensorFileStore:
         with tape:
             try:
                 with self.fds.borrow_read(str(path)) as fd:
-                    got = preadv_full(fd, [header, memoryview(flat), probe])
+                    got = preadv_full(fd, [header, memoryview(flat), probe], probe=1)
             except FileNotFoundError:
                 raise FileNotFoundError(f"no offloaded tensor at {path}") from None
         length, crc = parse_frame_header(

@@ -922,6 +922,39 @@ class IOScheduler:
         it is enqueued in park order.  A parked request is PENDING and
         cancellable, but invisible to ``pending()``/``drain()``.
         """
+        if self._admit(request):
+            self._enqueue(request)
+        return request
+
+    def run_inline(self, request: IORequest) -> IORequest:
+        """:meth:`submit`, run and settled on the calling thread; returns
+        the request in a terminal state.
+
+        For a read whose bytes are already in host memory (the paper's
+        forwarding rule, Sec. III-C2): there is no device to queue for,
+        so the request takes no queue slot, wakes no worker and — under
+        every backend — settles on the caller.  Admission, the global,
+        per-class and per-tenant books, the channel window, lane health,
+        the ``submit``/``start``/``done`` listener events, the quota
+        refund on failure and the refusal after :meth:`shutdown` are
+        :meth:`submit`'s, because the same code runs them.  A submission
+        that quota admission parks has to wait for a refund whichever
+        thread runs it, so it takes the queued path and is waited for.
+        """
+        if not self._admit(request):
+            request.wait()
+            return request
+        lane = self._enqueue(request, queued=False)
+        if lane.queue.per_tenant:
+            # No dequeue to pace, and the bytes move regardless: the
+            # bandwidth bucket is charged by force, as a lone tenant's is.
+            self.tenants.bw_admit(request.tenant, request.nbytes, True)
+        self._run_batch(lane, [request], inline=True)
+        return request
+
+    def _admit(self, request: IORequest) -> bool:
+        """Tenant admission: True when ``request`` was charged and may go
+        to its lane, False when it was parked; raises on a rejection."""
         self._lane_of(request)  # validate the lane before charging quota
         outcome = self.tenants.admit(request.tenant, request.nbytes)
         if outcome == "reject":
@@ -937,11 +970,12 @@ class IOScheduler:
                 request._parked = True
                 self._parked.setdefault(request.tenant, deque()).append(request)
             self._safe_notify("park", request)
-            return request
-        return self._enqueue(request)
+            return False
+        return True
 
-    def _enqueue(self, request: IORequest) -> IORequest:
-        """Admission already charged: put the request on its lane."""
+    def _enqueue(self, request: IORequest, queued: bool = True) -> _Lane:
+        """Admission already charged: put the request on its lane's books
+        and — unless the caller runs it itself — on its queue."""
         lane = self._lane_of(request)
         # Requests without an explicit retry policy inherit the
         # scheduler's (an explicit 0 opts out — stateful bodies that
@@ -956,8 +990,9 @@ class IOScheduler:
             if not shut:
                 lane.pending += 1
                 lane.idle.clear()
-                lane.queue.push(request)
-                lane.cond.notify()
+                if queued:
+                    lane.queue.push(request)
+                    lane.cond.notify()
         if shut:
             # Admission already booked/charged this request; undo it so
             # the per-tenant books stay exact through the refusal.
@@ -974,7 +1009,7 @@ class IOScheduler:
                 self.stats.submitted_by_class.get(cls, 0) + 1
             )
         self._safe_notify("submit", request)
-        return request
+        return lane
 
     def _on_request_done(self, lane: _Lane, request: IORequest) -> None:
         state = request.state
@@ -1520,27 +1555,31 @@ class IOScheduler:
                 if not lane.has_work() and self._shutdown.is_set():
                     return
                 batch = self._pop_batch_locked(lane)
-            # The backend runs the members' bodies on this thread and
-            # settles them here or on its reaper; the scheduler's books
-            # are updated through the begin/finish hooks.  The
-            # backend must not raise — but one poisoned batch still must
-            # not kill the lane and hang drain() on the work queued
-            # behind it, so the residual hazard is contained here too.
-            try:
-                self.backend.run_batch(lane.name, batch)
-            except Exception:
-                logger.exception(
-                    "backend %s raised on a %s batch; worker %s continues",
-                    self.backend.name,
-                    lane.name,
-                    threading.current_thread().name,
-                )
-                for request in batch:
-                    if request.state is JobState.RUNNING:
-                        try:
-                            self.finish_request(request)
-                        except Exception:
-                            self._force_terminal(request)
+            self._run_batch(lane, batch)
+
+    def _run_batch(self, lane: _Lane, batch: List[IORequest], inline: bool = False) -> None:
+        """Hand a batch to the backend, which runs the members' bodies on
+        this thread and settles them here or (unless ``inline``) on its
+        reaper; the scheduler's books are updated through the
+        begin/finish hooks.  The backend must not raise — but one
+        poisoned batch still must not kill the lane and hang drain() on
+        the work queued behind it, so the residual hazard is contained
+        here too."""
+        try:
+            self.backend.run_batch(lane.name, batch, inline=inline)
+        except Exception:
+            logger.exception(
+                "backend %s raised on a %s batch; thread %s continues",
+                self.backend.name,
+                lane.name,
+                threading.current_thread().name,
+            )
+            for request in batch:
+                if request.state is JobState.RUNNING:
+                    try:
+                        self.finish_request(request)
+                    except Exception:
+                        self._force_terminal(request)
 
     # ------------------------------------------------------------------- drain
     def pending(self, lane: Optional[str] = None) -> int:

@@ -17,20 +17,28 @@ tier holds it:
   via the per-tenant :meth:`~repro.core.policy.OffloadPolicy
   .set_tenant_policy` hook.
 
-Traffic is inline except where a decode blocks: page-outs and look-ahead
-prefetches run on the calling thread (under the block's tenant scope, so
-the PR 6 fair-share/quota books account KV bytes per user with no new
-mechanism), which makes *placement a pure function of the call sequence*
-— the determinism the seeded server simulation and the ``repro kv``
-asserts require.  Demand fetches ride the shared
-:class:`~repro.io.scheduler.IOScheduler` as ``BLOCKING_LOAD`` requests
-and the pool waits for them, so they are deterministic too.  A block is
-therefore only ever in one of two states, ``HBM`` or ``ENGINE``; the
-in-flight half of a residency machine (parked payloads, forwarding,
-cancel-or-wait) belongs to the training-side tensor cache, the one
-asynchronous front-end.  The pool is driven from one thread; its lock
-keeps the table and counters coherent for concurrent *readers*
-(``tier_census``, ``hbm_used_bytes``).
+Page-outs and look-ahead prefetches run on the calling thread (under
+the block's tenant scope, so the PR 6 fair-share/quota books account KV
+bytes per user with no new mechanism), which makes *placement a pure
+function of the call sequence* — the determinism the seeded server
+simulation and the ``repro kv`` asserts require.  A demand fetch — the
+read a decode blocks on — is a ``BLOCKING_LOAD`` request on the shared
+:class:`~repro.io.scheduler.IOScheduler`'s books either way, and where
+it runs follows where the bytes are (the paper's forwarding rule,
+Sec. III-C2: a read that finds its bytes in memory never pays the I/O
+path): a block in the pinned pool is read on the calling thread
+(:meth:`~repro.io.scheduler.IOScheduler.run_inline` — no queue, no
+worker hand-off), a block on the SSD is queued on the ``ssd`` lane and
+waited for, where priority, deadlines and hedging do something.  Both
+are deterministic.  A block is therefore only ever in one of two states,
+``HBM`` or ``ENGINE``, and :meth:`KVBlockPool._set_state` is the one
+place a state is written: it keeps the index of HBM residents and the
+HBM byte count in step, so an eviction orders the residents it is handed
+and never scans the table.  The in-flight half of a residency machine
+(parked payloads, forwarding, cancel-or-wait) belongs to the
+training-side tensor cache, the one asynchronous front-end.  The pool is
+driven from one thread; its lock keeps the table and counters coherent
+for concurrent *readers* (``tier_census``, ``hbm_used_bytes``).
 """
 
 from __future__ import annotations
@@ -76,7 +84,7 @@ class BlockKey:
 
 class BlockState(enum.Enum):
     HBM = "hbm"        # resident in the pool's HBM budget
-    ENGINE = "engine"  # held by the tiered engine (CPU or SSD)
+    ENGINE = "engine"  # held by, or on its way to, the tiered engine (CPU or SSD)
 
 
 class BlockMeta:
@@ -112,7 +120,8 @@ class BlockMeta:
         self.nbytes = int(data.nbytes)
         self.shape = tuple(data.shape)
         self.dtype = data.dtype
-        self.state = BlockState.HBM
+        #: ``state`` is written by :meth:`KVBlockPool._set_state` only
+        #: (first when the pool files the row); ``data`` follows it.
         self.data: Optional[np.ndarray] = None
         #: Set when a prefetch was issued for this block and not yet
         #: consumed by an access — the hit-accounting flag.
@@ -212,6 +221,9 @@ class KVBlockPool:
         self._lock = threading.RLock()
         self._table: Dict[BlockKey, BlockMeta] = {}
         self._requests: Dict[str, _RequestEntry] = {}
+        #: The rows whose state is HBM and their byte sum; maintained by
+        #: :meth:`_set_state` alone.
+        self._resident: Dict[BlockKey, BlockMeta] = {}
         self._hbm_used = 0
         self._seq = itertools.count(1)
         self._stamps = itertools.count(1)
@@ -278,6 +290,7 @@ class KVBlockPool:
                 num_layers=self.num_layers,
             )
             self._table[key] = meta
+            self._set_state(meta, BlockState.ENGINE)  # not resident until admitted
             entry.keys.append(key)
             self.stats.blocks_written += 1
             self.stats.bytes_written += meta.nbytes
@@ -288,55 +301,71 @@ class KVBlockPool:
             self._page_out(meta, data, tier)
         return key
 
+    # ----------------------------------------------------------- block state
+    def _set_state(
+        self,
+        meta: BlockMeta,
+        state: Optional[BlockState],
+        data: Optional[np.ndarray] = None,
+    ) -> None:
+        """The one writer of :attr:`BlockMeta.state`; callers hold the lock.
+
+        ``data`` is the payload an HBM resident holds (``None`` in every
+        other state); ``state=None`` takes a released row out of the
+        pool.  The resident index and the HBM byte count move with the
+        state, so they cannot disagree with it.
+        """
+        if self._resident.pop(meta.key, None) is not None:
+            self._hbm_used -= meta.nbytes
+        meta.state = state
+        meta.data = data
+        if state is BlockState.HBM:
+            self._resident[meta.key] = meta
+            self._hbm_used += meta.nbytes
+
     # ----------------------------------------------------- HBM admission
     def _admit_hbm(self, meta: BlockMeta, data: np.ndarray) -> None:
-        """Make the block HBM-resident, evicting colder blocks for room."""
+        """Make an engine-state block HBM-resident, evicting colder
+        blocks for room."""
         to_evict: List[Tuple[BlockMeta, np.ndarray]] = []
+        overflow = False
         with self._lock:
             while self._hbm_used + meta.nbytes > self.hbm_capacity_bytes:
-                victim = self._pick_victim(exclude=meta)
+                victim = self._pick_victim()
                 if victim is None:
                     break
                 to_evict.append((victim, victim.data))
-                victim.data = None
-                victim.state = BlockState.ENGINE
-                self._hbm_used -= victim.nbytes
+                self._set_state(victim, BlockState.ENGINE)
                 self.stats.evictions += 1
             if self._hbm_used + meta.nbytes <= self.hbm_capacity_bytes:
-                meta.data = data
-                meta.state = BlockState.HBM
+                self._set_state(meta, BlockState.HBM, data)
                 meta.last_access_seq = next(self._seq)
-                self._hbm_used += meta.nbytes
-                overflow = None
             else:
                 # Nothing evictable and no room: the new block itself
                 # pages out (its strategy tier hint, or pool-first).
-                overflow = meta
+                overflow = True
         for victim, victim_data in to_evict:
             hint = self.paging.strategy.eviction_tier(victim.context())
             self._page_out(victim, victim_data, hint)
-        if overflow is not None:
+        if overflow:
             hint = self.paging.strategy.eviction_tier(meta.context())
             self._page_out(meta, data, hint)
 
-    def _pick_victim(self, exclude: BlockMeta) -> Optional[BlockMeta]:
-        resident = [
-            m
-            for m in self._table.values()
-            if m.state is BlockState.HBM and m is not exclude
-        ]
-        if not resident:
+    def _pick_victim(self) -> Optional[BlockMeta]:
+        """The resident the strategy evicts first.  ``last_access_seq``
+        is unique per resident, so the order does not depend on the
+        order the residents are handed over in."""
+        if not self._resident:
             return None
-        ordered = self.paging.strategy.eviction_order(resident)
+        ordered = self.paging.strategy.eviction_order(list(self._resident.values()))
         return ordered[0] if ordered else None
 
     # ------------------------------------------------------------- page-out
     def _page_out(
         self, meta: BlockMeta, data: np.ndarray, tier_hint: Optional[Tier]
     ) -> None:
-        """Hand the block's bytes to the engine, inline."""
+        """Hand an engine-state block's bytes to the engine, inline."""
         with self._lock:
-            meta.state = BlockState.ENGINE
             meta.prefetched = False
             self.stats.writebacks += 1
             self.stats.writeback_bytes += meta.nbytes
@@ -406,8 +435,10 @@ class KVBlockPool:
 
     def _fetch_demand(self, meta: BlockMeta) -> np.ndarray:
         """The decode-blocking read: one ``BLOCKING_LOAD`` on the engine's
-        load lane, awaited."""
+        books, run here when the block is in host memory and queued on
+        the ``ssd`` lane (and awaited) when it is not."""
         offloader = self.engine.offloader
+        scheduler = self.engine.scheduler
         tid, shape, dtype = meta.tid, meta.shape, meta.dtype
         request = IORequest(
             lambda: offloader.load(tid, shape, dtype),
@@ -419,8 +450,10 @@ class KVBlockPool:
             label=f"kv-fetch:{meta.key.request_id}/{meta.key.layer}/{meta.key.index}",
             tenant=meta.tenant,
         )
-        self.engine.scheduler.submit(request)
-        request.wait()
+        if request.lane == "cpu":
+            scheduler.run_inline(request)
+        else:
+            scheduler.submit(request).wait()
         if request.error is not None:
             raise request.error
         data = request.result
@@ -440,14 +473,12 @@ class KVBlockPool:
             if entry is None:
                 return 0
             metas = [self._table.pop(key) for key in entry.keys]
+            paged_out = [m for m in metas if m.state is BlockState.ENGINE]
             for meta in metas:
-                if meta.state is BlockState.HBM:
-                    self._hbm_used -= meta.nbytes
-                    meta.data = None
+                self._set_state(meta, None)
             self.stats.released_blocks += len(metas)
-        for meta in metas:
-            if meta.state is BlockState.ENGINE:
-                self.engine.offloader.release(meta.tid)
+        for meta in paged_out:
+            self.engine.offloader.release(meta.tid)
         return len(metas)
 
     # ----------------------------------------------------------------- views

@@ -180,6 +180,40 @@ def test_forwarding_running_store_completes(gpu, tmp_path):
         cache.shutdown()
 
 
+def test_running_store_visited_many_times_is_one_forwarding_hit(gpu, tmp_path):
+    """Prefetch-ahead, the backward pre-hook and unpack each revisit a
+    record whose store is still running; the record is forwarded once."""
+    offloader = SSDOffloader(tmp_path / "s")
+    gate, started = _gate_store(offloader)
+    cache = TensorCache(
+        offloader,
+        policy=_policy(),
+        scheduler=IOScheduler(num_store_workers=1, num_load_workers=1, coalesce_bytes=0),
+    )
+    try:
+        with cache:
+            t1 = _tensor(gpu, seed=1)
+            tid1 = cache.pack_hook(t1)
+            assert started.acquire(timeout=5)  # RUNNING: too late to cancel
+            rec = cache._find_record(tid1)
+            for blocking in (False, False, True, True):
+                cache._ensure_available(rec, blocking=blocking)
+                assert rec.forwarded and rec.state is RecordState.OFFLOADING
+            assert cache.stats.forwarded_tensors == 1
+            assert cache.accounting.forwarding_hits == 1
+
+            timer = threading.Timer(0.05, gate.set)
+            timer.start()
+            assert cache.unpack_hook(tid1) is t1  # one more visit, then the store lands
+            timer.join()
+            assert cache.stats.forwarded_tensors == 1
+            assert cache.accounting.forwarding_hits == 1
+            assert rec.state is RecordState.LOADED
+    finally:
+        gate.set()
+        cache.shutdown()
+
+
 # ----------------------------------------------------------------- promotion
 def test_backward_arrival_promotes_pending_prefetch(gpu, tmp_path):
     offloader = SSDOffloader(tmp_path / "s")

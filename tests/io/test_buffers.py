@@ -4,6 +4,7 @@ streaming checksum writers' byte-for-byte equivalence with the
 ``frame_payload`` reference frame, and the conditional-copy
 bit-exactness fixes."""
 
+import os
 import threading
 
 import numpy as np
@@ -256,6 +257,30 @@ def test_filestore_rejects_torn_file_before_reading_payload(tmp_path):
     path.write_bytes(raw + b"junk")
     with pytest.raises(IntegrityError, match="torn write"):
         store.read("t", DATA.shape, DATA.dtype)
+
+
+def test_filestore_read_is_one_preadv(tmp_path, monkeypatch):
+    """The probe byte coming back empty *is* the EOF answer: an intact
+    file costs one ``preadv``; only a transfer short by more than the
+    probe is resumed (and then told EOF, and rejected as torn)."""
+    store = TensorFileStore(tmp_path)
+    store.write("t", DATA)
+    calls = []
+    real_preadv = os.preadv
+    monkeypatch.setattr(os, "preadv", lambda *a: calls.append(a) or real_preadv(*a))
+    before = store.read_syscalls
+    np.testing.assert_array_equal(store.read("t", DATA.shape, DATA.dtype), DATA)
+    assert len(calls) == 1 and store.read_syscalls - before == 1
+    path = store.path_for("t")
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-1])  # short by the probe *and* one payload byte
+    with pytest.raises(IntegrityError, match="torn write"):
+        store.read("t", DATA.shape, DATA.dtype)
+    assert len(calls) == 3
+    path.write_bytes(raw + b"x")  # oversized: the probe fills, nothing to resume
+    with pytest.raises(IntegrityError, match="torn write"):
+        store.read("t", DATA.shape, DATA.dtype)
+    assert len(calls) == 4
 
 
 def test_filestore_streaming_detects_bit_rot(tmp_path):

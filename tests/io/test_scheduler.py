@@ -13,13 +13,21 @@ import time
 import numpy as np
 import pytest
 
-from repro.io import ChunkedTensorStore, IORequest, IOScheduler, Priority
+from repro.io import (
+    ChunkedTensorStore,
+    IORequest,
+    IOScheduler,
+    Priority,
+    TenantQuotaError,
+    TenantRegistry,
+    UringBackend,
+)
 from repro.io.aio import JobState
 
 
-def _req(fn, kind="store", priority=Priority.STORE, nbytes=0, tid="t", lane="ssd"):
+def _req(fn, kind="store", priority=Priority.STORE, nbytes=0, tid="t", lane="ssd", tenant=None):
     return IORequest(
-        fn, kind=kind, priority=priority, tensor_id=tid, nbytes=nbytes, lane=lane
+        fn, kind=kind, priority=priority, tensor_id=tid, nbytes=nbytes, lane=lane, tenant=tenant
     )
 
 
@@ -615,3 +623,214 @@ def test_busy_time_is_interval_union_not_per_request_sum():
     # per-request sum would record, and at least one interval long.
     assert 0.045 <= window.busy_s < 0.15
     sched.shutdown()
+
+
+# ------------------------------------------------- the synchronous entry
+def _load(fn, nbytes, tenant, tid="t"):
+    return _req(fn, "load", Priority.BLOCKING_LOAD, nbytes, tid, lane="cpu", tenant=tenant)
+
+
+def _books(sched, events):
+    """Everything ``submit()`` and ``run_inline()`` must agree on."""
+    stats = sched.stats_snapshot()
+    assert stats.submitted == stats.executed + stats.failed + stats.cancelled
+    windows = {
+        (lane, channel): (w.count, w.nbytes)
+        for lane, channels in sched.consume_completion_stats().items()
+        for channel, w in channels.items()
+    }
+    health = {
+        lane: (s.successes, s.failures, s.dead) for lane, s in sched.health.snapshot().items()
+    }
+    tenant_health = {
+        key: (s.successes, s.failures) for key, s in sched.health.tenant_snapshot().items()
+    }
+    backend = {
+        lane: (s.batches, s.batched_requests, s.reaped)
+        for lane, s in sched.backend_stats_snapshot().items()
+    }
+    tenants = {name: vars(s) for name, s in sched.tenants.stats_snapshot().items()}
+    return stats, tenants, windows, health, tenant_health, backend, sorted(events)
+
+
+def _same_requests(run, threads):
+    """Five loads for two tenants, one of them failing, through ``run``."""
+    registry = TenantRegistry()
+    registry.register("a", byte_quota=1000)
+    registry.register("b")
+    sched = make_scheduler(tenants=registry)
+    events = []
+    sched.add_listener(lambda event, req: events.append((req.tensor_id, event)))
+
+    def body(i):
+        threads.append(threading.get_ident())
+        if i == 3:
+            raise ValueError("boom")  # not retryable: fails on the first attempt
+        return i
+
+    try:
+        requests = [
+            _load(lambda i=i: body(i), 100 * (i + 1), "ab"[i % 2], tid=f"t{i}") for i in range(5)
+        ]
+        for request in requests:
+            run(sched, request)
+            assert request.done_event.is_set()
+        assert sched.pending() == 0 and sched.drain(1)
+        assert [r.state for r in requests] == [
+            JobState.FAILED if i == 3 else JobState.DONE for i in range(5)
+        ]
+        assert [r.result for r in requests] == [0, 1, 2, None, 4]
+        assert isinstance(requests[3].error, ValueError)
+        return _books(sched, events)
+    finally:
+        sched.shutdown()
+
+
+def test_run_inline_runs_on_the_caller_and_keeps_submits_books():
+    queued_threads, inline_threads = [], []
+    queued = _same_requests(lambda sched, req: sched.submit(req).wait(5), queued_threads)
+    inline = _same_requests(lambda sched, req: sched.run_inline(req), inline_threads)
+    me = threading.get_ident()
+    assert inline_threads == [me] * 5
+    assert me not in queued_threads
+    assert inline == queued
+    stats, tenants, windows, health, tenant_health, backend, events = inline
+    assert (stats.submitted, stats.executed, stats.failed, stats.failed_bytes) == (5, 4, 1, 400)
+    assert stats.submitted_by_class == {"BLOCKING_LOAD": 5}
+    assert windows == {("cpu", "read"): (4, 100 + 200 + 300 + 500)}
+    assert tenants["b"]["failed"] == 1 and tenants["b"]["executed"] == 1
+    # Tenant "a" is charged its three loads and nothing was refunded.
+    assert tenants["a"]["quota_charged_bytes"] == 100 + 300 + 500
+    assert tenants["a"]["quota_refunded_bytes"] == 0
+    assert events == sorted(
+        (f"t{i}", event) for i in range(5) for event in ("submit", "start", "done")
+    )
+
+
+def test_run_inline_failure_is_booked_and_refunds_quota():
+    registry = TenantRegistry()
+    registry.register("q", byte_quota=100)  # over_quota="reject"
+    sched = make_scheduler(tenants=registry)
+    try:
+        def boom():
+            raise ValueError("boom")
+
+        failed = sched.run_inline(_load(boom, 60, "q"))
+        assert failed.state is JobState.FAILED and isinstance(failed.error, ValueError)
+        assert sched.stats.failed == 1 and sched.stats.failed_bytes == 60
+        books = registry.stats_of("q")
+        assert (books.submitted, books.failed, books.quota_in_use_bytes) == (1, 1, 0)
+        # The refund is what lets the next 60 bytes in; a third 60 is over.
+        assert sched.run_inline(_load(lambda: "ok", 60, "q")).result == "ok"
+        with pytest.raises(TenantQuotaError):
+            sched.run_inline(_load(lambda: "no", 60, "q"))
+        books = registry.stats_of("q")
+        assert (books.submitted, books.executed, books.rejected) == (2, 1, 1)
+        assert sched.stats.submitted == 2
+        assert sched.pending() == 0 and sched.drain(1)
+    finally:
+        sched.shutdown()
+
+
+def test_run_inline_parked_request_takes_the_queued_path():
+    registry = TenantRegistry()
+    registry.register("p", byte_quota=100, over_quota="park")
+    sched = make_scheduler(tenants=registry, lanes=("cpu",), coalesce_bytes=0)
+    gate = threading.Event()
+    parked_event = threading.Event()
+    sched.add_listener(lambda event, req: event == "park" and parked_event.set())
+    ran_on = []
+    try:
+        _block_workers(sched, gate, lane="cpu")
+        first = sched.submit(_load(lambda: None, 80, "p", tid="first"))
+        parked = _load(lambda: ran_on.append(threading.get_ident()), 80, "p", tid="parked")
+        caller = threading.Thread(target=sched.run_inline, args=(parked,))
+        caller.start()
+        assert parked_event.wait(5)
+        assert sched.parked("p") == 1 and not parked.done_event.is_set()
+        assert sched.cancel(first)  # the refund re-admits the parked request
+        gate.set()
+        caller.join(5)
+        assert not caller.is_alive()
+        assert parked.state is JobState.DONE
+        assert ran_on and ran_on[0] != caller.ident  # a lane worker ran it
+        books = registry.stats_of("p")
+        assert (books.parked, books.unparked, books.executed, books.cancelled) == (1, 1, 1, 1)
+    finally:
+        gate.set()
+        sched.shutdown()
+
+
+def test_run_inline_refused_after_shutdown_rolls_the_tenant_books_back():
+    registry = TenantRegistry()
+    registry.register("q", byte_quota=100)
+    sched = make_scheduler(tenants=registry)
+    sched.shutdown()
+    request = _load(lambda: None, 60, "q")
+    with pytest.raises(RuntimeError, match="shut down"):
+        sched.run_inline(request)
+    assert request.state is JobState.PENDING  # never claimed, never run
+    books = registry.stats_of("q")
+    assert (books.submitted, books.submitted_bytes, books.quota_in_use_bytes) == (0, 0, 0)
+    assert sched.stats.submitted == 0 and sched.pending() == 0
+
+
+def test_run_inline_settles_on_the_caller_under_the_reaper_backend():
+    sched = make_scheduler(backend=UringBackend())
+    try:
+        settled_on = []
+        inline = _load(lambda: "inline", 64, None, tid="i")
+        inline.add_done_callback(lambda job: settled_on.append(threading.get_ident()))
+        assert sched.run_inline(inline).result == "inline"
+        assert settled_on == [threading.get_ident()]
+        lanes = sched.backend_stats_snapshot()
+        assert lanes["cpu"].batches == 1 and lanes["cpu"].reaped == 0
+        # The queued path on the same scheduler still goes through the reaper.
+        queued = sched.submit(_load(lambda: "queued", 64, None, tid="q"))
+        assert queued.wait(5) and sched.drain(5)
+        assert sched.backend_stats_snapshot()["cpu"].reaped == 1
+        assert sched.stats.executed == 2
+    finally:
+        sched.shutdown()
+
+
+def test_run_inline_races_the_queued_path_and_the_books_still_reconcile():
+    """Eight callers mix inline and queued requests on one lane under a
+    shortened switch interval: a lost update on ``pending``, the stats or
+    a tenant's books would leave ``drain()`` hanging or a count short."""
+    import sys
+
+    registry = TenantRegistry()
+    sched = make_scheduler(tenants=registry, lanes=("cpu",))
+    callers, per_caller = 8, 150
+    ran = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def caller(c):
+            for i in range(per_caller):
+                request = _load(lambda: ran.append(1), 64, f"tenant{c % 3}", tid=f"c{c}-{i}")
+                if i % 2:
+                    sched.run_inline(request)
+                    assert request.state is JobState.DONE
+                else:
+                    sched.submit(request)
+
+        threads = [threading.Thread(target=caller, args=(c,)) for c in range(callers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sched.drain(10) and sched.pending() == 0
+    finally:
+        sys.setswitchinterval(interval)
+        sched.shutdown()
+    total = callers * per_caller
+    stats = sched.stats_snapshot()
+    assert (stats.submitted, stats.executed, stats.failed, stats.cancelled) == (total, total, 0, 0)
+    assert len(ran) == total
+    tenants = registry.stats_snapshot()
+    assert sum(t.submitted for t in tenants.values()) == total
+    assert all(t.submitted == t.executed for t in tenants.values())
+    assert sched.consume_completion_stats()["cpu"]["read"].count == total

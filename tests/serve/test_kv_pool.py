@@ -256,6 +256,103 @@ def test_demand_fetch_clears_a_stale_prefetched_flag(engine):
     assert pool.stats.prefetch_hit_rate == 0.0
 
 
+# ------------------------------------------------------------- demand path
+def test_demand_fetch_runs_where_the_bytes_are(engine, monkeypatch):
+    """A block in the pinned pool is read on the calling thread; a block
+    on the SSD is queued on the ssd lane.  Both are BLOCKING_LOADs on
+    the scheduler's books."""
+    import threading
+
+    threads = []  # the thread every offloader.load body ran on
+    real_load = engine.offloader.load
+
+    def load(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real_load(*args, **kwargs)
+
+    pool = make_pool(
+        engine, strategy=SplitToken(hbm_recent_blocks=1, cpu_window_blocks=1)
+    )
+    pool.begin_request("r1", user="alice", context_tokens=3 * BLOCK_TOKENS)
+    originals = [payload(20 + i) for i in range(3)]
+    ssd_key, cpu_key, _ = [pool.append_block("r1", 0, data) for data in originals]
+    assert (pool.block_tier(ssd_key), pool.block_tier(cpu_key)) == ("ssd", "cpu")
+    monkeypatch.setattr(engine.offloader, "load", load)
+    events = []
+    engine.scheduler.add_listener(lambda event, req: events.append((event, req.lane)))
+
+    assert np.array_equal(pool.fetch("r1", 0, cpu_key.index), originals[1])
+    assert threads == [threading.current_thread()]
+    assert events == [("submit", "cpu"), ("start", "cpu"), ("done", "cpu")]
+
+    assert np.array_equal(pool.fetch("r1", 0, ssd_key.index), originals[0])
+    assert threads[1] is not threading.current_thread()
+    assert "-ssd-" in threads[1].name  # a lane worker of the ssd lane
+    assert events[3:] == [("submit", "ssd"), ("start", "ssd"), ("done", "ssd")]
+
+    books = engine.scheduler.stats_snapshot()
+    assert books.submitted_by_class == {"BLOCKING_LOAD": 2}
+    assert (books.submitted, books.executed, engine.scheduler.pending()) == (2, 2, 0)
+    assert engine.stats().tenants["alice"].executed == 2
+    assert pool.stats.demand_fetches == 2
+
+
+def test_failed_inline_demand_fetch_surfaces_and_is_booked(engine, monkeypatch):
+    pool = make_pool(engine, blocks_in_hbm=0)
+    pool.begin_request("r1", user="alice")
+    key = pool.append_block("r1", 0, payload(3))
+    assert pool.block_tier(key) == "cpu"
+
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine.offloader, "load", boom)
+        with pytest.raises(ValueError, match="boom"):
+            pool.fetch("r1", 0, 0)
+    books = engine.scheduler.stats_snapshot()
+    assert (books.submitted, books.executed, books.failed) == (1, 0, 1)
+    assert engine.stats().tenants["alice"].failed == 1
+    assert engine.scheduler.pending() == 0 and engine.scheduler.drain(1)
+    # The block is where it was and reads back once the fault is gone.
+    assert pool._table[key].state is BlockState.ENGINE and pool.stats.demand_fetches == 0
+    assert np.array_equal(pool.fetch("r1", 0, 0), payload(3))
+
+
+def test_block_state_has_one_writer():
+    """``KVBlockPool._set_state`` is the only assignment to a block's
+    state: the resident index and the HBM byte count ride on that."""
+    import inspect
+    import re
+
+    import repro.serve.kv_pool as kv_pool
+
+    writes = re.findall(r"^.*\.state\s*=[^=].*$", inspect.getsource(kv_pool), re.MULTILINE)
+    assert [w.strip() for w in writes] == ["meta.state = state"]
+
+
+def test_victim_comes_from_the_resident_index_not_a_table_scan(engine):
+    """An eviction hands the strategy the HBM residents only, however
+    many paged-out blocks the table holds."""
+    handed = []
+
+    class Spy(PreferHBM):
+        def eviction_order(self, resident):
+            handed.append(len(resident))
+            return super().eviction_order(resident)
+
+    pool = make_pool(engine, blocks_in_hbm=2, strategy=Spy())
+    pool.begin_request("r1")
+    for i in range(8):
+        pool.append_block("r1", 0, payload(i))
+    assert handed == [2] * 6
+    assert len(pool._table) == 8 and pool.hbm_used_bytes == 2 * BLOCK_BYTES
+    assert set(pool._resident) == {
+        k for k, m in pool._table.items() if m.state is BlockState.HBM
+    }
+    assert [k.index for k in pool._resident] == [6, 7]
+
+
 # ----------------------------------------------------------------- tenancy
 def test_requests_map_to_tenant_books(engine, tmp_path):
     """KV traffic lands in the engine's per-tenant books (PR 6 reuse)."""

@@ -133,3 +133,37 @@ def test_baseline_rejects_oversized_contexts(baseline_result):
             req = next(r for r in TRACE if r.request_id == out.request_id)
             assert sim._full_kv_bytes(req) > cfg.hbm_capacity_bytes
     assert baseline_result.bit_exact_checked == 0  # no pool, nothing to verify
+
+
+# ---------------------------------------------- the benchmark's quick trace
+def test_kv_serve_quick_trace_exact_counters_are_pinned(tmp_path):
+    """The ``exact`` rows of ``benchmarks/e2e`` ``kv_serve --quick``: every
+    one is a pure function of the call sequence, so a change to placement,
+    eviction order or which reads count as demand fetches moves a number
+    here instead of in a 20 s benchmark run.  Update the pins on purpose."""
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).parents[2] / "benchmarks" / "e2e"))
+    try:
+        import wl_kv
+    finally:
+        sys.path.pop(0)
+
+    trace = wl_kv.make_trace(0, wl_kv.QUICK_REQUESTS)
+    config = ServerConfig(store_dir=str(tmp_path), cpu_pool_bytes=wl_kv.CPU_POOL_BYTES)
+    result = KVServerSim(trace, config).run()
+    stats = result.pool_stats
+    assert (result.served, result.rejected, result.bit_exact_ok) == (4, 0, True)
+    assert (stats.blocks_written, stats.released_blocks) == (58, 58)
+    assert (stats.writebacks, stats.evictions) == (958, 958)
+    assert (stats.demand_fetches, stats.fetched_bytes) == (582, 582 * 8192)
+    assert (stats.hbm_hits, stats.prefetch_issued, stats.prefetch_hits) == (28, 372, 348)
+    assert stats.prefetch_hit_rate == pytest.approx(348 / 930, rel=1e-12)
+    assert result.ttft_p50 == pytest.approx(0.10700744473297584, rel=1e-12)
+    assert result.ttft_p99 == pytest.approx(0.20854831463894707, rel=1e-12)
+    assert result.peak_concurrency == 4
+    assert result.tier_census_peak == {"cpu": 24, "hbm": 32}
+    # Demand fetches are the only scheduler traffic, and all of it is booked.
+    books = result.engine_stats.scheduler
+    assert (books.submitted, books.executed, books.failed, books.cancelled) == (582, 582, 0, 0)

@@ -17,7 +17,7 @@ from repro.core.engine import EngineConfig
 from repro.core.tensor_cache import TensorCache
 from repro.serve import KVBlockPool
 
-SRC_LINE_CEILING = 21_100
+SRC_LINE_CEILING = 20_950
 ENGINE_CONFIG_FIELD_CEILING = 25
 KV_POOL_PARAMETERS = ("engine", "block_tokens", "num_layers", "hbm_capacity_bytes", "strategy")
 TENSOR_CACHE_PARAMETERS = ("offloader", "policy", "registry", "prefetch_window", "scheduler")
