@@ -220,7 +220,7 @@ def test_ablation_scheduler_cancellation_throughput(benchmark):
     from repro.io import IORequest, IOScheduler, Priority
 
     def run():
-        sched = IOScheduler(num_store_workers=2, num_load_workers=2)
+        sched = IOScheduler(workers=4)
         cancelled = 0
         for _ in range(20):
             requests = [
@@ -251,6 +251,7 @@ def test_ablation_scheduler_cancellation_throughput(benchmark):
 def test_ablation_chunk_coalescing(benchmark):
     """SSD write count: one file per tensor vs fixed-size chunk files."""
     from repro.core import SSDOffloader
+    from repro.io import ChunkedTensorStore
     from repro.core.ids import TensorID
 
     rng = np.random.default_rng(0)
@@ -264,7 +265,7 @@ def test_ablation_chunk_coalescing(benchmark):
         with tempfile.TemporaryDirectory(prefix="abl-per-") as per_dir, \
                 tempfile.TemporaryDirectory(prefix="abl-chunk-") as chunk_dir:
             per = SSDOffloader(per_dir)
-            chunked = SSDOffloader(chunk_dir, chunk_bytes=2**20)
+            chunked = SSDOffloader(ChunkedTensorStore(chunk_dir, chunk_bytes=2**20))
             for tid, data in tensors:
                 per.store(tid, data)
                 chunked.store(tid, data)

@@ -58,7 +58,7 @@ def test_hedge_delay_derivation_hot_path(benchmark):
     """The adaptive hedge delay (p99 clamped to 4*p50 over the lane's
     duration window) is recomputed on every watchdog scan with a
     blocking load in flight — it must stay cheap."""
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, hedge=True)
+    sched = IOScheduler(workers=2, hedge=True)
     try:
         window = deque(maxlen=64)
         for i in range(64):
@@ -128,7 +128,7 @@ def test_recovery_hedge_wins_under_brownout():
         return body
 
     sched = IOScheduler(
-        num_store_workers=1, num_load_workers=4, hedge=True, hedge_delay_s=0.01
+        workers=5, hedge=True, hedge_delay_s=0.01
     )
     latencies = []
     try:

@@ -59,7 +59,7 @@ def test_tenant_fair_vs_fifo_jain_ab():
 
 def test_tenant_admission_quota_hot_path(benchmark):
     """The per-submit admission charge/refund cycle (quota-tracked
-    tenant) — pure CPU, guarded by the default wall-clock gate."""
+    tenant) — pure CPU."""
     registry = TenantRegistry()
     registry.register("hot", byte_quota=1 << 40)
 

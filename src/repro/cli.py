@@ -18,9 +18,6 @@ Usage::
     python -m repro autotune             # static vs adaptive budget under drift
     python -m repro faults               # fault-scenario runner (--functional
                                          #   for the live chaos recovery demo)
-    python -m repro dataplane            # data-plane rates per backend
-                                         #   (MB/s, copies/step, bit-exactness;
-                                         #   --io-backend adds a syscall A/B)
     python -m repro tenants              # multi-tenant fair-share vs FIFO A/B
                                          #   (Jain's index, weights, quotas)
     python -m repro kv                   # KV-cache paging vs HBM-only serving
@@ -538,7 +535,7 @@ def _faults_heal(args: argparse.Namespace) -> None:
         # workers for the full stall, so the pool must fit every
         # overlapping straggler plus the duplicates that rescue them.
         scheduler = IOScheduler(
-            num_store_workers=1, num_load_workers=4,
+            workers=5,
             hedge=hedge, hedge_delay_s=0.005,
             name=f"heal-demo-{'hedged' if hedge else 'baseline'}",
         )
@@ -644,98 +641,6 @@ def cmd_faults(args: argparse.Namespace) -> None:
           f"{step_before.step_time_s * 1e3:.0f} ms -> {step_after.step_time_s * 1e3:.0f} ms "
           f"(offload drains via host memory, run completes; the PCIe link "
           f"outruns a single bricked SSD, at the cost of bounded host DRAM)")
-
-
-def cmd_dataplane(args: argparse.Namespace) -> None:
-    """Zero-copy data plane: per-backend rates and the copy books.
-
-    Two surfaces: a store/load microbench of every backend (MB/s both
-    ways, copies made, allocations avoided), and the tiered quickstart
-    as a functional run — losses identical to the no-offload run while
-    real allocations are avoided (``allocs_avoided`` / copies per
-    step).
-    """
-    import shutil
-    import tempfile
-    import time as _time
-
-    import numpy as np
-
-    from repro.core.ids import TensorID
-    from repro.core.offloader import CPUOffloader, PinnedMemoryPool
-    from repro.io.chunkstore import ChunkedTensorStore
-    from repro.io.filestore import TensorFileStore
-
-    size = args.size_mb * (1 << 20)
-    iters = args.iters
-    data = np.random.default_rng(0).random(size // 8)
-    names = [f"t{i}" for i in range(8)]
-    tids = [TensorID(stamp=i, shape=data.shape) for i in range(len(names))]
-
-    def bench_store(store):
-        start = _time.perf_counter()
-        for i in range(iters):
-            store.write(names[i % len(names)], data)
-        flush = getattr(store, "flush", None)
-        if flush is not None:
-            flush()
-        write_s = _time.perf_counter() - start
-        start = _time.perf_counter()
-        for i in range(iters):
-            store.read(names[i % len(names)], data.shape, data.dtype)
-        read_s = _time.perf_counter() - start
-        return write_s, read_s, store.copy_stats.snapshot()
-
-    def bench_cpu():
-        off = CPUOffloader(PinnedMemoryPool())
-        # Warm-up pass: first-touch faults are paid once; the steady
-        # state (the arena reusing its buffers) is what is timed.
-        for tid in tids:
-            off.store(tid, data)
-        start = _time.perf_counter()
-        for i in range(iters):
-            off.store(tids[i % len(tids)], data)
-        write_s = _time.perf_counter() - start
-        start = _time.perf_counter()
-        for i in range(iters):
-            off.load(tids[i % len(tids)], data.shape, data.dtype)
-        read_s = _time.perf_counter() - start
-        # dataplane_stats folds in the arena's hits — copy_stats alone
-        # would report 'avoided 0' and hide the CPU tier's pooling win.
-        snap = off.dataplane_stats()
-        off.shutdown()
-        return write_s, read_s, snap
-
-    total_mb = iters * size / 1e6
-    print(f"data-plane microbench: {iters} x {args.size_mb} MiB tensors "
-          f"({total_mb:.0f} MB per direction)\n")
-    print(f"{'backend':>12} {'store MB/s':>11} {'load MB/s':>10} "
-          f"{'copies':>7} {'avoided':>8}")
-    for backend in ("filestore", "chunkstore", "cpu pool"):
-        if backend == "cpu pool":
-            write_s, read_s, snap = bench_cpu()
-        else:
-            tmpdir = tempfile.mkdtemp(prefix="dp-bench-")
-            try:
-                if backend == "filestore":
-                    store = TensorFileStore(tmpdir)
-                else:
-                    store = ChunkedTensorStore(tmpdir, chunk_bytes=4 << 20)
-                write_s, read_s, snap = bench_store(store)
-                store.clear()
-            finally:
-                shutil.rmtree(tmpdir, ignore_errors=True)
-        print(f"{backend:>12} {total_mb / write_s:>11.0f} "
-              f"{total_mb / read_s:>10.0f} {snap.copies:>7} "
-              f"{snap.allocs_avoided:>8}")
-
-    if not args.no_functional:
-        from examples.quickstart import main as quickstart_main
-
-        # The quickstart prints copies/step, allocs avoided and the arena
-        # hit rate, and asserts the losses match the no-offload run.
-        print("\nfunctional run (tiered target):")
-        quickstart_main(target="tiered", cpu_pool_bytes=1 << 20, chunk_bytes=64 << 10)
 
 
 def cmd_tenants(args: argparse.Namespace) -> None:
@@ -905,7 +810,6 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
     "sched": cmd_sched,
     "autotune": cmd_autotune,
     "faults": cmd_faults,
-    "dataplane": cmd_dataplane,
     "tenants": cmd_tenants,
     "kv": cmd_kv,
     "serve": cmd_serve,
@@ -960,19 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="per-tensor SSD store writes with O_DIRECT (falls "
                      "back to buffered I/O per file if the filesystem "
                      "refuses; not with --chunk-bytes)",
-            )
-        if name == "dataplane":
-            p.add_argument(
-                "--size-mb", type=int, default=4,
-                help="tensor size for the store/load microbench (MiB)",
-            )
-            p.add_argument(
-                "--iters", type=int, default=24,
-                help="stores/loads per backend",
-            )
-            p.add_argument(
-                "--no-functional", action="store_true",
-                help="skip the functional mini-training run (microbench only)",
             )
         if name == "tenants":
             p.add_argument(

@@ -36,10 +36,6 @@ class WorkloadProfile:
     forward_time_s: float
     backward_time_s: float
 
-    @property
-    def step_time_s(self) -> float:
-        return self.forward_time_s + self.backward_time_s
-
 
 def choose_offload_budget(
     profile: WorkloadProfile,

@@ -393,12 +393,9 @@ class AutotuneController:
         write = _merge_channel(lanes, "write")
         read = _merge_channel(lanes, "read")
         stall_s = min(step.unpack_wait_s, backward_time_s)
-        io_failures = 0
-        dead_lanes: Tuple[str, ...] = ()
-        health = getattr(cache.scheduler, "health", None)
-        if health is not None:
-            io_failures = sum(health.consume_failure_window().values())
-            dead_lanes = health.dead_lanes()
+        health = cache.scheduler.health
+        io_failures = sum(health.consume_failure_window().values())
+        dead_lanes = health.dead_lanes()
         obs = StepObservation(
             forward_time_s=forward_time_s,
             backward_time_s=backward_time_s - stall_s,

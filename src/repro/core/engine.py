@@ -7,9 +7,11 @@ Two front-ends share the offload stack — the original
 - :class:`EngineConfig` is the single typed configuration record;
   invalid combinations raise :class:`EngineConfigError` (a
   :class:`ValueError` subclass, so ``except ValueError`` callers work).
-- :func:`build_engine` returns an :class:`Engine` bundling the offloader,
-  a lazily-started scheduler, the placement policy and the optional
-  tenant registry.  ``Trainer`` runs construct a cache via
+- :func:`build_engine` returns an :class:`Engine`, the one place the
+  configuration is read: it builds each part once — the SSD store, the
+  offloader over it, the lazily-started scheduler — hands the built
+  parts down (never their options), and keeps what it built as
+  attributes.  ``Trainer`` runs construct a cache via
   :meth:`Engine.cache`; the KV front-end drives the offloader/scheduler
   pair directly; callers that only need the synchronous backend take
   ``engine.offloader``.
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from repro.core.offloader import (
     CPUOffloader,
@@ -33,25 +35,25 @@ from repro.core.offloader import (
     SSDOffloader,
 )
 from repro.core.policy import OffloadPolicy
+from repro.core.tiered import TieredOffloader, TierStats
 from repro.io.aio import IOLaneStats
 from repro.io.buffers import ArenaStats, DataPlaneStats
-from repro.io.scheduler import (
-    ChannelWindow,
-    IOScheduler,
-    LaneHealthSnapshot,
-    Priority,
-    SchedulerStats,
-)
+from repro.io.chunkstore import ChunkedTensorStore
+from repro.io.filestore import TensorFileStore
 from repro.io.gds import GDSRegistry
+from repro.io.scheduler import IOScheduler, Priority, SchedulerStats
 from repro.io.tenancy import TenantRegistry, TenantStats
 from repro.io.uring import UringBackend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.tensor_cache import TensorCache
-    from repro.core.tiered import TierStats
 
 #: Lane execution backends an :class:`EngineConfig` may select.
 IO_BACKENDS = ("thread", "uring", "gds-sim")
+
+#: The scheduler lanes each target queues on: a single-tier engine never
+#: submits to the other tier's lane, so it starts no workers for it.
+TARGET_LANES = {"ssd": ("ssd",), "cpu": ("cpu",), "tiered": ("ssd", "cpu")}
 
 
 class EngineConfigError(ValueError):
@@ -66,59 +68,71 @@ class EngineConfigError(ValueError):
 class EngineConfig:
     """Typed configuration for one offload engine (data + I/O plane).
 
-    Data-plane knobs:
+    Each field is read by :class:`Engine` and handed to exactly one
+    constructor (named in brackets); nothing is passed through a layer
+    that does not use it.
+
+    Data plane:
 
     Attributes:
         target: ``"ssd"``, ``"cpu"`` or ``"tiered"`` (see
-            :data:`~repro.core.offloader.OFFLOAD_TARGETS`).
-        store_dir: backing directory; required for ``ssd``/``tiered``.
-        cpu_pool_bytes: pinned-pool capacity (``cpu``/``tiered``);
-            ``None`` means unbounded for ``cpu`` and is rejected for
-            ``tiered``.
-        chunk_bytes: enable chunk coalescing on the SSD path.
-        throttle_bytes_per_s: model a paced store device.
-        array: array-module override forwarded to the SSD tier.
-        policy: the :class:`~repro.core.policy.OffloadPolicy`; built
-            fresh when ``None`` and shared between the offloader, the
-            cache and any paging front-end so per-tenant placement hooks
-            take effect everywhere.
-        promote_on_load: tiered only — copy SSD residents back into the
-            pinned pool on load when there is room.
+            :data:`~repro.core.offloader.OFFLOAD_TARGETS`) — which
+            offloader is built, and which lanes the scheduler starts.
+        store_dir: backing directory; required for ``ssd``/``tiered``
+            [the store].
+        chunk_bytes: coalesce tensors into chunk files of this size
+            [:class:`~repro.io.chunkstore.ChunkedTensorStore`; ``None``
+            builds a per-tensor
+            :class:`~repro.io.filestore.TensorFileStore`].
         durable: journal the chunk store's index to a manifest under
             ``store_dir`` and replay it on construction — the crash
             -recovery substrate of the service mode
-            (:mod:`repro.service`).  Requires ``chunk_bytes`` and an
-            ssd/tiered target; flips the SSD store's shutdown from
-            ``clear()`` (destroy) to ``close()`` (keep for replay).
+            (:mod:`repro.service`); the store then survives
+            :meth:`Engine.shutdown`.  Requires ``chunk_bytes``
+            [``ChunkedTensorStore``].
         store_roots: extra chunk-store directories; flushed chunks are
-            write-leveled across them by cumulative bytes written
-            (requires ``chunk_bytes``).
+            write-leveled across them by cumulative bytes written.
+            Requires ``chunk_bytes`` [``ChunkedTensorStore``].
+        io_direct: open write descriptors ``O_DIRECT`` — aligned staging
+            via arena leases, per-file fallback where the filesystem
+            refuses.  Not with ``chunk_bytes`` (chunk files are
+            buffered) [``TensorFileStore``].
+        throttle_bytes_per_s: model a paced device [the store; the
+            :class:`~repro.core.offloader.CPUOffloader` for ``cpu``].
+        cpu_pool_bytes: pinned-pool capacity; ``None`` means unbounded
+            for ``cpu`` and is rejected for ``tiered``
+            [:class:`~repro.core.offloader.PinnedMemoryPool` /
+            :class:`~repro.core.tiered.TieredOffloader`].
+        policy: the :class:`~repro.core.policy.OffloadPolicy`; built
+            fresh when ``None`` and shared between the offloader, the
+            cache and any paging front-end so per-tenant placement hooks
+            take effect everywhere [``TieredOffloader``, and
+            :class:`~repro.core.tensor_cache.TensorCache` via
+            :meth:`Engine.cache`].
+        promote_on_load: copy SSD residents back into the pinned pool on
+            load when there is room [``TieredOffloader``].
+        probe_backoff_s: the SSD breaker's backoff before half-open
+            canary probes, and the opt-in for store-path auto-probing
+            (tiered only); ``None`` leaves probing to the service
+            housekeeping loop [``TieredOffloader``].
 
-    I/O-plane knobs (the scheduler every front-end shares):
+    I/O plane [all :class:`~repro.io.scheduler.IOScheduler`; its worker
+    count, coalescing cap and retry budget are the scheduler's defaults]:
 
     Attributes:
-        num_store_workers / num_load_workers: per-channel worker counts
-            (their sum is each lane's worker pool).
         fifo_io: dequeue in submission order (paper baseline).
-        coalesce_bytes / max_retries / retry_backoff_s: forwarded to
-            :class:`~repro.io.scheduler.IOScheduler`; ``None`` keeps the
-            scheduler's defaults.
         tenants: a :class:`~repro.io.tenancy.TenantRegistry` enabling
             quota admission + weighted fair-share dequeue.
-        prefetch_window: look-ahead depth handed to caches built via
-            :meth:`Engine.cache`.
         io_backend: who settles a finished request (:data:`IO_BACKENDS`).
             ``"thread"`` (default): the lane worker, inline; ``"uring"``:
             a dedicated completion reaper; ``"gds-sim"``: the reaper,
-            plus a :class:`~repro.io.gds.GDSRegistry` handed to the SSD
-            tier's per-tensor store for simulated GPUDirect-Storage
-            routing.  The syscalls issued are the same under all three.
-        io_direct: the per-tensor SSD store opens write descriptors
-            ``O_DIRECT`` — aligned staging via arena leases, per-file
-            fallback where the filesystem refuses.  Needs an ssd/tiered
-            target without ``chunk_bytes`` (chunk files are buffered).
+            plus a :class:`~repro.io.gds.GDSRegistry` shared by the SSD
+            offloader and its per-tensor store for simulated
+            GPUDirect-Storage routing.  The syscalls issued are the same
+            under all three.
 
-    Degraded-mode knobs (architecture §12):
+    Degraded-mode switches (architecture §12) — the engine's only way to
+    turn the fault-recovery code on:
 
     Attributes:
         io_deadlines: per-priority-class deadlines in seconds, e.g.
@@ -126,17 +140,12 @@ class EngineConfig:
             stuck past theirs (the hung-I/O failure mode) instead of
             letting a wedged lane worker stall the step forever.
         hedge_reads: issue a duplicate BLOCKING_LOAD on the same lane
-            after an adaptive delay; first completion wins, the loser is
-            cancelled (tail-latency insurance during brownouts).
-        hedge_delay_s: explicit hedge delay; ``None`` derives it from
-            the recent load-latency distribution (p99-based).
+            after a delay adapted from the recent load-latency
+            distribution (p99-based); first completion wins, the loser
+            is cancelled (tail-latency insurance during brownouts).
         io_slow_request_s: per-op duration past which the lane health
             tracker moves toward a *slow* (brownout) verdict — distinct
             from *dead*: optional traffic sheds, blocking work continues.
-        probe_backoff_s: the SSD breaker's backoff before half-open
-            canary probes, and the opt-in for store-path auto-probing
-            (tiered target only); ``None`` leaves probing to the service
-            housekeeping loop.
     """
 
     target: str = "tiered"
@@ -144,24 +153,16 @@ class EngineConfig:
     cpu_pool_bytes: Optional[int] = None
     chunk_bytes: Optional[int] = None
     throttle_bytes_per_s: Optional[float] = None
-    array: Any = None
     policy: Optional[OffloadPolicy] = None
     promote_on_load: bool = True
     durable: bool = False
     store_roots: Any = None
-    num_store_workers: int = 2
-    num_load_workers: int = 2
     fifo_io: bool = False
-    coalesce_bytes: Optional[int] = None
-    max_retries: Optional[int] = None
-    retry_backoff_s: Optional[float] = None
     tenants: Optional[TenantRegistry] = None
-    prefetch_window: int = 8
     io_backend: str = "thread"
     io_direct: bool = False
     io_deadlines: Optional[Dict[str, float]] = None
     hedge_reads: bool = False
-    hedge_delay_s: Optional[float] = None
     io_slow_request_s: Optional[float] = None
     probe_backoff_s: Optional[float] = None
 
@@ -170,7 +171,8 @@ class EngineConfig:
 
         Rejects every combination in which a field would be silently
         ignored (an experiment flag that does nothing is worse than an
-        error), plus checks for the scheduler axis.
+        error).  The one judge of combinations: the constructors the
+        fields are handed to check their own values only.
         """
         if self.target not in OFFLOAD_TARGETS:
             raise EngineConfigError(
@@ -192,12 +194,6 @@ class EngineConfig:
         if self.cpu_pool_bytes is not None and self.cpu_pool_bytes < 0:
             raise EngineConfigError(
                 f"cpu_pool_bytes must be >= 0: {self.cpu_pool_bytes}"
-            )
-        if self.num_store_workers < 1 or self.num_load_workers < 1:
-            raise EngineConfigError("each channel needs at least one worker")
-        if self.prefetch_window < 0:
-            raise EngineConfigError(
-                f"prefetch_window must be >= 0: {self.prefetch_window}"
             )
         if self.io_backend not in IO_BACKENDS:
             raise EngineConfigError(
@@ -238,12 +234,6 @@ class EngineConfig:
                     raise EngineConfigError(
                         f"io_deadlines[{cls!r}] must be positive: {deadline}"
                     )
-        if self.hedge_delay_s is not None and self.hedge_delay_s <= 0:
-            raise EngineConfigError(
-                f"hedge_delay_s must be positive: {self.hedge_delay_s}"
-            )
-        if self.hedge_delay_s is not None and not self.hedge_reads:
-            raise EngineConfigError("hedge_delay_s requires hedge_reads")
         if self.io_slow_request_s is not None and self.io_slow_request_s <= 0:
             raise EngineConfigError(
                 f"io_slow_request_s must be positive: {self.io_slow_request_s}"
@@ -326,16 +316,15 @@ class EngineStats:
     target: str
     dataplane: DataPlaneStats
     scheduler: Optional[SchedulerStats] = None
-    channels: Dict[str, Dict[str, ChannelWindow]] = field(default_factory=dict)
-    lane_health: Dict[str, LaneHealthSnapshot] = field(default_factory=dict)
     tenants: Dict[str, TenantStats] = field(default_factory=dict)
     pool: Optional[PoolBooks] = None
-    tiers: Optional["TierStats"] = None
+    tiers: Optional[TierStats] = None
     arena: Optional[ArenaStats] = None
     #: Which lane execution backend the I/O plane runs.
     io_backend: str = "thread"
-    #: Per-lane backend books (syscalls, batched requests, reap lag)
-    #: — empty until the lazy scheduler exists.
+    #: Per-lane backend books (syscalls, batched requests, reap lag),
+    #: one key per lane the target uses — empty until the lazy
+    #: scheduler exists.
     io_lanes: Dict[str, IOLaneStats] = field(default_factory=dict)
     #: SSD endurance / lifespan books — ``None`` unless the engine runs
     #: a chunked store (the only backend with wear-relevant batching).
@@ -346,9 +335,14 @@ class Engine:
     """The assembled offload engine: data plane + I/O plane + policy.
 
     Use :func:`build_engine` rather than constructing directly.  The
-    scheduler is built lazily on first access, so callers that only
-    need the synchronous offloader (``build_engine(...).offloader``,
-    unit fixtures) never spawn worker threads.
+    parts the engine built are its attributes — ``file_store`` (the SSD
+    store, ``None`` for the cpu target), ``chunk_store`` (the same
+    object when it is a chunked store, else ``None``), ``tiered`` (the
+    offloader when the target is tiered, else ``None``) — so nothing
+    above has to ask the offloader what it is made of.  The scheduler
+    is built lazily on first access, so callers that only need the
+    synchronous offloader (``build_engine(...).offloader``, unit
+    fixtures) never spawn worker threads.
     """
 
     def __init__(self, config: EngineConfig) -> None:
@@ -356,84 +350,72 @@ class Engine:
         self.config = config
         self.policy = config.policy if config.policy is not None else OffloadPolicy()
         self.tenants = config.tenants
+        self.file_store: Optional[Union[TensorFileStore, ChunkedTensorStore]] = None
+        self.chunk_store: Optional[ChunkedTensorStore] = None
+        self.tiered: Optional[TieredOffloader] = None
         self.offloader = self._build_offloader()
         self._scheduler: Optional[IOScheduler] = None
         self._scheduler_lock = threading.Lock()
-        self._caches: List["TensorCache"] = []
         self._started_at = time.monotonic()
         self._closed = False
 
     # ------------------------------------------------------------ construction
     def _build_offloader(self) -> Offloader:
-        from repro.core.tiered import TieredOffloader  # circular-import guard
-
         cfg = self.config
-        # Pack-time registrations are what the SSD store routes on.
-        gds = GDSRegistry() if cfg.io_backend == "gds-sim" else None
-        if cfg.target == "ssd":
-            return SSDOffloader(
-                cfg.store_dir,
-                throttle_bytes_per_s=cfg.throttle_bytes_per_s,
-                array=cfg.array,
-                gds=gds,
-                chunk_bytes=cfg.chunk_bytes,
-                durable=cfg.durable,
-                store_roots=cfg.store_roots,
-                io_direct=cfg.io_direct,
-            )
         if cfg.target == "cpu":
             return CPUOffloader(
                 PinnedMemoryPool(cfg.cpu_pool_bytes),
                 throttle_bytes_per_s=cfg.throttle_bytes_per_s,
             )
-        return TieredOffloader(
-            cfg.store_dir,
-            cpu_pool_bytes=cfg.cpu_pool_bytes,
-            chunk_bytes=cfg.chunk_bytes,
+        # Pack-time registrations are what the per-tensor store routes on.
+        gds = GDSRegistry() if cfg.io_backend == "gds-sim" else None
+        if cfg.chunk_bytes is not None:
+            self.file_store = self.chunk_store = ChunkedTensorStore(
+                cfg.store_dir,
+                chunk_bytes=cfg.chunk_bytes,
+                throttle_bytes_per_s=cfg.throttle_bytes_per_s,
+                durable=cfg.durable,
+                roots=cfg.store_roots,
+            )
+        else:
+            self.file_store = TensorFileStore(
+                cfg.store_dir,
+                throttle_bytes_per_s=cfg.throttle_bytes_per_s,
+                direct=cfg.io_direct,
+                gds=gds,
+            )
+        ssd = SSDOffloader(self.file_store, gds=gds)
+        if cfg.target == "ssd":
+            return ssd
+        self.tiered = TieredOffloader(
+            ssd,
+            cfg.cpu_pool_bytes,
             policy=self.policy,
             promote_on_load=cfg.promote_on_load,
-            throttle_bytes_per_s=cfg.throttle_bytes_per_s,
-            array=cfg.array,
-            gds=gds,
-            durable=cfg.durable,
-            store_roots=cfg.store_roots,
             probe_backoff_s=cfg.probe_backoff_s,
-            io_direct=cfg.io_direct,
         )
+        return self.tiered
 
     @property
     def scheduler(self) -> IOScheduler:
         """The shared priority scheduler, built (and wired to the
-        offloader's demotion path) on first access."""
+        offloader's demotion path) on first access.  It starts workers
+        for the lanes the target queues on and no others; an engine's
+        hedge delay is always the adaptive one."""
         with self._scheduler_lock:
             if self._scheduler is None:
                 cfg = self.config
-                kwargs: Dict[str, Any] = {}
-                if cfg.coalesce_bytes is not None:
-                    kwargs["coalesce_bytes"] = cfg.coalesce_bytes
-                if cfg.max_retries is not None:
-                    kwargs["max_retries"] = cfg.max_retries
-                if cfg.retry_backoff_s is not None:
-                    kwargs["retry_backoff_s"] = cfg.retry_backoff_s
-                if cfg.io_deadlines:
-                    kwargs["deadlines"] = dict(cfg.io_deadlines)
-                if cfg.hedge_reads:
-                    kwargs["hedge"] = True
-                    kwargs["hedge_delay_s"] = cfg.hedge_delay_s
-                if cfg.io_slow_request_s is not None:
-                    kwargs["slow_request_s"] = cfg.io_slow_request_s
-                if cfg.io_backend in ("uring", "gds-sim"):
-                    kwargs["backend"] = UringBackend()  # settle on a reaper
+                reaper = cfg.io_backend in ("uring", "gds-sim")
                 self._scheduler = IOScheduler(
-                    num_store_workers=cfg.num_store_workers,
-                    num_load_workers=cfg.num_load_workers,
+                    lanes=TARGET_LANES[cfg.target],
                     fifo=cfg.fifo_io,
                     tenants=cfg.tenants,
-                    **kwargs,
+                    backend=UringBackend() if reaper else None,
+                    deadlines=cfg.io_deadlines,
+                    hedge=cfg.hedge_reads,
+                    slow_request_s=cfg.io_slow_request_s,
                 )
-                set_scheduler = getattr(self.offloader, "set_scheduler", None)
-                if set_scheduler is not None:
-                    set_scheduler(self._scheduler)
+                self.offloader.set_scheduler(self._scheduler)
             return self._scheduler
 
     @property
@@ -451,15 +433,9 @@ class Engine:
         """
         from repro.core.tensor_cache import TensorCache  # circular-import guard
 
-        kwargs: Dict[str, Any] = {
-            "policy": self.policy,
-            "scheduler": self.scheduler,
-            "prefetch_window": self.config.prefetch_window,
-        }
+        kwargs: Dict[str, Any] = {"policy": self.policy, "scheduler": self.scheduler}
         kwargs.update(overrides)
-        cache = TensorCache(self.offloader, **kwargs)
-        self._caches.append(cache)
-        return cache
+        return TensorCache(self.offloader, **kwargs)
 
     # ------------------------------------------------------------------- stats
     def stats(self) -> EngineStats:
@@ -473,13 +449,11 @@ class Engine:
         sched = self._scheduler
         if sched is not None:
             snap.scheduler = sched.stats_snapshot()
-            snap.channels = sched.peek_completion_stats()
-            snap.lane_health = sched.health.snapshot()
             snap.tenants = sched.tenants.stats_snapshot()
             snap.io_lanes = sched.backend_stats_snapshot()
         elif self.tenants is not None:
             snap.tenants = self.tenants.stats_snapshot()
-        pool = getattr(off, "pool", None)
+        pool = off.pool
         if pool is not None:
             snap.pool = PoolBooks(
                 capacity_bytes=pool.capacity_bytes,
@@ -488,12 +462,9 @@ class Engine:
                 overflow_bytes=pool.overflow_bytes,
                 used_by_tenant=pool.used_by_tenant(),
             )
-        tier_snapshot = getattr(off, "stats_snapshot", None)
-        if tier_snapshot is not None:
-            snap.tiers = tier_snapshot()
-        arena = getattr(off, "arena", None)
-        if arena is not None:
-            snap.arena = arena.stats()
+        snap.tiers = off.stats_snapshot()
+        if off.arena is not None:
+            snap.arena = off.arena.stats()
         store = self.chunk_store
         if store is not None:
             snap.endurance = EnduranceStats(
@@ -509,18 +480,6 @@ class Engine:
                 uptime_s=time.monotonic() - self._started_at,
             )
         return snap
-
-    @property
-    def chunk_store(self):
-        """The engine's :class:`~repro.io.chunkstore.ChunkedTensorStore`
-        (ssd or tiered target with ``chunk_bytes``), else ``None``."""
-        off = self.offloader
-        store = getattr(off, "file_store", None)
-        if store is None:
-            store = getattr(getattr(off, "ssd", None), "file_store", None)
-        if store is not None and hasattr(store, "gc_runs"):
-            return store
-        return None
 
     # ---------------------------------------------------------------- teardown
     def shutdown(self) -> None:
@@ -565,8 +524,6 @@ def build_engine(config: Optional[EngineConfig] = None, **overrides: Any) -> Eng
     fields" call — ``build_engine(target="ssd", store_dir=d)`` —
     applied on a copy, so a shared config object is never mutated.
     """
-    from dataclasses import replace
-
     if config is None:
         config = EngineConfig(**overrides)
     elif overrides:

@@ -27,6 +27,7 @@ reclaims the backing space once the cache drops the record.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import Dict, NamedTuple, Optional, Tuple, Union
@@ -50,11 +51,25 @@ from repro.tensor.tensor import Tensor
 
 
 class Offloader:
-    """Abstract transfer backend."""
+    """Abstract transfer backend.
+
+    A backend says what it has by assigning the optional parts below;
+    the layers above read them (``None`` = this backend has none) and
+    call the optional operations, which do nothing on a backend they do
+    not apply to.
+    """
 
     #: Tier reported for stored tensors; single-target backends are static,
     #: the tiered offloader overrides :meth:`tier_of` per tensor.
     default_tier: Tier = Tier.SSD
+
+    #: The pinned host pool and the buffer arena under it (cpu / tiered).
+    pool: Optional["PinnedMemoryPool"] = None
+    arena: Optional[BufferArena] = None
+    #: The SSD store (ssd / tiered).
+    file_store: Optional[Union[TensorFileStore, ChunkedTensorStore]] = None
+    #: Copies this backend makes itself (its store keeps its own counter).
+    copy_stats: Optional[CopyCounter] = None
 
     def tier_of(self, tid: TensorID) -> Tier:
         """Which tier holds ``tid`` after a completed store."""
@@ -87,41 +102,44 @@ class Offloader:
         """Human-readable location (the record's "file path" column, Fig. 4)."""
         raise NotImplementedError
 
-    def release(self, tid: TensorID) -> None:
-        """Reclaim the backing space of one tensor (idempotent).
+    def register_tensor(self, tensor: Tensor) -> None:
+        """Pack-time GDS registration of the tensor's buffer (SSD path)."""
 
-        The default covers backends that expose a ``file_store`` (delete
-        the file / decrement the chunk refcount) or an ``evict`` method
-        (drop the host buffer).
-        """
-        file_store = getattr(self, "file_store", None)
-        if file_store is not None:
-            file_store.delete(tid.filename())
-        evict = getattr(self, "evict", None)
-        if evict is not None:
-            evict(tid)
+    def set_scheduler(self, scheduler) -> None:
+        """Route background writes (tier demotions) through ``scheduler``."""
+
+    def flush(self) -> None:
+        """Force staged bytes to the device (chunked SSD store)."""
+
+    def stats_snapshot(self):
+        """Tier-traffic counters (:class:`~repro.core.tiered.TierStats`);
+        ``None`` on a single-tier backend."""
+        return None
+
+    def evict(self, tid: TensorID) -> None:
+        """Drop ``tid``'s host buffer (backends with a pool)."""
+
+    def release(self, tid: TensorID) -> None:
+        """Reclaim the backing space of one tensor (idempotent): delete
+        the file / decrement the chunk refcount, drop the host buffer."""
+        if self.file_store is not None:
+            self.file_store.delete(tid.filename())
+        self.evict(tid)
 
     def shutdown(self) -> None:
         """Release backend resources (idempotent)."""
 
     def dataplane_stats(self) -> DataPlaneStats:
-        """Copy-map telemetry aggregated across this backend's parts.
-
-        Duck-typed: folds in the ``copy_stats`` counters of the backend
-        itself and of its ``file_store`` (if any), plus the ``arena``'s
-        lease accounting (if any).  Composite backends override to merge
-        their tiers.
-        """
+        """Copy-map telemetry aggregated across this backend's parts: its
+        store's and its own ``copy_stats`` plus the arena's lease
+        accounting.  Composite backends override to merge their tiers."""
         stats = DataPlaneStats()
-        store_counter = getattr(getattr(self, "file_store", None), "copy_stats", None)
-        if store_counter is not None:
-            stats.add_counter(store_counter.snapshot())
-        own_counter = getattr(self, "copy_stats", None)
-        if own_counter is not None:
-            stats.add_counter(own_counter.snapshot())
-        arena = getattr(self, "arena", None)
-        if arena is not None:
-            stats.add_arena(arena.stats())
+        if self.file_store is not None:
+            stats.add_counter(self.file_store.copy_stats.snapshot())
+        if self.copy_stats is not None:
+            stats.add_counter(self.copy_stats.snapshot())
+        if self.arena is not None:
+            stats.add_arena(self.arena.stats())
         return stats
 
 
@@ -129,63 +147,23 @@ class SSDOffloader(Offloader):
     """NVMe-SSD-targeting offloader via the file store.
 
     Args:
-        store_dir: directory of the RAID0 array mount (e.g. ``/mnt/md1``).
-        throttle_bytes_per_s: optional bandwidth cap for tests.
-        array: SSD wear-model to charge with traffic.
-        gds: registry emulating the CUDA-malloc-hook GDS registration,
-            handed to the per-tensor store, which routes writes on it
-            (``io_backend="gds-sim"``).  ``None`` (the default) turns
-            routing off and makes :meth:`register_tensor` a no-op.
-        io_direct: the per-tensor store opens write descriptors
-            ``O_DIRECT`` (not available with ``chunk_bytes``: chunk
-            files are always buffered).
-        chunk_bytes: if set, back the offloader with a
-            :class:`~repro.io.chunkstore.ChunkedTensorStore` of this chunk
-            size — small activations coalesce into one sequential write
-            per chunk instead of one file per tensor.
-        durable: journal the chunk store's index to a manifest replayed
-            on reopen (service-mode crash recovery; requires
-            ``chunk_bytes``).
-        store_roots: extra store directories for write-leveling
-            (chunked store only).
+        store: the built store — a
+            :class:`~repro.io.filestore.TensorFileStore` or a
+            :class:`~repro.io.chunkstore.ChunkedTensorStore`; the engine
+            constructs it, and every store option is the store's.  A
+            path (e.g. ``/mnt/md1``, the RAID0 array mount) means a
+            default per-tensor store in that directory.
+        gds: registry emulating the CUDA-malloc-hook GDS registration
+            (``io_backend="gds-sim"``) — the same one the per-tensor
+            store routes writes on.  ``None`` (the default) makes
+            :meth:`register_tensor` a no-op.
     """
 
-    def __init__(
-        self,
-        store_dir,
-        throttle_bytes_per_s: Optional[float] = None,
-        array=None,
-        gds: Optional[GDSRegistry] = None,
-        chunk_bytes: Optional[int] = None,
-        durable: bool = False,
-        store_roots=None,
-        io_direct: bool = False,
-    ) -> None:
-        self.file_store: Union[TensorFileStore, ChunkedTensorStore]
+    def __init__(self, store, gds: Optional[GDSRegistry] = None) -> None:
+        if isinstance(store, (str, os.PathLike)):
+            store = TensorFileStore(store, gds=gds)
+        self.file_store = store
         self.gds = gds
-        if chunk_bytes is not None:
-            if io_direct:
-                raise ValueError("io_direct requires the per-tensor store (no chunk_bytes)")
-            self.file_store = ChunkedTensorStore(
-                store_dir,
-                chunk_bytes=chunk_bytes,
-                throttle_bytes_per_s=throttle_bytes_per_s,
-                array=array,
-                durable=durable,
-                roots=store_roots,
-            )
-        else:
-            if durable:
-                raise ValueError("durable SSD offload requires chunk_bytes")
-            if store_roots:
-                raise ValueError("store_roots (write-leveling) requires chunk_bytes")
-            self.file_store = TensorFileStore(
-                store_dir,
-                throttle_bytes_per_s=throttle_bytes_per_s,
-                array=array,
-                direct=io_direct,
-                gds=gds,
-            )
 
     def register_tensor(self, tensor: Tensor) -> None:
         """Register the tensor's buffer for GDS, as the malloc hook would."""
@@ -201,11 +179,14 @@ class SSDOffloader(Offloader):
     def location(self, tid: TensorID) -> str:
         return str(self.file_store.path_for(tid.filename()))
 
+    def flush(self) -> None:
+        self.file_store.flush()
+
     def shutdown(self) -> None:
         # A durable (service-mode) store must survive the engine: close
         # flushes and keeps the files + manifest for the next replay.
         # Ephemeral stores keep the original leave-nothing-behind clear.
-        if getattr(self.file_store, "persistent", False):
+        if self.file_store.persistent:
             self.file_store.close()
         else:
             self.file_store.clear()

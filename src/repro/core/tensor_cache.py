@@ -32,11 +32,12 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.ids import TensorID, TensorIDRegistry
 from repro.core.offloader import Offloader
 from repro.core.policy import Decision, KeepReason, OffloadPolicy, StepAccounting
+from repro.core.tiered import TieredOffloader
 from repro.io.aio import IOJob, JobState
 from repro.io.scheduler import IORequest, IOScheduler, Priority
 from repro.tensor import flags
@@ -44,6 +45,9 @@ from repro.tensor.module import Module, RemovableHandle
 from repro.tensor.saved_tensors import saved_tensors_hooks
 from repro.tensor.storage import Device
 from repro.tensor.tensor import Tensor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.autotune import ControllerDecision
 
 logger = logging.getLogger(__name__)
 
@@ -254,6 +258,8 @@ class TensorCache:
         # One priority-aware scheduler replaces the paper's two FIFO
         # pools; lanes are sized (or made FIFO) on the scheduler handed in.
         self.scheduler = scheduler if scheduler is not None else IOScheduler()
+        if prefetch_window < 0:
+            raise ValueError(f"prefetch_window must be >= 0: {prefetch_window}")
         self.prefetch_window = prefetch_window
         self.stats = CacheStats()
         self.accounting = StepAccounting()
@@ -286,9 +292,7 @@ class TensorCache:
         # A tiered backend routes its demotion writes through the same
         # scheduler (DEMOTION class on the SSD lane) so spills queue
         # behind loads and stay cancellable.
-        set_scheduler = getattr(offloader, "set_scheduler", None)
-        if set_scheduler is not None:
-            set_scheduler(self.scheduler)
+        offloader.set_scheduler(self.scheduler)
 
     # ------------------------------------------------------------- plumbing
     @property
@@ -428,21 +432,21 @@ class TensorCache:
             "cancelled_stores": self.stats.cancelled_stores,
             "unpack_wait_s": self.stats.unpack_wait_s,
         }
-        tier_stats = getattr(self.offloader, "stats", None)
-        if tier_stats is not None and hasattr(tier_stats, "cpu_stored_bytes"):
-            cumulative["cpu_stored_bytes"] = tier_stats.cpu_stored_bytes
+        tiered = self.offloader if isinstance(self.offloader, TieredOffloader) else None
+        if tiered is not None:  # a lock-free read: one counter, once a step
+            cumulative["cpu_stored_bytes"] = tiered.stats.cpu_stored_bytes
         previous = self._step_stats_snapshot
         delta = StepCacheStats(
             **{key: value - previous.get(key, 0) for key, value in cumulative.items()}
         )
-        delta.cpu_pool_capacity_bytes = getattr(self.offloader, "cpu_capacity_bytes", 0)
+        if tiered is not None:
+            delta.cpu_pool_capacity_bytes = tiered.cpu_capacity_bytes
         self._step_stats_snapshot = cumulative
         return delta
 
-    def apply_autotune(self, decision: Any) -> None:
+    def apply_autotune(self, decision: "ControllerDecision") -> None:
         """Install a controller decision's knobs live, between steps.
 
-        ``decision`` duck-types :class:`repro.core.autotune.ControllerDecision`:
         ``offload_budget_bytes`` lands in the policy (only when the
         decision says it re-tuned — a ``None`` budget would otherwise
         remove the cap), ``prefetch_window`` replaces the cache's
@@ -450,15 +454,13 @@ class TensorCache:
         tiered backend's free headroom (demoting LRU residents now, while
         the lanes are idle, instead of inside the next forward burst).
         """
-        if getattr(decision, "retuned", False):
+        if decision.retuned:
             self.policy.install_budget(decision.offload_budget_bytes)
-        window = getattr(decision, "prefetch_window", None)
-        if window is not None:
-            self.prefetch_window = max(1, int(window))
-        watermark = getattr(decision, "cpu_free_watermark_bytes", None)
-        set_watermark = getattr(self.offloader, "set_free_watermark", None)
-        if watermark is not None and set_watermark is not None:
-            set_watermark(watermark)
+        if decision.prefetch_window is not None:
+            self.prefetch_window = max(1, int(decision.prefetch_window))
+        watermark = decision.cpu_free_watermark_bytes
+        if watermark is not None and isinstance(self.offloader, TieredOffloader):
+            self.offloader.set_free_watermark(watermark)
             self.offloader.apply_watermark()
 
     # ----------------------------------------------------------- fwd hooks
@@ -584,9 +586,7 @@ class TensorCache:
             self.accounting.offloaded_bytes += t.nbytes
             self.stats.stored_tensors += 1
             self.stats.stored_bytes += t.nbytes
-        register = getattr(self.offloader, "register_tensor", None)
-        if register is not None:
-            register(t)
+        self.offloader.register_tensor(t)
 
         def do_store(tensor: Tensor = t, record: ActivationRecord = rec) -> None:
             self.offloader.store(record.tid, tensor.data)
@@ -838,8 +838,7 @@ class TensorCache:
         I/O tasks in the queue" (Sec. III-C2) without reloading the whole
         step's activations up front.
         """
-        health = getattr(self.scheduler, "health", None)
-        if health is not None and health.is_slow("ssd"):
+        if self.scheduler.health.is_slow("ssd"):
             # Brownout shed: look-ahead loads are optional traffic — a
             # slow (but alive) lane serves blocking work only until the
             # verdict clears.  Records the window skipped reach unpack

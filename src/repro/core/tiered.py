@@ -46,7 +46,6 @@ from repro.core.policy import OffloadPolicy, Tier
 from repro.io.breaker import BreakerState, CircuitBreaker, Listener
 from repro.io.buffers import BufferLease, DataPlaneStats, owned_copy
 from repro.io.errors import PermanentIOError, is_enospc, retry_call
-from repro.io.gds import GDSRegistry
 from repro.io.scheduler import IORequest, IOScheduler, Priority
 from repro.io.tenancy import DEFAULT_TENANT, current_tenant
 from repro.tensor.tensor import Tensor
@@ -202,49 +201,31 @@ class TieredOffloader(Offloader):
     """Capacity-aware multi-backend offloader.
 
     Args:
-        store_dir: directory for the SSD tier's files.
+        ssd: the SSD tier, built — every store option (chunking,
+            durability, write-leveling, throttle, ``O_DIRECT``, GDS
+            routing) is the store's, decided by whoever constructed it.
         cpu_pool_bytes: pinned pool capacity — the CPU tier's size.
-        chunk_bytes: if set, the SSD tier coalesces tensors into chunks
-            of this size (one physical write per chunk).
         policy: supplies the tier-placement rule; defaults to a fresh
             :class:`OffloadPolicy` (pool-first placement).
         promote_on_load: copy SSD-resident tensors back into the pool on
             load when there is free room (no demotion is triggered for a
             promotion — promotions must never thrash the warm set).
-        durable / store_roots: forwarded to the SSD tier's chunk store
-            (manifest journaling and write-leveling, service mode).
-        throttle_bytes_per_s / array / gds / io_direct: forwarded to the
-            SSD tier.
+        probe_backoff_s: the SSD breaker's backoff, and the opt-in for
+            store-path auto-probing (see :attr:`probe_backoff_s`).
     """
 
     def __init__(
         self,
-        store_dir,
+        ssd: SSDOffloader,
         cpu_pool_bytes: int,
-        chunk_bytes: Optional[int] = None,
         policy: Optional[OffloadPolicy] = None,
         promote_on_load: bool = True,
-        throttle_bytes_per_s: Optional[float] = None,
-        array=None,
-        gds: Optional[GDSRegistry] = None,
-        durable: bool = False,
-        store_roots=None,
         probe_backoff_s: Optional[float] = None,
-        io_direct: bool = False,
     ) -> None:
         if cpu_pool_bytes < 0:
             raise ValueError(f"cpu_pool_bytes must be >= 0: {cpu_pool_bytes}")
         self.cpu = CPUOffloader(PinnedMemoryPool(cpu_pool_bytes))
-        self.ssd = SSDOffloader(
-            store_dir,
-            throttle_bytes_per_s=throttle_bytes_per_s,
-            array=array,
-            gds=gds,
-            chunk_bytes=chunk_bytes,
-            durable=durable,
-            store_roots=store_roots,
-            io_direct=io_direct,
-        )
+        self.ssd = ssd
         self.policy = policy if policy is not None else OffloadPolicy()
         self.promote_on_load = promote_on_load
         self.stats = TierStats()
@@ -295,7 +276,7 @@ class TieredOffloader(Offloader):
         #: ``pool.overflow_allowed`` before the first trip, restored when
         #: the last open breaker closes (resurrection exits overflow).
         self._overflow_before_trip: Optional[bool] = None
-        if durable:
+        if ssd.file_store.persistent:
             self._rehydrate_table()
 
     def _rehydrate_table(self) -> None:
@@ -306,11 +287,7 @@ class TieredOffloader(Offloader):
         stored".  Host-tier residents are genuinely gone (RAM died with
         the process), so only the SSD side is rebuilt.
         """
-        store = self.ssd.file_store
-        tensor_ids = getattr(store, "tensor_ids", None)
-        if tensor_ids is None:
-            return
-        for name in tensor_ids():
+        for name in self.ssd.file_store.tensor_ids():
             try:
                 tid = TensorID.from_filename(name)
             except ValueError:
@@ -466,9 +443,7 @@ class TieredOffloader(Offloader):
         canary_id = "__breaker_canary__"
         try:
             store.write(canary_id, payload)
-            flush = getattr(store, "flush", None)
-            if flush is not None:
-                flush()
+            store.flush()
             back = store.read(canary_id, payload.shape, payload.dtype)
             ok = bool(np.array_equal(back, payload))
         except OSError:
@@ -716,6 +691,9 @@ class TieredOffloader(Offloader):
         retry the SSD store once; True when the retry landed.  The one
         SSD write under the tier lock: rare, and compaction mutates the
         store index the books are being fixed against."""
+        # The one thing the two stores do not share: a per-tensor store
+        # holds no dead bytes (delete unlinks the file), so only the
+        # chunk store can compact.
         compact = getattr(self.ssd.file_store, "compact", None)
         if compact is None:
             return False
@@ -1027,9 +1005,7 @@ class TieredOffloader(Offloader):
 
     def flush(self) -> None:
         """Flush a partially-filled SSD chunk, if the SSD tier is chunked."""
-        flush = getattr(self.ssd.file_store, "flush", None)
-        if flush is not None:
-            flush()
+        self.ssd.flush()
 
     def store_lane(self, tid: TensorID, nbytes: int) -> str:
         """Predict the lane from the policy's placement rule.

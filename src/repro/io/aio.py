@@ -185,16 +185,6 @@ class IOJob:
             except Exception:
                 logger.exception("done callback for job %s raised", self.label)
 
-    def _finish(self, state: JobState) -> None:
-        with self._lock:
-            if self.done_event.is_set():  # already terminal; first wins
-                return
-            self.state = state
-            callbacks = list(self._callbacks)
-            self._callbacks.clear()
-            self.done_event.set()
-        self._dispatch(callbacks)
-
     def claim(self) -> bool:
         """Atomically take the PENDING -> RUNNING transition.
 
@@ -308,15 +298,6 @@ class IOLaneStats:
     batched_requests: int = 0
     reaped: int = 0
     reap_lag_s: float = 0.0
-
-    def merge(self, other: "IOLaneStats") -> "IOLaneStats":
-        """Fold ``other`` into self (returns self for chaining)."""
-        self.syscalls += other.syscalls
-        self.batches += other.batches
-        self.batched_requests += other.batched_requests
-        self.reaped += other.reaped
-        self.reap_lag_s += other.reap_lag_s
-        return self
 
 
 class _Batch:

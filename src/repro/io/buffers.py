@@ -205,10 +205,6 @@ class BufferLease:
         self.tenant = tenant if tenant is not None else current_tenant()
         self._released = False
 
-    @property
-    def released(self) -> bool:
-        return self._released
-
     def view(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """A ``shape``/``dtype`` window over the leased bytes (no copy)."""
         dtype = np.dtype(dtype)

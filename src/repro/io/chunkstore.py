@@ -73,7 +73,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.device.ssd import RAID0Array, SSD
 from repro.io.aio import count_syscalls, syscall_tape
 from repro.io.buffers import CopyCounter
 from repro.io.errors import IntegrityError, is_enospc
@@ -134,7 +133,6 @@ class ChunkedTensorStore:
         throttle_bytes_per_s: optional bandwidth cap, matching
             :class:`TensorFileStore` semantics (applied to chunk flushes
             and ranged reads).
-        array: optional SSD/RAID0 wear model charged with the traffic.
         durable: journal every index mutation to ``root/manifest.log``
             and replay an existing manifest on construction — the crash
             -recovery substrate of the service mode.  A durable store's
@@ -151,7 +149,6 @@ class ChunkedTensorStore:
         root: Union[str, Path],
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         throttle_bytes_per_s: Optional[float] = None,
-        array: Optional[Union[SSD, RAID0Array]] = None,
         durable: bool = False,
         roots: Optional[Sequence[Union[str, Path]]] = None,
     ) -> None:
@@ -169,7 +166,6 @@ class ChunkedTensorStore:
             directory.mkdir(parents=True, exist_ok=True)
         self.chunk_bytes = chunk_bytes
         self.throttle_bytes_per_s = throttle_bytes_per_s
-        self.array = array
         self.durable = durable
         self.copy_stats = CopyCounter()
         #: Descriptors of this store's chunk files; every unlink path
@@ -489,12 +485,6 @@ class ChunkedTensorStore:
         with self._lock:
             return len(self._open_buf)
 
-    def refcount(self, chunk_id: int) -> int:
-        """Live-tensor refcount of a flushed chunk (0 if reclaimed)."""
-        with self._lock:
-            meta = self._chunks.get(chunk_id)
-            return meta.refcount if meta is not None else 0
-
     def reset_stats(self) -> None:
         with self._lock:
             self._traffic = StoreTraffic()
@@ -606,8 +596,6 @@ class ChunkedTensorStore:
         self._chunk_root[self._open_id] = self._pick_root_locked()
         self._traffic.bytes_written += nbytes
         self._traffic.write_count += 1
-        if self.array is not None:
-            self.array.record_write(nbytes)
         self._throttle(nbytes, start)
 
     def _write_chunk_locked(self, chunk_id: int) -> int:
@@ -741,8 +729,6 @@ class ChunkedTensorStore:
             self._traffic.bytes_read += loc.nbytes
             self._traffic.read_count += 1
             self._traffic.read_syscalls += tape.count
-        if self.array is not None:
-            self.array.record_read(loc.nbytes)
         return data
 
     @staticmethod
@@ -826,8 +812,7 @@ class ChunkedTensorStore:
         Runs entirely under the store lock: reads and writes briefly
         queue behind it, which is the deliberate trade — the background
         GC must never race a ranged read against its own unlink.  The
-        rewrite is charged to ``bytes_written`` (and the wear model):
-        that is GC write amplification, surfaced via
+        rewrite is charged to ``bytes_written``: that is GC write amplification, surfaced via
         :attr:`gc_bytes_rewritten` so the endurance budget sees it.
         """
         if not 0.0 < max_dead_ratio <= 1.0:
@@ -899,8 +884,6 @@ class ChunkedTensorStore:
             self._traffic.bytes_written += nbytes
             self._traffic.write_count += 1
             self._root_bytes[root] += nbytes
-            if self.array is not None:
-                self.array.record_write(nbytes)
             for tid, loc in moved:
                 self._index[tid] = loc
         dead = meta.total_bytes - nbytes

@@ -155,20 +155,6 @@ class FaultPlan:
         return cls(seed=seed, latency_rate=rate, latency_spike_s=spike_s)
 
     @classmethod
-    def hung(cls, ops: Tuple[int, ...], hang_s: float, seed: int = 0) -> "FaultPlan":
-        """Deterministic hung I/O on the given 1-based op indices."""
-        return cls(seed=seed, hang_ops=tuple(ops), hang_s=hang_s)
-
-    @classmethod
-    def brownout(
-        cls, after_ops: int, latency_s: float, seed: int = 0
-    ) -> "FaultPlan":
-        """Sustained latency on every op past ``after_ops``."""
-        return cls(
-            seed=seed, brownout_after_ops=after_ops, brownout_latency_s=latency_s
-        )
-
-    @classmethod
     def enospc(cls, after_bytes: int, seed: int = 0) -> "FaultPlan":
         """Writes fail with ``ENOSPC`` once ``after_bytes`` have landed."""
         return cls(seed=seed, enospc_after_bytes=after_bytes)

@@ -3,9 +3,7 @@
 Writes tensor bytes to files under a directory (one file per tensor
 identifier, like the paper's ``/mnt/md1/t1.pt`` in Fig. 4) and reads them
 back.  Optional throttling emulates a bandwidth-limited device so tests can
-exercise stalls, backpressure, and forwarding races; writes/reads are also
-recorded against an optional :class:`~repro.device.ssd.RAID0Array` for wear
-accounting.
+exercise stalls, backpressure, and forwarding races.
 
 Every file carries a **checksum frame** so silent corruption surfaces as
 a typed :class:`~repro.io.errors.IntegrityError` instead of wrong
@@ -21,7 +19,7 @@ the crc32 of the payload (catches bit-rot) before any bytes reach the
 caller.  An ``IntegrityError`` is classified retryable
 (:func:`~repro.io.errors.is_retryable`): a transient read-path flip
 heals on re-read; corruption at rest exhausts the retry budget and
-surfaces.  All byte accounting (stats, throttle, wear model) stays on
+surfaces.  All byte accounting (stats, throttle) stays on
 the payload — the 16-byte frame is bookkeeping, not traffic.
 
 **One positioned-I/O path:** the store owns an LRU-bounded
@@ -67,7 +65,6 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.device.ssd import RAID0Array, SSD
 from repro.io.aio import count_syscalls, syscall_tape
 from repro.io.buffers import DIRECT_ALIGNMENT, BufferArena, CopyCounter
 from repro.io.errors import IntegrityError
@@ -148,7 +145,6 @@ class TensorFileStore:
         root: directory for tensor files (created if missing).
         throttle_bytes_per_s: if set, sleep so that transfers do not exceed
             this bandwidth — used to emulate slow SSDs in tests.
-        array: optional SSD/RAID0 model charged with the traffic.
         direct: open write descriptors with ``O_DIRECT`` where the
             platform and filesystem allow; refused files fall back to
             buffered I/O, counted on ``copy_stats.direct_fallbacks``.
@@ -160,11 +156,14 @@ class TensorFileStore:
     store nobody closed is collected.
     """
 
+    #: Nothing here outlives the object: shutdown clears the files (the
+    #: durable chunk store answers True and is closed instead).
+    persistent = False
+
     def __init__(
         self,
         root: Union[str, Path],
         throttle_bytes_per_s: Optional[float] = None,
-        array: Optional[Union[SSD, RAID0Array]] = None,
         direct: bool = False,
         gds: Optional[GDSRegistry] = None,
     ) -> None:
@@ -173,7 +172,6 @@ class TensorFileStore:
         if throttle_bytes_per_s is not None and throttle_bytes_per_s <= 0:
             raise ValueError(f"throttle must be positive: {throttle_bytes_per_s}")
         self.throttle_bytes_per_s = throttle_bytes_per_s
-        self.array = array
         self.direct = direct and hasattr(os, "O_DIRECT")
         self.gds = gds
         self.copy_stats = CopyCounter()
@@ -283,8 +281,6 @@ class TensorFileStore:
             self._traffic.bytes_written += nbytes
             self._traffic.write_count += 1
             self._traffic.write_syscalls += tape.count
-        if self.array is not None:
-            self.array.record_write(nbytes)
         return path
 
     def _write_frame(self, path: str, header: bytes, payload: memoryview) -> None:
@@ -413,8 +409,6 @@ class TensorFileStore:
             self._traffic.bytes_read += data.nbytes
             self._traffic.read_count += 1
             self._traffic.read_syscalls += tape.count
-        if self.array is not None:
-            self.array.record_read(data.nbytes)
         return data
 
     def delete(self, tensor_id: str) -> None:
@@ -429,6 +423,9 @@ class TensorFileStore:
         # returns — or finds no file; it can never re-cache a descriptor
         # of the unlinked inode for a later write to land in.
         self.fds.invalidate(str(path))
+
+    def flush(self) -> None:
+        """Every write already reached its file; nothing is staged."""
 
     def close(self) -> None:
         """Close every cached descriptor; the files stay (idempotent)."""

@@ -107,6 +107,13 @@ logger = logging.getLogger(__name__)
 #: Default cap on the total bytes of one coalesced store batch.
 DEFAULT_COALESCE_BYTES = 1 << 20
 
+#: Default workers per lane (the paper's two pools of two, merged: any
+#: worker serves any class).
+DEFAULT_LANE_WORKERS = 4
+
+#: Seconds between watchdog scans of the in-flight set.
+WATCHDOG_INTERVAL_S = 0.005
+
 
 class Priority(enum.IntEnum):
     """Dequeue classes, most urgent first (lower value wins)."""
@@ -728,12 +735,11 @@ class IOScheduler:
     """Single scheduler owning per-tier lanes with priority dequeue.
 
     Args:
-        num_store_workers / num_load_workers: per-channel worker
-            counts, as the paper's two pools were sized; their sum is
-            each lane's worker count (any worker may serve any class —
-            that is what lets a blocking load overtake the store
+        workers: worker threads per lane (any worker may serve any
+            class — that is what lets a blocking load overtake the store
             backlog).
-        lanes: tier names to create lanes for.
+        lanes: tier names to create lanes for; a request naming any
+            other lane is refused at submit.
         fifo: ignore priority classes and dequeue in submission order
             (the paper's baseline behaviour; promotion becomes a no-op).
         coalesce_bytes: cap on one coalesced store batch; ``0`` disables
@@ -760,8 +766,7 @@ class IOScheduler:
 
     def __init__(
         self,
-        num_store_workers: int = 2,
-        num_load_workers: int = 2,
+        workers: int = DEFAULT_LANE_WORKERS,
         lanes: Tuple[str, ...] = ("ssd", "cpu"),
         fifo: bool = False,
         coalesce_bytes: int = DEFAULT_COALESCE_BYTES,
@@ -774,10 +779,9 @@ class IOScheduler:
         hedge: bool = False,
         hedge_delay_s: Optional[float] = None,
         slow_request_s: Optional[float] = None,
-        watchdog_interval_s: float = 0.005,
     ) -> None:
-        if num_store_workers < 1 or num_load_workers < 1:
-            raise ValueError("each channel needs at least one worker")
+        if workers < 1:
+            raise ValueError(f"each lane needs at least one worker: {workers}")
         if not lanes:
             raise ValueError("need at least one lane")
         if coalesce_bytes < 0:
@@ -798,10 +802,6 @@ class IOScheduler:
             raise ValueError(f"hedge_delay_s must be >= 0: {hedge_delay_s}")
         if slow_request_s is not None and slow_request_s <= 0:
             raise ValueError(f"slow_request_s must be positive: {slow_request_s}")
-        if watchdog_interval_s <= 0:
-            raise ValueError(
-                f"watchdog_interval_s must be positive: {watchdog_interval_s}"
-            )
         self.name = name
         self.fifo = fifo
         self.coalesce_bytes = coalesce_bytes
@@ -826,7 +826,6 @@ class IOScheduler:
         #: stuck threshold (None = adaptive from recent load durations).
         self.hedge = hedge
         self.hedge_delay_s = hedge_delay_s
-        self.watchdog_interval_s = watchdog_interval_s
         #: Per-lane failure/death bookkeeping fed by request completions;
         #: the tiered offloader and the adaptive controller both read it.
         self.health = LaneHealthTracker(slow_threshold_s=slow_request_s)
@@ -858,10 +857,9 @@ class IOScheduler:
             )
             for lane in lanes
         }
-        workers_per_lane = num_store_workers + num_load_workers
         self._workers: List[threading.Thread] = []
         for lane in self._lanes.values():
-            for i in range(workers_per_lane):
+            for i in range(workers):
                 worker = threading.Thread(
                     target=self._worker_loop,
                     args=(lane,),
@@ -1086,7 +1084,7 @@ class IOScheduler:
         """Re-try admission for the tenant's parked requests, in park
         order, until the head no longer fits; returns how many were
         enqueued.  Called automatically on every refund; call it
-        manually after :meth:`TenantRegistry.resume` or a quota raise.
+        manually after a quota raise.
         """
         enqueued = 0
         while True:
@@ -1266,29 +1264,6 @@ class IOScheduler:
             snap.submitted_by_class = dict(self.stats.submitted_by_class)
         return snap
 
-    def peek_completion_stats(self) -> Dict[str, Dict[str, ChannelWindow]]:
-        """Copy the per-lane completion windows WITHOUT draining them:
-        ``{lane: {"write" | "read": ChannelWindow}}``.
-
-        The consuming reader is the adaptive controller
-        (:meth:`consume_completion_stats` once per step); a second
-        consumer would silently steal its bandwidth samples.  This
-        read-only view lets ``engine.stats()`` report the windows while
-        leaving the controller's feed intact.  Open busy intervals are
-        closed *virtually* (elapsed time added to the copy only), so an
-        in-flight transfer still shows up with honest busy seconds.
-        """
-        now = time.monotonic()
-        out: Dict[str, Dict[str, ChannelWindow]] = {}
-        with self._stats_lock:
-            for (lane, channel), window in self._windows.items():
-                copy = replace(window)
-                usage = self._channel_usage.get((lane, channel))
-                if usage is not None and usage[0] > 0:
-                    copy.busy_s += max(0.0, now - usage[1])
-                out.setdefault(lane, {})[channel] = copy
-        return out
-
     def consume_completion_stats(self) -> Dict[str, Dict[str, ChannelWindow]]:
         """Drain the per-lane completion windows accumulated since the
         last call: ``{lane: {"write" | "read": ChannelWindow}}``.
@@ -1334,11 +1309,11 @@ class IOScheduler:
         waiter must never block forever on a request a worker touched."""
         if request.done_event.is_set():
             return
-        request.error = request.error or RuntimeError(
+        error = request.error or RuntimeError(
             f"request {request.label} left non-terminal by a callback failure"
         )
         try:
-            request._finish(JobState.FAILED)
+            request.complete(None, error)
         except Exception:
             logger.exception("failing stranded request %s raised", request.label)
             request.done_event.set()
@@ -1376,7 +1351,7 @@ class IOScheduler:
         return self.deadlines.get(request.priority.name)
 
     def _watchdog_loop(self) -> None:
-        while not self._shutdown.wait(self.watchdog_interval_s):
+        while not self._shutdown.wait(WATCHDOG_INTERVAL_S):
             try:
                 self._watchdog_scan()
             except Exception:  # a scan bug must not kill the watchdog

@@ -39,7 +39,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Union
 
 #: The implicit tenant of every un-scoped caller.  The single-tenant
 #: path — nobody ever constructs a registry or enters a scope — runs
@@ -106,9 +106,6 @@ class TenantContext:
     #: ``"reject"`` (raise :class:`TenantQuotaError`) or ``"park"``
     #: (hold the request until a refund frees headroom).
     over_quota: str = "reject"
-    #: Admission gate: a suspended tenant's submissions park/reject
-    #: until :meth:`TenantRegistry.resume`.
-    admitted: bool = True
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -234,10 +231,6 @@ class TenantRegistry:
         with self._lock:
             return self._ensure_locked(name)
 
-    def tenants(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(self._tenants)
-
     def weight(self, name: str) -> float:
         with self._lock:
             ctx = self._tenants.get(name)
@@ -251,11 +244,8 @@ class TenantRegistry:
             ctx = self._ensure_locked(name)
             stats = self._stats[name]
             over = (
-                not ctx.admitted
-                or (
-                    ctx.byte_quota is not None
-                    and stats.quota_in_use_bytes + nbytes > ctx.byte_quota
-                )
+                ctx.byte_quota is not None
+                and stats.quota_in_use_bytes + nbytes > ctx.byte_quota
             )
             if not over:
                 if ctx.byte_quota is not None:
@@ -276,8 +266,6 @@ class TenantRegistry:
         with self._lock:
             ctx = self._ensure_locked(name)
             stats = self._stats[name]
-            if not ctx.admitted:
-                return False
             if ctx.byte_quota is not None:
                 if stats.quota_in_use_bytes + nbytes > ctx.byte_quota:
                     return False
@@ -315,14 +303,6 @@ class TenantRegistry:
             if bucket is None:
                 return True
             return bucket.admit(nbytes, self._clock(), force)
-
-    def suspend(self, name: str) -> None:
-        with self._lock:
-            self._ensure_locked(name).admitted = False
-
-    def resume(self, name: str) -> None:
-        with self._lock:
-            self._ensure_locked(name).admitted = True
 
     # -------------------------------------------------------------------- books
     def note_finished(self, name: str, outcome: str, nbytes: int, retries: int = 0) -> None:

@@ -491,11 +491,6 @@ class KVBlockPool:
         with self._lock:
             return list(self._requests)
 
-    def keys_of(self, request_id: str) -> List[BlockKey]:
-        with self._lock:
-            entry = self._requests.get(request_id)
-            return list(entry.keys) if entry is not None else []
-
     def paged_out_keys(self, request_id: str) -> List[BlockKey]:
         """Blocks of ``request_id`` currently held by the engine only —
         the candidates a look-ahead prefetch should bring back."""

@@ -253,7 +253,3 @@ class PagingPolicy:
         # is a fresh bound-method object on every attribute access.
         if policy.tenant_policy(tenant) != self.engine_placer:
             policy.set_tenant_policy(tenant, self.engine_placer)
-
-    def uninstall(self, policy: OffloadPolicy, tenant: str) -> None:
-        if policy.tenant_policy(tenant) == self.engine_placer:
-            policy.set_tenant_policy(tenant, None)

@@ -138,9 +138,5 @@ class RequestTrace:
         return tuple(sorted({r.user for r in self.requests}))
 
     @property
-    def total_context_tokens(self) -> int:
-        return sum(r.context_tokens for r in self.requests)
-
-    @property
     def max_context_tokens(self) -> int:
         return max(r.context_tokens for r in self.requests)

@@ -137,9 +137,8 @@ class EngineService:
         """Build a fresh engine + housekeeping thread (lock held)."""
         self.engine = build_engine(self.config)
         self.generation += 1
-        set_listener = getattr(self.engine.offloader, "set_breaker_listener", None)
-        if set_listener is not None:
-            set_listener(self._on_breaker_event)
+        if self.engine.tiered is not None:
+            self.engine.tiered.set_breaker_listener(self._on_breaker_event)
         self._wedged = False
         self._stop_tick = threading.Event()
         self._last_beat = self._clock()
@@ -345,13 +344,10 @@ class EngineService:
         if cmd == "install_budget":
             engine.policy.install_budget(int(message["bytes"]))
         elif cmd == "set_free_watermark":
-            set_watermark = getattr(engine.offloader, "set_free_watermark", None)
-            if set_watermark is None:
+            if engine.tiered is None:
                 raise ValueError("engine target has no CPU-tier watermark")
-            set_watermark(int(message["bytes"]))
-            apply_watermark = getattr(engine.offloader, "apply_watermark", None)
-            if apply_watermark is not None:
-                apply_watermark()
+            engine.tiered.set_free_watermark(int(message["bytes"]))
+            engine.tiered.apply_watermark()
         elif cmd == "set_tenant":
             if engine.tenants is None:
                 raise ValueError("engine has no tenant registry")
@@ -397,17 +393,15 @@ class EngineService:
             # Self-healing: canary a tripped SSD breaker each tick (the
             # breaker's own backoff + single-flight gating make this
             # cheap), so a healed device is resurrected automatically.
-            probe = getattr(engine.offloader, "maybe_probe_ssd", None)
-            if probe is not None:
+            if engine.tiered is not None:
                 try:
-                    probe()
+                    engine.tiered.maybe_probe_ssd()
                 except Exception:
                     pass  # a probe bug must never wedge housekeeping
             # An ENOSPC-rerouted write wants GC *now*, not at the
             # cadence timer: the hint jumps the queue.
             store = engine.chunk_store
-            consume_hint = getattr(store, "consume_compaction_hint", None)
-            if consume_hint is not None and consume_hint():
+            if store is not None and store.consume_compaction_hint():
                 try:
                     self._run_gc(engine)
                 except OSError:

@@ -119,7 +119,3 @@ class SyntheticWorkload:
                 if s > last_step - self.lifetime(k):
                     pairs.append((s, k))
         return pairs
-
-    def live_ids(self, last_step: int) -> List[TensorID]:
-        """Every tensor id still retained after ``last_step`` ran."""
-        return [self.tensor_id(s, k) for s, k in self.live_pairs(last_step)]

@@ -725,10 +725,6 @@ class AdaptiveRunResult:
     def total_stall_s(self) -> float:
         return self.stall_time_s()
 
-    @property
-    def total_offloaded_bytes(self) -> int:
-        return sum(r.offloaded_bytes for r in self.results)
-
 
 def _observation_from_sim(result: SimResult) -> StepObservation:
     """Translate one simulated step into the controller's feed.
@@ -1125,10 +1121,6 @@ class VirtualDevice:
             self.served.append((tenant, nbytes, self.clock))
 
 
-#: Backwards-compatible alias from when the device was harness-private.
-_VirtualDevice = VirtualDevice
-
-
 class MultiTenantHarness:
     """Drive N tenant bursts through one shared-lane scheduler and measure
     who got what.
@@ -1136,10 +1128,11 @@ class MultiTenantHarness:
     The A/B axis is ``fair``: ``True`` runs the scheduler's weighted
     deficit-round-robin dequeue (one
     :class:`~repro.io.tenancy.TenantRegistry` shared with admission);
-    ``False`` runs the same registry over the legacy FIFO heap — the
-    naive baseline whose head-of-line bias the fairness suite quantifies.
-    All service lands on a single-worker virtual device, so results are
-    deterministic run to run.
+    ``False`` runs the same queue with ``fifo=True`` (strict submission
+    order) — the naive baseline whose head-of-line bias the fairness
+    suite quantifies.  One lane worker feeds the serial virtual device,
+    so service order is dequeue order and results are deterministic run
+    to run.
     """
 
     def __init__(
@@ -1186,8 +1179,7 @@ class MultiTenantHarness:
             )
         device = VirtualDevice(self.device_bandwidth)
         scheduler = IOScheduler(
-            num_store_workers=1,
-            num_load_workers=1,
+            workers=1,
             lanes=("ssd",),
             fifo=not self.fair,
             coalesce_bytes=0,

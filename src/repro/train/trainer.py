@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -219,11 +219,3 @@ class Trainer:
             offload_budget_bytes=budget,
             autotune_decision=decision,
         )
-
-    def train(
-        self,
-        batch_iterator: Callable[[], Sequence[Tuple[Tensor, ...]]],
-        num_steps: int,
-    ) -> List[StepResult]:
-        """Run ``num_steps`` steps, pulling micro-batch data per step."""
-        return [self.train_step(batch_iterator()) for _ in range(num_steps)]

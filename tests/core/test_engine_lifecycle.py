@@ -97,7 +97,7 @@ def test_scheduler_and_backends_close_aliases(tmp_path):
     from repro.io.scheduler import IOScheduler
     from repro.io.uring import UringBackend
 
-    with IOScheduler(num_store_workers=1, num_load_workers=1) as sched:
+    with IOScheduler(workers=2) as sched:
         pass
     sched.close()  # idempotent after __exit__
 

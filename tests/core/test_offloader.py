@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.ids import TensorID
 from repro.core.offloader import CPUOffloader, PinnedMemoryPool, SSDOffloader
-from repro.device.ssd import INTEL_OPTANE_P5800X_1600GB, RAID0Array
 
 TID = TensorID(stamp=42, shape=(4, 4))
 DATA = np.arange(16, dtype=np.float32).reshape(4, 4)
@@ -38,13 +37,6 @@ def test_ssd_offloader_registers_gds(tmp_path):
     plain = SSDOffloader(tmp_path / "plain")
     plain.register_tensor(t)
     assert plain.gds is None and plain.file_store.gds is None
-
-
-def test_ssd_offloader_charges_array(tmp_path):
-    array = RAID0Array(INTEL_OPTANE_P5800X_1600GB, num_ssds=2)
-    off = SSDOffloader(tmp_path, array=array)
-    off.store(TID, DATA)
-    assert array.host_bytes_written == DATA.nbytes
 
 
 def test_ssd_offloader_shutdown_clears_files(tmp_path):

@@ -98,7 +98,7 @@ def test_forwarding_cancels_pending_store(gpu, tmp_path):
         offloader,
         policy=_policy(),
         scheduler=IOScheduler(
-            num_store_workers=1, num_load_workers=1, coalesce_bytes=0
+            workers=2, coalesce_bytes=0
         ),
     )
     try:
@@ -154,7 +154,7 @@ def test_forwarding_running_store_completes(gpu, tmp_path):
         offloader,
         policy=_policy(),
         scheduler=IOScheduler(
-            num_store_workers=1, num_load_workers=1, coalesce_bytes=0
+            workers=2, coalesce_bytes=0
         ),
     )
     try:
@@ -188,7 +188,7 @@ def test_running_store_visited_many_times_is_one_forwarding_hit(gpu, tmp_path):
     cache = TensorCache(
         offloader,
         policy=_policy(),
-        scheduler=IOScheduler(num_store_workers=1, num_load_workers=1, coalesce_bytes=0),
+        scheduler=IOScheduler(workers=2, coalesce_bytes=0),
     )
     try:
         with cache:
@@ -221,7 +221,7 @@ def test_backward_arrival_promotes_pending_prefetch(gpu, tmp_path):
         offloader,
         policy=_policy(),
         prefetch_window=8,
-        scheduler=IOScheduler(num_store_workers=1, num_load_workers=1),
+        scheduler=IOScheduler(workers=2),
     )
     try:
         with cache:
@@ -261,9 +261,9 @@ def _tid(i):
 def test_released_victim_cancels_queued_demotion(tmp_path):
     """A demotion queued behind the gate is cancelled when its tensor is
     released first: the SSD write never happens."""
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1)
+    sched = IOScheduler(workers=2)
     data = np.ones((64, 64), dtype=np.float32)
-    tiered = TieredOffloader(tmp_path / "t", cpu_pool_bytes=data.nbytes)
+    tiered = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=data.nbytes)
     tiered.set_scheduler(sched)
     gate = threading.Event()
     _park_ssd_workers(sched, gate)
@@ -290,11 +290,11 @@ def test_load_of_queued_demotion_forwards_and_promotes(tmp_path):
     """Re-reading a victim whose spill is still queued serves the
     in-flight buffer; with pool room again, the write is cancelled and
     the tensor reinstated (promotion without an SSD round-trip)."""
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1)
+    sched = IOScheduler(workers=2)
     rng = np.random.default_rng(0)
     a = rng.standard_normal((64, 64)).astype(np.float32)
     b = rng.standard_normal((64, 64)).astype(np.float32)
-    tiered = TieredOffloader(tmp_path / "t", cpu_pool_bytes=a.nbytes)
+    tiered = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=a.nbytes)
     tiered.set_scheduler(sched)
     gate = threading.Event()
     _park_ssd_workers(sched, gate)
@@ -325,11 +325,11 @@ def test_load_of_queued_demotion_forwards_and_promotes(tmp_path):
 def test_full_pool_lets_queued_demotion_proceed(tmp_path):
     """When the pool is still full, the load serves the in-flight buffer
     but must NOT cancel the spill — the queued buffer is the only copy."""
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1)
+    sched = IOScheduler(workers=2)
     rng = np.random.default_rng(1)
     a = rng.standard_normal((64, 64)).astype(np.float32)
     b = rng.standard_normal((64, 64)).astype(np.float32)
-    tiered = TieredOffloader(tmp_path / "t", cpu_pool_bytes=a.nbytes)
+    tiered = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=a.nbytes)
     tiered.set_scheduler(sched)
     gate = threading.Event()
     _park_ssd_workers(sched, gate)
@@ -362,7 +362,7 @@ def test_trace_shows_cancellation(gpu, tmp_path):
         offloader,
         policy=_policy(),
         scheduler=IOScheduler(
-            num_store_workers=1, num_load_workers=1, coalesce_bytes=0
+            workers=2, coalesce_bytes=0
         ),
     )
     tracer = attach_tracer(cache)
@@ -392,11 +392,11 @@ def test_load_during_inflight_spill_write_serves_buffer(tmp_path):
     """Once the spill write has started (buffer claimed, tier lock
     released), loads of that tid are served from the in-flight buffer
     without blocking on — or blocking — the write."""
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1)
+    sched = IOScheduler(workers=2)
     rng = np.random.default_rng(2)
     a = rng.standard_normal((64, 64)).astype(np.float32)
     b = rng.standard_normal((64, 64)).astype(np.float32)
-    tiered = TieredOffloader(tmp_path / "t", cpu_pool_bytes=a.nbytes)
+    tiered = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=a.nbytes)
     tiered.set_scheduler(sched)
     write_started = threading.Event()
     write_gate = threading.Event()
@@ -438,9 +438,9 @@ def test_load_during_inflight_spill_write_serves_buffer(tmp_path):
 def test_drain_covers_cross_lane_resubmission(tmp_path):
     """drain() must not return while work spawned onto an already-checked
     lane is still pending (cpu-lane store -> ssd-lane demotion)."""
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1)
+    sched = IOScheduler(workers=2)
     data = np.ones((64, 64), dtype=np.float32)
-    tiered = TieredOffloader(tmp_path / "t", cpu_pool_bytes=data.nbytes)
+    tiered = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=data.nbytes)
     tiered.set_scheduler(sched)
     try:
         # Submit the pool-overflowing store pair through the cpu lane, the

@@ -19,7 +19,7 @@ from repro.core import (
     TensorCache,
 )
 from repro.device import MemoryTag
-from repro.io import IOScheduler
+from repro.io import ChunkedTensorStore, IOScheduler, TensorFileStore
 from repro.models import GPT
 from repro.nn.linear import Linear
 from repro.tensor import ops
@@ -164,11 +164,11 @@ def test_dedup_prevents_redundant_io(gpu, make_cache):
 def test_data_forwarding_on_slow_store(gpu, tmp_path):
     """With a slow SSD, backward begins while stores are in flight; the
     cache must return the in-memory reference instead of loading."""
-    offloader = SSDOffloader(tmp_path / "slow", throttle_bytes_per_s=2e6)
+    offloader = SSDOffloader(TensorFileStore(tmp_path / "slow", throttle_bytes_per_s=2e6))
     cache = TensorCache(
         offloader,
         policy=OffloadPolicy(PolicyConfig(min_offload_numel=64)),
-        scheduler=IOScheduler(num_store_workers=1),
+        scheduler=IOScheduler(workers=3),
     )
     try:
         layer = Linear(64, 64, rng=np.random.default_rng(0)).to(gpu)
@@ -194,7 +194,7 @@ def test_forwarding_preserves_values(gpu, tmp_path, tiny_gpt_config):
     baseline = _fresh_model(gpu, tiny_gpt_config)
     loss0, grads0, _ = _run_model_step(baseline, gpu)
 
-    offloader = SSDOffloader(tmp_path / "fwd", throttle_bytes_per_s=5e5)
+    offloader = SSDOffloader(TensorFileStore(tmp_path / "fwd", throttle_bytes_per_s=5e5))
     cache = TensorCache(
         offloader, policy=OffloadPolicy(PolicyConfig(min_offload_numel=64))
     )
@@ -431,7 +431,10 @@ def test_step_end_releases_stores_whose_done_callback_runs_late(
     runs; the release decision must not depend on it."""
     import time
 
-    offloader = SSDOffloader(tmp_path / "late", chunk_bytes=chunk_bytes)
+    store = tmp_path / "late"
+    if chunk_bytes is not None:
+        store = ChunkedTensorStore(store, chunk_bytes=chunk_bytes)
+    offloader = SSDOffloader(store)
     cache = TensorCache(
         offloader, policy=OffloadPolicy(PolicyConfig(min_offload_numel=64))
     )

@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import OffloadPolicy, PolicyConfig
+from repro.core import OffloadPolicy, PolicyConfig, SSDOffloader
 from repro.core.ids import TensorID
 from repro.core.policy import Tier
 from repro.core.tiered import TieredOffloader
@@ -40,7 +40,9 @@ def _data(seed: int) -> np.ndarray:
 
 
 def _tiered(tmp_path, pool_tensors: int = 2, **kwargs) -> TieredOffloader:
-    return TieredOffloader(tmp_path / "t", cpu_pool_bytes=pool_tensors * NBYTES, **kwargs)
+    return TieredOffloader(
+        SSDOffloader(tmp_path / "t"), cpu_pool_bytes=pool_tensors * NBYTES, **kwargs
+    )
 
 
 def _bypass_policy() -> OffloadPolicy:
@@ -176,7 +178,7 @@ def test_nothing_waits_on_a_parked_direct_ssd_store(tmp_path):
 
 def test_ssd_loads_of_different_tensors_overlap(tmp_path):
     """Both reads are inside ``ssd.load`` before either is let through."""
-    sched = IOScheduler(num_store_workers=1, num_load_workers=2)
+    sched = IOScheduler(workers=3)
     tiered = _tiered(tmp_path, policy=_bypass_policy())
     tiered.set_scheduler(sched)
     try:
@@ -264,7 +266,7 @@ def test_hedged_duplicate_read_promotes_once(tmp_path):
     primary comes back the tensor is promoted exactly once — the loser
     is served too, never a miss."""
     sched = IOScheduler(
-        num_store_workers=1, num_load_workers=2, hedge=True, hedge_delay_s=0.0
+        workers=3, hedge=True, hedge_delay_s=0.0
     )
     tiered = _tiered(tmp_path)
     tiered.set_scheduler(sched)
@@ -321,7 +323,7 @@ def test_permanent_read_error_outside_the_lock_reaches_the_health_books(tmp_path
     """Race (iii): a read that dies in the device, with the tier lock
     released, fails its request, feeds the ssd lane's death verdict (so
     placement fails over) and leaves no in-flight entry behind."""
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, retry_backoff_s=0)
+    sched = IOScheduler(workers=2, retry_backoff_s=0)
     tiered = _tiered(tmp_path, policy=_bypass_policy())
     tiered.set_scheduler(sched)
     try:
@@ -389,7 +391,7 @@ def test_many_threads_hammering_few_tensors_keep_the_books(tmp_path, scheduled):
     """More threads than cores store / load / release a handful of tids
     through both placements; a load returns one complete version or the
     miss, and afterwards nothing is left behind."""
-    sched = IOScheduler(num_store_workers=1, num_load_workers=2) if scheduled else None
+    sched = IOScheduler(workers=3) if scheduled else None
     tiered = _tiered(tmp_path, pool_tensors=2)
     if scheduled:
         tiered.set_scheduler(sched)

@@ -21,6 +21,7 @@ from repro.core import (
     build_engine,
 )
 from repro.core.ids import TensorID
+from repro.io import ChunkedTensorStore, TensorFileStore
 
 from tests.conftest import assert_tier_books
 from tests.core.test_tensor_cache import _fresh_model, _run_model_step
@@ -37,7 +38,7 @@ def _tid(i: int) -> TensorID:
 
 @pytest.fixture
 def tiered(tmp_path):
-    off = TieredOffloader(tmp_path / "tiers", cpu_pool_bytes=2 * DATA.nbytes)
+    off = TieredOffloader(SSDOffloader(tmp_path / "tiers"), cpu_pool_bytes=2 * DATA.nbytes)
     yield off
     off.shutdown()
 
@@ -150,7 +151,7 @@ def test_lru_order_follows_loads(tiered):
 
 
 def test_load_promotes_ssd_tensor_when_pool_has_room(tmp_path):
-    off = TieredOffloader(tmp_path, cpu_pool_bytes=2 * DATA.nbytes)
+    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
     try:
         big = np.arange(1024, dtype=np.float32)  # 4 KiB: never fits the pool
         off.store(TensorID(stamp=9, shape=(1024,)), big)
@@ -171,7 +172,7 @@ def test_load_promotes_ssd_tensor_when_pool_has_room(tmp_path):
 
 
 def test_promotion_never_demotes_the_warm_set(tmp_path):
-    off = TieredOffloader(tmp_path, cpu_pool_bytes=2 * DATA.nbytes)
+    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
     try:
         off.store(_tid(1), DATA)
         off.store(_tid(2), DATA + 1)
@@ -200,7 +201,7 @@ def test_release_frees_whichever_tier(tiered):
 def test_restore_across_tiers_drops_old_backing(tmp_path):
     """Re-storing an SSD-resident tensor into the CPU tier must release
     the SSD copy (and vice versa) — a tensor lives in exactly one tier."""
-    off = TieredOffloader(tmp_path, cpu_pool_bytes=2 * DATA.nbytes)
+    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
     try:
         off.store(_tid(1), DATA)
         off.demote(_tid(1))
@@ -267,10 +268,11 @@ def test_build_engine_targets(tmp_path):
 
 
 # ---------------------------------------------------------- cache integration
-def _tiered_cache(tmp_path, cpu_pool_bytes, **offloader_kwargs):
+def _tiered_cache(tmp_path, cpu_pool_bytes, store=TensorFileStore, **store_kwargs):
     return TensorCache(
         TieredOffloader(
-            tmp_path / "cache-tiers", cpu_pool_bytes=cpu_pool_bytes, **offloader_kwargs
+            SSDOffloader(store(tmp_path / "cache-tiers", **store_kwargs)),
+            cpu_pool_bytes=cpu_pool_bytes,
         ),
         policy=OffloadPolicy(PolicyConfig(min_offload_numel=64)),
     )
@@ -341,9 +343,9 @@ def test_forwarding_across_tiers(gpu, tiny_gpt_config, tmp_path):
     reference, whichever tier the store is headed for."""
     cache = TensorCache(
         TieredOffloader(
-            tmp_path / "fwd-tiers",
+            # A slow SSD tier: stores stay in flight.
+            SSDOffloader(TensorFileStore(tmp_path / "fwd-tiers", throttle_bytes_per_s=5e5)),
             cpu_pool_bytes=32 * 1024,
-            throttle_bytes_per_s=5e5,  # slow SSD tier: stores stay in flight
         ),
         policy=OffloadPolicy(PolicyConfig(min_offload_numel=64)),
     )
@@ -401,7 +403,7 @@ def test_chunked_ssd_writes_at_least_4x_fewer_files(gpu, tiny_gpt_config, tmp_pa
     assert per_tensor_writes == executed
 
     executed, chunk_writes = run_step(
-        SSDOffloader(tmp_path / "chunked", chunk_bytes=64 * 1024)
+        SSDOffloader(ChunkedTensorStore(tmp_path / "chunked", chunk_bytes=64 * 1024))
     )
     assert executed >= 4 * max(chunk_writes, 1)
 
@@ -409,7 +411,9 @@ def test_chunked_ssd_writes_at_least_4x_fewer_files(gpu, tiny_gpt_config, tmp_pa
 def test_tiered_with_chunked_ssd_trains_correctly(gpu, tiny_gpt_config, tmp_path):
     baseline = _fresh_model(gpu, tiny_gpt_config)
     loss0, _, _ = _run_model_step(baseline, gpu)
-    cache = _tiered_cache(tmp_path, cpu_pool_bytes=32 * 1024, chunk_bytes=64 * 1024)
+    cache = _tiered_cache(
+        tmp_path, cpu_pool_bytes=32 * 1024, store=ChunkedTensorStore, chunk_bytes=64 * 1024
+    )
     try:
         model = _fresh_model(gpu, tiny_gpt_config)
         cache.register_weights(model)
@@ -429,7 +433,7 @@ def test_direct_ssd_store_fails_over_to_cpu_on_permanent_error(tmp_path):
 
     data = np.ones((64, 64), dtype=np.float32)
     off = TieredOffloader(
-        tmp_path / "t",
+        SSDOffloader(tmp_path / "t"),
         cpu_pool_bytes=4 * data.nbytes,
         policy=OffloadPolicy(PolicyConfig(cpu_tier_max_tensor_bytes=data.nbytes // 2)),
     )
@@ -458,11 +462,11 @@ def test_queued_demotion_reinstates_to_cpu_when_ssd_dies(tmp_path):
     from repro.io import IOScheduler
     from repro.io.faults import FaultPlan, inject_faults
 
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, retry_backoff_s=0)
+    sched = IOScheduler(workers=2, retry_backoff_s=0)
     rng = np.random.default_rng(9)
     a = rng.standard_normal((64, 64)).astype(np.float32)
     b = rng.standard_normal((64, 64)).astype(np.float32)
-    off = TieredOffloader(tmp_path / "t", cpu_pool_bytes=a.nbytes)
+    off = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=a.nbytes)
     off.set_scheduler(sched)
     inject_faults(off, FaultPlan.dead(after_ops=0))
     try:
@@ -486,7 +490,7 @@ def test_sync_demotion_on_dead_ssd_keeps_victim_resident(tmp_path):
     from repro.io.faults import FaultPlan, inject_faults
 
     data = np.ones((64, 64), dtype=np.float32)
-    off = TieredOffloader(tmp_path / "t", cpu_pool_bytes=data.nbytes)
+    off = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=data.nbytes)
     inject_faults(off, FaultPlan.dead(after_ops=0))
     try:
         off.store(_tid(1), data)
@@ -508,7 +512,7 @@ def test_watermark_never_demotes_into_an_open_breaker(tmp_path, tenant):
     every resident — the watermark writes nothing and moves nothing."""
     from repro.io.tenancy import DEFAULT_TENANT, tenant_scope
 
-    off = TieredOffloader(tmp_path / "t", cpu_pool_bytes=4 * DATA.nbytes)
+    off = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=4 * DATA.nbytes)
     writes = []
     ssd_store = off.ssd.store
     off.ssd.store = lambda tid, data: (writes.append(tid), ssd_store(tid, data))
@@ -535,9 +539,9 @@ def test_failed_over_demotion_still_feeds_ssd_lane_health(tmp_path):
     from repro.io import IOScheduler
     from repro.io.faults import FaultPlan, inject_faults
 
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, retry_backoff_s=0)
+    sched = IOScheduler(workers=2, retry_backoff_s=0)
     data = np.ones((64, 64), dtype=np.float32)
-    off = TieredOffloader(tmp_path / "t", cpu_pool_bytes=data.nbytes)
+    off = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=data.nbytes)
     off.set_scheduler(sched)
     # Every write op faults more attempts than any retry budget covers.
     inject_faults(off, FaultPlan(transient_write_rate=1.0, transient_repeats=10))
@@ -565,7 +569,7 @@ def test_sync_direct_ssd_store_retries_transient_faults(tmp_path):
 
     data = np.ones((64, 64), dtype=np.float32)
     off = TieredOffloader(
-        tmp_path / "t",
+        SSDOffloader(tmp_path / "t"),
         cpu_pool_bytes=4 * data.nbytes,
         policy=OffloadPolicy(PolicyConfig(cpu_tier_max_tensor_bytes=data.nbytes // 2)),
     )
@@ -589,10 +593,8 @@ def test_durable_tiered_rehydrates_ssd_tier_map(tmp_path):
     live on SSD — the replayed store index seeds the tier map, so loads
     of pre-crash tensors hit SSD instead of raising 'never stored'."""
     first = TieredOffloader(
-        tmp_path / "t",
+        SSDOffloader(ChunkedTensorStore(tmp_path / "t", chunk_bytes=4096, durable=True)),
         cpu_pool_bytes=4 * DATA.nbytes,
-        chunk_bytes=4096,
-        durable=True,
     )
     try:
         for i in range(3):
@@ -603,10 +605,8 @@ def test_durable_tiered_rehydrates_ssd_tier_map(tmp_path):
         first.shutdown()  # durable: close() keeps the chunk files
 
     second = TieredOffloader(
-        tmp_path / "t",
+        SSDOffloader(ChunkedTensorStore(tmp_path / "t", chunk_bytes=4096, durable=True)),
         cpu_pool_bytes=4 * DATA.nbytes,
-        chunk_bytes=4096,
-        durable=True,
     )
     try:
         for i in range(3):
@@ -622,14 +622,16 @@ def test_volatile_tiered_starts_empty(tmp_path):
     """Without durable=True the store clears on shutdown, so a second
     offloader on the same directory sees nothing — the pre-PR9 contract."""
     first = TieredOffloader(
-        tmp_path / "t", cpu_pool_bytes=4 * DATA.nbytes, chunk_bytes=4096
+        SSDOffloader(ChunkedTensorStore(tmp_path / "t", chunk_bytes=4096)),
+        cpu_pool_bytes=4 * DATA.nbytes,
     )
     first.store(_tid(1), DATA)
     first.demote(_tid(1))
     first.shutdown()
 
     second = TieredOffloader(
-        tmp_path / "t", cpu_pool_bytes=4 * DATA.nbytes, chunk_bytes=4096
+        SSDOffloader(ChunkedTensorStore(tmp_path / "t", chunk_bytes=4096)),
+        cpu_pool_bytes=4 * DATA.nbytes,
     )
     try:
         assert second.tier_of(_tid(1)) is Tier.GPU  # "never stored" default

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ids import TensorID
-from repro.core.offloader import CPUOffloader, PinnedMemoryPool
+from repro.core.offloader import CPUOffloader, PinnedMemoryPool, SSDOffloader
 from repro.core.policy import Tier
 from repro.core.tiered import TieredOffloader
 from repro.io.buffers import (
@@ -200,6 +200,8 @@ def test_filestore_streaming_write_avoids_copies(tmp_path):
     assert snap.allocs_avoided == 2  # tobytes() + header concat
     store.write("t", np.asfortranarray(np.random.random((8, 8))))
     assert store.copy_stats.snapshot().copies == 1  # the contiguity copy
+    store.read("t", (8, 8), np.float64)
+    assert store.copy_stats.snapshot().allocs_avoided == 5  # reads skip the whole-file slurp
 
 
 def test_chunkstore_streaming_bytes_identical_to_legacy(tmp_path):
@@ -218,6 +220,9 @@ def test_chunkstore_streaming_bytes_identical_to_legacy(tmp_path):
     )
     for name, arr in tensors.items():
         np.testing.assert_array_equal(store.read(name, arr.shape, arr.dtype), arr)
+    # Per tensor: no tobytes() staging temp, no ranged-read bytes temp;
+    # per flush: no bytes() payload temp.
+    assert store.copy_stats.snapshot().allocs_avoided == 2 * len(tensors) + 1
 
 
 def test_chunkstore_open_chunk_read_is_an_owned_copy(tmp_path):
@@ -376,7 +381,7 @@ def _hold_workers(sched: IOScheduler, lane: str = "ssd"):
     Blockers are ``load``-kind: loads never coalesce, so each of the
     lane's workers claims exactly one and parks on the gate.
     """
-    n_workers = 4  # num_store_workers + num_load_workers below
+    n_workers = 4  # workers per lane below
     gate = threading.Event()
     started = threading.Semaphore(0)
 
@@ -395,13 +400,13 @@ def _hold_workers(sched: IOScheduler, lane: str = "ssd"):
 
 @pytest.fixture
 def sched():
-    scheduler = IOScheduler(num_store_workers=2, num_load_workers=2)
+    scheduler = IOScheduler(workers=4)
     yield scheduler
     scheduler.shutdown()
 
 
 def test_demotion_transfers_lease_and_releases_on_write(tmp_path, sched):
-    off = TieredOffloader(tmp_path, cpu_pool_bytes=2 * DATA.nbytes)
+    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
     off.set_scheduler(sched)
     for i in range(4):  # 2 fit, 2 demote
         off.store(_tid(i), DATA + i)
@@ -422,7 +427,7 @@ def test_demotion_transfers_lease_and_releases_on_write(tmp_path, sched):
 
 
 def test_cancelled_demotion_hands_lease_back(tmp_path, sched):
-    off = TieredOffloader(tmp_path, cpu_pool_bytes=2 * DATA.nbytes)
+    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
     off.set_scheduler(sched)
     gate = _hold_workers(sched)  # demotion writes stay queued
     try:
@@ -442,7 +447,7 @@ def test_cancelled_demotion_hands_lease_back(tmp_path, sched):
 
 
 def test_demotion_forward_promotion_adopts_lease_zero_copy(tmp_path, sched):
-    off = TieredOffloader(tmp_path, cpu_pool_bytes=2 * DATA.nbytes)
+    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
     off.set_scheduler(sched)
     gate = _hold_workers(sched)
     try:
@@ -469,7 +474,7 @@ def test_failed_demotion_reinstates_lease_with_exact_books(tmp_path, sched):
     """PR 4's failover chaos path, re-run under arena accounting: a
     demotion write hitting a dead SSD reinstates the parked buffer (and
     its lease) into the CPU tier — nothing leaks, nothing double-frees."""
-    off = TieredOffloader(tmp_path, cpu_pool_bytes=2 * DATA.nbytes)
+    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
     off.set_scheduler(sched)
     inject_faults(off, FaultPlan.dead(after_ops=0))
     for i in range(4):
@@ -508,9 +513,9 @@ def test_arena_leases_always_reconcile(ops):
     resident or parked spill, and shutdown returns everything."""
     import tempfile
 
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1)
+    sched = IOScheduler(workers=2)
     with tempfile.TemporaryDirectory() as tmp:
-        off = TieredOffloader(tmp, cpu_pool_bytes=3 * DATA.nbytes)
+        off = TieredOffloader(SSDOffloader(tmp), cpu_pool_bytes=3 * DATA.nbytes)
         off.set_scheduler(sched)
         stored = set()
         try:

@@ -18,8 +18,7 @@ from repro.io.scheduler import LaneHealthTracker
 
 
 def make_scheduler(**kwargs):
-    kwargs.setdefault("num_store_workers", 1)
-    kwargs.setdefault("num_load_workers", 1)
+    kwargs.setdefault("workers", 2)
     return IOScheduler(**kwargs)
 
 
@@ -40,8 +39,6 @@ def test_deadline_validation():
         IOScheduler(hedge_delay_s=-1.0)
     with pytest.raises(ValueError):
         IOScheduler(slow_request_s=0.0)
-    with pytest.raises(ValueError):
-        IOScheduler(watchdog_interval_s=0.0)
 
 
 def test_watchdog_thread_only_when_needed():
@@ -152,7 +149,7 @@ def test_late_body_outcome_discarded_after_abandon():
 def test_hedge_first_completion_wins_and_books_stats():
     # Spare load workers: a wedged primary holds its worker for the
     # whole stall, so the hedge needs a free lane slot to run on.
-    sched = make_scheduler(num_load_workers=2, hedge=True, hedge_delay_s=0.01)
+    sched = make_scheduler(workers=3, hedge=True, hedge_delay_s=0.01)
     gate = threading.Event()
     try:
         req = _load(lambda: gate.wait(5) and "slow", hedge_fn=lambda: "hedged")
@@ -212,7 +209,7 @@ def test_primary_win_cancels_pending_hedge():
 
 
 def test_at_most_one_hedge_per_request():
-    sched = make_scheduler(num_load_workers=2, hedge=True, hedge_delay_s=0.01)
+    sched = make_scheduler(workers=3, hedge=True, hedge_delay_s=0.01)
     gate = threading.Event()
     hedge_gate = threading.Event()
     try:
@@ -232,7 +229,7 @@ def test_at_most_one_hedge_per_request():
 
 
 def test_hedge_requires_hedge_fn():
-    sched = make_scheduler(num_load_workers=2, hedge=True, hedge_delay_s=0.01)
+    sched = make_scheduler(workers=3, hedge=True, hedge_delay_s=0.01)
     gate = threading.Event()
     try:
         req = _load(lambda: gate.wait(5))  # no hedge_fn: opted out
@@ -283,7 +280,7 @@ def test_hedged_reads_cut_blocking_load_p99():
 
     def run(hedge):
         sched = IOScheduler(
-            num_store_workers=1, num_load_workers=4, hedge=hedge, hedge_delay_s=0.005
+            workers=5, hedge=hedge, hedge_delay_s=0.005
         )
         stall = 0.25
         stalled = {2, 7}
@@ -346,7 +343,7 @@ def test_slow_verdict_disabled_without_threshold():
 
 
 def test_scheduler_feeds_load_durations_into_health():
-    sched = make_scheduler(slow_request_s=0.01, num_load_workers=1)
+    sched = make_scheduler(slow_request_s=0.01)
     try:
         assert sched.health.slow_threshold_s == 0.01
         for _ in range(3):

@@ -255,7 +255,7 @@ def test_inject_faults_wraps_offloaders(tmp_path):
     ssd = SSDOffloader(tmp_path / "a")
     injector = inject_faults(ssd, FaultPlan())
     assert ssd.file_store is injector
-    tiered = TieredOffloader(tmp_path / "b", cpu_pool_bytes=1 << 20)
+    tiered = TieredOffloader(SSDOffloader(tmp_path / "b"), cpu_pool_bytes=1 << 20)
     injector = inject_faults(tiered, FaultPlan())
     assert tiered.ssd.file_store is injector
     tiered.shutdown()
@@ -309,7 +309,7 @@ def test_iojob_default_budget_is_zero():
 
 # --------------------------------------------------------- scheduler failures
 def test_scheduler_retries_transient_requests(tmp_path):
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1)
+    sched = IOScheduler(workers=2)
     calls = []
 
     def flaky():
@@ -328,7 +328,7 @@ def test_scheduler_retries_transient_requests(tmp_path):
 
 
 def test_scheduler_failed_accounting_reconciles():
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, retry_backoff_s=0)
+    sched = IOScheduler(workers=2, retry_backoff_s=0)
 
     def boom():
         raise PermanentIOError("bricked")
@@ -347,7 +347,7 @@ def test_scheduler_failed_accounting_reconciles():
 
 
 def test_failed_requests_do_not_inflate_bandwidth_windows():
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, retry_backoff_s=0)
+    sched = IOScheduler(workers=2, retry_backoff_s=0)
 
     def boom():
         raise PermanentIOError("bricked")
@@ -365,7 +365,7 @@ def test_worker_survives_raising_done_callback_and_drain_returns():
     """Regression for the original bug class: an exception escaping the
     job (here, from a done callback) must not kill the worker thread —
     the work queued behind it still runs and drain() returns."""
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
+    sched = IOScheduler(workers=2, lanes=("ssd",))
     ran = []
 
     poisoned = _req(lambda: None, tid="poison")
@@ -381,7 +381,7 @@ def test_worker_survives_raising_done_callback_and_drain_returns():
 
 
 def test_worker_survives_raising_listener():
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
+    sched = IOScheduler(workers=2, lanes=("ssd",))
     sched.add_listener(lambda event, req: (_ for _ in ()).throw(ValueError("listener")))
     done = threading.Event()
     sched.submit(_req(done.set, tid="a"))
@@ -400,7 +400,7 @@ def test_scheduler_validation_of_retry_knobs():
 
 
 def test_explicit_zero_retries_opt_out():
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, max_retries=3,
+    sched = IOScheduler(workers=2, max_retries=3,
                         retry_backoff_s=0)
     calls = []
 
@@ -449,7 +449,7 @@ def test_lane_health_failure_window_consumes():
 
 
 def test_scheduler_feeds_lane_health():
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, retry_backoff_s=0)
+    sched = IOScheduler(workers=2, retry_backoff_s=0)
 
     def boom():
         raise PermanentIOError("bricked")
@@ -469,7 +469,7 @@ def test_capacity_and_bug_failures_do_not_poison_lane_health():
     """Review regression: a MemoryError (pool capacity spike) or a plain
     bug in a job body is not a device signal — three of them in a row
     must not brick the lane and floor the autotune budget forever."""
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, retry_backoff_s=0)
+    sched = IOScheduler(workers=2, retry_backoff_s=0)
 
     def oom():
         raise MemoryError("pinned pool exhausted")
@@ -500,7 +500,7 @@ def test_done_request_with_health_error_reports_lane_failure():
     """A body that recovered from an I/O failure internally (demotion
     failover) completes DONE but must not launder the lane's record into
     a success."""
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1)
+    sched = IOScheduler(workers=2)
 
     def recovered_body(req_holder):
         req_holder[0].health_error = TransientIOError("write failed, failed over")

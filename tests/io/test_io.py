@@ -28,7 +28,7 @@ from repro.tensor.tensor import Tensor
 # lane's pending/drain/shutdown books as a plain submitter sees them.
 def _sched(**kwargs) -> IOScheduler:
     return IOScheduler(
-        num_store_workers=1, num_load_workers=1, lanes=("ssd",), **kwargs
+        workers=2, lanes=("ssd",), **kwargs
     )
 
 
@@ -145,7 +145,7 @@ def test_pool_validation():
     with pytest.raises(ValueError):
         _sched(retry_backoff_s=-1.0)
     with pytest.raises(ValueError):
-        IOScheduler(num_store_workers=1, num_load_workers=0)
+        IOScheduler(workers=0)
 
 
 # --------------------------------------------------------------- TensorFileStore
@@ -188,13 +188,6 @@ def test_filestore_throttle_slows_io(tmp_path):
     start = time.monotonic()
     slow.write("x", data)
     assert time.monotonic() - start >= 0.09
-
-
-def test_filestore_charges_ssd_array(tmp_path):
-    array = RAID0Array(INTEL_OPTANE_P5800X_1600GB, num_ssds=2)
-    store = TensorFileStore(tmp_path, array=array)
-    store.write("w", np.zeros(100, dtype=np.float32))
-    assert array.host_bytes_written == 400
 
 
 def test_filestore_delete_and_clear(tmp_path):
@@ -300,13 +293,6 @@ def test_chunkstore_missing_tensor(tmp_path):
     store = ChunkedTensorStore(tmp_path)
     with pytest.raises(FileNotFoundError):
         store.read("nope", (1,), np.float32)
-
-
-def test_chunkstore_charges_ssd_array(tmp_path):
-    array = RAID0Array(INTEL_OPTANE_P5800X_1600GB, num_ssds=2)
-    store = ChunkedTensorStore(tmp_path, chunk_bytes=256, array=array)
-    store.write("w", np.zeros(100, dtype=np.float32))  # 400 B -> flushes
-    assert array.host_bytes_written == 400
 
 
 def test_chunkstore_clear_removes_chunks(tmp_path):

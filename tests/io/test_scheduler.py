@@ -54,14 +54,13 @@ def _block_workers(sched, gate, n=2, lane="ssd"):
 
 
 def make_scheduler(**kwargs):
-    kwargs.setdefault("num_store_workers", 1)
-    kwargs.setdefault("num_load_workers", 1)
+    kwargs.setdefault("workers", 2)
     return IOScheduler(**kwargs)
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        IOScheduler(num_store_workers=0)
+        IOScheduler(workers=0)
     with pytest.raises(ValueError):
         IOScheduler(lanes=())
     with pytest.raises(ValueError):
@@ -92,7 +91,7 @@ def test_executes_and_drains():
 def test_priority_inversion_blocking_load_overtakes_stores():
     order = []
     gate = threading.Event()
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
+    sched = IOScheduler(workers=2, lanes=("ssd",))
     # Occupy both workers so subsequent submissions stay queued.
     _block_workers(sched, gate)
     for i in range(6):
@@ -118,7 +117,7 @@ def test_fifo_mode_preserves_submission_order():
     order = []
     gate = threading.Event()
     sched = IOScheduler(
-        num_store_workers=1, num_load_workers=1, lanes=("ssd",), fifo=True
+        workers=2, lanes=("ssd",), fifo=True
     )
     _block_workers(sched, gate)
     for i in range(6):
@@ -142,8 +141,7 @@ def test_priority_scheduler_cuts_blocking_load_latency_vs_fifo():
         # batching on, one worker drains the whole store backlog as a
         # batch and frees the other for the load even in FIFO mode.
         sched = IOScheduler(
-            num_store_workers=1,
-            num_load_workers=1,
+            workers=2,
             lanes=("ssd",),
             fifo=fifo,
             coalesce_bytes=0,
@@ -171,7 +169,7 @@ def test_priority_scheduler_cuts_blocking_load_latency_vs_fifo():
 def test_cancel_pending_store_never_runs():
     ran = []
     gate = threading.Event()
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
+    sched = IOScheduler(workers=2, lanes=("ssd",))
     _block_workers(sched, gate)
     victim = sched.submit(_req(lambda: ran.append("victim"), nbytes=128, tid="v"))
     assert sched.cancel(victim)
@@ -207,7 +205,7 @@ def test_cancel_running_store_fails():
 
 def test_cancelled_request_fires_done_callback():
     gate = threading.Event()
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
+    sched = IOScheduler(workers=2, lanes=("ssd",))
     _block_workers(sched, gate)
     seen = []
     job = sched.submit(_req(lambda: None))
@@ -223,7 +221,7 @@ def test_cancelled_request_fires_done_callback():
 def test_promote_pending_prefetch_overtakes_stores():
     order = []
     gate = threading.Event()
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
+    sched = IOScheduler(workers=2, lanes=("ssd",))
     _block_workers(sched, gate)
     # Demotions sit between loads and stores: a pending prefetch behind a
     # demotion overtakes it once promoted to the blocking class.
@@ -249,7 +247,7 @@ def test_promote_noops():
     blocking = _req(lambda: None, kind="load", priority=Priority.BLOCKING_LOAD)
     assert not sched.promote(blocking)  # already at the top class
     sched.shutdown()
-    fifo = IOScheduler(num_store_workers=1, num_load_workers=1, fifo=True)
+    fifo = IOScheduler(workers=2, fifo=True)
     pending = _req(lambda: None, kind="load", priority=Priority.PREFETCH_LOAD)
     assert not fifo.promote(pending)  # FIFO mode ignores priority
     fifo.shutdown()
@@ -262,8 +260,7 @@ def test_small_stores_coalesce_into_one_chunk(tmp_path):
     store = ChunkedTensorStore(tmp_path / "chunks", chunk_bytes=1 << 20)
     gate = threading.Event()
     sched = IOScheduler(
-        num_store_workers=1,
-        num_load_workers=1,
+        workers=2,
         lanes=("ssd",),
         coalesce_bytes=1 << 20,
     )
@@ -291,7 +288,7 @@ def test_small_stores_coalesce_into_one_chunk(tmp_path):
 def test_oversized_store_runs_alone(tmp_path):
     gate = threading.Event()
     sched = IOScheduler(
-        num_store_workers=1, num_load_workers=1, lanes=("ssd",), coalesce_bytes=1024
+        workers=2, lanes=("ssd",), coalesce_bytes=1024
     )
     _block_workers(sched, gate)
     sched.submit(_req(lambda: None, nbytes=4096))  # > coalesce_bytes
@@ -303,7 +300,7 @@ def test_oversized_store_runs_alone(tmp_path):
 
 
 def test_coalescing_disabled():
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, coalesce_bytes=0)
+    sched = IOScheduler(workers=2, coalesce_bytes=0)
     for i in range(8):
         sched.submit(_req(lambda: None, nbytes=16, tid=f"t{i}"))
     sched.drain(5)
@@ -315,7 +312,7 @@ def test_coalescing_disabled():
 def test_lanes_are_independent():
     """A store backlog on the SSD lane never delays the CPU lane."""
     gate = threading.Event()
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1)
+    sched = IOScheduler(workers=2)
     _block_workers(sched, gate)
     cpu_done = threading.Event()
     sched.submit(_req(cpu_done.set, lane="cpu"))
@@ -352,7 +349,7 @@ def test_cancelled_batch_member_not_counted_as_coalesced():
     head_gate = threading.Event()
     gate = threading.Event()
     ran = []
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
+    sched = IOScheduler(workers=2, lanes=("ssd",))
     _block_workers(sched, gate)
 
     def head_fn():
@@ -386,7 +383,7 @@ def test_batch_of_one_survivor_counts_no_coalescing():
     head_started = threading.Event()
     head_gate = threading.Event()
     gate = threading.Event()
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
+    sched = IOScheduler(workers=2, lanes=("ssd",))
     _block_workers(sched, gate)
 
     def head_fn():
@@ -414,7 +411,7 @@ def test_promoted_request_stale_heap_entry_runs_once():
     under the new one: exactly one queue entry, exactly one execution."""
     gate = threading.Event()
     ran = []
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
+    sched = IOScheduler(workers=2, lanes=("ssd",))
     _block_workers(sched, gate)
     prefetch = sched.submit(
         _req(lambda: ran.append("load"), kind="load", priority=Priority.PREFETCH_LOAD)
@@ -435,7 +432,7 @@ def test_stale_entry_skipped_inside_batch_scan():
     must keep coalescing the plain stores."""
     gate = threading.Event()
     ran = []
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
+    sched = IOScheduler(workers=2, lanes=("ssd",))
     _block_workers(sched, gate)
     head = sched.submit(_req(lambda: ran.append("head"), nbytes=64, tid="head"))
     sched.submit(_req(lambda: ran.append("b"), nbytes=16, tid="b"))
@@ -459,7 +456,7 @@ def test_lone_tenant_large_request_served_without_drr_rounds():
     consulting the weight once."""
     gate = threading.Event()
     ran = []
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
+    sched = IOScheduler(workers=2, lanes=("ssd",))
 
     def no_weight(name):
         raise AssertionError("a ring of one must not run DRR rounds")
@@ -505,7 +502,7 @@ def test_shutdown_under_load_stress():
     """Shutdown racing a storm of submitters from several threads: every
     accepted request reaches a terminal state, the workers exit, and
     late submitters get a clean RuntimeError instead of a hang."""
-    sched = IOScheduler(num_store_workers=2, num_load_workers=2)
+    sched = IOScheduler(workers=4)
     accepted = []
     accepted_lock = threading.Lock()
     rejections = []
@@ -561,7 +558,7 @@ def test_concurrent_shutdown_calls_are_idempotent():
 
 # ------------------------------------------------------ completion telemetry
 def test_consume_completion_stats_windows():
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1)
+    sched = IOScheduler(workers=2)
     sched.submit(_req(lambda: time.sleep(0.002), nbytes=1024, tid="w"))
     sched.submit(
         _req(lambda: time.sleep(0.002), kind="load", priority=Priority.BLOCKING_LOAD,
@@ -587,7 +584,7 @@ def test_consume_completion_stats_windows():
 
 def test_cancelled_requests_never_reach_completion_stats():
     gate = threading.Event()
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, lanes=("ssd",))
+    sched = IOScheduler(workers=2, lanes=("ssd",))
     _block_workers(sched, gate)
     victim = sched.submit(_req(lambda: None, nbytes=4096, tid="v"))
     assert sched.cancel(victim)
@@ -612,7 +609,7 @@ def test_busy_time_is_interval_union_not_per_request_sum():
     # coalesce_bytes=0: coalescing would drain all four on one worker
     # sequentially, which is exactly the non-overlapping case.
     sched = IOScheduler(
-        num_store_workers=2, num_load_workers=2, lanes=("ssd",), coalesce_bytes=0
+        workers=4, lanes=("ssd",), coalesce_bytes=0
     )
     for i in range(4):  # 4 workers run these ~concurrently
         sched.submit(_req(lambda: time.sleep(0.05), nbytes=1024, tid=f"t{i}"))

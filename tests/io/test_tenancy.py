@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.ids import TensorID
-from repro.core.offloader import CPUOffloader, PinnedMemoryPool
+from repro.core.offloader import CPUOffloader, PinnedMemoryPool, SSDOffloader
 from repro.core.policy import OffloadPolicy, Tier
 from repro.core.tiered import TieredOffloader
 from repro.io import (
@@ -96,7 +96,7 @@ def test_request_inherits_scope_tenant():
 def test_worker_executes_in_request_tenant_scope():
     seen = {}
     sched = IOScheduler(
-        num_store_workers=1, num_load_workers=1, lanes=("ssd",),
+        workers=2, lanes=("ssd",),
         tenants=TenantRegistry(),
     )
     try:
@@ -261,7 +261,7 @@ def test_fair_path_respects_priority_classes():
 def test_over_quota_park_then_unpark_on_refund():
     reg = TenantRegistry()
     reg.register("p", byte_quota=100, over_quota="park")
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1,
+    sched = IOScheduler(workers=2,
                         lanes=("ssd",), tenants=reg, coalesce_bytes=0)
     events = []
     sched.add_listener(lambda ev, req: events.append((ev, req.tensor_id)))
@@ -290,10 +290,67 @@ def test_over_quota_park_then_unpark_on_refund():
     assert parked.state is JobState.DONE
 
 
+def test_cancelling_a_parked_request_unlinks_it_and_books_it():
+    """``cancel()`` of a request still held by quota admission: it leaves
+    the park queue at once, is booked ``parked_cancelled`` (never
+    ``submitted`` or ``cancelled`` — it reached no lane and owed no
+    quota), and the next refund unparks the request behind it."""
+    reg = TenantRegistry()
+    reg.register("p", byte_quota=100, over_quota="park")
+    sched = IOScheduler(workers=2, lanes=("ssd",), tenants=reg, coalesce_bytes=0)
+    events = []
+    sched.add_listener(lambda ev, req: events.append((ev, req.tensor_id)))
+    gate = threading.Event()
+    try:
+        _block_worker(sched, gate)
+        admitted = sched.submit(_req(lambda: None, nbytes=80, tid="admitted", tenant="p"))
+        first = sched.submit(
+            _req(lambda: None, kind="load", priority=Priority.PREFETCH_LOAD,
+                 nbytes=80, tid="first", tenant="p")
+        )
+        second = sched.submit(_req(lambda: None, nbytes=80, tid="second", tenant="p"))
+        assert sched.parked("p") == 2
+        before = reg.stats_of("p")
+        pending_before = sched.pending()
+
+        # A parked request's class is raised in place, not queued.
+        assert sched.promote(first)
+        assert first.priority is Priority.BLOCKING_LOAD
+        assert sched.parked("p") == 2 and sched.pending() == pending_before
+        assert ("promote", "first") in events
+
+        assert sched.cancel(first) is True
+        assert first.state is JobState.CANCELLED and not first._parked
+        assert sched.parked("p") == 1
+        assert ("cancel", "first") in events
+        after = reg.stats_of("p")
+        assert after.parked_cancelled == 1
+        assert (after.submitted, after.cancelled) == (before.submitted, before.cancelled)
+        assert after.quota_in_use_bytes == before.quota_in_use_bytes == 80
+        assert sched.stats_snapshot().cancelled == 0  # it never reached a lane
+        assert sched.pending() == pending_before
+        assert not sched.cancel(first)  # already terminal
+
+        # The refund of the admitted request unparks the second, only.
+        assert sched.cancel(admitted)
+        assert sched.parked("p") == 0
+        assert ("unpark", "second") in events and ("unpark", "first") not in events
+        gate.set()
+        assert sched.drain(5)
+    finally:
+        gate.set()
+        sched.shutdown()
+    stats = reg.stats_of("p")
+    assert second.state is JobState.DONE and first.state is JobState.CANCELLED
+    assert stats.parked == 2
+    assert stats.unparked == 1 and stats.parked_cancelled == 1
+    assert stats.submitted == stats.executed + stats.failed + stats.cancelled == 2
+
+
 def test_parked_requests_cancelled_on_shutdown_conservation():
     reg = TenantRegistry()
     reg.register("p", byte_quota=10, over_quota="park")
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1,
+    sched = IOScheduler(workers=2,
                         lanes=("ssd",), tenants=reg, coalesce_bytes=0)
     gate = threading.Event()
     try:
@@ -317,7 +374,7 @@ def test_parked_requests_cancelled_on_shutdown_conservation():
 def test_reject_policy_raises_quota_error():
     reg = TenantRegistry()
     reg.register("r", byte_quota=10, over_quota="reject")
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1,
+    sched = IOScheduler(workers=2,
                         lanes=("ssd",), tenants=reg, coalesce_bytes=0)
     try:
         sched.submit(_req(lambda: None, nbytes=10, tid="ok", tenant="r"))
@@ -335,7 +392,7 @@ def test_bandwidth_quota_stays_work_conserving():
     idle lane (liveness via the forced-admit escape)."""
     reg = TenantRegistry()
     reg.register("slow", bandwidth_quota_bytes_per_s=1.0)  # absurdly low
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1,
+    sched = IOScheduler(workers=2,
                         lanes=("ssd",), tenants=reg, coalesce_bytes=0)
     done = []
     try:
@@ -353,7 +410,7 @@ def test_bandwidth_quota_stays_work_conserving():
 
 def test_scheduler_books_reconcile_per_tenant():
     reg = TenantRegistry()
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1,
+    sched = IOScheduler(workers=2,
                         lanes=("ssd",), tenants=reg, coalesce_bytes=0)
     gate = threading.Event()
     try:
@@ -399,7 +456,7 @@ def test_tiered_tenant_ssd_death_isolated(tmp_path):
     mode for A only: B keeps the SSD tier, the global latch stays off."""
     policy = OffloadPolicy()
     policy.config.cpu_tier_max_tensor_bytes = 0  # force SSD placement
-    off = TieredOffloader(tmp_path, cpu_pool_bytes=1 << 20, policy=policy)
+    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=1 << 20, policy=policy)
     real_store = off.ssd.store
 
     def flaky_store(tid, data):
@@ -432,7 +489,7 @@ def test_tiered_tenant_ssd_death_isolated(tmp_path):
 def test_make_room_skips_dead_tenant_victims(tmp_path):
     """Pool pressure never demotes a resident whose tenant's SSD is
     dead — their parked bytes have nowhere to go."""
-    off = TieredOffloader(tmp_path, cpu_pool_bytes=2048)
+    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2048)
     data = np.zeros(256, dtype=np.float32)  # 1024 bytes
     tid_dead = TensorID(stamp=1, shape=data.shape)
     tid_live = TensorID(stamp=2, shape=data.shape)
@@ -474,7 +531,7 @@ def test_policy_place_for_tenant_hook():
 
 
 def test_tiered_store_honours_tenant_placement_hook(tmp_path):
-    off = TieredOffloader(tmp_path, cpu_pool_bytes=1 << 20)
+    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=1 << 20)
     off.policy.set_tenant_policy("cold", lambda nbytes, free: Tier.SSD)
     data = np.arange(128, dtype=np.float32)
     tid_cold = TensorID(stamp=1, shape=data.shape)
@@ -593,9 +650,9 @@ def test_default_tenant_fair_path_matches_legacy_order():
         return order
 
     expected = ["l0", "l1", "l2", "d0", "s0", "s1", "s2", "s3", "s4", "s5"]
-    implicit = run(IOScheduler(num_store_workers=1, num_load_workers=1,
+    implicit = run(IOScheduler(workers=2,
                                lanes=("ssd",), coalesce_bytes=0))
-    explicit = run(IOScheduler(num_store_workers=1, num_load_workers=1,
+    explicit = run(IOScheduler(workers=2,
                                lanes=("ssd",), coalesce_bytes=0,
                                tenants=TenantRegistry()))
     assert implicit == expected
@@ -609,7 +666,7 @@ def test_fifo_with_registry_is_strict_submission_order():
     reg = TenantRegistry(quantum_bytes=1024)
     reg.register("heavy", weight=4.0)
     reg.register("light", weight=1.0)
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1,
+    sched = IOScheduler(workers=2,
                         lanes=("ssd",), coalesce_bytes=0, fifo=True,
                         tenants=reg)
     script = [

@@ -493,7 +493,7 @@ def _roundtrip(sched, store, n=12):
 
 def test_uring_backend_books_reconcile_and_batch(tmp_path):
     backend = UringBackend()
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, backend=backend)
+    sched = IOScheduler(workers=2, backend=backend)
     store = TensorFileStore(tmp_path)
     try:
         _roundtrip(sched, store)
@@ -522,8 +522,7 @@ def test_backends_issue_identical_syscalls_bytes_and_files(tmp_path):
     runs = {}
     for name in ("thread", "uring", "gds-sim"):
         sched = IOScheduler(
-            num_store_workers=1,
-            num_load_workers=1,
+            workers=2,
             backend=None if name == "thread" else UringBackend(),
         )
         # gds-sim = the reaper plus a registry handed to the store; the
@@ -554,7 +553,7 @@ def test_gds_sim_routes_registered_tensors_past_the_bounce(tmp_path):
 
     registry = GDSRegistry()
     sched = IOScheduler(
-        num_store_workers=1, num_load_workers=1, backend=UringBackend()
+        workers=2, backend=UringBackend()
     )
     store = TensorFileStore(tmp_path, gds=registry)
     registered = Tensor(np.arange(64, dtype=np.float32))

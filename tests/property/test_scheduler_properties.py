@@ -45,8 +45,7 @@ def _body(mode, counter):
 @given(st.lists(_OPS, min_size=1, max_size=40), st.booleans())
 def test_scheduler_counters_always_reconcile(ops, fifo):
     sched = IOScheduler(
-        num_store_workers=1,
-        num_load_workers=1,
+        workers=2,
         fifo=fifo,
         max_retries=2,
         retry_backoff_s=0.0,
@@ -137,8 +136,7 @@ def test_multi_tenant_books_reconcile_per_tenant(ops, fifo):
     registry.register("b", weight=1.0)
     registry.register("c", weight=1.0, byte_quota=quota, over_quota="reject")
     sched = IOScheduler(
-        num_store_workers=1,
-        num_load_workers=1,
+        workers=2,
         max_retries=2,
         retry_backoff_s=0.0,
         tenants=registry,

@@ -27,7 +27,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.core import OffloadPolicy, PolicyConfig
+from repro.core import OffloadPolicy, PolicyConfig, SSDOffloader
 from repro.core.ids import TensorID
 from repro.core.policy import Tier
 from repro.core.tiered import TieredOffloader, _State
@@ -54,7 +54,7 @@ class TieredModel(RuleBasedStateMachine):
         self.dir = tempfile.mkdtemp(prefix="tiered-model-")
         small_bytes = int(np.prod(SMALL)) * F32.itemsize
         self.off = TieredOffloader(
-            self.dir,
+            SSDOffloader(self.dir),
             cpu_pool_bytes=POOL_TENSORS * small_bytes,
             policy=OffloadPolicy(PolicyConfig(cpu_tier_max_tensor_bytes=small_bytes)),
         )

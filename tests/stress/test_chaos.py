@@ -207,7 +207,7 @@ def test_exception_storm_leaves_all_workers_alive(seed):
     import random
 
     rng = random.Random(seed)
-    sched = IOScheduler(num_store_workers=2, num_load_workers=2, retry_backoff_s=0)
+    sched = IOScheduler(workers=4, retry_backoff_s=0)
     submitted = []
     lock = threading.Lock()
 
@@ -267,7 +267,7 @@ def test_drain_timeout_returns_after_store_failure(tmp_path):
 
     offloader = SSDOffloader(tmp_path / "s")
     injector = inject_faults(offloader, FaultPlan.dead(after_ops=0))
-    sched = IOScheduler(num_store_workers=1, num_load_workers=1, retry_backoff_s=0)
+    sched = IOScheduler(workers=2, retry_backoff_s=0)
     data = np.ones((64,), dtype=np.float32)
     reqs = [
         sched.submit(
@@ -299,8 +299,7 @@ def _train_pair(tmp_path, name, plan_for_a=None, kill_before_step=None):
     registry.register("a")
     registry.register("b")
     scheduler = IOScheduler(
-        num_store_workers=2,
-        num_load_workers=2,
+        workers=4,
         tenants=registry,
         retry_backoff_s=0,
         name=f"chaos-{name}",
@@ -433,8 +432,7 @@ def test_retry_storm_degrades_other_tenant_bandwidth_under_15pct():
         registry.register("a")
         registry.register("b")
         sched = IOScheduler(
-            num_store_workers=1,
-            num_load_workers=1,
+            workers=2,
             lanes=("ssd",),
             tenants=registry,
             coalesce_bytes=0,

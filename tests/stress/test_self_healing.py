@@ -350,11 +350,10 @@ def test_brownout_sheds_prefetch(tmp_path):
             cpu_pool_bytes=256 << 10,
             policy=policy,
             io_slow_request_s=0.05,
-            prefetch_window=2,
         )
     )
     try:
-        cache = engine.cache()
+        cache = engine.cache(prefetch_window=2)
         # Healthy lane: the look-ahead runs (empty table, nothing shed).
         cache._prefetch_ahead(cache.current)
         assert cache.stats.prefetch_shed == 0
