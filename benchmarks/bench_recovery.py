@@ -79,12 +79,13 @@ def test_failover_store_latency_dead_ssd(benchmark, tmp_path):
     """Store latency on the degraded path: the SSD is dead, so every
     placement reroutes into the pinned CPU tier — the latency a training
     step actually pays while the breaker is OPEN."""
-    offloader = build_engine(
+    engine = build_engine(
         target="tiered",
         store_dir=tmp_path / "store",
         cpu_pool_bytes=1 << 20,
         policy=_ssd_placing_policy(),
-    ).offloader
+    )
+    offloader = engine.offloader
     try:
         injector = inject_faults(offloader, FaultPlan(seed=0))
         injector.kill()
@@ -109,7 +110,7 @@ def test_failover_store_latency_dead_ssd(benchmark, tmp_path):
             [f"{counter[0] - 1} stores rerouted, 0 failures"],
         )
     finally:
-        offloader.shutdown()
+        engine.shutdown()
 
 
 # ------------------------------------------------- deterministic asserts
@@ -165,7 +166,7 @@ def test_recovery_resurrection_time_to_first_store(tmp_path):
     few backoff periods, and the first post-resurrection store/load
     round-trip must be bit-exact."""
     backoff_s = 0.002
-    offloader = build_engine(
+    engine = build_engine(
         EngineConfig(
             target="tiered",
             store_dir=tmp_path / "store",
@@ -173,7 +174,8 @@ def test_recovery_resurrection_time_to_first_store(tmp_path):
             policy=_ssd_placing_policy(),
             probe_backoff_s=backoff_s,
         )
-    ).offloader
+    )
+    offloader = engine.offloader
     try:
         injector = inject_faults(offloader, FaultPlan(seed=0))
         injector.kill()
@@ -200,7 +202,7 @@ def test_recovery_resurrection_time_to_first_store(tmp_path):
             ],
         )
     finally:
-        offloader.shutdown()
+        engine.shutdown()
 
 
 def test_recovery_breaker_single_flight_under_contention():

@@ -8,13 +8,12 @@ Two front-ends share the offload stack — the original
   invalid combinations raise :class:`EngineConfigError` (a
   :class:`ValueError` subclass, so ``except ValueError`` callers work).
 - :func:`build_engine` returns an :class:`Engine`, the one place the
-  configuration is read: it builds each part once — the SSD store, the
-  offloader over it, the lazily-started scheduler — hands the built
-  parts down (never their options), and keeps what it built as
-  attributes.  ``Trainer`` runs construct a cache via
-  :meth:`Engine.cache`; the KV front-end drives the offloader/scheduler
-  pair directly; callers that only need the synchronous backend take
-  ``engine.offloader``.
+  configuration is read: it builds each part once — the scheduler, the
+  SSD store, the offloader over both — hands the built parts down
+  (never their options), and keeps what it built as attributes.
+  ``Trainer`` runs construct a cache via :meth:`Engine.cache`; the KV
+  front-end drives the offloader/scheduler pair directly; callers that
+  only need the synchronous backend take ``engine.offloader``.
 - :meth:`Engine.stats` returns one :class:`EngineStats` snapshot
   aggregating every book non-destructively — reading it never steals the
   adaptive controller's bandwidth windows or resets a counter.
@@ -22,7 +21,6 @@ Two front-ends share the offload stack — the original
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
@@ -309,8 +307,7 @@ class EngineStats:
     more work) affects nothing, and taking the snapshot never drains
     the adaptive controller's completion windows.  Fields that do not
     apply to the configured target stay ``None``/empty (e.g. ``tiers``
-    for a pure-SSD engine, ``scheduler`` before any front-end touched
-    the lazily-built I/O plane).
+    for a pure-SSD engine).
     """
 
     target: str
@@ -323,8 +320,7 @@ class EngineStats:
     #: Which lane execution backend the I/O plane runs.
     io_backend: str = "thread"
     #: Per-lane backend books (syscalls, batched requests, reap lag),
-    #: one key per lane the target uses — empty until the lazy
-    #: scheduler exists.
+    #: one key per lane the target uses.
     io_lanes: Dict[str, IOLaneStats] = field(default_factory=dict)
     #: SSD endurance / lifespan books — ``None`` unless the engine runs
     #: a chunked store (the only backend with wear-relevant batching).
@@ -338,11 +334,12 @@ class Engine:
     parts the engine built are its attributes — ``file_store`` (the SSD
     store, ``None`` for the cpu target), ``chunk_store`` (the same
     object when it is a chunked store, else ``None``), ``tiered`` (the
-    offloader when the target is tiered, else ``None``) — so nothing
-    above has to ask the offloader what it is made of.  The scheduler
-    is built lazily on first access, so callers that only need the
-    synchronous offloader (``build_engine(...).offloader``, unit
-    fixtures) never spawn worker threads.
+    offloader when the target is tiered, else ``None``), ``scheduler``
+    — so nothing above has to ask the offloader what it is made of.
+    The scheduler is built first (the tiered offloader queues its
+    demotions on it and reads degraded mode off its lane health) and
+    starts workers for the lanes the target queues on and no others; an
+    engine's hedge delay is always the adaptive one.
     """
 
     def __init__(self, config: EngineConfig) -> None:
@@ -353,9 +350,20 @@ class Engine:
         self.file_store: Optional[Union[TensorFileStore, ChunkedTensorStore]] = None
         self.chunk_store: Optional[ChunkedTensorStore] = None
         self.tiered: Optional[TieredOffloader] = None
-        self.offloader = self._build_offloader()
-        self._scheduler: Optional[IOScheduler] = None
-        self._scheduler_lock = threading.Lock()
+        self.scheduler = IOScheduler(
+            lanes=TARGET_LANES[config.target],
+            fifo=config.fifo_io,
+            tenants=config.tenants,
+            backend=UringBackend() if config.io_backend in ("uring", "gds-sim") else None,
+            deadlines=config.io_deadlines,
+            hedge=config.hedge_reads,
+            slow_request_s=config.io_slow_request_s,
+        )
+        try:
+            self.offloader = self._build_offloader()
+        except BaseException:
+            self.scheduler.shutdown()  # a refused store must not leak the workers
+            raise
         self._started_at = time.monotonic()
         self._closed = False
 
@@ -390,38 +398,12 @@ class Engine:
         self.tiered = TieredOffloader(
             ssd,
             cfg.cpu_pool_bytes,
+            self.scheduler,
             policy=self.policy,
             promote_on_load=cfg.promote_on_load,
             probe_backoff_s=cfg.probe_backoff_s,
         )
         return self.tiered
-
-    @property
-    def scheduler(self) -> IOScheduler:
-        """The shared priority scheduler, built (and wired to the
-        offloader's demotion path) on first access.  It starts workers
-        for the lanes the target queues on and no others; an engine's
-        hedge delay is always the adaptive one."""
-        with self._scheduler_lock:
-            if self._scheduler is None:
-                cfg = self.config
-                reaper = cfg.io_backend in ("uring", "gds-sim")
-                self._scheduler = IOScheduler(
-                    lanes=TARGET_LANES[cfg.target],
-                    fifo=cfg.fifo_io,
-                    tenants=cfg.tenants,
-                    backend=UringBackend() if reaper else None,
-                    deadlines=cfg.io_deadlines,
-                    hedge=cfg.hedge_reads,
-                    slow_request_s=cfg.io_slow_request_s,
-                )
-                self.offloader.set_scheduler(self._scheduler)
-            return self._scheduler
-
-    @property
-    def scheduler_started(self) -> bool:
-        """True once the lazy I/O plane exists (without creating it)."""
-        return self._scheduler is not None
 
     def cache(self, **overrides: Any) -> "TensorCache":
         """Build a :class:`~repro.core.tensor_cache.TensorCache` on this
@@ -446,13 +428,9 @@ class Engine:
             dataplane=off.dataplane_stats(),
             io_backend=self.config.io_backend,
         )
-        sched = self._scheduler
-        if sched is not None:
-            snap.scheduler = sched.stats_snapshot()
-            snap.tenants = sched.tenants.stats_snapshot()
-            snap.io_lanes = sched.backend_stats_snapshot()
-        elif self.tenants is not None:
-            snap.tenants = self.tenants.stats_snapshot()
+        snap.scheduler = self.scheduler.stats_snapshot()
+        snap.tenants = self.scheduler.tenants.stats_snapshot()
+        snap.io_lanes = self.scheduler.backend_stats_snapshot()
         pool = off.pool
         if pool is not None:
             snap.pool = PoolBooks(
@@ -483,7 +461,7 @@ class Engine:
 
     # ---------------------------------------------------------------- teardown
     def shutdown(self) -> None:
-        """Stop the I/O plane (if started) and release the data plane.
+        """Stop the I/O plane and release the data plane.
 
         Idempotent and leak-free: scheduler workers and the uring
         reaper are joined (not abandoned as daemons), the stores close
@@ -491,13 +469,10 @@ class Engine:
         manifest while an ephemeral one is cleared.  A 20×-restart
         regression test holds this to a thread/FD baseline.
         """
-        with self._scheduler_lock:
-            sched, self._scheduler = self._scheduler, None
-            if self._closed and sched is None:
-                return
-            self._closed = True
-        if sched is not None:
-            sched.shutdown()
+        if self._closed:
+            return
+        self._closed = True
+        self.scheduler.shutdown()
         self.offloader.shutdown()
 
     #: PEP 3116-style alias so engines read like other closeable resources.

@@ -46,6 +46,7 @@ from repro.io.buffers import (
 from repro.io.chunkstore import ChunkedTensorStore
 from repro.io.filestore import TensorFileStore
 from repro.io.gds import GDSRegistry
+from repro.io.scheduler import IOScheduler
 from repro.io.tenancy import current_tenant
 from repro.tensor.tensor import Tensor
 
@@ -70,6 +71,9 @@ class Offloader:
     file_store: Optional[Union[TensorFileStore, ChunkedTensorStore]] = None
     #: Copies this backend makes itself (its store keeps its own counter).
     copy_stats: Optional[CopyCounter] = None
+    #: The I/O scheduler the backend was built on (tiered: its demotion
+    #: writes queue there); a cache driving the backend must share it.
+    scheduler: Optional[IOScheduler] = None
 
     def tier_of(self, tid: TensorID) -> Tier:
         """Which tier holds ``tid`` after a completed store."""
@@ -104,9 +108,6 @@ class Offloader:
 
     def register_tensor(self, tensor: Tensor) -> None:
         """Pack-time GDS registration of the tensor's buffer (SSD path)."""
-
-    def set_scheduler(self, scheduler) -> None:
-        """Route background writes (tier demotions) through ``scheduler``."""
 
     def flush(self) -> None:
         """Force staged bytes to the device (chunked SSD store)."""
@@ -202,12 +203,6 @@ class PinnedMemoryPool:
 
     def __init__(self, capacity_bytes: Optional[int] = None) -> None:
         self.capacity_bytes = capacity_bytes
-        #: Degraded-mode escape hatch: with the SSD tier dead, refusing a
-        #: pool allocation would fail the training step to protect a
-        #: capacity model whose spill target no longer exists.  The
-        #: tiered offloader flips this during failover — correctness over
-        #: the capacity model — and ``overflow_bytes`` records the debt.
-        self.overflow_allowed = False
         self._lock = threading.Lock()
         self._used = 0
         self._high_watermark = 0
@@ -216,14 +211,18 @@ class PinnedMemoryPool:
         #: per-tenant reconciliation surface of the isolation tests).
         self._used_by: Dict[str, int] = {}
 
-    def alloc(self, nbytes: int, tenant: Optional[str] = None) -> None:
+    def alloc(self, nbytes: int, tenant: Optional[str] = None, overflow: bool = False) -> None:
+        """Charge ``nbytes`` to ``tenant``.  ``overflow`` is the allocating
+        call's degraded-mode escape hatch: with nowhere to spill, refusing
+        would fail the step to protect a capacity model whose spill target
+        is gone — correctness wins, :attr:`overflow_bytes` records the debt."""
         owner = tenant if tenant is not None else current_tenant()
         with self._lock:
             new_used = self._used + nbytes
             if (
                 self.capacity_bytes is not None
                 and new_used > self.capacity_bytes
-                and not self.overflow_allowed
+                and not overflow
             ):
                 raise MemoryError(
                     f"pinned pool exhausted: {new_used} > {self.capacity_bytes} bytes"
@@ -334,13 +333,15 @@ class CPUOffloader(Offloader):
         if required > elapsed:
             time.sleep(required - elapsed)
 
-    def copy_in(self, data: np.ndarray, owner: str) -> Tuple[np.ndarray, BufferLease]:
-        """Charge ``owner``'s pool share and copy ``data`` into a leased
-        arena buffer; whoever keeps the pair frees and releases it (this
-        backend's table, or the tiered offloader's entry)."""
+    def copy_in(
+        self, data: np.ndarray, owner: str, overflow: bool = False
+    ) -> Tuple[np.ndarray, BufferLease]:
+        """Charge ``owner``'s pool share (past the cap when ``overflow``)
+        and copy ``data`` into a leased arena buffer; whoever keeps the pair
+        frees and releases it (this backend's table, or the tier's entry)."""
         src = np.asarray(data)
         # Capacity first: a refused allocation must not leak a lease.
-        self.pool.alloc(src.nbytes, tenant=owner)
+        self.pool.alloc(src.nbytes, tenant=owner, overflow=overflow)
         lease: Optional[BufferLease] = None
         try:
             lease = self.arena.lease(src.nbytes, tenant=owner)

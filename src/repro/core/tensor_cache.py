@@ -256,8 +256,17 @@ class TensorCache:
         self.policy = policy if policy is not None else OffloadPolicy()
         self.registry = registry if registry is not None else TensorIDRegistry()
         # One priority-aware scheduler replaces the paper's two FIFO
-        # pools; lanes are sized (or made FIFO) on the scheduler handed in.
-        self.scheduler = scheduler if scheduler is not None else IOScheduler()
+        # pools; lanes are sized (or made FIFO) on the scheduler handed
+        # in.  A tiered backend queues its demotion writes on the
+        # scheduler it was built on and reads degraded mode off its lane
+        # health: the cache must be on that one.
+        built_on = offloader.scheduler
+        if scheduler is not None and built_on is not None and scheduler is not built_on:
+            raise ValueError(
+                "the offloader was built on a different IOScheduler than the cache's: "
+                "pass the cache offloader.scheduler"
+            )
+        self.scheduler = scheduler or built_on or IOScheduler()
         if prefetch_window < 0:
             raise ValueError(f"prefetch_window must be >= 0: {prefetch_window}")
         self.prefetch_window = prefetch_window
@@ -289,10 +298,6 @@ class TensorCache:
         self._segment_order: List[int] = []
         self._last_segment_id: Optional[int] = None
         self._shutdown = False
-        # A tiered backend routes its demotion writes through the same
-        # scheduler (DEMOTION class on the SSD lane) so spills queue
-        # behind loads and stay cancellable.
-        offloader.set_scheduler(self.scheduler)
 
     # ------------------------------------------------------------- plumbing
     @property

@@ -36,14 +36,14 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.ids import TensorID
 from repro.core.offloader import CPUOffloader, Offloader, PinnedMemoryPool, SSDOffloader
 from repro.core.policy import OffloadPolicy, Tier
-from repro.io.breaker import BreakerState, CircuitBreaker, Listener
+from repro.io.breaker import CircuitBreaker
 from repro.io.buffers import BufferLease, DataPlaneStats, owned_copy
 from repro.io.errors import PermanentIOError, is_enospc, retry_call
 from repro.io.scheduler import IORequest, IOScheduler, Priority
@@ -205,6 +205,12 @@ class TieredOffloader(Offloader):
             durability, write-leveling, throttle, ``O_DIRECT``, GDS
             routing) is the store's, decided by whoever constructed it.
         cpu_pool_bytes: pinned pool capacity — the CPU tier's size.
+        scheduler: the I/O scheduler the tier works on — a collaborator,
+            not an option: demotion writes queue on its ssd lane at
+            DEMOTION priority, and its lane health
+            (:class:`~repro.io.health.LaneHealthTracker`) is the one
+            owner of "the SSD is unusable (for this tenant)".  A cache
+            driving this offloader must share it.
         policy: supplies the tier-placement rule; defaults to a fresh
             :class:`OffloadPolicy` (pool-first placement).
         promote_on_load: copy SSD-resident tensors back into the pool on
@@ -218,6 +224,7 @@ class TieredOffloader(Offloader):
         self,
         ssd: SSDOffloader,
         cpu_pool_bytes: int,
+        scheduler: IOScheduler,
         policy: Optional[OffloadPolicy] = None,
         promote_on_load: bool = True,
         probe_backoff_s: Optional[float] = None,
@@ -240,42 +247,24 @@ class TieredOffloader(Offloader):
         self._lru: "OrderedDict[TensorID, _Entry]" = OrderedDict()
         #: Demotions are DEMOTION-priority requests on the ssd lane: the
         #: pool bytes are reclaimed immediately, and releasing (or
-        #: re-loading) the victim first *cancels* the write.  With no
-        #: scheduler they wait here for the demoting call to run them
-        #: once it has released the tier lock.
-        self._scheduler: Optional[IOScheduler] = None
-        self._unscheduled_spills: List[IORequest] = []
+        #: re-loading) the victim first *cancels* the write.
+        self.scheduler = scheduler
+        #: Degraded mode has one owner, the scheduler's lane health.
+        #: While one of its ssd breakers is open every placement it
+        #: covers targets the CPU tier (correctness over capacity); this
+        #: class only reads the verdict, reports the failures it absorbs
+        #: (``mark_dead``) and runs the canary that re-closes a breaker.
+        self._health = scheduler.health
         #: Target free headroom the pool keeps between steps (bytes);
         #: installed by the adaptive controller, enforced on demand by
         #: :meth:`apply_watermark`.  0 = no proactive demotion.
         self._free_watermark_bytes = 0
-        #: SSD-tier circuit breaker: trips on the first PermanentIOError
-        #: from the SSD store (or when the scheduler's lane health
-        #: declares the ssd lane dead).  While open, every placement
-        #: targets the CPU tier — correctness over capacity — and the
-        #: pinned pool is allowed to overflow its cap rather than fail
-        #: the step.  Unlike the pre-PR10 latch this is not sticky:
-        #: after a backoff, :meth:`maybe_probe_ssd` canaries the device
-        #: and a passing probe budget resurrects the tier.
-        #: ``probe_backoff_s`` doubles as the breaker backoff *and* the
-        #: opt-in for store-path auto-probing; ``None`` (the default)
-        #: keeps the conservative backoff and probes only when the
-        #: service housekeeping loop (or a test) calls
-        #: :meth:`maybe_probe_ssd` explicitly.
+        #: Doubles as the breaker backoff *and* the opt-in for
+        #: store-path auto-probing; ``None`` (the default) keeps the
+        #: conservative backoff and probes only when the service
+        #: housekeeping loop (or a test) calls :meth:`maybe_probe_ssd`.
         self.probe_backoff_s = probe_backoff_s
-        backoff = probe_backoff_s if probe_backoff_s is not None else 0.05
-        self._breaker = CircuitBreaker(name="ssd", backoff_s=backoff)
-        #: Tenant-scoped breakers: an SSD failure attributed to one
-        #: tenant (via the scheduler's per-tenant lane health or a failed
-        #: store in that tenant's scope) degrades only that tenant's
-        #: placement; every other tenant keeps its SSD tier.  The default
-        #: tenant never lands here — its failures drive the global
-        #: breaker, preserving single-tenant behaviour exactly.
-        self._tenant_breakers: Dict[str, CircuitBreaker] = {}
-        self._breaker_listener: Optional[Listener] = None
-        #: ``pool.overflow_allowed`` before the first trip, restored when
-        #: the last open breaker closes (resurrection exits overflow).
-        self._overflow_before_trip: Optional[bool] = None
+        self._health.breaker("ssd", backoff_s=probe_backoff_s)  # built with this backoff
         if ssd.file_store.persistent:
             self._rehydrate_table()
 
@@ -298,105 +287,25 @@ class TieredOffloader(Offloader):
     # ---------------------------------------------------------------- failover
     @property
     def ssd_dead(self) -> bool:
-        """True while the SSD breaker is open (traffic routes around the
-        tier).  No longer sticky: a passed probe budget clears it."""
-        return self._breaker.is_open
+        """True while the ssd lane's global breaker is open (traffic
+        routes around the tier).  Not sticky: a passed probe budget
+        clears it."""
+        return self._health.is_dead("ssd")
 
     @property
     def breaker(self) -> CircuitBreaker:
         """The global SSD-tier circuit breaker (state/stats surface)."""
-        return self._breaker
+        return self._health.breaker("ssd")
 
     def ssd_dead_for(self, tenant: str) -> bool:
         """True when ``tenant``'s SSD placement is written off (global
         death counts for everyone; tenant-scoped death only for them)."""
-        return self._ssd_unhealthy(tenant)
+        return self._health.is_dead("ssd", tenant)
 
     @property
     def dead_tenants(self) -> Set[str]:
         """Tenants whose own SSD breaker is currently open (copy)."""
-        with self._lock:
-            return {t for t, breaker in self._tenant_breakers.items() if breaker.is_open}
-
-    def _tenant_breaker_open(self, tenant: str) -> bool:
-        breaker = self._tenant_breakers.get(tenant)
-        return breaker is not None and breaker.is_open
-
-    def _tenant_breaker(self, tenant: str) -> CircuitBreaker:
-        """Get-or-create the breaker scoped to ``tenant`` (under lock)."""
-        with self._lock:
-            breaker = self._tenant_breakers.get(tenant)
-            if breaker is None:
-                breaker = CircuitBreaker(name=f"ssd/{tenant}", backoff_s=self._breaker.backoff_s)
-                if self._breaker_listener is not None:
-                    breaker.add_listener(self._breaker_listener)
-                self._tenant_breakers[tenant] = breaker
-            return breaker
-
-    def set_breaker_listener(self, listener: Listener) -> None:
-        """Observe every breaker transition: ``listener(name, old, new,
-        reason)``.  Applied to the global breaker and to every tenant
-        breaker, existing and future (the service publishes these on its
-        control bus)."""
-        with self._lock:
-            self._breaker_listener = listener
-            breakers = [self._breaker, *self._tenant_breakers.values()]
-        for breaker in breakers:
-            breaker.add_listener(listener)
-
-    def _ssd_unhealthy(self, tenant: Optional[str] = None) -> bool:
-        if self._breaker.is_open:
-            return True
-        scheduler = self._scheduler
-        if tenant is None or tenant == DEFAULT_TENANT:
-            return scheduler is not None and scheduler.health.is_dead("ssd")
-        if self._tenant_breaker_open(tenant):
-            return True
-        return scheduler is not None and scheduler.health.is_dead("ssd", tenant)
-
-    def _lane_slow(self) -> bool:
-        """Brownout verdict: the ssd lane is alive but past the slow
-        threshold — shed optional traffic, keep serving blocking work."""
-        scheduler = self._scheduler
-        return scheduler is not None and scheduler.health.is_slow("ssd")
-
-    def _mark_ssd_dead(self, tenant: Optional[str] = None) -> None:
-        """Trip degraded mode; callers hold (or are about to release)
-        ``self._lock``.
-
-        ``tenant`` scopes the trip: a non-default tenant's failure
-        degrades only that tenant's placement (the blast radius of the
-        isolation guarantee), while the default tenant — and ``None`` —
-        trip the pre-tenancy global breaker.
-        """
-        if self._overflow_before_trip is None:
-            # Remember the operator's setting before degraded mode
-            # forces overflow on; resurrection restores it.
-            self._overflow_before_trip = self.pool.overflow_allowed
-        if tenant is not None and tenant != DEFAULT_TENANT:
-            breaker = self._tenant_breaker(tenant)
-            # Trip only from CLOSED: callers re-sync this latch on every
-            # degraded placement, and knocking a HALF_OPEN breaker back
-            # to OPEN would double its backoff and starve the canary
-            # probes (probe failures re-open it via the breaker itself).
-            if breaker.state == BreakerState.CLOSED and breaker.trip("store failure"):
-                logger.warning(
-                    "SSD breaker opened for tenant %r; "
-                    "failing that tenant's placements over to the CPU tier",
-                    tenant,
-                )
-            # The dead tenant's bytes may no longer spill, so its share
-            # of the pool can exceed the capacity model: allow overflow
-            # rather than fail steps (same trade as the global breaker).
-            self.pool.overflow_allowed = True
-            if self._scheduler is not None:
-                self._scheduler.health.mark_dead("ssd", tenant=tenant)
-            return
-        if self._breaker.state == BreakerState.CLOSED and self._breaker.trip("store failure"):
-            logger.warning("SSD breaker opened; failing all placements over to the CPU tier")
-        self.pool.overflow_allowed = True
-        if self._scheduler is not None:
-            self._scheduler.health.mark_dead("ssd")
+        return set(self._health.dead_tenants("ssd"))
 
     # ------------------------------------------------------ probing / healing
     def maybe_probe_ssd(self, tenant: Optional[str] = None) -> Optional[bool]:
@@ -411,36 +320,47 @@ class TieredOffloader(Offloader):
         succeeded, ``False`` when it failed (the breaker re-opens with a
         doubled backoff).
         """
-        result = self._probe_one(self._breaker, None)
-        if tenant is not None and tenant != DEFAULT_TENANT:
-            scoped = self._tenant_breakers.get(tenant)
-            if scoped is not None:
-                scoped_result = self._probe_one(scoped, tenant)
-                if result is None:
-                    result = scoped_result
+        result = self._probe_one(None)
+        if tenant in self._health.dead_tenants("ssd"):
+            scoped_result = self._probe_one(tenant)
+            if result is None:
+                result = scoped_result
         return result
 
-    def _probe_one(self, breaker: CircuitBreaker, tenant: Optional[str]) -> Optional[bool]:
+    def _probe_one(self, tenant: Optional[str]) -> Optional[bool]:
+        breaker = self._health.breaker("ssd", tenant)
         if not breaker.allow_probe():
             return None
-        if self._canary_probe():
-            if breaker.record_probe_success():
-                self._resurrect_ssd(tenant)
-            return True
-        breaker.record_probe_failure()
-        return False
+        if not self._canary_probe(breaker.name):
+            breaker.record_probe_failure()
+            return False
+        if breaker.record_probe_success():
+            # The close is the revival (placement reads the breaker);
+            # the lane forgets the streak that tripped it.  A tenant's
+            # own verdict survives a global resurrection, and the pool
+            # drains under its cap at the next watermark application.
+            self._health.revive("ssd", tenant if tenant is not None else DEFAULT_TENANT)
+            with self._lock:
+                self.stats.resurrections += 1
+            logger.warning(
+                "SSD tier resurrected%s: breaker closed after successful probes",
+                f" for tenant {tenant!r}" if tenant else "",
+            )
+        return True
 
-    def _canary_probe(self) -> bool:
+    def _canary_probe(self, breaker_name: str) -> bool:
         """One tiny write + read-back + delete against the SSD store.
 
         Runs through ``ssd.file_store`` so an attached fault injector —
         or a genuinely broken device — is exercised exactly like
         production traffic; a healed injector lets the canary through
-        and the breaker learns the device is back.
+        and the breaker learns the device is back.  Single-flight is per
+        breaker, so a tenant's probe and the global one may overlap: each
+        keeps its own sentinel.
         """
         store = self.ssd.file_store
         payload = np.arange(8, dtype=np.float32)  # 32-byte canary
-        canary_id = "__breaker_canary__"
+        canary_id = f"__breaker_canary__{breaker_name.replace('/', '__')}"
         try:
             store.write(canary_id, payload)
             store.flush()
@@ -453,36 +373,6 @@ class TieredOffloader(Offloader):
         except OSError:
             pass
         return ok
-
-    def _resurrect_ssd(self, tenant: Optional[str]) -> None:
-        """Side effects of a breaker re-closing: placement re-enabled
-        (implicit — ``_ssd_unhealthy`` reads the breaker), lane-health
-        verdicts cleared, and pinned-pool overflow exited once no breaker
-        remains open.  Queued demotions resume at the next watermark
-        application / pool-pressure event."""
-        with self._lock:
-            if self._scheduler is not None:
-                self._scheduler.health.revive("ssd", tenant=tenant)
-            if not self._breaker.is_open and not any(
-                b.is_open for b in self._tenant_breakers.values()
-            ):
-                if self._overflow_before_trip is not None:
-                    self.pool.overflow_allowed = self._overflow_before_trip
-                    self._overflow_before_trip = None
-            self.stats.resurrections += 1
-        logger.warning(
-            "SSD tier resurrected%s: breaker closed after successful probes",
-            f" for tenant {tenant!r}" if tenant else "",
-        )
-
-    def set_scheduler(self, scheduler: Optional[IOScheduler]) -> None:
-        """Route demotion writes through a priority-aware scheduler.
-
-        The cache wires its own scheduler in; with ``None`` (the
-        default) the call that demotes runs the spill itself before it
-        returns, which standalone users rely on.
-        """
-        self._scheduler = scheduler
 
     # -------------------------------------------------------------- plumbing
     @property
@@ -545,30 +435,29 @@ class TieredOffloader(Offloader):
                     return
             idle.wait()
 
-    def _ssd_io(self, fn):
-        """One SSD call, never under the tier lock.  Standalone mode has
-        no request-level retry above it: the stack's rule applies here."""
-        return fn() if self._scheduler is not None else retry_call(fn)
-
-    def _place(self, owner: str, nbytes: int) -> Tuple[Tier, str]:
-        """Where a store lands, and why when that is not the policy's
-        plain answer (``"dead"`` / ``"shed"``).
+    def _place(self, owner: str, nbytes: int) -> Tuple[Tier, bool]:
+        """Where a store lands, and whether that is a brownout shed
+        rather than the policy's plain answer.
 
         With a dead SSD tier there is exactly one viable placement —
-        judged per tenant: another tenant's latch must not move this
+        judged per tenant: another tenant's verdict must not move this
         one's.  Otherwise the policy sees the capacity the pool *could*
         free: every resident is demotable.
         """
-        if self._ssd_unhealthy(owner):
-            return Tier.CPU, "dead"
+        if self._health.is_dead("ssd", owner):
+            return Tier.CPU, False
         placement = self.policy.place_for(
             owner, nbytes=nbytes, cpu_free_bytes=self.cpu_capacity_bytes
         )
-        if placement is Tier.SSD and self._lane_slow() and nbytes <= self.cpu_free_bytes():
+        if (
+            placement is Tier.SSD
+            and self._health.is_slow("ssd")
+            and nbytes <= self.cpu_free_bytes()
+        ):
             # Brownout shed: the lane is alive but slow, and the pool can
             # absorb this store without demoting into that very lane.
-            return Tier.CPU, "shed"
-        return placement, ""
+            return Tier.CPU, True
+        return placement, False
 
     # ------------------------------------------------------------------ store
     def store(self, tid: TensorID, data: np.ndarray) -> None:
@@ -580,15 +469,11 @@ class TieredOffloader(Offloader):
         # deciding placement (single-flight — a store storm cannot
         # hammer a struggling device).  Outside the tier lock: the
         # canary is real I/O.
-        if self.probe_backoff_s is not None and (
-            self._breaker.is_open or self._tenant_breaker_open(owner)
-        ):
+        if self.probe_backoff_s is not None and self._health.is_dead("ssd", owner):
             self.maybe_probe_ssd(owner)
         with self._locked_when_idle(tid):
-            placement, why = self._place(owner, nbytes)
-            if why == "dead":
-                self._mark_ssd_dead(owner)  # sync the latch + pool overflow
-            elif why == "shed":
+            placement, shed = self._place(owner, nbytes)
+            if shed:
                 self.stats.shed_stores += 1
                 self.stats.shed_bytes += nbytes
             # Re-store: drop the old backing copy first.  A cross-tier
@@ -606,16 +491,14 @@ class TieredOffloader(Offloader):
                 self._entries[tid] = entry
         if placement is Tier.SSD:
             self._store_direct(tid, entry)
-        self._run_unscheduled_spills()
 
     def _store_cpu_locked(self, tid: TensorID, entry: _Entry, data: np.ndarray) -> None:
         """Copy ``data`` into the pool for ``entry``: a fresh store, or a
-        direct write failing over with the caller's bytes in hand."""
-        # Global death means nowhere to demote *to*; a latch scoped to
-        # other tenants leaves theirs demotable (_next_victim skips the dead).
-        if not self._ssd_unhealthy():
-            self._make_room(data.nbytes)
-        entry.hold(*self.cpu.copy_in(data, entry.owner))
+        direct write failing over with the caller's bytes in hand.  The
+        pool exceeds its cap exactly when no resident can spill to make
+        room (degraded mode, or a failover larger than the pool)."""
+        overflow = not self._make_room(data.nbytes)
+        entry.hold(*self.cpu.copy_in(data, entry.owner, overflow=overflow))
         self._entries[tid] = entry
         self._resident_locked(tid, entry)
         self.stats.cpu_stored_tensors += 1
@@ -638,7 +521,7 @@ class TieredOffloader(Offloader):
         try:
             failure: Optional[OSError] = None
             try:
-                self._ssd_io(lambda: self.ssd.store(tid, data))
+                self.ssd.store(tid, data)
             except OSError as exc:
                 if not isinstance(exc, PermanentIOError) and not is_enospc(exc):
                     # Transient errors propagate: the request's bounded
@@ -651,16 +534,16 @@ class TieredOffloader(Offloader):
                 landed = failure is None
                 if isinstance(failure, PermanentIOError):
                     # Tier failover: the device is gone, the bytes are in
-                    # hand — land them in the pinned pool (overflow
-                    # allowed) instead of failing the step.
+                    # hand — land them in the pinned pool instead of
+                    # failing the step.
                     logger.warning("SSD store failed for %s (%s); failing over", tid, failure)
-                    self._mark_ssd_dead(entry.owner)
+                    self._health.mark_dead("ssd", entry.owner, "store failure")
                 elif failure is not None:
                     # Resource exhaustion is not device death: the
                     # breaker stays closed.  Compact to free dead bytes
                     # and retry once; a genuinely full device degrades
-                    # this store to the CPU tier (overflow-tolerant)
-                    # instead of failing the step.
+                    # this store to the CPU tier instead of failing the
+                    # step.
                     self.stats.enospc_events += 1
                     landed = self._retry_store_after_compaction(tid, data)
                     if not landed:
@@ -668,7 +551,6 @@ class TieredOffloader(Offloader):
                             "SSD store of %s hit ENOSPC even after "
                             "compaction; degrading to the CPU tier", tid,
                         )
-                        self.pool.overflow_allowed = True
                 if landed:
                     self.stats.ssd_stored_tensors += 1
                     self.stats.ssd_stored_bytes += entry.nbytes
@@ -715,32 +597,26 @@ class TieredOffloader(Offloader):
         ``None`` when nobody can.
 
         With the SSD tier dead there is nowhere to demote *to*.  A
-        *tenant-scoped* latch only shrinks the victim set — that
+        *tenant-scoped* verdict only shrinks the victim set — that
         tenant's residents are pinned (their spill target is gone) while
         everyone else's remain demotable.
         """
-        if self._ssd_unhealthy():
+        if self._health.is_dead("ssd"):
             return None
         for tid, entry in self._lru.items():
-            if self._tenant_breakers and self._ssd_unhealthy(entry.owner):
-                continue  # this tenant's bytes cannot spill anymore
-            return tid, entry
+            if not self._health.is_dead("ssd", entry.owner):
+                return tid, entry
         return None
 
-    def _make_room(self, nbytes: int) -> None:
-        """Demote LRU pool residents until ``nbytes`` fits; holds the lock.
-
-        When nothing can spill the pool overflows instead (degraded
-        mode; a tenant breaker already allows it) rather than failing
-        the store.
-        """
+    def _make_room(self, nbytes: int) -> bool:
+        """Demote LRU pool residents until ``nbytes`` fits; holds the
+        lock.  False when it does not fit and nothing (more) can spill."""
         while self.cpu_free_bytes() < nbytes:
             victim = self._next_victim()
             if victim is None:
-                if self._ssd_unhealthy():
-                    self._mark_ssd_dead()
-                return
+                return False
             self._demote_locked(*victim)
+        return True
 
     def _demote_locked(self, tid: TensorID, entry: _Entry) -> None:
         """Reclaim ``tid``'s pool bytes now and queue its SSD write at
@@ -768,10 +644,7 @@ class TieredOffloader(Offloader):
             max_retries=0,
             tenant=entry.owner,
         )
-        if self._scheduler is not None:
-            self._scheduler.submit(request)
-        else:
-            self._unscheduled_spills.append(request)
+        self.scheduler.submit(request)
         del self._lru[tid]
         self.pool.free(entry.nbytes, tenant=entry.owner)
         entry.trans_state(_State.QUEUED)
@@ -779,19 +652,8 @@ class TieredOffloader(Offloader):
         self.stats.demotions += 1
         self.stats.demoted_bytes += entry.nbytes
 
-    def _run_unscheduled_spills(self) -> None:
-        """Standalone mode: the call that queued spills runs them itself,
-        once it no longer holds the tier lock."""
-        while self._unscheduled_spills:
-            with self._lock:
-                if not self._unscheduled_spills:
-                    return
-                request = self._unscheduled_spills.pop(0)
-            request.run()
-
     def _run_demotion(self, tid: TensorID, entry: _Entry, request: IORequest) -> None:
-        """The write half of a demotion, on a lane worker (or, with no
-        scheduler, on the demoting caller).
+        """The write half of a demotion, on a lane worker.
 
         The write runs with the tier lock released — a throttled spill
         must not stall unrelated loads — from the buffer on the entry:
@@ -817,7 +679,7 @@ class TieredOffloader(Offloader):
             else:
                 # The parked buffer is the only copy of this tensor: a
                 # failed spill must never lose it.  It re-enters the pool
-                # as-is (overflow allowed — reinstatement cannot be
+                # as-is (over the cap if need be — reinstatement cannot be
                 # refused), and the SSD is written off on permanent death.
                 logger.warning(
                     "demotion write for %s failed (%s); reinstating in the CPU tier",
@@ -830,14 +692,10 @@ class TieredOffloader(Offloader):
                 # toward the death verdict.
                 request.health_error = error
                 if isinstance(error, PermanentIOError):
-                    self._mark_ssd_dead(entry.owner)
+                    self._health.mark_dead("ssd", entry.owner, "demotion failure")
                 elif is_enospc(error):
                     self.stats.enospc_events += 1
-                previous_overflow = self.pool.overflow_allowed
-                self.pool.overflow_allowed = True
-                self.pool.alloc(entry.nbytes, tenant=entry.owner)
-                if not self._breaker.is_open and not self._tenant_breaker_open(entry.owner):
-                    self.pool.overflow_allowed = previous_overflow
+                self.pool.alloc(entry.nbytes, tenant=entry.owner, overflow=True)
                 self._resident_locked(tid, entry)
                 self.stats.failovers += 1
                 self.stats.failover_bytes += entry.nbytes
@@ -847,8 +705,7 @@ class TieredOffloader(Offloader):
         The caller moves the entry out of QUEUED under the same lock
         hold, so a worker that already claimed the request finds it is
         no longer the entry's spill and returns."""
-        if self._scheduler is not None:
-            self._scheduler.cancel(entry.spill)
+        self.scheduler.cancel(entry.spill)
         self.stats.cancelled_demotions += 1
         self.stats.cancelled_demotion_bytes += entry.nbytes
 
@@ -873,35 +730,35 @@ class TieredOffloader(Offloader):
     def apply_watermark(self) -> int:
         """Demote LRU residents until free headroom meets the watermark.
 
-        Returns the number of tensors demoted.  With a scheduler attached
-        the SSD writes queue at DEMOTION priority (behind every load), so
-        applying the watermark between steps costs idle-lane time only —
-        and each spill stays cancellable until it runs.
+        Returns the number of tensors demoted.  The SSD writes queue at
+        DEMOTION priority (behind every load), so applying the watermark
+        between steps costs idle-lane time only — and each spill stays
+        cancellable until it runs.  Headroom is counted from the cap, so
+        a pool that degraded mode left over it is drained back under.
         """
         demoted = 0
         with self._lock:
-            if self._lane_slow():
+            if self._health.is_slow("ssd"):
                 # Brownout shed: proactive demotions are optional traffic
                 # — keep them off a lane that is already struggling so
                 # blocking loads get what bandwidth remains.
                 return 0
-            while self.cpu_free_bytes() < self._free_watermark_bytes:
+            while self.cpu_capacity_bytes - self.pool.used < self._free_watermark_bytes:
                 victim = self._next_victim()
                 if victim is None:
                     break
                 self._demote_locked(*victim)
                 demoted += 1
-        self._run_unscheduled_spills()
         return demoted
 
     def demote(self, tid: TensorID) -> bool:
-        """Explicitly spill one CPU-resident tensor to SSD (True if moved)."""
+        """Explicitly spill one CPU-resident tensor to SSD; True when its
+        pool bytes were reclaimed and the write queued."""
         with self._lock:
             entry = self._lru.get(tid)
             if entry is not None:
                 self._demote_locked(tid, entry)
-        self._run_unscheduled_spills()
-        return entry is not None and self.tier_of(tid) is Tier.SSD
+        return entry is not None
 
     # ------------------------------------------------------------------- load
     def load(self, tid: TensorID, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
@@ -945,7 +802,7 @@ class TieredOffloader(Offloader):
             entry.sync_idle()
         data = None
         try:
-            data = self._ssd_io(lambda: self.ssd.load(tid, shape, dtype))
+            data = self.ssd.load(tid, shape, dtype)
         finally:
             with self._lock:
                 entry.readers -= 1
@@ -1031,6 +888,5 @@ class TieredOffloader(Offloader):
                     entry.trans_state(_State.GONE)
             self._entries.clear()
             self._lru.clear()
-            self._unscheduled_spills.clear()
         self.cpu.shutdown()
         self.ssd.shutdown()

@@ -10,10 +10,10 @@ SSDs.  This package provides the stand-ins used by the reproduction:
 - :class:`~repro.device.pcie.PCIeLink` — bandwidth/latency model of the
   host<->device and device<->SSD interconnect.
 - :class:`~repro.device.ssd.SSD` / :class:`~repro.device.ssd.RAID0Array` —
-  NVMe SSD model including the endurance accounting of Sec. III-D.
+  NVMe SSD transfer-time model, beside the endurance projection of
+  Sec. III-D (:class:`~repro.device.ssd.SSDEnduranceModel`).
 """
 
-from repro.device.clock import VirtualClock
 from repro.device.memory import MemoryLedger, MemoryTag, OutOfMemoryError
 from repro.device.gpu import GPU, GPUSpec, KernelTimingModel
 from repro.device.pcie import PCIeGeneration, PCIeLink
@@ -25,7 +25,6 @@ from repro.device.ssd import (
 )
 
 __all__ = [
-    "VirtualClock",
     "MemoryLedger",
     "MemoryTag",
     "OutOfMemoryError",

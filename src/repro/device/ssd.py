@@ -11,17 +11,16 @@ The lifespan argument in the paper rests on three observations:
    the program/erase cycles at a 1-day retention target.
 3. Lifespan is then ``t_life = S_endurance * t_step / S_activations``.
 
-:class:`SSDEnduranceModel` encodes exactly this arithmetic;
-:class:`SSD` adds runtime wear tracking for the functional engine; and
-:class:`RAID0Array` models the two RAID0 arrays of the evaluation machine
-(3x and 4x Intel Optane P5800X, each dedicated to one A100).
+:class:`SSDEnduranceModel` encodes exactly this arithmetic (the live
+counterpart, measured off a running chunk store, is
+``EngineStats.endurance``); :class:`SSD` and :class:`RAID0Array` model
+the transfer times of the evaluation machine's two RAID0 arrays (3x and
+4x Intel Optane P5800X, each dedicated to one A100).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import List, Optional
 
 SECONDS_PER_YEAR = 365.25 * 24 * 3600
 
@@ -135,103 +134,12 @@ class SSDEnduranceModel:
 
 
 class SSD:
-    """A runtime SSD instance with wear tracking.
+    """One SSD: its spec and the transfer times it implies."""
 
-    Thread-safe: offloading thread pools write concurrently.
-    """
+    num_ssds = 1
 
-    def __init__(
-        self,
-        spec: SSDSpec = INTEL_OPTANE_P5800X_1600GB,
-        endurance: Optional[SSDEnduranceModel] = None,
-        index: int = 0,
-    ) -> None:
+    def __init__(self, spec: SSDSpec = INTEL_OPTANE_P5800X_1600GB) -> None:
         self.spec = spec
-        self.endurance = endurance if endurance is not None else SSDEnduranceModel()
-        self.index = index
-        self._lock = threading.Lock()
-        self._host_bytes_written = 0
-        self._host_bytes_read = 0
-
-    def record_write(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError(f"negative write: {nbytes}")
-        with self._lock:
-            self._host_bytes_written += nbytes
-
-    def record_read(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError(f"negative read: {nbytes}")
-        with self._lock:
-            self._host_bytes_read += nbytes
-
-    @property
-    def host_bytes_written(self) -> int:
-        with self._lock:
-            return self._host_bytes_written
-
-    @property
-    def host_bytes_read(self) -> int:
-        with self._lock:
-            return self._host_bytes_read
-
-    @property
-    def media_bytes_written(self) -> float:
-        """Media-level writes: host writes amplified by the workload WAF."""
-        return self.host_bytes_written * self.endurance.workload_waf
-
-    def wear_fraction(self) -> float:
-        """Fraction of effective endurance consumed so far."""
-        return self.host_bytes_written / self.endurance.effective_endurance_bytes(self.spec)
-
-    def write_time(self, nbytes: int) -> float:
-        """Seconds to persist ``nbytes`` (sequential write)."""
-        if nbytes < 0:
-            raise ValueError(f"negative write size: {nbytes}")
-        if nbytes == 0:
-            return 0.0
-        return self.spec.write_latency_s + nbytes / self.spec.write_bw
-
-    def read_time(self, nbytes: int) -> float:
-        """Seconds to read back ``nbytes`` (sequential read)."""
-        if nbytes < 0:
-            raise ValueError(f"negative read size: {nbytes}")
-        if nbytes == 0:
-            return 0.0
-        return self.spec.read_latency_s + nbytes / self.spec.read_bw
-
-    def __repr__(self) -> str:
-        return f"SSD({self.spec.name}#{self.index}, written={self.host_bytes_written})"
-
-
-class RAID0Array:
-    """A striped array of identical SSDs (the paper's 3x / 4x P5800X arrays).
-
-    Bandwidth scales with the member count; writes are striped evenly across
-    members for wear accounting.
-    """
-
-    def __init__(
-        self,
-        spec: SSDSpec = INTEL_OPTANE_P5800X_1600GB,
-        num_ssds: int = 4,
-        endurance: Optional[SSDEnduranceModel] = None,
-        name: str = "md0",
-    ) -> None:
-        if num_ssds < 1:
-            raise ValueError(f"array needs at least one SSD: {num_ssds}")
-        self.name = name
-        self.members: List[SSD] = [
-            SSD(spec=spec, endurance=endurance, index=i) for i in range(num_ssds)
-        ]
-
-    @property
-    def spec(self) -> SSDSpec:
-        return self.members[0].spec
-
-    @property
-    def num_ssds(self) -> int:
-        return len(self.members)
 
     @property
     def write_bw(self) -> float:
@@ -241,31 +149,8 @@ class RAID0Array:
     def read_bw(self) -> float:
         return self.spec.read_bw * self.num_ssds
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.spec.capacity_bytes * self.num_ssds
-
-    @property
-    def host_bytes_written(self) -> int:
-        return sum(m.host_bytes_written for m in self.members)
-
-    @property
-    def host_bytes_read(self) -> int:
-        return sum(m.host_bytes_read for m in self.members)
-
-    def record_write(self, nbytes: int) -> None:
-        """Stripe a write evenly across members (remainder to member 0)."""
-        per_member, remainder = divmod(nbytes, self.num_ssds)
-        for i, member in enumerate(self.members):
-            member.record_write(per_member + (remainder if i == 0 else 0))
-
-    def record_read(self, nbytes: int) -> None:
-        per_member, remainder = divmod(nbytes, self.num_ssds)
-        for i, member in enumerate(self.members):
-            member.record_read(per_member + (remainder if i == 0 else 0))
-
     def write_time(self, nbytes: int) -> float:
-        """Seconds to persist ``nbytes`` striped across the array."""
+        """Seconds to persist ``nbytes`` (sequential write)."""
         if nbytes < 0:
             raise ValueError(f"negative write size: {nbytes}")
         if nbytes == 0:
@@ -273,11 +158,26 @@ class RAID0Array:
         return self.spec.write_latency_s + nbytes / self.write_bw
 
     def read_time(self, nbytes: int) -> float:
+        """Seconds to read back ``nbytes`` (sequential read)."""
         if nbytes < 0:
             raise ValueError(f"negative read size: {nbytes}")
         if nbytes == 0:
             return 0.0
         return self.spec.read_latency_s + nbytes / self.read_bw
 
-    def __repr__(self) -> str:
-        return f"RAID0Array({self.name}, {self.num_ssds}x {self.spec.name})"
+
+class RAID0Array(SSD):
+    """A striped array of identical SSDs (the paper's 3x / 4x P5800X
+    arrays): bandwidth scales with the member count."""
+
+    def __init__(
+        self,
+        spec: SSDSpec = INTEL_OPTANE_P5800X_1600GB,
+        num_ssds: int = 4,
+        name: str = "md0",
+    ) -> None:
+        if num_ssds < 1:
+            raise ValueError(f"array needs at least one SSD: {num_ssds}")
+        super().__init__(spec)
+        self.num_ssds = num_ssds
+        self.name = name

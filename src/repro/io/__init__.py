@@ -6,7 +6,7 @@
 - :class:`~repro.io.aio.IOJob` — the unit of I/O work: state machine,
   completion event, done callbacks, cancel/claim handshake.
 - :class:`~repro.io.filestore.TensorFileStore` — real file-backed tensor
-  persistence with optional bandwidth throttling and SSD wear accounting.
+  persistence with optional bandwidth throttling.
 - :class:`~repro.io.chunkstore.ChunkedTensorStore` — chunk-coalescing
   variant: many small tensors per fixed-size chunk file, one sequential
   write per chunk, refcounted space reclaim.
@@ -18,6 +18,9 @@
 - :mod:`~repro.io.faults` — seeded deterministic fault injection
   (:class:`FaultPlan` / :class:`FaultInjector`): the chaos harness that
   proves the retry, checksum, and tier-failover recovery paths.
+- :mod:`~repro.io.health` — :class:`LaneHealthTracker`: the one owner
+  of "this lane is unusable (for this tenant)", holding the stack's only
+  circuit breakers (:mod:`~repro.io.breaker`).
 - :mod:`~repro.io.buffers` — the zero-copy data plane's allocator:
   :class:`BufferArena` (size-class-binned pool of reusable host buffers
   with explicit lease/release) plus the copy-count telemetry that makes
@@ -62,11 +65,11 @@ from repro.io.faults import FaultInjector, FaultPlan, inject_faults
 from repro.io.fdtable import FDTable
 from repro.io.filestore import TensorFileStore
 from repro.io.gds import BounceBufferPath, DirectGDSPath, GDSRegistry
+from repro.io.health import LaneHealthTracker
 from repro.io.scheduler import (
     ChannelWindow,
     IORequest,
     IOScheduler,
-    LaneHealthTracker,
     Priority,
     SchedulerStats,
 )

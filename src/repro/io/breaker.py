@@ -1,11 +1,8 @@
 """Circuit breaker with half-open probing for tier resurrection.
 
-PRs 4 and 8 gave the stack one-way failure handling: the first
-``PermanentIOError`` latched ``TieredOffloader._ssd_dead`` and the SSD
-tier stayed bricked for the rest of the run, even when the device was
-only transiently gone (a controller reset, a loose cable, a chaos plan
-that heals).  This module replaces the latch with the classic breaker
-state machine:
+A device that fails is often only transiently gone (a controller
+reset, a loose cable, a chaos plan that heals), so "the SSD lane is
+dead" is not a latch but the classic breaker state machine:
 
 - **CLOSED** — the tier is healthy; traffic flows.
 - **OPEN** — a failure verdict tripped the breaker; all traffic routes
@@ -16,9 +13,11 @@ state machine:
   resurrects the tier; probe failure re-opens it with a doubled backoff.
 
 The breaker itself is policy-free: it does not know what a "probe" is
-or what resurrection entails.  :class:`~repro.core.tiered
-.TieredOffloader` owns the canary write/read and the resurrection side
-effects (placement re-enabled, overflow exited, demotions resumed);
+or what resurrection entails.  Breakers are built and tripped in one
+place, :class:`~repro.io.health.LaneHealthTracker` (one per lane, one
+per tenant whose own traffic bricked a lane);
+:class:`~repro.core.tiered.TieredOffloader` owns the canary write/read
+and the resurrection side effects;
 :class:`~repro.service.service.EngineService` publishes the transition
 events this class reports to its listeners.
 
@@ -30,12 +29,18 @@ injectable for deterministic tests.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-__all__ = ["BreakerState", "BreakerStats", "CircuitBreaker"]
+logger = logging.getLogger(__name__)
+
+__all__ = ["DEFAULT_BACKOFF_S", "BreakerState", "BreakerStats", "CircuitBreaker"]
+
+#: Seconds a tripped breaker stays OPEN before its first probe.
+DEFAULT_BACKOFF_S = 0.05
 
 
 class BreakerState:
@@ -75,7 +80,7 @@ class CircuitBreaker:
     def __init__(
         self,
         name: str = "ssd",
-        backoff_s: float = 0.05,
+        backoff_s: float = DEFAULT_BACKOFF_S,
         backoff_max_s: float = 5.0,
         probe_budget: int = 2,
         clock: Callable[[], float] = time.monotonic,
@@ -107,9 +112,9 @@ class CircuitBreaker:
     @property
     def is_open(self) -> bool:
         """True while traffic must route around the tier (OPEN or
-        probing in HALF_OPEN — only the canary goes through)."""
-        with self._lock:
-            return self._state != BreakerState.CLOSED
+        probing in HALF_OPEN — only the canary goes through).  One
+        attribute read, no lock: placement asks on every store."""
+        return self._state != BreakerState.CLOSED
 
     def add_listener(self, listener: Listener) -> None:
         with self._lock:
@@ -221,5 +226,10 @@ class CircuitBreaker:
         for listener in listeners:
             try:
                 listener(self.name, old, new, reason)
-            except Exception:  # listener bugs must not poison transitions
-                pass
+            except Exception:
+                # A listener is telemetry: its bug must neither undo the
+                # transition (already applied) nor starve the listeners
+                # behind it, but it must be seen.
+                logger.exception(
+                    "breaker %s listener raised on %s -> %s", self.name, old, new
+                )

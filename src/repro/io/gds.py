@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.device.pcie import PCIeLink
-from repro.device.ssd import RAID0Array, SSD
+from repro.device.ssd import SSD
 from repro.tensor.storage import UntypedStorage
 
 
@@ -97,13 +97,13 @@ class DirectGDSPath:
     """Direct GPU <-> SSD DMA: bottlenecked by the slower of the two hops."""
 
     gpu_link: PCIeLink
-    array: Union[SSD, RAID0Array]
+    array: SSD  # one SSD, or a RAID0Array of them
 
     def write_bandwidth(self) -> float:
-        return min(self.gpu_link.bandwidth, _write_bw(self.array))
+        return min(self.gpu_link.bandwidth, self.array.write_bw)
 
     def read_bandwidth(self) -> float:
-        return min(self.gpu_link.bandwidth, _read_bw(self.array))
+        return min(self.gpu_link.bandwidth, self.array.read_bw)
 
     def write_time(self, nbytes: int) -> float:
         if nbytes == 0:
@@ -126,7 +126,7 @@ class BounceBufferPath:
     """
 
     gpu_link: PCIeLink
-    array: Union[SSD, RAID0Array]
+    array: SSD  # one SSD, or a RAID0Array of them
     host_contention: float = 0.7
     double_buffered: bool = True
 
@@ -136,7 +136,7 @@ class BounceBufferPath:
 
     def write_bandwidth(self) -> float:
         gpu_hop = self.gpu_link.bandwidth * self.host_contention
-        ssd_hop = _write_bw(self.array)
+        ssd_hop = self.array.write_bw
         if self.double_buffered:
             return min(gpu_hop, ssd_hop)
         # Serialized hops: effective rate is the harmonic combination.
@@ -144,7 +144,7 @@ class BounceBufferPath:
 
     def read_bandwidth(self) -> float:
         gpu_hop = self.gpu_link.bandwidth * self.host_contention
-        ssd_hop = _read_bw(self.array)
+        ssd_hop = self.array.read_bw
         if self.double_buffered:
             return min(gpu_hop, ssd_hop)
         return 1.0 / (1.0 / gpu_hop + 1.0 / ssd_hop)
@@ -158,15 +158,3 @@ class BounceBufferPath:
         if nbytes == 0:
             return 0.0
         return 2 * self.gpu_link.latency_s + nbytes / self.read_bandwidth()
-
-
-def _write_bw(array: Union[SSD, RAID0Array]) -> float:
-    if isinstance(array, RAID0Array):
-        return array.write_bw
-    return array.spec.write_bw
-
-
-def _read_bw(array: Union[SSD, RAID0Array]) -> float:
-    if isinstance(array, RAID0Array):
-        return array.read_bw
-    return array.spec.read_bw

@@ -59,7 +59,7 @@ exact accounting: ``submitted == executed + failed + cancelled`` once
 drained, and the blocking waiter sees the error instead of a hang),
 retryable errors are re-attempted within the request's bounded
 retry-with-backoff budget before failing, and every outcome feeds the
-per-lane :class:`LaneHealthTracker` — the signal the tiered offloader
+per-lane :class:`~repro.io.health.LaneHealthTracker` — the signal the tiered offloader
 uses to fail a dead SSD over to the CPU tier and the adaptive controller
 uses to trim the budget on a degraded lane.
 
@@ -95,6 +95,7 @@ from repro.io.errors import (
     PermanentIOError,
     is_device_error,
 )
+from repro.io.health import LaneHealthTracker
 from repro.io.tenancy import (
     DEFAULT_TENANT,
     TenantQuotaError,
@@ -292,208 +293,6 @@ class ChannelWindow:
         if self.busy_s <= 0.0:
             return None
         return self.nbytes / self.busy_s
-
-
-@dataclass
-class LaneHealthSnapshot:
-    """Point-in-time health of one lane (read-only copy)."""
-
-    successes: int = 0
-    failures: int = 0
-    consecutive_failures: int = 0
-    dead: bool = False
-    #: Brownout verdict: the lane answers, but sustained latency crossed
-    #: the slow threshold.  Distinct from ``dead`` — a slow lane sheds
-    #: deferrable traffic (prefetch, demotions) but keeps serving.
-    slow: bool = False
-    consecutive_slow: int = 0
-
-
-class LaneHealthTracker:
-    """Per-lane failure/success bookkeeping and the dead-lane verdict.
-
-    Fed by the scheduler on every request completion.  A lane is marked
-    **dead** the moment any request fails with a
-    :class:`~repro.io.errors.PermanentIOError`, or after
-    ``death_threshold`` *consecutive* terminal failures (a device that
-    fails everything is dead in all but errno).  Death is sticky —
-    storage does not resurrect itself; :meth:`revive` exists for
-    operator-driven recovery (tests, a replaced device).
-
-    Two consumer surfaces:
-
-    - :meth:`is_dead` / :meth:`dead_lanes` — routing: the tiered
-      offloader steers placements off a dead ``ssd`` lane (CPU failover);
-    - :meth:`consume_failure_window` — per-step failure deltas the
-      adaptive controller folds into its trim signal, the same way it
-      consumes the completion-bandwidth windows.
-
-    **Tenant scoping** (isolation, architecture §8): traffic from the
-    default tenant drives the lane's *global* verdict exactly as
-    before; a non-default tenant's failures drive a per-(lane, tenant)
-    verdict only.  ``is_dead(lane, tenant)`` is the union — a lane is
-    dead *for a tenant* when the device is globally dead or that
-    tenant's own traffic bricked it — so tenant A's permanent failures
-    degrade A's placement without touching B's.
-    """
-
-    def __init__(
-        self,
-        death_threshold: int = 3,
-        slow_threshold_s: Optional[float] = None,
-        slow_trip: int = 3,
-    ) -> None:
-        if death_threshold < 1:
-            raise ValueError(f"death_threshold must be >= 1: {death_threshold}")
-        if slow_trip < 1:
-            raise ValueError(f"slow_trip must be >= 1: {slow_trip}")
-        self.death_threshold = death_threshold
-        #: Request duration at or above which an op counts as *slow*;
-        #: ``None`` disables the brownout verdict entirely.
-        self.slow_threshold_s = slow_threshold_s
-        self.slow_trip = slow_trip
-        self._lock = threading.Lock()
-        self._lanes: Dict[str, LaneHealthSnapshot] = {}
-        #: Per-(lane, tenant) verdicts for non-default tenants.
-        self._tenant_lanes: Dict[Tuple[str, str], LaneHealthSnapshot] = {}
-        #: Failures per lane since the last consume_failure_window()
-        #: (lane-wide: every tenant's failures count — it feeds the
-        #: adaptive controller's device-degradation signal).
-        self._window: Dict[str, int] = {}
-
-    def _state(self, lane: str) -> LaneHealthSnapshot:
-        state = self._lanes.get(lane)
-        if state is None:
-            state = self._lanes[lane] = LaneHealthSnapshot()
-        return state
-
-    def _scoped_state(self, lane: str, tenant: str) -> LaneHealthSnapshot:
-        if tenant == DEFAULT_TENANT:
-            return self._state(lane)
-        key = (lane, tenant)
-        state = self._tenant_lanes.get(key)
-        if state is None:
-            state = self._tenant_lanes[key] = LaneHealthSnapshot()
-        return state
-
-    def record_success(self, lane: str, tenant: str = DEFAULT_TENANT) -> None:
-        with self._lock:
-            state = self._scoped_state(lane, tenant)
-            state.successes += 1
-            state.consecutive_failures = 0
-
-    def record_failure(
-        self, lane: str, permanent: bool = False, tenant: str = DEFAULT_TENANT
-    ) -> None:
-        with self._lock:
-            state = self._scoped_state(lane, tenant)
-            state.failures += 1
-            state.consecutive_failures += 1
-            self._window[lane] = self._window.get(lane, 0) + 1
-            if permanent or state.consecutive_failures >= self.death_threshold:
-                state.dead = True
-
-    def record_duration(
-        self, lane: str, seconds: float, tenant: str = DEFAULT_TENANT
-    ) -> None:
-        """Feed one executed request's duration into the brownout verdict.
-
-        ``slow_trip`` consecutive ops at/above ``slow_threshold_s`` set
-        the lane *slow*; a single fast op clears it — the brownouts that
-        matter are sustained, and a device serving fast ops again has by
-        definition recovered.  Lane-global (not tenant-scoped): latency
-        is a device property, unlike quota-attributable failures.
-        """
-        if self.slow_threshold_s is None:
-            return
-        with self._lock:
-            state = self._state(lane)
-            if seconds >= self.slow_threshold_s:
-                state.consecutive_slow += 1
-                if state.consecutive_slow >= self.slow_trip:
-                    state.slow = True
-            else:
-                state.consecutive_slow = 0
-                state.slow = False
-
-    def is_slow(self, lane: str) -> bool:
-        with self._lock:
-            state = self._lanes.get(lane)
-            return state.slow if state is not None else False
-
-    def slow_lanes(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(name for name, s in self._lanes.items() if s.slow))
-
-    def mark_slow(self, lane: str) -> None:
-        """Force the brownout verdict (operator/test hook)."""
-        with self._lock:
-            self._state(lane).slow = True
-
-    def mark_dead(self, lane: str, tenant: Optional[str] = None) -> None:
-        """Brick the lane globally, or for one tenant only."""
-        with self._lock:
-            if tenant is None or tenant == DEFAULT_TENANT:
-                self._state(lane).dead = True
-            else:
-                self._scoped_state(lane, tenant).dead = True
-
-    def revive(self, lane: str, tenant: Optional[str] = None) -> None:
-        """Operator-driven recovery.  Reviving the lane globally (no
-        tenant) also clears every tenant-scoped verdict for it — a
-        replaced device is new for everyone."""
-        with self._lock:
-            if tenant is None or tenant == DEFAULT_TENANT:
-                state = self._state(lane)
-                state.dead = False
-                state.consecutive_failures = 0
-                state.slow = False
-                state.consecutive_slow = 0
-                if tenant is None:
-                    for (ln, _), scoped in self._tenant_lanes.items():
-                        if ln == lane:
-                            scoped.dead = False
-                            scoped.consecutive_failures = 0
-            else:
-                scoped = self._scoped_state(lane, tenant)
-                scoped.dead = False
-                scoped.consecutive_failures = 0
-
-    def is_dead(self, lane: str, tenant: Optional[str] = None) -> bool:
-        with self._lock:
-            state = self._lanes.get(lane)
-            if state is not None and state.dead:
-                return True
-            if tenant is None or tenant == DEFAULT_TENANT:
-                return False
-            scoped = self._tenant_lanes.get((lane, tenant))
-            return scoped.dead if scoped is not None else False
-
-    def dead_lanes(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(name for name, s in self._lanes.items() if s.dead))
-
-    def dead_tenants(self, lane: str) -> Tuple[str, ...]:
-        """Tenants whose own traffic bricked this lane (global deaths
-        are reported by :meth:`dead_lanes`, not here)."""
-        with self._lock:
-            return tuple(
-                sorted(t for (ln, t), s in self._tenant_lanes.items() if ln == lane and s.dead)
-            )
-
-    def tenant_snapshot(self) -> Dict[Tuple[str, str], LaneHealthSnapshot]:
-        with self._lock:
-            return {key: replace(s) for key, s in self._tenant_lanes.items()}
-
-    def snapshot(self) -> Dict[str, LaneHealthSnapshot]:
-        with self._lock:
-            return {lane: replace(s) for lane, s in self._lanes.items()}
-
-    def consume_failure_window(self) -> Dict[str, int]:
-        """Failures per lane since the last call (the controller's feed)."""
-        with self._lock:
-            window, self._window = self._window, {}
-            return window
 
 
 class _ClassRing:

@@ -19,7 +19,7 @@ stale heartbeat means the engine is wedged or crashed, and the
 supervisor reaps it and builds a fresh one with exponential backoff.
 With ``durable=True`` the fresh engine's chunk store replays the
 manifest journal, so the restart resumes **bit-exact** from disk.  Dead
-I/O lanes (from :class:`~repro.io.scheduler.LaneHealthTracker`) degrade
+I/O lanes (from :class:`~repro.io.health.LaneHealthTracker`) degrade
 the service without a restart — the engine's own failover already
 reroutes traffic; the state just needs to say so.
 
@@ -137,8 +137,7 @@ class EngineService:
         """Build a fresh engine + housekeeping thread (lock held)."""
         self.engine = build_engine(self.config)
         self.generation += 1
-        if self.engine.tiered is not None:
-            self.engine.tiered.set_breaker_listener(self._on_breaker_event)
+        self.engine.scheduler.health.add_breaker_listener(self._on_breaker_event)
         self._wedged = False
         self._stop_tick = threading.Event()
         self._last_beat = self._clock()
@@ -246,10 +245,10 @@ class EngineService:
         return None if last is None else self._clock() - last
 
     def dead_lanes(self) -> Tuple[str, ...]:
-        """Dead I/O lanes of the current engine (empty before any I/O)."""
+        """Dead I/O lanes of the current engine."""
         with self._lock:
             engine = self.engine
-        if engine is None or not engine.scheduler_started:
+        if engine is None:
             return ()
         return engine.scheduler.health.dead_lanes()
 
@@ -268,7 +267,7 @@ class EngineService:
     ) -> None:
         """Publish an SSD circuit-breaker transition on the event topic.
 
-        Fired by the offloader's breakers outside their locks; breaker
+        Fired by the lane-health breakers outside their locks; breaker
         names scope the event (``"ssd"`` global, ``"ssd/<tenant>"``)."""
         self.bus.publish(
             TOPIC_EVENTS,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.timeline import Timeline
-from repro.train.pipeline import ScheduleKind
+from repro.train.pipeline import ScheduleKind, stage_commands, walk_schedule
 
 
 @dataclass(frozen=True)
@@ -72,25 +72,6 @@ class PipelineOffloadResult:
         return sum(s.io_stall_s for s in self.stages)
 
 
-def _stage_commands(kind: ScheduleKind, num_stages: int, num_microbatches: int, stage: int) -> List[Tuple[str, int]]:
-    """The command list one stage executes, in order."""
-    if kind is ScheduleKind.GPIPE:
-        commands = [("F", m) for m in range(num_microbatches)]
-        commands += [("B", m) for m in range(num_microbatches)]
-        return commands
-    num_warmup = min(num_stages - stage - 1, num_microbatches)
-    commands = [("F", m) for m in range(num_warmup)]
-    next_f, next_b = num_warmup, 0
-    while next_f < num_microbatches or next_b < num_microbatches:
-        if next_f < num_microbatches:
-            commands.append(("F", next_f))
-            next_f += 1
-        if next_b < num_microbatches:
-            commands.append(("B", next_b))
-            next_b += 1
-    return commands
-
-
 def simulate_pipeline_offload(
     workload: StageWorkload,
     num_stages: int,
@@ -115,14 +96,13 @@ def simulate_pipeline_offload(
     if write_bandwidth <= 0 or read_bandwidth <= 0:
         raise ValueError("bandwidths must be positive")
 
-    commands = {
-        s: _stage_commands(kind, num_stages, num_microbatches, s)
-        for s in range(num_stages)
-    }
+    commands = [
+        stage_commands(kind, num_stages, num_microbatches, s) for s in range(num_stages)
+    ]
     # Keep rule: backward is this stage's very next command after the
     # matching forward (Fig. 2 marker 4).
     keep: Dict[Tuple[int, int], bool] = {}
-    for s, cmds in commands.items():
+    for s, cmds in enumerate(commands):
         for i, (op, m) in enumerate(cmds):
             if op == "F":
                 keep[(s, m)] = i + 1 < len(cmds) and cmds[i + 1] == ("B", m)
@@ -131,8 +111,6 @@ def simulate_pipeline_offload(
     stage_free = [0.0] * num_stages
     store_cursor = [0.0] * num_stages
     load_cursor = [0.0] * num_stages
-    f_done: Dict[Tuple[int, int], float] = {}
-    b_done: Dict[Tuple[int, int], float] = {}
     store_end: Dict[Tuple[int, int], Optional[float]] = {}
     per_stage_timeline = [Timeline() for _ in range(num_stages)]
     stats = [
@@ -141,76 +119,55 @@ def simulate_pipeline_offload(
         for s in range(num_stages)
     ]
 
-    cursors = [0] * num_stages
-    progressed = True
-    while progressed:
-        progressed = False
-        for s in range(num_stages):
-            while cursors[s] < len(commands[s]):
-                op, m = commands[s][cursors[s]]
-                if op == "F":
-                    if s > 0 and (s - 1, m) not in f_done:
-                        break
-                    ready = f_done.get((s - 1, m), 0.0)
-                    start = max(ready, stage_free[s])
-                    end = start + workload.forward_time_s
-                    stage_free[s] = end
-                    f_done[(s, m)] = end
-                    timeline.record("gpu", f"F{m}s{s}", start, end)
-                    per_stage_timeline[s].alloc(start, workload.activation_bytes)
-                    if offload and not keep[(s, m)] and workload.activation_bytes:
-                        w_start = max(store_cursor[s], end)
-                        w_end = w_start + io_latency_s + workload.activation_bytes / write_bandwidth
-                        store_cursor[s] = w_end
-                        store_end[(s, m)] = w_end
-                        stats[s].offloaded_bytes += workload.activation_bytes
-                        timeline.record("store", f"s{m}s{s}", w_start, w_end)
-                        per_stage_timeline[s].free(w_end, workload.activation_bytes)
-                    else:
-                        store_end[(s, m)] = None
-                        stats[s].kept_bytes += workload.activation_bytes
-                else:
-                    if s < num_stages - 1 and (s + 1, m) not in b_done:
-                        break
-                    if (s, m) not in f_done:
-                        break
-                    dep_ready = max(b_done.get((s + 1, m), 0.0), f_done[(s, m)])
-                    earliest = max(dep_ready, stage_free[s])
-                    w_end = store_end[(s, m)]
-                    if w_end is None:
-                        data_ready = earliest  # kept resident
-                    elif w_end > earliest:
-                        # Store in flight: data forwarding, memory stays.
-                        stats[s].forwarded_bytes += workload.activation_bytes
-                        data_ready = earliest
-                    else:
-                        # Reload from the stage's array; prefetch was
-                        # issued one command slot earlier.
-                        prev_end = stage_free[s]
-                        l_start = max(load_cursor[s], w_end,
-                                      prev_end - workload.backward_time_s)
-                        l_end = l_start + io_latency_s + workload.activation_bytes / read_bandwidth
-                        load_cursor[s] = l_end
-                        timeline.record("load", f"l{m}s{s}", l_start, l_end)
-                        per_stage_timeline[s].alloc(l_start, workload.activation_bytes)
-                        data_ready = l_end
-                    start = max(earliest, data_ready)
-                    stats[s].io_stall_s += start - earliest
-                    end = start + workload.backward_time_s
-                    stage_free[s] = end
-                    b_done[(s, m)] = end
-                    timeline.record("gpu", f"B{m}s{s}", start, end)
-                    per_stage_timeline[s].free(end, workload.activation_bytes)
-                cursors[s] += 1
-                progressed = True
-    if any(cursors[s] != len(commands[s]) for s in range(num_stages)):
-        raise RuntimeError("pipeline-offload schedule deadlocked")
+    def forward(s: int, m: int, ready: float) -> float:
+        start = max(ready, stage_free[s])
+        end = stage_free[s] = start + workload.forward_time_s
+        timeline.record("gpu", f"F{m}s{s}", start, end)
+        per_stage_timeline[s].alloc(start, workload.activation_bytes)
+        if offload and not keep[(s, m)] and workload.activation_bytes:
+            w_start = max(store_cursor[s], end)
+            w_end = w_start + io_latency_s + workload.activation_bytes / write_bandwidth
+            store_cursor[s] = w_end
+            store_end[(s, m)] = w_end
+            stats[s].offloaded_bytes += workload.activation_bytes
+            timeline.record("store", f"s{m}s{s}", w_start, w_end)
+            per_stage_timeline[s].free(w_end, workload.activation_bytes)
+        else:
+            store_end[(s, m)] = None
+            stats[s].kept_bytes += workload.activation_bytes
+        return end
+
+    def backward(s: int, m: int, ready: float) -> float:
+        earliest = max(ready, stage_free[s])
+        w_end = store_end[(s, m)]
+        if w_end is None:
+            data_ready = earliest  # kept resident
+        elif w_end > earliest:
+            # Store in flight: data forwarding, memory stays.
+            stats[s].forwarded_bytes += workload.activation_bytes
+            data_ready = earliest
+        else:
+            # Reload from the stage's array; prefetch was issued one
+            # command slot earlier.
+            l_start = max(load_cursor[s], w_end, stage_free[s] - workload.backward_time_s)
+            l_end = l_start + io_latency_s + workload.activation_bytes / read_bandwidth
+            load_cursor[s] = l_end
+            timeline.record("load", f"l{m}s{s}", l_start, l_end)
+            per_stage_timeline[s].alloc(l_start, workload.activation_bytes)
+            data_ready = l_end
+        start = max(earliest, data_ready)
+        stats[s].io_stall_s += start - earliest
+        end = stage_free[s] = start + workload.backward_time_s
+        timeline.record("gpu", f"B{m}s{s}", start, end)
+        per_stage_timeline[s].free(end, workload.activation_bytes)
+        return end
+
+    walk_schedule(commands, forward, backward)
 
     for s in range(num_stages):
         stats[s].activation_peak_bytes = per_stage_timeline[s].memory_peak()
 
-    step_time = max(b_done.values())
-    baseline = num_microbatches * (workload.forward_time_s + workload.backward_time_s)
+    step_time = max(stage_free)
     # Ideal (stall-free) pipeline step for the same shape:
     ideal = (num_microbatches + num_stages - 1) * (
         workload.forward_time_s + workload.backward_time_s

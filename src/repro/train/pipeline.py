@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 
 class ScheduleKind(enum.Enum):
@@ -58,6 +58,66 @@ def ideal_bubble_fraction(num_stages: int, num_microbatches: int) -> float:
     return (num_stages - 1) / (num_microbatches + num_stages - 1)
 
 
+#: ``task(stage, microbatch, ready) -> end``: schedule one forward or
+#: backward whose cross-stage dependencies are met at ``ready``.
+TaskFn = Callable[[int, int, float], float]
+
+
+def stage_commands(
+    kind: ScheduleKind, num_stages: int, num_microbatches: int, stage: int
+) -> List[Tuple[str, int]]:
+    """The ``("F" | "B", microbatch)`` list one stage executes, in order:
+    warmup forwards, then one backward per micro-batch, each preceded by
+    the next forward while any are left.  1F1B (Megatron's schedule, the
+    one sketched in the paper's Fig. 2) warms up just enough to keep the
+    later stages busy, which bounds the activation inventory; GPipe is
+    the same list with every forward in the warmup.
+    """
+    warmup = num_microbatches
+    if kind is ScheduleKind.ONE_F_ONE_B:
+        warmup = min(num_stages - stage - 1, num_microbatches)
+    commands = [("F", m) for m in range(warmup)]
+    for b in range(num_microbatches):
+        if warmup + b < num_microbatches:
+            commands.append(("F", warmup + b))
+        commands.append(("B", b))
+    return commands
+
+
+def walk_schedule(
+    commands: List[List[Tuple[str, int]]], forward: TaskFn, backward: TaskFn
+) -> None:
+    """Run every stage's command list (index = stage) in dependency
+    order: F(s, m) needs F(s-1, m) done, B(s, m) needs B(s+1, m) and
+    F(s, m) done, and ``ready`` is when that was.  What a task costs,
+    and what else it waits for (the stage being free, I/O lanes), is the
+    callback's business.
+    """
+    num_stages = len(commands)
+    f_done: Dict[Tuple[int, int], float] = {}
+    b_done: Dict[Tuple[int, int], float] = {}
+    cursors = [0] * num_stages
+    progressed = True
+    while progressed:
+        progressed = False
+        for s in range(num_stages):
+            while cursors[s] < len(commands[s]):
+                op, m = commands[s][cursors[s]]
+                if op == "F":
+                    if s > 0 and (s - 1, m) not in f_done:
+                        break
+                    f_done[(s, m)] = forward(s, m, f_done.get((s - 1, m), 0.0))
+                else:
+                    if (s < num_stages - 1 and (s + 1, m) not in b_done) or (s, m) not in f_done:
+                        break
+                    ready = max(b_done.get((s + 1, m), 0.0), f_done[(s, m)])
+                    b_done[(s, m)] = backward(s, m, ready)
+                cursors[s] += 1
+                progressed = True
+    if any(cursors[s] != len(commands[s]) for s in range(num_stages)):
+        raise RuntimeError("pipeline schedule deadlocked (dependency bug)")
+
+
 def simulate_pipeline(
     num_stages: int,
     num_microbatches: int,
@@ -65,99 +125,35 @@ def simulate_pipeline(
     backward_time: float,
     kind: ScheduleKind = ScheduleKind.ONE_F_ONE_B,
 ) -> PipelineSchedule:
-    """Simulate one pipeline step and return the timeline.
-
-    Dependency rules:
-      - F(s, m) needs F(s-1, m) done and stage ``s`` free;
-      - B(s, m) needs B(s+1, m) done, F(s, m) done, and stage ``s`` free;
-      - GPipe: all forwards before any backward;
-      - 1F1B: each stage alternates F/B once warmed up (bounded activation
-        inventory), which is the schedule sketched in the paper's Fig. 2.
-    """
+    """Simulate one pipeline step and return the timeline: every task
+    starts as soon as its dependencies (:func:`walk_schedule`) are met
+    and its stage is free."""
     if num_stages < 1 or num_microbatches < 1:
         raise ValueError("stages and microbatches must be >= 1")
     if forward_time <= 0 or backward_time <= 0:
         raise ValueError("task times must be positive")
-
+    commands = [stage_commands(kind, num_stages, num_microbatches, s) for s in range(num_stages)]
     stage_free = [0.0] * num_stages
-    f_done: Dict[Tuple[int, int], float] = {}
-    b_done: Dict[Tuple[int, int], float] = {}
     tasks: List[PipelineTask] = []
 
-    def run(stage: int, microbatch: int, kind_str: str, ready: float, duration: float) -> float:
-        start = max(ready, stage_free[stage])
-        end = start + duration
-        stage_free[stage] = end
-        tasks.append(PipelineTask(stage, microbatch, kind_str, start, end))
-        return end
+    def run(kind_str: str, duration: float) -> TaskFn:
+        def task(stage: int, microbatch: int, ready: float) -> float:
+            start = max(ready, stage_free[stage])
+            end = stage_free[stage] = start + duration
+            tasks.append(PipelineTask(stage, microbatch, kind_str, start, end))
+            return end
 
-    if kind is ScheduleKind.GPIPE:
-        for m in range(num_microbatches):
-            for s in range(num_stages):
-                ready = f_done.get((s - 1, m), 0.0)
-                f_done[(s, m)] = run(s, m, "F", ready, forward_time)
-        for m in range(num_microbatches):
-            for s in range(num_stages - 1, -1, -1):
-                ready = max(
-                    b_done.get((s + 1, m), 0.0),
-                    f_done[(s, m)],
-                )
-                b_done[(s, m)] = run(s, m, "B", ready, backward_time)
-    else:  # 1F1B
-        # Per-stage command list: warmup forwards, steady 1F1B, cooldown
-        # backwards (Megatron's schedule).
-        for s in range(num_stages):
-            num_warmup = min(num_stages - s - 1, num_microbatches)
-            commands: List[Tuple[str, int]] = []
-            commands.extend(("F", m) for m in range(num_warmup))
-            next_f, next_b = num_warmup, 0
-            while next_f < num_microbatches or next_b < num_microbatches:
-                if next_f < num_microbatches:
-                    commands.append(("F", next_f))
-                    next_f += 1
-                if next_b < num_microbatches:
-                    commands.append(("B", next_b))
-                    next_b += 1
-            # Execute stage-by-stage is not possible (cross-stage deps), so
-            # store commands and run round-robin below.
-            stage_commands = commands
-            if s == 0:
-                all_commands = [stage_commands]
-            else:
-                all_commands.append(stage_commands)
-        cursors = [0] * num_stages
-        progressed = True
-        while progressed:
-            progressed = False
-            for s in range(num_stages):
-                while cursors[s] < len(all_commands[s]):
-                    op, m = all_commands[s][cursors[s]]
-                    if op == "F":
-                        if s > 0 and (s - 1, m) not in f_done:
-                            break
-                        ready = f_done.get((s - 1, m), 0.0)
-                        f_done[(s, m)] = run(s, m, "F", ready, forward_time)
-                    else:
-                        if s < num_stages - 1 and (s + 1, m) not in b_done:
-                            break
-                        if (s, m) not in f_done:
-                            break
-                        ready = max(b_done.get((s + 1, m), 0.0), f_done[(s, m)])
-                        b_done[(s, m)] = run(s, m, "B", ready, backward_time)
-                    cursors[s] += 1
-                    progressed = True
-        if any(cursors[s] != len(all_commands[s]) for s in range(num_stages)):
-            raise RuntimeError("1F1B schedule deadlocked (dependency bug)")
+        return task
 
+    walk_schedule(commands, run("F", forward_time), run("B", backward_time))
     step_time = max(task.end for task in tasks)
     busy = num_microbatches * (forward_time + backward_time)
-    bubble_time = step_time - busy
     return PipelineSchedule(
         kind=kind,
         num_stages=num_stages,
         num_microbatches=num_microbatches,
         step_time=step_time,
-        bubble_time=bubble_time,
+        bubble_time=step_time - busy,
         tasks=tasks,
     )
 

@@ -73,6 +73,34 @@ def make_cache(tmp_path):
         cache.shutdown()
 
 
+# ------------------------------------------------------ hand-built tiers
+#: Schedulers :func:`build_tier` started, stopped after the test.
+_TIER_SCHEDULERS: list = []
+
+
+def build_tier(store, cpu_pool_bytes: int, scheduler=None, **kwargs):
+    """A :class:`TieredOffloader` over ``store`` (a directory or a built
+    ``SSDOffloader``) on ``scheduler`` — by default a fresh one with one
+    worker per lane, so spills run in queue order; ``tier.scheduler
+    .drain()`` is the moment they have all landed.  Every hand-built tier
+    in ``tests/`` comes from here (the engine builds the rest)."""
+    from repro.core.tiered import TieredOffloader
+    from repro.io.scheduler import IOScheduler
+
+    if scheduler is None:
+        scheduler = IOScheduler(workers=1)
+        _TIER_SCHEDULERS.append(scheduler)
+    ssd = store if isinstance(store, SSDOffloader) else SSDOffloader(store)
+    return TieredOffloader(ssd, cpu_pool_bytes, scheduler, **kwargs)
+
+
+@pytest.fixture(autouse=True)
+def _stop_tier_schedulers():
+    yield
+    while _TIER_SCHEDULERS:
+        _TIER_SCHEDULERS.pop().shutdown()
+
+
 # ------------------------------------------------- tier-lock discipline
 # ``TieredOffloader._lock`` is a metadata lock: device I/O never runs
 # under it and the cache's hooks never take it (docs/architecture.md

@@ -17,11 +17,11 @@ from repro.core.autotune import (
 )
 from repro.core.ids import TensorID
 from repro.core.policy import Tier
-from repro.core.tiered import TieredOffloader
 from repro.data import SyntheticCorpus, TokenBatchLoader
 from repro.models import GPT
 from repro.optim import SGD
 from repro.train import PlacementStrategy, Trainer
+from tests.conftest import build_tier
 
 GB = 1024**3
 
@@ -226,7 +226,7 @@ def test_policy_install_budget():
 
 def test_tiered_watermark_demotes_lru(tmp_path):
     data = np.ones((64, 64), dtype=np.float32)
-    tiered = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=4 * data.nbytes)
+    tiered = build_tier(tmp_path / "t", cpu_pool_bytes=4 * data.nbytes)
     try:
         tids = [TensorID(stamp=i, shape=(64, 64)) for i in range(4)]
         for tid in tids:
@@ -285,7 +285,7 @@ def test_cache_consume_step_stats_deltas(gpu, tmp_path):
 
 
 def test_cache_apply_autotune_installs_knobs(gpu, tmp_path):
-    tiered = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=1 << 20)
+    tiered = build_tier(tmp_path / "t", cpu_pool_bytes=1 << 20)
     cache = _cache(tmp_path, offloader=tiered)
     try:
         decision = ControllerDecision(

@@ -40,8 +40,7 @@ DATA = np.arange(256, dtype=np.float32)
          "store_roots .* requires chunk_bytes"),
         (dict(target="cpu", io_deadlines={"BLOCKING_LOAD": 0.0}),
          "must be positive"),
-        # An unknown class name must fail at build time, not on the first
-        # lazy engine.scheduler access.
+        # An unknown class name is the config's error, not the scheduler's.
         (dict(target="cpu", io_deadlines={"BLOCKING": 1.0}),
          "unknown priority class 'BLOCKING'"),
     ],
@@ -79,9 +78,7 @@ def test_engine_cache_shares_policy_and_scheduler(tmp_path):
         EngineConfig(target="tiered", store_dir=tmp_path, cpu_pool_bytes=1 << 16)
     )
     try:
-        assert not engine.scheduler_started  # the I/O plane is lazy
         cache = engine.cache()
-        assert engine.scheduler_started
         assert cache.policy is engine.policy
         assert cache.scheduler is engine.scheduler
         assert cache.offloader is engine.offloader
@@ -250,11 +247,11 @@ def test_engine_stats_aggregates_every_plane(tmp_path):
     try:
         snap = engine.stats()
         assert snap.target == "tiered"
-        assert snap.scheduler is None  # lazy plane untouched
+        assert snap.scheduler.submitted == 0  # the I/O plane exists from construction
         assert snap.tiers is not None
         assert snap.pool is not None
         assert snap.pool.capacity_bytes == 1 << 16
-        assert "alice" in snap.tenants  # registry books without a scheduler
+        assert "alice" in snap.tenants
 
         tid = TensorID(stamp=1, shape=tuple(DATA.shape))
         engine.offloader.store(tid, DATA)
@@ -272,7 +269,6 @@ def test_engine_stats_aggregates_every_plane(tmp_path):
 def test_stats_snapshot_is_detached(tmp_path):
     engine = build_engine(EngineConfig(target="cpu"))
     try:
-        engine.scheduler  # start the I/O plane
         snap = engine.stats()
         snap.scheduler.submitted += 1000
         assert engine.stats().scheduler.submitted != snap.scheduler.submitted

@@ -20,10 +20,9 @@ TID = TensorID(stamp=1, shape=(256,))
 
 
 def _cycle(config):
-    """One full engine life: build, store and load through the lazy I/O
-    plane's owner, shut down."""
+    """One full engine life: build (which starts the lane workers and
+    the uring reaper), store and load, shut down."""
     engine = build_engine(config)
-    engine.scheduler  # spawn the lane workers (and the uring reaper)
     engine.offloader.store(TID, DATA)
     back = engine.offloader.load(TID, DATA.shape, DATA.dtype)
     assert np.array_equal(back, DATA)

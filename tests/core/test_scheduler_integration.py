@@ -13,11 +13,11 @@ import pytest
 from repro.core import OffloadPolicy, PolicyConfig, SSDOffloader, TensorCache
 from repro.core.policy import Tier
 from repro.core.tensor_cache import RecordState
-from repro.core.tiered import TieredOffloader
 from repro.io import IORequest, IOScheduler, Priority
 from repro.io.aio import JobState
 from repro.io.trace import attach_tracer
 from repro.tensor.tensor import Tensor
+from tests.conftest import build_tier
 
 # No TieredOffloader built here may do device I/O under its tier lock.
 pytestmark = pytest.mark.usefixtures("tier_lock_discipline")
@@ -258,13 +258,30 @@ def _tid(i):
     return TensorID(stamp=i, shape=(64, 64))
 
 
+def test_cache_and_tier_on_different_schedulers_are_refused(tmp_path):
+    """A tiered offloader queues its demotions on, and reads degraded
+    mode off, the scheduler it was built on: a cache on another one
+    would promote, cancel and drain the wrong queues."""
+    tiered = build_tier(tmp_path / "t", cpu_pool_bytes=1 << 16)
+    other = IOScheduler(workers=1)
+    try:
+        with pytest.raises(ValueError, match="different IOScheduler"):
+            TensorCache(tiered, policy=_policy(), scheduler=other)
+        # Given none, or the tier's own, the cache works on the tier's.
+        assert TensorCache(tiered, policy=_policy()).scheduler is tiered.scheduler
+        cache = TensorCache(tiered, policy=_policy(), scheduler=tiered.scheduler)
+        assert cache.scheduler is tiered.scheduler
+    finally:
+        other.shutdown()
+        tiered.shutdown()
+
+
 def test_released_victim_cancels_queued_demotion(tmp_path):
     """A demotion queued behind the gate is cancelled when its tensor is
     released first: the SSD write never happens."""
     sched = IOScheduler(workers=2)
     data = np.ones((64, 64), dtype=np.float32)
-    tiered = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=data.nbytes)
-    tiered.set_scheduler(sched)
+    tiered = build_tier(tmp_path / "t", cpu_pool_bytes=data.nbytes, scheduler=sched)
     gate = threading.Event()
     _park_ssd_workers(sched, gate)
     try:
@@ -294,8 +311,7 @@ def test_load_of_queued_demotion_forwards_and_promotes(tmp_path):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((64, 64)).astype(np.float32)
     b = rng.standard_normal((64, 64)).astype(np.float32)
-    tiered = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=a.nbytes)
-    tiered.set_scheduler(sched)
+    tiered = build_tier(tmp_path / "t", cpu_pool_bytes=a.nbytes, scheduler=sched)
     gate = threading.Event()
     _park_ssd_workers(sched, gate)
     try:
@@ -329,8 +345,7 @@ def test_full_pool_lets_queued_demotion_proceed(tmp_path):
     rng = np.random.default_rng(1)
     a = rng.standard_normal((64, 64)).astype(np.float32)
     b = rng.standard_normal((64, 64)).astype(np.float32)
-    tiered = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=a.nbytes)
-    tiered.set_scheduler(sched)
+    tiered = build_tier(tmp_path / "t", cpu_pool_bytes=a.nbytes, scheduler=sched)
     gate = threading.Event()
     _park_ssd_workers(sched, gate)
     try:
@@ -396,8 +411,7 @@ def test_load_during_inflight_spill_write_serves_buffer(tmp_path):
     rng = np.random.default_rng(2)
     a = rng.standard_normal((64, 64)).astype(np.float32)
     b = rng.standard_normal((64, 64)).astype(np.float32)
-    tiered = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=a.nbytes)
-    tiered.set_scheduler(sched)
+    tiered = build_tier(tmp_path / "t", cpu_pool_bytes=a.nbytes, scheduler=sched)
     write_started = threading.Event()
     write_gate = threading.Event()
     original = tiered.ssd.store
@@ -440,8 +454,7 @@ def test_drain_covers_cross_lane_resubmission(tmp_path):
     lane is still pending (cpu-lane store -> ssd-lane demotion)."""
     sched = IOScheduler(workers=2)
     data = np.ones((64, 64), dtype=np.float32)
-    tiered = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=data.nbytes)
-    tiered.set_scheduler(sched)
+    tiered = build_tier(tmp_path / "t", cpu_pool_bytes=data.nbytes, scheduler=sched)
     try:
         # Submit the pool-overflowing store pair through the cpu lane, the
         # way the cache does, so the demotion is queued from lane work.

@@ -14,14 +14,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import OffloadPolicy, PolicyConfig, SSDOffloader
+from repro.core import OffloadPolicy, PolicyConfig
 from repro.core.ids import TensorID
 from repro.core.policy import Tier
 from repro.core.tiered import TieredOffloader
 from repro.io import IORequest, IOScheduler, Priority
 from repro.io.errors import PermanentIOError
 from repro.io.faults import FaultPlan, inject_faults
-from tests.conftest import assert_tier_books
+from tests.conftest import assert_tier_books, build_tier
 
 pytestmark = pytest.mark.usefixtures("tier_lock_discipline")
 
@@ -40,9 +40,7 @@ def _data(seed: int) -> np.ndarray:
 
 
 def _tiered(tmp_path, pool_tensors: int = 2, **kwargs) -> TieredOffloader:
-    return TieredOffloader(
-        SSDOffloader(tmp_path / "t"), cpu_pool_bytes=pool_tensors * NBYTES, **kwargs
-    )
+    return build_tier(tmp_path / "t", cpu_pool_bytes=pool_tensors * NBYTES, **kwargs)
 
 
 def _bypass_policy() -> OffloadPolicy:
@@ -54,8 +52,7 @@ def _store_on_ssd(tiered: TieredOffloader, tid: TensorID, data: np.ndarray) -> N
     tiered.store(tid, data)
     if tiered.tier_of(tid) is Tier.CPU:
         assert tiered.demote(tid)
-        if tiered._scheduler is not None:
-            assert tiered._scheduler.drain(WAIT)  # the spill has landed
+        assert tiered.scheduler.drain(WAIT)  # the spill has landed
     assert tiered.location(tid).startswith("tier:ssd:")  # landed, not queued
 
 
@@ -179,8 +176,7 @@ def test_nothing_waits_on_a_parked_direct_ssd_store(tmp_path):
 def test_ssd_loads_of_different_tensors_overlap(tmp_path):
     """Both reads are inside ``ssd.load`` before either is let through."""
     sched = IOScheduler(workers=3)
-    tiered = _tiered(tmp_path, policy=_bypass_policy())
-    tiered.set_scheduler(sched)
+    tiered = _tiered(tmp_path, policy=_bypass_policy(), scheduler=sched)
     try:
         a, b = _data(2), _data(3)
         tiered.store(_tid(1), a)
@@ -268,8 +264,7 @@ def test_hedged_duplicate_read_promotes_once(tmp_path):
     sched = IOScheduler(
         workers=3, hedge=True, hedge_delay_s=0.0
     )
-    tiered = _tiered(tmp_path)
-    tiered.set_scheduler(sched)
+    tiered = _tiered(tmp_path, scheduler=sched)
     try:
         a = _data(6)
         _store_on_ssd(tiered, _tid(1), a)
@@ -324,8 +319,7 @@ def test_permanent_read_error_outside_the_lock_reaches_the_health_books(tmp_path
     released, fails its request, feeds the ssd lane's death verdict (so
     placement fails over) and leaves no in-flight entry behind."""
     sched = IOScheduler(workers=2, retry_backoff_s=0)
-    tiered = _tiered(tmp_path, policy=_bypass_policy())
-    tiered.set_scheduler(sched)
+    tiered = _tiered(tmp_path, policy=_bypass_policy(), scheduler=sched)
     try:
         tiered.store(_tid(1), _data(7))
         injector = inject_faults(tiered, FaultPlan())
@@ -374,6 +368,7 @@ def test_shutdown_with_a_read_in_flight_leaks_nothing(tmp_path):
     tiered.shutdown()
     gate.opened.set()
     _join(reader)
+    tiered.scheduler.shutdown()
     # The store was cleared under the reader: complete bytes or a miss.
     if "result" in reader:
         assert np.array_equal(reader["result"], a)
@@ -386,15 +381,14 @@ def test_shutdown_with_a_read_in_flight_leaks_nothing(tmp_path):
 
 
 # ------------------------------------------------------------------- stress
-@pytest.mark.parametrize("scheduled", [False, True])
-def test_many_threads_hammering_few_tensors_keep_the_books(tmp_path, scheduled):
+@pytest.mark.parametrize("parallel_spills", [False, True])
+def test_many_threads_hammering_few_tensors_keep_the_books(tmp_path, parallel_spills):
     """More threads than cores store / load / release a handful of tids
-    through both placements; a load returns one complete version or the
-    miss, and afterwards nothing is left behind."""
-    sched = IOScheduler(workers=3) if scheduled else None
-    tiered = _tiered(tmp_path, pool_tensors=2)
-    if scheduled:
-        tiered.set_scheduler(sched)
+    through both placements, over one spill worker or three; a load
+    returns one complete version or the miss, and afterwards nothing is
+    left behind."""
+    sched = IOScheduler(workers=3 if parallel_spills else 1)
+    tiered = _tiered(tmp_path, pool_tensors=2, scheduler=sched)
     # Small tensors land in the pool (and get demoted by pressure), the
     # large ones bypass it, so every branch sees traffic.
     tiered.policy = OffloadPolicy(PolicyConfig(cpu_tier_max_tensor_bytes=NBYTES))
@@ -442,6 +436,5 @@ def test_many_threads_hammering_few_tensors_keep_the_books(tmp_path, scheduled):
             tiered.release(tid_of(i))
         assert_tier_books(tiered, sched, drained=True)
     finally:
-        if scheduled:
-            sched.shutdown()
+        sched.shutdown()
         tiered.shutdown()

@@ -23,7 +23,7 @@ from repro.core import (
 from repro.core.ids import TensorID
 from repro.io import ChunkedTensorStore, TensorFileStore
 
-from tests.conftest import assert_tier_books
+from tests.conftest import assert_tier_books, build_tier
 from tests.core.test_tensor_cache import _fresh_model, _run_model_step
 
 # No TieredOffloader built here may do device I/O under its tier lock.
@@ -38,7 +38,7 @@ def _tid(i: int) -> TensorID:
 
 @pytest.fixture
 def tiered(tmp_path):
-    off = TieredOffloader(SSDOffloader(tmp_path / "tiers"), cpu_pool_bytes=2 * DATA.nbytes)
+    off = build_tier(SSDOffloader(tmp_path / "tiers"), cpu_pool_bytes=2 * DATA.nbytes)
     yield off
     off.shutdown()
 
@@ -151,7 +151,7 @@ def test_lru_order_follows_loads(tiered):
 
 
 def test_load_promotes_ssd_tensor_when_pool_has_room(tmp_path):
-    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
+    off = build_tier(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
     try:
         big = np.arange(1024, dtype=np.float32)  # 4 KiB: never fits the pool
         off.store(TensorID(stamp=9, shape=(1024,)), big)
@@ -159,6 +159,7 @@ def test_load_promotes_ssd_tensor_when_pool_has_room(tmp_path):
 
         off.store(_tid(1), DATA)
         off.demote(_tid(1))
+        off.scheduler.drain()  # the spill landed: the load below reads the SSD
         assert off.tier_of(_tid(1)) is Tier.SSD
         back = off.load(_tid(1), (256,), np.float32)  # prefetch: promote
         assert np.array_equal(back, DATA)
@@ -172,7 +173,7 @@ def test_load_promotes_ssd_tensor_when_pool_has_room(tmp_path):
 
 
 def test_promotion_never_demotes_the_warm_set(tmp_path):
-    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
+    off = build_tier(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
     try:
         off.store(_tid(1), DATA)
         off.store(_tid(2), DATA + 1)
@@ -201,10 +202,11 @@ def test_release_frees_whichever_tier(tiered):
 def test_restore_across_tiers_drops_old_backing(tmp_path):
     """Re-storing an SSD-resident tensor into the CPU tier must release
     the SSD copy (and vice versa) — a tensor lives in exactly one tier."""
-    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
+    off = build_tier(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
     try:
         off.store(_tid(1), DATA)
         off.demote(_tid(1))
+        off.scheduler.drain()
         ssd_path = off.ssd.file_store.path_for(_tid(1).filename())
         assert ssd_path.exists()
         off.store(_tid(1), DATA + 5)  # lands in CPU again
@@ -228,15 +230,16 @@ def test_tiered_honours_shared_policy(tmp_path):
     policy = OffloadPolicy(
         PolicyConfig(cpu_tier_max_tensor_bytes=DATA.nbytes - 1)
     )
-    off = build_engine(
+    engine = build_engine(
         target="tiered", store_dir=tmp_path, cpu_pool_bytes=8 * DATA.nbytes, policy=policy
-    ).offloader
+    )
+    off = engine.offloader
     try:
         off.store(_tid(1), DATA)  # above the cap: bypasses the pool
         assert off.tier_of(_tid(1)) is Tier.SSD
         assert off.pool.used == 0
     finally:
-        off.shutdown()
+        engine.shutdown()
 
 
 def test_location_names_the_tier(tiered):
@@ -244,33 +247,34 @@ def test_location_names_the_tier(tiered):
     tiered.store(_tid(1), DATA)
     assert tiered.location(_tid(1)).startswith("tier:cpu:")
     tiered.demote(_tid(1))
+    assert tiered.location(_tid(1)).startswith("tier:ssd")  # "!queued" until it lands
+    tiered.scheduler.drain()
     assert tiered.location(_tid(1)).startswith("tier:ssd:")
 
 
 # -------------------------------------------------------------------- factory
 def test_build_engine_targets(tmp_path):
-    ssd = build_engine(target="ssd", store_dir=tmp_path / "s").offloader
-    assert isinstance(ssd, SSDOffloader)
-    cpu = build_engine(target="cpu", cpu_pool_bytes=1024).offloader
-    assert isinstance(cpu, CPUOffloader)
-    assert cpu.pool.capacity_bytes == 1024
+    with build_engine(target="ssd", store_dir=tmp_path / "s") as engine:
+        assert isinstance(engine.offloader, SSDOffloader)
+    with build_engine(target="cpu", cpu_pool_bytes=1024) as engine:
+        assert isinstance(engine.offloader, CPUOffloader)
+        assert engine.offloader.pool.capacity_bytes == 1024
     policy = OffloadPolicy()
-    tiered = build_engine(
+    with build_engine(
         target="tiered",
         store_dir=tmp_path / "t",
         cpu_pool_bytes=2048,
         chunk_bytes=512,
         policy=policy,
-    ).offloader
-    assert isinstance(tiered, TieredOffloader)
-    assert tiered.policy is policy  # one policy governs decide() and place()
-    tiered.shutdown()
+    ) as engine:
+        assert isinstance(engine.offloader, TieredOffloader)
+        assert engine.offloader.policy is policy  # one policy governs decide() and place()
 
 
 # ---------------------------------------------------------- cache integration
 def _tiered_cache(tmp_path, cpu_pool_bytes, store=TensorFileStore, **store_kwargs):
     return TensorCache(
-        TieredOffloader(
+        build_tier(
             SSDOffloader(store(tmp_path / "cache-tiers", **store_kwargs)),
             cpu_pool_bytes=cpu_pool_bytes,
         ),
@@ -342,7 +346,7 @@ def test_forwarding_across_tiers(gpu, tiny_gpt_config, tmp_path):
     """A load racing an in-flight tiered store adopts the in-memory
     reference, whichever tier the store is headed for."""
     cache = TensorCache(
-        TieredOffloader(
+        build_tier(
             # A slow SSD tier: stores stay in flight.
             SSDOffloader(TensorFileStore(tmp_path / "fwd-tiers", throttle_bytes_per_s=5e5)),
             cpu_pool_bytes=32 * 1024,
@@ -432,7 +436,7 @@ def test_direct_ssd_store_fails_over_to_cpu_on_permanent_error(tmp_path):
     from repro.io.faults import FaultPlan, inject_faults
 
     data = np.ones((64, 64), dtype=np.float32)
-    off = TieredOffloader(
+    off = build_tier(
         SSDOffloader(tmp_path / "t"),
         cpu_pool_bytes=4 * data.nbytes,
         policy=OffloadPolicy(PolicyConfig(cpu_tier_max_tensor_bytes=data.nbytes // 2)),
@@ -457,7 +461,7 @@ def test_direct_ssd_store_fails_over_to_cpu_on_permanent_error(tmp_path):
 
 def test_queued_demotion_reinstates_to_cpu_when_ssd_dies(tmp_path):
     """An async spill whose write hits the dead SSD must not lose the
-    buffer: the victim is reinstated in the pool (overflow allowed) and
+    buffer: the victim is reinstated in the pool (past its cap) and
     stays loadable."""
     from repro.io import IOScheduler
     from repro.io.faults import FaultPlan, inject_faults
@@ -466,8 +470,7 @@ def test_queued_demotion_reinstates_to_cpu_when_ssd_dies(tmp_path):
     rng = np.random.default_rng(9)
     a = rng.standard_normal((64, 64)).astype(np.float32)
     b = rng.standard_normal((64, 64)).astype(np.float32)
-    off = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=a.nbytes)
-    off.set_scheduler(sched)
+    off = build_tier(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=a.nbytes, scheduler=sched)
     inject_faults(off, FaultPlan.dead(after_ops=0))
     try:
         off.store(_tid(1), a)
@@ -476,7 +479,7 @@ def test_queued_demotion_reinstates_to_cpu_when_ssd_dies(tmp_path):
         assert off.ssd_dead
         assert off.stats.failovers == 1
         assert off.tier_of(_tid(1)) is Tier.CPU
-        assert off.pool.overflow_allowed  # both tensors share a 1-tensor pool
+        assert off.pool.overflow_bytes == a.nbytes  # both tensors share a 1-tensor pool
         assert np.array_equal(off.load(_tid(1), (64, 64), np.dtype(np.float32)), a)
         assert np.array_equal(off.load(_tid(2), (64, 64), np.dtype(np.float32)), b)
     finally:
@@ -485,22 +488,89 @@ def test_queued_demotion_reinstates_to_cpu_when_ssd_dies(tmp_path):
 
 
 def test_sync_demotion_on_dead_ssd_keeps_victim_resident(tmp_path):
-    """Scheduler-less demotions: a dead SSD write leaves the victim in
-    the pool (no data loss) and latches degraded mode."""
+    """A dead SSD write leaves the victim in the pool (no data loss),
+    over its cap by exactly the victim, and trips degraded mode."""
     from repro.io.faults import FaultPlan, inject_faults
 
     data = np.ones((64, 64), dtype=np.float32)
-    off = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=data.nbytes)
+    off = build_tier(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=data.nbytes)
     inject_faults(off, FaultPlan.dead(after_ops=0))
     try:
         off.store(_tid(1), data)
         off.store(_tid(2), data)  # wants to demote tid 1; the SSD is dead
+        assert off.scheduler.drain(5)
         assert off.ssd_dead
         assert off.tier_of(_tid(1)) is Tier.CPU
         assert off.tier_of(_tid(2)) is Tier.CPU
         assert off.pool.overflow_bytes == data.nbytes
         out = off.load(_tid(1), (64, 64), np.dtype(np.float32))
         assert np.array_equal(out, data)
+    finally:
+        off.shutdown()
+
+
+def test_threshold_death_opens_the_breaker_without_a_placement(tmp_path):
+    """Degraded mode has one owner: the failure streak that makes the
+    scheduler write the ssd lane off opens the tier's breaker there and
+    then — no store has to come by and notice."""
+    import errno
+
+    from repro.io import IORequest, IOScheduler, Priority
+    from repro.io.breaker import BreakerState
+
+    sched = IOScheduler(workers=1, retry_backoff_s=0)
+    off = build_tier(tmp_path / "t", cpu_pool_bytes=4 * DATA.nbytes, scheduler=sched)
+
+    def flaky_device():
+        raise OSError(errno.EIO, "injected: the device errors out")
+
+    try:
+        assert off.breaker.state == BreakerState.CLOSED
+        for _ in range(sched.health.death_threshold):
+            request = IORequest(
+                flaky_device, kind="load", priority=Priority.BLOCKING_LOAD, max_retries=0
+            )
+            assert sched.submit(request).wait(5)
+        assert sched.drain(5)
+        assert off.breaker.state == BreakerState.OPEN and off.ssd_dead
+        assert off.breaker is sched.health.breaker("ssd")
+        assert off.store_lane(_tid(1), DATA.nbytes) == "cpu"
+    finally:
+        sched.shutdown()
+        off.shutdown()
+
+
+def test_overlapping_probes_keep_their_own_canary(tmp_path):
+    """Single-flight is per breaker, so a tenant's probe (store path) and
+    the global one (service housekeeping) can overlap: here the tenant's
+    whole probe runs between the global probe's write and its read-back.
+    Each must find its own sentinel — a shared key let the inner probe
+    delete the outer one's, failing a probe of a healthy device."""
+    off = build_tier(tmp_path / "t", cpu_pool_bytes=4 * DATA.nbytes)
+    health = off.scheduler.health
+    now = [0.0]
+    for tenant in (None, "t"):
+        health.breaker("ssd", tenant)._clock = lambda: now[0]
+        health.mark_dead("ssd", tenant)
+    now[0] = 60.0  # past both backoffs
+    store = off.ssd.file_store
+    read = store.read
+    inner = []
+
+    def read_with_a_probe_inside(tensor_id, shape, dtype):
+        if not inner:
+            inner.append("running")
+            inner[0] = off.maybe_probe_ssd("t")
+        return read(tensor_id, shape, dtype)
+
+    store.read = read_with_a_probe_inside
+    try:
+        assert off.maybe_probe_ssd() is True
+        assert inner == [True]
+        for tenant in (None, "t"):
+            stats = health.breaker("ssd", tenant).stats
+            assert (stats.probe_successes, stats.probe_failures) == (1, 0)
+        assert not list((tmp_path / "t").iterdir())  # both sentinels deleted
     finally:
         off.shutdown()
 
@@ -512,7 +582,7 @@ def test_watermark_never_demotes_into_an_open_breaker(tmp_path, tenant):
     every resident — the watermark writes nothing and moves nothing."""
     from repro.io.tenancy import DEFAULT_TENANT, tenant_scope
 
-    off = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=4 * DATA.nbytes)
+    off = build_tier(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=4 * DATA.nbytes)
     writes = []
     ssd_store = off.ssd.store
     off.ssd.store = lambda tid, data: (writes.append(tid), ssd_store(tid, data))
@@ -520,7 +590,7 @@ def test_watermark_never_demotes_into_an_open_breaker(tmp_path, tenant):
         with tenant_scope(tenant or DEFAULT_TENANT):
             for i in range(4):
                 off.store(_tid(i), DATA + i)
-        off._mark_ssd_dead(tenant)
+        off.scheduler.health.mark_dead("ssd", tenant)
         assert off.ssd_dead_for(tenant or DEFAULT_TENANT)
         off.set_free_watermark(2 * DATA.nbytes)
         assert off.apply_watermark() == 0
@@ -541,8 +611,7 @@ def test_failed_over_demotion_still_feeds_ssd_lane_health(tmp_path):
 
     sched = IOScheduler(workers=2, retry_backoff_s=0)
     data = np.ones((64, 64), dtype=np.float32)
-    off = TieredOffloader(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=data.nbytes)
-    off.set_scheduler(sched)
+    off = build_tier(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=data.nbytes, scheduler=sched)
     # Every write op faults more attempts than any retry budget covers.
     inject_faults(off, FaultPlan(transient_write_rate=1.0, transient_repeats=10))
     try:
@@ -561,26 +630,35 @@ def test_failed_over_demotion_still_feeds_ssd_lane_health(tmp_path):
 
 
 def test_sync_direct_ssd_store_retries_transient_faults(tmp_path):
-    """Review regression: the scheduler-less store() path applies the
-    same retry rule as the sync demotion path — a survivable transient
-    plan must not fail a standalone store outright."""
+    """A survivable transient plan must not fail a direct (policy-bypass)
+    store or the load after it: the tier itself never retries an SSD
+    call — the request around it does, re-entering store()/load() with
+    the books consistent."""
     from repro.core import OffloadPolicy, PolicyConfig
+    from repro.io import IORequest, Priority
     from repro.io.faults import FaultPlan, inject_faults
 
     data = np.ones((64, 64), dtype=np.float32)
-    off = TieredOffloader(
+    off = build_tier(
         SSDOffloader(tmp_path / "t"),
         cpu_pool_bytes=4 * data.nbytes,
         policy=OffloadPolicy(PolicyConfig(cpu_tier_max_tensor_bytes=data.nbytes // 2)),
     )
     injector = inject_faults(off, FaultPlan.transient(rate=1.0))
+
+    def run(fn, kind):
+        request = IORequest(fn, kind=kind, priority=Priority.STORE, nbytes=data.nbytes)
+        assert off.scheduler.submit(request).wait(5) and request.error is None
+        return request.result
+
     try:
-        off.store(_tid(1), data)  # SSD placement; first write attempt faults
+        # SSD placement; first write attempt faults
+        run(lambda: off.store(_tid(1), data), "store")
         assert injector.fault_stats.injected_transient >= 1
         assert off.tier_of(_tid(1)) is Tier.SSD  # healed, landed on SSD
         assert not off.ssd_dead
-        # The sync load path heals its read fault the same way.
-        out = off.load(_tid(1), (64, 64), np.dtype(np.float32))
+        # The load heals its read fault the same way.
+        out = run(lambda: off.load(_tid(1), (64, 64), np.dtype(np.float32)), "load")
         assert np.array_equal(out, data)
         assert injector.fault_stats.injected_transient >= 2
     finally:
@@ -592,7 +670,7 @@ def test_durable_tiered_rehydrates_ssd_tier_map(tmp_path):
     """A restarted durable tiered engine must remember which tensors
     live on SSD — the replayed store index seeds the tier map, so loads
     of pre-crash tensors hit SSD instead of raising 'never stored'."""
-    first = TieredOffloader(
+    first = build_tier(
         SSDOffloader(ChunkedTensorStore(tmp_path / "t", chunk_bytes=4096, durable=True)),
         cpu_pool_bytes=4 * DATA.nbytes,
     )
@@ -600,11 +678,12 @@ def test_durable_tiered_rehydrates_ssd_tier_map(tmp_path):
         for i in range(3):
             first.store(_tid(i), DATA + i)
             assert first.demote(_tid(i))  # force SSD residency
+        first.scheduler.drain()
         first.flush()
     finally:
         first.shutdown()  # durable: close() keeps the chunk files
 
-    second = TieredOffloader(
+    second = build_tier(
         SSDOffloader(ChunkedTensorStore(tmp_path / "t", chunk_bytes=4096, durable=True)),
         cpu_pool_bytes=4 * DATA.nbytes,
     )
@@ -621,15 +700,16 @@ def test_durable_tiered_rehydrates_ssd_tier_map(tmp_path):
 def test_volatile_tiered_starts_empty(tmp_path):
     """Without durable=True the store clears on shutdown, so a second
     offloader on the same directory sees nothing — the pre-PR9 contract."""
-    first = TieredOffloader(
+    first = build_tier(
         SSDOffloader(ChunkedTensorStore(tmp_path / "t", chunk_bytes=4096)),
         cpu_pool_bytes=4 * DATA.nbytes,
     )
     first.store(_tid(1), DATA)
     first.demote(_tid(1))
+    first.scheduler.drain()
     first.shutdown()
 
-    second = TieredOffloader(
+    second = build_tier(
         SSDOffloader(ChunkedTensorStore(tmp_path / "t", chunk_bytes=4096)),
         cpu_pool_bytes=4 * DATA.nbytes,
     )

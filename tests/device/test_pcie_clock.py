@@ -1,8 +1,7 @@
-"""Tests for the PCIe link model and virtual clock."""
+"""Tests for the PCIe link model."""
 
 import pytest
 
-from repro.device.clock import VirtualClock
 from repro.device.pcie import (
     GPU_LINK_GEN4_X16,
     PCIeGeneration,
@@ -46,29 +45,3 @@ def test_invalid_links_rejected():
         PCIeLink(efficiency=1.5)
     with pytest.raises(ValueError):
         GPU_LINK_GEN4_X16.transfer_time(-1)
-
-
-def test_clock_advances_monotonically():
-    clock = VirtualClock()
-    clock.advance_to(5.0)
-    clock.advance_by(1.0)
-    assert clock.now == 6.0
-    with pytest.raises(ValueError):
-        clock.advance_to(1.0)
-    with pytest.raises(ValueError):
-        clock.advance_by(-1.0)
-
-
-def test_clock_ticks_unique_and_increasing():
-    clock = VirtualClock()
-    ticks = [clock.next_tick() for _ in range(10)]
-    assert ticks == sorted(ticks)
-    assert len(set(ticks)) == 10
-
-
-def test_clock_reset():
-    clock = VirtualClock(start=3.0)
-    assert clock.now == 3.0
-    clock.advance_by(2.0)
-    clock.reset()
-    assert clock.now == 0.0

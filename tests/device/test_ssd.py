@@ -53,13 +53,6 @@ def test_paper_fig5_assumption_exceeds_two_years():
     assert years > 2.0
 
 
-def test_wear_tracking():
-    ssd = SSD(SAMSUNG_980_PRO_1TB)
-    ssd.record_write(10**12)
-    assert ssd.host_bytes_written == 10**12
-    assert 0 < ssd.wear_fraction() < 1
-
-
 def test_write_read_time_scale_with_size():
     ssd = SSD(INTEL_OPTANE_P5800X_1600GB)
     assert ssd.write_time(2 * 10**9) > ssd.write_time(10**9)
@@ -79,20 +72,6 @@ def test_raid0_bandwidth_scales_with_members():
     four = RAID0Array(INTEL_OPTANE_P5800X_1600GB, num_ssds=4)
     assert four.write_bw == pytest.approx(4 * one.write_bw)
     assert four.write_time(10**9) < one.write_time(10**9)
-
-
-def test_raid0_striping_spreads_wear():
-    array = RAID0Array(INTEL_OPTANE_P5800X_1600GB, num_ssds=4)
-    array.record_write(4000)
-    assert [m.host_bytes_written for m in array.members] == [1000] * 4
-    assert array.host_bytes_written == 4000
-
-
-def test_raid0_stripe_remainder_goes_to_first_member():
-    array = RAID0Array(INTEL_OPTANE_P5800X_1600GB, num_ssds=3)
-    array.record_write(10)
-    assert array.members[0].host_bytes_written == 3 + 1
-    assert array.host_bytes_written == 10
 
 
 def test_raid0_requires_member():

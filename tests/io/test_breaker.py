@@ -174,7 +174,10 @@ def test_listeners_see_every_transition():
     ]
 
 
-def test_listener_exception_does_not_poison_transitions():
+def test_listener_exception_does_not_poison_transitions(caplog):
+    """A raising listener blocks neither the transition nor the
+    listeners behind it — and is not swallowed: it leaves a log record
+    with the traceback."""
     breaker, _ = make_breaker()
 
     def bad(*_args):
@@ -183,9 +186,13 @@ def test_listener_exception_does_not_poison_transitions():
     seen = []
     breaker.add_listener(bad)
     breaker.add_listener(lambda *a: seen.append(a))
-    breaker.trip()
+    with caplog.at_level("ERROR", logger="repro.io.breaker"):
+        breaker.trip()
     assert breaker.state == BreakerState.OPEN
     assert len(seen) == 1
+    (record,) = caplog.records
+    assert "listener raised" in record.getMessage()
+    assert record.exc_info[0] is RuntimeError
 
 
 def test_listener_may_reenter_breaker_views():

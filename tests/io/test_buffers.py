@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.ids import TensorID
 from repro.core.offloader import CPUOffloader, PinnedMemoryPool, SSDOffloader
 from repro.core.policy import Tier
-from repro.core.tiered import TieredOffloader
 from repro.io.buffers import (
     MIN_SIZE_CLASS,
     BufferArena,
@@ -31,7 +30,7 @@ from repro.io.filestore import (
     unframe_payload,
 )
 from repro.io.scheduler import IORequest, IOScheduler, Priority
-from tests.conftest import assert_tier_books
+from tests.conftest import assert_tier_books, build_tier
 
 DATA = np.arange(256, dtype=np.float32)  # 1 KiB
 
@@ -406,8 +405,7 @@ def sched():
 
 
 def test_demotion_transfers_lease_and_releases_on_write(tmp_path, sched):
-    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
-    off.set_scheduler(sched)
+    off = build_tier(tmp_path, cpu_pool_bytes=2 * DATA.nbytes, scheduler=sched)
     for i in range(4):  # 2 fit, 2 demote
         off.store(_tid(i), DATA + i)
     assert sched.drain(10)
@@ -427,8 +425,7 @@ def test_demotion_transfers_lease_and_releases_on_write(tmp_path, sched):
 
 
 def test_cancelled_demotion_hands_lease_back(tmp_path, sched):
-    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
-    off.set_scheduler(sched)
+    off = build_tier(tmp_path, cpu_pool_bytes=2 * DATA.nbytes, scheduler=sched)
     gate = _hold_workers(sched)  # demotion writes stay queued
     try:
         for i in range(3):
@@ -447,8 +444,7 @@ def test_cancelled_demotion_hands_lease_back(tmp_path, sched):
 
 
 def test_demotion_forward_promotion_adopts_lease_zero_copy(tmp_path, sched):
-    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
-    off.set_scheduler(sched)
+    off = build_tier(tmp_path, cpu_pool_bytes=2 * DATA.nbytes, scheduler=sched)
     gate = _hold_workers(sched)
     try:
         for i in range(3):
@@ -474,8 +470,7 @@ def test_failed_demotion_reinstates_lease_with_exact_books(tmp_path, sched):
     """PR 4's failover chaos path, re-run under arena accounting: a
     demotion write hitting a dead SSD reinstates the parked buffer (and
     its lease) into the CPU tier — nothing leaks, nothing double-frees."""
-    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2 * DATA.nbytes)
-    off.set_scheduler(sched)
+    off = build_tier(tmp_path, cpu_pool_bytes=2 * DATA.nbytes, scheduler=sched)
     inject_faults(off, FaultPlan.dead(after_ops=0))
     for i in range(4):
         off.store(_tid(i), DATA + i)
@@ -515,8 +510,7 @@ def test_arena_leases_always_reconcile(ops):
 
     sched = IOScheduler(workers=2)
     with tempfile.TemporaryDirectory() as tmp:
-        off = TieredOffloader(SSDOffloader(tmp), cpu_pool_bytes=3 * DATA.nbytes)
-        off.set_scheduler(sched)
+        off = build_tier(tmp, cpu_pool_bytes=3 * DATA.nbytes, scheduler=sched)
         stored = set()
         try:
             for op, i in ops:

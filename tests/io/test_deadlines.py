@@ -14,7 +14,7 @@ import pytest
 from repro.io import IORequest, IOScheduler, Priority
 from repro.io.aio import JobState
 from repro.io.errors import DeadlineExceededError, is_device_error, is_retryable
-from repro.io.scheduler import LaneHealthTracker
+from repro.io.health import LaneHealthTracker
 
 
 def make_scheduler(**kwargs):

@@ -250,12 +250,12 @@ def test_injector_determinism_same_seed_same_faults(tmp_path):
 
 def test_inject_faults_wraps_offloaders(tmp_path):
     from repro.core import SSDOffloader
-    from repro.core.tiered import TieredOffloader
+    from tests.conftest import build_tier
 
     ssd = SSDOffloader(tmp_path / "a")
     injector = inject_faults(ssd, FaultPlan())
     assert ssd.file_store is injector
-    tiered = TieredOffloader(SSDOffloader(tmp_path / "b"), cpu_pool_bytes=1 << 20)
+    tiered = build_tier(tmp_path / "b", cpu_pool_bytes=1 << 20)
     injector = inject_faults(tiered, FaultPlan())
     assert tiered.ssd.file_store is injector
     tiered.shutdown()

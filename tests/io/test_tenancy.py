@@ -24,7 +24,6 @@ import pytest
 from repro.core.ids import TensorID
 from repro.core.offloader import CPUOffloader, PinnedMemoryPool, SSDOffloader
 from repro.core.policy import OffloadPolicy, Tier
-from repro.core.tiered import TieredOffloader
 from repro.io import (
     BufferArena,
     IORequest,
@@ -39,9 +38,11 @@ from repro.io import (
 )
 from repro.io.aio import JobState
 from repro.io.errors import PermanentIOError
-from repro.io.scheduler import LaneHealthTracker, _FairQueue
+from repro.io.health import LaneHealthTracker
+from repro.io.scheduler import _FairQueue
 from repro.io.tenancy import DEFAULT_TENANT
 from repro.sim.step_sim import MultiTenantHarness, TenantJobSpec
+from tests.conftest import build_tier
 
 
 def _req(fn, kind="store", priority=Priority.STORE, nbytes=0, tid="t",
@@ -456,7 +457,7 @@ def test_tiered_tenant_ssd_death_isolated(tmp_path):
     mode for A only: B keeps the SSD tier, the global latch stays off."""
     policy = OffloadPolicy()
     policy.config.cpu_tier_max_tensor_bytes = 0  # force SSD placement
-    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=1 << 20, policy=policy)
+    off = build_tier(tmp_path, cpu_pool_bytes=1 << 20, policy=policy)
     real_store = off.ssd.store
 
     def flaky_store(tid, data):
@@ -489,7 +490,7 @@ def test_tiered_tenant_ssd_death_isolated(tmp_path):
 def test_make_room_skips_dead_tenant_victims(tmp_path):
     """Pool pressure never demotes a resident whose tenant's SSD is
     dead — their parked bytes have nowhere to go."""
-    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=2048)
+    off = build_tier(tmp_path, cpu_pool_bytes=2048)
     data = np.zeros(256, dtype=np.float32)  # 1024 bytes
     tid_dead = TensorID(stamp=1, shape=data.shape)
     tid_live = TensorID(stamp=2, shape=data.shape)
@@ -499,7 +500,7 @@ def test_make_room_skips_dead_tenant_victims(tmp_path):
             off.store(tid_dead, data)
         with tenant_scope("healthy"):
             off.store(tid_live, data)
-        off._mark_ssd_dead("doomed")
+        off.scheduler.health.mark_dead("ssd", "doomed")
         # Pool is full (2 x 1024); the next store must demote exactly the
         # healthy tenant's resident, though doomed's is older (LRU head).
         with tenant_scope("healthy"):
@@ -531,7 +532,7 @@ def test_policy_place_for_tenant_hook():
 
 
 def test_tiered_store_honours_tenant_placement_hook(tmp_path):
-    off = TieredOffloader(SSDOffloader(tmp_path), cpu_pool_bytes=1 << 20)
+    off = build_tier(tmp_path, cpu_pool_bytes=1 << 20)
     off.policy.set_tenant_policy("cold", lambda nbytes, free: Tier.SSD)
     data = np.arange(128, dtype=np.float32)
     tid_cold = TensorID(stamp=1, shape=data.shape)

@@ -23,6 +23,19 @@ def test_no_offload_matches_ideal_pipeline_time():
     assert all(s.offloaded_bytes == 0 for s in result.stages)
 
 
+@pytest.mark.parametrize("kind", list(ScheduleKind))
+def test_keep_everything_gpu_lane_is_the_plain_pipeline(kind):
+    """One schedule walker: without offloading the offload simulator's
+    GPU lane is :func:`simulate_pipeline`'s timeline, task for task."""
+    from repro.train.pipeline import simulate_pipeline
+
+    plain = simulate_pipeline(3, 4, WORK.forward_time_s, WORK.backward_time_s, kind)
+    gpu_lane = [e for e in _run(offload=False, kind=kind).timeline.events if e.lane == "gpu"]
+    assert [(e.label, e.start, e.end) for e in gpu_lane] == [
+        (f"{t.kind}{t.microbatch}s{t.stage}", t.start, t.end) for t in plain.tasks
+    ]
+
+
 def test_offload_zero_overhead_at_full_bandwidth():
     result = _run(offload=True)
     assert result.overhead < 0.01

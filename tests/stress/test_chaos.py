@@ -32,6 +32,7 @@ from repro.io.faults import FaultPlan, inject_faults
 from repro.models import GPT, ModelConfig
 from repro.optim import SGD
 from repro.train import PlacementStrategy, Trainer
+from tests.conftest import build_tier
 
 CONFIG = ModelConfig(
     arch="gpt", hidden=64, num_layers=2, vocab_size=97, seq_len=32, head_dim=32
@@ -66,16 +67,13 @@ def _train(
     gpu = GPU()
     model = GPT(CONFIG, rng=np.random.default_rng(0)).to(gpu)
     policy = OffloadPolicy(PolicyConfig(min_offload_numel=256))
-    cache = TensorCache(
-        build_engine(
-            target=target,
-            store_dir=tmp_path / name,
-            cpu_pool_bytes=cpu_pool_bytes,
-            chunk_bytes=chunk_bytes,
-            policy=policy,
-        ).offloader,
+    cache = build_engine(
+        target=target,
+        store_dir=tmp_path / name,
+        cpu_pool_bytes=cpu_pool_bytes,
+        chunk_bytes=chunk_bytes,
         policy=policy,
-    )
+    ).cache()
     injector = inject_faults(cache.offloader, plan) if plan is not None else None
     trainer = Trainer(
         model,
@@ -177,7 +175,8 @@ def test_ssd_dead_on_arrival_tiered_completes_via_cpu(tmp_path):
         cpu_pool_bytes=64 << 10,
     )
     assert cache.offloader.ssd_dead
-    assert cache.offloader.pool.overflow_allowed
+    # With nowhere to spill, the pool went over its cap rather than fail a step.
+    assert cache.offloader.pool.high_watermark > 64 << 10
     assert dead == clean
     arena_stats = cache.offloader.arena.stats()
     assert arena_stats.outstanding == 0
@@ -310,12 +309,9 @@ def _train_pair(tmp_path, name, plan_for_a=None, kill_before_step=None):
         model = GPT(CONFIG, rng=np.random.default_rng(0)).to(gpu)
         policy = OffloadPolicy(PolicyConfig(min_offload_numel=256))
         cache = TensorCache(
-            build_engine(
-                target="tiered",
-                store_dir=tmp_path / name / tenant,
-                cpu_pool_bytes=64 << 10,
-                policy=policy,
-            ).offloader,
+            build_tier(
+                tmp_path / name / tenant, 64 << 10, scheduler=scheduler, policy=policy
+            ),
             policy=policy,
             scheduler=scheduler,
         )
@@ -381,7 +377,7 @@ def test_tenant_ssd_death_is_isolated_and_b_stays_bit_exact(tmp_path):
     assert set(scheduler.health.dead_tenants("ssd")) == {"a"}
     assert cache_a.offloader.stats.failovers >= 1
     assert cache_b.offloader.stats.failovers == 0
-    assert not cache_b.offloader.pool.overflow_allowed
+    assert cache_b.offloader.pool.high_watermark <= 64 << 10  # B never overflowed
     # Isolation: B is bit-exact; failover correctness: A is too.
     assert dead["b"] == clean["b"], "tenant B must be untouched by A's chaos"
     assert dead["a"] == clean["a"], "A's CPU failover must stay bit-exact"

@@ -135,9 +135,9 @@ def test_resurrected_tier_accepts_stores_again(tmp_path):
         probe_backoff_s=0.005,
     )
     assert not offloader.ssd_dead
-    # The pool left overflow mode on resurrection.
-    assert offloader.pool.overflow_allowed is False
-    # Fresh stores flow normally again.
+    # Degraded mode is over: nothing is left over the pool's cap, and
+    # fresh stores flow normally again.
+    assert offloader.pool.overflow_bytes == 0
     from repro.core import TensorID
 
     tid = TensorID(stamp=990, shape=(512,))
@@ -207,15 +207,15 @@ def test_enospc_degrades_to_cpu_without_tripping_breaker(tmp_path):
     from repro.core import build_engine
 
     policy = OffloadPolicy(PolicyConfig(min_offload_numel=256))
-    # Standalone (scheduler-less) tiered offloader with a pool that only
-    # holds two tensors: the third store demotes a victim to the SSD,
-    # driving writes into the injector's ENOSPC budget.
-    offloader = build_engine(
+    # A pool that only holds two tensors: the third store demotes a
+    # victim to the SSD, driving writes into the injector's ENOSPC budget.
+    engine = build_engine(
         target="tiered",
         store_dir=tmp_path / "enospc",
         cpu_pool_bytes=8 << 10,
         policy=policy,
-    ).offloader
+    )
+    offloader = engine.offloader
     from repro.core import TensorID
 
     injector = inject_faults(offloader, FaultPlan.enospc(after_bytes=4 << 10))
@@ -225,6 +225,7 @@ def test_enospc_degrades_to_cpu_without_tripping_breaker(tmp_path):
     }
     for tid, data in blobs.items():
         offloader.store(tid, data)
+    assert engine.scheduler.drain(10)  # every queued spill ran into the full device
     assert injector.fault_stats.injected_enospc > 0, "ENOSPC must bite"
     assert offloader.stats.enospc_events > 0
     # ENOSPC is resource exhaustion, not device death: the breaker
@@ -232,10 +233,11 @@ def test_enospc_degrades_to_cpu_without_tripping_breaker(tmp_path):
     assert offloader.breaker.state == BreakerState.CLOSED
     assert not offloader.ssd_dead
     # Every tensor is still loadable, bit-exact (full-device victims
-    # stayed in the overflow-tolerant CPU pool).
+    # went back into the CPU pool, over its cap).
     for tid, data in blobs.items():
         out = offloader.load(tid, data.shape, data.dtype)
         assert np.array_equal(out, data), tid
+    engine.shutdown()
 
 
 def test_enospc_training_run_survives_full_root(tmp_path):
@@ -389,11 +391,9 @@ def _serve(monkeypatch, store_dir, *, degraded=False, plan=None, storm=False):
         def build_and_inject(config):
             engine = real_build(config)
             captured["engine"] = engine
-            # Pin the live scheduler: Engine.scheduler is lazy, and a
-            # post-shutdown read would hand back a fresh (empty) plane.
             captured["scheduler"] = engine.scheduler
             transitions = captured.setdefault("transitions", [])
-            engine.offloader.set_breaker_listener(
+            engine.scheduler.health.add_breaker_listener(
                 lambda name, old, new, why: transitions.append((name, old, new))
             )
             if plan is not None:
@@ -516,7 +516,7 @@ def test_kv_pool_survives_die_then_heal_with_breaker_transitions(tmp_path):
         )
     )
     transitions = []
-    engine.offloader.set_breaker_listener(
+    engine.scheduler.health.add_breaker_listener(
         lambda name, old, new, why: transitions.append((name, old, new))
     )
     injector = inject_faults(engine.offloader, FaultPlan(seed=5))

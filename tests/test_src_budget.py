@@ -11,9 +11,15 @@ each independent value multiplies the configurations tests and
 benchmarks must cover, so a PR that needs another one says so here.
 The construction path (``EngineConfig`` -> ``TieredOffloader`` ->
 ``SSDOffloader`` / ``IOScheduler``) carried 60 settable values before
-PR 19 and carries 37 now.  A probe (``getattr``/``hasattr`` asking a
-part what it is) means a layer does not say what it has; the budget is
-for the few that are deliberate.
+PR 19 and carries 37 now.  ``TieredOffloader``'s ``scheduler`` is in
+its committed tuple but not in that count: it is a required
+collaborator (the object the tier queues its spills on and reads
+degraded mode from), not a value with alternatives — there is no
+configuration without it, so it multiplies nothing.  A probe
+(``getattr``/``hasattr`` asking a part what it is) means a layer does
+not say what it has; the budget is for the few that are deliberate.
+The last test pins the shape PR 22 left so it cannot grow back: one
+owner of degraded mode.
 """
 
 import dataclasses
@@ -30,14 +36,16 @@ from repro.io.filestore import TensorFileStore
 from repro.io.scheduler import IOScheduler
 from repro.serve import KVBlockPool
 
-SRC_LINE_CEILING = 20_600
+SRC_LINE_CEILING = 20_300
 ENGINE_CONFIG_FIELD_CEILING = 17
 KV_POOL_PARAMETERS = ("engine", "block_tokens", "num_layers", "hbm_capacity_bytes", "strategy")
 TENSOR_CACHE_PARAMETERS = ("offloader", "policy", "registry", "prefetch_window", "scheduler")
 SSD_OFFLOADER_PARAMETERS = ("store", "gds")
 TIERED_OFFLOADER_PARAMETERS = (
-    "ssd", "cpu_pool_bytes", "policy", "promote_on_load", "probe_backoff_s",
+    "ssd", "cpu_pool_bytes", "scheduler", "policy", "promote_on_load", "probe_backoff_s",
 )
+#: The required collaborators among the tuples above (not options).
+COLLABORATORS = ("scheduler",)
 IO_SCHEDULER_PARAMETERS = (
     "workers", "lanes", "fifo", "coalesce_bytes", "max_retries", "retry_backoff_s",
     "tenants", "name", "backend", "deadlines", "hedge", "hedge_delay_s", "slow_request_s",
@@ -85,7 +93,9 @@ def test_option_count_stays_under_the_committed_ceiling():
             "reviewer sees it"
         )
     construction_path = len(fields) + sum(len(c) for _, c in constructors[2:])
-    assert construction_path == 37
+    assert construction_path - len(COLLABORATORS) == 37
+    scheduler = inspect.signature(TieredOffloader.__init__).parameters["scheduler"]
+    assert scheduler.default is inspect.Parameter.empty  # required: never scheduler-less
 
 
 def test_store_options_have_one_reader():
@@ -109,3 +119,23 @@ def test_capability_probes_stay_under_the_committed_ceiling():
         f"{probes}: declare the part on the class that has it (see Offloader's "
         "optional parts) instead of probing for it, or raise the ceiling in this test"
     )
+
+
+def test_degraded_mode_has_one_owner():
+    """Lane health (``io/health.py``) builds every circuit breaker and
+    is the only place "dead" is decided; the tier stores no copy of the
+    verdict, flips no pool-wide overflow switch, and has no
+    scheduler-less mode to fall back to."""
+    sources = {p.relative_to(SRC / "repro").as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+    builders = [name for name, text in sources.items() if "CircuitBreaker(" in text]
+    assert builders == ["io/health.py"]
+    assert sources["io/health.py"].count("CircuitBreaker(") == 1
+    everything = "\n".join(sources.values())
+    for gone in ("set_scheduler", "scheduler_started", ".dead = "):
+        assert gone not in everything, gone
+    tiered = sources["core/tiered.py"]
+    for gone in (
+        "overflow_allowed =", "_breaker =", "_tenant_breakers", "_overflow_before_trip",
+        "_unscheduled_spills", "_scheduler is None", "_scheduler is not None",
+    ):
+        assert gone not in tiered, gone
