@@ -82,10 +82,11 @@ def run(commands: List[str], hook_dir: str) -> Set[Tuple[str, int]]:
         with tempfile.TemporaryDirectory(prefix="census-out-") as out:
             path = os.pathsep.join([hook_dir, str(SRC), os.environ.get("PYTHONPATH", "")])
             env = dict(os.environ, PYTHONPATH=path, CENSUS_SRC=str(SRC), CENSUS_OUT=out)
-            status = subprocess.run(shlex.split(command), cwd=REPO, env=env,
-                                    stdout=subprocess.DEVNULL).returncode
-            if status:
-                sys.exit(f"census: {command!r} exited {status}")
+            done = subprocess.run(shlex.split(command), cwd=REPO, env=env, text=True,
+                                  stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+            if done.returncode:
+                print("\n".join(done.stdout.splitlines()[-30:]))
+                sys.exit(f"census: {command!r} exited {done.returncode}")
             for dump in Path(out).glob("*.json"):
                 reached.update(map(tuple, json.loads(dump.read_text())))
     return reached

@@ -13,14 +13,22 @@ memory that could have been freed.
 
 This module closes the loop the paper leaves open::
 
-    per-lane completion stats         EWMA estimators       budget formula
-    IOScheduler                 ───►  write/read bw   ───►  choose_offload_budget
-    .consume_completion_stats()       fwd/bwd windows       with OBSERVED inputs
-                                      activation volume            │
+    IOScheduler "done" events         EWMA estimators       budget formula
+     -> private IOTracer        ───►  write/read bw   ───►  choose_offload_budget
+    cumulative books, differenced     fwd/bwd windows       with OBSERVED inputs
+    (cache / tier / health / reap)    activation volume            │
                                                                    │ install
                  PolicyConfig.offload_budget_bytes  ◄──────────────┤
                  TensorCache.prefetch_window        ◄──────────────┤
                  TieredOffloader free watermark     ◄──────────────┘
+
+One rule governs how the engine is observed: producers keep cumulative
+books and emit events, consumers difference and aggregate.  The
+controller is such a consumer — :meth:`AutotuneController.attach` hangs
+a private :class:`~repro.io.trace.IOTracer` on the cache's scheduler,
+and each step it subtracts its previous reading of the books everyone
+else reads too.  Nothing is drained, so two controllers, a user tracer
+and ``Engine.stats()`` all see the same numbers.
 
 Every knob is re-derived per step from exponentially-weighted moving
 averages and installed *between* steps (the budget is only consulted at
@@ -34,18 +42,22 @@ takes a plain :class:`StepObservation` and returns a
 :class:`ControllerDecision`, which is what the discrete-event simulator
 drives (:func:`repro.sim.step_sim.simulate_adaptive_run`);
 :meth:`AutotuneController.on_step_end` is the functional-engine adapter
-that builds the observation from a :class:`~repro.core.tensor_cache.TensorCache`
-and installs the decision through it.
+that builds the observation from the attached
+:class:`~repro.core.tensor_cache.TensorCache` and installs the decision
+through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.core.adaptive import WorkloadProfile, choose_offload_budget
-from repro.io.scheduler import ChannelWindow
+from repro.io.trace import IOTracer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.tensor_cache import CacheStats
 
 
 class EWMA:
@@ -81,8 +93,8 @@ class EWMA:
 class StepObservation:
     """What the controller learns from one completed training step.
 
-    The engine adapter assembles this from the cache's per-step stat
-    deltas and the scheduler's per-lane completion windows; the
+    The engine adapter assembles this from its tracer's per-lane channel
+    use and the step's differences of the cumulative books; the
     simulator assembles it from the step's timeline.  Zero-valued
     bandwidth fields mean "no traffic observed this window" and leave
     the corresponding estimator untouched.
@@ -199,13 +211,26 @@ class _Estimators:
         return cls(*(EWMA(alpha) for _ in range(8)))
 
 
+@dataclass
+class _Books:
+    """One reading of the cumulative books (and the pool capacity)."""
+
+    cache: "CacheStats"
+    cpu_stored_bytes: int
+    cpu_pool_capacity_bytes: int
+    io_failures: int
+    reaped: int
+    reap_lag_s: float
+
+
 class AutotuneController:
     """Per-step feedback loop around the paper's budget formula.
 
     Use :meth:`observe` with hand-built observations (the simulator
-    path), or :meth:`on_step_end` to both observe and install against a
-    live :class:`~repro.core.tensor_cache.TensorCache` (the trainer
-    hooks this once per step)::
+    path), or :meth:`attach` a live
+    :class:`~repro.core.tensor_cache.TensorCache` and call
+    :meth:`on_step_end` to both observe and install against it (the
+    trainer does both)::
 
         controller = AutotuneController()
         trainer = Trainer(model, opt, gpu, strategy=PlacementStrategy.OFFLOAD,
@@ -224,6 +249,11 @@ class AutotuneController:
         #: observed (1.0 = trust the formula).
         self._backoff = 1.0
         self._clean_steps = 0
+        #: Set by :meth:`attach`: the observed cache, the private tracer
+        #: on its scheduler, and the last reading of the cumulative books.
+        self._cache: Any = None
+        self._tracer = IOTracer()
+        self._books: Optional[_Books] = None
 
     @property
     def installed_budget_bytes(self) -> Optional[int]:
@@ -366,19 +396,35 @@ class AutotuneController:
         return max(0, min(watermark, capacity // 2))
 
     # --------------------------------------------------------- engine adapter
-    def on_step_end(
-        self,
-        cache: Any,
-        forward_time_s: float,
-        backward_time_s: float,
-    ) -> ControllerDecision:
-        """Observe one live step and install the decision through the cache.
+    def attach(self, cache: Any) -> None:
+        """Start observing ``cache``: listen to its scheduler and take
+        the first reading of the books."""
+        self._cache = cache
+        self._tracer.listen(cache.scheduler)
+        self._books = self._read_books()
 
-        Hooked by the :class:`~repro.train.trainer.Trainer` after every
-        step: drains the cache's per-step stat deltas and the
-        scheduler's per-lane completion windows, folds them into the
-        estimators, and applies the resulting knob values via
-        ``cache.apply_autotune``.
+    def _read_books(self) -> _Books:
+        cache = self._cache
+        health = cache.scheduler.health
+        lanes = cache.scheduler.backend_stats_snapshot().values()
+        tiers = cache.offloader.stats_snapshot()
+        return _Books(
+            cache=replace(cache.stats),
+            cpu_stored_bytes=tiers.cpu_stored_bytes if tiers is not None else 0,
+            cpu_pool_capacity_bytes=(
+                (cache.offloader.pool.capacity_bytes or 0) if tiers is not None else 0
+            ),
+            # Every tenant's failures count toward the device's signal.
+            io_failures=sum(s.failures for s in health.snapshot().values())
+            + sum(s.failures for s in health.tenant_snapshot().values()),
+            reaped=sum(s.reaped for s in lanes),
+            reap_lag_s=sum(s.reap_lag_s for s in lanes),
+        )
+
+    def step_observation(self, forward_time_s: float, backward_time_s: float) -> StepObservation:
+        """What happened on the attached cache since the last call (or
+        since :meth:`attach`): the tracer's channel use, summed across
+        lanes, and the differences of the cumulative books.
 
         The trainer's ``backward_time_s`` is wall clock, which includes
         any time backward spent blocked in unpack waiting on loads; the
@@ -388,45 +434,43 @@ class AutotuneController:
         degraded bandwidth -> longer backward -> *larger* budget — and
         the stall itself must reach the AIMD trim instead.
         """
-        step = cache.consume_step_stats()
-        lanes = cache.scheduler.consume_completion_stats()
-        write = _merge_channel(lanes, "write")
-        read = _merge_channel(lanes, "read")
+        if self._books is None:
+            raise RuntimeError("attach(cache) before observing a live step")
+        io = self._tracer.stats()
+        self._tracer.reset()
+        before, now = self._books, self._read_books()
+        self._books = now
+        step = now.cache.since(before.cache)
         stall_s = min(step.unpack_wait_s, backward_time_s)
-        health = cache.scheduler.health
-        io_failures = sum(health.consume_failure_window().values())
-        dead_lanes = health.dead_lanes()
-        obs = StepObservation(
+        reaped = now.reaped - before.reaped
+        return StepObservation(
             forward_time_s=forward_time_s,
             backward_time_s=backward_time_s - stall_s,
-            activation_bytes=step.activation_bytes,
-            write_bytes=write.nbytes,
-            write_busy_s=write.busy_s,
-            read_bytes=read.nbytes,
-            read_busy_s=read.busy_s,
-            read_count=read.count,
-            reap_lag_s=read.reap_lag_s,
+            activation_bytes=step.stored_bytes + step.kept_bytes,
+            write_bytes=io.store_bytes,
+            write_busy_s=io.store_busy_s,
+            read_bytes=io.load_bytes,
+            read_busy_s=io.load_busy_s,
+            read_count=io.load_count,
+            # The backend books reap lag per lane, not per channel: the
+            # reads' share is the mean lag per reaped completion.
+            reap_lag_s=(
+                (now.reap_lag_s - before.reap_lag_s) * io.load_count / reaped if reaped else 0.0
+            ),
             stored_tensors=step.stored_tensors,
             stored_bytes=step.stored_bytes,
             stall_time_s=stall_s,
-            cpu_stored_bytes=step.cpu_stored_bytes,
-            cpu_pool_capacity_bytes=step.cpu_pool_capacity_bytes,
-            io_failures=io_failures,
-            dead_lanes=dead_lanes,
+            cpu_stored_bytes=now.cpu_stored_bytes - before.cpu_stored_bytes,
+            cpu_pool_capacity_bytes=now.cpu_pool_capacity_bytes,
+            io_failures=now.io_failures - before.io_failures,
+            dead_lanes=self._cache.scheduler.health.dead_lanes(),
         )
-        decision = self.observe(obs)
-        cache.apply_autotune(decision)
+
+    def on_step_end(self, forward_time_s: float, backward_time_s: float) -> ControllerDecision:
+        """Observe one live step and install the decision through the
+        attached cache (``cache.apply_autotune``); hooked by the
+        :class:`~repro.train.trainer.Trainer` after every step."""
+        decision = self.observe(self.step_observation(forward_time_s, backward_time_s))
+        self._cache.apply_autotune(decision)
         return decision
 
-
-def _merge_channel(lanes: Dict[str, Dict[str, ChannelWindow]], channel: str) -> ChannelWindow:
-    """Merge one channel across every lane that saw traffic — the same
-    blended-drain-rate view the simulator observes, so a tiered run
-    whose stores mostly land on the cpu lane still feeds the estimator
-    its real aggregate throughput."""
-    merged = ChannelWindow()
-    for channels in lanes.values():
-        window = channels.get(channel)
-        if window is not None:
-            merged.merge(window)
-    return merged

@@ -38,8 +38,10 @@ class HintEvent:
 class SchedulerHints:
     """Routes scheduler command notifications into a tensor cache.
 
-    Also keeps an event log so tests/benchmarks can assert the exact
-    notification sequence (the Fig. 2 markers).
+    Also keeps the current step's event log so tests/benchmarks can
+    assert the exact notification sequence (the Fig. 2 markers); it is
+    cleared when the next step's first command arrives, so it does not
+    grow with uptime.
     """
 
     def __init__(self, cache: TensorCache) -> None:
@@ -54,6 +56,9 @@ class SchedulerHints:
             backward_follows: True when this forward's backward begins
                 immediately after (the Fig. 2 marker-4 keep case).
         """
+        last = self.events[-1] if self.events else None
+        if last is not None and last.stage is Stage.OPTIMIZER_STEP and last.phase == "after":
+            self.events.clear()  # the previous step ended; a new one begins
         self.events.append(HintEvent(stage, microbatch, "before"))
         if stage is Stage.FORWARD_MICROBATCH:
             if microbatch is not None:

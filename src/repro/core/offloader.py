@@ -117,6 +117,13 @@ class Offloader:
         ``None`` on a single-tier backend."""
         return None
 
+    def set_free_watermark(self, nbytes: int) -> None:
+        """Target free headroom of the pinned pool (tiered backends)."""
+
+    def apply_watermark(self) -> int:
+        """Demote until the free watermark holds; tensors demoted."""
+        return 0
+
     def evict(self, tid: TensorID) -> None:
         """Drop ``tid``'s host buffer (backends with a pool)."""
 
@@ -196,9 +203,9 @@ class SSDOffloader(Offloader):
 class PinnedMemoryPool:
     """A fixed-capacity host-pinned buffer pool.
 
-    The paper sizes the pool by profiling the first training step; the
-    cache calls :meth:`fit_to_high_watermark` after step 0.  Exceeding the
-    capacity after sizing raises, surfacing the profiling assumption.
+    The paper sizes the pool by profiling the first training step; a
+    caller that wants that calls :meth:`fit_to_high_watermark` itself.
+    Exceeding the capacity raises, surfacing the profiling assumption.
     """
 
     def __init__(self, capacity_bytes: Optional[int] = None) -> None:

@@ -31,13 +31,12 @@ import enum
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.ids import TensorID, TensorIDRegistry
 from repro.core.offloader import Offloader
 from repro.core.policy import Decision, KeepReason, OffloadPolicy, StepAccounting
-from repro.core.tiered import TieredOffloader
 from repro.io.aio import IOJob, JobState
 from repro.io.scheduler import IORequest, IOScheduler, Priority
 from repro.tensor import flags
@@ -195,35 +194,12 @@ class CacheStats:
     #: loads get the remaining bandwidth.
     prefetch_shed: int = 0
 
-
-@dataclass
-class StepCacheStats:
-    """One step's deltas of :class:`CacheStats`, plus the tiered pool's
-    traffic/capacity — the per-step feed the adaptive controller
-    (:mod:`repro.core.autotune`) consumes via
-    :meth:`TensorCache.consume_step_stats`."""
-
-    stored_tensors: int = 0
-    stored_bytes: int = 0
-    kept_tensors: int = 0
-    kept_bytes: int = 0
-    loaded_tensors: int = 0
-    loaded_bytes: int = 0
-    forwarded_tensors: int = 0
-    cancelled_stores: int = 0
-    #: Seconds backward spent blocked in unpack this step (observed stall).
-    unpack_wait_s: float = 0.0
-    #: Tiered backends only: bytes the pinned pool absorbed this step and
-    #: its capacity (0 when the offloader has no CPU tier).
-    cpu_stored_bytes: int = 0
-    cpu_pool_capacity_bytes: int = 0
-
-    @property
-    def activation_bytes(self) -> int:
-        """Eligible activation volume produced this step (offloaded +
-        kept) — the ``activation_bytes_per_step`` input of the paper's
-        budget formula."""
-        return self.stored_bytes + self.kept_bytes
+    def since(self, earlier: "CacheStats") -> "CacheStats":
+        """The counters accumulated after ``earlier`` (a copy taken
+        then) — the one way to take a per-step delta of these books."""
+        return CacheStats(
+            **{f.name: getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)}
+        )
 
 
 class TensorCache:
@@ -272,9 +248,6 @@ class TensorCache:
         self.prefetch_window = prefetch_window
         self.stats = CacheStats()
         self.accounting = StepAccounting()
-        #: Snapshot of cumulative counters at the last consume_step_stats
-        #: call (the adaptive controller's per-step delta basis).
-        self._step_stats_snapshot: Dict[str, float] = {}
 
         self._lock = threading.Lock()
         # Guards the stored/kept counter pairs (stats + step accounting)
@@ -423,32 +396,6 @@ class TensorCache:
         self.accounting.reset()
 
     # ----------------------------------------------------------- autotuning
-    def consume_step_stats(self) -> StepCacheStats:
-        """Return the deltas of the cumulative counters since the last
-        call (the adaptive controller's per-step observation feed)."""
-        cumulative = {
-            "stored_tensors": self.stats.stored_tensors,
-            "stored_bytes": self.stats.stored_bytes,
-            "kept_tensors": self.stats.kept_tensors,
-            "kept_bytes": self.stats.kept_bytes,
-            "loaded_tensors": self.stats.loaded_tensors,
-            "loaded_bytes": self.stats.loaded_bytes,
-            "forwarded_tensors": self.stats.forwarded_tensors,
-            "cancelled_stores": self.stats.cancelled_stores,
-            "unpack_wait_s": self.stats.unpack_wait_s,
-        }
-        tiered = self.offloader if isinstance(self.offloader, TieredOffloader) else None
-        if tiered is not None:  # a lock-free read: one counter, once a step
-            cumulative["cpu_stored_bytes"] = tiered.stats.cpu_stored_bytes
-        previous = self._step_stats_snapshot
-        delta = StepCacheStats(
-            **{key: value - previous.get(key, 0) for key, value in cumulative.items()}
-        )
-        if tiered is not None:
-            delta.cpu_pool_capacity_bytes = tiered.cpu_capacity_bytes
-        self._step_stats_snapshot = cumulative
-        return delta
-
     def apply_autotune(self, decision: "ControllerDecision") -> None:
         """Install a controller decision's knobs live, between steps.
 
@@ -464,7 +411,7 @@ class TensorCache:
         if decision.prefetch_window is not None:
             self.prefetch_window = max(1, int(decision.prefetch_window))
         watermark = decision.cpu_free_watermark_bytes
-        if watermark is not None and isinstance(self.offloader, TieredOffloader):
+        if watermark is not None:
             self.offloader.set_free_watermark(watermark)
             self.offloader.apply_watermark()
 

@@ -67,7 +67,6 @@ from repro.io.filestore import TensorFileStore
 from repro.io.gds import BounceBufferPath, DirectGDSPath, GDSRegistry
 from repro.io.health import LaneHealthTracker
 from repro.io.scheduler import (
-    ChannelWindow,
     IORequest,
     IOScheduler,
     Priority,
@@ -104,7 +103,6 @@ __all__ = [
     "LaneHealthTracker",
     "Priority",
     "SchedulerStats",
-    "ChannelWindow",
     "TensorFileStore",
     "ChunkedTensorStore",
     "DEFAULT_CHUNK_BYTES",

@@ -13,6 +13,10 @@ is what needs the device: the tiered offloader owns the canary
 write/read that drives a half-open breaker
 (:meth:`~repro.core.tiered.TieredOffloader.maybe_probe_ssd`).
 
+The books are cumulative and reading them changes nothing: producers
+keep totals, consumers take differences.  The adaptive controller's
+"failures this step" is its own subtraction of two snapshots.
+
 Lock order: the tracker's lock and each breaker's lock are leaves —
 nothing else is taken under them, and breaker listeners fire with
 neither held — so the verdict may be read or changed under the tier
@@ -74,9 +78,8 @@ class LaneHealthTracker:
 
     - :meth:`is_dead` / :meth:`dead_lanes` — routing: the tiered
       offloader steers placements off a dead ``ssd`` lane (CPU failover);
-    - :meth:`consume_failure_window` — per-step failure deltas the
-      adaptive controller folds into its trim signal, the same way it
-      consumes the completion-bandwidth windows.
+    - :meth:`snapshot` / :meth:`tenant_snapshot` — the cumulative books
+      (the adaptive controller's trim signal is a difference of two).
 
     **Tenant scoping** (isolation, architecture §8):
     ``is_dead(lane, tenant)`` is the union — a lane is dead *for a
@@ -107,10 +110,6 @@ class LaneHealthTracker:
         self._books: Dict[_Key, LaneHealthSnapshot] = {}
         self._breakers: Dict[_Key, CircuitBreaker] = {}
         self._breaker_listeners: List[Listener] = []
-        #: Failures per lane since the last consume_failure_window()
-        #: (lane-wide: every tenant's failures count — it feeds the
-        #: adaptive controller's device-degradation signal).
-        self._window: Dict[str, int] = {}
 
     def _book(self, key: _Key) -> LaneHealthSnapshot:
         book = self._books.get(key)
@@ -216,7 +215,6 @@ class LaneHealthTracker:
             book = self._book(_key(lane, tenant))
             book.failures += 1
             book.consecutive_failures += 1
-            self._window[lane] = self._window.get(lane, 0) + 1
             streak = book.consecutive_failures
         if permanent:
             self.mark_dead(lane, tenant, "permanent device error")
@@ -270,9 +268,3 @@ class LaneHealthTracker:
         with self._lock:
             books = {k: b for k, b in self._books.items() if k[1] is not None}
             return {k: replace(b, dead=self._open(k)) for k, b in books.items()}
-
-    def consume_failure_window(self) -> Dict[str, int]:
-        """Failures per lane since the last call (the controller's feed)."""
-        with self._lock:
-            window, self._window = self._window, {}
-            return window

@@ -27,12 +27,12 @@ backward critical path.  This module replaces the pools with one
   one batch, so a :class:`~repro.io.chunkstore.ChunkedTensorStore`
   backend fills one chunk with one uninterrupted submission instead of
   interleaving chunk fragments with higher-priority work;
-- **completion telemetry** — every executed request is timed, and the
-  per-(lane, channel) aggregates (bytes moved, channel busy seconds,
-  queue wait) are exported through
-  :meth:`IOScheduler.consume_completion_stats`.  This is the feedback
-  signal the online adaptive controller
-  (:mod:`repro.core.autotune`) turns into live bandwidth estimates.
+- **one observation feed** — the scheduler keeps cumulative books and
+  says what a finished request did once: the ``"done"`` listener event
+  carries the request with its three time stamps.  Whoever wants
+  bandwidths or busy time listens and aggregates
+  (:class:`~repro.io.trace.IOTracer`; the adaptive controller hangs a
+  private one here), so observing costs nothing while nobody does.
 
 ``fifo=True`` collapses every class into submission order — the paper's
 original behaviour — which keeps an apples-to-apples baseline for the
@@ -244,55 +244,6 @@ class SchedulerStats:
     #: Requests force-failed by the watchdog for sitting past their
     #: per-class deadline (hung-I/O failover).
     deadline_abandons: int = 0
-
-
-#: Channel names completion telemetry is aggregated under: stores and
-#: demotions both consume a lane's write stream; loads its read stream.
-CHANNELS = ("write", "read")
-
-
-def _channel_of(kind: str) -> str:
-    return "read" if kind == "load" else "write"
-
-
-@dataclass
-class ChannelWindow:
-    """Executed-request aggregates for one (lane, channel) pair since the
-    last :meth:`IOScheduler.consume_completion_stats` call.
-
-    ``busy_s`` is the *union* of the channel's execution intervals —
-    the wall time at least one worker was executing on the channel —
-    not the per-request sum, so ``nbytes / busy_s`` stays an honest
-    observed bandwidth even when several workers drain one lane
-    concurrently (a sum would overcount the overlap and understate the
-    bandwidth by up to the concurrency factor).  ``queued_s`` is the
-    total submit-to-start wait, a direct read on how contended the lane
-    was.
-    """
-
-    nbytes: int = 0
-    busy_s: float = 0.0
-    queued_s: float = 0.0
-    count: int = 0
-    #: Completion-reap delay accumulated over the window's requests: the
-    #: time between a request's I/O finishing and its completion being
-    #: reaped/booked.  Always 0.0 on the thread backend (execution and
-    #: completion coincide); the SQ/CQ backend's reaper stamps it so the
-    #: adaptive controller can see completion-path latency.
-    reap_lag_s: float = 0.0
-
-    def merge(self, other: "ChannelWindow") -> None:
-        self.nbytes += other.nbytes
-        self.busy_s += other.busy_s
-        self.queued_s += other.queued_s
-        self.count += other.count
-        self.reap_lag_s += other.reap_lag_s
-
-    def bandwidth_bytes_per_s(self) -> Optional[float]:
-        """Observed throughput, or ``None`` when the window saw no work."""
-        if self.busy_s <= 0.0:
-            return None
-        return self.nbytes / self.busy_s
 
 
 class _ClassRing:
@@ -637,13 +588,6 @@ class IOScheduler:
         # the check-then-wait under ``lane.cond`` stays race-free against
         # the post-set ``notify_all`` (which also takes ``lane.cond``).
         self._shutdown = threading.Event()
-        #: Per-(lane, channel) completion aggregates since the last
-        #: consume_completion_stats() call; guarded by _stats_lock.
-        self._windows: Dict[Tuple[str, str], ChannelWindow] = {}
-        #: Per-(lane, channel) [active_count, interval_open_time]:
-        #: tracks the union of execution intervals across the lane's
-        #: workers so busy_s never double-counts overlap.
-        self._channel_usage: Dict[Tuple[str, str], List[float]] = {}
         self._listeners: List[Callable[[str, IORequest], None]] = []
         #: Runs dequeued batches and decides which thread settles them
         #: (:class:`~repro.io.aio.IOBackend`).
@@ -689,10 +633,13 @@ class IOScheduler:
         """Subscribe to scheduler events.
 
         ``listener(event, request)`` fires for ``"submit"``, ``"start"``,
-        ``"done"``, ``"cancel"``, ``"promote"`` and — under quota
-        admission — ``"park"`` / ``"unpark"`` (after the fact, with
-        no scheduler lock held).  The I/O tracer uses this to surface
-        cancellations and promotions in overlap reports.
+        ``"done"``, ``"cancel"``, ``"promote"``, ``"abandon"`` (the
+        watchdog force-failed a request past its deadline) and — under
+        quota admission — ``"park"`` / ``"unpark"`` (after the fact,
+        with no scheduler lock held).  ``"done"`` fires once per
+        executed request, after its books are closed: it is the only
+        completion telemetry the scheduler exports, and
+        :class:`~repro.io.trace.IOTracer` the listener that aggregates it.
         """
         self._listeners.append(listener)
 
@@ -731,9 +678,9 @@ class IOScheduler:
         forwarding rule, Sec. III-C2): there is no device to queue for,
         so the request takes no queue slot, wakes no worker and — under
         every backend — settles on the caller.  Admission, the global,
-        per-class and per-tenant books, the channel window, lane health,
-        the ``submit``/``start``/``done`` listener events, the quota
-        refund on failure and the refusal after :meth:`shutdown` are
+        per-class and per-tenant books, lane health, the
+        ``submit``/``start``/``done`` listener events, the quota refund
+        on failure and the refusal after :meth:`shutdown` are
         :meth:`submit`'s, because the same code runs them.  A submission
         that quota admission parks has to wait for a refund whichever
         thread runs it, so it takes the queued path and is waited for.
@@ -1022,33 +969,6 @@ class IOScheduler:
             total += nxt.nbytes
         return batch
 
-    def _channel_started(self, request: IORequest) -> None:
-        key = (request.lane, _channel_of(request.kind))
-        with self._stats_lock:
-            usage = self._channel_usage.setdefault(key, [0, 0.0])
-            if usage[0] == 0:
-                usage[1] = request.started_at  # a new busy interval opens
-            usage[0] += 1
-
-    def _record_completion(self, request: IORequest) -> None:
-        key = (request.lane, _channel_of(request.kind))
-        with self._stats_lock:
-            window = self._windows.setdefault(key, ChannelWindow())
-            if request.state is not JobState.FAILED:
-                # A failed request moved no usable bytes; counting them
-                # would inflate the observed bandwidth the adaptive
-                # controller trusts.  Its busy time is still real, so the
-                # interval-union accounting below proceeds either way.
-                window.nbytes += request.nbytes
-                window.queued_s += max(0.0, request.started_at - request.submitted_at)
-                window.count += 1
-            usage = self._channel_usage[key]
-            usage[0] -= 1
-            if usage[0] == 0:
-                # Last concurrent request on the channel: the busy
-                # interval closes, credited once for all of them.
-                window.busy_s += max(0.0, request.finished_at - usage[1])
-
     def stats_snapshot(self) -> SchedulerStats:
         """A point-in-time copy of the cumulative counters.
 
@@ -1062,30 +982,6 @@ class IOScheduler:
             snap = replace(self.stats)
             snap.submitted_by_class = dict(self.stats.submitted_by_class)
         return snap
-
-    def consume_completion_stats(self) -> Dict[str, Dict[str, ChannelWindow]]:
-        """Drain the per-lane completion windows accumulated since the
-        last call: ``{lane: {"write" | "read": ChannelWindow}}``.
-
-        Cancelled requests never appear (they moved no bytes).  The
-        adaptive controller calls this once per training step and feeds
-        each window's observed bandwidth into its EWMA estimators.
-        """
-        now = time.monotonic()
-        with self._stats_lock:
-            # Close any still-open busy interval at the window boundary
-            # so in-flight work's elapsed time lands in this window and
-            # the next interval starts fresh.
-            for key, usage in self._channel_usage.items():
-                if usage[0] > 0:
-                    window = self._windows.setdefault(key, ChannelWindow())
-                    window.busy_s += max(0.0, now - usage[1])
-                    usage[1] = now
-            windows, self._windows = self._windows, {}
-        out: Dict[str, Dict[str, ChannelWindow]] = {}
-        for (lane, channel), window in windows.items():
-            out.setdefault(lane, {})[channel] = window
-        return out
 
     def _safe_notify(self, event: str, request: IORequest) -> None:
         """Listener dispatch that cannot take a worker down: a raising
@@ -1244,16 +1140,15 @@ class IOScheduler:
     # scheduler's locking discipline.
 
     def begin_request(self, request: IORequest) -> None:
-        """Book a claimed request as started (telemetry + listeners).
+        """Stamp a claimed request as started and tell the listeners.
 
         Must be called exactly once per won :meth:`IOJob.claim`, before
-        the body runs — the channel busy interval opens here.
+        the body runs.
         """
         request.started_at = time.monotonic()
         if self._watchdog is not None:
             with self._inflight_lock:
                 self._inflight.add(request)
-        self._channel_started(request)
         self._safe_notify("start", request)
 
     def finish_request(self, request: IORequest) -> None:
@@ -1261,11 +1156,10 @@ class IOScheduler:
 
         Must be called exactly once per :meth:`begin_request`, after the
         body's outcome has been applied (or when the backend gave up on
-        the request).  Closes the busy interval, books the completion
-        windows, and guarantees the job is DONE/FAILED so no waiter can
-        block forever on a request a backend touched.  ``finished_at``
-        is stamped here unless the backend already did (an SQ/CQ
-        backend stamps it at I/O completion, before the reap).
+        the request).  Guarantees the job is DONE/FAILED so no waiter
+        can block forever on a request a backend touched.
+        ``finished_at`` is stamped here unless the backend already did
+        (an SQ/CQ backend stamps it at I/O completion, before the reap).
         """
         if not request.finished_at:
             request.finished_at = time.monotonic()
@@ -1280,7 +1174,6 @@ class IOScheduler:
                 if window is None:
                     window = self._load_durations[request.lane] = deque(maxlen=64)
                 window.append(duration)
-        self._record_completion(request)
         self._force_terminal(request)
 
     def notify_done(self, request: IORequest) -> None:
@@ -1300,21 +1193,6 @@ class IOScheduler:
                 self.stats.coalesced_batches += 1
             self.stats.coalesced_requests += 1
             self.stats.coalesced_bytes += nbytes
-
-    def note_reap_lag(self, request: IORequest, lag_s: float) -> None:
-        """Credit completion-reap delay to the request's channel window.
-
-        The SQ/CQ backend's reaper calls this with ``reaped_at -
-        finished_at``; the controller folds the per-request lag into its
-        read-latency estimate.  The thread backend never calls it (its
-        windows keep ``reap_lag_s == 0.0``).
-        """
-        if lag_s <= 0.0:
-            return
-        channel = _channel_of(request.kind)
-        with self._stats_lock:
-            window = self._windows.setdefault((request.lane, channel), ChannelWindow())
-            window.reap_lag_s += lag_s
 
     def backend_stats_snapshot(self) -> Dict[str, IOLaneStats]:
         """Non-destructive per-lane backend telemetry (syscalls, batch

@@ -8,8 +8,8 @@ requests and moves on, and a completion queue is reaped independently.
 completion-queue entry — and a dedicated **reaper** thread is the
 *completion* side: it settles each outcome (terminal job state, done
 callbacks, lease release, health/tenant books) in submission order and
-stamps the reap lag the adaptive controller folds into its latency
-estimate.
+books the reap lag (``IOLaneStats.reaped`` / ``reap_lag_s``, the one
+book of it) the adaptive controller folds into its latency estimate.
 
 That is all a backend decides.  What reaches the kernel — one
 ``pwritev``/``preadv`` per transfer over the store's own descriptor
@@ -88,7 +88,6 @@ class UringBackend(IOBackend):
                 stats.reaped += 1
                 stats.reap_lag_s += lag
             try:
-                self.scheduler.note_reap_lag(request, lag)
                 self._settle(*cqe)
             except Exception:  # pragma: no cover - reaper must survive
                 logger.exception("reaper failed on %s", request.label)

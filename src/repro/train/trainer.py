@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -112,6 +112,8 @@ class Trainer:
         self.cache = cache
         self.num_microbatches = num_microbatches
         self.controller = controller
+        if controller is not None:
+            controller.attach(cache)  # before step 0, so it is observed
         self.hints = SchedulerHints(cache) if cache is not None else None
         self._cache_attached = False
         self.step_count = 0
@@ -181,10 +183,7 @@ class Trainer:
             patch_schedule(schedule, self.hints)
 
         # Cache stats are cumulative; snapshot to report per-step deltas.
-        stats: Optional[CacheStats] = self.cache.stats if self.cache else None
-        stored_before = stats.stored_bytes if stats else 0
-        loaded_before = stats.loaded_bytes if stats else 0
-        forwarded_before = stats.forwarded_tensors if stats else 0
+        stats_before = replace(self.cache.stats) if self.cache else CacheStats()
 
         start = time.perf_counter()
         if self.cache is not None:
@@ -195,14 +194,14 @@ class Trainer:
         elapsed = time.perf_counter() - start
 
         decision = None
-        if self.controller is not None and self.cache is not None:
+        if self.controller is not None:
             decision = self.controller.on_step_end(
-                self.cache,
                 forward_time_s=phase_times["forward"],
                 backward_time_s=phase_times["backward"],
             )
 
         self.step_count += 1
+        stats = self.cache.stats.since(stats_before) if self.cache else stats_before
         budget = (
             self.cache.policy.config.offload_budget_bytes if self.cache else None
         )
@@ -213,9 +212,9 @@ class Trainer:
             total_peak_bytes=self.gpu.ledger.peak(),
             algorithmic_flops=self.gpu.algorithmic_flops,
             executed_flops=self.gpu.flops_executed,
-            offloaded_bytes=(stats.stored_bytes - stored_before) if stats else 0,
-            loaded_bytes=(stats.loaded_bytes - loaded_before) if stats else 0,
-            forwarded_tensors=(stats.forwarded_tensors - forwarded_before) if stats else 0,
+            offloaded_bytes=stats.stored_bytes,
+            loaded_bytes=stats.loaded_bytes,
+            forwarded_tensors=stats.forwarded_tensors,
             offload_budget_bytes=budget,
             autotune_decision=decision,
         )

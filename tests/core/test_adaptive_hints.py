@@ -132,6 +132,25 @@ def test_hint_event_log_sequence():
     ]
 
 
+def test_hint_event_log_keeps_only_the_current_step():
+    """Regression: the log grew by two events per stage per step, for
+    as long as the process ran."""
+    hints = SchedulerHints(_FakeCache())
+    schedule = MicrobatchSchedule(
+        forward_fn=lambda i: i,
+        backward_fn=lambda i, r: None,
+        optimizer_fn=lambda: None,
+        num_microbatches=1,
+    )
+    patch_schedule(schedule, hints)
+    lengths = []
+    for _ in range(5):
+        schedule.run_step()
+        lengths.append(len(hints.events))
+    assert lengths == [6] * 5
+    assert hints.events[0].stage is Stage.FORWARD_MICROBATCH
+
+
 def test_patch_schedule_requires_command_methods():
     cache = _FakeCache()
     with pytest.raises(AttributeError):

@@ -159,20 +159,25 @@ def test_dead_lane_floors_backoff():
 
 
 def test_adapter_feeds_lane_health_into_observation(gpu, tmp_path):
-    """on_step_end drains the scheduler's failure window and dead-lane
-    set; a dead write lane floors the installed budget."""
+    """on_step_end reads the step's failures (a difference of the
+    cumulative lane-health books) and the dead-lane set; a dead write
+    lane floors the installed budget."""
     cache = _cache(tmp_path)
     try:
+        controller = AutotuneController()
+        controller.attach(cache)
         with cache:
             for i in range(2):
                 cache.pack_hook(_tensor(gpu, seed=i))
             cache.scheduler.drain(5)
         cache.scheduler.health.record_failure("ssd", permanent=True)
-        controller = AutotuneController()
-        controller.on_step_end(cache, forward_time_s=0.2, backward_time_s=0.3)
+        controller.on_step_end(forward_time_s=0.2, backward_time_s=0.3)
         assert controller._backoff == controller.config.min_backoff
-        # The window was consumed: a second step sees no stale failures.
-        assert cache.scheduler.health.consume_failure_window() == {}
+        # The books were not consumed, the controller moved its own
+        # baseline: a second step sees no stale failures.
+        assert cache.scheduler.health.snapshot()["ssd"].failures == 1
+        again = controller.step_observation(0.2, 0.3)
+        assert again.io_failures == 0 and again.dead_lanes == ("ssd",)
     finally:
         cache.shutdown()
 
@@ -266,22 +271,30 @@ def _tensor(gpu, seed=0):
     )
 
 
-def test_cache_consume_step_stats_deltas(gpu, tmp_path):
+def test_controller_step_observation_deltas(gpu, tmp_path):
     cache = _cache(tmp_path)
-    try:
-        with cache:
-            for i in range(3):
-                cache.pack_hook(_tensor(gpu, seed=i))
-            cache.scheduler.drain(5)
-        step = cache.consume_step_stats()
-        assert step.stored_tensors == 3
-        assert step.stored_bytes == 3 * 64 * 64 * 4
-        assert step.activation_bytes == step.stored_bytes + step.kept_bytes
-        # Deltas, not cumulative: a second consume with no traffic is zero.
-        again = cache.consume_step_stats()
-        assert again.stored_tensors == 0 and again.stored_bytes == 0
-    finally:
-        cache.shutdown()
+    controller = AutotuneController()
+    controller.attach(cache)
+    with cache:
+        for i in range(3):
+            cache.pack_hook(_tensor(gpu, seed=i))
+        cache.scheduler.drain(5)
+    cache.shutdown()  # workers joined: every done event reached the tracer
+    step = controller.step_observation(0.2, 0.3)
+    assert step.stored_tensors == 3
+    assert step.stored_bytes == 3 * 64 * 64 * 4
+    assert step.activation_bytes == step.stored_bytes + cache.stats.kept_bytes
+    # The traced channel use is the same three writes.
+    assert step.write_bytes == step.stored_bytes and step.write_busy_s > 0
+    assert (step.read_bytes, step.read_count, step.io_failures) == (0, 0, 0)
+    # Deltas, not cumulative: a second step with no traffic is zero...
+    again = controller.step_observation(0.2, 0.3)
+    assert again.stored_tensors == 0 and again.stored_bytes == 0
+    assert again.write_bytes == 0 and again.write_busy_s == 0.0
+    # ...and the books it differenced are untouched.
+    assert cache.stats.stored_tensors == 3
+    with pytest.raises(RuntimeError):
+        AutotuneController().step_observation(0.2, 0.3)  # never attached
 
 
 def test_cache_apply_autotune_installs_knobs(gpu, tmp_path):
@@ -327,6 +340,8 @@ def test_cache_times_unpack_stall_and_adapter_feeds_it(gpu, tmp_path):
         return original_load(tid, shape, dtype)
 
     cache = _cache(tmp_path, offloader=offloader)
+    controller = AutotuneController()
+    controller.attach(cache)
     try:
         with cache:
             tid = cache.pack_hook(_tensor(gpu))
@@ -340,8 +355,7 @@ def test_cache_times_unpack_stall_and_adapter_feeds_it(gpu, tmp_path):
         assert wait > 0.03
         assert cache.stats.unpack_waits == 1
 
-        controller = AutotuneController()
-        controller.on_step_end(cache, forward_time_s=0.2, backward_time_s=0.3)
+        controller.on_step_end(forward_time_s=0.2, backward_time_s=0.3)
         # The stall was subtracted from the backward compute window...
         assert controller.estimators.backward_s.value == pytest.approx(
             0.3 - wait, abs=1e-9

@@ -274,17 +274,3 @@ def test_stats_snapshot_is_detached(tmp_path):
         assert engine.stats().scheduler.submitted != snap.scheduler.submitted
     finally:
         engine.shutdown()
-
-
-def test_stats_never_steals_the_controller_feed(tmp_path):
-    """engine.stats() must not drain consume_completion_stats()."""
-    engine = build_engine(EngineConfig(target="ssd", store_dir=tmp_path))
-    try:
-        cache = engine.cache()
-        tid = TensorID(stamp=1, shape=tuple(DATA.shape))
-        engine.offloader.store(tid, DATA)
-        engine.scheduler.drain()
-        engine.stats()  # peek — must leave the destructive feed intact
-        del cache
-    finally:
-        engine.shutdown()

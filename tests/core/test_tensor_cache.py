@@ -368,6 +368,9 @@ def test_failed_store_recovery_reverses_offload_accounting(gpu, make_cache):
         tid = cache.pack_hook(x)
         cache.scheduler.drain(5)
         assert cache.unpack_hook(tid) is x  # resident, no error raised
+    # drain() returns on the scheduler's own done-callback, which runs
+    # before the cache's: join the workers so the books are settled.
+    cache.scheduler.shutdown()
     assert cache.stats.store_failures == 1
     assert cache.stats.stored_tensors == 0  # reversed: nothing was stored
     assert cache.stats.stored_bytes == 0

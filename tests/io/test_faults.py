@@ -26,6 +26,7 @@ from repro.io.errors import (
 )
 from repro.io.faults import FaultInjector, FaultPlan, inject_faults
 from repro.io.filestore import FRAME_HEADER_BYTES, frame_payload, unframe_payload
+from repro.io.trace import IOTracer
 
 
 def _req(fn, kind="store", priority=Priority.STORE, nbytes=0, tid="t", lane="ssd", **kw):
@@ -348,6 +349,8 @@ def test_scheduler_failed_accounting_reconciles():
 
 def test_failed_requests_do_not_inflate_bandwidth_windows():
     sched = IOScheduler(workers=2, retry_backoff_s=0)
+    tracer = IOTracer()
+    tracer.listen(sched)
 
     def boom():
         raise PermanentIOError("bricked")
@@ -355,10 +358,13 @@ def test_failed_requests_do_not_inflate_bandwidth_windows():
     sched.submit(_req(boom, nbytes=1 << 20, tid="bad"))
     sched.submit(_req(lambda: None, nbytes=512, tid="ok"))
     assert sched.drain(5)
-    window = sched.consume_completion_stats()["ssd"]["write"]
+    sched.shutdown()  # workers joined: both done events are delivered
+    window = tracer.channels()["ssd", "write"]
     assert window.nbytes == 512  # the failed MiB moved no usable bytes
     assert window.count == 1
-    sched.shutdown()
+    # ...but the time it held the channel was real.
+    bad = next(e for e in tracer.events if e.tensor_id == "bad")
+    assert bad.failed and window.busy_s >= bad.end_s - bad.start_s
 
 
 def test_worker_survives_raising_done_callback_and_drain_returns():
@@ -439,13 +445,24 @@ def test_lane_health_tracker_death_rules():
         LaneHealthTracker(death_threshold=0)
 
 
-def test_lane_health_failure_window_consumes():
+def _failures(health):
+    """Cumulative device failures per lane (lanes without any omitted);
+    "failures since" is a difference of two of these."""
+    return {lane: s.failures for lane, s in health.snapshot().items() if s.failures}
+
+
+def test_lane_health_failure_books_are_cumulative():
+    """The books are cumulative and reading them consumes nothing: a
+    per-step window is the reader's own subtraction."""
     health = LaneHealthTracker()
     health.record_failure("ssd")
     health.record_failure("ssd")
     health.record_failure("cpu")
-    assert health.consume_failure_window() == {"ssd": 2, "cpu": 1}
-    assert health.consume_failure_window() == {}
+    before = _failures(health)
+    assert before == {"ssd": 2, "cpu": 1} == _failures(health)
+    health.record_failure("cpu")
+    after = _failures(health)
+    assert {lane: after[lane] - before[lane] for lane in after} == {"ssd": 0, "cpu": 1}
 
 
 def test_scheduler_feeds_lane_health():
@@ -459,7 +476,7 @@ def test_scheduler_feeds_lane_health():
     assert sched.drain(5)
     assert sched.health.is_dead("ssd")  # permanent error = instant death
     assert not sched.health.is_dead("cpu")
-    assert sched.health.consume_failure_window() == {"ssd": 1}
+    assert _failures(sched.health) == {"ssd": 1}
     snap = sched.health.snapshot()
     assert snap["cpu"].successes == 1
     sched.shutdown()
@@ -487,12 +504,12 @@ def test_capacity_and_bug_failures_do_not_poison_lane_health():
     assert sched.drain(5)
     assert sched.stats.failed == 7  # the books still see the failures
     assert not sched.health.is_dead("ssd")
-    assert sched.health.consume_failure_window() == {}  # no device signal
+    assert _failures(sched.health) == {}  # no device signal
     # Real device errors still count.
     sched.submit(_req(lambda: (_ for _ in ()).throw(TransientIOError("x")),
                       tid="dev", max_retries=0))
     assert sched.drain(5)
-    assert sched.health.consume_failure_window() == {"ssd": 1}
+    assert _failures(sched.health) == {"ssd": 1}
     sched.shutdown()
 
 
@@ -514,6 +531,6 @@ def test_done_request_with_health_error_reports_lane_failure():
     assert req.wait(5)
     assert req.state is JobState.DONE
     assert sched.drain(5)
-    assert sched.health.consume_failure_window() == {"ssd": 1}
+    assert _failures(sched.health) == {"ssd": 1}
     assert sched.health.snapshot()["ssd"].successes == 0
     sched.shutdown()

@@ -23,6 +23,7 @@ from repro.io import (
     UringBackend,
 )
 from repro.io.aio import JobState
+from repro.io.trace import IOTracer
 
 
 def _req(fn, kind="store", priority=Priority.STORE, nbytes=0, tid="t", lane="ssd", tenant=None):
@@ -557,8 +558,20 @@ def test_concurrent_shutdown_calls_are_idempotent():
 
 
 # ------------------------------------------------------ completion telemetry
-def test_consume_completion_stats_windows():
+# The scheduler exports one thing per executed request, the "done"
+# event; IOTracer is the listener that aggregates it per (lane, channel).
+# Each test reads the tracer after shutdown(): the workers are joined,
+# so every done event has been delivered.
+def _traced(sched):
+    tracer = IOTracer()
+    tracer.listen(sched)
+    return tracer
+
+
+def test_tracer_aggregates_done_events_per_lane_and_channel():
+    """Per-(lane, channel) bytes/count/busy from the done events."""
     sched = IOScheduler(workers=2)
+    tracer = _traced(sched)
     sched.submit(_req(lambda: time.sleep(0.002), nbytes=1024, tid="w"))
     sched.submit(
         _req(lambda: time.sleep(0.002), kind="load", priority=Priority.BLOCKING_LOAD,
@@ -568,37 +581,43 @@ def test_consume_completion_stats_windows():
                       nbytes=256, tid="d"))
     sched.submit(_req(lambda: None, nbytes=512, tid="c", lane="cpu"))
     assert sched.drain(5)
-    lanes = sched.consume_completion_stats()
-    ssd_write = lanes["ssd"]["write"]
+    sched.shutdown()
+    channels = tracer.channels()
+    ssd_write = channels["ssd", "write"]
     assert ssd_write.nbytes == 1024 + 256  # stores and demotions share the channel
     assert ssd_write.count == 2
     assert ssd_write.busy_s > 0
-    assert ssd_write.bandwidth_bytes_per_s() > 0
-    ssd_read = lanes["ssd"]["read"]
+    ssd_read = channels["ssd", "read"]
     assert ssd_read.nbytes == 2048 and ssd_read.count == 1
-    assert lanes["cpu"]["write"].nbytes == 512
-    # The windows reset on consume.
-    assert sched.consume_completion_stats() == {}
-    sched.shutdown()
+    assert channels["cpu", "write"].nbytes == 512
+    assert {e.kind for e in tracer.events} == {"store", "load", "demote"}
+    assert all(e.end_s >= e.start_s for e in tracer.events)
+    stats = tracer.stats()
+    assert stats.store_bytes == 1024 + 256 + 512 and stats.store_bandwidth > 0
+    # reset() starts the next window empty.
+    tracer.reset()
+    assert tracer.channels() == {}
 
 
 def test_cancelled_requests_never_reach_completion_stats():
     gate = threading.Event()
     sched = IOScheduler(workers=2, lanes=("ssd",))
+    tracer = _traced(sched)
     _block_workers(sched, gate)
     victim = sched.submit(_req(lambda: None, nbytes=4096, tid="v"))
     assert sched.cancel(victim)
     gate.set()
     assert sched.drain(5)
-    lanes = sched.consume_completion_stats()
-    assert "write" not in lanes.get("ssd", {})
     sched.shutdown()
+    assert ("ssd", "write") not in tracer.channels()
+    assert [(e.kind, e.tensor_id) for e in tracer.events if e.kind != "load"] == [("cancel", "v")]
 
 
-def test_channel_window_bandwidth_none_when_idle():
-    from repro.io import ChannelWindow
-
-    assert ChannelWindow().bandwidth_bytes_per_s() is None
+def test_idle_tracer_reports_no_channel_and_no_bandwidth():
+    """A tracer that saw nothing reports no channel and no bandwidth."""
+    idle = IOTracer()
+    assert idle.channels() == {}
+    assert idle.stats().store_bandwidth == 0.0 and idle.stats().load_bandwidth == 0.0
 
 
 def test_busy_time_is_interval_union_not_per_request_sum():
@@ -611,14 +630,73 @@ def test_busy_time_is_interval_union_not_per_request_sum():
     sched = IOScheduler(
         workers=4, lanes=("ssd",), coalesce_bytes=0
     )
+    tracer = _traced(sched)
     for i in range(4):  # 4 workers run these ~concurrently
         sched.submit(_req(lambda: time.sleep(0.05), nbytes=1024, tid=f"t{i}"))
     assert sched.drain(5)
-    window = sched.consume_completion_stats()["ssd"]["write"]
+    sched.shutdown()
+    window = tracer.channels()["ssd", "write"]
     assert window.count == 4 and window.nbytes == 4096
     # Union of 4 overlapping ~50 ms intervals: well under the 200 ms a
     # per-request sum would record, and at least one interval long.
     assert 0.045 <= window.busy_s < 0.15
+
+
+def test_observers_on_one_scheduler_see_the_same_windows(tmp_path):
+    """Nothing is drained: a controller's private tracer and a user
+    tracer (or two controllers) aggregate the same done events."""
+    from repro.core import SSDOffloader, TensorCache
+    from repro.core.autotune import AutotuneController
+
+    sched = IOScheduler(workers=2)
+    cache = TensorCache(SSDOffloader(tmp_path), scheduler=sched)
+    controllers = [AutotuneController(), AutotuneController()]
+    for controller in controllers:
+        controller.attach(cache)
+    user = _traced(sched)
+    sched.submit(_req(lambda: time.sleep(0.002), nbytes=1000, tid="w"))
+    sched.submit(_req(lambda: time.sleep(0.002), kind="load",
+                      priority=Priority.BLOCKING_LOAD, nbytes=300, tid="r", lane="cpu"))
+    assert sched.drain(5)
+    sched.shutdown()
+    cache.shutdown()
+    seen = [c.step_observation(0.1, 0.1) for c in controllers]
+    assert seen[0] == seen[1]
+    stats = user.stats()
+    assert (seen[0].write_bytes, seen[0].read_bytes, seen[0].read_count) == (1000, 300, 1)
+    assert seen[0].write_busy_s == stats.store_busy_s > 0
+    assert seen[0].read_busy_s == stats.load_busy_s > 0
+
+
+class _StatsLockSpy:
+    """Counts acquisitions of ``IOScheduler._stats_lock`` (cf.
+    ``tests/conftest.py::TierLockSpy``)."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.acquires = 0
+
+    def __enter__(self):
+        self.acquires += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+@pytest.mark.parametrize("backend", [None, UringBackend], ids=["thread", "uring"])
+def test_default_scheduler_takes_the_stats_lock_twice_per_request(backend):
+    """submit books the request, its completion books the outcome;
+    starting and finishing it take no scheduler lock (4 holds per
+    request before the windows left the request path, 5 under uring)."""
+    sched = IOScheduler(backend=backend() if backend else None)
+    spy = sched._stats_lock = _StatsLockSpy(sched._stats_lock)
+    total = 40
+    for i in range(total):  # loads: a coalesced store books its batch under the lock too
+        sched.submit(_req(lambda: None, "load", Priority.PREFETCH_LOAD, 64, f"t{i}"))
+    assert sched.drain(5)
+    assert sched.stats.executed == total
+    assert spy.acquires <= 2 * total
     sched.shutdown()
 
 
@@ -627,15 +705,11 @@ def _load(fn, nbytes, tenant, tid="t"):
     return _req(fn, "load", Priority.BLOCKING_LOAD, nbytes, tid, lane="cpu", tenant=tenant)
 
 
-def _books(sched, events):
+def _books(sched, events, tracer):
     """Everything ``submit()`` and ``run_inline()`` must agree on."""
     stats = sched.stats_snapshot()
     assert stats.submitted == stats.executed + stats.failed + stats.cancelled
-    windows = {
-        (lane, channel): (w.count, w.nbytes)
-        for lane, channels in sched.consume_completion_stats().items()
-        for channel, w in channels.items()
-    }
+    windows = {key: (use.count, use.nbytes) for key, use in tracer.channels().items()}
     health = {
         lane: (s.successes, s.failures, s.dead) for lane, s in sched.health.snapshot().items()
     }
@@ -658,6 +732,7 @@ def _same_requests(run, threads):
     sched = make_scheduler(tenants=registry)
     events = []
     sched.add_listener(lambda event, req: events.append((req.tensor_id, event)))
+    tracer = _traced(sched)
 
     def body(i):
         threads.append(threading.get_ident())
@@ -678,7 +753,8 @@ def _same_requests(run, threads):
         ]
         assert [r.result for r in requests] == [0, 1, 2, None, 4]
         assert isinstance(requests[3].error, ValueError)
-        return _books(sched, events)
+        sched.shutdown()  # workers joined: every done event is delivered
+        return _books(sched, events, tracer)
     finally:
         sched.shutdown()
 
@@ -799,6 +875,7 @@ def test_run_inline_races_the_queued_path_and_the_books_still_reconcile():
 
     registry = TenantRegistry()
     sched = make_scheduler(tenants=registry, lanes=("cpu",))
+    tracer = _traced(sched)
     callers, per_caller = 8, 150
     ran = []
     interval = sys.getswitchinterval()
@@ -830,4 +907,4 @@ def test_run_inline_races_the_queued_path_and_the_books_still_reconcile():
     tenants = registry.stats_snapshot()
     assert sum(t.submitted for t in tenants.values()) == total
     assert all(t.submitted == t.executed for t in tenants.values())
-    assert sched.consume_completion_stats()["cpu"]["read"].count == total
+    assert tracer.channels()["cpu", "read"].count == total

@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.core import OffloadPolicy, PolicyConfig, SSDOffloader, TensorCache
+from repro.core import (
+    EngineConfig,
+    OffloadPolicy,
+    PolicyConfig,
+    SSDOffloader,
+    TensorCache,
+    build_engine,
+)
+from repro.core.autotune import AutotuneController
 from repro.io.trace import IOTracer, attach_tracer
 from repro.models import GPT, ModelConfig
+from repro.optim import SGD
 from repro.tensor.tensor import Tensor
+from repro.train import PlacementStrategy, Trainer
 
 
 def test_tracer_records_and_stats():
@@ -65,22 +75,22 @@ def test_attach_tracer_captures_real_run(gpu, tmp_path):
             loss.backward()
             cache.on_backward_end()
         cache.on_step_end()
-
-        stores = [e for e in tracer.events if e.kind == "store"]
-        loads = [e for e in tracer.events if e.kind == "load"]
-        assert stores and loads
-        assert all(e.end_s >= e.start_s for e in tracer.events)
-        stats = tracer.stats()
-        # Stores cancelled by forwarding never reach the backend, so the
-        # traced bytes are the submitted bytes minus the cancelled ones.
-        assert (
-            stats.store_bytes
-            == cache.stats.stored_bytes - cache.stats.cancelled_store_bytes
-        )
-        assert stats.load_bytes == cache.stats.loaded_bytes
-        assert "s" in tracer.render_ascii()
     finally:
-        cache.shutdown()
+        cache.shutdown()  # workers joined: every done event is traced
+
+    stores = [e for e in tracer.events if e.kind == "store"]
+    loads = [e for e in tracer.events if e.kind == "load"]
+    assert stores and loads
+    assert all(e.end_s >= e.start_s for e in tracer.events)
+    stats = tracer.stats()
+    # Stores cancelled by forwarding never reach the backend, so the
+    # traced bytes are the submitted bytes minus the cancelled ones.
+    assert (
+        stats.store_bytes
+        == cache.stats.stored_bytes - cache.stats.cancelled_store_bytes
+    )
+    assert stats.load_bytes == cache.stats.loaded_bytes
+    assert "s" in tracer.render_ascii()
 
 
 def test_traced_run_matches_untraced(gpu, tmp_path):
@@ -114,3 +124,85 @@ def test_traced_run_matches_untraced(gpu, tmp_path):
             cache.shutdown()
 
     assert run(False) == pytest.approx(run(True), abs=1e-7)
+
+
+def _tiered_run(gpu, tmp_path, steps=3, controller=None):
+    """Three trainer steps on a tiered engine whose 64 KiB pool is
+    smaller than one step's activations: most bytes reach the SSD as
+    background demotions, which never cross ``offloader.store``.
+    Returns the tier counters, the trace, and what ``controller`` (when
+    given) observed per step plus once more after shutdown."""
+    config = ModelConfig(
+        arch="gpt", hidden=64, num_layers=2, vocab_size=61, seq_len=16, head_dim=16
+    )
+    engine = build_engine(
+        EngineConfig(
+            target="tiered",
+            store_dir=tmp_path / "tiered",
+            cpu_pool_bytes=64 << 10,
+            promote_on_load=False,
+            policy=OffloadPolicy(PolicyConfig(min_offload_numel=64)),
+        )
+    )
+    tracer = attach_tracer(engine)
+    cache = engine.cache()
+    if controller is not None:
+        controller.attach(cache)
+    model = GPT(config, rng=np.random.default_rng(0)).to(gpu)
+    trainer = Trainer(
+        model, SGD(model.parameters(), lr=1e-3), gpu,
+        strategy=PlacementStrategy.OFFLOAD, cache=cache,
+    )
+    rng = np.random.default_rng(1)
+    observed = []
+    try:
+        for _ in range(steps):
+            tokens = Tensor(rng.integers(0, 61, (2, 16)).astype(np.int64), device=gpu)
+            targets = Tensor(rng.integers(0, 61, (2, 16)).astype(np.int64), device=gpu)
+            result = trainer.train_step([(tokens, targets)])
+            if controller is not None:
+                half = result.step_time_s / 2
+                observed.append(controller.step_observation(half, half))
+    finally:
+        trainer.close()
+        engine.shutdown()  # workers joined: every done event is traced
+    if controller is not None:  # a done event that trailed the last drain
+        observed.append(controller.step_observation(0.0, 0.0))
+    return engine.stats().tiers, tracer, observed
+
+
+def test_tiered_demotions_are_traced(gpu, tmp_path):
+    """Regression: the tracer used to wrap ``offloader.store/load``, so a
+    tiered engine's SSD writes (``_run_demotion -> ssd.store``) left no
+    event and the reported store bandwidth was the pinned-pool memcpy's."""
+    tiers, tracer, _ = _tiered_run(gpu, tmp_path)
+    demotes = [e for e in tracer.events if e.kind == "demote"]
+    assert tiers.demoted_bytes > 0
+    assert (
+        sum(e.nbytes for e in demotes)
+        == tiers.demoted_bytes - tiers.cancelled_demotion_bytes
+    )
+    assert all(e.lane == "ssd" and not e.failed for e in demotes)
+    assert all(e.end_s >= e.start_s for e in tracer.events)
+    ssd_write = tracer.channels()["ssd", "write"]
+    assert ssd_write.nbytes >= sum(e.nbytes for e in demotes) and ssd_write.busy_s > 0
+    assert any(
+        row.startswith("demote |") and "d" in row[8:]
+        for row in tracer.render_ascii().splitlines()
+    )
+
+
+def test_controller_on_a_tiered_run_observes_the_demotion_writes(gpu, tmp_path):
+    """The observed write channel is every lane's: the pool memcpys, the
+    direct SSD stores *and* the background demotions."""
+    tiers, tracer, observed = _tiered_run(gpu, tmp_path, controller=AutotuneController())
+    demoted = sum(e.nbytes for e in tracer.events if e.kind == "demote")
+    assert demoted > 0
+    assert (
+        sum(obs.write_bytes for obs in observed)
+        == tiers.cpu_stored_bytes + tiers.ssd_stored_bytes + demoted
+        == tracer.stats().store_bytes
+    )
+    assert all(obs.write_bytes > 0 and obs.write_busy_s > 0 for obs in observed[:3])
+    assert sum(obs.cpu_stored_bytes for obs in observed) == tiers.cpu_stored_bytes
+    assert all(obs.cpu_pool_capacity_bytes == 64 << 10 for obs in observed)

@@ -504,11 +504,10 @@ def test_uring_backend_books_reconcile_and_batch(tmp_path):
         ssd = lanes["ssd"]
         assert ssd.syscalls == store.write_syscalls + store.read_syscalls
         assert ssd.batches > 0
-        # Every claimed request was reaped, and reap lag was measured.
+        # Every claimed request was reaped, and reap lag was measured —
+        # in the backend's lane books, the one place it is kept.
         assert ssd.reaped == stats.executed + stats.failed
         assert ssd.reap_lag_s >= 0.0
-        windows = sched.consume_completion_stats()
-        assert windows["ssd"]["write"].reap_lag_s >= 0.0
     finally:
         sched.shutdown()
         store.close()

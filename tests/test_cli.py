@@ -130,6 +130,27 @@ def test_autotune_scenario_axes(capsys):
     assert "scenario: microbatch" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["sched"], "priority dequeue removes"),
+        (["faults"], "lane death at step"),
+        (["faults", "--functional"], "losses bit-exact"),
+        (["faults", "--heal"], "resurrected by canary probes"),
+        (["tenants"], "quota round"),
+        (["fig6"], "gpt"),
+        (["kv", "--requests", "8"], "reproduced p50/p99 exactly"),
+    ],
+    ids=["sched", "faults", "faults-functional", "faults-heal", "tenants", "fig6", "kv"],
+)
+def test_demo_commands_run_their_own_assertions(argv, expected, capsys):
+    """The A/B and chaos demos assert their own claims (bit-exact
+    losses, reconciled books, the fairness bars); running them here puts
+    those assertions in tier-1 instead of in one CI smoke step each."""
+    assert main(argv) == 0
+    assert expected in capsys.readouterr().out
+
+
 def test_serve_parser_args():
     parser = build_parser()
     args = parser.parse_args(

@@ -18,8 +18,9 @@ degraded mode from), not a value with alternatives — there is no
 configuration without it, so it multiplies nothing.  A probe
 (``getattr``/``hasattr`` asking a part what it is) means a layer does
 not say what it has; the budget is for the few that are deliberate.
-The last test pins the shape PR 22 left so it cannot grow back: one
-owner of degraded mode.
+The last two tests pin shapes so they cannot grow back: one owner of
+degraded mode (PR 22), and one observation feed (PR 23) — producers keep
+cumulative books and emit events, consumers difference and aggregate.
 """
 
 import dataclasses
@@ -36,7 +37,7 @@ from repro.io.filestore import TensorFileStore
 from repro.io.scheduler import IOScheduler
 from repro.serve import KVBlockPool
 
-SRC_LINE_CEILING = 20_300
+SRC_LINE_CEILING = 20_200
 ENGINE_CONFIG_FIELD_CEILING = 17
 KV_POOL_PARAMETERS = ("engine", "block_tokens", "num_layers", "hbm_capacity_bytes", "strategy")
 TENSOR_CACHE_PARAMETERS = ("offloader", "policy", "registry", "prefetch_window", "scheduler")
@@ -139,3 +140,31 @@ def test_degraded_mode_has_one_owner():
         "_unscheduled_spills", "_scheduler is None", "_scheduler is not None",
     ):
         assert gone not in tiered, gone
+
+
+def test_observation_has_one_feed():
+    """A finished request is observed through the scheduler's ``done``
+    event and nothing else: no per-window aggregate on the request path,
+    no destructive ``consume_*`` telemetry feed, no wrapper assigned
+    over the offloader, and the cache does not ask which backend it
+    drives."""
+    sources = {p.relative_to(SRC / "repro").as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+    everything = "\n".join(sources.values())
+    for gone in (
+        "consume_completion_stats", "consume_step_stats", "consume_failure_window",
+        "ChannelWindow", "_channel_usage", "note_reap_lag", "StepCacheStats",
+    ):
+        assert gone not in everything, gone
+    # The one consume_ left is a one-shot signal, not telemetry.
+    assert set(re.findall(r"\bconsume_\w+", everything)) == {"consume_compaction_hint"}
+    trace = sources["io/trace.py"]
+    assert "offloader.store =" not in trace and "offloader.load =" not in trace
+    assert "TieredOffloader" not in sources["core/tensor_cache.py"]
+    # Starting and finishing a request take the stats lock only to feed
+    # the hedge delay's sample window, when hedging is on.
+    begin = inspect.getsource(IOScheduler.begin_request)
+    assert "_stats_lock" not in begin
+    finish = inspect.getsource(IOScheduler.finish_request)
+    assert finish.count("_stats_lock") == 1
+    hedge_branch = finish[finish.index("if self.hedge"):]
+    assert hedge_branch.index("_stats_lock") < hedge_branch.index("self._force_terminal")
