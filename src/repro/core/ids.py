@@ -37,8 +37,13 @@ class TensorID:
     shape: Tuple[int, ...]
 
     def filename(self) -> str:
-        shape_part = "x".join(str(s) for s in self.shape) or "scalar"
-        return f"t{self.stamp}_{shape_part}"
+        """The store key; composed once per identifier (a frozen
+        dataclass still has an instance dict, which is not a field)."""
+        name = self.__dict__.get("_filename")
+        if name is None:
+            shape_part = "x".join(map(str, self.shape)) or "scalar"
+            name = self.__dict__["_filename"] = f"t{self.stamp}_{shape_part}"
+        return name
 
     @classmethod
     def from_filename(cls, name: str) -> "TensorID":

@@ -44,7 +44,7 @@ from repro.io.buffers import (
     owned_copy,
 )
 from repro.io.chunkstore import ChunkedTensorStore
-from repro.io.filestore import TensorFileStore
+from repro.io.filestore import TensorFileStore, pace
 from repro.io.gds import GDSRegistry
 from repro.io.scheduler import IOScheduler
 from repro.io.tenancy import current_tenant
@@ -332,14 +332,6 @@ class CPUOffloader(Offloader):
         self._lock = threading.Lock()
         self._residents: Dict[TensorID, _Resident] = {}
 
-    def _throttle(self, nbytes: int, start: float) -> None:
-        if self.throttle_bytes_per_s is None:
-            return
-        required = nbytes / self.throttle_bytes_per_s
-        elapsed = time.monotonic() - start
-        if required > elapsed:
-            time.sleep(required - elapsed)
-
     def copy_in(
         self, data: np.ndarray, owner: str, overflow: bool = False
     ) -> Tuple[np.ndarray, BufferLease]:
@@ -371,7 +363,7 @@ class CPUOffloader(Offloader):
             self._residents[tid] = _Resident(copy, lease, owner)
         if old is not None:
             self._free(old)
-        self._throttle(copy.nbytes, start)
+        pace(self.throttle_bytes_per_s, copy.nbytes, start)
 
     def _free(self, resident: _Resident) -> None:
         # Against the tenant the bytes were charged to, even when the free
@@ -399,7 +391,7 @@ class CPUOffloader(Offloader):
             # recycled by the next store, so reading it unlocked
             # could observe torn bytes.
             data = owned_copy(resident.buf.reshape(shape), dtype, self.copy_stats)
-        self._throttle(data.nbytes, start)
+        pace(self.throttle_bytes_per_s, data.nbytes, start)
         return data
 
     def evict(self, tid: TensorID) -> None:

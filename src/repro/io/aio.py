@@ -24,8 +24,8 @@ batch the loop (1) wins :meth:`IOJob.claim` before touching it — a lost
 claim means a canceller got there first and the request is skipped
 silently; (2) brackets the body with
 :meth:`IOScheduler.begin_request` / :meth:`IOScheduler.finish_request`
-so channel telemetry, health, retry books, lease release, and tenant
-refunds all fire exactly once; (3) leaves every claimed request in a
+(the books themselves are closed by the terminal transition,
+:meth:`IOJob._dispatch`, exactly once whoever caused it); (3) leaves every claimed request in a
 terminal state (DONE/FAILED) even when the body raises something
 unexpected — ``finish_request`` enforces this.  Retries happen inside
 the body via :func:`~repro.io.errors.retry_call`; a finished request is
@@ -37,6 +37,7 @@ from __future__ import annotations
 import enum
 import logging
 import threading
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -78,6 +79,8 @@ class syscall_tape:
     Re-entrant: nested tapes each see the calls made inside their own
     scope (the inner scope's calls are part of the outer's too).
     """
+
+    __slots__ = ("count", "_start")
 
     def __init__(self) -> None:
         self.count = 0
@@ -125,7 +128,7 @@ class IOJob:
         retry_backoff_s: float = 0.0,
     ) -> None:
         self.fn = fn
-        self.label = label
+        self._label = label
         self.state = JobState.PENDING
         self.result: Any = None
         self.error: Optional[BaseException] = None
@@ -136,6 +139,11 @@ class IOJob:
         self.done_event = threading.Event()
         self._callbacks: List[Callable[["IOJob"], None]] = []
         self._lock = threading.Lock()
+
+    @property
+    def label(self) -> str:
+        """Name for logs and error messages."""
+        return self._label
 
     def add_done_callback(self, cb: Callable[["IOJob"], None]) -> None:
         """Run ``cb(job)`` on completion (immediately if already done)."""
@@ -166,18 +174,23 @@ class IOJob:
                 return False
             self.state = JobState.CANCELLED
             self.fn = None  # drop closure refs, as a completed run would
-            callbacks = list(self._callbacks)
-            self._callbacks.clear()
-            self.done_event.set()
+            callbacks = self._finish_locked()
         self._dispatch(callbacks)
         return True
 
-    def _dispatch(self, callbacks: List[Callable[["IOJob"], None]]) -> None:
-        """Run completion callbacks, containing per-callback failures.
+    def _finish_locked(self) -> List[Callable[["IOJob"], None]]:
+        """The tail of every terminal transition (caller holds the lock):
+        wake the waiters, hand back the callbacks to :meth:`_dispatch`."""
+        callbacks, self._callbacks = self._callbacks, []
+        self.done_event.set()
+        return callbacks
 
-        One raising callback must never starve the ones behind it — the
-        scheduler's pending/stats accounting rides on this list, and a
-        skipped decrement turns into a drain() hang.
+    def _dispatch(self, callbacks: List[Callable[["IOJob"], None]]) -> None:
+        """Called once, right after the terminal transition and outside
+        the job lock: run the completion callbacks, containing
+        per-callback failures — one raising callback must never starve
+        the ones behind it.  (:class:`~repro.io.scheduler.IORequest`
+        closes the scheduler's books here first.)
         """
         for cb in callbacks:
             try:
@@ -214,8 +227,8 @@ class IOJob:
         try:
             result = retry_call(
                 self.fn,
-                max_retries=self.max_retries,
-                backoff_s=self.retry_backoff_s,
+                max_retries=self.max_retries or 0,  # None: never submitted
+                backoff_s=self.retry_backoff_s or 0.0,
                 on_retry=self._count_retry,
             )
         except BaseException as exc:  # surfaced via .error for the waiter
@@ -239,9 +252,7 @@ class IOJob:
                 return False
             self.state = JobState.FAILED
             self.error = error
-            callbacks = list(self._callbacks)
-            self._callbacks.clear()
-            self.done_event.set()
+            callbacks = self._finish_locked()
         self._dispatch(callbacks)
         return True
 
@@ -265,9 +276,7 @@ class IOJob:
                 self.result = result
                 self.state = JobState.DONE
             self.fn = None  # drop closure refs so GPU buffers can be reclaimed
-            callbacks = list(self._callbacks)
-            self._callbacks.clear()
-            self.done_event.set()
+            callbacks = self._finish_locked()
         self._dispatch(callbacks)
 
     def run(self) -> None:
@@ -329,7 +338,7 @@ class IOBackend:
     def __init__(self) -> None:
         self.scheduler = None  # bound by IOScheduler.__init__
         self._stats_lock = threading.Lock()
-        self._lanes: Dict[str, IOLaneStats] = {}
+        self._lanes: Dict[str, IOLaneStats] = defaultdict(IOLaneStats)  # under _stats_lock
 
     def bind(self, scheduler) -> None:
         self.scheduler = scheduler
@@ -341,6 +350,7 @@ class IOBackend:
         a reaper could only add a hand-off to it."""
         batch = _Batch(lane)
         hand_off = self._settle if inline else self._hand_off
+        begin = self.scheduler.begin_request
         claimed = 0
         for request in requests:
             if not request.claim():
@@ -349,25 +359,29 @@ class IOBackend:
             claimed += 1
             if claimed > 1:
                 request.coalesced = True
-            self.scheduler.begin_request(request)
+            begin(request)
             tape = syscall_tape()
-            try:
-                with tape, tenant_scope(request.tenant):
-                    result, error = request.run_body()
-            except BaseException as exc:  # belt: run_body must not raise
-                result, error = None, exc
-            # Booked before the hand-off: settling wakes the waiter, and
-            # a reader that drained must find this request on the books.
-            with self._stats_lock:
-                stats = self._lane(lane)
-                stats.syscalls += tape.count
-                if claimed == 1:
-                    stats.batches += 1
-                elif claimed == 2:
-                    stats.batched_requests += 2
-                else:
-                    stats.batched_requests += 1
-            hand_off(batch, request, result, error)
+            # One tenant scope for the body and — when this thread
+            # settles — the settlement: placement, pool/arena accounting
+            # and done callbacks all land on the request's tenant.
+            with tenant_scope(request.tenant):
+                try:
+                    with tape:
+                        result, error = request.run_body()
+                except BaseException as exc:  # belt: run_body must not raise
+                    result, error = None, exc
+                # Booked before the hand-off: settling wakes the waiter, and
+                # a reader that drained must find this request on the books.
+                with self._stats_lock:
+                    stats = self._lanes[lane]
+                    stats.syscalls += tape.count
+                    if claimed == 1:
+                        stats.batches += 1
+                    elif claimed == 2:
+                        stats.batched_requests += 2
+                    else:
+                        stats.batched_requests += 1
+                hand_off(batch, request, result, error)
 
     def _hand_off(
         self, batch: _Batch, request: "IOJob", result: Any, error: Optional[BaseException]
@@ -378,13 +392,13 @@ class IOBackend:
     def _settle(
         self, batch: _Batch, request: "IOJob", result: Any, error: Optional[BaseException]
     ) -> None:
-        """Apply a body's outcome and close the request's books."""
+        """Apply a body's outcome: the terminal transition (which closes
+        the books and fires the done callbacks), then the ``done`` event.
+        The caller holds the request's tenant scope (:meth:`run_batch`,
+        or the reaper), so refunds/arena attribution land on its tenant."""
         sched = self.scheduler
         try:
-            # Done callbacks fire here — inside the request's tenant
-            # scope, so refunds/arena attribution land on the right tenant.
-            with tenant_scope(request.tenant):
-                request.complete(result, error)
+            request.complete(result, error)
         except Exception:
             logger.exception("request %s raised outside the job body", request.label)
         finally:
@@ -399,13 +413,6 @@ class IOBackend:
         """Non-destructive snapshot of the per-lane telemetry."""
         with self._stats_lock:
             return {lane: replace(stats) for lane, stats in self._lanes.items()}
-
-    def _lane(self, lane: str) -> IOLaneStats:
-        """The live per-lane record; caller must hold ``_stats_lock``."""
-        stats = self._lanes.get(lane)
-        if stats is None:
-            stats = self._lanes[lane] = IOLaneStats()
-        return stats
 
     def shutdown(self) -> None:  # pragma: no cover - default is a no-op
         pass

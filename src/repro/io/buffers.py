@@ -129,10 +129,13 @@ class CopyCounter:
         self._lock = threading.Lock()
         self._snap = CopySnapshot()
 
-    def count_copy(self, nbytes: int, copies: int = 1) -> None:
+    def count_copy(self, nbytes: int, copies: int = 1, avoided: int = 0) -> None:
+        """``copies`` memcpys of ``nbytes`` each, and the ``avoided``
+        allocations of the same transfer, under one lock."""
         with self._lock:
             self._snap.copies += copies
             self._snap.bytes_copied += nbytes * copies
+            self._snap.allocs_avoided += avoided
 
     def count_avoided(self, allocs: int = 1) -> None:
         with self._lock:

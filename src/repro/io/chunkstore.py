@@ -62,6 +62,7 @@ bytes written (write-leveling).
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import threading
@@ -77,7 +78,7 @@ from repro.io.aio import count_syscalls, syscall_tape
 from repro.io.buffers import CopyCounter
 from repro.io.errors import IntegrityError, is_enospc
 from repro.io.fdtable import FDTable, preadv_full, pwritev_full
-from repro.io.filestore import StoreTraffic, contiguous_view
+from repro.io.filestore import StoreTraffic, _TrafficBooks, contiguous_view, pace
 from repro.io.manifest import JournalWriter, read_journal
 
 #: Default chunk size: 4 MiB — large enough that a P5800X-class SSD sees
@@ -121,7 +122,7 @@ class _TensorLoc:
     crc32: int = 0
 
 
-class ChunkedTensorStore:
+class ChunkedTensorStore(_TrafficBooks):
     """Packs tensors into fixed-size chunk files written in one I/O each.
 
     Args:
@@ -164,6 +165,7 @@ class ChunkedTensorStore:
                 self.roots.append(extra)
         for directory in self.roots:
             directory.mkdir(parents=True, exist_ok=True)
+        self._root_dirs = [str(directory) for directory in self.roots]
         self.chunk_bytes = chunk_bytes
         self.throttle_bytes_per_s = throttle_bytes_per_s
         self.durable = durable
@@ -181,7 +183,8 @@ class ChunkedTensorStore:
         #: Root indices that returned ``ENOSPC``: write-leveling skips
         #: them until compaction/clear frees space.  Guarded by _lock.
         self._full_roots: set = set()
-        self._enospc_root_skips = 0
+        #: ENOSPC write failures absorbed by re-routing to another root.
+        self.enospc_root_skips = 0
         #: Set when an ``ENOSPC`` was absorbed — the engine's GC tick
         #: consumes it to schedule an immediate compaction.
         self._compaction_hint = False
@@ -192,18 +195,26 @@ class ChunkedTensorStore:
         self._open_entries: Dict[str, _TensorLoc] = {}
         self._chunks: Dict[int, _ChunkMeta] = {}
         self._index: Dict[str, _TensorLoc] = {}
-        #: chunk_id -> index into ``roots`` (write-leveling placement).
+        #: chunk_id -> index into ``roots`` (write-leveling placement),
+        #: and the chunk file's path: composed once, when the chunk is
+        #: placed (:meth:`_place_chunk_locked`).
         self._chunk_root: Dict[int, int] = {}
+        self._chunk_paths: Dict[int, str] = {}
         #: Cumulative bytes ever written per root — the write-leveling
         #: criterion; survives replay so wear stays balanced for life.
         self._root_bytes: List[int] = [0] * len(self.roots)
 
+        # Books, written under the lock; each reads as one int.
         self._traffic = StoreTraffic()
-        self._reclaimed_bytes = 0
+        #: Bytes of chunk files unlinked after their refcount hit zero.
+        self.reclaimed_bytes = 0
         self._open_dead_bytes = 0
-        self._gc_runs = 0
-        self._gc_bytes_rewritten = 0
-        self._gc_reclaimed_dead_bytes = 0
+        #: :meth:`compact` over this store's life: chunks rewritten, live
+        #: bytes migrated into fresh chunks (GC's write amplification) and
+        #: dead (hole) bytes freed, net of the rewrite.
+        self.gc_runs = 0
+        self.gc_bytes_rewritten = 0
+        self.gc_reclaimed_dead_bytes = 0
         self._closed = False
         self._manifest_records_replayed = 0
         self._replay_was_torn = False
@@ -212,10 +223,7 @@ class ChunkedTensorStore:
         if durable:
             self._replay_manifest()
             self._journal = JournalWriter(self.manifest_path)
-        self._open_id = self._alloc_chunk_id_locked()
-        # The open chunk's write-leveling placement is decided when the
-        # chunk opens (so path_for is stable), not when it flushes.
-        self._chunk_root[self._open_id] = self._pick_root_locked()
+        self._open_chunk_locked()
 
     # ------------------------------------------------------------- durability
     @property
@@ -231,6 +239,20 @@ class ChunkedTensorStore:
         chunk_id = self._next_chunk_id
         self._next_chunk_id += 1
         return chunk_id
+
+    def _place_chunk_locked(self, chunk_id: int, root_index: int) -> None:
+        self._chunk_root[chunk_id] = root_index
+        self._chunk_paths[chunk_id] = f"{self._root_dirs[root_index]}/chunk{chunk_id}.bin"
+
+    def _forget_chunk_locked(self, chunk_id: int) -> None:
+        self._chunk_root.pop(chunk_id, None)
+        self._chunk_paths.pop(chunk_id, None)
+
+    def _open_chunk_locked(self) -> None:
+        """A fresh open chunk.  Its write-leveling placement is decided
+        now (so path_for is stable), not when it flushes."""
+        self._open_id = self._alloc_chunk_id_locked()
+        self._place_chunk_locked(self._open_id, self._pick_root_locked())
 
     def _journal_append(self, record: Dict[str, object]) -> None:
         # Skipped once closed: the only post-close mutation is a cleanup
@@ -277,7 +299,7 @@ class ChunkedTensorStore:
                     live += int(nbytes)
                 if entries:
                     # A compact whose live set emptied writes no chunk.
-                    self._chunk_root[chunk_id] = root
+                    self._place_chunk_locked(chunk_id, root)
                     self._chunks[chunk_id] = _ChunkMeta(
                         chunk_id=chunk_id,
                         total_bytes=total,
@@ -291,9 +313,9 @@ class ChunkedTensorStore:
                     victim = int(record["victim"])
                     max_id = max(max_id, victim)
                     self._reclaim_replayed(victim)
-                    self._gc_runs += 1
-                    self._gc_bytes_rewritten += live
-                    self._gc_reclaimed_dead_bytes += int(record["dead"])
+                    self.gc_runs += 1
+                    self.gc_bytes_rewritten += live
+                    self.gc_reclaimed_dead_bytes += int(record["dead"])
             elif op == "delete":
                 self._delete_replayed(str(record["tid"]))
             elif op == "clear":
@@ -325,10 +347,10 @@ class ChunkedTensorStore:
         # The crashed instance may have died between journaling the
         # delete and unlinking the file: finish the job here.
         try:
-            self._chunk_path(chunk_id).unlink()
+            os.unlink(self._chunk_path(chunk_id))
         except FileNotFoundError:
             pass
-        self._reclaimed_bytes += meta.total_bytes
+        self.reclaimed_bytes += meta.total_bytes
 
     def _sweep_orphans(self) -> None:
         """Unlink chunk files the manifest never acknowledged.
@@ -355,46 +377,6 @@ class ChunkedTensorStore:
 
     # ------------------------------------------------------------------ stats
     @property
-    def bytes_written(self) -> int:
-        with self._lock:
-            return self._traffic.bytes_written
-
-    @property
-    def bytes_read(self) -> int:
-        with self._lock:
-            return self._traffic.bytes_read
-
-    @property
-    def write_count(self) -> int:
-        """Physical chunk-file writes — the number tests compare against
-        the per-tensor store's one-write-per-tensor count."""
-        with self._lock:
-            return self._traffic.write_count
-
-    @property
-    def read_count(self) -> int:
-        with self._lock:
-            return self._traffic.read_count
-
-    @property
-    def write_syscalls(self) -> int:
-        """Kernel round-trips spent flushing chunks."""
-        with self._lock:
-            return self._traffic.write_syscalls
-
-    @property
-    def read_syscalls(self) -> int:
-        """Kernel round-trips spent on ranged chunk reads."""
-        with self._lock:
-            return self._traffic.read_syscalls
-
-    @property
-    def reclaimed_bytes(self) -> int:
-        """Bytes of chunk files unlinked after their refcount hit zero."""
-        with self._lock:
-            return self._reclaimed_bytes
-
-    @property
     def dead_bytes(self) -> int:
         """Bytes still occupying storage whose tensors were deleted —
         holes inside live chunk files plus holes in the open buffer.
@@ -407,35 +389,10 @@ class ChunkedTensorStore:
             return flushed_holes + self._open_dead_bytes
 
     @property
-    def gc_runs(self) -> int:
-        """Chunks rewritten by :meth:`compact` over this store's life."""
-        with self._lock:
-            return self._gc_runs
-
-    @property
-    def gc_bytes_rewritten(self) -> int:
-        """Live bytes :meth:`compact` migrated into fresh chunks — the
-        write-amplification cost of garbage collection."""
-        with self._lock:
-            return self._gc_bytes_rewritten
-
-    @property
-    def gc_reclaimed_dead_bytes(self) -> int:
-        """Dead (hole) bytes compaction freed, net of the rewrite."""
-        with self._lock:
-            return self._gc_reclaimed_dead_bytes
-
-    @property
     def root_bytes_written(self) -> Tuple[int, ...]:
         """Cumulative bytes written per store root (write-leveling books)."""
         with self._lock:
             return tuple(self._root_bytes)
-
-    @property
-    def enospc_root_skips(self) -> int:
-        """ENOSPC write failures absorbed by re-routing to another root."""
-        with self._lock:
-            return self._enospc_root_skips
 
     @property
     def full_roots(self) -> Tuple[int, ...]:
@@ -488,12 +445,12 @@ class ChunkedTensorStore:
     def reset_stats(self) -> None:
         with self._lock:
             self._traffic = StoreTraffic()
-            self._reclaimed_bytes = 0
+            self.reclaimed_bytes = 0
 
     # ------------------------------------------------------------------- I/O
-    def _chunk_path(self, chunk_id: int) -> Path:
-        root = self.roots[self._chunk_root.get(chunk_id, 0)]
-        return root / f"chunk{chunk_id}.bin"
+    def _chunk_path(self, chunk_id: int) -> str:
+        # An unplaced id (a replayed victim nobody wrote here) is root 0's.
+        return self._chunk_paths.get(chunk_id) or f"{self._root_dirs[0]}/chunk{chunk_id}.bin"
 
     def _pick_root_locked(self) -> int:
         """Write-leveling placement: the root with the least lifetime
@@ -514,36 +471,33 @@ class ChunkedTensorStore:
         with self._lock:
             loc = self._index.get(tensor_id) or self._open_entries.get(tensor_id)
             chunk_id = loc.chunk_id if loc is not None else self._open_id
-        return self._chunk_path(chunk_id)
+            return Path(self._chunk_path(chunk_id))
 
-    def _unlink_chunk(self, path: Path) -> None:
+    def _unlink_chunk(self, path: str) -> None:
         """Remove a chunk file, then forget its descriptor (that order:
         a read racing the unlink must not re-cache the dead inode)."""
         try:
-            path.unlink()
+            os.unlink(path)
         except FileNotFoundError:
             pass
-        self.fds.invalidate(str(path))
+        self.fds.invalidate(path)
 
-    def _throttle(self, nbytes: int, start: float) -> None:
-        if self.throttle_bytes_per_s is None:
-            return
-        required = nbytes / self.throttle_bytes_per_s
-        elapsed = time.monotonic() - start
-        if elapsed < required:
-            time.sleep(required - elapsed)
-
-    def _flush_locked(self) -> None:
+    def _flush_locked(self) -> Tuple[int, float]:
         """Write the open chunk as one file; caller holds the lock.
 
         The staging ``bytearray`` is handed to the kernel directly — no
         ``bytes(buf)`` payload temporary — and then dropped, so the
         chunk-sized allocation is paid once per chunk,
         not once per flush plus once per payload copy.
+
+        Returns ``(bytes written, when the write started)``: the pacing
+        debt, which the caller sleeps out (:func:`~repro.io.filestore.pace`)
+        *after* releasing the lock — the modelled device is busy, the
+        index is not.
         """
         if not self._open_entries:
             self._open_buf = bytearray()
-            return
+            return 0, 0.0
         chunk_id = self._open_id
         nbytes = len(self._open_buf)
         start = time.monotonic()
@@ -561,11 +515,11 @@ class ChunkedTensorStore:
                 # full does the error surface to the caller (who then
                 # compacts / degrades to the CPU tier).
                 self._full_roots.add(root_index)
-                self._enospc_root_skips += 1
+                self.enospc_root_skips += 1
                 self._compaction_hint = True
                 if len(self._full_roots) >= len(self.roots):
                     raise
-                self._chunk_root[chunk_id] = self._pick_root_locked()
+                self._place_chunk_locked(chunk_id, self._pick_root_locked())
         self._traffic.write_syscalls += syscalls
         self._chunks[chunk_id] = _ChunkMeta(
             chunk_id=chunk_id,
@@ -592,11 +546,10 @@ class ChunkedTensorStore:
         self._open_buf = bytearray()
         self._open_dead_bytes = 0  # holes now accounted via chunk metadata
         self._root_bytes[self._chunk_root.get(chunk_id, 0)] += nbytes
-        self._open_id = self._alloc_chunk_id_locked()
-        self._chunk_root[self._open_id] = self._pick_root_locked()
+        self._open_chunk_locked()
         self._traffic.bytes_written += nbytes
         self._traffic.write_count += 1
-        self._throttle(nbytes, start)
+        return nbytes, start
 
     def _write_chunk_locked(self, chunk_id: int) -> int:
         """One physical write of the open chunk (the flush loop's
@@ -613,8 +566,7 @@ class ChunkedTensorStore:
         """Write ``buf`` as chunk ``chunk_id``'s whole file in one
         ``pwritev``; returns the syscalls issued."""
         tape = syscall_tape()
-        path = str(self._chunk_path(chunk_id))
-        with tape, self.fds.borrow_write(path) as (fd, _direct, cached):
+        with tape, self.fds.borrow_write(self._chunk_path(chunk_id)) as (fd, _direct, cached):
             pwritev_full(fd, [buf])
             if cached:
                 # Chunk ids are never reissued, so only a retried flush
@@ -623,13 +575,12 @@ class ChunkedTensorStore:
                 count_syscalls(1)
         return tape.count
 
-    def write(self, tensor_id: str, data: np.ndarray) -> Path:
+    def write(self, tensor_id: str, data: np.ndarray) -> None:
         """Append ``data`` to the open chunk; flush it when full.
 
-        Returns the path of the chunk the tensor lands in.  The tensor's
-        bytes move exactly once — from its contiguous ``memoryview``
-        into the staging buffer — with the index crc32 computed over the
-        same view (no ``tobytes()`` temporary).  As with
+        The tensor's bytes move exactly once — from its contiguous
+        ``memoryview`` into the staging buffer — with the index crc32
+        computed over the same view (no ``tobytes()`` temporary).  As with
         :meth:`TensorFileStore.write`, ``data`` must not mutate during
         the call: crc and staging append are two passes over the source.
         """
@@ -638,9 +589,10 @@ class ChunkedTensorStore:
         if copied:
             self.copy_stats.count_copy(nbytes)
         raw = memoryview(contiguous.reshape(-1)).cast("B")
-        self.copy_stats.count_copy(nbytes)  # the one staging append
-        self.copy_stats.count_avoided(1)  # the tobytes() temporary
+        # The one staging append; avoided: the tobytes() temporary.
+        self.copy_stats.count_copy(nbytes, avoided=1)
         crc = zlib.crc32(raw)
+        flushed, start = 0, 0.0
         with self._lock:
             self._delete_locked(tensor_id)  # overwrite drops the old copy
             loc = _TensorLoc(
@@ -652,16 +604,14 @@ class ChunkedTensorStore:
             self._open_buf.extend(raw)
             self._open_entries[tensor_id] = loc
             if len(self._open_buf) >= self.chunk_bytes:
-                self._flush_locked()
-            # After the (possible) flush: an ENOSPC retry may have moved
-            # the chunk to another root, so resolve the path last.
-            path = self._chunk_path(loc.chunk_id)
-        return path
+                flushed, start = self._flush_locked()
+        pace(self.throttle_bytes_per_s, flushed, start)
 
     def flush(self) -> None:
         """Force the partially-filled open chunk to disk (one write)."""
         with self._lock:
-            self._flush_locked()
+            flushed, start = self._flush_locked()
+        pace(self.throttle_bytes_per_s, flushed, start)
 
     def read(self, tensor_id: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         """Read a tensor back as a fresh array of ``shape``/``dtype``.
@@ -675,7 +625,7 @@ class ChunkedTensorStore:
         """
         start = time.monotonic()
         dtype = np.dtype(dtype)
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        expected = math.prod(shape) * dtype.itemsize
         with self._lock:
             open_loc = self._open_entries.get(tensor_id)
             if open_loc is not None:
@@ -693,8 +643,7 @@ class ChunkedTensorStore:
                         data = np.frombuffer(window, dtype=dtype).reshape(shape).copy()
                     finally:
                         window.release()
-                self.copy_stats.count_copy(open_loc.nbytes)
-                self.copy_stats.count_avoided(1)  # the bytes() slice temp
+                self.copy_stats.count_copy(open_loc.nbytes, avoided=1)  # the bytes() slice temp
                 return data
             loc = self._index.get(tensor_id)
             if loc is None:
@@ -706,7 +655,7 @@ class ChunkedTensorStore:
         tape = syscall_tape()
         with tape:
             try:
-                with self.fds.borrow_read(str(path)) as fd:
+                with self.fds.borrow_read(path) as fd:
                     got = preadv_full(fd, [view], offset=loc.offset)
             except FileNotFoundError:
                 raise FileNotFoundError(
@@ -722,9 +671,8 @@ class ChunkedTensorStore:
             )
         self._verify(tensor_id, loc, view)
         data = flat.reshape(shape)
-        self.copy_stats.count_copy(loc.nbytes)
-        self.copy_stats.count_avoided(1)  # the ranged-read bytes temp
-        self._throttle(loc.nbytes, start)
+        self.copy_stats.count_copy(loc.nbytes, avoided=1)  # the ranged-read bytes temp
+        pace(self.throttle_bytes_per_s, loc.nbytes, start)
         with self._lock:
             self._traffic.bytes_read += loc.nbytes
             self._traffic.read_count += 1
@@ -786,9 +734,9 @@ class ChunkedTensorStore:
         meta.live_bytes -= loc.nbytes
         if meta.refcount <= 0:
             self._unlink_chunk(self._chunk_path(meta.chunk_id))
-            self._reclaimed_bytes += meta.total_bytes
+            self.reclaimed_bytes += meta.total_bytes
             del self._chunks[meta.chunk_id]
-            self._chunk_root.pop(meta.chunk_id, None)
+            self._forget_chunk_locked(meta.chunk_id)
 
     def delete(self, tensor_id: str) -> None:
         """Drop one tensor; unlink its chunk once no live tensor remains."""
@@ -848,7 +796,7 @@ class ChunkedTensorStore:
         live.sort(key=lambda item: item[1].offset)
         raw = memoryview(bytearray(meta.total_bytes))
         try:
-            with self.fds.borrow_read(str(old_path)) as fd:
+            with self.fds.borrow_read(old_path) as fd:
                 raw = raw[: preadv_full(fd, [raw])]  # a short file reads short
         except FileNotFoundError:
             raw = raw[:0]
@@ -872,7 +820,7 @@ class ChunkedTensorStore:
             buf.extend(window)
         nbytes = len(buf)
         root = self._pick_root_locked()
-        self._chunk_root[new_id] = root
+        self._place_chunk_locked(new_id, root)
         if moved:
             self._traffic.write_syscalls += self._pwrite_chunk(new_id, buf)
             self._chunks[new_id] = _ChunkMeta(
@@ -902,11 +850,11 @@ class ChunkedTensorStore:
         )
         self._unlink_chunk(old_path)
         del self._chunks[meta.chunk_id]
-        self._chunk_root.pop(meta.chunk_id, None)
-        self._reclaimed_bytes += meta.total_bytes
-        self._gc_runs += 1
-        self._gc_bytes_rewritten += nbytes
-        self._gc_reclaimed_dead_bytes += dead
+        self._forget_chunk_locked(meta.chunk_id)
+        self.reclaimed_bytes += meta.total_bytes
+        self.gc_runs += 1
+        self.gc_bytes_rewritten += nbytes
+        self.gc_reclaimed_dead_bytes += dead
         return dead
 
     def close(self) -> None:
@@ -921,12 +869,13 @@ class ChunkedTensorStore:
         with self._lock:
             if self._closed:
                 return
-            self._flush_locked()
+            flushed, start = self._flush_locked()
             self._closed = True
             if self._journal is not None:
                 self._journal.sync()
                 self._journal.close()
         self.fds.close_all()
+        pace(self.throttle_bytes_per_s, flushed, start)
 
     def clear(self) -> None:
         """Remove every chunk file and reset the in-memory state.
@@ -943,7 +892,7 @@ class ChunkedTensorStore:
             self._open_dead_bytes = 0
             self._index = {}
             chunk_ids = list(self._chunks)
-            self._reclaimed_bytes += sum(
+            self.reclaimed_bytes += sum(
                 meta.total_bytes for meta in self._chunks.values()
             )
             self._chunks = {}
@@ -951,10 +900,10 @@ class ChunkedTensorStore:
             self._journal_append({"op": "clear"})
             paths = [self._chunk_path(chunk_id) for chunk_id in chunk_ids]
             for chunk_id in chunk_ids:
-                self._chunk_root.pop(chunk_id, None)
+                self._forget_chunk_locked(chunk_id)
         for path in paths:
             try:
-                path.unlink()
+                os.unlink(path)
             except FileNotFoundError:
                 pass
         self.fds.close_all()

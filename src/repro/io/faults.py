@@ -361,9 +361,8 @@ class FaultInjector:
         if spike > 0:
             time.sleep(spike)
         self._charge_enospc(int(getattr(data, "nbytes", len(data))))
-        path = self._store.write(tensor_id, data)
+        self._store.write(tensor_id, data)
         self._corrupt_at_rest(tensor_id)
-        return path
 
     def read(self, tensor_id: str, shape, dtype):
         spike = self._roll("read", tensor_id)

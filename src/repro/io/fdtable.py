@@ -8,7 +8,7 @@ keyed by path (io_uring's fixed-file table), LRU-bounded, so the read
 that follows a write skips the ``open``/``close`` pair.
 
 Descriptors are **borrowed, not handed out**: :meth:`FDTable.borrow_write`
-/ :meth:`FDTable.borrow_read` are context managers, and a descriptor that
+/ :meth:`FDTable.borrow_read` return context managers, and a descriptor that
 is evicted (LRU) or invalidated (its file was deleted) while borrowed is
 closed only when its last borrower returns.  Without that rule another
 thread's eviction could close the fd mid-transfer, the kernel could hand
@@ -22,8 +22,7 @@ import os
 import threading
 import weakref
 from collections import OrderedDict, deque
-from contextlib import contextmanager
-from typing import Deque, Iterator, List, Sequence, Tuple
+from typing import Deque, List, Sequence
 
 from repro.io.aio import count_syscalls
 
@@ -125,6 +124,24 @@ class _FDEntry:
         self.retired = False
 
 
+class _Borrow:
+    """One borrowed descriptor (taken when built): ``with`` yields
+    ``value`` and hands the descriptor back to its table on exit."""
+
+    __slots__ = ("table", "entry", "value")
+
+    def __init__(self, table: "FDTable", entry: _FDEntry, value) -> None:
+        self.table = table
+        self.entry = entry
+        self.value = value
+
+    def __enter__(self):
+        return self.value
+
+    def __exit__(self, *exc: object) -> None:
+        self.table._return(self.entry)
+
+
 def _close_fd(fd: int) -> None:
     try:
         os.close(fd)
@@ -191,10 +208,7 @@ class FDTable:
                 self._retire_locked(entry)
 
     # -------------------------------------------------------------- borrowing
-    @contextmanager
-    def borrow_write(
-        self, path: str, direct: bool = False
-    ) -> Iterator[Tuple[int, bool, bool]]:
+    def borrow_write(self, path: str, direct: bool = False) -> _Borrow:
         """Borrow a descriptor for writing ``path``.
 
         Yields ``(fd, direct, cached)``: ``cached`` is whether the
@@ -220,13 +234,9 @@ class FDTable:
                 if entry is None:
                     entry = self._open_locked(path, flags)
             entry.borrowers += 1
-        try:
-            yield entry.fd, entry.direct, cached
-        finally:
-            self._return(entry)
+        return _Borrow(self, entry, (entry.fd, entry.direct, cached))
 
-    @contextmanager
-    def borrow_read(self, path: str) -> Iterator[int]:
+    def borrow_read(self, path: str) -> _Borrow:
         """Borrow a buffered (never ``O_DIRECT``) descriptor for ``path``.
 
         Loads land in caller-owned destination arrays whose alignment
@@ -246,10 +256,7 @@ class FDTable:
             else:
                 self._entries.move_to_end(path)
             entry.borrowers += 1
-        try:
-            yield entry.fd
-        finally:
-            self._return(entry)
+        return _Borrow(self, entry, entry.fd)
 
     # ------------------------------------------------------------ forgetting
     def invalidate(self, path: str) -> None:

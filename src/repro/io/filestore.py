@@ -54,6 +54,7 @@ every ``io_backend``.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import threading
@@ -61,7 +62,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -88,21 +89,23 @@ def contiguous_view(data: np.ndarray) -> Tuple[np.ndarray, bool]:
     return contiguous, contiguous is not data
 
 
-def parse_frame_header(header: bytes, label: str) -> Tuple[int, int]:
-    """Validate a frame header prefix; returns ``(payload_len, crc32)``.
+def parse_frame_header(header, got: int, label: Callable[[], str]) -> Tuple[int, int]:
+    """Validate the frame header in the first ``got`` valid bytes of
+    ``header`` (any buffer); returns ``(payload_len, crc32)``.
 
     The single source of truth for the fixed 16-byte header — both the
     whole-file :func:`unframe_payload` and the store's ``preadv`` reader
     validate through it, so a frame-format change has one site.
-    Raises :class:`IntegrityError` on a short header or bad magic.
+    ``label()`` names the tensor/file, and is called only to word an
+    :class:`IntegrityError` (short header, bad magic).
     """
-    if len(header) < FRAME_HEADER_BYTES:
+    if got < FRAME_HEADER_BYTES:
         raise IntegrityError(
-            f"torn write: {label} holds {len(header)} bytes, shorter than the frame header"
+            f"torn write: {label()} holds {got} bytes, shorter than the frame header"
         )
     magic, length, crc = _FRAME_HEADER.unpack_from(header)
     if magic != FRAME_MAGIC:
-        raise IntegrityError(f"corrupt frame header for {label}: bad magic {magic!r}")
+        raise IntegrityError(f"corrupt frame header for {label()}: bad magic {magic!r}")
     return length, crc
 
 
@@ -111,7 +114,7 @@ def unframe_payload(raw: bytes, label: str) -> bytes:
 
     ``label`` names the tensor/file for the error message.
     """
-    length, crc = parse_frame_header(raw, label)
+    length, crc = parse_frame_header(raw, len(raw), lambda: label)
     payload = raw[FRAME_HEADER_BYTES:]
     if len(payload) != length:
         raise IntegrityError(
@@ -122,12 +125,25 @@ def unframe_payload(raw: bytes, label: str) -> bytes:
     return payload
 
 
+def pace(bytes_per_s: Optional[float], nbytes: int, start: float) -> None:
+    """Model a ``bytes_per_s`` device: sleep out whatever is left of the
+    time ``nbytes`` would have taken it, counted from ``start``."""
+    if bytes_per_s is not None:
+        delay = start + nbytes / bytes_per_s - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+
+
 @dataclass
 class StoreTraffic:
-    """A store's cumulative traffic books (guarded by the store's lock).
+    """A store's cumulative traffic books (written under the store's
+    lock; ``store.bytes_written`` … read them through :class:`_TrafficBooks`).
 
-    The syscall counts are what the syscall tape measured around each
-    transfer — never an assumed per-operation constant.
+    ``write_count`` is physical file writes — for the chunk store one
+    per flushed chunk, the number tests compare against the per-tensor
+    store's one write per tensor.  The syscall counts (open / pwritev /
+    ftruncate, open / preadv) are what the syscall tape measured around
+    each transfer — never an assumed per-operation constant.
     """
 
     bytes_written: int = 0
@@ -138,7 +154,19 @@ class StoreTraffic:
     read_syscalls: int = 0
 
 
-class TensorFileStore:
+class _TrafficBooks:
+    """A store whose ``_traffic`` fields read as its own attributes (one
+    int each: a consistent multi-field view takes the store's lock)."""
+
+    _traffic: StoreTraffic
+
+    def __getattr__(self, name: str) -> int:
+        if name in StoreTraffic.__dataclass_fields__:
+            return getattr(self._traffic, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+
+class TensorFileStore(_TrafficBooks):
     """Stores numpy arrays as raw files, one per tensor id.
 
     Args:
@@ -169,6 +197,7 @@ class TensorFileStore:
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._dir = str(self.root)  # file paths are composed as strings
         if throttle_bytes_per_s is not None and throttle_bytes_per_s <= 0:
             raise ValueError(f"throttle must be positive: {throttle_bytes_per_s}")
         self.throttle_bytes_per_s = throttle_bytes_per_s
@@ -183,56 +212,19 @@ class TensorFileStore:
         self._traffic = StoreTraffic()
 
     # ------------------------------------------------------------------ stats
-    @property
-    def bytes_written(self) -> int:
-        with self._lock:
-            return self._traffic.bytes_written
-
-    @property
-    def bytes_read(self) -> int:
-        with self._lock:
-            return self._traffic.bytes_read
-
-    @property
-    def write_count(self) -> int:
-        with self._lock:
-            return self._traffic.write_count
-
-    @property
-    def read_count(self) -> int:
-        with self._lock:
-            return self._traffic.read_count
-
-    @property
-    def write_syscalls(self) -> int:
-        """Kernel round-trips spent writing (open/pwritev/ftruncate)."""
-        with self._lock:
-            return self._traffic.write_syscalls
-
-    @property
-    def read_syscalls(self) -> int:
-        """Kernel round-trips spent reading (open/preadv)."""
-        with self._lock:
-            return self._traffic.read_syscalls
-
     def reset_stats(self) -> None:
         with self._lock:
             self._traffic = StoreTraffic()
 
     # ------------------------------------------------------------------- I/O
+    def _path(self, tensor_id: str) -> str:
+        return f"{self._dir}/{tensor_id}.bin"
+
     def path_for(self, tensor_id: str) -> Path:
-        return self.root / f"{tensor_id}.bin"
+        return Path(self._path(tensor_id))
 
-    def _throttle(self, nbytes: int, start: float) -> None:
-        if self.throttle_bytes_per_s is None:
-            return
-        required = nbytes / self.throttle_bytes_per_s
-        elapsed = time.monotonic() - start
-        if elapsed < required:
-            time.sleep(required - elapsed)
-
-    def write(self, tensor_id: str, data: np.ndarray) -> Path:
-        """Persist ``data``; returns the file path.
+    def write(self, tensor_id: str, data: np.ndarray) -> None:
+        """Persist ``data`` at :meth:`path_for` ``(tensor_id)``.
 
         One ``pwritev`` carries the header and the tensor's contiguous
         view — the crc32 is computed over the view and no intermediate
@@ -250,7 +242,7 @@ class TensorFileStore:
         once packed, and mutable buffers (weights) never reach a store.
         """
         start = time.monotonic()
-        path = self.path_for(tensor_id)
+        path = self._path(tensor_id)
         contiguous, copied = contiguous_view(data)
         nbytes = contiguous.nbytes
         if copied:
@@ -271,17 +263,16 @@ class TensorFileStore:
         try:
             with tape:
                 header = _FRAME_HEADER.pack(FRAME_MAGIC, nbytes, zlib.crc32(payload))
-                self._write_frame(str(path), header, payload)
+                self._write_frame(path, header, payload)
         finally:
             if bounce is not None:
                 bounce.release()
         self.copy_stats.count_avoided(2)  # tobytes() + frame concat
-        self._throttle(nbytes, start)
+        pace(self.throttle_bytes_per_s, nbytes, start)
         with self._lock:
             self._traffic.bytes_written += nbytes
             self._traffic.write_count += 1
             self._traffic.write_syscalls += tape.count
-        return path
 
     def _write_frame(self, path: str, header: bytes, payload: memoryview) -> None:
         with self.fds.borrow_write(path, direct=self.direct) as (fd, direct, cached):
@@ -359,30 +350,29 @@ class TensorFileStore:
         ``exists()`` stat).
         """
         start = time.monotonic()
-        path = self.path_for(tensor_id)
+        path = self._path(tensor_id)
         dtype = np.dtype(dtype)
-        numel = int(np.prod(shape, dtype=np.int64))
+        numel = math.prod(shape)
         expected = numel * dtype.itemsize
-        label = f"tensor {tensor_id!r} at {path}"
         flat = np.empty(numel, dtype)
         header = bytearray(FRAME_HEADER_BYTES)
         probe = bytearray(1)
         tape = syscall_tape()
         with tape:
             try:
-                with self.fds.borrow_read(str(path)) as fd:
+                with self.fds.borrow_read(path) as fd:
                     got = preadv_full(fd, [header, memoryview(flat), probe], probe=1)
             except FileNotFoundError:
                 raise FileNotFoundError(f"no offloaded tensor at {path}") from None
-        length, crc = parse_frame_header(
-            bytes(header[: min(got, FRAME_HEADER_BYTES)]), label
-        )
+        # How an error names the tensor: built only when one is raised.
+        label = lambda: f"tensor {tensor_id!r} at {path}"
+        length, crc = parse_frame_header(header, got, label)
         payload_got = got - FRAME_HEADER_BYTES
         if length == expected:
             if payload_got != length:
                 found = payload_got if payload_got < length else f"over {length}"
                 raise IntegrityError(
-                    f"torn write: {label} frames {length} payload bytes, found {found}"
+                    f"torn write: {label()} frames {length} payload bytes, found {found}"
                 )
         elif (length < expected and payload_got == length) or (
             length > expected and payload_got == expected + 1
@@ -390,21 +380,17 @@ class TensorFileStore:
             # Header and file agree with each other but not with the
             # caller: a deterministic shape/dtype bug, not corruption —
             # fail fast (ValueError is non-retryable).
-            raise ValueError(
-                f"{label} holds {length} payload bytes, caller expected {expected}"
-            )
+            raise ValueError(f"{label()} holds {length} payload bytes, caller expected {expected}")
         else:
             # Header and file disagree: corruption — retryable.
             raise IntegrityError(
-                f"torn write: {label} frames {length} payload bytes, "
-                f"found {max(0, payload_got)}"
+                f"torn write: {label()} frames {length} payload bytes, found {max(0, payload_got)}"
             )
         if zlib.crc32(memoryview(flat)) != crc:
-            raise IntegrityError(f"checksum mismatch for {label}: bit-rot or torn write")
+            raise IntegrityError(f"checksum mismatch for {label()}: bit-rot or torn write")
         data = flat.reshape(shape)
-        self.copy_stats.count_copy(data.nbytes)
-        self.copy_stats.count_avoided(1)  # the whole-file bytes slurp
-        self._throttle(data.nbytes, start)
+        self.copy_stats.count_copy(data.nbytes, avoided=1)  # the whole-file bytes slurp
+        pace(self.throttle_bytes_per_s, data.nbytes, start)
         with self._lock:
             self._traffic.bytes_read += data.nbytes
             self._traffic.read_count += 1
@@ -413,16 +399,16 @@ class TensorFileStore:
 
     def delete(self, tensor_id: str) -> None:
         """Best-effort removal of an offloaded tensor file."""
-        path = self.path_for(tensor_id)
+        path = self._path(tensor_id)
         try:
-            path.unlink()
+            os.unlink(path)
         except FileNotFoundError:
             pass
         # Unlink first, forget second: a read racing the delete (a hedged
         # duplicate) either borrows the old descriptor — closed when it
         # returns — or finds no file; it can never re-cache a descriptor
         # of the unlinked inode for a later write to land in.
-        self.fds.invalidate(str(path))
+        self.fds.invalidate(path)
 
     def flush(self) -> None:
         """Every write already reached its file; nothing is staged."""

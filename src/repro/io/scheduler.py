@@ -125,6 +125,9 @@ class Priority(enum.IntEnum):
     STORE = 3           # forward-pass offload; deadline is the step end
 
 
+#: ``Priority.name`` is a descriptor call; the submit books need the string.
+_CLASS_NAMES = {cls: cls.name for cls in Priority}
+
 #: Request kinds (the channel of the paper's two pools, plus demotions).
 REQUEST_KINDS = ("store", "load", "demote")
 
@@ -156,18 +159,12 @@ class IORequest(IOJob):
     ) -> None:
         if kind not in REQUEST_KINDS:
             raise ValueError(f"unknown request kind {kind!r}; expected one of {REQUEST_KINDS}")
-        super().__init__(fn, label=label or f"{kind}:{tensor_id}")
-        # None = inherit the scheduler's retry policy at submit time; an
-        # explicit value (0 opts out — e.g. stateful demotion bodies that
-        # retry internally) always wins.
-        self._max_retries_override = max_retries
-        self._retry_backoff_override = retry_backoff_s
-        if max_retries is not None:
-            self.max_retries = max_retries
-        if retry_backoff_s is not None:
-            self.retry_backoff_s = retry_backoff_s
+        # A retry budget left None is the scheduler's, stamped at submit;
+        # an explicit value (0 opts out — e.g. stateful demotion bodies
+        # that retry internally) always wins.
+        super().__init__(fn, label, max_retries, retry_backoff_s)
         self.kind = kind
-        self.priority = Priority(priority)
+        self.priority = priority if type(priority) is Priority else Priority(priority)
         self.tensor_id = tensor_id
         self.nbytes = int(nbytes)
         self.lane = lane
@@ -206,6 +203,26 @@ class IORequest(IOJob):
         self.submitted_at: float = 0.0
         self.started_at: float = 0.0
         self.finished_at: float = 0.0
+        #: The scheduler whose books this request is open on: set when a
+        #: lane counts it, cleared by the one call that closes them.
+        self._scheduler: Optional["IOScheduler"] = None
+
+    @property
+    def label(self) -> str:
+        return self._label or f"{self.kind}:{self.tensor_id}"
+
+    def _dispatch(self, callbacks: List[Callable[[IOJob], None]]) -> None:
+        """Whichever call made the request terminal (settle, cancel,
+        abandon, a winning hedge) closes its books, before any done
+        callback: a raising callback cannot skip them."""
+        scheduler = self._scheduler
+        if scheduler is not None:
+            try:
+                scheduler._close_books(self)
+            except Exception:
+                logger.exception("closing the books of %s raised", self.label)
+        if callbacks:
+            super()._dispatch(callbacks)
 
 
 @dataclass
@@ -471,14 +488,12 @@ class _Lane:
     def __init__(self, name: str, queue: _FairQueue) -> None:
         self.name = name
         self.lock = threading.Lock()
+        #: Workers wait here for work; :meth:`IOScheduler.drain` waits on
+        #: ``idle`` (same lock) for ``pending`` to reach zero.
         self.cond = threading.Condition(self.lock)
+        self.idle = threading.Condition(self.lock)
         self.queue = queue
         self.pending = 0  # submitted, not yet finished or cancelled
-        self.idle = threading.Event()
-        self.idle.set()
-
-    def has_work(self) -> bool:
-        return self.queue.size > 0
 
 
 class IOScheduler:
@@ -643,10 +658,6 @@ class IOScheduler:
         """
         self._listeners.append(listener)
 
-    def _notify(self, event: str, request: IORequest) -> None:
-        for listener in self._listeners:
-            listener(event, request)
-
     # ------------------------------------------------------------------ submit
     def _lane_of(self, request: IORequest) -> _Lane:
         lane = self._lanes.get(request.lane)
@@ -666,8 +677,9 @@ class IOScheduler:
         it is enqueued in park order.  A parked request is PENDING and
         cancellable, but invisible to ``pending()``/``drain()``.
         """
+        lane = self._lane_of(request)  # validated before quota is charged
         if self._admit(request):
-            self._enqueue(request)
+            self._enqueue(request, lane)
         return request
 
     def run_inline(self, request: IORequest) -> IORequest:
@@ -685,10 +697,11 @@ class IOScheduler:
         that quota admission parks has to wait for a refund whichever
         thread runs it, so it takes the queued path and is waited for.
         """
+        lane = self._lane_of(request)
         if not self._admit(request):
             request.wait()
             return request
-        lane = self._enqueue(request, queued=False)
+        self._enqueue(request, lane, queued=False)
         if lane.queue.per_tenant:
             # No dequeue to pace, and the bytes move regardless: the
             # bandwidth bucket is charged by force, as a lone tenant's is.
@@ -699,41 +712,41 @@ class IOScheduler:
     def _admit(self, request: IORequest) -> bool:
         """Tenant admission: True when ``request`` was charged and may go
         to its lane, False when it was parked; raises on a rejection."""
-        self._lane_of(request)  # validate the lane before charging quota
         outcome = self.tenants.admit(request.tenant, request.nbytes)
+        if outcome == "ok":
+            return True
         if outcome == "reject":
             raise TenantQuotaError(
                 f"tenant {request.tenant!r} over quota: {request.label} "
                 f"({request.nbytes} bytes) rejected"
             )
-        if outcome == "park":
-            with self._park_lock:
-                if self._shutdown.is_set():
-                    self.tenants.note_parked_cancelled(request.tenant)
-                    raise RuntimeError(f"scheduler {self.name} is shut down")
-                request._parked = True
-                self._parked.setdefault(request.tenant, deque()).append(request)
-            self._safe_notify("park", request)
-            return False
-        return True
+        with self._park_lock:
+            if self._shutdown.is_set():
+                self.tenants.note_parked_cancelled(request.tenant)
+                raise RuntimeError(f"scheduler {self.name} is shut down")
+            request._parked = True
+            self._parked.setdefault(request.tenant, deque()).append(request)
+        self._safe_notify("park", request)
+        return False
 
-    def _enqueue(self, request: IORequest, queued: bool = True) -> _Lane:
-        """Admission already charged: put the request on its lane's books
-        and — unless the caller runs it itself — on its queue."""
-        lane = self._lane_of(request)
+    def _enqueue(self, request: IORequest, lane: _Lane, queued: bool = True) -> None:
+        """Admission already charged: open the request's books (lane
+        ``pending``, the submit counters) and, unless the caller runs it
+        itself, queue it; :meth:`_close_books` closes them, once."""
         # Requests without an explicit retry policy inherit the
         # scheduler's (an explicit 0 opts out — stateful bodies that
         # handle their own retries must not be blindly re-executed).
-        if request._max_retries_override is None:
+        if request.max_retries is None:
             request.max_retries = self.max_retries
-        if request._retry_backoff_override is None:
+        if request.retry_backoff_s is None:
             request.retry_backoff_s = self.retry_backoff_s
         request.submitted_at = time.monotonic()
-        with lane.cond:
+        with lane.lock:
             shut = self._shutdown.is_set()
             if not shut:
                 lane.pending += 1
-                lane.idle.clear()
+                # From here on the terminal transition closes the books.
+                request._scheduler = self
                 if queued:
                     lane.queue.push(request)
                     lane.cond.notify()
@@ -742,72 +755,81 @@ class IOScheduler:
             # the per-tenant books stay exact through the refusal.
             self.tenants.rollback_submitted(request.tenant, request.nbytes)
             raise RuntimeError(f"scheduler {self.name} is shut down")
-        # Finishing — by execution or by cancellation — is bookkept in one
-        # place so the pending count never double-decrements on the
-        # cancel-vs-dequeue race.
-        request.add_done_callback(lambda req, ln=lane: self._on_request_done(ln, req))
         with self._stats_lock:
             self.stats.submitted += 1
-            cls = request.priority.name
-            self.stats.submitted_by_class[cls] = (
-                self.stats.submitted_by_class.get(cls, 0) + 1
-            )
-        self._safe_notify("submit", request)
-        return lane
+            by_class = self.stats.submitted_by_class
+            cls = _CLASS_NAMES[request.priority]
+            by_class[cls] = by_class.get(cls, 0) + 1
+        if request.done_event.is_set():
+            # Cancelled ahead of (or while) being submitted: its dispatch
+            # may have found no books to close.  Closing is once-only.
+            self._close_books(request)
+        if self._listeners:
+            self._safe_notify("submit", request)
 
-    def _on_request_done(self, lane: _Lane, request: IORequest) -> None:
+    def _close_books(self, request: IORequest) -> None:
+        """Close a terminal request's books, exactly once: the global
+        counters, the tenant's books and quota, lane health and, last
+        (a :meth:`drain` that returns finds the rest booked), the lane's
+        ``pending``.  Called by :meth:`IORequest._dispatch`."""
         state = request.state
-        with lane.cond:
-            lane.pending -= 1
-            if lane.pending == 0:
-                lane.idle.set()
+        nbytes = request.nbytes
+        stats = self.stats
         with self._stats_lock:
-            self.stats.retries += request.attempts
-            if state is JobState.CANCELLED:
-                self.stats.cancelled += 1
-                self.stats.cancelled_bytes += request.nbytes
-                if request.kind in ("store", "demote"):
-                    self.stats.cancelled_stores += 1
+            if request._scheduler is not self:
+                return  # already closed
+            request._scheduler = None
+            stats.retries += request.attempts
+            if state is JobState.DONE:
+                stats.executed += 1
+                outcome = "executed"
             elif state is JobState.FAILED:
-                self.stats.failed += 1
-                self.stats.failed_bytes += request.nbytes
+                stats.failed += 1
+                stats.failed_bytes += nbytes
+                outcome = "failed"
             else:
-                self.stats.executed += 1
-        outcome = (
-            "cancelled"
-            if state is JobState.CANCELLED
-            else "failed" if state is JobState.FAILED else "executed"
-        )
-        self.tenants.note_finished(
-            request.tenant, outcome, request.nbytes, retries=request.attempts
-        )
-        if outcome != "executed":
-            # The bytes never landed: refund the tenant's quota charge
-            # and give any of its parked submissions a shot at the
-            # freed headroom.
-            self.tenants.refund(request.tenant, request.nbytes)
-            self.kick_parked(request.tenant)
-        # Health is learned only from requests that actually ran, and
-        # only from *device-shaped* errors: a MemoryError (pool capacity
-        # spike), a structural OSError (missing file, permissions), or a
-        # plain bug in a job body says nothing about the device, and
-        # must not brick a lane.  A body that recovered from an I/O
-        # failure internally (tiered demotion failover) reports it via
-        # ``health_error`` so the lane still learns the truth despite
-        # the request completing DONE.  Verdicts are tenant-scoped: the
-        # default tenant drives the lane's global verdict, any other
-        # tenant only its own (isolation).
-        if state is JobState.CANCELLED:
-            return
-        error = request.error if state is JobState.FAILED else request.health_error
-        if is_device_error(error):
-            self.health.record_failure(
-                request.lane,
-                permanent=isinstance(error, PermanentIOError),
-                tenant=request.tenant,
-            )
-        elif state is JobState.DONE:
-            self.health.record_success(request.lane, tenant=request.tenant)
+                stats.cancelled += 1
+                stats.cancelled_bytes += nbytes
+                if request.kind in ("store", "demote"):
+                    stats.cancelled_stores += 1
+                outcome = "cancelled"
+        tenant = request.tenant
+        try:
+            self.tenants.note_finished(tenant, outcome, nbytes, retries=request.attempts)
+            if state is not JobState.DONE:
+                # The bytes never landed: refund the tenant's quota charge
+                # and give any of its parked submissions a shot at the
+                # freed headroom.
+                self.tenants.refund(tenant, nbytes)
+                self.kick_parked(tenant)
+            # Health is learned only from requests that actually ran, and
+            # only from *device-shaped* errors: a MemoryError (pool
+            # capacity spike), a structural OSError (missing file,
+            # permissions), or a plain bug in a job body says nothing
+            # about the device, and must not brick a lane.  A body that
+            # recovered from an I/O failure internally (tiered demotion
+            # failover) reports it via ``health_error`` so the lane still
+            # learns the truth despite the request completing DONE.
+            # Verdicts are tenant-scoped: the default tenant drives the
+            # lane's global verdict, any other tenant only its own.
+            if state is not JobState.CANCELLED:
+                error = request.error if state is JobState.FAILED else request.health_error
+                if error is not None and is_device_error(error):
+                    self.health.record_failure(
+                        request.lane,
+                        permanent=isinstance(error, PermanentIOError),
+                        tenant=tenant,
+                    )
+                elif state is JobState.DONE:
+                    self.health.record_success(request.lane, tenant=tenant)
+        finally:
+            # Unconditional (``kick_parked`` raises once the scheduler is
+            # shut down): a skipped decrement turns into a drain() hang.
+            lane = self._lanes[request.lane]
+            with lane.lock:
+                lane.pending -= 1
+                if not lane.pending:
+                    lane.idle.notify_all()
 
     # ------------------------------------------------------------------ parked
     def parked(self, tenant: Optional[str] = None) -> int:
@@ -850,7 +872,7 @@ class IOScheduler:
                 request._parked = False
                 if not queue:
                     self._parked.pop(tenant, None)
-            self._enqueue(request)
+            self._enqueue(request, self._lanes[request.lane])
             self._safe_notify("unpark", request)
             enqueued += 1
 
@@ -908,7 +930,7 @@ class IOScheduler:
             self._safe_notify("promote", request)
             return True
         lane = self._lane_of(request)
-        with lane.cond:
+        with lane.lock:
             if request.state is not JobState.PENDING:
                 return False
             if int(priority) >= int(request.priority):
@@ -986,12 +1008,13 @@ class IOScheduler:
     def _safe_notify(self, event: str, request: IORequest) -> None:
         """Listener dispatch that cannot take a worker down: a raising
         listener is a telemetry bug, not a reason to strand a lane."""
-        try:
-            self._notify(event, request)
-        except Exception:
-            logger.exception(
-                "scheduler listener raised on %r for %s", event, request.label
-            )
+        for listener in self._listeners:
+            try:
+                listener(event, request)
+            except Exception:
+                logger.exception(
+                    "scheduler listener raised on %r for %s", event, request.label
+                )
 
     @staticmethod
     def _force_terminal(request: IORequest) -> None:
@@ -1149,7 +1172,8 @@ class IOScheduler:
         if self._watchdog is not None:
             with self._inflight_lock:
                 self._inflight.add(request)
-        self._safe_notify("start", request)
+        if self._listeners:
+            self._safe_notify("start", request)
 
     def finish_request(self, request: IORequest) -> None:
         """Book a begun request as finished and force a terminal state.
@@ -1167,7 +1191,8 @@ class IOScheduler:
             with self._inflight_lock:
                 self._inflight.discard(request)
         duration = request.finished_at - request.started_at
-        self.health.record_duration(request.lane, duration)
+        if self.health.slow_threshold_s is not None:
+            self.health.record_duration(request.lane, duration)
         if self.hedge and request.kind == "load":
             with self._stats_lock:
                 window = self._load_durations.get(request.lane)
@@ -1178,7 +1203,8 @@ class IOScheduler:
 
     def notify_done(self, request: IORequest) -> None:
         """Emit the ``"done"`` listener event for a finished request."""
-        self._safe_notify("done", request)
+        if self._listeners:
+            self._safe_notify("done", request)
 
     def book_coalesced(self, done_members: int, nbytes: int) -> None:
         """Book a batch's ``done_members``-th DONE member as coalesced.
@@ -1200,12 +1226,13 @@ class IOScheduler:
         return self.backend.lane_stats()
 
     def _worker_loop(self, lane: _Lane) -> None:
+        cond, queue, shutdown = lane.cond, lane.queue, self._shutdown
         while True:
-            with lane.cond:
-                while not lane.has_work() and not self._shutdown.is_set():
-                    lane.cond.wait()
-                if not lane.has_work() and self._shutdown.is_set():
-                    return
+            with lane.lock:
+                while not queue.size:
+                    if shutdown.is_set():
+                        return
+                    cond.wait()
                 batch = self._pop_batch_locked(lane)
             self._run_batch(lane, batch)
 
@@ -1236,12 +1263,8 @@ class IOScheduler:
     # ------------------------------------------------------------------- drain
     def pending(self, lane: Optional[str] = None) -> int:
         """Requests submitted but not yet finished (one lane or all)."""
-        lanes = [self._lanes[lane]] if lane is not None else list(self._lanes.values())
-        total = 0
-        for ln in lanes:
-            with ln.lock:
-                total += ln.pending
-        return total
+        lanes = [self._lanes[lane]] if lane is not None else self._lanes.values()
+        return sum(ln.pending for ln in lanes)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Block until every lane is simultaneously empty and idle.
@@ -1257,9 +1280,10 @@ class IOScheduler:
                 remaining = (
                     None if deadline is None else max(0.0, deadline - time.monotonic())
                 )
-                if not lane.idle.wait(remaining):
-                    return False
-            if all(lane.idle.is_set() for lane in self._lanes.values()):
+                with lane.lock:
+                    if not lane.idle.wait_for(lambda: not lane.pending, remaining):
+                        return False
+            if not any(lane.pending for lane in self._lanes.values()):
                 return True
 
     def shutdown(self) -> None:

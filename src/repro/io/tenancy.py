@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Union
+from typing import Dict, Iterable, Optional, Union
 
 #: The implicit tenant of every un-scoped caller.  The single-tenant
 #: path — nobody ever constructs a registry or enters a scope — runs
@@ -62,27 +61,33 @@ def current_tenant() -> str:
     return getattr(_tls, "tenant", DEFAULT_TENANT)
 
 
-@contextmanager
-def tenant_scope(name: str) -> Iterator[str]:
+class tenant_scope:
     """Attribute all I/O submitted from this thread to ``name``.
 
-    Scopes nest; the previous tenant is restored on exit.  The
-    scheduler's worker loop uses this to re-enter the request's tenant
-    around its body, so placement decisions and pool/arena accounting
-    made *inside* a store/load body land on the right tenant even
-    though the body runs on a worker thread.
+    Scopes nest; the previous tenant is restored on exit.  The lane
+    loop enters the request's tenant around its body and settlement, so
+    placement decisions and pool/arena accounting made *inside* a
+    store/load body land on the right tenant even though the body runs
+    on a worker thread.
     """
-    if not name:
-        raise ValueError("tenant name must be non-empty")
-    previous = getattr(_tls, "tenant", None)
-    _tls.tenant = name
-    try:
-        yield name
-    finally:
-        if previous is None:
+
+    __slots__ = ("name", "_previous")
+
+    def __init__(self, name: str) -> None:
+        if not name:
+            raise ValueError("tenant name must be non-empty")
+        self.name = name
+
+    def __enter__(self) -> str:
+        self._previous = getattr(_tls, "tenant", None)
+        _tls.tenant = self.name
+        return self.name
+
+    def __exit__(self, *exc: object) -> None:
+        if self._previous is None:
             del _tls.tenant
         else:
-            _tls.tenant = previous
+            _tls.tenant = self._previous
 
 
 class TenantQuotaError(RuntimeError):

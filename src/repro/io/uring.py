@@ -28,6 +28,7 @@ from collections import deque
 from typing import Any, Deque, Optional, Tuple
 
 from repro.io.aio import IOBackend, IOJob, _Batch
+from repro.io.tenancy import tenant_scope
 
 logger = logging.getLogger(__name__)
 
@@ -84,11 +85,12 @@ class UringBackend(IOBackend):
             batch, request = cqe[0], cqe[1]
             lag = max(0.0, time.monotonic() - request.finished_at)
             with self._stats_lock:
-                stats = self._lane(batch.lane)
+                stats = self._lanes[batch.lane]
                 stats.reaped += 1
                 stats.reap_lag_s += lag
             try:
-                self._settle(*cqe)
+                with tenant_scope(request.tenant):  # the lane worker's is gone
+                    self._settle(*cqe)
             except Exception:  # pragma: no cover - reaper must survive
                 logger.exception("reaper failed on %s", request.label)
                 if not request.done_event.is_set():

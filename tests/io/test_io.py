@@ -312,6 +312,57 @@ def test_chunkstore_validation(tmp_path):
         ChunkedTensorStore(tmp_path, throttle_bytes_per_s=0)
 
 
+# A paced chunk store models a slow device, not a slow index: the flush's
+# pacing sleep happens after the store lock is released.
+PACED_CHUNK_BYTES = 64 << 10
+PACING_S = 0.4  # one chunk at the modelled bandwidth
+
+
+def _paced_store(root) -> ChunkedTensorStore:
+    return ChunkedTensorStore(
+        root, chunk_bytes=PACED_CHUNK_BYTES, throttle_bytes_per_s=PACED_CHUNK_BYTES / PACING_S
+    )
+
+
+def test_paced_chunk_store_serves_reads_while_a_flush_paces(tmp_path):
+    store = _paced_store(tmp_path)
+    early = np.arange(16, dtype=np.float32)
+    store.write("early", early)
+    store.flush()  # 64 bytes: paces for a fraction of a millisecond
+    chunk = np.ones(PACED_CHUNK_BYTES // 4, dtype=np.float32)
+    writer = threading.Thread(target=store.write, args=("chunk", chunk))
+    writer.start()
+    deadline = time.monotonic() + 5
+    while store.write_count < 2 and time.monotonic() < deadline:
+        time.sleep(0.001)  # until the chunk's flush has published its index
+    start = time.monotonic()
+    assert np.array_equal(store.read("early", early.shape, early.dtype), early)
+    elapsed = time.monotonic() - start
+    still_pacing = writer.is_alive()
+    writer.join()
+    assert still_pacing, "the flush stopped pacing before the read was tried"
+    assert elapsed < PACING_S / 2, f"read waited {elapsed:.3f}s behind a pacing flush"
+    store.clear()
+
+
+def test_paced_chunk_store_overlaps_the_pacing_of_concurrent_flushes(tmp_path):
+    store = _paced_store(tmp_path)
+    chunk = np.ones(PACED_CHUNK_BYTES // 4, dtype=np.float32)
+    writers = [
+        threading.Thread(target=store.write, args=(f"chunk{i}", chunk)) for i in range(2)
+    ]
+    start = time.monotonic()
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join()
+    elapsed = time.monotonic() - start
+    assert store.write_count == 2 and store.bytes_written == 2 * PACED_CHUNK_BYTES
+    # Each write still takes its own pacing; the two sleeps overlap.
+    assert PACING_S <= elapsed < 1.6 * PACING_S, f"two flushes took {elapsed:.3f}s"
+    store.clear()
+
+
 # ------------------------------------------------------------------------- GDS
 def test_gds_registry_weak_membership():
     registry = GDSRegistry()
