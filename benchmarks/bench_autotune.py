@@ -16,8 +16,7 @@ from repro.core.autotune import AutotuneController, StepObservation
 from repro.core.policy import OffloadPolicy, PolicyConfig
 from repro.device.ssd import INTEL_OPTANE_P5800X_1600GB
 from repro.models.config import ModelConfig
-from repro.sim import DriftScenario, StepSimulator, build_segments, simulate_adaptive_run
-from repro.train.trainer import PlacementStrategy
+from repro.sim import Scenario, StepConditions, build_segments, one_shot_budget, simulate_run
 
 from benchmarks.conftest import EVAL_PARALLELISM, emit
 
@@ -75,26 +74,15 @@ def test_autotune_step_drop_ab(benchmark):
     """Static one-shot budget vs the online controller across a 2x
     mid-run write-bandwidth drop (16 simulated steps, shared channel)."""
     segments = build_segments(CONFIG, 16, parallelism=EVAL_PARALLELISM)
-    probe = StepSimulator(
-        segments, PlacementStrategy.OFFLOAD, WRITE, READ, io_mode="fifo"
-    ).run()
-    budget = choose_offload_budget(
-        WorkloadProfile(
-            activation_bytes_per_step=probe.offloaded_bytes + probe.kept_bytes,
-            forward_time_s=probe.forward_time_s,
-            backward_time_s=probe.backward_time_s,
-        ),
-        WRITE, READ, safety_factor=0.9,
-    )
-    scenario = DriftScenario.step_drop(WRITE, READ, steps=16, drift_step=8,
-                                       write_factor=0.5)
+    budget = one_shot_budget(segments, StepConditions(WRITE, READ))
+    scenario = Scenario.step_drop(WRITE, READ, steps=16, drift_step=8, write_factor=0.5)
 
     def run():
-        static = simulate_adaptive_run(
+        static = simulate_run(
             segments, scenario,
             policy=OffloadPolicy(PolicyConfig(offload_budget_bytes=budget)),
         )
-        adaptive = simulate_adaptive_run(
+        adaptive = simulate_run(
             segments, scenario,
             policy=OffloadPolicy(PolicyConfig(offload_budget_bytes=budget)),
             controller=AutotuneController(),

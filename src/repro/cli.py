@@ -183,8 +183,24 @@ def cmd_memory(args: argparse.Namespace) -> None:
               f"({breakdown.activation_fraction:.0%} activations)")
 
 
+def _example_main(name: str) -> Callable[..., object]:
+    """``main`` of ``examples/<name>.py`` in the checkout this ``repro``
+    package lives in, loaded by path so the command runs from any
+    working directory."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "examples" / f"{name}.py"
+    if not path.is_file():
+        raise SystemExit(f"repro: example file not found: {path} (needs a source checkout)")
+    spec = importlib.util.spec_from_file_location(f"repro_example_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
 def cmd_quickstart(args: argparse.Namespace) -> None:
-    from examples.quickstart import main as quickstart_main
+    quickstart_main = _example_main("quickstart")
 
     cpu_pool_bytes = args.cpu_pool_bytes
     if cpu_pool_bytes is None and args.target == "tiered":
@@ -265,10 +281,9 @@ def cmd_autotune(args: argparse.Namespace) -> None:
     adaptive controller under a bandwidth/workload drift scenario: the
     budget is profiled once at full bandwidth, then the scenario pulls
     the hardware out from under it and the controller re-sizes live."""
-    from repro.core.adaptive import WorkloadProfile, choose_offload_budget
     from repro.core.autotune import AutotuneController
     from repro.core.policy import OffloadPolicy, PolicyConfig
-    from repro.sim import DriftScenario, StepSimulator, build_segments, simulate_adaptive_run
+    from repro.sim import Scenario, StepConditions, build_segments, one_shot_budget, simulate_run
 
     config = ModelConfig(arch="bert", hidden=args.hidden, num_layers=3, seq_len=1024)
     segments = build_segments(config, args.batch, parallelism=EVAL_PAR)
@@ -277,66 +292,57 @@ def cmd_autotune(args: argparse.Namespace) -> None:
     read_bw = args.read_bw if args.read_bw is not None else INTEL_OPTANE_P5800X_1600GB.read_bw
 
     if args.scenario == "step":
-        scenario = DriftScenario.step_drop(
+        scenario = Scenario.step_drop(
             write_bw, read_bw, steps=args.steps, drift_step=args.drift_step,
             write_factor=args.factor,
         )
     elif args.scenario == "ramp":
-        scenario = DriftScenario.ramp(
+        scenario = Scenario.ramp(
             write_bw, read_bw, steps=args.steps, drift_step=args.drift_step,
             ramp_steps=max(1, (args.steps - args.drift_step) // 2),
             write_factor=args.factor,
         )
     else:  # microbatch
-        scenario = DriftScenario.microbatch_resize(
+        scenario = Scenario.microbatch_resize(
             write_bw, read_bw, steps=args.steps, drift_step=args.drift_step,
             before=2, after=1,
         )
 
-    # The paper's Fig. 3 one-shot: profile a step, size the budget once.
-    probe = StepSimulator(
-        segments, PlacementStrategy.OFFLOAD, write_bw, read_bw,
-        num_microbatches=scenario.microbatches_at(0), io_mode="fifo",
-    ).run()
-    budget = choose_offload_budget(
-        WorkloadProfile(
-            activation_bytes_per_step=probe.offloaded_bytes + probe.kept_bytes,
-            forward_time_s=probe.forward_time_s,
-            backward_time_s=probe.backward_time_s,
-        ),
-        write_bw, read_bw, safety_factor=0.9,
-    )
+    # The paper's Fig. 3 one-shot: profile the first step at full
+    # bandwidth, size the budget once.
+    mb = scenario.conditions[0].num_microbatches
+    budget = one_shot_budget(segments, StepConditions(write_bw, read_bw, num_microbatches=mb))
 
-    static = simulate_adaptive_run(
+    static = simulate_run(
         segments, scenario,
         policy=OffloadPolicy(PolicyConfig(offload_budget_bytes=budget)),
     )
     controller = AutotuneController()
-    adaptive = simulate_adaptive_run(
+    adaptive = simulate_run(
         segments, scenario,
         policy=OffloadPolicy(PolicyConfig(offload_budget_bytes=budget)),
         controller=controller,
     )
 
-    print(f"scenario: {args.scenario}  drift at step {scenario.drift_step}  "
+    print(f"scenario: {args.scenario}  drift at step {scenario.event_step}  "
           f"one-shot budget {budget / 2**30:.2f} GiB "
           f"(write {write_bw / 1e9:.1f} GB/s)\n")
     print(f"{'step':>4} {'write BW':>9} {'mb':>3} {'static stall':>13} "
           f"{'adaptive stall':>15} {'budget':>9} {'bw est':>8}")
-    for step in range(scenario.steps):
+    for step, conditions in enumerate(scenario.conditions):
         s = static.results[step]
         a = adaptive.results[step]
         in_force = adaptive.budgets[step]
         decision = adaptive.decisions[step]
         est = decision.write_bandwidth_bytes_per_s
-        print(f"{step:>4} {scenario.write_bandwidth_at(step) / 1e9:>7.1f}G/s "
-              f"{scenario.microbatches_at(step):>3} "
+        print(f"{step:>4} {conditions.write_bandwidth / 1e9:>7.1f}G/s "
+              f"{conditions.num_microbatches:>3} "
               f"{s.io_stall_time_s * 1e3:>11.1f}ms "
               f"{a.io_stall_time_s * 1e3:>13.1f}ms "
               f"{(in_force or 0) / 2**30:>7.2f}G "
               f"{(est or 0) / 1e9:>6.1f}G"
               + ("  <- retuned" if decision.retuned else ""))
-    drift = scenario.drift_step
+    drift = scenario.event_step
     ratio = adaptive.stall_time_s(drift) / max(static.stall_time_s(drift), 1e-12)
     print(f"\npost-drift backward stall: static {static.stall_time_s(drift) * 1e3:.0f} ms, "
           f"adaptive {adaptive.stall_time_s(drift) * 1e3:.0f} ms ({ratio:.0%} of static)")
@@ -596,7 +602,7 @@ def cmd_faults(args: argparse.Namespace) -> None:
     failover), plus ``--functional`` for the live chaos demo proving
     bit-exact recovery and ``--heal`` for the self-healing degraded-mode
     demo (breaker resurrection, hedged reads, ENOSPC survival)."""
-    from repro.sim import FaultScenario, build_segments, simulate_fault_run
+    from repro.sim import Scenario, build_segments, simulate_run
 
     if getattr(args, "heal", False):
         _faults_heal(args)
@@ -610,30 +616,30 @@ def cmd_faults(args: argparse.Namespace) -> None:
     write_bw = INTEL_OPTANE_P5800X_1600GB.write_bw
     read_bw = INTEL_OPTANE_P5800X_1600GB.read_bw
     scenarios = {
-        "transient": FaultScenario.transient(
+        "transient": Scenario.transient(
             write_bw, read_bw, steps=args.steps, fault_rate=args.fault_rate,
             seed=args.seed,
         ),
-        "latency": FaultScenario.latency(
+        "latency": Scenario.latency(
             write_bw, read_bw, steps=args.steps, fault_rate=args.fault_rate,
             spike_s=0.02, seed=args.seed,
         ),
-        "lane_death": FaultScenario.lane_death(
+        "lane_death": Scenario.lane_death(
             write_bw, read_bw, steps=args.steps, death_step=args.steps // 2,
-            seed=args.seed,
         ),
     }
+    clean = simulate_run(segments, Scenario.static(write_bw, read_bw, steps=args.steps))
     print(f"{args.steps} steps, fault rate {args.fault_rate}, seed {args.seed}, "
           f"SSD write {write_bw / 1e9:.1f} GB/s\n")
     print(f"{'scenario':>10} {'stall':>9} {'clean stall':>12} {'overhead':>9} "
           f"{'failover':>9}")
     runs = {}
     for name, scenario in scenarios.items():
-        run = runs[name] = simulate_fault_run(segments, scenario)
-        failover = f"step {run.failover_step}" if run.failover_step is not None else "-"
-        print(f"{name:>10} {run.total_stall_s * 1e3:>7.1f}ms "
-              f"{run.fault_free_stall_s * 1e3:>10.1f}ms "
-              f"{run.step_time_overhead:>8.2%} {failover:>9}")
+        run = runs[name] = simulate_run(segments, scenario)
+        failover = f"step {scenario.event_step}" if scenario.event_step is not None else "-"
+        print(f"{name:>10} {run.stall_time_s() * 1e3:>7.1f}ms "
+              f"{clean.stall_time_s() * 1e3:>10.1f}ms "
+              f"{run.step_time_s() / clean.step_time_s() - 1.0:>8.2%} {failover:>9}")
     death = runs["lane_death"]
     step_before = death.results[max(0, args.steps // 2 - 1)]
     step_after = death.results[args.steps // 2]
@@ -784,9 +790,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
     budget change lands over the control bus without a restart, and
     that chunk compaction reclaims dead bytes with exact books.
     """
-    from examples.serve_demo import main
-
-    main(
+    _example_main("serve_demo")(
         steps=args.steps,
         kill_step=args.kill_step if args.kill_step >= 0 else None,
         budget_step=args.budget_step if args.budget_step >= 0 else None,

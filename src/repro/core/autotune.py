@@ -40,7 +40,7 @@ thrashing the knobs on measurement noise.
 The controller is engine-agnostic: :meth:`AutotuneController.observe`
 takes a plain :class:`StepObservation` and returns a
 :class:`ControllerDecision`, which is what the discrete-event simulator
-drives (:func:`repro.sim.step_sim.simulate_adaptive_run`);
+drives (:func:`repro.sim.step_sim.simulate_run`);
 :meth:`AutotuneController.on_step_end` is the functional-engine adapter
 that builds the observation from the attached
 :class:`~repro.core.tensor_cache.TensorCache` and installs the decision

@@ -364,10 +364,11 @@ class TensorCache:
 
         A record's backing copy is released iff its store job finished
         DONE (a cancelled or failed store left nothing behind).  That is
-        read off the job, not off anything ``_on_store_done`` sets: the
-        scheduler's own done-callback is what lets ``drain()`` return,
-        and it is registered before the cache's, so this method can run
-        before ``_on_store_done`` does.
+        read off the job, not off anything ``_on_store_done`` sets:
+        ``IOScheduler._close_books`` runs inside ``IORequest._dispatch``
+        before any done callback and drops the lane's ``pending`` last,
+        so ``drain()`` can return — and this method run — before
+        ``_on_store_done`` does.
         """
         self.scheduler.drain()
         with self._lock:

@@ -8,23 +8,20 @@ and I/O stall time for the Fig. 6 / Fig. 7 / Fig. 8 / Table III benches.
 """
 
 from repro.sim.step_sim import (
-    DRIFT_KINDS,
-    FAULT_KINDS,
     IO_MODES,
-    AdaptiveRunResult,
-    DriftScenario,
-    FaultRunResult,
-    FaultScenario,
     MultiTenantHarness,
     MultiTenantRunResult,
+    RunResult,
+    Scenario,
     SegmentSpec,
     SimResult,
+    StepConditions,
     StepSimulator,
     TenantJobSpec,
     TenantRunMetrics,
     build_segments,
-    simulate_adaptive_run,
-    simulate_fault_run,
+    one_shot_budget,
+    simulate_run,
     simulate_strategy,
 )
 from repro.sim.pipeline_offload import (
@@ -36,13 +33,11 @@ from repro.sim.timeline import Timeline, TimelineEvent
 
 __all__ = [
     "IO_MODES",
-    "DRIFT_KINDS",
-    "FAULT_KINDS",
-    "AdaptiveRunResult",
-    "DriftScenario",
-    "FaultRunResult",
-    "FaultScenario",
-    "simulate_fault_run",
+    "RunResult",
+    "Scenario",
+    "StepConditions",
+    "one_shot_budget",
+    "simulate_run",
     "MultiTenantHarness",
     "MultiTenantRunResult",
     "TenantJobSpec",
@@ -51,7 +46,6 @@ __all__ = [
     "SimResult",
     "StepSimulator",
     "build_segments",
-    "simulate_adaptive_run",
     "simulate_strategy",
     "PipelineOffloadResult",
     "StageWorkload",

@@ -28,10 +28,13 @@ Sec. III-C2) — making offload decisions with the *same*
   (see :data:`IO_MODES`) — ``"fifo"`` vs ``"priority"`` quantifies what
   the functional :class:`~repro.io.scheduler.IOScheduler`'s
   blocking-load-first dequeue buys at equal bandwidth;
-- failures: :class:`FaultScenario` / :func:`simulate_fault_run` play the
-  functional failure model's throughput side — transient-retry tax,
-  latency spikes, and a mid-run SSD death drained via host-memory
-  failover (see :data:`FAULT_KINDS`).
+- multi-step runs: :func:`simulate_run` plays a :class:`Scenario` — one
+  :class:`StepConditions` (bandwidths, per-op latency, micro-batch
+  count) per step — for bandwidth drift, micro-batch resizes, the
+  functional failure model's throughput side (transient-retry tax,
+  latency spikes, a mid-run SSD death drained via host-memory
+  failover), optionally closing the loop through the adaptive
+  controller; :func:`one_shot_budget` is the paper's Fig. 3 sizing.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from repro.analysis.perf_model import (
     transformer_layer_perf,
     weight_update_time,
 )
+from repro.core.adaptive import WorkloadProfile, choose_offload_budget
 from repro.core.autotune import AutotuneController, ControllerDecision, StepObservation
 from repro.core.policy import Decision, OffloadPolicy, StepAccounting, Tier
 from repro.device.gpu import A100_PCIE_40GB, GPUSpec, KernelTimingModel
@@ -592,125 +596,149 @@ def simulate_strategy(
     return sim.run(weight_update_s=update)
 
 
-#: Bandwidth/workload drift shapes for multi-step adaptive runs:
-#:
-#: - ``"static"``     — nothing changes (the control arm);
-#: - ``"step"``       — bandwidth drops by ``write_factor``/``read_factor``
-#:   at ``drift_step`` and stays there (a co-tenant job lands on the
-#:   array, a RAID member dies);
-#: - ``"ramp"``       — the same drop applied linearly over ``ramp_steps``
-#:   (thermal throttling, an SLC cache filling up);
-#: - ``"microbatch"`` — bandwidth holds but the micro-batch count changes
-#:   at ``drift_step`` (a data-pipeline resize mid-run), shifting the
-#:   activation volume and the forward/backward windows instead.
-DRIFT_KINDS = ("static", "step", "ramp", "microbatch")
+#: Per-op latency of a healthy device, and the backoff a faulted
+#: transfer pays before its one retry.
+BASE_IO_LATENCY_S = 20e-6
+RETRY_BACKOFF_S = 0.002
 
 
 @dataclass(frozen=True)
-class DriftScenario:
-    """A per-step schedule of bandwidths and micro-batch counts.
+class StepConditions:
+    """What the hardware and the workload look like during one step."""
 
-    The step simulator models one step at fixed bandwidth; a scenario
-    strings ``steps`` of them together and answers "what does the
-    hardware look like during step ``i``" — the moving target the online
-    adaptive controller has to track and a static budget cannot.
-    """
-
-    steps: int
     write_bandwidth: float
     read_bandwidth: float
-    kind: str = "static"
-    drift_step: int = 0
-    write_factor: float = 1.0
-    read_factor: float = 1.0
-    ramp_steps: int = 1
+    io_latency_s: float = BASE_IO_LATENCY_S
     num_microbatches: int = 1
-    drift_microbatches: Optional[int] = None
+
+
+def _fault_rates(fault_rate: float, seed: int, steps: int) -> List[float]:
+    """``fault_rate`` jittered per step by the seed into [0.5x, 1.5x]
+    (capped at 1): runs have texture but stay reproducible."""
+    if not 0.0 <= fault_rate <= 1.0:
+        raise ValueError(f"fault_rate must be in [0, 1]: {fault_rate}")
+    return [
+        min(1.0, fault_rate * (0.5 + random.Random((seed << 16) ^ step).random()))
+        for step in range(steps)
+    ]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """What the hardware and the workload look like during each step of
+    a run (``conditions[i]``) — the moving target the adaptive
+    controller has to track and a static budget cannot.  Each
+    constructor is one shape: :meth:`static` (the control arm, and the
+    clean twin of a fault A/B); bandwidth drift — :meth:`step_drop` (a
+    co-tenant job lands on the array), :meth:`ramp` (thermal throttling,
+    an SLC cache filling up), :meth:`microbatch_resize`; and the
+    throughput side of the functional :class:`~repro.io.faults.FaultPlan`
+    as expected values — :meth:`transient` (a faulted transfer replays
+    once after a backoff), :meth:`latency` (spikes),
+    :meth:`lane_death` (failover to host memory).  ``event_step`` is
+    the first step the drift or the death affects (``None``: no event).
+    """
+
+    conditions: Tuple[StepConditions, ...]
+    event_step: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in DRIFT_KINDS:
-            raise ValueError(f"unknown drift kind {self.kind!r}; expected one of {DRIFT_KINDS}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1: {self.steps}")
-        if self.write_bandwidth <= 0 or self.read_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
-        if self.write_factor <= 0 or self.read_factor <= 0:
-            raise ValueError("drift factors must be positive")
-        if self.ramp_steps < 1:
-            raise ValueError(f"ramp_steps must be >= 1: {self.ramp_steps}")
+        if not self.conditions:
+            raise ValueError("a scenario needs at least one step")
+        for c in self.conditions:
+            if min(c.write_bandwidth, c.read_bandwidth) <= 0 or c.io_latency_s < 0:
+                raise ValueError(f"need positive bandwidths and io_latency_s >= 0: {c}")
+            if c.num_microbatches < 1:
+                raise ValueError(f"num_microbatches must be >= 1: {c}")
 
-    # ------------------------------------------------------------ constructors
+    @property
+    def steps(self) -> int:
+        return len(self.conditions)
+
     @classmethod
     def static(cls, write_bandwidth: float, read_bandwidth: float, steps: int,
-               num_microbatches: int = 1) -> "DriftScenario":
-        return cls(steps, write_bandwidth, read_bandwidth,
-                   num_microbatches=num_microbatches)
+               num_microbatches: int = 1) -> "Scenario":
+        return cls((StepConditions(write_bandwidth, read_bandwidth,
+                                   num_microbatches=num_microbatches),) * steps)
 
     @classmethod
     def step_drop(cls, write_bandwidth: float, read_bandwidth: float, steps: int,
                   drift_step: int, write_factor: float = 0.5,
-                  read_factor: float = 1.0, num_microbatches: int = 1) -> "DriftScenario":
-        """Step-function degradation: bandwidth falls off a cliff at
-        ``drift_step`` (``write_factor=0.5`` is the 2x write drop of the
-        acceptance scenario)."""
-        return cls(steps, write_bandwidth, read_bandwidth, kind="step",
-                   drift_step=drift_step, write_factor=write_factor,
-                   read_factor=read_factor, num_microbatches=num_microbatches)
+                  read_factor: float = 1.0, num_microbatches: int = 1) -> "Scenario":
+        """Bandwidth falls off a cliff at ``drift_step`` (a one-step ramp;
+        ``write_factor=0.5`` is the 2x write drop of the acceptance A/B)."""
+        return cls.ramp(write_bandwidth, read_bandwidth, steps, drift_step, 1,
+                        write_factor, read_factor, num_microbatches)
 
     @classmethod
     def ramp(cls, write_bandwidth: float, read_bandwidth: float, steps: int,
              drift_step: int, ramp_steps: int, write_factor: float = 0.5,
-             read_factor: float = 1.0, num_microbatches: int = 1) -> "DriftScenario":
+             read_factor: float = 1.0, num_microbatches: int = 1) -> "Scenario":
         """Linear degradation starting at ``drift_step`` (the first
         affected step, carrying ``1/ramp_steps`` of the drop) and
         reaching the terminal factors at ``drift_step + ramp_steps - 1``."""
-        return cls(steps, write_bandwidth, read_bandwidth, kind="ramp",
-                   drift_step=drift_step, write_factor=write_factor,
-                   read_factor=read_factor, ramp_steps=ramp_steps,
-                   num_microbatches=num_microbatches)
+        if ramp_steps < 1:
+            raise ValueError(f"ramp_steps must be >= 1: {ramp_steps}")
+        conditions = []
+        for step in range(steps):
+            p = min(1.0, (step - drift_step + 1) / ramp_steps) if step >= drift_step else 0.0
+            conditions.append(StepConditions(
+                write_bandwidth * (1.0 + p * (write_factor - 1.0)),
+                read_bandwidth * (1.0 + p * (read_factor - 1.0)),
+                num_microbatches=num_microbatches,
+            ))
+        return cls(tuple(conditions), drift_step)
 
     @classmethod
     def microbatch_resize(cls, write_bandwidth: float, read_bandwidth: float,
                           steps: int, drift_step: int, before: int = 1,
-                          after: int = 2) -> "DriftScenario":
-        """Mid-run micro-batch resize: the activation volume and windows
-        change while the hardware stays put."""
-        return cls(steps, write_bandwidth, read_bandwidth, kind="microbatch",
-                   drift_step=drift_step, num_microbatches=before,
-                   drift_microbatches=after)
+                          after: int = 2) -> "Scenario":
+        """The activation volume and windows change at ``drift_step``
+        while the hardware stays put."""
+        return cls(tuple(
+            StepConditions(write_bandwidth, read_bandwidth,
+                           num_microbatches=after if step >= drift_step else before)
+            for step in range(steps)
+        ), drift_step)
 
-    # ----------------------------------------------------------------- queries
-    def _progress(self, step: int) -> float:
-        """Fraction of the drift applied at ``step`` (0 before, 1 after)."""
-        if self.kind in ("static", "microbatch") or step < self.drift_step:
-            return 0.0
-        if self.kind == "step":
-            return 1.0
-        return min(1.0, (step - self.drift_step + 1) / self.ramp_steps)
+    @classmethod
+    def transient(cls, write_bandwidth: float, read_bandwidth: float, steps: int,
+                  fault_rate: float = 0.02, seed: int = 0) -> "Scenario":
+        """The channel moves the same bytes twice for ``rate`` of the ops,
+        and every op pays the expected retry backoff."""
+        return cls(tuple(
+            StepConditions(write_bandwidth / (1.0 + rate), read_bandwidth / (1.0 + rate),
+                           BASE_IO_LATENCY_S + rate * RETRY_BACKOFF_S)
+            for rate in _fault_rates(fault_rate, seed, steps)
+        ))
 
-    def write_bandwidth_at(self, step: int) -> float:
-        p = self._progress(step)
-        return self.write_bandwidth * (1.0 + p * (self.write_factor - 1.0))
+    @classmethod
+    def latency(cls, write_bandwidth: float, read_bandwidth: float, steps: int,
+                fault_rate: float = 0.02, spike_s: float = 0.02,
+                seed: int = 0) -> "Scenario":
+        """``rate`` of the ops stall an extra ``spike_s`` (slow, not wrong)."""
+        return cls(tuple(
+            StepConditions(write_bandwidth, read_bandwidth, BASE_IO_LATENCY_S + rate * spike_s)
+            for rate in _fault_rates(fault_rate, seed, steps)
+        ))
 
-    def read_bandwidth_at(self, step: int) -> float:
-        p = self._progress(step)
-        return self.read_bandwidth * (1.0 + p * (self.read_factor - 1.0))
-
-    def microbatches_at(self, step: int) -> int:
-        if (
-            self.kind == "microbatch"
-            and self.drift_microbatches is not None
-            and step >= self.drift_step
-        ):
-            return self.drift_microbatches
-        return self.num_microbatches
+    @classmethod
+    def lane_death(cls, write_bandwidth: float, read_bandwidth: float, steps: int,
+                   death_step: int, failover_bandwidth: Optional[float] = None) -> "Scenario":
+        """From ``death_step`` on every transfer drains to host memory at
+        ``failover_bandwidth`` (default: the PCIe link)."""
+        if failover_bandwidth is None:
+            failover_bandwidth = GPU_LINK_GEN4_X16.bandwidth
+        alive = StepConditions(write_bandwidth, read_bandwidth)
+        dead = StepConditions(failover_bandwidth, failover_bandwidth)
+        return cls(tuple(dead if s >= death_step else alive for s in range(steps)), death_step)
 
 
 @dataclass
-class AdaptiveRunResult:
-    """Outputs of a multi-step (static or adaptive) simulated run."""
+class RunResult:
+    """Outputs of a multi-step simulated run."""
 
-    scenario: DriftScenario
+    scenario: Scenario
     results: List[SimResult]
     #: The offload budget in force *during* each step (None = uncapped).
     budgets: List[Optional[int]]
@@ -721,9 +749,9 @@ class AdaptiveRunResult:
         """Total backward stall over the step range ``[start, stop)``."""
         return sum(r.io_stall_time_s for r in self.results[start:stop])
 
-    @property
-    def total_stall_s(self) -> float:
-        return self.stall_time_s()
+    def step_time_s(self, start: int = 0, stop: Optional[int] = None) -> float:
+        """Total step time over the step range ``[start, stop)``."""
+        return sum(r.step_time_s for r in self.results[start:stop])
 
 
 def _observation_from_sim(result: SimResult) -> StepObservation:
@@ -738,9 +766,7 @@ def _observation_from_sim(result: SimResult) -> StepObservation:
     timeline = result.timeline
     write_busy = timeline.lane_busy_time("store") + timeline.lane_busy_time("cpu_store")
     read_busy = timeline.lane_busy_time("load") + timeline.lane_busy_time("cpu_load")
-    stored_tensors = sum(
-        1 for e in timeline.events if e.lane in ("store", "cpu_store")
-    )
+    stored_tensors = sum(1 for e in timeline.events if e.lane in ("store", "cpu_store"))
     read_count = sum(1 for e in timeline.events if e.lane in ("load", "cpu_load"))
     return StepObservation(
         forward_time_s=result.forward_time_s,
@@ -757,223 +783,29 @@ def _observation_from_sim(result: SimResult) -> StepObservation:
     )
 
 
-#: Failure shapes for multi-step fault runs (the simulator counterpart of
-#: the functional :class:`~repro.io.faults.FaultPlan`):
-#:
-#: - ``"transient"``   — a seeded fraction of transfers fails once and is
-#:   retried: effective bandwidth drops by the replay factor and every op
-#:   pays the expected backoff latency;
-#: - ``"latency_spike"`` — a seeded fraction of transfers stalls an extra
-#:   ``latency_spike_s`` (device hiccups that are slow, not wrong);
-#: - ``"lane_death"``  — at ``death_step`` the SSD lane bricks and every
-#:   offload fails over to host memory at ``failover_bandwidth`` (the
-#:   tiered engine's CPU tier), the analytic view of
-#:   :meth:`~repro.core.tiered.TieredOffloader` failover.
-FAULT_KINDS = ("transient", "latency_spike", "lane_death")
-
-
-@dataclass(frozen=True)
-class FaultScenario:
-    """A seeded per-step schedule of I/O failures.
-
-    The functional chaos harness injects *individual* faults and proves
-    bit-exact recovery; this scenario answers the throughput question —
-    what do retries, latency spikes, and a mid-run device death cost in
-    step time and stall — using an expected-value model: a per-op fault
-    at ``fault_rate`` replays the transfer once (bandwidth derated by
-    ``1 + rate``) and pays the retry backoff, with the rate jittered
-    per-step by the seed so runs have texture but stay reproducible.
-    """
-
-    steps: int
-    write_bandwidth: float
-    read_bandwidth: float
-    kind: str = "transient"
-    seed: int = 0
-    #: Expected fraction of transfers hit per step.
-    fault_rate: float = 0.02
-    #: Backoff paid per faulted transfer before its retry.
-    retry_backoff_s: float = 0.002
-    #: Extra per-op stall of the latency_spike kind.
-    latency_spike_s: float = 0.02
-    #: lane_death: first step the SSD lane is gone (None = alive forever).
-    death_step: Optional[int] = None
-    #: Post-death drain rate (defaults to the PCIe link: host memory).
-    failover_bandwidth: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1: {self.steps}")
-        if self.write_bandwidth <= 0 or self.read_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
-        if not 0.0 <= self.fault_rate <= 1.0:
-            raise ValueError(f"fault_rate must be in [0, 1]: {self.fault_rate}")
-        if self.retry_backoff_s < 0 or self.latency_spike_s < 0:
-            raise ValueError("fault latencies must be >= 0")
-        if self.kind == "lane_death" and self.death_step is None:
-            raise ValueError("lane_death needs a death_step")
-
-    # ------------------------------------------------------------ constructors
-    @classmethod
-    def transient(cls, write_bandwidth: float, read_bandwidth: float, steps: int,
-                  fault_rate: float = 0.02, seed: int = 0) -> "FaultScenario":
-        return cls(steps, write_bandwidth, read_bandwidth, kind="transient",
-                   fault_rate=fault_rate, seed=seed)
-
-    @classmethod
-    def latency(cls, write_bandwidth: float, read_bandwidth: float, steps: int,
-                fault_rate: float = 0.02, spike_s: float = 0.02,
-                seed: int = 0) -> "FaultScenario":
-        return cls(steps, write_bandwidth, read_bandwidth, kind="latency_spike",
-                   fault_rate=fault_rate, latency_spike_s=spike_s, seed=seed)
-
-    @classmethod
-    def lane_death(cls, write_bandwidth: float, read_bandwidth: float, steps: int,
-                   death_step: int, failover_bandwidth: Optional[float] = None,
-                   seed: int = 0) -> "FaultScenario":
-        return cls(steps, write_bandwidth, read_bandwidth, kind="lane_death",
-                   death_step=death_step, failover_bandwidth=failover_bandwidth,
-                   seed=seed)
-
-    # ----------------------------------------------------------------- queries
-    def ssd_alive_at(self, step: int) -> bool:
-        return not (
-            self.kind == "lane_death"
-            and self.death_step is not None
-            and step >= self.death_step
-        )
-
-    def fault_rate_at(self, step: int) -> float:
-        """Seeded per-step jitter of the fault rate in [0.5x, 1.5x]."""
-        if self.fault_rate <= 0:
-            return 0.0
-        draw = random.Random((self.seed << 16) ^ step).random()
-        return min(1.0, self.fault_rate * (0.5 + draw))
-
-    def _failover_bw(self) -> float:
-        if self.failover_bandwidth is not None:
-            return self.failover_bandwidth
-        return GPU_LINK_GEN4_X16.bandwidth
-
-    def write_bandwidth_at(self, step: int) -> float:
-        if not self.ssd_alive_at(step):
-            return self._failover_bw()
-        if self.kind == "transient":
-            # A faulted transfer replays once: the channel moves the same
-            # bytes twice for rate of the ops.
-            return self.write_bandwidth / (1.0 + self.fault_rate_at(step))
-        return self.write_bandwidth
-
-    def read_bandwidth_at(self, step: int) -> float:
-        if not self.ssd_alive_at(step):
-            return self._failover_bw()
-        if self.kind == "transient":
-            return self.read_bandwidth / (1.0 + self.fault_rate_at(step))
-        return self.read_bandwidth
-
-    def io_latency_at(self, step: int, base_latency_s: float) -> float:
-        """Expected per-op latency including the fault tax."""
-        rate = self.fault_rate_at(step)
-        if self.kind == "transient" and self.ssd_alive_at(step):
-            return base_latency_s + rate * self.retry_backoff_s
-        if self.kind == "latency_spike":
-            return base_latency_s + rate * self.latency_spike_s
-        return base_latency_s
-
-
-@dataclass
-class FaultRunResult:
-    """Outputs of a multi-step fault-scenario run, with its clean twin."""
-
-    scenario: FaultScenario
-    results: List[SimResult]
-    #: The same steps at nominal bandwidth/latency (the A/B baseline).
-    fault_free: List[SimResult]
-    #: First step that ran in failover mode (None = SSD alive throughout).
-    failover_step: Optional[int]
-
-    @property
-    def total_stall_s(self) -> float:
-        return sum(r.io_stall_time_s for r in self.results)
-
-    @property
-    def fault_free_stall_s(self) -> float:
-        return sum(r.io_stall_time_s for r in self.fault_free)
-
-    @property
-    def step_time_overhead(self) -> float:
-        """Relative step-time cost of the faults vs the clean run."""
-        clean = sum(r.step_time_s for r in self.fault_free)
-        if clean <= 0:
-            return 0.0
-        return sum(r.step_time_s for r in self.results) / clean - 1.0
-
-
-def simulate_fault_run(
-    segments: List[SegmentSpec],
-    scenario: FaultScenario,
-    policy: Optional[OffloadPolicy] = None,
-    io_mode: str = "fifo",
-    io_latency_s: float = 20e-6,
-    num_microbatches: int = 1,
-    weight_update_s: float = 0.0,
-    dtype_bytes: int = 2,
-) -> FaultRunResult:
-    """Play ``scenario.steps`` steps under the fault schedule, plus the
-    fault-free twin at nominal conditions for the A/B.
-
-    ``io_mode`` defaults to ``"fifo"`` (shared contended channel): retry
-    replays and latency spikes land on the same channel backward's loads
-    need, which is where the fault tax actually hurts.
-    """
-
-    def run_step(step: int, faulted: bool) -> SimResult:
-        if faulted:
-            write_bw = scenario.write_bandwidth_at(step)
-            read_bw = scenario.read_bandwidth_at(step)
-            latency = scenario.io_latency_at(step, io_latency_s)
-        else:
-            write_bw, read_bw, latency = (
-                scenario.write_bandwidth,
-                scenario.read_bandwidth,
-                io_latency_s,
-            )
-        sim = StepSimulator(
-            segments,
-            PlacementStrategy.OFFLOAD,
-            write_bandwidth=write_bw,
-            read_bandwidth=read_bw,
-            policy=policy if policy is not None else OffloadPolicy(),
-            num_microbatches=num_microbatches,
-            io_latency_s=latency,
-            dtype_bytes=dtype_bytes,
-            io_mode=io_mode,
-        )
-        return sim.run(weight_update_s=weight_update_s)
-
-    results: List[SimResult] = []
-    failover_step: Optional[int] = None
-    # The nominal conditions are constant across steps, so one clean run
-    # stands in for every step of the fault-free twin.
-    clean = run_step(0, faulted=False)
-    fault_free = [clean] * scenario.steps
-    for step in range(scenario.steps):
-        if failover_step is None and not scenario.ssd_alive_at(step):
-            failover_step = step
-        results.append(run_step(step, faulted=True))
-    return FaultRunResult(
-        scenario=scenario,
-        results=results,
-        fault_free=fault_free,
-        failover_step=failover_step,
+def one_shot_budget(segments: List[SegmentSpec], conditions: StepConditions,
+                    safety_factor: float = 0.9) -> int:
+    """The paper's Fig. 3 sizing: profile one uncapped step, size the
+    offload budget once for ``conditions``' bandwidth.  The profile does
+    not depend on bandwidth, so the re-tune for a degraded array is this
+    call with the degraded bandwidth."""
+    probe = StepSimulator(
+        segments, PlacementStrategy.OFFLOAD, conditions.write_bandwidth,
+        conditions.read_bandwidth, num_microbatches=conditions.num_microbatches,
+        io_latency_s=conditions.io_latency_s, io_mode="fifo",
+    ).run()
+    profile = WorkloadProfile(
+        activation_bytes_per_step=probe.offloaded_bytes + probe.kept_bytes,
+        forward_time_s=probe.forward_time_s,
+        backward_time_s=probe.backward_time_s,
     )
+    return choose_offload_budget(profile, conditions.write_bandwidth,
+                                 conditions.read_bandwidth, safety_factor=safety_factor)
 
 
-def simulate_adaptive_run(
+def simulate_run(
     segments: List[SegmentSpec],
-    scenario: DriftScenario,
+    scenario: Scenario,
     policy: Optional[OffloadPolicy] = None,
     controller: Optional[AutotuneController] = None,
     io_mode: str = "fifo",
@@ -982,8 +814,9 @@ def simulate_adaptive_run(
     weight_update_s: float = 0.0,
     dtype_bytes: int = 2,
     cpu_pool_bytes: Optional[int] = None,
-) -> AdaptiveRunResult:
-    """Play ``scenario.steps`` training steps, optionally closing the loop.
+) -> RunResult:
+    """Play one :class:`StepSimulator` step per ``scenario.conditions``
+    entry, optionally closing the loop.
 
     Without a controller this is the static arm: whatever budget the
     policy carries stays in force for the whole run (the paper's one-shot
@@ -994,38 +827,28 @@ def simulate_adaptive_run(
     engine runs, minus the engine.
 
     ``io_mode`` defaults to ``"fifo"`` (one shared, contended SSD
-    channel): that is where a stale budget hurts — the over-committed
-    store backlog lands in front of backward's loads.
+    channel): there a stale budget's store backlog, retry replays and
+    latency spikes all land in front of backward's loads.
     """
     policy = policy if policy is not None else OffloadPolicy()
-    results: List[SimResult] = []
-    budgets: List[Optional[int]] = []
-    decisions: List[ControllerDecision] = []
-    for step in range(scenario.steps):
+    run = RunResult(scenario=scenario, results=[], budgets=[], decisions=[])
+    for c in scenario.conditions:
         sim = StepSimulator(
-            segments,
-            PlacementStrategy.OFFLOAD,
-            write_bandwidth=scenario.write_bandwidth_at(step),
-            read_bandwidth=scenario.read_bandwidth_at(step),
-            policy=policy,
-            num_microbatches=scenario.microbatches_at(step),
-            prefetch_segments=prefetch_segments,
-            keep_last_segments=keep_last_segments,
-            dtype_bytes=dtype_bytes,
-            cpu_pool_bytes=cpu_pool_bytes,
-            io_mode=io_mode,
+            segments, PlacementStrategy.OFFLOAD, c.write_bandwidth, c.read_bandwidth,
+            policy=policy, num_microbatches=c.num_microbatches,
+            prefetch_segments=prefetch_segments, keep_last_segments=keep_last_segments,
+            io_latency_s=c.io_latency_s, dtype_bytes=dtype_bytes,
+            cpu_pool_bytes=cpu_pool_bytes, io_mode=io_mode,
         )
-        budgets.append(policy.config.offload_budget_bytes)
+        run.budgets.append(policy.config.offload_budget_bytes)
         result = sim.run(weight_update_s=weight_update_s)
-        results.append(result)
+        run.results.append(result)
         if controller is not None:
             decision = controller.observe(_observation_from_sim(result))
-            decisions.append(decision)
+            run.decisions.append(decision)
             if decision.retuned:
                 policy.install_budget(decision.offload_budget_bytes)
-    return AdaptiveRunResult(
-        scenario=scenario, results=results, budgets=budgets, decisions=decisions
-    )
+    return run
 
 
 # --------------------------------------------------------------------------

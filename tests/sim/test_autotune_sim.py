@@ -1,23 +1,21 @@
-"""Drift scenarios + the static-vs-adaptive A/B (the controller's
-acceptance surface).
+"""The static-vs-adaptive A/B under drift (the controller's acceptance
+surface).
 
-The headline assertion reproduces the issue's acceptance criteria: under
-a 2x mid-run write-bandwidth drop on a shared (fifo) SSD channel, the
-online adaptive controller's backward stall is strictly below the
-static-budget run, lands within 15% of a static run re-tuned offline for
-the degraded bandwidth, and the installed budget converges within 5
-steps of the drift event.
+The headline assertion: under a 2x mid-run write-bandwidth drop on a
+shared (fifo) SSD channel, the online adaptive controller's backward
+stall is strictly below the static-budget run, lands within 15% of a
+static run re-tuned offline for the degraded bandwidth, and the
+installed budget converges within 5 steps of the drift event.  The
+schedules themselves are pinned in ``test_scenarios.py``.
 """
 
 import pytest
 
-from repro.core.adaptive import WorkloadProfile, choose_offload_budget
 from repro.core.autotune import AutotuneController
 from repro.core.policy import OffloadPolicy, PolicyConfig
 from repro.models.config import ModelConfig
-from repro.sim import DriftScenario, StepSimulator, build_segments, simulate_adaptive_run
+from repro.sim import Scenario, StepConditions, build_segments, one_shot_budget, simulate_run
 from repro.train.parallel import ParallelismConfig
-from repro.train.trainer import PlacementStrategy
 
 PAR = ParallelismConfig(tp=2)
 WRITE = 6.1e9  # one P5800X: constrained enough that budget sizing matters
@@ -30,105 +28,34 @@ def segments():
     return build_segments(CFG, 16, parallelism=PAR)
 
 
-def _one_shot_budget(segments, write_bw, read_bw):
-    """The paper's profiling step: size the budget once from assumed
-    bandwidth and the profiled forward/backward windows."""
-    probe = StepSimulator(
-        segments, PlacementStrategy.OFFLOAD, write_bw, read_bw, io_mode="fifo"
-    ).run()
-    profile = WorkloadProfile(
-        activation_bytes_per_step=probe.offloaded_bytes + probe.kept_bytes,
-        forward_time_s=probe.forward_time_s,
-        backward_time_s=probe.backward_time_s,
-    )
-    return choose_offload_budget(profile, write_bw, read_bw, safety_factor=0.9)
-
-
 def _static_policy(budget):
     return OffloadPolicy(PolicyConfig(offload_budget_bytes=budget))
 
 
-# ------------------------------------------------------------------ scenarios
-def test_scenario_validation():
-    with pytest.raises(ValueError):
-        DriftScenario(steps=0, write_bandwidth=WRITE, read_bandwidth=READ)
-    with pytest.raises(ValueError):
-        DriftScenario(steps=4, write_bandwidth=0, read_bandwidth=READ)
-    with pytest.raises(ValueError):
-        DriftScenario(steps=4, write_bandwidth=WRITE, read_bandwidth=READ, kind="spike")
-    with pytest.raises(ValueError):
-        DriftScenario(
-            steps=4, write_bandwidth=WRITE, read_bandwidth=READ, write_factor=0
-        )
-
-
-def test_step_drop_schedule():
-    scen = DriftScenario.step_drop(WRITE, READ, steps=8, drift_step=4, write_factor=0.5)
-    assert scen.write_bandwidth_at(3) == WRITE
-    assert scen.write_bandwidth_at(4) == 0.5 * WRITE
-    assert scen.write_bandwidth_at(7) == 0.5 * WRITE
-    assert scen.read_bandwidth_at(7) == READ  # read path untouched by default
-
-
-def test_ramp_schedule_is_gradual():
-    scen = DriftScenario.ramp(
-        WRITE, READ, steps=10, drift_step=2, ramp_steps=4, write_factor=0.5
-    )
-    bws = [scen.write_bandwidth_at(s) for s in range(10)]
-    assert bws[0] == bws[1] == WRITE
-    assert all(a >= b for a, b in zip(bws, bws[1:]))  # monotone decline
-    assert bws[5] == pytest.approx(0.5 * WRITE)  # terminal factor reached
-    assert bws[9] == pytest.approx(0.5 * WRITE)  # and held
-    assert WRITE > bws[2] > 0.5 * WRITE  # the ramp is actually gradual
-
-
-def test_microbatch_resize_schedule():
-    scen = DriftScenario.microbatch_resize(
-        WRITE, READ, steps=6, drift_step=3, before=1, after=2
-    )
-    assert [scen.microbatches_at(s) for s in range(6)] == [1, 1, 1, 2, 2, 2]
-    assert scen.write_bandwidth_at(5) == WRITE  # hardware stays put
-
-
+# ------------------------------------------------------------------- runner
 def test_static_run_holds_budget_and_takes_no_decisions(segments):
-    scen = DriftScenario.static(WRITE, READ, steps=3)
-    run = simulate_adaptive_run(segments, scen, policy=_static_policy(2 * 2**30))
+    scen = Scenario.static(WRITE, READ, steps=3)
+    run = simulate_run(segments, scen, policy=_static_policy(2 * 2**30))
     assert run.decisions == []
     assert run.budgets == [2 * 2**30] * 3
     assert len(run.results) == 3
 
 
-# ------------------------------------------------ the acceptance A/B (issue)
+# ------------------------------------------------------- the acceptance A/B
 def test_step_drop_adaptive_beats_static_and_matches_offline_retune(segments):
     """2x write-bandwidth drop at step 8 of 16, shared fifo channel."""
     drift = 8
     steps = 16
-    budget_full = _one_shot_budget(segments, WRITE, READ)
-    scen = DriftScenario.step_drop(
+    budget_full = one_shot_budget(segments, StepConditions(WRITE, READ))
+    scen = Scenario.step_drop(
         WRITE, READ, steps=steps, drift_step=drift, write_factor=0.5
     )
-    static = simulate_adaptive_run(
-        segments, scen, policy=_static_policy(budget_full)
-    )
+    static = simulate_run(segments, scen, policy=_static_policy(budget_full))
     # The offline re-tune: the same one-shot sizing, run against the
     # degraded array — what an operator would install after the incident.
-    probe = StepSimulator(
-        segments, PlacementStrategy.OFFLOAD, WRITE, READ, io_mode="fifo"
-    ).run()
-    degraded_budget = choose_offload_budget(
-        WorkloadProfile(
-            activation_bytes_per_step=probe.offloaded_bytes + probe.kept_bytes,
-            forward_time_s=probe.forward_time_s,
-            backward_time_s=probe.backward_time_s,
-        ),
-        0.5 * WRITE,
-        READ,
-        safety_factor=0.9,
-    )
-    oracle = simulate_adaptive_run(
-        segments, scen, policy=_static_policy(degraded_budget)
-    )
-    adaptive = simulate_adaptive_run(
+    degraded_budget = one_shot_budget(segments, StepConditions(0.5 * WRITE, READ))
+    oracle = simulate_run(segments, scen, policy=_static_policy(degraded_budget))
+    adaptive = simulate_run(
         segments,
         scen,
         policy=_static_policy(budget_full),
@@ -161,11 +88,11 @@ def test_step_drop_adaptive_recovers_memory_savings(segments):
     post-drift it still moves a sizeable fraction of what the offline
     re-tune moves."""
     drift, steps = 8, 16
-    budget_full = _one_shot_budget(segments, WRITE, READ)
-    scen = DriftScenario.step_drop(
+    budget_full = one_shot_budget(segments, StepConditions(WRITE, READ))
+    scen = Scenario.step_drop(
         WRITE, READ, steps=steps, drift_step=drift, write_factor=0.5
     )
-    adaptive = simulate_adaptive_run(
+    adaptive = simulate_run(
         segments,
         scen,
         policy=_static_policy(budget_full),
@@ -179,10 +106,10 @@ def test_adaptive_removes_contention_stall_even_without_drift(segments):
     """The one-shot budget assumes independent store/load pools; on the
     shared fifo channel it stalls every step.  The feedback loop's
     stall-aware trim finds the contention-aware budget online."""
-    budget_full = _one_shot_budget(segments, WRITE, READ)
-    scen = DriftScenario.static(WRITE, READ, steps=8)
-    static = simulate_adaptive_run(segments, scen, policy=_static_policy(budget_full))
-    adaptive = simulate_adaptive_run(
+    budget_full = one_shot_budget(segments, StepConditions(WRITE, READ))
+    scen = Scenario.static(WRITE, READ, steps=8)
+    static = simulate_run(segments, scen, policy=_static_policy(budget_full))
+    adaptive = simulate_run(
         segments,
         scen,
         policy=_static_policy(budget_full),
@@ -193,18 +120,18 @@ def test_adaptive_removes_contention_stall_even_without_drift(segments):
 
 
 def test_ramp_drift_adaptive_tracks_decline(segments):
-    scen = DriftScenario.ramp(
+    scen = Scenario.ramp(
         WRITE, READ, steps=16, drift_step=4, ramp_steps=6, write_factor=0.4
     )
-    budget_full = _one_shot_budget(segments, WRITE, READ)
-    static = simulate_adaptive_run(segments, scen, policy=_static_policy(budget_full))
-    adaptive = simulate_adaptive_run(
+    budget_full = one_shot_budget(segments, StepConditions(WRITE, READ))
+    static = simulate_run(segments, scen, policy=_static_policy(budget_full))
+    adaptive = simulate_run(
         segments,
         scen,
         policy=_static_policy(budget_full),
         controller=AutotuneController(),
     )
-    assert adaptive.total_stall_s < static.total_stall_s
+    assert adaptive.stall_time_s() < static.stall_time_s()
     # The budget followed the ramp downward.
     assert adaptive.budgets[-1] < 0.7 * adaptive.budgets[0]
 
@@ -217,29 +144,12 @@ def test_microbatch_resize_adaptive_rescales_budget(segments):
     backward.  The controller re-derives the budget from the observed
     workload and trims the stall away."""
     drift = 6
-    scen = DriftScenario.microbatch_resize(
+    scen = Scenario.microbatch_resize(
         WRITE, READ, steps=14, drift_step=drift, before=2, after=1
     )
-    probe = StepSimulator(
-        segments,
-        PlacementStrategy.OFFLOAD,
-        WRITE,
-        READ,
-        num_microbatches=2,
-        io_mode="fifo",
-    ).run()
-    stale_budget = choose_offload_budget(
-        WorkloadProfile(
-            activation_bytes_per_step=probe.offloaded_bytes + probe.kept_bytes,
-            forward_time_s=probe.forward_time_s,
-            backward_time_s=probe.backward_time_s,
-        ),
-        WRITE,
-        READ,
-        safety_factor=0.9,
-    )
-    static = simulate_adaptive_run(segments, scen, policy=_static_policy(stale_budget))
-    adaptive = simulate_adaptive_run(
+    stale_budget = one_shot_budget(segments, scen.conditions[0])
+    static = simulate_run(segments, scen, policy=_static_policy(stale_budget))
+    adaptive = simulate_run(
         segments,
         scen,
         policy=_static_policy(stale_budget),

@@ -1,9 +1,11 @@
-"""Tests for the simulator-side fault model (FaultScenario)."""
+"""Fault scenarios played by the multi-step runner, A/B'd against their
+clean twin (``Scenario.static`` at the same nominal bandwidth).  The
+schedules themselves are pinned in ``test_scenarios.py``."""
 
 import pytest
 
 from repro.models import ModelConfig
-from repro.sim import FaultScenario, build_segments, simulate_fault_run
+from repro.sim import Scenario, build_segments, simulate_run
 from repro.train.parallel import ParallelismConfig
 
 WRITE_BW = 6.1e9
@@ -16,70 +18,38 @@ def segments():
     return build_segments(config, 8, parallelism=ParallelismConfig(tp=2))
 
 
-def test_fault_scenario_validation():
-    with pytest.raises(ValueError):
-        FaultScenario(4, WRITE_BW, READ_BW, kind="gremlins")
-    with pytest.raises(ValueError):
-        FaultScenario(0, WRITE_BW, READ_BW)
-    with pytest.raises(ValueError):
-        FaultScenario(4, WRITE_BW, READ_BW, fault_rate=1.5)
-    with pytest.raises(ValueError):
-        FaultScenario(4, WRITE_BW, READ_BW, kind="lane_death")  # needs death_step
-    with pytest.raises(ValueError):
-        FaultScenario(4, -1.0, READ_BW)
-
-
-def test_transient_scenario_derates_bandwidth_deterministically():
-    scenario = FaultScenario.transient(WRITE_BW, READ_BW, steps=6, fault_rate=0.1, seed=3)
-    twin = FaultScenario.transient(WRITE_BW, READ_BW, steps=6, fault_rate=0.1, seed=3)
-    for step in range(6):
-        assert scenario.fault_rate_at(step) == twin.fault_rate_at(step)
-        assert scenario.write_bandwidth_at(step) < WRITE_BW
-        assert scenario.io_latency_at(step, 20e-6) > 20e-6
-    other = FaultScenario.transient(WRITE_BW, READ_BW, steps=6, fault_rate=0.1, seed=4)
-    assert any(
-        scenario.fault_rate_at(s) != other.fault_rate_at(s) for s in range(6)
-    )
-
-
-def test_lane_death_switches_to_failover_bandwidth():
-    scenario = FaultScenario.lane_death(
-        WRITE_BW, READ_BW, steps=6, death_step=3, failover_bandwidth=20e9
-    )
-    assert scenario.ssd_alive_at(2) and not scenario.ssd_alive_at(3)
-    assert scenario.write_bandwidth_at(2) == WRITE_BW
-    assert scenario.write_bandwidth_at(3) == 20e9
-    assert scenario.read_bandwidth_at(5) == 20e9
+def _clean(segments, steps):
+    return simulate_run(segments, Scenario.static(WRITE_BW, READ_BW, steps=steps))
 
 
 def test_simulate_fault_run_transient_costs_but_completes(segments):
-    scenario = FaultScenario.transient(WRITE_BW, READ_BW, steps=4, fault_rate=0.2, seed=0)
-    run = simulate_fault_run(segments, scenario)
-    assert len(run.results) == len(run.fault_free) == scenario.steps
-    assert run.failover_step is None
+    scenario = Scenario.transient(WRITE_BW, READ_BW, steps=4, fault_rate=0.2, seed=0)
+    run = simulate_run(segments, scenario)
+    clean = _clean(segments, scenario.steps)
+    assert len(run.results) == len(clean.results) == scenario.steps
+    assert scenario.event_step is None
     # The retry tax is real but bounded: slower than clean, not broken.
-    assert run.step_time_overhead > 0
-    assert run.step_time_overhead < 0.5
-    assert run.total_stall_s >= run.fault_free_stall_s
+    overhead = run.step_time_s() / clean.step_time_s() - 1.0
+    assert 0 < overhead < 0.5
+    assert run.stall_time_s() >= clean.stall_time_s()
 
 
 def test_simulate_fault_run_lane_death_completes_via_failover(segments):
-    scenario = FaultScenario.lane_death(WRITE_BW, READ_BW, steps=6, death_step=2)
-    run = simulate_fault_run(segments, scenario)
+    scenario = Scenario.lane_death(WRITE_BW, READ_BW, steps=6, death_step=2)
+    run = simulate_run(segments, scenario)
+    clean = _clean(segments, scenario.steps)
     assert len(run.results) == scenario.steps
-    assert run.failover_step == 2
+    assert scenario.event_step == 2
     # Pre-death steps match the clean twin exactly.
     for step in range(2):
-        assert run.results[step].step_time_s == run.fault_free[step].step_time_s
+        assert run.results[step].step_time_s == clean.results[step].step_time_s
     # Post-death steps drain via host memory (PCIe default) and finish.
     assert all(r.step_time_s > 0 for r in run.results[2:])
 
 
 def test_latency_spike_scenario_adds_op_latency(segments):
-    scenario = FaultScenario.latency(
+    scenario = Scenario.latency(
         WRITE_BW, READ_BW, steps=3, fault_rate=0.5, spike_s=0.02, seed=1
     )
-    run = simulate_fault_run(segments, scenario)
-    assert run.step_time_overhead > 0
-    # Bandwidth is untouched by the latency kind.
-    assert scenario.write_bandwidth_at(0) == WRITE_BW
+    run = simulate_run(segments, scenario)
+    assert run.step_time_s() > _clean(segments, scenario.steps).step_time_s()

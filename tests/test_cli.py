@@ -1,8 +1,17 @@
 """Tests for the artifact-regeneration CLI."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro import cli
 from repro.cli import COMMANDS, build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_list_command(capsys):
@@ -170,3 +179,24 @@ def test_serve_command_runs_the_supervised_demo(tmp_path, capsys):
     assert "supervised restarts: 1" in out
     assert "manifest records replayed" in out
     assert "bit-exact" in out and "✓" in out
+
+
+def test_example_commands_run_outside_the_checkout(tmp_path):
+    """``serve`` and ``quickstart`` load their example by path, not as
+    the ``examples`` package of the working directory.  (Three steps is
+    the shortest run that leaves dead bytes for the demo's compaction.)"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--steps", "3",
+         "--kill-step", "-1", "--budget-step", "-1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "bit-exact" in proc.stdout
+
+
+def test_missing_example_names_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "src" / "repro" / "cli.py"))
+    missing = (tmp_path / "examples" / "quickstart.py").resolve()
+    with pytest.raises(SystemExit, match=re.escape(str(missing))):
+        cli._example_main("quickstart")

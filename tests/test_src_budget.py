@@ -18,9 +18,10 @@ degraded mode from), not a value with alternatives — there is no
 configuration without it, so it multiplies nothing.  A probe
 (``getattr``/``hasattr`` asking a part what it is) means a layer does
 not say what it has; the budget is for the few that are deliberate.
-The last two tests pin shapes so they cannot grow back: one owner of
-degraded mode (PR 22), and one observation feed (PR 23) — producers keep
-cumulative books and emit events, consumers difference and aggregate.
+The last three tests pin shapes so they cannot grow back: one owner of
+degraded mode, one observation feed — producers keep cumulative books
+and emit events, consumers difference and aggregate — and one
+simulated multi-step runner.
 """
 
 import dataclasses
@@ -37,7 +38,7 @@ from repro.io.filestore import TensorFileStore
 from repro.io.scheduler import IOScheduler
 from repro.serve import KVBlockPool
 
-SRC_LINE_CEILING = 20_157
+SRC_LINE_CEILING = 19_979
 ENGINE_CONFIG_FIELD_CEILING = 17
 KV_POOL_PARAMETERS = ("engine", "block_tokens", "num_layers", "hbm_capacity_bytes", "strategy")
 TENSOR_CACHE_PARAMETERS = ("offloader", "policy", "registry", "prefetch_window", "scheduler")
@@ -168,3 +169,22 @@ def test_observation_has_one_feed():
     assert finish.count("_stats_lock") == 1
     hedge_branch = finish[finish.index("if self.hedge"):]
     assert hedge_branch.index("_stats_lock") < hedge_branch.index("self._force_terminal")
+
+
+def test_simulated_runs_have_one_runner():
+    """Drift and fault runs are one per-step conditions schedule
+    (``Scenario``) played by one runner (``simulate_run``), and the
+    paper's one-shot budget probe (``one_shot_budget``) is written once."""
+    sources = {p.relative_to(SRC / "repro").as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+    everything = "\n".join(sources.values())
+    for gone in (
+        "DriftScenario", "FaultScenario", "simulate_adaptive_run", "simulate_fault_run",
+        "AdaptiveRunResult", "FaultRunResult", "bandwidth_at(", "microbatches_at(",
+    ):
+        assert gone not in everything, gone
+    callers = {
+        name: text.count("choose_offload_budget(")
+        for name, text in sources.items()
+        if not name.startswith("core/") and "choose_offload_budget(" in text
+    }
+    assert callers == {"sim/step_sim.py": 1}, callers
