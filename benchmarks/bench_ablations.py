@@ -43,7 +43,7 @@ def _offload(write_bw=SSD_WRITE_BW, read_bw=SSD_READ_BW, **kw):
     return sim.run(weight_update_s=update)
 
 
-def test_ablation_write_bandwidth_sweep(benchmark):
+def test_ablation_write_bandwidth_sweep():
     keep = simulate_strategy(
         CONFIG, 16, PlacementStrategy.KEEP, SSD_WRITE_BW, SSD_READ_BW,
         parallelism=EVAL_PARALLELISM,
@@ -57,7 +57,7 @@ def test_ablation_write_bandwidth_sweep(benchmark):
             rows.append((n_ssds, _offload(write_bw=bw, read_bw=rbw)))
         return rows
 
-    rows = benchmark(sweep)
+    rows = sweep()
     lines = [f"{'#SSDs':>5} {'overhead':>9} {'stall':>8} {'peak':>8} {'forwarded':>10}"]
     for n, r in rows:
         lines.append(
@@ -75,7 +75,7 @@ def test_ablation_write_bandwidth_sweep(benchmark):
     assert one.activation_peak_bytes > full.activation_peak_bytes
 
 
-def test_ablation_prefetch_budget(benchmark):
+def test_ablation_prefetch_budget():
     def sweep():
         rows = []
         for budget_frac in (0.125, 0.25, 0.5, 1.0, 2.0):
@@ -84,7 +84,7 @@ def test_ablation_prefetch_budget(benchmark):
             rows.append((budget_frac, _offload(prefetch_budget_bytes=budget)))
         return rows
 
-    rows = benchmark(sweep)
+    rows = sweep()
     lines = [f"{'budget x layer':>14} {'peak':>8} {'stall':>8}"]
     for frac, r in rows:
         lines.append(
@@ -97,7 +97,7 @@ def test_ablation_prefetch_budget(benchmark):
     assert all(a <= b + 1024 for a, b in zip(peaks, peaks[1:]))
 
 
-def test_ablation_keep_last_module(benchmark):
+def test_ablation_keep_last_module():
     def run():
         return (
             _offload(keep_last_segments=0),
@@ -105,7 +105,7 @@ def test_ablation_keep_last_module(benchmark):
             _offload(keep_last_segments=2),
         )
 
-    none, head, head_plus_layer = benchmark(run)
+    none, head, head_plus_layer = run()
     lines = [
         f"keep nothing:     stall={none.io_stall_time_s * 1e3:6.1f} ms  "
         f"offloaded={none.offloaded_bytes / 2**30:.1f}GB  peak={none.activation_peak_bytes / 2**30:.2f}GB",
@@ -121,7 +121,7 @@ def test_ablation_keep_last_module(benchmark):
     assert none.offloaded_bytes > head.offloaded_bytes > head_plus_layer.offloaded_bytes
 
 
-def test_ablation_gds_vs_bounce_buffer(benchmark):
+def test_ablation_gds_vs_bounce_buffer():
     array = RAID0Array(INTEL_OPTANE_P5800X_1600GB, num_ssds=4)
 
     def run():
@@ -134,7 +134,7 @@ def test_ablation_gds_vs_bounce_buffer(benchmark):
         b = _offload(write_bw=bounce.write_bandwidth(), read_bw=bounce.read_bandwidth())
         return direct, bounce, d, b
 
-    direct, bounce, d, b = benchmark(run)
+    direct, bounce, d, b = run()
     lines = [
         f"direct GDS path:   {direct.write_bandwidth() / 1e9:5.1f} GB/s write  "
         f"peak={d.activation_peak_bytes / 2**30:.2f}GB  stall={d.io_stall_time_s * 1e3:.1f}ms  "
@@ -151,7 +151,7 @@ def test_ablation_gds_vs_bounce_buffer(benchmark):
     assert b.forwarded_bytes > 0 or b.io_stall_time_s > 0
 
 
-def test_ablation_cpu_pool_sweep(benchmark):
+def test_ablation_cpu_pool_sweep():
     """Tiered offload: pinned-pool capacity vs required SSD bandwidth."""
 
     def sweep():
@@ -162,7 +162,7 @@ def test_ablation_cpu_pool_sweep(benchmark):
             )
         return rows
 
-    rows = benchmark(sweep)
+    rows = sweep()
     lines = [f"{'CPU pool':>8} {'to CPU':>8} {'to SSD':>8} {'stall':>8} {'SSD BW req':>11}"]
     for pool_gib, r in rows:
         lines.append(
@@ -181,7 +181,7 @@ def test_ablation_cpu_pool_sweep(benchmark):
     assert rows[-1][1].offloaded_ssd_bytes == 0  # 16 GiB swallows this workload
 
 
-def test_ablation_priority_io_scheduler(benchmark):
+def test_ablation_priority_io_scheduler():
     """FIFO vs priority dequeue on one shared, single-SSD channel."""
 
     def run():
@@ -199,7 +199,7 @@ def test_ablation_priority_io_scheduler(benchmark):
             )
         return rows
 
-    rows = benchmark(run)
+    rows = run()
     lines = [f"{'io mode':>9} {'step':>9} {'blocking-load stall':>20}"]
     for mode, r in rows:
         lines.append(
@@ -214,7 +214,7 @@ def test_ablation_priority_io_scheduler(benchmark):
     assert by_mode["priority"].io_stall_time_s <= by_mode["duplex"].io_stall_time_s + 1e-9
 
 
-def test_ablation_scheduler_cancellation_throughput(benchmark):
+def test_ablation_scheduler_cancellation_throughput():
     """Functional hot path: submit/cancel/drain cycles on the scheduler
     (the queue-slot reclaim that data forwarding exercises every step)."""
     from repro.io import IORequest, IOScheduler, Priority
@@ -240,7 +240,7 @@ def test_ablation_scheduler_cancellation_throughput(benchmark):
         sched.shutdown()
         return cancelled
 
-    cancelled = benchmark(run)
+    cancelled = run()
     emit(
         "Ablation — scheduler submit/cancel/drain throughput",
         [f"cancelled {cancelled} of 1000 queued stores before execution"],
@@ -248,7 +248,7 @@ def test_ablation_scheduler_cancellation_throughput(benchmark):
     assert cancelled > 0
 
 
-def test_ablation_chunk_coalescing(benchmark):
+def test_ablation_chunk_coalescing():
     """SSD write count: one file per tensor vs fixed-size chunk files."""
     from repro.core import SSDOffloader
     from repro.io import ChunkedTensorStore
@@ -274,7 +274,7 @@ def test_ablation_chunk_coalescing(benchmark):
             chunked.shutdown()
         return counts
 
-    per_writes, chunk_writes = benchmark(run)
+    per_writes, chunk_writes = run()
     lines = [
         f"per-tensor files: {per_writes} writes",
         f"1 MiB chunks:     {chunk_writes} writes "

@@ -26,7 +26,7 @@ READ = INTEL_OPTANE_P5800X_1600GB.read_bw
 GB = 1024**3
 
 
-def test_autotune_controller_hot_path(benchmark):
+def test_autotune_controller_hot_path():
     """Per-step cost of the feedback loop: fold an observation into the
     EWMA bank, re-run the budget formula, size window + watermark."""
 
@@ -52,7 +52,7 @@ def test_autotune_controller_hot_path(benchmark):
             )
         return controller
 
-    controller = benchmark(run)
+    controller = run()
     emit(
         "Autotune — controller hot path (512 observe/retune cycles)",
         [
@@ -70,7 +70,7 @@ def test_autotune_controller_hot_path(benchmark):
     assert controller.installed_budget_bytes <= 1.15 * oracle
 
 
-def test_autotune_step_drop_ab(benchmark):
+def test_autotune_step_drop_ab():
     """Static one-shot budget vs the online controller across a 2x
     mid-run write-bandwidth drop (16 simulated steps, shared channel)."""
     segments = build_segments(CONFIG, 16, parallelism=EVAL_PARALLELISM)
@@ -89,7 +89,7 @@ def test_autotune_step_drop_ab(benchmark):
         )
         return static, adaptive
 
-    static, adaptive = benchmark(run)
+    static, adaptive = run()
     emit(
         "Autotune — static vs adaptive under a 2x write-bandwidth drop",
         [

@@ -13,8 +13,8 @@ from repro.analysis.scaling import (
 from benchmarks.conftest import emit
 
 
-def test_fig1_trend_series(benchmark):
-    series = benchmark(fig1_series)
+def test_fig1_trend_series():
+    series = fig1_series()
     lines = []
     for key, entry in series.items():
         lines.append(f"{key:<11} growth {100 * entry['growth_per_year']:6.1f} %/yr  "

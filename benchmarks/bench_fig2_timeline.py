@@ -26,8 +26,8 @@ def _run():
     return sim.run(weight_update_s=0.02)
 
 
-def test_fig2_timeline(benchmark):
-    result = benchmark(_run)
+def test_fig2_timeline():
+    result = _run()
     lines = result.timeline.render_ascii(width=96, lanes=["gpu", "store", "load"]).splitlines()
     lines.append(
         f"step={result.step_time_s * 1e3:.0f} ms, stall={result.io_stall_time_s * 1e3:.1f} ms, "

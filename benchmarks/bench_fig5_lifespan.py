@@ -19,8 +19,8 @@ from repro.service import SyntheticWorkload
 from benchmarks.conftest import emit
 
 
-def test_fig5_deployment_projection(benchmark):
-    projections = benchmark(project_all_fig5)
+def test_fig5_deployment_projection():
+    projections = project_all_fig5()
     header = f"{'configuration':<28} {'GPUs':>5}  {'write BW':>12}  {'lifespan':>9}  {'max act':>8}"
     lines = [header, "-" * len(header)]
     lines.extend(p.as_row() for p in projections)

@@ -44,8 +44,8 @@ def _run_grid():
     return rows
 
 
-def test_fig6_step_time_and_memory(benchmark):
-    rows = benchmark(_run_grid)
+def test_fig6_step_time_and_memory():
+    rows = _run_grid()
     lines = [
         f"{'model':<5} {'H':>6} {'L':>2} | {'step keep':>10} {'step SSDTrain':>13} "
         f"{'overhead':>9} | {'peak keep':>10} {'peak SSDTrain':>13} {'reduction':>9} {'paper':>6}"

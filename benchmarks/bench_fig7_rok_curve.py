@@ -30,8 +30,8 @@ def _rok_points(hidden):
 
 
 @pytest.mark.parametrize("hidden", [12288, 14336])
-def test_fig7_rok_curve(benchmark, hidden):
-    points = benchmark(_rok_points, hidden)
+def test_fig7_rok_curve(hidden):
+    points = _rok_points(hidden)
     lines = [f"{'B':>3} {'strategy':<10} {'act peak':>9} {'throughput':>12}"]
     for batch, strategy, r in points:
         lines.append(

@@ -14,10 +14,8 @@ from benchmarks.conftest import EVAL_PARALLELISM, emit
 CONFIG = ModelConfig(arch="bert", hidden=12288, num_layers=3, seq_len=1024)
 
 
-def test_fig8a_microbatch_breakdown(benchmark):
-    rows = benchmark(
-        microbatch_breakdown, CONFIG, (2, 4, 8, 16), parallelism=EVAL_PARALLELISM
-    )
+def test_fig8a_microbatch_breakdown():
+    rows = microbatch_breakdown(CONFIG, (2, 4, 8, 16), parallelism=EVAL_PARALLELISM)
     lines = [f"{'B':>3} {'total':>8} {'weights update':>15} {'compute eff':>12}"]
     for r in rows:
         lines.append(

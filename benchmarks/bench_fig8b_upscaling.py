@@ -12,8 +12,8 @@ from repro.analysis.microbatch import upscaling_write_bandwidth
 from benchmarks.conftest import emit
 
 
-def test_fig8b_upscaling_bandwidth(benchmark):
-    reference, points = benchmark(upscaling_write_bandwidth)
+def test_fig8b_upscaling_bandwidth():
+    reference, points = upscaling_write_bandwidth()
     lines = [f"reference (2-GPU, TP2 PP1 L3): {reference:.1f} GB/s  <- orange dashed line"]
     for p in points:
         marker = "OK (below reference)" if p.write_bandwidth_gbps < reference else "ABOVE"

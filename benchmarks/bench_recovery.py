@@ -1,11 +1,11 @@
-"""Benchmarks for the self-healing degraded modes (PR 10).
+"""The self-healing degraded modes (PR 10).
 
-Wall-clock benches for the two hot paths this PR adds to every request
-— the circuit-breaker state machine and the adaptive hedge-delay
-derivation — plus the failover store path a dead SSD reroutes through,
-and two deterministic recovery assertions: hedged reads must win races
-under a browning-out lane, and a healed tier must resurrect via canary
-probes with the post-resurrection store bit-exact.
+The two hot paths this PR adds to every request — the circuit-breaker
+state machine and the adaptive hedge-delay derivation — plus the
+failover store path a dead SSD reroutes through, and two deterministic
+recovery assertions: hedged reads must win races under a browning-out
+lane, and a healed tier must resurrect via canary probes with the
+post-resurrection store bit-exact.
 """
 
 import threading
@@ -32,7 +32,7 @@ def _ssd_placing_policy():
 
 
 # ------------------------------------------------------------- hot paths
-def test_breaker_trip_probe_close_cycle(benchmark):
+def test_breaker_trip_probe_close_cycle():
     """One full incident on the breaker state machine: trip -> backoff
     -> half-open probe -> close.  Pure state machine on a fake clock —
     the cost every failed/healed I/O pays at the bookkeeping layer."""
@@ -45,7 +45,7 @@ def test_breaker_trip_probe_close_cycle(benchmark):
         assert breaker.allow_probe()
         assert breaker.record_probe_success()
 
-    benchmark(cycle)
+    cycle()
     assert breaker.state == BreakerState.CLOSED
     assert breaker.stats.resurrections == breaker.stats.trips
     emit(
@@ -54,7 +54,7 @@ def test_breaker_trip_probe_close_cycle(benchmark):
     )
 
 
-def test_hedge_delay_derivation_hot_path(benchmark):
+def test_hedge_delay_derivation_hot_path():
     """The adaptive hedge delay (p99 clamped to 4*p50 over the lane's
     duration window) is recomputed on every watchdog scan with a
     blocking load in flight — it must stay cheap."""
@@ -65,7 +65,7 @@ def test_hedge_delay_derivation_hot_path(benchmark):
             window.append(0.010 if i % 8 else 0.200)
         with sched._stats_lock:
             sched._load_durations["ssd"] = window
-        delay = benchmark(sched.hedge_delay_for, "ssd")
+        delay = sched.hedge_delay_for("ssd")
     finally:
         sched.shutdown()
     assert 0.002 <= delay <= 4.0 * 0.200
@@ -75,7 +75,7 @@ def test_hedge_delay_derivation_hot_path(benchmark):
     )
 
 
-def test_failover_store_latency_dead_ssd(benchmark, tmp_path):
+def test_failover_store_latency_dead_ssd(tmp_path):
     """Store latency on the degraded path: the SSD is dead, so every
     placement reroutes into the pinned CPU tier — the latency a training
     step actually pays while the breaker is OPEN."""
@@ -99,7 +99,7 @@ def test_failover_store_latency_dead_ssd(benchmark, tmp_path):
             offloader.store(tid, TENSOR)
             offloader.release(tid)
 
-        benchmark(store_release)
+        store_release()
         # The tripping store failed over; every later placement skips
         # the dead tier outright and lands on the CPU directly.
         assert offloader.stats.failovers >= 1

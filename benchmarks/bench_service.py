@@ -1,9 +1,9 @@
-"""Benchmarks for service mode's durable index (PR 9).
+"""Service mode's durable index (PR 9).
 
-Wall-clock benches for the two costs the long-running service pays that
-a single-run engine never does — **manifest replay** on every restart
-and **chunk compaction** on the endurance path — plus a deterministic
-GC-reclaim assertion so the compactor cannot silently stop reclaiming.
+The two costs the long-running service pays that a single-run engine
+never does — **manifest replay** on every restart and **chunk
+compaction** on the endurance path — plus a deterministic GC-reclaim
+assertion so the compactor cannot silently stop reclaiming.
 """
 
 import numpy as np
@@ -45,48 +45,34 @@ def _replay(root):
         reopened.close()
 
 
-def test_manifest_replay_small_store(benchmark, tmp_path):
+def test_manifest_replay_small_store(tmp_path):
     """Cold-open replay cost at a small store (restart latency floor)."""
     _populate(tmp_path, num_tensors=32)
-    records = benchmark(_replay, tmp_path)
+    records = _replay(tmp_path)
     emit(
         "service — manifest replay (small store)",
         [f"32 tensors, {records} journal records replayed per cold open"],
     )
 
 
-def test_manifest_replay_large_store(benchmark, tmp_path):
+def test_manifest_replay_large_store(tmp_path):
     """Replay cost with 16x the records — the curve restart latency
     follows as a service accumulates flush/delete history."""
     _populate(tmp_path, num_tensors=512, release_every=2)
-    records = benchmark(_replay, tmp_path)
+    records = _replay(tmp_path)
     emit(
         "service — manifest replay (large store)",
         [f"512 tensors + deletes, {records} journal records replayed per cold open"],
     )
 
 
-def test_service_compaction_throughput(benchmark, tmp_path):
-    """Throughput of one full compaction pass over half-dead chunks.
-
-    Compaction is destructive, so each measured round gets a freshly
-    populated store via ``benchmark.pedantic`` setup.
-    """
-    counter = [0]
-
-    def setup():
-        root = tmp_path / f"round{counter[0]}"
-        counter[0] += 1
-        _populate(root, num_tensors=64, release_every=2)
-        return (ChunkedTensorStore(root, chunk_bytes=CHUNK_BYTES, durable=True),), {}
-
-    def compact_all(store):
-        reclaimed = store.compact(max_dead_ratio=0.5)
-        store.close()
-        assert reclaimed > 0
-        return reclaimed
-
-    reclaimed = benchmark.pedantic(compact_all, setup=setup, rounds=5)
+def test_service_compaction_throughput(tmp_path):
+    """One full compaction pass over half-dead chunks reclaims bytes."""
+    _populate(tmp_path, num_tensors=64, release_every=2)
+    store = ChunkedTensorStore(tmp_path, chunk_bytes=CHUNK_BYTES, durable=True)
+    reclaimed = store.compact(max_dead_ratio=0.5)
+    store.close()
+    assert reclaimed > 0
     emit(
         "service — compaction throughput",
         [f"{reclaimed} dead bytes reclaimed per pass over 16 half-dead chunks"],

@@ -50,8 +50,8 @@ def _run():
     return rows
 
 
-def test_table3_offload_amount(benchmark):
-    rows = benchmark(_run)
+def test_table3_offload_amount():
+    rows = _run()
     lines = [
         f"{'H':>6} {'L':>2} | {'offloaded':>10} {'estimate':>9} {'PCIe write BW':>14} "
         f"| paper: offloaded / estimate / BW"

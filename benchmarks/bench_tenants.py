@@ -24,8 +24,8 @@ def _run(fair):
     return MultiTenantHarness(JOBS, fair=fair).run()
 
 
-def test_tenant_harness_fair_run(benchmark):
-    result = benchmark(_run, True)
+def test_tenant_harness_fair_run():
+    result = _run(True)
     emit(
         "Multi-tenant QoS — fair-share DRR over a shared lane",
         [f"contended Jain index: {result.contended_jain:.4f}"],
@@ -33,8 +33,8 @@ def test_tenant_harness_fair_run(benchmark):
     assert result.contended_jain >= 0.9
 
 
-def test_tenant_harness_fifo_run(benchmark):
-    result = benchmark(_run, False)
+def test_tenant_harness_fifo_run():
+    result = _run(False)
     emit(
         "Multi-tenant QoS — naive FIFO over a shared lane",
         [f"contended Jain index: {result.contended_jain:.4f}"],
@@ -57,7 +57,7 @@ def test_tenant_fair_vs_fifo_jain_ab():
     assert fair.contended_jain > fifo.contended_jain + 0.05
 
 
-def test_tenant_admission_quota_hot_path(benchmark):
+def test_tenant_admission_quota_hot_path():
     """The per-submit admission charge/refund cycle (quota-tracked
     tenant) — pure CPU."""
     registry = TenantRegistry()
@@ -68,4 +68,4 @@ def test_tenant_admission_quota_hot_path(benchmark):
             registry.admit("hot", 4096)
             registry.refund("hot", 4096)
 
-    benchmark(cycle)
+    cycle()

@@ -8,13 +8,12 @@ the pytest invocation points at this directory (or anything inside it),
 a :func:`pytest_collect_file` hook collects the ``bench_*.py`` files, so
 both forms work unmodified::
 
-    pytest benchmarks -q --benchmark-disable    # whole suite, assertions only (CI)
+    pytest benchmarks -q                        # whole suite (CI)
     pytest benchmarks/bench_ablations.py -q     # one file (explicit path)
 
 Every collected benchmark also carries the ``bench`` marker, so
 ``pytest benchmarks -m bench`` / ``-m "not bench"`` slicing works.
-Add ``--benchmark-only -s`` to see the regenerated rows/series next to
-the timing output.
+Add ``-s`` to see the regenerated rows/series.
 """
 
 from __future__ import annotations

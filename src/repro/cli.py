@@ -249,9 +249,9 @@ def cmd_tiers(args: argparse.Namespace) -> None:
 
 
 def cmd_sched(args: argparse.Namespace) -> None:
-    """A/B the SSD-channel scheduling modes at equal bandwidth: the
-    paper's independent pools (duplex), one shared FIFO queue, and the
-    shared queue with blocking-load-first priority dequeue."""
+    """A/B the SSD lanes of the production scheduler at equal
+    bandwidth: the paper's two FIFO pools (duplex), one shared FIFO lane,
+    and the shared lane with blocking-load-first priority dequeue."""
     from repro.sim import simulate_strategy
 
     config = ModelConfig(arch="bert", hidden=args.hidden, num_layers=3, seq_len=1024)
@@ -653,7 +653,8 @@ def cmd_tenants(args: argparse.Namespace) -> None:
     """Multi-tenant QoS A/B: fair-share DRR dequeue vs naive FIFO.
 
     N equal-weight tenants fire identical offload bursts at one shared
-    lane (a serial virtual-clock device, so the numbers are exact).
+    lane of the production scheduler, served on a virtual clock (so the
+    numbers are exact).
     Fair-share service splits the contended window evenly (Jain's index
     ~1.0); FIFO serves whoever queued first and starves the rest.  A
     second round demonstrates weights and a byte-quota cap.

@@ -66,9 +66,7 @@ class TierStats:
     promotions: int = 0             # SSD -> CPU copies on load
     promoted_bytes: int = 0
     cpu_hits: int = 0               # loads served from the pinned pool
-    cpu_hit_bytes: int = 0
     ssd_loads: int = 0
-    ssd_loaded_bytes: int = 0
     cancelled_demotions: int = 0    # SSD writes avoided: victim released
     cancelled_demotion_bytes: int = 0
     demotion_forward_hits: int = 0  # loads served from a parked (queued / mid-write) buffer
@@ -775,7 +773,6 @@ class TieredOffloader(Offloader):
                 if entry.state is _State.CPU:
                     self._lru.move_to_end(tid)
                     self.stats.cpu_hits += 1
-                    self.stats.cpu_hit_bytes += data.nbytes
                     return data
                 # Demotion forwarding: a queued or mid-flight write is
                 # served without waiting for (or blocking) it.
@@ -809,7 +806,6 @@ class TieredOffloader(Offloader):
                 entry.sync_idle()
                 if data is not None:
                     self.stats.ssd_loads += 1
-                    self.stats.ssd_loaded_bytes += data.nbytes
                     if (
                         self.promote_on_load
                         # The last reader out promotes: once, and never

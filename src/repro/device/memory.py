@@ -38,8 +38,6 @@ class _TagStats:
     current: int = 0
     peak: int = 0
     total_allocated: int = 0
-    alloc_count: int = 0
-    free_count: int = 0
 
 
 @dataclass
@@ -95,7 +93,6 @@ class MemoryLedger:
             stats = self._stats[tag]
             stats.current += nbytes
             stats.total_allocated += nbytes
-            stats.alloc_count += 1
             stats.peak = max(stats.peak, stats.current)
             self._current_total = new_total
             self._peak_total = max(self._peak_total, new_total)
@@ -117,7 +114,6 @@ class MemoryLedger:
                     f"{stats.current} bytes are live"
                 )
             stats.current -= nbytes
-            stats.free_count += 1
             self._current_total -= nbytes
 
     # ------------------------------------------------------------------ query

@@ -77,7 +77,6 @@ class ArenaStats:
     releases: int = 0          #: leases returned (dropped or pooled)
     hits: int = 0              #: leases served from the free list
     misses: int = 0            #: leases that allocated a fresh buffer
-    requested_bytes: int = 0   #: cumulative bytes requested
     outstanding: int = 0       #: live leases right now
     outstanding_bytes: int = 0  #: size-class bytes currently leased
     high_water_bytes: int = 0  #: peak of outstanding_bytes
@@ -309,7 +308,6 @@ class BufferArena:
             if aligned:
                 self._stats.aligned_leases += 1
             self._stats.leases += 1
-            self._stats.requested_bytes += nbytes
             self._stats.outstanding += 1
             self._stats.outstanding_bytes += cls
             by_tenant = self._stats.outstanding_by_tenant
@@ -337,7 +335,6 @@ class BufferArena:
                 with self._lock:
                     self._stats.leases -= 1
                     self._stats.misses -= 1
-                    self._stats.requested_bytes -= nbytes
                     self._stats.outstanding -= 1
                     self._stats.outstanding_bytes -= cls
                     if aligned:

@@ -170,7 +170,6 @@ class FaultStats:
     injected_torn_writes: int = 0
     injected_bit_rot: int = 0
     permanent_failures: int = 0
-    injected_hangs: int = 0
     injected_brownouts: int = 0
     injected_enospc: int = 0
     #: Corruptions skipped because the backing file did not exist yet
@@ -284,7 +283,6 @@ class FaultInjector:
                 (plan.hang_ops is not None and self.fault_stats.ops in plan.hang_ops)
                 or (plan.hang_rate > 0 and self._rng.random() < plan.hang_rate)
             ):
-                self.fault_stats.injected_hangs += 1
                 spike = max(spike, plan.hang_s)
             if (
                 plan.brownout_after_ops is not None

@@ -502,7 +502,9 @@ class IOScheduler:
     Args:
         workers: worker threads per lane (any worker may serve any
             class — that is what lets a blocking load overtake the store
-            backlog).
+            backlog).  ``0`` starts none: the caller is every lane's one
+            worker and serves it with :meth:`serve_next` (the simulator
+            runs the scheduler on a virtual clock this way).
         lanes: tier names to create lanes for; a request naming any
             other lane is refused at submit.
         fifo: ignore priority classes and dequeue in submission order
@@ -545,8 +547,8 @@ class IOScheduler:
         hedge_delay_s: Optional[float] = None,
         slow_request_s: Optional[float] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"each lane needs at least one worker: {workers}")
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0: {workers}")
         if not lanes:
             raise ValueError("need at least one lane")
         if coalesce_bytes < 0:
@@ -1236,6 +1238,18 @@ class IOScheduler:
                 batch = self._pop_batch_locked(lane)
             self._run_batch(lane, batch)
 
+    def serve_next(self, name: str) -> bool:
+        """One turn of the worker loop on the caller, for a scheduler
+        built with ``workers=0``: pop lane ``name``'s next batch and run
+        it to completion.  False when nothing live was queued."""
+        lane = self._lanes[name]
+        with lane.lock:
+            batch = self._pop_batch_locked(lane)
+        if not batch:
+            return False
+        self._run_batch(lane, batch, inline=True)
+        return True
+
     def _run_batch(self, lane: _Lane, batch: List[IORequest], inline: bool = False) -> None:
         """Hand a batch to the backend, which runs the members' bodies on
         this thread and settles them here or (unless ``inline``) on its
@@ -1303,6 +1317,11 @@ class IOScheduler:
             self.tenants.note_parked_cancelled(request.tenant)
             if request.cancel():
                 self._safe_notify("cancel", request)
+        if not self._workers:
+            # No lane worker will finish the queued work: the caller does.
+            for name in self._lanes:
+                while self.serve_next(name):
+                    pass
         self.drain()
         for lane in self._lanes.values():
             with lane.cond:

@@ -2,14 +2,16 @@
 
 A model is lowered to a list of :class:`SegmentSpec` (embedding segment,
 one per transformer layer, LM-head segment).  The simulator plays one
-training step over three serial resources — the GPU compute stream, the
-SSD store channel, and the SSD load channel (the two thread pools of
-Sec. III-C2) — making offload decisions with the *same*
-:class:`~repro.core.policy.OffloadPolicy` the functional tensor cache uses:
+training step on the GPU compute stream, making offload decisions with
+the *same* :class:`~repro.core.policy.OffloadPolicy` the functional
+tensor cache uses, and queues every store and load on the engine's own
+:class:`~repro.io.scheduler.IOScheduler`, served on a virtual clock
+(:mod:`repro.sim.virtual_io`) — the simulator has no queueing model of
+its own:
 
 - forward: at each segment's completion its activations are packed; kept
   tensors stay resident until their backward; offloaded tensors enqueue on
-  the store channel and release memory when the store completes;
+  the store lane and release memory when the store completes;
 - backward: loads are issued in reverse order with a bounded segment
   look-ahead; a segment's backward stalls the GPU if its activations are
   not resident yet (this is where a slow SSD shows up as overhead);
@@ -24,10 +26,10 @@ Sec. III-C2) — making offload decisions with the *same*
   the simulator analogue of
   :class:`~repro.core.tiered.TieredOffloader` (placement only; demotion
   traffic is a functional-engine concern);
-- I/O scheduling: ``io_mode`` picks the SSD-channel contention model
-  (see :data:`IO_MODES`) — ``"fifo"`` vs ``"priority"`` quantifies what
-  the functional :class:`~repro.io.scheduler.IOScheduler`'s
-  blocking-load-first dequeue buys at equal bandwidth;
+- I/O scheduling: ``io_mode`` picks the scheduler the SSD requests queue
+  on (see :data:`IO_MODES`) — ``"fifo"`` vs ``"priority"`` quantifies
+  what the production blocking-load-first dequeue buys at equal
+  bandwidth;
 - multi-step runs: :func:`simulate_run` plays a :class:`Scenario` — one
   :class:`StepConditions` (bandwidths, per-op latency, micro-batch
   count) per step — for bandwidth drift, micro-batch resizes, the
@@ -40,7 +42,6 @@ Sec. III-C2) — making offload decisions with the *same*
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -57,24 +58,34 @@ from repro.core.autotune import AutotuneController, ControllerDecision, StepObse
 from repro.core.policy import Decision, OffloadPolicy, StepAccounting, Tier
 from repro.device.gpu import A100_PCIE_40GB, GPUSpec, KernelTimingModel
 from repro.device.pcie import GPU_LINK_GEN4_X16
+from repro.io.scheduler import IORequest, Priority
+from repro.io.tenancy import TenantQuotaError, TenantRegistry, jain_index
 from repro.models.config import ModelConfig
 from repro.sim.timeline import Timeline
+from repro.sim.virtual_io import VirtualIO, VirtualRequest
 from repro.train.parallel import ParallelismConfig
 from repro.train.trainer import PlacementStrategy
 
 
-#: SSD-channel contention models (the functional counterpart is the
-#: :class:`~repro.io.scheduler.IOScheduler`'s ``fifo`` flag):
-#:
-#: - ``"duplex"``  — the paper's two independent pools: stores and loads
-#:   never contend (an idealisation of deep NVMe queues);
-#: - ``"fifo"``    — one shared serial channel, strict submission order:
-#:   a backward load queues behind the whole store backlog (the
-#:   priority-inversion failure mode);
-#: - ``"priority"``— the same shared channel, but loads overtake queued
-#:   stores (blocking-load-first dequeue).  Deferred stores finish in
-#:   the gaps; their recorded completion times are lower bounds.
-IO_MODES = ("duplex", "fifo", "priority")
+#: The scheduler each ``io_mode`` queues SSD traffic on: (lane of an SSD
+#: store, lane of an SSD load, FIFO dequeue).  ``duplex`` is the paper's
+#: two FIFO pools (Sec. III-C2); ``fifo`` one shared FIFO lane, where a
+#: backward load waits behind the whole store backlog; ``priority`` that
+#: lane with the production dequeue — current-segment loads are
+#: BLOCKING_LOAD, look-ahead loads PREFETCH_LOAD, promoted at backward
+#: entry.  The CPU tier always has its own store and load lanes.
+IO_MODES = {
+    "duplex": ("store", "load", True),
+    "fifo": ("ssd", "ssd", True),
+    "priority": ("ssd", "ssd", False),
+}
+
+#: The pinned-CPU tier moves bytes at the GPU's PCIe link speed.
+CPU_TIER_BANDWIDTH = GPU_LINK_GEN4_X16.bandwidth
+
+#: Recomputation transient: the recomputed activations coexist with the
+#: gradient buffers of the segment's backward.
+RECOMPUTE_WORKSPACE_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -223,12 +234,9 @@ class StepSimulator:
         prefetch_segments: int = 2,
         keep_last_segments: int = 2,
         prefetch_budget_bytes: Optional[int] = None,
-        recompute_workspace_factor: float = 2.0,
         io_latency_s: float = 20e-6,
         dtype_bytes: int = 2,
         cpu_pool_bytes: Optional[int] = None,
-        cpu_write_bandwidth: Optional[float] = None,
-        cpu_read_bandwidth: Optional[float] = None,
         io_mode: str = "duplex",
     ) -> None:
         if write_bandwidth <= 0 or read_bandwidth <= 0:
@@ -236,7 +244,7 @@ class StepSimulator:
         if num_microbatches < 1:
             raise ValueError("num_microbatches must be >= 1")
         if io_mode not in IO_MODES:
-            raise ValueError(f"unknown io_mode {io_mode!r}; expected one of {IO_MODES}")
+            raise ValueError(f"unknown io_mode {io_mode!r}; expected one of {tuple(IO_MODES)}")
         self.segments = segments
         self.strategy = strategy
         self.write_bw = write_bandwidth
@@ -249,9 +257,6 @@ class StepSimulator:
         # cache keeps the final top-level segment; pass 2 to also keep the
         # final transformer layer as in the Fig. 2 sketch).
         self.keep_last_segments = keep_last_segments
-        # Recomputation transient: the recomputed activations coexist with
-        # the gradient buffers of the segment's backward.
-        self.recompute_workspace_factor = recompute_workspace_factor
         # Bound on prefetched-but-unconsumed bytes, the simulator analogue
         # of the tensor cache's bounded look-ahead window: a prefetch may
         # run ahead of consumption by at most this many bytes.  Defaults to
@@ -269,22 +274,26 @@ class StepSimulator:
         # (every offload targets the SSD, the paper's configuration).
         self.cpu_pool_bytes = cpu_pool_bytes
         self.io_mode = io_mode
-        link_bw = GPU_LINK_GEN4_X16.bandwidth
-        self.cpu_write_bw = cpu_write_bandwidth if cpu_write_bandwidth is not None else link_bw
-        self.cpu_read_bw = cpu_read_bandwidth if cpu_read_bandwidth is not None else link_bw
-        if self.cpu_pool_bytes is not None and (
-            self.cpu_write_bw <= 0 or self.cpu_read_bw <= 0
-        ):
-            raise ValueError("CPU-tier bandwidths must be positive")
 
     def run(self, weight_update_s: float = 0.0) -> SimResult:
         timeline = Timeline()
         accounting = StepAccounting()
+        store_lane, load_lane, fifo = IO_MODES[self.io_mode]
+        lanes = tuple(dict.fromkeys((store_lane, load_lane, "cpu_store", "cpu_load")))
+        io = VirtualIO(lanes, fifo, self.io_latency_s)
+
+        def draw(event: str, request: IORequest) -> None:
+            # Every request lands on the timeline once it has run (the
+            # shared SSD lane draws each on its channel's row); a load
+            # re-allocates its tensor on the GPU when it starts.
+            if event == "done":
+                lane = request.kind if request.lane == "ssd" else request.lane
+                timeline.record(lane, request.label, request.started_at, request.finished_at)
+                if request.kind == "load":
+                    timeline.alloc(request.started_at, request.nbytes)
+
+        io.scheduler.add_listener(draw)
         gpu_t = 0.0
-        store_t = 0.0
-        load_t = 0.0
-        cpu_store_t = 0.0
-        cpu_load_t = 0.0
         io_stall = 0.0
         offloaded = loaded = forwarded = 0
         off_cpu = off_ssd = 0
@@ -297,12 +306,9 @@ class StepSimulator:
 
         for mb in range(self.num_microbatches):
             # ------------------------------------------------------ forward
-            # store_end[i][j]: completion time of activation j of segment i
-            # (None = kept resident).
-            store_end: List[List[Optional[float]]] = []
-            freed_at_store: List[List[bool]] = []
-            # Landing tier of each offloaded activation (None = kept).
-            store_tier: List[List[Optional[Tier]]] = []
+            # stores[i][j]: the store of activation j of segment i (None =
+            # kept resident).
+            stores: List[List[Optional[VirtualRequest]]] = []
             for si, seg in enumerate(self.segments):
                 seg_start = gpu_t
                 gpu_t += seg.forward_time_s
@@ -310,9 +316,8 @@ class StepSimulator:
                 alg_flops += seg.forward_flops
                 exec_flops += seg.forward_flops
                 timeline.record("gpu", f"F{si}", seg_start, gpu_t)
-                ends: List[Optional[float]] = []
-                freed: List[bool] = []
-                tiers: List[Optional[Tier]] = []
+                row: List[Optional[VirtualRequest]] = []
+                stores.append(row)
                 in_keep_scope = (
                     keep_last
                     and si >= len(self.segments) - self.keep_last_segments
@@ -322,9 +327,7 @@ class StepSimulator:
                     # Only the segment input survives; approximate it as one
                     # resident tensor per segment (freed after backward).
                     timeline.alloc(seg_start, seg.input_bytes)
-                    store_end.append([None] * len(seg.activations))
-                    freed_at_store.append([False] * len(seg.activations))
-                    store_tier.append([None] * len(seg.activations))
+                    row.extend([None] * len(seg.activations))
                     continue
 
                 count = len(seg.activations)
@@ -335,9 +338,7 @@ class StepSimulator:
                     produced = seg_start + (aj + 1) / count * seg.forward_time_s
                     timeline.alloc(produced, act.nbytes)
                     if self.strategy is not PlacementStrategy.OFFLOAD:
-                        ends.append(None)
-                        freed.append(False)
-                        tiers.append(None)
+                        row.append(None)
                         continue
                     decision = self.policy.decide(
                         is_weight=False,
@@ -348,62 +349,40 @@ class StepSimulator:
                         in_keep_scope=in_keep_scope,
                         accounting=accounting,
                     )
-                    if decision is Decision.OFFLOAD:
-                        cpu_free = (
-                            self.cpu_pool_bytes - cpu_used
-                            if self.cpu_pool_bytes is not None
-                            else None
-                        )
-                        tier = self.policy.place(
-                            nbytes=act.nbytes, cpu_free_bytes=cpu_free
-                        )
-                        if tier is Tier.CPU:
-                            start = max(cpu_store_t, produced)
-                            done = (
-                                start
-                                + self.io_latency_s
-                                + act.nbytes / self.cpu_write_bw
-                            )
-                            cpu_store_t = done
-                            timeline.record("cpu_store", f"c{si}", start, done)
-                            cpu_used += act.nbytes
-                            cpu_peak = max(cpu_peak, cpu_used)
-                            off_cpu += act.nbytes
-                        else:
-                            start = max(store_t, produced)
-                            if self.io_mode != "duplex":
-                                # Shared SSD channel: a store cannot start
-                                # while a load occupies it.
-                                start = max(start, load_t)
-                            done = (
-                                start + self.io_latency_s + act.nbytes / self.write_bw
-                            )
-                            store_t = done
-                            timeline.record("store", f"s{si}", start, done)
-                            off_ssd += act.nbytes
-                        accounting.offloaded_bytes += act.nbytes
-                        offloaded += act.nbytes
-                        ends.append(done)
-                        freed.append(True)
-                        tiers.append(tier)
-                        timeline.free(done, act.nbytes)
-                    else:
+                    if decision is not Decision.OFFLOAD:
                         accounting.kept_bytes += act.nbytes
-                        ends.append(None)
-                        freed.append(False)
-                        tiers.append(None)
-                store_end.append(ends)
-                freed_at_store.append(freed)
-                store_tier.append(tiers)
+                        row.append(None)
+                        continue
+                    cpu_free = (
+                        self.cpu_pool_bytes - cpu_used
+                        if self.cpu_pool_bytes is not None
+                        else None
+                    )
+                    tier = self.policy.place(nbytes=act.nbytes, cpu_free_bytes=cpu_free)
+                    if tier is Tier.CPU:
+                        row.append(io.submit("cpu_store", "store", Priority.STORE, act.nbytes,
+                                             CPU_TIER_BANDWIDTH, produced, f"c{si}"))
+                        cpu_used += act.nbytes
+                        cpu_peak = max(cpu_peak, cpu_used)
+                        off_cpu += act.nbytes
+                    else:
+                        row.append(io.submit(store_lane, "store", Priority.STORE, act.nbytes,
+                                             self.write_bw, produced, f"s{si}"))
+                        off_ssd += act.nbytes
+                    accounting.offloaded_bytes += act.nbytes
+                    offloaded += act.nbytes
 
             # ----------------------------------------------------- backward
             n = len(self.segments)
-            load_end: Dict[Tuple[int, int], float] = {}
-            bwd_start_of: List[Optional[float]] = [None] * n
+            # When each activation is back on the GPU: resident (kept or
+            # forwarded) at a known time, or when its load finishes.
+            landed: Dict[Tuple[int, int], float] = {}
+            loads: Dict[Tuple[int, int], VirtualRequest] = {}
 
             def issue_loads(
                 si: int,
                 trigger: float,
+                priority: Priority,
                 credit_state: Optional[List[float]] = None,
                 consumption_rate: float = 0.0,
                 deadline_window_s: float = 0.0,
@@ -416,16 +395,20 @@ class StepSimulator:
                 the current segment (at ``consumption_rate`` bytes/s) has
                 earned them credit.
                 """
-                nonlocal load_t, store_t, cpu_load_t, cpu_used, loaded, forwarded, io_stall
+                nonlocal cpu_used, loaded, forwarded
                 seg = self.segments[si]
                 for aj in range(len(seg.activations) - 1, -1, -1):
                     # Consumption is last-produced-first, so load in
                     # reverse production order.
                     act = seg.activations[aj]
-                    if (si, aj) in load_end:
+                    if (si, aj) in loads:
+                        io.scheduler.promote(loads[(si, aj)], priority)
                         continue
-                    tier = store_tier[si][aj]
-                    read_bw = self.cpu_read_bw if tier is Tier.CPU else self.read_bw
+                    if (si, aj) in landed:
+                        continue
+                    store = stores[si][aj]
+                    cpu = store is not None and store.lane == "cpu_store"
+                    read_bw = CPU_TIER_BANDWIDTH if cpu else self.read_bw
                     paced_trigger = trigger
                     if credit_state is not None:
                         overdraft = credit_state[0] + act.nbytes - self.prefetch_budget_bytes
@@ -438,55 +421,38 @@ class StepSimulator:
                         load_duration = self.io_latency_s + act.nbytes / read_bw
                         deadline_start = trigger + deadline_window_s - 1.2 * load_duration
                         paced_trigger = max(trigger, min(paced_trigger, deadline_start))
-                    end = store_end[si][aj]
-                    if end is None:
-                        load_end[(si, aj)] = trigger  # resident (kept)
+                    if store is None:
+                        landed[(si, aj)] = trigger  # resident (kept)
                         continue
                     # The backing copy is dropped once the tensor is back
                     # on the GPU; pool residents return their bytes then.
-                    if tier is Tier.CPU:
+                    if cpu:
                         cpu_used -= act.nbytes
-                    if end > paced_trigger and not freed_at_store[si][aj]:
-                        load_end[(si, aj)] = end
-                        continue
-                    if end > paced_trigger:
+                    io.advance(paced_trigger)
+                    if not store.done_event.is_set() or store.finished_at > paced_trigger:
                         # Store still in flight at prefetch time: data
-                        # forwarding — adopt the in-memory copy, cancel the
-                        # free that the store completion would have done.
+                        # forwarding — adopt the in-memory copy, which
+                        # was never released.
                         forwarded += act.nbytes
-                        timeline.alloc(end, act.nbytes)  # undo the free
-                        load_end[(si, aj)] = paced_trigger
+                        landed[(si, aj)] = paced_trigger
                         continue
-                    if tier is Tier.CPU:
-                        start = max(cpu_load_t, end, paced_trigger)
-                        done = start + self.io_latency_s + act.nbytes / read_bw
-                        cpu_load_t = done
-                        timeline.record("cpu_load", f"cl{si}", start, done)
-                    else:
-                        start = max(load_t, end, paced_trigger)
-                        if self.io_mode == "fifo":
-                            # FIFO shared channel: the load waits for the
-                            # whole store backlog submitted ahead of it.
-                            start = max(start, store_t)
-                        done = start + self.io_latency_s + act.nbytes / read_bw
-                        load_t = done
-                        if self.io_mode != "duplex":
-                            # The shared channel was busy with this load;
-                            # under "priority" that is the load overtaking
-                            # queued stores, which resume afterwards.
-                            store_t = max(store_t, done)
-                        timeline.record("load", f"l{si}", start, done)
-                    timeline.alloc(start, act.nbytes)
+                    # Its GPU copy was released when the store landed.
+                    timeline.free(store.finished_at, act.nbytes)
+                    loads[(si, aj)] = io.submit(
+                        "cpu_load" if cpu else load_lane, "load", priority, act.nbytes,
+                        read_bw, paced_trigger, f"cl{si}" if cpu else f"l{si}",
+                    )
                     loaded += act.nbytes
-                    load_end[(si, aj)] = done
 
             for si in range(n - 1, -1, -1):
                 seg = self.segments[si]
-                # Entering segment si's backward triggers prefetch of the
-                # next ``prefetch_segments`` segments (Sec. III-C2); the
-                # byte budget is earned back as this segment's backward
+                # Entering segment si's backward makes its pending loads
+                # blocking and triggers prefetch of the next
+                # ``prefetch_segments`` segments (Sec. III-C2); the byte
+                # budget is earned back as this segment's backward
                 # consumes its own activations.
-                issue_loads(si, gpu_t)
+                io.advance(gpu_t)
+                issue_loads(si, gpu_t, Priority.BLOCKING_LOAD)
                 credit = [0.0]
                 rate = (
                     seg.activation_bytes / seg.backward_time_s
@@ -498,6 +464,7 @@ class StepSimulator:
                         issue_loads(
                             si - ahead,
                             gpu_t,
+                            Priority.PREFETCH_LOAD,
                             credit_state=credit,
                             consumption_rate=rate,
                             deadline_window_s=ahead * seg.backward_time_s,
@@ -507,7 +474,7 @@ class StepSimulator:
                     # Replay forward, then backward.
                     start = gpu_t
                     recompute_peak = int(
-                        self.recompute_workspace_factor
+                        RECOMPUTE_WORKSPACE_FACTOR
                         * sum(a.nbytes for a in seg.activations)
                     )
                     timeline.alloc(start, recompute_peak)
@@ -519,7 +486,11 @@ class StepSimulator:
                 else:
                     ready = max(
                         [gpu_t]
-                        + [load_end[(si, aj)] for aj in range(len(seg.activations))]
+                        + [
+                            landed[(si, aj)] if (si, aj) in landed
+                            else io.finish(loads[(si, aj)]).finished_at
+                            for aj in range(len(seg.activations))
+                        ]
                     )
                     io_stall += ready - gpu_t
                     start = ready
@@ -537,6 +508,7 @@ class StepSimulator:
                 alg_flops += 2 * seg.forward_flops
                 exec_flops += 2 * seg.forward_flops
 
+        io.close()  # forwarded stores still run, and land on the timeline
         step_time = gpu_t + weight_update_s
         return SimResult(
             strategy=self.strategy,
@@ -571,8 +543,6 @@ def simulate_strategy(
     num_microbatches: int = 1,
     timing: Optional[KernelTimingModel] = None,
     cpu_pool_bytes: Optional[int] = None,
-    cpu_write_bandwidth: Optional[float] = None,
-    cpu_read_bandwidth: Optional[float] = None,
     io_mode: str = "duplex",
 ) -> SimResult:
     """Convenience wrapper: build segments, add weight-update time, run."""
@@ -589,8 +559,6 @@ def simulate_strategy(
         num_microbatches=num_microbatches,
         dtype_bytes=config.dtype_bytes,
         cpu_pool_bytes=cpu_pool_bytes,
-        cpu_write_bandwidth=cpu_write_bandwidth,
-        cpu_read_bandwidth=cpu_read_bandwidth,
         io_mode=io_mode,
     )
     return sim.run(weight_update_s=update)
@@ -808,7 +776,6 @@ def simulate_run(
     scenario: Scenario,
     policy: Optional[OffloadPolicy] = None,
     controller: Optional[AutotuneController] = None,
-    io_mode: str = "fifo",
     keep_last_segments: int = 2,
     prefetch_segments: int = 2,
     weight_update_s: float = 0.0,
@@ -826,9 +793,9 @@ def simulate_run(
     ``observe -> choose_offload_budget -> install`` loop the functional
     engine runs, minus the engine.
 
-    ``io_mode`` defaults to ``"fifo"`` (one shared, contended SSD
-    channel): there a stale budget's store backlog, retry replays and
-    latency spikes all land in front of backward's loads.
+    Every step queues on one shared FIFO SSD lane (``io_mode="fifo"``):
+    there a stale budget's store backlog, retry replays and latency
+    spikes all land in front of backward's loads.
     """
     policy = policy if policy is not None else OffloadPolicy()
     run = RunResult(scenario=scenario, results=[], budgets=[], decisions=[])
@@ -838,7 +805,7 @@ def simulate_run(
             policy=policy, num_microbatches=c.num_microbatches,
             prefetch_segments=prefetch_segments, keep_last_segments=keep_last_segments,
             io_latency_s=c.io_latency_s, dtype_bytes=dtype_bytes,
-            cpu_pool_bytes=cpu_pool_bytes, io_mode=io_mode,
+            cpu_pool_bytes=cpu_pool_bytes, io_mode="fifo",
         )
         run.budgets.append(policy.config.offload_budget_bytes)
         result = sim.run(weight_update_s=weight_update_s)
@@ -855,31 +822,23 @@ def simulate_run(
 # Multi-tenant contention harness
 # --------------------------------------------------------------------------
 
-#: Default virtual device bandwidth of the tenant harness (bytes per
-#: virtual second).  The absolute value is immaterial — every metric the
-#: harness reports is a ratio over it.
-DEFAULT_TENANT_DEVICE_BW = 256e6
+#: Bandwidth of the tenant harness's shared device (bytes per virtual
+#: second).  The absolute value is immaterial — every metric the harness
+#: reports is a ratio over it.
+TENANT_DEVICE_BW = 256e6
 
 
 @dataclass(frozen=True)
 class TenantJobSpec:
-    """One tenant's synthetic offload burst for :class:`MultiTenantHarness`.
-
-    ``num_tensors`` store requests of ``tensor_bytes`` each are submitted
-    back-to-back; quotas forward to the tenant's
-    :class:`~repro.io.tenancy.TenantContext`.
-    """
+    """One tenant's synthetic offload burst for :class:`MultiTenantHarness`:
+    ``num_tensors`` stores of ``tensor_bytes`` each, submitted
+    back-to-back; over ``byte_quota`` they are rejected at admission."""
 
     name: str
     weight: float = 1.0
     num_tensors: int = 32
     tensor_bytes: int = 64 << 10
     byte_quota: Optional[int] = None
-    over_quota: str = "reject"
-
-    @property
-    def total_bytes(self) -> int:
-        return self.num_tensors * self.tensor_bytes
 
 
 @dataclass
@@ -888,7 +847,6 @@ class TenantRunMetrics:
 
     name: str
     weight: float
-    submitted_bytes: int
     executed_bytes: int
     rejected_bytes: int
     #: Virtual time at which the tenant's last byte landed on the device.
@@ -905,43 +863,12 @@ class TenantRunMetrics:
 class MultiTenantRunResult:
     """Outputs of one :class:`MultiTenantHarness` run."""
 
-    fair: bool
-    device_bandwidth: float
     tenants: Dict[str, TenantRunMetrics]
     #: Jain's fairness index over the weight-normalised contended-window
     #: byte shares (1.0 = perfectly proportional service).
     contended_jain: float
     #: Jain's index over weight-normalised completion bandwidths.
     bandwidth_jain: float
-    #: Per-tenant scheduler books (TenantStats snapshot after drain).
-    tenant_stats: Dict[str, object] = field(default_factory=dict)
-
-
-class VirtualDevice:
-    """A serial device on a virtual clock.
-
-    Service order is whatever the scheduler dequeues; each write advances
-    the virtual clock by ``nbytes / bandwidth`` under a lock, so byte
-    shares and finish times are deterministic — no wall-clock jitter, no
-    sleeps.  The ``start`` gate holds the lane worker until every tenant
-    has its burst queued, creating the contended window the fairness
-    metrics are defined over.  Shared by the multi-tenant fairness
-    harness below and the serving tests' scheduler-priority probes.
-    """
-
-    def __init__(self, bandwidth: float) -> None:
-        self.bandwidth = bandwidth
-        self.start = threading.Event()
-        self._lock = threading.Lock()
-        self.clock = 0.0
-        #: (tenant, nbytes, virtual completion time) in service order.
-        self.served: List[Tuple[str, int, float]] = []
-
-    def write(self, tenant: str, nbytes: int) -> None:
-        self.start.wait()
-        with self._lock:
-            self.clock += nbytes / self.bandwidth
-            self.served.append((tenant, nbytes, self.clock))
 
 
 class MultiTenantHarness:
@@ -953,126 +880,74 @@ class MultiTenantHarness:
     :class:`~repro.io.tenancy.TenantRegistry` shared with admission);
     ``False`` runs the same queue with ``fifo=True`` (strict submission
     order) — the naive baseline whose head-of-line bias the fairness
-    suite quantifies.  One lane worker feeds the serial virtual device,
-    so service order is dequeue order and results are deterministic run
-    to run.
+    suite quantifies.  Every burst is queued before the lane is served
+    (the contended window the fairness metrics are defined over), and
+    the lane is served on the virtual clock one request at a time, so
+    service order is dequeue order and the numbers are exact.
     """
 
-    def __init__(
-        self,
-        jobs: List[TenantJobSpec],
-        device_bandwidth: float = DEFAULT_TENANT_DEVICE_BW,
-        fair: bool = True,
-        quantum_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, jobs: List[TenantJobSpec], fair: bool = True) -> None:
         if not jobs:
             raise ValueError("need at least one tenant job")
         names = [job.name for job in jobs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
-        if device_bandwidth <= 0:
-            raise ValueError(f"device_bandwidth must be positive: {device_bandwidth}")
         self.jobs = jobs
-        self.device_bandwidth = device_bandwidth
         self.fair = fair
-        self.quantum_bytes = quantum_bytes
 
     def run(self) -> MultiTenantRunResult:
-        from repro.io.scheduler import IORequest, IOScheduler, Priority
-        from repro.io.tenancy import (
-            DEFAULT_DRR_QUANTUM_BYTES,
-            TenantQuotaError,
-            TenantRegistry,
-            jain_index,
-        )
-
-        registry = TenantRegistry(
-            quantum_bytes=(
-                self.quantum_bytes
-                if self.quantum_bytes is not None
-                else DEFAULT_DRR_QUANTUM_BYTES
-            )
-        )
+        registry = TenantRegistry()
         for job in self.jobs:
-            registry.register(
-                job.name,
-                weight=job.weight,
-                byte_quota=job.byte_quota,
-                over_quota=job.over_quota,
-            )
-        device = VirtualDevice(self.device_bandwidth)
-        scheduler = IOScheduler(
-            workers=1,
-            lanes=("ssd",),
-            fifo=not self.fair,
-            coalesce_bytes=0,
-            tenants=registry,
-            name="tenant-harness",
-        )
-        rejected: Dict[str, int] = {job.name: 0 for job in self.jobs}
+            registry.register(job.name, weight=job.weight, byte_quota=job.byte_quota)
+        io = VirtualIO(("ssd",), fifo=not self.fair, io_latency_s=0.0, tenants=registry)
+        served: List[IORequest] = []
+
+        def record(event: str, request: IORequest) -> None:
+            if event == "done":
+                served.append(request)
+
+        io.scheduler.add_listener(record)
+        names = [job.name for job in self.jobs]
+        rejected = dict.fromkeys(names, 0)
         try:
             for job in self.jobs:
                 for i in range(job.num_tensors):
-                    request = IORequest(
-                        lambda t=job.name, n=job.tensor_bytes: device.write(t, n),
-                        kind="store",
-                        priority=Priority.STORE,
-                        tensor_id=f"{job.name}:{i}",
-                        nbytes=job.tensor_bytes,
-                        lane="ssd",
-                        tenant=job.name,
-                    )
                     try:
-                        scheduler.submit(request)
+                        io.submit("ssd", "store", Priority.STORE, job.tensor_bytes,
+                                  TENANT_DEVICE_BW, label=f"{job.name}:{i}", tenant=job.name)
                     except TenantQuotaError:
                         rejected[job.name] += job.tensor_bytes
-            device.start.set()
-            scheduler.drain()
         finally:
-            device.start.set()  # never leave the worker gated on error
-            scheduler.shutdown()
+            io.close()
 
-        served = device.served
-        finish: Dict[str, float] = {}
-        executed: Dict[str, int] = {job.name: 0 for job in self.jobs}
-        for tenant, nbytes, at in served:
-            executed[tenant] = executed.get(tenant, 0) + nbytes
-            finish[tenant] = at
+        executed = dict.fromkeys(names, 0)
+        finish = dict.fromkeys(names, 0.0)
+        for request in served:
+            executed[request.tenant] += request.nbytes
+            finish[request.tenant] = request.finished_at
         # The contended window closes when the first tenant runs dry —
         # beyond it the survivors split idle capacity, which says nothing
         # about fairness under contention.
-        active = [t for t, done in finish.items() if executed.get(t, 0) > 0]
-        window_end = min((finish[t] for t in active), default=0.0)
-        contended: Dict[str, int] = {job.name: 0 for job in self.jobs}
-        for tenant, nbytes, at in served:
-            if at <= window_end + 1e-12:
-                contended[tenant] = contended.get(tenant, 0) + nbytes
-
-        metrics: Dict[str, TenantRunMetrics] = {}
-        for job in self.jobs:
-            done_at = finish.get(job.name, 0.0)
-            done_bytes = executed.get(job.name, 0)
-            metrics[job.name] = TenantRunMetrics(
+        window_end = min((finish[t] for t in names if executed[t]), default=0.0)
+        contended = dict.fromkeys(names, 0)
+        for request in served:
+            if request.finished_at <= window_end + 1e-12:
+                contended[request.tenant] += request.nbytes
+        metrics = {
+            job.name: TenantRunMetrics(
                 name=job.name,
                 weight=job.weight,
-                submitted_bytes=job.total_bytes - rejected[job.name],
-                executed_bytes=done_bytes,
+                executed_bytes=executed[job.name],
                 rejected_bytes=rejected[job.name],
-                finish_time_s=done_at,
-                bandwidth=(done_bytes / done_at) if done_at > 0 else 0.0,
-                contended_bytes=contended.get(job.name, 0),
+                finish_time_s=finish[job.name],
+                bandwidth=executed[job.name] / finish[job.name] if finish[job.name] > 0 else 0.0,
+                contended_bytes=contended[job.name],
             )
-        contended_jain = jain_index(
-            [m.contended_bytes / m.weight for m in metrics.values() if m.executed_bytes]
-        )
-        bandwidth_jain = jain_index(
-            [m.bandwidth / m.weight for m in metrics.values() if m.executed_bytes]
-        )
+            for job in self.jobs
+        }
+        active = [m for m in metrics.values() if m.executed_bytes]
         return MultiTenantRunResult(
-            fair=self.fair,
-            device_bandwidth=self.device_bandwidth,
             tenants=metrics,
-            contended_jain=contended_jain,
-            bandwidth_jain=bandwidth_jain,
-            tenant_stats=registry.stats_snapshot(),
+            contended_jain=jain_index([m.contended_bytes / m.weight for m in active]),
+            bandwidth_jain=jain_index([m.bandwidth / m.weight for m in active]),
         )

@@ -53,8 +53,8 @@ def test_config_validation_is_typed(kwargs, message):
 def test_worker_and_window_checks_live_with_their_constructors(tmp_path):
     """The options EngineConfig dropped are checked by the one
     constructor that reads them."""
-    with pytest.raises(ValueError, match="at least one worker"):
-        IOScheduler(workers=0)
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        IOScheduler(workers=-1)
     engine = build_engine(target="cpu")
     try:
         with pytest.raises(ValueError, match="prefetch_window must be >= 0"):

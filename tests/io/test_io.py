@@ -145,7 +145,7 @@ def test_pool_validation():
     with pytest.raises(ValueError):
         _sched(retry_backoff_s=-1.0)
     with pytest.raises(ValueError):
-        IOScheduler(workers=0)
+        IOScheduler(workers=-1)
 
 
 # --------------------------------------------------------------- TensorFileStore

@@ -61,7 +61,7 @@ def make_scheduler(**kwargs):
 
 def test_validation():
     with pytest.raises(ValueError):
-        IOScheduler(workers=0)
+        IOScheduler(workers=-1)
     with pytest.raises(ValueError):
         IOScheduler(lanes=())
     with pytest.raises(ValueError):
@@ -555,6 +555,39 @@ def test_concurrent_shutdown_calls_are_idempotent():
         t.join(timeout=5)
         assert not t.is_alive()
     assert sched.stats.executed == 16
+
+
+def test_workers_zero_runs_nothing_until_the_caller_serves_a_lane():
+    """With no lane workers the caller is the worker loop: each
+    ``serve_next`` runs one dequeued request, in the production dequeue
+    order, on the calling thread."""
+    sched = IOScheduler(workers=0, name="zero-workers")
+    assert not [t for t in threading.enumerate() if t.name.startswith("zero-workers")]
+    ran = []
+    for i in range(2):
+        sched.submit(_req(lambda i=i: ran.append(("store", i)), tid=f"s{i}"))
+    sched.submit(_req(lambda: ran.append(("load", threading.current_thread())),
+                      kind="load", priority=Priority.BLOCKING_LOAD))
+    assert ran == [] and sched.pending("ssd") == 3
+    assert sched.serve_next("ssd")
+    assert ran == [("load", threading.current_thread())]  # the load overtook
+    while sched.serve_next("ssd"):
+        pass
+    assert ran[1:] == [("store", 0), ("store", 1)]
+    assert not sched.serve_next("ssd") and sched.pending() == 0
+    assert sched.stats.executed == 3
+    sched.shutdown()
+
+
+def test_workers_zero_shutdown_finishes_queued_work_without_hanging():
+    sched = IOScheduler(workers=0)
+    requests = [sched.submit(_req(lambda: None, tid=f"t{i}")) for i in range(4)]
+    closer = threading.Thread(target=sched.shutdown)
+    closer.start()
+    closer.join(timeout=5)
+    assert not closer.is_alive()
+    assert all(r.state is JobState.DONE for r in requests)
+    assert sched.pending() == 0 and sched.stats.executed == 4
 
 
 # ------------------------------------------------------ completion telemetry

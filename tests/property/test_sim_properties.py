@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.perf_model import ActivationTensor
 from repro.sim.pipeline_offload import StageWorkload, simulate_pipeline_offload
-from repro.sim.step_sim import SegmentSpec, StepSimulator
+from repro.sim.step_sim import RECOMPUTE_WORKSPACE_FACTOR, SegmentSpec, StepSimulator
 from repro.train.pipeline import ScheduleKind
 from repro.train.trainer import PlacementStrategy
 
@@ -59,7 +59,7 @@ def test_step_sim_conservation_invariants(sizes, strategy, microbatches):
     # recompute strategy transiently holds workspace_factor x a segment's
     # activations on top of the checkpoint inputs).
     total = sum(
-        sim.recompute_workspace_factor * s.activation_bytes + s.input_bytes
+        RECOMPUTE_WORKSPACE_FACTOR * s.activation_bytes + s.input_bytes
         for s in sim.segments
     ) * microbatches
     assert 0 < result.activation_peak_bytes <= total

@@ -18,10 +18,11 @@ degraded mode from), not a value with alternatives — there is no
 configuration without it, so it multiplies nothing.  A probe
 (``getattr``/``hasattr`` asking a part what it is) means a layer does
 not say what it has; the budget is for the few that are deliberate.
-The last three tests pin shapes so they cannot grow back: one owner of
+The last four tests pin shapes so they cannot grow back: one owner of
 degraded mode, one observation feed — producers keep cumulative books
-and emit events, consumers difference and aggregate — and one
-simulated multi-step runner.
+and emit events, consumers difference and aggregate — one simulated
+multi-step runner, and one queueing model (the simulator queues on the
+production scheduler).
 """
 
 import dataclasses
@@ -38,7 +39,7 @@ from repro.io.filestore import TensorFileStore
 from repro.io.scheduler import IOScheduler
 from repro.serve import KVBlockPool
 
-SRC_LINE_CEILING = 19_979
+SRC_LINE_CEILING = 19_966
 ENGINE_CONFIG_FIELD_CEILING = 17
 KV_POOL_PARAMETERS = ("engine", "block_tokens", "num_layers", "hbm_capacity_bytes", "strategy")
 TENSOR_CACHE_PARAMETERS = ("offloader", "policy", "registry", "prefetch_window", "scheduler")
@@ -65,6 +66,12 @@ SRC = Path(__file__).parent.parent / "src"
 
 def _parameters(cls) -> tuple:
     return tuple(inspect.signature(cls.__init__).parameters)[1:]
+
+
+def _construction_path_values() -> int:
+    committed = (SSD_OFFLOADER_PARAMETERS, TIERED_OFFLOADER_PARAMETERS, IO_SCHEDULER_PARAMETERS)
+    fields = len(dataclasses.fields(EngineConfig))
+    return fields + sum(len(c) for c in committed) - len(COLLABORATORS)
 
 
 def test_src_line_count_stays_under_the_committed_ceiling():
@@ -94,8 +101,7 @@ def test_option_count_stays_under_the_committed_ceiling():
             "settable value is added to the committed tuple in this test, where a "
             "reviewer sees it"
         )
-    construction_path = len(fields) + sum(len(c) for _, c in constructors[2:])
-    assert construction_path - len(COLLABORATORS) == 37
+    assert _construction_path_values() == 37
     scheduler = inspect.signature(TieredOffloader.__init__).parameters["scheduler"]
     assert scheduler.default is inspect.Parameter.empty  # required: never scheduler-less
 
@@ -188,3 +194,17 @@ def test_simulated_runs_have_one_runner():
         if not name.startswith("core/") and "choose_offload_budget(" in text
     }
     assert callers == {"sim/step_sim.py": 1}, callers
+
+
+def test_simulated_io_has_one_queue():
+    """The simulator queues on the production scheduler: ``io_mode`` is a
+    table of ``IOScheduler`` constructions, not channel arithmetic, and
+    ``sim/`` models no device and runs no thread of its own.  The
+    virtual clock needed a value, ``workers=0``, not a parameter."""
+    sim = "\n".join(p.read_text() for p in (SRC / "repro" / "sim").glob("*.py"))
+    assert not re.search(r"io_mode\s*[!=]=", sim)
+    assert "VirtualDevice" not in sim
+    assert not re.search(r"^\s*(import threading|from threading import)", sim, re.M)
+    assert "IOScheduler(" in sim
+    assert _parameters(IOScheduler) == IO_SCHEDULER_PARAMETERS
+    assert _construction_path_values() == 37
