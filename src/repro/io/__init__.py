@@ -26,8 +26,8 @@
   with explicit lease/release) plus the copy-count telemetry that makes
   the eliminated copies measurable.
 - :mod:`~repro.io.tenancy` — multi-tenant QoS layer:
-  :class:`TenantContext` / :class:`TenantRegistry` (weights, byte and
-  bandwidth quotas, admission) plus the thread-local tenant scope that
+  :class:`TenantContext` / :class:`TenantRegistry` (weights, byte
+  quotas, admission) plus the thread-local tenant scope that
   attributes every store/load to its owning job.
 - :mod:`~repro.io.fdtable` — the one positioned-I/O path from a store to
   the kernel: ``pwritev``/``preadv`` over descriptors borrowed from the

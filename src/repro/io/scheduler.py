@@ -43,10 +43,9 @@ priority-vs-FIFO comparison in benchmarks and tests.
 *within* a class tenants are served by deficit round-robin over
 per-tenant subqueues, so one tenant's backlog cannot starve another's.
 Pass a :class:`~repro.io.tenancy.TenantRegistry` to give tenants their
-own subqueues; it also gates admission (byte quotas reject or park
-over-budget submissions; parked requests re-enter when a refund frees
-headroom) and paces bandwidth-quota'd tenants (soft token bucket,
-work-conserving).  Telemetry, request books and lane health all grow a
+own subqueues; its byte quotas gate admission (an over-budget
+submission raises :class:`~repro.io.tenancy.TenantQuotaError` at
+submit).  Telemetry, request books and lane health all grow a
 per-tenant dimension with the same exact-reconciliation bar as the
 global books.  Single-job and ``fifo=True`` runs are configurations of
 the same queue (see :class:`_FairQueue`).
@@ -172,8 +171,6 @@ class IORequest(IOJob):
         #: (:func:`~repro.io.tenancy.current_tenant`), so un-scoped
         #: callers land on ``"default"`` and see pre-tenancy behaviour.
         self.tenant = tenant if tenant is not None else current_tenant()
-        #: True while held by quota admission (not on any lane queue).
-        self._parked = False
         #: True when this request ran as a trailing member of a coalesced
         #: store batch (not the batch head).  Set only once the member has
         #: actually won ``claim()`` — a batch member cancelled before the
@@ -316,20 +313,12 @@ class _ClassRing:
         del self.queues[tenant]
         self.deficit.pop(tenant, None)
 
-    def pop(self, weight_of, quantum: int, bw_gate) -> Tuple[Optional[IORequest], int]:
+    def pop(self, weight_of, quantum: int) -> Tuple[Optional[IORequest], int]:
         """Serve the next request by DRR; returns (request | None,
-        stale entries dropped).
-
-        ``bw_gate(tenant, nbytes, force)`` is the registry's token
-        bucket.  A bandwidth-blocked tenant is skipped while others can
-        be served, but after a full bounded sweep with no service it is
-        served anyway with ``force=True`` (work-conserving: quota
-        pacing shapes order, it never idles the device — which also
-        keeps this loop's termination unconditional).
-        """
+        stale entries dropped).  Work-conserving: every visit either
+        serves a head or grows a backlogged tenant's credit, so the loop
+        ends as soon as any credit covers its head."""
         dropped = 0
-        visits_without_service = 0
-        bw_blocked: Optional[str] = None
         while self.order:
             if self.idx >= len(self.order):
                 self.idx = 0
@@ -347,11 +336,8 @@ class _ClassRing:
                 # idles, so serve its head without the quantum-per-visit
                 # loop (a 1 MiB head would take 16 visits of a 64 KiB
                 # quantum, each reading the weight under the registry
-                # lock).  Nobody else can use the device, so the token
-                # bucket is charged by force (work-conserving).
+                # lock).
                 head = queue.popleft()
-                if bw_gate is not None:
-                    bw_gate(head.tenant, head.nbytes, True)
                 if not queue:
                     self.retire(tenant)
                 return head, dropped
@@ -363,22 +349,14 @@ class _ClassRing:
             head = queue[0]
             credit = self.deficit.get(tenant, 0.0)
             if credit >= head.nbytes:
-                force = (
-                    tenant == bw_blocked
-                    and visits_without_service >= 2 * len(self.order)
-                )
-                if bw_gate is None or bw_gate(tenant, head.nbytes, force):
-                    queue.popleft()
-                    self.deficit[tenant] = credit - head.nbytes
-                    if not queue:
-                        self.retire(tenant)
-                    # The pointer stays on this tenant (fresh stays
-                    # False) so its burst continues while credit lasts.
-                    return head, dropped
-                if bw_blocked is None:
-                    bw_blocked = tenant
-            # Deficit exhausted or bandwidth-blocked: pointer moves on.
-            visits_without_service += 1
+                queue.popleft()
+                self.deficit[tenant] = credit - head.nbytes
+                if not queue:
+                    self.retire(tenant)
+                # The pointer stays on this tenant (fresh stays False)
+                # so its burst continues while credit lasts.
+                return head, dropped
+            # Deficit exhausted: the pointer moves on.
             self.idx += 1
             self.fresh = True
         return None, dropped
@@ -395,8 +373,7 @@ class _FairQueue:
     ring of one, so dequeue is priority class then submission order.
     ``fifo=True`` additionally files every request under one class key,
     so dequeue is strict submission order whatever the priorities and
-    tenants.  Neither mode paces bandwidth — a shared subqueue has no
-    other tenant to yield to.
+    tenants.
     """
 
     def __init__(
@@ -424,12 +401,9 @@ class _FairQueue:
         self.size += 1
 
     def pop(self) -> Optional[IORequest]:
-        bw_gate = self.registry.bw_admit if self.per_tenant else None
         for cls in sorted(self.classes):
             ring = self.classes[cls]
-            request, dropped = ring.pop(
-                self.registry.weight, self.registry.quantum_bytes, bw_gate
-            )
+            request, dropped = ring.pop(self.registry.weight, self.registry.quantum_bytes)
             self.size -= dropped
             if not ring.order:
                 del self.classes[cls]
@@ -440,7 +414,7 @@ class _FairQueue:
 
     def remove(self, request: IORequest) -> bool:
         """Unlink a queued request (promotion re-push); False when it
-        is not queued here (already popped, or parked)."""
+        is not queued here (already popped)."""
         cls, tenant = self._keys(request)
         ring = self.classes.get(cls)
         if ring is None:
@@ -579,11 +553,6 @@ class IOScheduler:
         #: subqueues — the implicit bookkeeping registry must not
         #: perturb the priority-then-submission order.
         self.tenants = tenants if tenants is not None else TenantRegistry()
-        #: Requests held by quota admission, per tenant, in submit
-        #: order; not on any lane (pending/drain ignore them) until a
-        #: refund re-admits them.  Guarded by _park_lock.
-        self._parked: Dict[str, Deque[IORequest]] = {}
-        self._park_lock = threading.Lock()
         self.stats = SchedulerStats()
         #: Per-class execution deadlines (Priority name -> seconds) the
         #: watchdog abandons stuck requests against; empty = no deadlines.
@@ -650,10 +619,9 @@ class IOScheduler:
         """Subscribe to scheduler events.
 
         ``listener(event, request)`` fires for ``"submit"``, ``"start"``,
-        ``"done"``, ``"cancel"``, ``"promote"``, ``"abandon"`` (the
-        watchdog force-failed a request past its deadline) and — under
-        quota admission — ``"park"`` / ``"unpark"`` (after the fact,
-        with no scheduler lock held).  ``"done"`` fires once per
+        ``"done"``, ``"cancel"``, ``"promote"`` and ``"abandon"`` (the
+        watchdog force-failed a request past its deadline), after the
+        fact, with no scheduler lock held.  ``"done"`` fires once per
         executed request, after its books are closed: it is the only
         completion telemetry the scheduler exports, and
         :class:`~repro.io.trace.IOTracer` the listener that aggregates it.
@@ -672,16 +640,13 @@ class IOScheduler:
     def submit(self, request: IORequest) -> IORequest:
         """Enqueue a typed request on its tier lane; returns the request.
 
-        Tenant admission runs first: an over-quota submission is either
-        rejected (:class:`~repro.io.tenancy.TenantQuotaError`) or
-        parked — held off-lane until a refund (a cancellation or
-        failure of an admitted request) frees headroom, at which point
-        it is enqueued in park order.  A parked request is PENDING and
-        cancellable, but invisible to ``pending()``/``drain()``.
+        Tenant admission runs first: an over-quota submission raises
+        :class:`~repro.io.tenancy.TenantQuotaError` and is booked
+        ``rejected`` on its tenant.
         """
         lane = self._lane_of(request)  # validated before quota is charged
-        if self._admit(request):
-            self._enqueue(request, lane)
+        self._admit(request)
+        self._enqueue(request, lane)
         return request
 
     def run_inline(self, request: IORequest) -> IORequest:
@@ -695,41 +660,22 @@ class IOScheduler:
         per-class and per-tenant books, lane health, the
         ``submit``/``start``/``done`` listener events, the quota refund
         on failure and the refusal after :meth:`shutdown` are
-        :meth:`submit`'s, because the same code runs them.  A submission
-        that quota admission parks has to wait for a refund whichever
-        thread runs it, so it takes the queued path and is waited for.
+        :meth:`submit`'s, because the same code runs them.
         """
         lane = self._lane_of(request)
-        if not self._admit(request):
-            request.wait()
-            return request
+        self._admit(request)
         self._enqueue(request, lane, queued=False)
-        if lane.queue.per_tenant:
-            # No dequeue to pace, and the bytes move regardless: the
-            # bandwidth bucket is charged by force, as a lone tenant's is.
-            self.tenants.bw_admit(request.tenant, request.nbytes, True)
         self._run_batch(lane, [request], inline=True)
         return request
 
-    def _admit(self, request: IORequest) -> bool:
-        """Tenant admission: True when ``request`` was charged and may go
-        to its lane, False when it was parked; raises on a rejection."""
-        outcome = self.tenants.admit(request.tenant, request.nbytes)
-        if outcome == "ok":
-            return True
-        if outcome == "reject":
+    def _admit(self, request: IORequest) -> None:
+        """Tenant admission: charge ``request`` to its tenant, or raise
+        :class:`~repro.io.tenancy.TenantQuotaError`."""
+        if self.tenants.admit(request.tenant, request.nbytes) == "reject":
             raise TenantQuotaError(
                 f"tenant {request.tenant!r} over quota: {request.label} "
                 f"({request.nbytes} bytes) rejected"
             )
-        with self._park_lock:
-            if self._shutdown.is_set():
-                self.tenants.note_parked_cancelled(request.tenant)
-                raise RuntimeError(f"scheduler {self.name} is shut down")
-            request._parked = True
-            self._parked.setdefault(request.tenant, deque()).append(request)
-        self._safe_notify("park", request)
-        return False
 
     def _enqueue(self, request: IORequest, lane: _Lane, queued: bool = True) -> None:
         """Admission already charged: open the request's books (lane
@@ -799,11 +745,8 @@ class IOScheduler:
         try:
             self.tenants.note_finished(tenant, outcome, nbytes, retries=request.attempts)
             if state is not JobState.DONE:
-                # The bytes never landed: refund the tenant's quota charge
-                # and give any of its parked submissions a shot at the
-                # freed headroom.
+                # The bytes never landed: refund the tenant's quota charge.
                 self.tenants.refund(tenant, nbytes)
-                self.kick_parked(tenant)
             # Health is learned only from requests that actually ran, and
             # only from *device-shaped* errors: a MemoryError (pool
             # capacity spike), a structural OSError (missing file,
@@ -825,73 +768,13 @@ class IOScheduler:
                 elif state is JobState.DONE:
                     self.health.record_success(request.lane, tenant=tenant)
         finally:
-            # Unconditional (``kick_parked`` raises once the scheduler is
-            # shut down): a skipped decrement turns into a drain() hang.
+            # Unconditional, whatever a tenant or health step raised: a
+            # skipped decrement turns into a drain() hang.
             lane = self._lanes[request.lane]
             with lane.lock:
                 lane.pending -= 1
                 if not lane.pending:
                     lane.idle.notify_all()
-
-    # ------------------------------------------------------------------ parked
-    def parked(self, tenant: Optional[str] = None) -> int:
-        """Requests currently held by quota admission (one tenant or all)."""
-        with self._park_lock:
-            if tenant is not None:
-                return sum(
-                    1
-                    for req in self._parked.get(tenant, ())
-                    if req.state is JobState.PENDING
-                )
-            return sum(
-                1
-                for queue in self._parked.values()
-                for req in queue
-                if req.state is JobState.PENDING
-            )
-
-    def kick_parked(self, tenant: str) -> int:
-        """Re-try admission for the tenant's parked requests, in park
-        order, until the head no longer fits; returns how many were
-        enqueued.  Called automatically on every refund; call it
-        manually after a quota raise.
-        """
-        enqueued = 0
-        while True:
-            with self._park_lock:
-                queue = self._parked.get(tenant)
-                while queue and queue[0].state is not JobState.PENDING:
-                    queue.popleft()  # cancelled while parked
-                    self.tenants.note_parked_cancelled(tenant)
-                if not queue:
-                    if queue is not None:
-                        self._parked.pop(tenant, None)
-                    return enqueued
-                request = queue[0]
-                if not self.tenants.try_charge(tenant, request.nbytes):
-                    return enqueued  # still no headroom; stays parked
-                queue.popleft()
-                request._parked = False
-                if not queue:
-                    self._parked.pop(tenant, None)
-            self._enqueue(request, self._lanes[request.lane])
-            self._safe_notify("unpark", request)
-            enqueued += 1
-
-    def _discard_parked(self, request: IORequest) -> bool:
-        with self._park_lock:
-            queue = self._parked.get(request.tenant)
-            if not queue:
-                return False
-            try:
-                queue.remove(request)
-            except ValueError:
-                return False
-            request._parked = False
-            if not queue:
-                self._parked.pop(request.tenant, None)
-        self.tenants.note_parked_cancelled(request.tenant)
-        return True
 
     # ------------------------------------------------------ cancel / promote
     def cancel(self, request: IORequest) -> bool:
@@ -899,12 +782,9 @@ class IOScheduler:
 
         The request's done event fires either way once it reaches a
         terminal state; a successful cancel reaches it without touching
-        the backing store.  Cancelling a parked request unlinks it from
-        the park queue immediately (it owed no quota).
+        the backing store.
         """
         if request.cancel():
-            if request._parked:
-                self._discard_parked(request)
             self._safe_notify("cancel", request)
             return True
         return False
@@ -913,24 +793,12 @@ class IOScheduler:
         """Raise a PENDING request's urgency (deadline promotion).
 
         The request is unlinked from its class ring and re-pushed at
-        the back of the new class (no stale entries).  A parked request
-        just has its priority raised — it enters the queue with it when
-        admission unparks it.  No-op in FIFO mode, for requests already
-        at least that urgent, and for requests that left the queue.
+        the back of the new class (no stale entries).  No-op in FIFO
+        mode, for requests already at least that urgent, and for
+        requests that left the queue.
         """
         if request is None or self.fifo:
             return False
-        if request._parked:
-            with self._park_lock:
-                if not request._parked or request.state is not JobState.PENDING:
-                    return False
-                if int(priority) >= int(request.priority):
-                    return False
-                request.priority = Priority(priority)
-            with self._stats_lock:
-                self.stats.promotions += 1
-            self._safe_notify("promote", request)
-            return True
         lane = self._lane_of(request)
         with lane.lock:
             if request.state is not JobState.PENDING:
@@ -1144,15 +1012,11 @@ class IOScheduler:
         hedge.add_done_callback(hedge_done)
         try:
             self.submit(hedge)
-        except Exception:
-            # Shutdown race or quota rejection: the hedge never ran;
-            # the primary proceeds as if no hedge had been issued.
+        except RuntimeError:
+            # Shutdown race or quota rejection (TenantQuotaError is a
+            # RuntimeError): the hedge never ran; the primary proceeds
+            # as if no hedge had been issued.
             logger.debug("hedge submit for %s refused", request.label, exc_info=True)
-            return
-        if hedge._parked:
-            # A parked hedge would fire long after the stall it was
-            # meant to cut; retract it rather than waste the quota.
-            self.cancel(hedge)
             return
         with self._stats_lock:
             self.stats.hedges_issued += 1
@@ -1301,22 +1165,11 @@ class IOScheduler:
                 return True
 
     def shutdown(self) -> None:
-        """Finish queued work and stop the workers (idempotent).
-
-        Parked requests are cancelled — they were never admitted, and
-        nothing will refund quota for them after the lanes stop."""
+        """Finish queued work and stop the workers (idempotent)."""
         with self._stats_lock:  # idempotency only; readers use the Event
             if self._shutdown.is_set():
                 return
             self._shutdown.set()
-        with self._park_lock:
-            parked = [req for queue in self._parked.values() for req in queue]
-            self._parked.clear()
-        for request in parked:
-            request._parked = False
-            self.tenants.note_parked_cancelled(request.tenant)
-            if request.cancel():
-                self._safe_notify("cancel", request)
         if not self._workers:
             # No lane worker will finish the queued work: the caller does.
             for name in self._lanes:

@@ -6,12 +6,11 @@ sharing one :class:`~repro.io.scheduler.IOScheduler` and one tiered
 store without starving each other.  This module is the identity and
 policy layer for that:
 
-- :class:`TenantContext` — one tenant's weight (fair-share ratio),
-  byte quota (cumulative admission budget), bandwidth quota (token
-  bucket) and admission state;
+- :class:`TenantContext` — one tenant's contract: a weight (fair-share
+  ratio) and a byte quota (cumulative admission budget);
 - :class:`TenantRegistry` — the thread-safe registry the scheduler
   consults on every submit: quota-aware admission (``"ok"`` /
-  ``"park"`` / ``"reject"``), per-tenant counters with the same exact
+  ``"reject"``), per-tenant counters with the same exact
   reconciliation bar as the scheduler's global books
   (``submitted == executed + failed + cancelled`` per tenant), and the
   deficit-round-robin quantum the fair queue deals in;
@@ -25,18 +24,14 @@ policy layer for that:
 Quota semantics: a **byte quota** is a cumulative admission budget —
 bytes are charged when a request is admitted and refunded only when the
 request is cancelled or fails (the data never landed).  An over-budget
-submission is rejected (:class:`TenantQuotaError`) or parked until a
-refund frees headroom, per the tenant's ``over_quota`` policy.  A
-**bandwidth quota** is soft pacing: the fair queue deprioritises a
-tenant whose token bucket is dry as long as other tenants have work,
-but never idles the device for it (work-conserving; the bucket goes
-into debt instead).
+submission has one answer: :class:`TenantQuotaError` at submit.  A
+tenant's share of the device under contention is its weight; nothing
+paces a tenant that has the device to itself.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Union
 
@@ -49,9 +44,6 @@ DEFAULT_TENANT = "default"
 #: Default deficit-round-robin quantum: bytes of credit a tenant earns
 #: per ring visit (scaled by its weight).
 DEFAULT_DRR_QUANTUM_BYTES = 64 << 10
-
-#: What to do with a submission that exceeds the tenant's byte quota.
-OVER_QUOTA_POLICIES = ("reject", "park")
 
 _tls = threading.local()
 
@@ -91,26 +83,21 @@ class tenant_scope:
 
 
 class TenantQuotaError(RuntimeError):
-    """A submission was rejected by the tenant's quota/admission state."""
+    """A submission was rejected by the tenant's byte quota."""
 
 
 @dataclass
 class TenantContext:
-    """One tenant's QoS contract (weight, quotas, admission state)."""
+    """One tenant's QoS contract: a weight and a byte quota."""
 
     name: str
     #: Fair-share weight: a weight-2 tenant earns twice the DRR credit
     #: per ring visit, i.e. ~2x the bandwidth under contention.
     weight: float = 1.0
     #: Cumulative byte budget (None = unlimited).  Charged on admission,
-    #: refunded when a request cancels or fails.
+    #: refunded when a request cancels or fails; a submission past it
+    #: raises :class:`TenantQuotaError`.
     byte_quota: Optional[int] = None
-    #: Token-bucket rate in bytes/s (None = unpaced).  Soft: shapes the
-    #: fair queue's dequeue order, never idles the device.
-    bandwidth_quota_bytes_per_s: Optional[float] = None
-    #: ``"reject"`` (raise :class:`TenantQuotaError`) or ``"park"``
-    #: (hold the request until a refund frees headroom).
-    over_quota: str = "reject"
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -119,28 +106,15 @@ class TenantContext:
             raise ValueError(f"tenant weight must be > 0: {self.weight}")
         if self.byte_quota is not None and self.byte_quota < 0:
             raise ValueError(f"byte_quota must be >= 0: {self.byte_quota}")
-        if (
-            self.bandwidth_quota_bytes_per_s is not None
-            and not self.bandwidth_quota_bytes_per_s > 0
-        ):
-            raise ValueError(
-                f"bandwidth_quota_bytes_per_s must be > 0: "
-                f"{self.bandwidth_quota_bytes_per_s}"
-            )
-        if self.over_quota not in OVER_QUOTA_POLICIES:
-            raise ValueError(
-                f"over_quota must be one of {OVER_QUOTA_POLICIES}: {self.over_quota!r}"
-            )
 
 
 @dataclass
 class TenantStats:
     """Per-tenant request books, same reconciliation bar as the global
     scheduler stats: once drained,
-    ``submitted == executed + failed + cancelled`` and
-    ``parked == unparked + parked_cancelled``.  ``submitted`` counts
-    requests actually enqueued on a lane (a parked request is counted
-    when it unparks; a rejected one never is)."""
+    ``submitted == executed + failed + cancelled``.  ``submitted``
+    counts requests actually enqueued on a lane (a rejected one never
+    is)."""
 
     submitted: int = 0
     executed: int = 0
@@ -153,9 +127,6 @@ class TenantStats:
     retries: int = 0
     rejected: int = 0
     rejected_bytes: int = 0
-    parked: int = 0
-    unparked: int = 0
-    parked_cancelled: int = 0
     quota_charged_bytes: int = 0
     quota_refunded_bytes: int = 0
 
@@ -164,64 +135,31 @@ class TenantStats:
         return self.quota_charged_bytes - self.quota_refunded_bytes
 
 
-class _TokenBucket:
-    """Bandwidth pacing bucket; may go into debt (work-conserving)."""
-
-    __slots__ = ("rate", "burst", "tokens", "stamp")
-
-    def __init__(self, rate: float, now: float) -> None:
-        self.rate = rate
-        self.burst = rate  # one second of headroom
-        self.tokens = self.burst
-        self.stamp = now
-
-    def admit(self, nbytes: int, now: float, force: bool) -> bool:
-        elapsed = max(0.0, now - self.stamp)
-        self.tokens = min(self.burst, self.tokens + elapsed * self.rate)
-        self.stamp = now
-        if force or self.tokens >= nbytes:
-            self.tokens -= nbytes
-            return True
-        return False
-
-
 class TenantRegistry:
     """Thread-safe tenant registry + admission control + per-tenant books.
 
     Unknown tenants auto-register with default QoS (weight 1, no
-    quotas) on first sight, so the registry never gates *who* may
-    submit — only how much and how fast.
+    quota) on first sight, so the registry never gates *who* may
+    submit — only how much.
     """
 
-    def __init__(
-        self,
-        quantum_bytes: int = DEFAULT_DRR_QUANTUM_BYTES,
-        clock=time.monotonic,
-    ) -> None:
+    def __init__(self, quantum_bytes: int = DEFAULT_DRR_QUANTUM_BYTES) -> None:
         if quantum_bytes < 1:
             raise ValueError(f"quantum_bytes must be >= 1: {quantum_bytes}")
         self.quantum_bytes = quantum_bytes
-        self._clock = clock
         self._lock = threading.Lock()
         self._tenants: Dict[str, TenantContext] = {}
         self._stats: Dict[str, TenantStats] = {}
-        self._buckets: Dict[str, _TokenBucket] = {}
 
     # ------------------------------------------------------------- registration
     def register(
         self, tenant: Union[str, TenantContext], **kwargs
     ) -> TenantContext:
-        """Register (or replace) a tenant's QoS contract."""
+        """Register (or replace, whole) a tenant's QoS contract."""
         ctx = tenant if isinstance(tenant, TenantContext) else TenantContext(tenant, **kwargs)
         with self._lock:
             self._tenants[ctx.name] = ctx
             self._stats.setdefault(ctx.name, TenantStats())
-            if ctx.bandwidth_quota_bytes_per_s is not None:
-                self._buckets[ctx.name] = _TokenBucket(
-                    ctx.bandwidth_quota_bytes_per_s, self._clock()
-                )
-            else:
-                self._buckets.pop(ctx.name, None)
         return ctx
 
     def _ensure_locked(self, name: str) -> TenantContext:
@@ -244,7 +182,7 @@ class TenantRegistry:
     # ---------------------------------------------------------------- admission
     def admit(self, name: str, nbytes: int) -> str:
         """Admission verdict for one submission: ``"ok"`` (charged and
-        counted as submitted), ``"park"`` or ``"reject"``."""
+        counted as submitted) or ``"reject"``."""
         with self._lock:
             ctx = self._ensure_locked(name)
             stats = self._stats[name]
@@ -258,27 +196,9 @@ class TenantRegistry:
                 stats.submitted += 1
                 stats.submitted_bytes += nbytes
                 return "ok"
-            if ctx.over_quota == "park":
-                stats.parked += 1
-                return "park"
             stats.rejected += 1
             stats.rejected_bytes += nbytes
             return "reject"
-
-    def try_charge(self, name: str, nbytes: int) -> bool:
-        """Re-admission attempt for a parked request (no verdict
-        counters; books it as submitted + unparked on success)."""
-        with self._lock:
-            ctx = self._ensure_locked(name)
-            stats = self._stats[name]
-            if ctx.byte_quota is not None:
-                if stats.quota_in_use_bytes + nbytes > ctx.byte_quota:
-                    return False
-                stats.quota_charged_bytes += nbytes
-            stats.submitted += 1
-            stats.submitted_bytes += nbytes
-            stats.unparked += 1
-            return True
 
     def rollback_submitted(self, name: str, nbytes: int) -> None:
         """Undo one admitted-but-never-enqueued submission (the
@@ -299,16 +219,6 @@ class TenantRegistry:
             if ctx.byte_quota is not None:
                 self._stats[name].quota_refunded_bytes += nbytes
 
-    def bw_admit(self, name: str, nbytes: int, force: bool = False) -> bool:
-        """Token-bucket verdict (always True for unpaced tenants).
-        ``force`` serves anyway and lets the bucket go into debt — the
-        fair queue uses it to stay work-conserving."""
-        with self._lock:
-            bucket = self._buckets.get(name)
-            if bucket is None:
-                return True
-            return bucket.admit(nbytes, self._clock(), force)
-
     # -------------------------------------------------------------------- books
     def note_finished(self, name: str, outcome: str, nbytes: int, retries: int = 0) -> None:
         """Book one terminal request (outcome: executed/failed/cancelled)."""
@@ -328,13 +238,6 @@ class TenantRegistry:
                 stats.cancelled_bytes += nbytes
             else:
                 raise ValueError(f"unknown outcome {outcome!r}")
-
-    def note_parked_cancelled(self, name: str) -> None:
-        with self._lock:
-            stats = self._stats.get(name)
-            if stats is None:
-                stats = self._stats[name] = TenantStats()
-            stats.parked_cancelled += 1
 
     def stats_of(self, name: str) -> TenantStats:
         with self._lock:

@@ -43,6 +43,7 @@ resurrected without operator action (architecture §12).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import threading
 import time
@@ -355,7 +356,9 @@ class EngineService:
                 for key, value in message.items()
                 if key not in ("cmd", "name")
             }
-            engine.tenants.register(str(message["name"]), **kwargs)
+            # The fields the message does not name keep their values.
+            name = str(message["name"])
+            engine.tenants.register(dataclasses.replace(engine.tenants.get(name), **kwargs))
         elif cmd == "set_paging_strategy":
             if self.paging_policy is None:
                 raise ValueError("no paging policy attached to the service")

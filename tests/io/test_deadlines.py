@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.io import IORequest, IOScheduler, Priority
+from repro.io import IORequest, IOScheduler, Priority, TenantRegistry
 from repro.io.aio import JobState
 from repro.io.errors import DeadlineExceededError, is_device_error, is_retryable
 from repro.io.health import LaneHealthTracker
@@ -225,6 +225,33 @@ def test_at_most_one_hedge_per_request():
     finally:
         gate.set()
         hedge_gate.set()
+        sched.shutdown()
+
+
+def test_hedge_refused_by_the_quota_is_not_issued():
+    """A hedge is charged to the primary's tenant like any submission: past
+    the byte quota it is refused with ``TenantQuotaError`` (a
+    ``RuntimeError``), and the primary runs on as if unhedged."""
+    registry = TenantRegistry()
+    registry.register("q", byte_quota=100)
+    sched = make_scheduler(workers=3, hedge=True, hedge_delay_s=0.01, tenants=registry)
+    gate = threading.Event()
+    try:
+        req = _load(lambda: gate.wait(5) and "primary", hedge_fn=lambda: "hedged",
+                    nbytes=100, tenant="q")
+        sched.submit(req)
+        deadline = time.monotonic() + 5
+        while not req.started_at and time.monotonic() < deadline:
+            time.sleep(0.001)
+        sched._watchdog_scan(now=req.started_at + 1.0)
+        assert sched.stats.hedges_issued == 0
+        assert registry.stats_of("q").rejected == 1
+        gate.set()
+        assert req.wait(2) and req.result == "primary"
+        assert sched.drain(timeout=5)
+        assert sched.stats.submitted == sched.stats.executed == 1
+    finally:
+        gate.set()
         sched.shutdown()
 
 

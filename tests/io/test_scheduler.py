@@ -815,7 +815,7 @@ def test_run_inline_runs_on_the_caller_and_keeps_submits_books():
 
 def test_run_inline_failure_is_booked_and_refunds_quota():
     registry = TenantRegistry()
-    registry.register("q", byte_quota=100)  # over_quota="reject"
+    registry.register("q", byte_quota=100)
     sched = make_scheduler(tenants=registry)
     try:
         def boom():
@@ -835,35 +835,6 @@ def test_run_inline_failure_is_booked_and_refunds_quota():
         assert sched.stats.submitted == 2
         assert sched.pending() == 0 and sched.drain(1)
     finally:
-        sched.shutdown()
-
-
-def test_run_inline_parked_request_takes_the_queued_path():
-    registry = TenantRegistry()
-    registry.register("p", byte_quota=100, over_quota="park")
-    sched = make_scheduler(tenants=registry, lanes=("cpu",), coalesce_bytes=0)
-    gate = threading.Event()
-    parked_event = threading.Event()
-    sched.add_listener(lambda event, req: event == "park" and parked_event.set())
-    ran_on = []
-    try:
-        _block_workers(sched, gate, lane="cpu")
-        first = sched.submit(_load(lambda: None, 80, "p", tid="first"))
-        parked = _load(lambda: ran_on.append(threading.get_ident()), 80, "p", tid="parked")
-        caller = threading.Thread(target=sched.run_inline, args=(parked,))
-        caller.start()
-        assert parked_event.wait(5)
-        assert sched.parked("p") == 1 and not parked.done_event.is_set()
-        assert sched.cancel(first)  # the refund re-admits the parked request
-        gate.set()
-        caller.join(5)
-        assert not caller.is_alive()
-        assert parked.state is JobState.DONE
-        assert ran_on and ran_on[0] != caller.ident  # a lane worker ran it
-        books = registry.stats_of("p")
-        assert (books.parked, books.unparked, books.executed, books.cancelled) == (1, 1, 1, 1)
-    finally:
-        gate.set()
         sched.shutdown()
 
 

@@ -8,9 +8,9 @@ The three headline bars (the PR's acceptance numbers):
 - a byte-quota-capped tenant never executes a byte past its budget.
 
 Plus the supporting unit surface: tenant scopes, registry admission
-books, DRR no-starvation, park/unpark conservation, per-tenant
-telemetry, tenant-scoped lane health and tiered-SSD death isolation,
-per-tenant placement hooks, pool/arena per-tenant accounting, and the
+books, DRR no-starvation, over-quota rejection, per-tenant telemetry,
+tenant-scoped lane health and tiered-SSD death isolation, per-tenant
+placement hooks, pool/arena per-tenant accounting, and the
 regression guard that the default (single-tenant) path dequeues in
 exactly the pre-tenancy order (priority class, then submission order),
 and that ``fifo=True`` is strict submission order even with a registry.
@@ -36,7 +36,6 @@ from repro.io import (
     jain_index,
     tenant_scope,
 )
-from repro.io.aio import JobState
 from repro.io.errors import PermanentIOError
 from repro.io.health import LaneHealthTracker
 from repro.io.scheduler import _FairQueue
@@ -121,8 +120,6 @@ def test_registry_register_and_weight():
     assert reg.weight("unknown") == 1.0
     with pytest.raises(ValueError):
         TenantContext(name="bad", weight=0.0)
-    with pytest.raises(ValueError):
-        TenantContext(name="bad", over_quota="explode")
 
 
 def test_jain_index_edges():
@@ -256,125 +253,12 @@ def test_fair_path_respects_priority_classes():
     assert queue.pop() is load
 
 
-# ------------------------------------------------- park / unpark quota
-
-
-def test_over_quota_park_then_unpark_on_refund():
-    reg = TenantRegistry()
-    reg.register("p", byte_quota=100, over_quota="park")
-    sched = IOScheduler(workers=2,
-                        lanes=("ssd",), tenants=reg, coalesce_bytes=0)
-    events = []
-    sched.add_listener(lambda ev, req: events.append((ev, req.tensor_id)))
-    gate = threading.Event()
-    try:
-        _block_worker(sched, gate)
-        first = _req(lambda: None, nbytes=80, tid="first", tenant="p")
-        sched.submit(first)
-        parked = _req(lambda: None, nbytes=80, tid="parked", tenant="p")
-        sched.submit(parked)
-        assert sched.parked("p") == 1
-        assert ("park", "parked") in events
-        # Cancelling the admitted request refunds its quota and the
-        # parked one is re-admitted automatically, in park order.
-        assert sched.cancel(first)
-        assert sched.parked("p") == 0
-        assert ("unpark", "parked") in events
-        gate.set()
-        sched.drain()
-    finally:
-        gate.set()
-        sched.shutdown()
-    stats = reg.stats_of("p")
-    assert stats.parked == 1 and stats.unparked == 1
-    assert stats.parked_cancelled == 0
-    assert parked.state is JobState.DONE
-
-
-def test_cancelling_a_parked_request_unlinks_it_and_books_it():
-    """``cancel()`` of a request still held by quota admission: it leaves
-    the park queue at once, is booked ``parked_cancelled`` (never
-    ``submitted`` or ``cancelled`` — it reached no lane and owed no
-    quota), and the next refund unparks the request behind it."""
-    reg = TenantRegistry()
-    reg.register("p", byte_quota=100, over_quota="park")
-    sched = IOScheduler(workers=2, lanes=("ssd",), tenants=reg, coalesce_bytes=0)
-    events = []
-    sched.add_listener(lambda ev, req: events.append((ev, req.tensor_id)))
-    gate = threading.Event()
-    try:
-        _block_worker(sched, gate)
-        admitted = sched.submit(_req(lambda: None, nbytes=80, tid="admitted", tenant="p"))
-        first = sched.submit(
-            _req(lambda: None, kind="load", priority=Priority.PREFETCH_LOAD,
-                 nbytes=80, tid="first", tenant="p")
-        )
-        second = sched.submit(_req(lambda: None, nbytes=80, tid="second", tenant="p"))
-        assert sched.parked("p") == 2
-        before = reg.stats_of("p")
-        pending_before = sched.pending()
-
-        # A parked request's class is raised in place, not queued.
-        assert sched.promote(first)
-        assert first.priority is Priority.BLOCKING_LOAD
-        assert sched.parked("p") == 2 and sched.pending() == pending_before
-        assert ("promote", "first") in events
-
-        assert sched.cancel(first) is True
-        assert first.state is JobState.CANCELLED and not first._parked
-        assert sched.parked("p") == 1
-        assert ("cancel", "first") in events
-        after = reg.stats_of("p")
-        assert after.parked_cancelled == 1
-        assert (after.submitted, after.cancelled) == (before.submitted, before.cancelled)
-        assert after.quota_in_use_bytes == before.quota_in_use_bytes == 80
-        assert sched.stats_snapshot().cancelled == 0  # it never reached a lane
-        assert sched.pending() == pending_before
-        assert not sched.cancel(first)  # already terminal
-
-        # The refund of the admitted request unparks the second, only.
-        assert sched.cancel(admitted)
-        assert sched.parked("p") == 0
-        assert ("unpark", "second") in events and ("unpark", "first") not in events
-        gate.set()
-        assert sched.drain(5)
-    finally:
-        gate.set()
-        sched.shutdown()
-    stats = reg.stats_of("p")
-    assert second.state is JobState.DONE and first.state is JobState.CANCELLED
-    assert stats.parked == 2
-    assert stats.unparked == 1 and stats.parked_cancelled == 1
-    assert stats.submitted == stats.executed + stats.failed + stats.cancelled == 2
-
-
-def test_parked_requests_cancelled_on_shutdown_conservation():
-    reg = TenantRegistry()
-    reg.register("p", byte_quota=10, over_quota="park")
-    sched = IOScheduler(workers=2,
-                        lanes=("ssd",), tenants=reg, coalesce_bytes=0)
-    gate = threading.Event()
-    try:
-        _block_worker(sched, gate)
-        sched.submit(_req(lambda: None, nbytes=10, tid="in", tenant="p"))
-        held = [_req(lambda: None, nbytes=10, tid=f"held{i}", tenant="p")
-                for i in range(3)]
-        for req in held:
-            sched.submit(req)
-        assert sched.parked("p") == 3
-    finally:
-        gate.set()
-        sched.shutdown()
-    stats = reg.stats_of("p")
-    assert stats.parked == 3
-    assert stats.unparked + stats.parked_cancelled == 3
-    for req in held:
-        assert req.state in (JobState.CANCELLED, JobState.DONE)
+# ------------------------------------------------------- quota admission
 
 
 def test_reject_policy_raises_quota_error():
     reg = TenantRegistry()
-    reg.register("r", byte_quota=10, over_quota="reject")
+    reg.register("r", byte_quota=10)
     sched = IOScheduler(workers=2,
                         lanes=("ssd",), tenants=reg, coalesce_bytes=0)
     try:
@@ -387,23 +271,30 @@ def test_reject_policy_raises_quota_error():
     assert reg.stats_of("r").rejected == 1
 
 
-def test_bandwidth_quota_stays_work_conserving():
-    """A bandwidth-capped tenant alone on the lane still completes: the
-    token bucket paces under contention but never wedges an otherwise
-    idle lane (liveness via the forced-admit escape)."""
+def test_rejected_submission_is_admitted_once_a_cancel_refunds():
+    """Rejection is the only over-quota answer, and it holds nothing: a
+    caller that cancels admitted work gets the headroom back and simply
+    submits again."""
     reg = TenantRegistry()
-    reg.register("slow", bandwidth_quota_bytes_per_s=1.0)  # absurdly low
-    sched = IOScheduler(workers=2,
-                        lanes=("ssd",), tenants=reg, coalesce_bytes=0)
-    done = []
+    reg.register("r", byte_quota=100)
+    sched = IOScheduler(workers=2, lanes=("ssd",), tenants=reg, coalesce_bytes=0)
+    gate = threading.Event()
     try:
-        for i in range(8):
-            sched.submit(_req(lambda i=i: done.append(i), nbytes=1 << 20,
-                              tid=f"s{i}", tenant="slow"))
-        assert sched.drain(timeout=10), "bandwidth quota must not deadlock"
+        _block_worker(sched, gate)
+        queued = sched.submit(_req(lambda: None, nbytes=80, tid="queued", tenant="r"))
+        retry = _req(lambda: None, nbytes=80, tid="retry", tenant="r")
+        with pytest.raises(TenantQuotaError):
+            sched.submit(retry)
+        assert sched.cancel(queued)  # refunds its 80 bytes
+        sched.submit(retry)  # the same request, now within budget
+        gate.set()
+        assert sched.drain(5)
     finally:
+        gate.set()
         sched.shutdown()
-    assert len(done) == 8
+    books = reg.stats_of("r")
+    assert (books.submitted, books.executed, books.cancelled, books.rejected) == (2, 1, 1, 1)
+    assert books.quota_in_use_bytes == 80
 
 
 # ------------------------------------------------- per-tenant telemetry

@@ -134,7 +134,7 @@ def test_multi_tenant_books_reconcile_per_tenant(ops, fifo):
     registry = TenantRegistry()
     registry.register("a", weight=2.0)
     registry.register("b", weight=1.0)
-    registry.register("c", weight=1.0, byte_quota=quota, over_quota="reject")
+    registry.register("c", weight=1.0, byte_quota=quota)
     sched = IOScheduler(
         workers=2,
         max_retries=2,

@@ -155,6 +155,30 @@ def test_watermark_and_tenant_controls(tmp_path):
         assert service.engine.tenants.get("a").weight == 3
 
 
+def test_set_tenant_keeps_the_fields_it_does_not_name(tmp_path):
+    from repro.io.tenancy import TenantRegistry
+
+    bus = ControlBus()
+    registry = TenantRegistry()
+    registry.register("a", byte_quota=100)
+    config = _config(tmp_path, tenants=registry)
+    with EngineService(config, bus=bus, heartbeat_interval_s=TICK, gc_interval_s=None) as service:
+
+        def acks():
+            return [m for m in bus.recent(TOPIC_EVENTS) if m.get("event") == "control"]
+
+        bus.publish(TOPIC_CONTROL, {"cmd": "set_tenant", "name": "a", "weight": 3})
+        _wait(lambda: len(acks()) == 1)
+        assert (registry.get("a").weight, registry.get("a").byte_quota) == (3, 100)
+        before = registry.get("a")
+        # A key the contract no longer has is refused, and changes nothing.
+        bus.publish(TOPIC_CONTROL, {"cmd": "set_tenant", "name": "a", "over_quota": "park"})
+        _wait(lambda: len(acks()) == 2)
+        assert [ack["ok"] for ack in acks()] == [True, False]
+        assert "over_quota" in acks()[1]["error"]
+        assert registry.get("a") is before and service.controls_applied == 1
+
+
 def test_paging_strategy_swap_control(tmp_path):
     from repro.serve.paging import PagingPolicy
 
