@@ -29,16 +29,23 @@ Sec. III-C2: a read that finds its bytes in memory never pays the I/O
 path): a block in the pinned pool is read on the calling thread
 (:meth:`~repro.io.scheduler.IOScheduler.run_inline` — no queue, no
 worker hand-off), a block on the SSD is queued on the ``ssd`` lane and
-waited for, where priority, deadlines and hedging do something.  Both
-are deterministic.  A block is therefore only ever in one of two states,
-``HBM`` or ``ENGINE``, and :meth:`KVBlockPool._set_state` is the one
-place a state is written: it keeps the index of HBM residents and the
-HBM byte count in step, so an eviction orders the residents it is handed
-and never scans the table.  The in-flight half of a residency machine
-(parked payloads, forwarding, cancel-or-wait) belongs to the
-training-side tensor cache, the one asynchronous front-end.  The pool is
-driven from one thread; its lock keeps the table and counters coherent
-for concurrent *readers* (``tier_census``, ``hbm_used_bytes``).
+waited for, where priority, deadlines and hedging do something.
+
+A block's state is ``HBM`` or ``ENGINE`` (nothing is in flight when a
+caller looks), and :meth:`KVBlockPool._set_state` is the one place it
+is written: it keeps the index of HBM residents and the HBM byte count
+in step, so an eviction orders the residents it is handed and never
+scans the table.  Next to the state, ``engine_copy`` records that the
+pool stored the block and still holds that engine copy.  The **copy
+rule** is Linux's swap cache: a block read back from the pinned pool
+keeps its copy, so its next eviction only flips the state — no store.
+Like ``vm_swap_full()``, a read-back releases the copy instead when the
+pool is more than half full, so a kept copy never forces another
+block's demotion.  A copy on the SSD (or queued or spilling there) is
+never trusted: the device may have died unnoticed, so such a block is
+written back on eviction like one with no copy.  The pool is driven
+from one thread; its lock keeps the table and counters coherent for
+concurrent *readers* (``tier_census``, ``hbm_used_bytes``).
 """
 
 from __future__ import annotations
@@ -60,6 +67,10 @@ from repro.io.tenancy import DEFAULT_TENANT, tenant_scope
 from repro.serve.paging import BlockContext, PagingPolicy, PagingStrategy
 
 __all__ = ["BlockKey", "BlockMeta", "BlockState", "KVBlockPool", "KVPoolStats"]
+
+#: A read-back keeps the engine's pinned-pool copy only while the pool
+#: is at most this full (the ``vm_swap_full()`` threshold).
+KEEP_COPY_MAX_FILL = 0.5
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,7 @@ class BlockMeta:
         "dtype",
         "state",
         "data",
+        "engine_copy",
         "prefetched",
         "last_access_seq",
         "context_blocks",
@@ -123,6 +135,8 @@ class BlockMeta:
         #: ``state`` is written by :meth:`KVBlockPool._set_state` only
         #: (first when the pool files the row); ``data`` follows it.
         self.data: Optional[np.ndarray] = None
+        #: Set by a page-out, cleared when a read-back releases the copy.
+        self.engine_copy = False
         #: Set when a prefetch was issued for this block and not yet
         #: consumed by an access — the hit-accounting flag.
         self.prefetched = False
@@ -155,6 +169,7 @@ class KVPoolStats:
     prefetch_hits: int = 0
     demand_fetches: int = 0
     fetched_bytes: int = 0
+    #: Engine stores by page-outs; a clean eviction counts in ``evictions`` only.
     writebacks: int = 0
     writeback_bytes: int = 0
     evictions: int = 0
@@ -209,9 +224,7 @@ class KVBlockPool:
         if num_layers < 1:
             raise ValueError(f"num_layers must be >= 1: {num_layers}")
         if hbm_capacity_bytes < 0:
-            raise ValueError(
-                f"hbm_capacity_bytes must be >= 0: {hbm_capacity_bytes}"
-            )
+            raise ValueError(f"hbm_capacity_bytes must be >= 0: {hbm_capacity_bytes}")
         self.engine = engine
         self.block_tokens = block_tokens
         self.num_layers = num_layers
@@ -240,12 +253,8 @@ class KVBlockPool:
         with self._lock:
             if request_id in self._requests:
                 raise ValueError(f"request {request_id!r} already registered")
-            context_blocks = max(
-                1, -(-int(context_tokens) // self.block_tokens)
-            )
-            self._requests[request_id] = _RequestEntry(
-                tenant=user, context_blocks=context_blocks
-            )
+            context_blocks = max(1, -(-int(context_tokens) // self.block_tokens))
+            self._requests[request_id] = _RequestEntry(user, context_blocks)
         self.paging.install(self.engine.policy, user)
 
     def _entry(self, request_id: str) -> _RequestEntry:
@@ -255,9 +264,7 @@ class KVBlockPool:
         return entry
 
     # -------------------------------------------------------------- append
-    def append_block(
-        self, request_id: str, layer: int, data: np.ndarray
-    ) -> BlockKey:
+    def append_block(self, request_id: str, layer: int, data: np.ndarray) -> BlockKey:
         """Append the next KV block for ``(request_id, layer)``.
 
         Placement is the strategy's call: ``Tier.GPU`` keeps the block
@@ -266,29 +273,15 @@ class KVBlockPool:
         per-tenant placement hint.
         """
         if not (0 <= layer < self.num_layers):
-            raise ValueError(
-                f"layer {layer} out of range for num_layers={self.num_layers}"
-            )
+            raise ValueError(f"layer {layer} out of range for num_layers={self.num_layers}")
         with self._lock:
             entry = self._entry(request_id)
             index = entry.next_index.get(layer, 0)
             entry.next_index[layer] = index + 1
-            key = BlockKey(
-                request_id=request_id,
-                layer=layer,
-                index=index,
-                token_start=index * self.block_tokens,
-                token_end=(index + 1) * self.block_tokens,
-            )
+            tokens = self.block_tokens
+            key = BlockKey(request_id, layer, index, index * tokens, (index + 1) * tokens)
             tid = TensorID(stamp=next(self._stamps), shape=tuple(data.shape))
-            meta = BlockMeta(
-                key,
-                tid,
-                entry.tenant,
-                data,
-                context_blocks=entry.context_blocks,
-                num_layers=self.num_layers,
-            )
+            meta = BlockMeta(key, tid, entry.tenant, data, entry.context_blocks, self.num_layers)
             self._table[key] = meta
             self._set_state(meta, BlockState.ENGINE)  # not resident until admitted
             entry.keys.append(key)
@@ -323,10 +316,15 @@ class KVBlockPool:
             self._resident[meta.key] = meta
             self._hbm_used += meta.nbytes
 
+    def _clean(self, meta: BlockMeta) -> bool:
+        """Whether ``meta`` can leave HBM without a store: the engine
+        still holds the pool's copy of it, in the pinned pool."""
+        return meta.engine_copy and self.engine.offloader.tier_of(meta.tid) is Tier.CPU
+
     # ----------------------------------------------------- HBM admission
     def _admit_hbm(self, meta: BlockMeta, data: np.ndarray) -> None:
         """Make an engine-state block HBM-resident, evicting colder
-        blocks for room."""
+        blocks for room; a clean victim only changes state."""
         to_evict: List[Tuple[BlockMeta, np.ndarray]] = []
         overflow = False
         with self._lock:
@@ -334,7 +332,9 @@ class KVBlockPool:
                 victim = self._pick_victim()
                 if victim is None:
                     break
-                to_evict.append((victim, victim.data))
+                if not self._clean(victim):
+                    to_evict.append((victim, victim.data))
+                victim.prefetched = False
                 self._set_state(victim, BlockState.ENGINE)
                 self.stats.evictions += 1
             if self._hbm_used + meta.nbytes <= self.hbm_capacity_bytes:
@@ -342,8 +342,10 @@ class KVBlockPool:
                 meta.last_access_seq = next(self._seq)
             else:
                 # Nothing evictable and no room: the new block itself
-                # pages out (its strategy tier hint, or pool-first).
-                overflow = True
+                # pages out (its strategy tier hint, or pool-first)
+                # unless the engine still holds it.
+                meta.prefetched = False
+                overflow = not self._clean(meta)
         for victim, victim_data in to_evict:
             hint = self.paging.strategy.eviction_tier(victim.context())
             self._page_out(victim, victim_data, hint)
@@ -361,16 +363,27 @@ class KVBlockPool:
         return ordered[0] if ordered else None
 
     # ------------------------------------------------------------- page-out
-    def _page_out(
-        self, meta: BlockMeta, data: np.ndarray, tier_hint: Optional[Tier]
-    ) -> None:
+    def _page_out(self, meta: BlockMeta, data: np.ndarray, tier_hint: Optional[Tier]) -> None:
         """Hand an engine-state block's bytes to the engine, inline."""
         with self._lock:
-            meta.prefetched = False
+            meta.engine_copy = True
             self.stats.writebacks += 1
             self.stats.writeback_bytes += meta.nbytes
         with tenant_scope(meta.tenant), self.paging.hint(tier_hint):
             self.engine.offloader.store(meta.tid, data)
+
+    def _read_back(self, meta: BlockMeta) -> None:
+        """The copy rule for a block just read back for HBM: keep the
+        engine's copy while it is in the pinned pool and the pool is at
+        most :data:`KEEP_COPY_MAX_FILL` full, else release it."""
+        offloader = self.engine.offloader
+        if offloader.tier_of(meta.tid) is Tier.CPU:
+            capacity = offloader.pool.capacity_bytes
+            if capacity is None or offloader.pool.used <= KEEP_COPY_MAX_FILL * capacity:
+                return
+        offloader.release(meta.tid)
+        with self._lock:
+            meta.engine_copy = False
 
     # -------------------------------------------------------------- prefetch
     def prefetch(self, schedule: Sequence[str]) -> int:
@@ -390,7 +403,7 @@ class KVBlockPool:
                 if meta.state is not BlockState.ENGINE or meta.prefetched:
                     continue
                 # Set before _admit_hbm: a block that overflows straight
-                # back to the engine has the flag cleared by its page-out.
+                # back to the engine has the flag cleared there.
                 meta.prefetched = True
             try:
                 with tenant_scope(meta.tenant):
@@ -402,7 +415,7 @@ class KVBlockPool:
                 with self._lock:
                     meta.prefetched = False
                 raise
-            offloader.release(meta.tid)
+            self._read_back(meta)
             with self._lock:
                 self.stats.prefetch_issued += 1
             issued += 1
@@ -457,7 +470,7 @@ class KVBlockPool:
         if request.error is not None:
             raise request.error
         data = request.result
-        offloader.release(tid)
+        self._read_back(meta)
         with self._lock:
             meta.prefetched = False
             self.stats.demand_fetches += 1
@@ -467,17 +480,18 @@ class KVBlockPool:
 
     # --------------------------------------------------------------- release
     def release_request(self, request_id: str) -> int:
-        """Drop every block of a finished request; returns the count."""
+        """Drop every block of a finished request and every engine copy
+        held of them, whatever their state; returns the block count."""
         with self._lock:
             entry = self._requests.pop(request_id, None)
             if entry is None:
                 return 0
             metas = [self._table.pop(key) for key in entry.keys]
-            paged_out = [m for m in metas if m.state is BlockState.ENGINE]
+            held = [m for m in metas if m.engine_copy]
             for meta in metas:
                 self._set_state(meta, None)
             self.stats.released_blocks += len(metas)
-        for meta in paged_out:
+        for meta in held:
             self.engine.offloader.release(meta.tid)
         return len(metas)
 
@@ -498,11 +512,7 @@ class KVBlockPool:
             entry = self._requests.get(request_id)
             if entry is None:
                 return []
-            return [
-                key
-                for key in entry.keys
-                if self._table[key].state is BlockState.ENGINE
-            ]
+            return [k for k in entry.keys if self._table[k].state is BlockState.ENGINE]
 
     def block_tier(self, key: BlockKey) -> str:
         """Where a block's bytes live right now: ``"hbm"``, ``"cpu"`` or

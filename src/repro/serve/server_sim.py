@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.engine import Engine, EngineConfig, EngineStats, build_engine
 from repro.io.tenancy import TenantRegistry
-from repro.serve.kv_pool import KVBlockPool, KVPoolStats
+from repro.serve.kv_pool import BlockKey, KVBlockPool, KVPoolStats
 from repro.serve.paging import make_strategy
 from repro.serve.trace import InferenceRequest, RequestTrace
 
@@ -152,27 +152,14 @@ class KVServeResult:
         return [r.ttft_s for r in self.requests if r.served]
 
 
+@dataclass(slots=True)
 class _ActiveRequest:
-    __slots__ = (
-        "req",
-        "admitted_s",
-        "prefill_end_s",
-        "generated",
-        "first_token_s",
-        "blocks_per_layer",
-        "reserved_bytes",
-    )
-
-    def __init__(
-        self, req: InferenceRequest, admitted_s: float, reserved_bytes: int
-    ) -> None:
-        self.req = req
-        self.admitted_s = admitted_s
-        self.prefill_end_s = admitted_s
-        self.generated = 0
-        self.first_token_s: Optional[float] = None
-        self.blocks_per_layer = 0
-        self.reserved_bytes = reserved_bytes
+    req: InferenceRequest
+    reserved_bytes: int
+    prefill_end_s: float = 0.0
+    generated: int = 0
+    first_token_s: Optional[float] = None
+    blocks_per_layer: int = 0
 
 
 class KVServerSim:
@@ -267,30 +254,16 @@ class KVServerSim:
         def admit(req: InferenceRequest, need: int) -> None:
             nonlocal reserved
             reserved += need
-            act = _ActiveRequest(req, admitted_s=clock, reserved_bytes=need)
-            out = outcomes[req.request_id]
-            out.admitted_s = clock
-            if pool is not None:
-                pool.begin_request(
-                    req.request_id,
-                    user=req.user,
-                    context_tokens=req.context_tokens,
-                )
+            rid = req.request_id
+            act = _ActiveRequest(req, reserved_bytes=need)
+            outcomes[rid].admitted_s = clock
             act.blocks_per_layer = self._context_blocks(req.context_tokens)
             if pool is not None:
+                pool.begin_request(rid, user=req.user, context_tokens=req.context_tokens)
                 for index in range(act.blocks_per_layer):
                     for layer in range(cfg.num_layers):
-                        pool.append_block(
-                            req.request_id,
-                            layer,
-                            block_payload(
-                                seed,
-                                req.request_id,
-                                layer,
-                                index,
-                                cfg.block_bytes,
-                            ),
-                        )
+                        payload = block_payload(seed, rid, layer, index, cfg.block_bytes)
+                        pool.append_block(rid, layer, payload)
             act.prefill_end_s = clock + req.context_tokens / cfg.prefill_tokens_per_s
             active.append(act)
 
@@ -408,8 +381,6 @@ class KVServerSim:
     ) -> float:
         """Virtual seconds a decode pays to read one block *before* the
         actual fetch mutates placement."""
-        from repro.serve.kv_pool import BlockKey
-
         cfg = self.config
         tier = pool.block_tier(BlockKey(request_id=rid, layer=layer, index=index))
         if tier == "hbm":

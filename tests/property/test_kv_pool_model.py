@@ -9,10 +9,15 @@ live block must fetch bit-exact — through whichever of the three demand
 paths its tier picks — and the pool's single-writer books must hold: the
 resident index is exactly the HBM-state rows, the HBM byte count is
 their sum and within capacity, and the victim the index yields is the
-one a scan of the whole table would have picked.  At the end everything
-is released and the tier's and the scheduler's books must reconcile.
+one a scan of the whole table would have picked.  The copy rule's books
+hold too: every ENGINE row's bytes are held by the engine, and a row's
+``engine_copy`` is set exactly when the engine holds a copy; with four
+pool blocks against three HBM blocks, read-backs both keep and (past
+half full) release copies.  At the end everything is released and the
+tier's and the scheduler's books must reconcile.
 
-Tier-1 runs it derandomised; ``--hypothesis-seed=N`` explores.
+Tier-1 runs it derandomised; ``--hypothesis-seed=N`` explores (CI's
+stress job passes its run number).
 """
 
 import shutil
@@ -165,6 +170,11 @@ class KVPoolModel(RuleBasedStateMachine):
             scan = [m for m in rows if m.state is BlockState.HBM]
             assert pool._resident == {m.key: m for m in scan}
             assert all((m.data is not None) == (m.state is BlockState.HBM) for m in rows)
+            # The copy rule's books: an ENGINE row's bytes are held by the
+            # engine, and a row records a copy exactly when the engine has one.
+            tiers = {m.key: self.engine.offloader.tier_of(m.tid) for m in rows}
+            assert all(tiers[m.key] is not Tier.GPU for m in rows if m.state is BlockState.ENGINE)
+            assert all(m.engine_copy == (tiers[m.key] is not Tier.GPU) for m in rows)
             assert pool.hbm_used_bytes == sum(m.nbytes for m in scan) <= pool.hbm_capacity_bytes
             if scan:
                 assert pool._pick_victim() is pool.paging.strategy.eviction_order(scan)[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import EngineConfig, build_engine
+from repro.io.faults import FaultPlan, inject_faults
 from repro.serve import (
     BlockKey,
     BlockState,
@@ -319,6 +320,78 @@ def test_failed_inline_demand_fetch_surfaces_and_is_booked(engine, monkeypatch):
     assert np.array_equal(pool.fetch("r1", 0, 0), payload(3))
 
 
+def test_a_clean_eviction_stores_nothing(engine):
+    """A block read back from the pinned pool keeps its engine copy, so
+    its next eviction only flips its state; releasing the request frees
+    that copy although the block is in HBM."""
+    pool = make_pool(engine, blocks_in_hbm=1)
+    pool.begin_request("r1")
+    data = [payload(40), payload(41)]
+    pool.append_block("r1", 0, data[0])
+    pool.append_block("r1", 0, data[1])  # evicts block 0: stored
+    assert np.array_equal(pool.fetch("r1", 0, 0), data[0])  # evicts block 1: stored
+
+    def books():
+        return (
+            pool.stats.writebacks,
+            engine.stats().tiers.cpu_stored_tensors,
+            pool.stats.evictions,
+        )
+
+    writebacks, stored, evictions = books()
+    assert np.array_equal(pool.fetch("r1", 0, 1), data[1])  # evicts block 0: clean
+    assert pool.block_tier(BlockKey("r1", 0, 0)) == "cpu"
+    assert books() == (writebacks, stored, evictions + 1)
+    assert np.array_equal(pool.fetch("r1", 0, 0), data[0])
+    assert pool._table[BlockKey("r1", 0, 0)].engine_copy  # in HBM, copy kept
+    assert pool.release_request("r1") == 2
+    assert engine.stats().pool.used_bytes == 0
+
+
+def test_a_read_back_from_a_pool_over_half_full_gives_the_copy_up(engine):
+    """The ``vm_swap_full()`` rule: with the pinned pool more than half
+    full a read-back releases the engine's copy, and the block's next
+    eviction stores it again."""
+    pool = make_pool(engine, blocks_in_hbm=1)
+    pool.begin_request("r1")
+    data = [payload(50 + i) for i in range(4)]
+    for block in data:
+        pool.append_block("r1", 0, block)  # blocks 0-2 stored: the pool is 3/4 full
+    meta = pool._table[BlockKey("r1", 0, 0)]
+    assert np.array_equal(pool.fetch("r1", 0, 0), data[0])
+    assert not meta.engine_copy and engine.offloader.tier_of(meta.tid).value == "gpu"
+    writebacks, stored = pool.stats.writebacks, engine.stats().tiers.cpu_stored_tensors
+    assert np.array_equal(pool.fetch("r1", 0, 1), data[1])  # evicts block 0: stored
+    assert meta.state is BlockState.ENGINE
+    assert pool.stats.writebacks == writebacks + 1
+    assert engine.stats().tiers.cpu_stored_tensors == stored + 1
+    assert np.array_equal(pool.fetch("r1", 0, 0), data[0])
+
+
+def test_an_ssd_copy_is_stored_again_when_its_block_is_evicted(engine):
+    """Only a pinned-pool copy makes an eviction clean.  A block read
+    back from the SSD is written back when it leaves HBM, so a device
+    that died unnoticed never holds a block's only copy."""
+    pool = make_pool(
+        engine, blocks_in_hbm=1, strategy=SplitToken(hbm_recent_blocks=1, cpu_window_blocks=0)
+    )
+    pool.begin_request("r1", context_tokens=2 * BLOCK_TOKENS)
+    cold, warm = payload(60), payload(61)
+    cold_key = pool.append_block("r1", 0, cold)
+    pool.append_block("r1", 0, warm)
+    assert pool.block_tier(cold_key) == "ssd"
+    assert np.array_equal(pool.fetch("r1", 0, 0), cold)  # from the SSD into HBM
+    assert pool.block_tier(cold_key) == "hbm"
+
+    inject_faults(engine.offloader, FaultPlan(seed=0)).kill()
+    assert not engine.offloader.ssd_dead  # no traffic has noticed yet
+    writebacks = pool.stats.writebacks
+    assert np.array_equal(pool.fetch("r1", 0, 1), warm)  # evicts the cold block
+    assert pool.block_tier(cold_key) != "hbm"
+    assert pool.stats.writebacks > writebacks
+    assert np.array_equal(pool.fetch("r1", 0, 0), cold)
+
+
 def test_block_state_has_one_writer():
     """``KVBlockPool._set_state`` is the only assignment to a block's
     state: the resident index and the HBM byte count ride on that."""
@@ -395,4 +468,4 @@ def test_blocks_marked_prefetched_state_transitions(engine):
     assert meta.state is BlockState.ENGINE
     pool.fetch("r1", 0, 0)
     assert meta.state is BlockState.ENGINE  # hbm capacity 0: paged out again
-    assert pool.stats.writebacks == 2
+    assert pool.stats.writebacks == 1

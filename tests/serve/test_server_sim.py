@@ -156,7 +156,8 @@ def test_kv_serve_quick_trace_exact_counters_are_pinned(tmp_path):
     stats = result.pool_stats
     assert (result.served, result.rejected, result.bit_exact_ok) == (4, 0, True)
     assert (stats.blocks_written, stats.released_blocks) == (58, 58)
-    assert (stats.writebacks, stats.evictions) == (958, 958)
+    assert (stats.writebacks, stats.evictions) == (58, 958)
+    assert result.engine_stats.tiers.cpu_stored_tensors == 58
     assert (stats.demand_fetches, stats.fetched_bytes) == (582, 582 * 8192)
     assert (stats.hbm_hits, stats.prefetch_issued, stats.prefetch_hits) == (28, 372, 348)
     assert stats.prefetch_hit_rate == pytest.approx(348 / 930, rel=1e-12)
