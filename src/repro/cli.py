@@ -428,16 +428,13 @@ def _faults_functional(args: argparse.Namespace) -> None:
 
 
 def _faults_heal(args: argparse.Namespace) -> None:
-    """Self-healing chaos demo (architecture §12), three scenarios:
+    """Self-healing chaos demo (architecture §12), two scenarios:
 
     A. die -> heal -> resurrect: the SSD is killed mid-run (breaker
        opens, placements fail over), then heals; half-open canary
        probes re-close the breaker and the tier comes back — losses
        stay bit-exact throughout.
-    B. brownout hedging A/B: deterministic stalls on blocking loads;
-       with hedged reads the duplicate completes first and the p99
-       latency collapses versus the unhedged baseline.
-    C. ENOSPC survival: one store root fills; write-leveling re-routes
+    B. ENOSPC survival: one store root fills; write-leveling re-routes
        chunks to the other root with zero failed requests.
     """
     import errno
@@ -450,7 +447,6 @@ def _faults_heal(args: argparse.Namespace) -> None:
     from repro.data import SyntheticCorpus, TokenBatchLoader
     from repro.device import GPU
     from repro.io.faults import FaultPlan, inject_faults
-    from repro.io.scheduler import IORequest, IOScheduler, Priority
     from repro.models import GPT
     from repro.optim import SGD
     from repro.train import Trainer
@@ -535,56 +531,7 @@ def _faults_heal(args: argparse.Namespace) -> None:
     assert not off.ssd_dead, "the healed SSD tier must be resurrected"
     assert breaker.stats.resurrections >= 1, "probes must re-close the breaker"
 
-    # -- scenario B: brownout -> hedged blocking loads cut the tail
-    def run_loads(hedge):
-        # Hedging needs spare lane capacity: wedged primaries hold their
-        # workers for the full stall, so the pool must fit every
-        # overlapping straggler plus the duplicates that rescue them.
-        scheduler = IOScheduler(
-            workers=5,
-            hedge=hedge, hedge_delay_s=0.005,
-            name=f"heal-demo-{'hedged' if hedge else 'baseline'}",
-        )
-        stalled = {3, 9, 15}  # deterministic brownout stragglers
-        durations = []
-        try:
-            for i in range(20):
-                def body(i=i):
-                    if i in stalled:
-                        _time.sleep(0.12)  # the wedged primary read
-                    return i
-
-                request = IORequest(
-                    body, kind="load", priority=Priority.BLOCKING_LOAD,
-                    tensor_id=f"t{i}", nbytes=1024, lane="ssd",
-                    hedge_fn=lambda i=i: i,  # the duplicate is healthy
-                )
-                start = _time.monotonic()
-                scheduler.submit(request)
-                request.done_event.wait(5.0)
-                durations.append(_time.monotonic() - start)
-            return durations, scheduler.stats_snapshot()
-        finally:
-            scheduler.shutdown()
-
-    def p99(values):
-        ordered = sorted(values)
-        return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
-
-    base_durations, base_stats = run_loads(hedge=False)
-    hedged_durations, hedge_stats = run_loads(hedge=True)
-    print(f"brownout hedging A/B: blocking-load p99 "
-          f"{p99(base_durations) * 1e3:.1f} ms unhedged -> "
-          f"{p99(hedged_durations) * 1e3:.1f} ms hedged "
-          f"({hedge_stats.hedges_issued} hedges issued, "
-          f"{hedge_stats.hedges_won} won)")
-    assert base_stats.hedges_issued == 0
-    assert hedge_stats.hedges_won >= 1, "a hedge must win at least once"
-    assert p99(hedged_durations) < p99(base_durations), (
-        "hedged reads must cut the blocking-load tail"
-    )
-
-    # -- scenario C: ENOSPC on one store root -> re-route, zero failures
+    # -- scenario B: ENOSPC on one store root -> re-route, zero failures
     survived, _, c_sched, c_off = run(enospc=True, root0_cap=48 << 10)
     store = c_off.file_store
     print(f"ENOSPC on root 0: {store.enospc_root_skips} re-routed writes, "
@@ -592,8 +539,8 @@ def _faults_heal(args: argparse.Namespace) -> None:
     assert survived == clean, "ENOSPC re-routing must keep losses bit-exact"
     assert c_sched.failed == 0, "a full root must not fail any request"
     assert store.enospc_root_skips >= 1, "expected >=1 ENOSPC re-route"
-    print("\nSSD die->heal resurrected by canary probes, hedged reads cut "
-          "the brownout tail, ENOSPC survived with zero failures. ✓")
+    print("\nSSD die->heal resurrected by canary probes, ENOSPC survived "
+          "with zero failures. ✓")
 
 
 def cmd_faults(args: argparse.Namespace) -> None:
@@ -601,7 +548,7 @@ def cmd_faults(args: argparse.Namespace) -> None:
     latency spikes, and a mid-run SSD death cost (stall, overhead,
     failover), plus ``--functional`` for the live chaos demo proving
     bit-exact recovery and ``--heal`` for the self-healing degraded-mode
-    demo (breaker resurrection, hedged reads, ENOSPC survival)."""
+    demo (breaker resurrection, ENOSPC survival)."""
     from repro.sim import Scenario, build_segments, simulate_run
 
     if getattr(args, "heal", False):
@@ -939,8 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--heal", action="store_true",
                 help="run the self-healing demo: SSD die->heal with breaker "
-                     "resurrection, hedged reads under brownout, and ENOSPC "
-                     "survival via store-root re-routing",
+                     "resurrection, and ENOSPC survival via store-root re-routing",
             )
             p.add_argument("--fault-rate", type=float, default=0.05,
                            help="expected fraction of transfers faulted per step")

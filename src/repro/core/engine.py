@@ -128,22 +128,11 @@ class EngineConfig:
             offloader and its per-tensor store for simulated
             GPUDirect-Storage routing.  The syscalls issued are the same
             under all three.
-
-    Degraded-mode switches (architecture §12) — the engine's only way to
-    turn the fault-recovery code on:
-
-    Attributes:
         io_deadlines: per-priority-class deadlines in seconds, e.g.
             ``{"BLOCKING_LOAD": 0.5}``; a watchdog abandons requests
-            stuck past theirs (the hung-I/O failure mode) instead of
-            letting a wedged lane worker stall the step forever.
-        hedge_reads: issue a duplicate BLOCKING_LOAD on the same lane
-            after a delay adapted from the recent load-latency
-            distribution (p99-based); first completion wins, the loser
-            is cancelled (tail-latency insurance during brownouts).
-        io_slow_request_s: per-op duration past which the lane health
-            tracker moves toward a *slow* (brownout) verdict — distinct
-            from *dead*: optional traffic sheds, blocking work continues.
+            stuck past theirs (the hung-I/O failure mode, architecture
+            §12) instead of letting a wedged lane worker stall the step
+            forever.
     """
 
     target: str = "tiered"
@@ -160,8 +149,6 @@ class EngineConfig:
     io_backend: str = "thread"
     io_direct: bool = False
     io_deadlines: Optional[Dict[str, float]] = None
-    hedge_reads: bool = False
-    io_slow_request_s: Optional[float] = None
     probe_backoff_s: Optional[float] = None
 
     def validate(self) -> None:
@@ -232,10 +219,6 @@ class EngineConfig:
                     raise EngineConfigError(
                         f"io_deadlines[{cls!r}] must be positive: {deadline}"
                     )
-        if self.io_slow_request_s is not None and self.io_slow_request_s <= 0:
-            raise EngineConfigError(
-                f"io_slow_request_s must be positive: {self.io_slow_request_s}"
-            )
         if self.probe_backoff_s is not None and self.probe_backoff_s <= 0:
             raise EngineConfigError(
                 f"probe_backoff_s must be positive: {self.probe_backoff_s}"
@@ -338,8 +321,7 @@ class Engine:
     — so nothing above has to ask the offloader what it is made of.
     The scheduler is built first (the tiered offloader queues its
     demotions on it and reads degraded mode off its lane health) and
-    starts workers for the lanes the target queues on and no others; an
-    engine's hedge delay is always the adaptive one.
+    starts workers for the lanes the target queues on and no others.
     """
 
     def __init__(self, config: EngineConfig) -> None:
@@ -356,8 +338,6 @@ class Engine:
             tenants=config.tenants,
             backend=UringBackend() if config.io_backend in ("uring", "gds-sim") else None,
             deadlines=config.io_deadlines,
-            hedge=config.hedge_reads,
-            slow_request_s=config.io_slow_request_s,
         )
         try:
             self.offloader = self._build_offloader()

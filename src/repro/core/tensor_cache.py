@@ -189,10 +189,6 @@ class CacheStats:
     #: Loads that failed terminally; the error surfaces to the blocking
     #: unpack as a RuntimeError instead of a hang.
     load_failures: int = 0
-    #: Prefetch rounds skipped because the load lane is in brownout
-    #: (slow verdict): optional look-ahead traffic sheds so blocking
-    #: loads get the remaining bandwidth.
-    prefetch_shed: int = 0
 
     def since(self, earlier: "CacheStats") -> "CacheStats":
         """The counters accumulated after ``earlier`` (a copy taken
@@ -745,10 +741,6 @@ class TensorCache:
             data = self.offloader.load(record.tid, record.shape, record.dtype)
             tensor = Tensor(data, device=self._device)
             with record.lock:
-                if record.state is not RecordState.LOADING:
-                    # A hedged duplicate that lost: first completion wins,
-                    # and a record backward already consumed stays so.
-                    return
                 record.tensor = tensor
                 record.trans_state(RecordState.LOADED)
             self.stats.loaded_tensors += 1
@@ -769,12 +761,6 @@ class TensorCache:
                 tensor_id=str(rec.tid),
                 nbytes=rec.nbytes,
                 lane=self.offloader.load_lane(rec.tid),
-                # Tail-latency insurance: with hedging enabled, the
-                # scheduler's watchdog may re-run this body as a
-                # duplicate read.  ``do_load`` is idempotent — it
-                # re-reads the same tier copy, and only the first
-                # completion publishes.
-                hedge_fn=do_load,
             )
         )
         rec.load_job = job
@@ -791,13 +777,6 @@ class TensorCache:
         I/O tasks in the queue" (Sec. III-C2) without reloading the whole
         step's activations up front.
         """
-        if self.scheduler.health.is_slow("ssd"):
-            # Brownout shed: look-ahead loads are optional traffic — a
-            # slow (but alive) lane serves blocking work only until the
-            # verdict clears.  Records the window skipped reach unpack
-            # via its blocking load instead.
-            self.stats.prefetch_shed += 1
-            return
         cursor = table.backward_cursor
         low = max(0, cursor - self.prefetch_window)
         for index in range(cursor - 1, low - 1, -1):

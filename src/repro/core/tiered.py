@@ -75,11 +75,6 @@ class TierStats:
     #: budget — the failure-recovery path, not normal placement.
     failovers: int = 0
     failover_bytes: int = 0
-    #: Stores kept on the CPU tier because the SSD lane is browning out
-    #: (slow verdict, not dead): tail latency trades against capacity
-    #: until the lane speeds back up.
-    shed_stores: int = 0
-    shed_bytes: int = 0
     #: ENOSPC events absorbed (root re-route, compact-and-retry, or CPU
     #: degrade) without failing the step.
     enospc_events: int = 0
@@ -433,9 +428,8 @@ class TieredOffloader(Offloader):
                     return
             idle.wait()
 
-    def _place(self, owner: str, nbytes: int) -> Tuple[Tier, bool]:
-        """Where a store lands, and whether that is a brownout shed
-        rather than the policy's plain answer.
+    def _place(self, owner: str, nbytes: int) -> Tier:
+        """Where a store lands.
 
         With a dead SSD tier there is exactly one viable placement —
         judged per tenant: another tenant's verdict must not move this
@@ -443,19 +437,8 @@ class TieredOffloader(Offloader):
         free: every resident is demotable.
         """
         if self._health.is_dead("ssd", owner):
-            return Tier.CPU, False
-        placement = self.policy.place_for(
-            owner, nbytes=nbytes, cpu_free_bytes=self.cpu_capacity_bytes
-        )
-        if (
-            placement is Tier.SSD
-            and self._health.is_slow("ssd")
-            and nbytes <= self.cpu_free_bytes()
-        ):
-            # Brownout shed: the lane is alive but slow, and the pool can
-            # absorb this store without demoting into that very lane.
-            return Tier.CPU, True
-        return placement, False
+            return Tier.CPU
+        return self.policy.place_for(owner, nbytes=nbytes, cpu_free_bytes=self.cpu_capacity_bytes)
 
     # ------------------------------------------------------------------ store
     def store(self, tid: TensorID, data: np.ndarray) -> None:
@@ -470,10 +453,7 @@ class TieredOffloader(Offloader):
         if self.probe_backoff_s is not None and self._health.is_dead("ssd", owner):
             self.maybe_probe_ssd(owner)
         with self._locked_when_idle(tid):
-            placement, shed = self._place(owner, nbytes)
-            if shed:
-                self.stats.shed_stores += 1
-                self.stats.shed_bytes += nbytes
+            placement = self._place(owner, nbytes)
             # Re-store: drop the old backing copy first.  A cross-tier
             # move would otherwise leak it, and a CPU-tier overwrite must
             # free its old bytes *before* _make_room demotes for them.
@@ -736,11 +716,6 @@ class TieredOffloader(Offloader):
         """
         demoted = 0
         with self._lock:
-            if self._health.is_slow("ssd"):
-                # Brownout shed: proactive demotions are optional traffic
-                # — keep them off a lane that is already struggling so
-                # blocking loads get what bandwidth remains.
-                return 0
             while self.cpu_capacity_bytes - self.pool.used < self._free_watermark_bytes:
                 victim = self._next_victim()
                 if victim is None:
@@ -794,7 +769,7 @@ class TieredOffloader(Offloader):
                 return data
             # An SSD read: registered, so nothing replaces or drops the
             # copy under it, then run unlocked — reads of different tids
-            # (and a hedged duplicate of this one) overlap.
+            # (and concurrent reads of this one) overlap.
             entry.readers += 1
             entry.sync_idle()
         data = None
@@ -867,8 +842,7 @@ class TieredOffloader(Offloader):
         may have filled meanwhile); the prediction only routes the queue
         slot.  Takes no tier lock.
         """
-        placement, _ = self._place(current_tenant(), nbytes)
-        return "cpu" if placement is Tier.CPU else "ssd"
+        return "cpu" if self._place(current_tenant(), nbytes) is Tier.CPU else "ssd"
 
     def shutdown(self) -> None:
         with self._lock:

@@ -260,10 +260,9 @@ class IOJob:
         """Apply a body outcome and finish — the CQ half.
 
         Idempotent once terminal: a late body outcome arriving after
-        :meth:`abandon` (or after a hedge completed this job) is
-        discarded — first completion wins.  The check-and-transition is
-        one critical section, so an abandon can never interleave between
-        the guard and the terminal write.
+        :meth:`abandon` is discarded — first completion wins.  The
+        check-and-transition is one critical section, so an abandon can
+        never interleave between the guard and the terminal write.
         """
         with self._lock:
             if self.done_event.is_set():

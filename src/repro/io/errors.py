@@ -59,7 +59,7 @@ class DeadlineExceededError(OSError):
     """The request sat past its per-class deadline and was abandoned by
     the scheduler watchdog.  Not retryable — the original body may still
     be wedged in the kernel, and re-running it would double-occupy the
-    lane; recovery is failover (and, for blocking loads, a hedge).  It
+    lane; recovery is failover.  It
     *is* a device verdict: a lane that keeps eating deadlines is as dead
     to the placement policy as one that returns ``EIO``."""
 

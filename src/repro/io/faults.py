@@ -90,9 +90,9 @@ class FaultPlan:
     hang_rate: float = 0.0
     hang_s: float = 0.25
     #: Brownout: after ``brownout_after_ops`` operations every op sleeps
-    #: an extra ``brownout_latency_s`` — the sustained latency ramp that
-    #: must trip the *slow* lane verdict (distinct from *dead*) until
-    #: :meth:`FaultInjector.heal`.
+    #: an extra ``brownout_latency_s`` until :meth:`FaultInjector.heal`.
+    #: The ops still succeed, so a brownout must not open the lane's
+    #: breaker: slow is not dead.
     brownout_after_ops: Optional[int] = None
     brownout_latency_s: float = 0.02
     #: Cumulative write-byte budget after which writes raise ``ENOSPC``

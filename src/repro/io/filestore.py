@@ -404,8 +404,8 @@ class TensorFileStore(_TrafficBooks):
             os.unlink(path)
         except FileNotFoundError:
             pass
-        # Unlink first, forget second: a read racing the delete (a hedged
-        # duplicate) either borrows the old descriptor — closed when it
+        # Unlink first, forget second: a read racing the delete (say, the
+        # late body of an abandoned load) either borrows the old descriptor — closed when it
         # returns — or finds no file; it can never re-cache a descriptor
         # of the unlinked inode for a later write to land in.
         self.fds.invalidate(path)

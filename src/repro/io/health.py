@@ -49,11 +49,6 @@ class LaneHealthSnapshot:
     consecutive_failures: int = 0
     #: Filled from the breaker when the snapshot is taken.
     dead: bool = False
-    #: Brownout verdict: the lane answers, but sustained latency crossed
-    #: the slow threshold.  Distinct from ``dead`` — a slow lane sheds
-    #: deferrable traffic (prefetch, demotions) but keeps serving.
-    slow: bool = False
-    consecutive_slow: int = 0
 
 
 def _key(lane: str, tenant: Optional[str]) -> _Key:
@@ -88,21 +83,10 @@ class LaneHealthTracker:
     placement without touching B's.
     """
 
-    def __init__(
-        self,
-        death_threshold: int = 3,
-        slow_threshold_s: Optional[float] = None,
-        slow_trip: int = 3,
-    ) -> None:
+    def __init__(self, death_threshold: int = 3) -> None:
         if death_threshold < 1:
             raise ValueError(f"death_threshold must be >= 1: {death_threshold}")
-        if slow_trip < 1:
-            raise ValueError(f"slow_trip must be >= 1: {slow_trip}")
         self.death_threshold = death_threshold
-        #: Request duration at or above which an op counts as *slow*;
-        #: ``None`` disables the brownout verdict entirely.
-        self.slow_threshold_s = slow_threshold_s
-        self.slow_trip = slow_trip
         self._lock = threading.Lock()
         #: Books and breakers are written under the lock and read without
         #: it: a healthy lane's verdict is a dict lookup and an attribute
@@ -173,9 +157,7 @@ class LaneHealthTracker:
         everyone."""
         key = _key(lane, tenant)
         with self._lock:
-            book = self._book(key)
-            if key[1] is None:  # latency is the device's, not a tenant's
-                book.slow, book.consecutive_slow = False, 0
+            self._book(key)  # created if new: the loop below indexes it
             keys = [k for k in self._books if k[0] == lane] if tenant is None else [key]
             for k in keys:
                 self._books[k].consecutive_failures = 0
@@ -220,42 +202,6 @@ class LaneHealthTracker:
             self.mark_dead(lane, tenant, "permanent device error")
         elif streak >= self.death_threshold:
             self.mark_dead(lane, tenant, f"{streak} consecutive failures")
-
-    def record_duration(self, lane: str, seconds: float) -> None:
-        """Feed one executed request's duration into the brownout verdict.
-
-        ``slow_trip`` consecutive ops at/above ``slow_threshold_s`` set
-        the lane *slow*; a single fast op clears it — the brownouts that
-        matter are sustained, and a device serving fast ops again has by
-        definition recovered.  Lane-global (not tenant-scoped): latency
-        is a device property, unlike quota-attributable failures.
-        """
-        if self.slow_threshold_s is None:
-            return
-        with self._lock:
-            book = self._book((lane, None))
-            if seconds >= self.slow_threshold_s:
-                book.consecutive_slow += 1
-                if book.consecutive_slow >= self.slow_trip:
-                    book.slow = True
-            else:
-                book.consecutive_slow = 0
-                book.slow = False
-
-    def is_slow(self, lane: str) -> bool:
-        """The brownout verdict; no lock (asked per placement and per
-        prefetch round)."""
-        book = self._books.get((lane, None))
-        return book is not None and book.slow
-
-    def slow_lanes(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(k[0] for k, b in self._books.items() if k[1] is None and b.slow))
-
-    def mark_slow(self, lane: str) -> None:
-        """Force the brownout verdict (operator/test hook)."""
-        with self._lock:
-            self._book((lane, None)).slow = True
 
     def snapshot(self) -> Dict[str, LaneHealthSnapshot]:
         """The lanes' global books."""

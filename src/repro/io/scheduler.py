@@ -62,18 +62,15 @@ per-lane :class:`~repro.io.health.LaneHealthTracker` — the signal the tiered o
 uses to fail a dead SSD over to the CPU tier and the adaptive controller
 uses to trim the budget on a degraded lane.
 
-**Degraded modes** (architecture §12): with ``deadlines`` and/or
-``hedge`` configured the scheduler runs a watchdog thread over the
-in-flight set.  A request stuck past its per-class deadline is
-*abandoned* — forced FAILED with :class:`~repro.io.errors
-.DeadlineExceededError` so the waiter unblocks and fails over, while
-the wedged body's eventual outcome is discarded (hung-I/O survival).
-A BLOCKING_LOAD stuck past the adaptive hedge delay gets a *hedged
-duplicate* submitted from its ``hedge_fn``; first completion wins, the
-loser is cancelled, and ``hedges_issued``/``hedges_won`` book the
-outcome.  ``slow_request_s`` arms a *slow* lane verdict distinct from
-*dead* — sustained high latency (brownout) sheds prefetch/demotion
-traffic off the lane without declaring the device gone.
+**Degraded modes** (architecture §12): per-class ``deadlines`` are the
+one degraded-mode timer.  With any configured the scheduler runs a
+watchdog thread over the in-flight set, and a request stuck past its
+class's deadline is *abandoned* — forced FAILED with
+:class:`~repro.io.errors.DeadlineExceededError` so the waiter unblocks
+and fails over, while the wedged body's eventual outcome is discarded
+(hung-I/O survival).  A slow but working device (brownout) is not a
+verdict: its requests simply take longer, and only errors and
+deadlines feed the lane's health.
 """
 
 from __future__ import annotations
@@ -153,8 +150,6 @@ class IORequest(IOJob):
         max_retries: Optional[int] = None,
         retry_backoff_s: Optional[float] = None,
         tenant: Optional[str] = None,
-        deadline_s: Optional[float] = None,
-        hedge_fn: Optional[Callable[[], object]] = None,
     ) -> None:
         if kind not in REQUEST_KINDS:
             raise ValueError(f"unknown request kind {kind!r}; expected one of {REQUEST_KINDS}")
@@ -181,20 +176,6 @@ class IORequest(IOJob):
         #: the CPU tier): the request completes DONE, but the lane must
         #: still learn about the device failure it papered over.
         self.health_error: Optional[BaseException] = None
-        #: Per-request deadline override (seconds of *execution* time
-        #: before the watchdog abandons it); ``None`` inherits the
-        #: scheduler's per-class deadline, if any.
-        self.deadline_s = deadline_s
-        #: Idempotent re-issue closure for hedged reads: the watchdog
-        #: builds the hedge request from this, so the duplicate does not
-        #: share the (possibly wedged) original body.  ``None`` opts the
-        #: request out of hedging.
-        self.hedge_fn = hedge_fn
-        #: The hedge duplicate issued for this request (at most one).
-        self.hedge: Optional["IORequest"] = None
-        #: True when this request *is* a hedge duplicate (never itself
-        #: hedged).
-        self.is_hedge = False
         #: Completion telemetry, stamped by the worker loop (monotonic
         #: seconds).  ``submitted_at`` is set by :meth:`IOScheduler.submit`.
         self.submitted_at: float = 0.0
@@ -210,8 +191,8 @@ class IORequest(IOJob):
 
     def _dispatch(self, callbacks: List[Callable[[IOJob], None]]) -> None:
         """Whichever call made the request terminal (settle, cancel,
-        abandon, a winning hedge) closes its books, before any done
-        callback: a raising callback cannot skip them."""
+        abandon) closes its books, before any done callback: a raising
+        callback cannot skip them."""
         scheduler = self._scheduler
         if scheduler is not None:
             try:
@@ -250,11 +231,6 @@ class SchedulerStats:
     coalesced_batches: int = 0
     coalesced_requests: int = 0
     coalesced_bytes: int = 0
-    #: Hedged-read books: duplicates issued by the watchdog for stuck
-    #: blocking loads, and the subset whose result completed the primary
-    #: first (the stall the hedge actually cut).
-    hedges_issued: int = 0
-    hedges_won: int = 0
     #: Requests force-failed by the watchdog for sitting past their
     #: per-class deadline (hung-I/O failover).
     deadline_abandons: int = 0
@@ -517,9 +493,6 @@ class IOScheduler:
         name: str = "ssdtrain-io",
         backend: Optional[IOBackend] = None,
         deadlines: Optional[Dict[str, float]] = None,
-        hedge: bool = False,
-        hedge_delay_s: Optional[float] = None,
-        slow_request_s: Optional[float] = None,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0: {workers}")
@@ -539,10 +512,6 @@ class IOScheduler:
                 )
             if seconds <= 0:
                 raise ValueError(f"deadline for {cls} must be positive: {seconds}")
-        if hedge_delay_s is not None and hedge_delay_s < 0:
-            raise ValueError(f"hedge_delay_s must be >= 0: {hedge_delay_s}")
-        if slow_request_s is not None and slow_request_s <= 0:
-            raise ValueError(f"slow_request_s must be positive: {slow_request_s}")
         self.name = name
         self.fifo = fifo
         self.coalesce_bytes = coalesce_bytes
@@ -557,14 +526,9 @@ class IOScheduler:
         #: Per-class execution deadlines (Priority name -> seconds) the
         #: watchdog abandons stuck requests against; empty = no deadlines.
         self.deadlines: Dict[str, float] = dict(deadlines or {})
-        #: Hedged-read knobs: ``hedge`` arms the watchdog's duplicate
-        #: issue for stuck blocking loads; ``hedge_delay_s`` pins the
-        #: stuck threshold (None = adaptive from recent load durations).
-        self.hedge = hedge
-        self.hedge_delay_s = hedge_delay_s
         #: Per-lane failure/death bookkeeping fed by request completions;
         #: the tiered offloader and the adaptive controller both read it.
-        self.health = LaneHealthTracker(slow_threshold_s=slow_request_s)
+        self.health = LaneHealthTracker()
         self._stats_lock = threading.Lock()
         # An Event, not a lock-guarded bool: worker loops read the flag
         # under their lane's condition while shutdown() runs under the
@@ -601,14 +565,11 @@ class IOScheduler:
         #: maintained only when a watchdog runs.  Guarded by _inflight_lock.
         self._inflight: set = set()
         self._inflight_lock = threading.Lock()
-        #: Recent executed-load durations per lane, the adaptive hedge
-        #: delay's sample window.  Guarded by _stats_lock.
-        self._load_durations: Dict[str, Deque[float]] = {}
-        # The watchdog thread exists only when a degraded-mode feature
-        # needs it — a default-configured scheduler spawns no extra
-        # thread (the engine-lifecycle leak test counts on that).
+        # The watchdog thread exists only when deadlines need it — a
+        # default-configured scheduler spawns no extra thread (the
+        # engine-lifecycle leak test counts on that).
         self._watchdog: Optional[threading.Thread] = None
-        if self.deadlines or self.hedge:
+        if self.deadlines:
             self._watchdog = threading.Thread(
                 target=self._watchdog_loop, name=f"{name}-watchdog", daemon=True
             )
@@ -907,36 +868,8 @@ class IOScheduler:
             request.done_event.set()
 
     # ---------------------------------------------------- watchdog
-    # Runs only when deadlines or hedging are configured: scans the
-    # in-flight set, abandons requests stuck past their per-class
-    # deadline, and issues hedge duplicates for stuck blocking loads.
-
-    def hedge_delay_for(self, lane: str) -> float:
-        """Seconds a blocking load may run before its hedge is issued.
-
-        Explicit ``hedge_delay_s`` wins.  Otherwise adapt from the
-        lane's recent executed-load durations: the p99, capped at four
-        medians — on a healthy lane (tail ≈ median) only genuine
-        stragglers hedge, while under brownout (tail ≫ median) the
-        median cap pulls the delay down so hedges fire as soon as a
-        request exceeds 4x the typical latency.  With too few samples
-        the conservative 50 ms default applies.
-        """
-        if self.hedge_delay_s is not None:
-            return self.hedge_delay_s
-        with self._stats_lock:
-            samples = list(self._load_durations.get(lane, ()))
-        if len(samples) < 8:
-            return 0.05
-        ordered = sorted(samples)
-        p99 = ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
-        p50 = ordered[len(ordered) // 2]
-        return max(0.002, min(p99, 4.0 * p50))
-
-    def _deadline_of(self, request: IORequest) -> Optional[float]:
-        if request.deadline_s is not None:
-            return request.deadline_s
-        return self.deadlines.get(request.priority.name)
+    # Runs only when deadlines are configured: scans the in-flight set
+    # and abandons requests stuck past their class's deadline.
 
     def _watchdog_loop(self) -> None:
         while not self._shutdown.wait(WATCHDOG_INTERVAL_S):
@@ -955,20 +888,9 @@ class IOScheduler:
             if request.done_event.is_set() or not request.started_at:
                 continue
             elapsed = now - request.started_at
-            deadline = self._deadline_of(request)
+            deadline = self.deadlines.get(request.priority.name)
             if deadline is not None and elapsed > deadline:
                 self._abandon(request, elapsed, deadline)
-                continue
-            if (
-                self.hedge
-                and request.kind == "load"
-                and request.priority is Priority.BLOCKING_LOAD
-                and not request.is_hedge
-                and request.hedge is None
-                and request.hedge_fn is not None
-                and elapsed >= self.hedge_delay_for(request.lane)
-            ):
-                self._issue_hedge(request)
 
     def _abandon(self, request: IORequest, elapsed: float, deadline: float) -> None:
         """Force a stuck request FAILED; the wedged body's eventual
@@ -981,46 +903,6 @@ class IOScheduler:
             with self._stats_lock:
                 self.stats.deadline_abandons += 1
             self._safe_notify("abandon", request)
-
-    def _issue_hedge(self, request: IORequest) -> None:
-        """Submit the hedge duplicate for a stuck blocking load.
-
-        First completion wins: the hedge's DONE result completes the
-        primary (idempotent :meth:`~repro.io.aio.IOJob.complete` — a
-        late primary outcome is discarded), and a primary completing
-        first cancels a still-PENDING hedge.
-        """
-        hedge = IORequest(
-            request.hedge_fn,
-            kind="load",
-            priority=Priority.BLOCKING_LOAD,
-            tensor_id=request.tensor_id,
-            nbytes=request.nbytes,
-            lane=request.lane,
-            label=f"hedge:{request.label}",
-            tenant=request.tenant,
-        )
-        hedge.is_hedge = True
-        request.hedge = hedge
-
-        def hedge_done(job: IOJob, primary: IORequest = request) -> None:
-            if job.state is JobState.DONE and not primary.done_event.is_set():
-                primary.complete(job.result, None)
-                with self._stats_lock:
-                    self.stats.hedges_won += 1
-
-        hedge.add_done_callback(hedge_done)
-        try:
-            self.submit(hedge)
-        except RuntimeError:
-            # Shutdown race or quota rejection (TenantQuotaError is a
-            # RuntimeError): the hedge never ran; the primary proceeds
-            # as if no hedge had been issued.
-            logger.debug("hedge submit for %s refused", request.label, exc_info=True)
-            return
-        with self._stats_lock:
-            self.stats.hedges_issued += 1
-        request.add_done_callback(lambda _req, h=hedge: self.cancel(h))
 
     # ---------------------------------------------------- backend hooks
     # The installed IOBackend drives these for every request it claimed;
@@ -1056,15 +938,6 @@ class IOScheduler:
         if self._watchdog is not None:
             with self._inflight_lock:
                 self._inflight.discard(request)
-        duration = request.finished_at - request.started_at
-        if self.health.slow_threshold_s is not None:
-            self.health.record_duration(request.lane, duration)
-        if self.hedge and request.kind == "load":
-            with self._stats_lock:
-                window = self._load_durations.get(request.lane)
-                if window is None:
-                    window = self._load_durations[request.lane] = deque(maxlen=64)
-                window.append(duration)
         self._force_terminal(request)
 
     def notify_done(self, request: IORequest) -> None:

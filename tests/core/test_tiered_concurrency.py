@@ -256,61 +256,34 @@ def test_release_or_restore_during_an_inflight_read(tmp_path, mutation):
         tiered.shutdown()
 
 
-def test_hedged_duplicate_read_promotes_once(tmp_path):
-    """Race (ii), through the scheduler's hedging: the primary read is
-    stuck in the device, the hedge serves the waiter, and once the
-    primary comes back the tensor is promoted exactly once — the loser
-    is served too, never a miss."""
-    sched = IOScheduler(
-        workers=3, hedge=True, hedge_delay_s=0.0
-    )
-    tiered = _tiered(tmp_path, scheduler=sched)
+def test_overlapping_reads_of_one_tid_promote_once(tmp_path):
+    """Race (ii): two reads of one tensor overlap, the first stuck in the
+    device.  The second is served from the same SSD copy and does not
+    promote under the stuck reader; the last reader out promotes, and
+    exactly once."""
+    tiered = _tiered(tmp_path)
     try:
         a = _data(6)
         _store_on_ssd(tiered, _tid(1), a)
         gate = _Gate(tiered.ssd, "load", only_first=1)
-        results = []
-        finished = threading.Semaphore(0)
-
-        def do_load():
-            try:
-                results.append(tiered.load(_tid(1), SHAPE, F32))
-            finally:
-                finished.release()
-            return results[-1]
-
-        request = sched.submit(
-            IORequest(
-                do_load,
-                kind="load",
-                priority=Priority.BLOCKING_LOAD,
-                tensor_id=str(_tid(1)),
-                nbytes=NBYTES,
-                lane=tiered.load_lane(_tid(1)),
-                hedge_fn=do_load,
-            )
-        )
-        assert gate.entered.acquire(timeout=WAIT)  # primary parked in the device
-        assert request.wait(WAIT) and request.error is None  # the hedge answered
-        assert np.array_equal(request.result, a)
-        assert finished.acquire(timeout=WAIT)
-        assert sched.stats.hedges_issued == 1 and sched.stats.hedges_won == 1
-        # The copy the stuck primary is reading is still there.
+        reader = _spawn(tiered.load, _tid(1), SHAPE, F32)
+        assert gate.entered.acquire(timeout=WAIT)  # A parked in the device
+        assert np.array_equal(tiered.load(_tid(1), SHAPE, F32), a)
+        # The copy the stuck reader is reading is still there.
         assert tiered.tier_of(_tid(1)) is Tier.SSD
         assert tiered.stats_snapshot().promotions == 0
         gate.opened.set()
-        assert finished.acquire(timeout=WAIT)  # the primary's load() returned
-        assert len(results) == 2 and all(np.array_equal(r, a) for r in results)
+        _join(reader)
+        assert np.array_equal(reader["result"], a)
         stats = tiered.stats_snapshot()
         assert stats.promotions == 1 and stats.ssd_loads == 2
         assert tiered.tier_of(_tid(1)) is Tier.CPU
         assert tiered.pool.used == NBYTES  # charged once
         assert np.array_equal(tiered.load(_tid(1), SHAPE, F32), a)
-        assert_tier_books(tiered, sched)
+        assert_tier_books(tiered, tiered.scheduler)
         tiered.release(_tid(1))
-        assert_tier_books(tiered, sched, drained=True)
+        assert_tier_books(tiered, tiered.scheduler, drained=True)
     finally:
-        sched.shutdown()
         tiered.shutdown()
 
 

@@ -13,9 +13,7 @@ each proven with real file I/O:
 3. **ENOSPC survival** — a full device degrades stores to the CPU tier
    (after one compact-and-retry) without tripping the breaker and with
    zero failed requests;
-4. **brownout** — a *slow* lane verdict sheds prefetch, placement and
-   demotion traffic while blocking loads keep flowing;
-5. **combined failure** — the KV-serving workload under SSD brownout
+4. **combined failure** — the KV-serving workload under SSD brownout
    plus a tenant-wide transient retry storm: TTFT degrades boundedly,
    every user's KV bytes stay bit-exact, and the breaker stays CLOSED
    (slow is not dead); a separate die-then-heal cycle on the serving
@@ -296,82 +294,6 @@ def test_enospc_training_run_survives_full_root(tmp_path):
     assert store.enospc_root_skips >= 1, "the gate must actually fill root 0"
     assert sched.failed == 0
     assert survived == clean
-
-
-# ------------------------------------------------------------- brownout
-def test_brownout_sheds_placement_and_demotions(tmp_path):
-    # cpu_tier_max_tensor_bytes below the tensor size: the policy wants
-    # SSD placement even with a roomy pool, so the shed branch decides.
-    policy = OffloadPolicy(
-        PolicyConfig(min_offload_numel=256, cpu_tier_max_tensor_bytes=2048)
-    )
-    engine = build_engine(
-        EngineConfig(
-            target="tiered",
-            store_dir=tmp_path / "brown",
-            cpu_pool_bytes=256 << 10,
-            policy=policy,
-            io_slow_request_s=0.05,
-        )
-    )
-    try:
-        from repro.core import TensorID
-
-        offloader = engine.offloader
-        scheduler = engine.scheduler
-        # Trip the slow verdict directly (the deterministic hook; the
-        # end-to-end latency path is covered in test_deadlines).
-        scheduler.health.mark_slow("ssd")
-        data = np.arange(1024, dtype=np.float32)
-        shed_tid = TensorID(stamp=1, shape=(1024,))
-        offloader.store(shed_tid, data)
-        assert offloader.stats.shed_stores >= 1
-        assert offloader.stats.shed_bytes >= data.nbytes
-        # Sheds route to CPU, not to a failure: the bytes load back.
-        out = offloader.load(shed_tid, data.shape, data.dtype)
-        assert np.array_equal(out, data)
-        # Watermark demotions pause during the brownout...
-        assert offloader.apply_watermark() == 0
-        # ...and the verdict is slow, not dead: breaker stays CLOSED.
-        assert offloader.breaker.state == BreakerState.CLOSED
-        assert not offloader.ssd_dead
-        # A fast op clears the verdict and placement resumes.
-        scheduler.health.record_duration("ssd", 0.0)
-        offloader.store(TensorID(stamp=2, shape=(1024,)), data)
-        assert offloader.stats.shed_stores == 1
-    finally:
-        engine.shutdown()
-
-
-def test_brownout_sheds_prefetch(tmp_path):
-    policy = OffloadPolicy(PolicyConfig(min_offload_numel=256))
-    engine = build_engine(
-        EngineConfig(
-            target="tiered",
-            store_dir=tmp_path / "brownpf",
-            cpu_pool_bytes=256 << 10,
-            policy=policy,
-            io_slow_request_s=0.05,
-        )
-    )
-    try:
-        cache = engine.cache(prefetch_window=2)
-        # Healthy lane: the look-ahead runs (empty table, nothing shed).
-        cache._prefetch_ahead(cache.current)
-        assert cache.stats.prefetch_shed == 0
-        # Slow lane: the whole look-ahead window is optional traffic and
-        # is shed before touching a single record.
-        engine.scheduler.health.mark_slow("ssd")
-        cache._prefetch_ahead(cache.current)
-        assert cache.stats.prefetch_shed == 1, (
-            "a slow lane must shed the prefetch lookahead"
-        )
-        # Verdict clears -> prefetching resumes.
-        engine.scheduler.health.record_duration("ssd", 0.0)
-        cache._prefetch_ahead(cache.current)
-        assert cache.stats.prefetch_shed == 1
-    finally:
-        engine.shutdown()
 
 
 # ---------------------------------------- combined failure: KV serving

@@ -11,7 +11,8 @@ each independent value multiplies the configurations tests and
 benchmarks must cover, so a PR that needs another one says so here.
 The construction path (``EngineConfig`` -> ``TieredOffloader`` ->
 ``SSDOffloader`` / ``IOScheduler``) carried 60 settable values before
-PR 19 and carries 37 now.  ``TieredOffloader``'s ``scheduler`` is in
+PR 19, 37 before hedged reads and the brownout verdict were deleted,
+and carries 32 now.  ``TieredOffloader``'s ``scheduler`` is in
 its committed tuple but not in that count: it is a required
 collaborator (the object the tier queues its spills on and reads
 degraded mode from), not a value with alternatives — there is no
@@ -21,7 +22,7 @@ not say what it has; the budget is for the few that are deliberate.
 The count of ``except Exception`` sites is committed the same way.
 The last five tests pin shapes so they cannot grow back: one admission
 answer (a tenant's contract is a weight and a byte quota), one owner of
-degraded mode, one observation feed — producers keep cumulative books
+degraded mode and one timer for it (class deadlines), one observation feed — producers keep cumulative books
 and emit events, consumers difference and aggregate — one simulated
 multi-step runner, and one queueing model (the simulator queues on the
 production scheduler).
@@ -42,8 +43,8 @@ from repro.io.scheduler import IOScheduler
 from repro.io.tenancy import TenantContext, TenantRegistry
 from repro.serve import KVBlockPool
 
-SRC_LINE_CEILING = 19_725
-ENGINE_CONFIG_FIELD_CEILING = 17
+SRC_LINE_CEILING = 19_403
+ENGINE_CONFIG_FIELD_CEILING = 15
 KV_POOL_PARAMETERS = ("engine", "block_tokens", "num_layers", "hbm_capacity_bytes", "strategy")
 TENSOR_CACHE_PARAMETERS = ("offloader", "policy", "registry", "prefetch_window", "scheduler")
 SSD_OFFLOADER_PARAMETERS = ("store", "gds")
@@ -54,7 +55,7 @@ TIERED_OFFLOADER_PARAMETERS = (
 COLLABORATORS = ("scheduler",)
 IO_SCHEDULER_PARAMETERS = (
     "workers", "lanes", "fifo", "coalesce_bytes", "max_retries", "retry_backoff_s",
-    "tenants", "name", "backend", "deadlines", "hedge", "hedge_delay_s", "slow_request_s",
+    "tenants", "name", "backend", "deadlines",
 )
 #: ``getattr(``/``hasattr(`` occurrences allowed across the files that
 #: used to ask their parts what they were (33 before PR 19).
@@ -63,9 +64,8 @@ PROBED_FILES = (
     "core/engine.py", "core/offloader.py", "core/tiered.py",
     "core/tensor_cache.py", "core/autotune.py", "service/service.py",
 )
-#: ``except Exception`` sites across ``src/`` (21 before the hedge
-#: submit caught only ``RuntimeError``).  Each is a last line of defence
-#: for a thread or a callback; a new one says why here.
+#: ``except Exception`` sites across ``src/``.  Each is a last line of
+#: defence for a thread or a callback; a new one says why here.
 BROAD_EXCEPT_CEILING = 20
 
 SRC = Path(__file__).parent.parent / "src"
@@ -108,7 +108,7 @@ def test_option_count_stays_under_the_committed_ceiling():
             "settable value is added to the committed tuple in this test, where a "
             "reviewer sees it"
         )
-    assert _construction_path_values() == 37
+    assert _construction_path_values() == 32
     scheduler = inspect.signature(TieredOffloader.__init__).parameters["scheduler"]
     assert scheduler.default is inspect.Parameter.empty  # required: never scheduler-less
 
@@ -163,7 +163,9 @@ def test_degraded_mode_has_one_owner():
     """Lane health (``io/health.py``) builds every circuit breaker and
     is the only place "dead" is decided; the tier stores no copy of the
     verdict, flips no pool-wide overflow switch, and has no
-    scheduler-less mode to fall back to."""
+    scheduler-less mode to fall back to.  Class deadlines are the only
+    degraded-mode timer: no hedged duplicate reads, no latency-driven
+    "slow" verdict, nothing shed on one."""
     sources = {p.relative_to(SRC / "repro").as_posix(): p.read_text() for p in SRC.rglob("*.py")}
     builders = [name for name, text in sources.items() if "CircuitBreaker(" in text]
     assert builders == ["io/health.py"]
@@ -177,6 +179,11 @@ def test_degraded_mode_has_one_owner():
         "_unscheduled_spills", "_scheduler is None", "_scheduler is not None",
     ):
         assert gone not in tiered, gone
+    timers = re.compile(
+        r"hedge|is_slow|slow_threshold|slow_trip|mark_slow|slow_lanes|record_duration"
+        r"|slow_request|\bshed_(stores|bytes)\b|prefetch_shed|consecutive_slow"
+    )
+    assert [name for name, text in sources.items() if timers.search(text)] == []
 
 
 def test_observation_has_one_feed():
@@ -197,14 +204,9 @@ def test_observation_has_one_feed():
     trace = sources["io/trace.py"]
     assert "offloader.store =" not in trace and "offloader.load =" not in trace
     assert "TieredOffloader" not in sources["core/tensor_cache.py"]
-    # Starting and finishing a request take the stats lock only to feed
-    # the hedge delay's sample window, when hedging is on.
-    begin = inspect.getsource(IOScheduler.begin_request)
-    assert "_stats_lock" not in begin
-    finish = inspect.getsource(IOScheduler.finish_request)
-    assert finish.count("_stats_lock") == 1
-    hedge_branch = finish[finish.index("if self.hedge"):]
-    assert hedge_branch.index("_stats_lock") < hedge_branch.index("self._force_terminal")
+    # Starting and finishing a request take no stats lock.
+    assert "_stats_lock" not in inspect.getsource(IOScheduler.begin_request)
+    assert "_stats_lock" not in inspect.getsource(IOScheduler.finish_request)
 
 
 def test_simulated_runs_have_one_runner():
@@ -237,4 +239,4 @@ def test_simulated_io_has_one_queue():
     assert not re.search(r"^\s*(import threading|from threading import)", sim, re.M)
     assert "IOScheduler(" in sim
     assert _parameters(IOScheduler) == IO_SCHEDULER_PARAMETERS
-    assert _construction_path_values() == 37
+    assert _construction_path_values() == 32
