@@ -9,7 +9,8 @@ wall time; the main thread's user / system CPU and minor faults
 (``RUSAGE_THREAD``); the CPU of every other thread — lane workers and,
 under ``uring``, the reaper — read from its own clock
 (``time.pthread_getcpuclockid``); idle = wall − main − workers, which on
-one CPU is the time nobody ran; and the CPU spent inside ``zlib.crc32``,
+one CPU is the time nobody ran; and the CPU spent inside
+``repro.io.checksum.crc32`` (the stores' checksum entry point),
 ``os.pwritev``, ``os.preadv``, ``os.open``, ``os.close`` and
 ``os.unlink``, timed by wrappers this tool installs in its own process
 (they add roughly a microsecond a call to the step they measure).
@@ -22,7 +23,7 @@ cost (idle) from work (CPU) in ``trainer.unattributed_ms_per_step``.
 from __future__ import annotations
 
 import argparse
-import os
+import importlib
 import resource
 import shutil
 import statistics
@@ -30,19 +31,19 @@ import sys
 import tempfile
 import threading
 import time
-import zlib
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 E2E = ROOT / "benchmarks" / "e2e"
+#: ``(module, function)``: resolved at install, once ``src`` is importable.
 WRAPPED = (
-    (zlib, "crc32"),
-    (os, "pwritev"),
-    (os, "preadv"),
-    (os, "open"),
-    (os, "close"),
-    (os, "unlink"),
+    ("repro.io.checksum", "crc32"),
+    ("os", "pwritev"),
+    ("os", "preadv"),
+    ("os", "open"),
+    ("os", "close"),
+    ("os", "unlink"),
 )
 PER_STEP = ("wall_ms", "main_user_ms", "main_sys_ms", "workers_cpu_ms", "idle_ms", "main_minflt")
 
@@ -57,10 +58,11 @@ class CallClock:
         self._originals: List[Tuple[object, str, Callable]] = []
 
     def install(self) -> None:
-        for module, attr in WRAPPED:
+        for module_name, attr in WRAPPED:
+            module = importlib.import_module(module_name)
             original = getattr(module, attr)
             self._originals.append((module, attr, original))
-            setattr(module, attr, self._wrap(f"{module.__name__}.{attr}", original))
+            setattr(module, attr, self._wrap(f"{module_name}.{attr}", original))
 
     def uninstall(self) -> None:
         for module, attr, original in self._originals:
@@ -136,16 +138,16 @@ def report(workload: str, steps: int, rows: Dict[str, List[Dict[str, float]]]) -
         return statistics.median(row.get(key, 0.0) for row in rows[which])
 
     lines = [f"{workload}: medians over {steps} OFFLOAD and {steps} KEEP steps, one pinned CPU"]
-    lines.append(f"{'per step':<18}{'OFFLOAD':>12}{'KEEP':>12}{'gap':>12}")
+    lines.append(f"{'per step':<26}{'OFFLOAD':>12}{'KEEP':>12}{'gap':>12}")
     for key in PER_STEP:
         off, keep = median("offload", key), median("keep", key)
-        lines.append(f"{key:<18}{off:>12.2f}{keep:>12.2f}{off - keep:>12.2f}")
-    lines.append(f"{'OFFLOAD, per call':<18}{'calls/step':>12}{'cpu_ms/step':>12}{'us/call':>12}")
-    for module, attr in WRAPPED:
-        name = f"{module.__name__}.{attr}"
+        lines.append(f"{key:<26}{off:>12.2f}{keep:>12.2f}{off - keep:>12.2f}")
+    lines.append(f"{'OFFLOAD, per call':<26}{'calls/step':>12}{'cpu_ms/step':>12}{'us/call':>12}")
+    for module_name, attr in WRAPPED:
+        name = f"{module_name}.{attr}"
         calls, cpu_ms = median("offload", f"{name}.calls"), median("offload", f"{name}.cpu_ms")
         per_call_us = cpu_ms * 1e3 / calls if calls else 0.0
-        lines.append(f"{name:<18}{calls:>12.1f}{cpu_ms:>12.3f}{per_call_us:>12.2f}")
+        lines.append(f"{name:<26}{calls:>12.1f}{cpu_ms:>12.3f}{per_call_us:>12.2f}")
     return lines
 
 

@@ -67,13 +67,13 @@ import os
 import re
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.io import checksum
 from repro.io.aio import count_syscalls, syscall_tape
 from repro.io.buffers import CopyCounter
 from repro.io.errors import IntegrityError, is_enospc
@@ -591,7 +591,7 @@ class ChunkedTensorStore(_TrafficBooks):
         raw = memoryview(contiguous.reshape(-1)).cast("B")
         # The one staging append; avoided: the tobytes() temporary.
         self.copy_stats.count_copy(nbytes, avoided=1)
-        crc = zlib.crc32(raw)
+        crc = checksum.crc32(raw)
         flushed, start = 0, 0.0
         with self._lock:
             self._delete_locked(tensor_id)  # overwrite drops the old copy
@@ -705,7 +705,7 @@ class ChunkedTensorStore(_TrafficBooks):
                 f"torn write: tensor {tensor_id!r} expected {loc.nbytes} bytes "
                 f"in chunk {loc.chunk_id}, read {nbytes}"
             )
-        if zlib.crc32(raw) != loc.crc32:
+        if checksum.crc32(raw) != loc.crc32:
             raise IntegrityError(
                 f"checksum mismatch for tensor {tensor_id!r} in chunk "
                 f"{loc.chunk_id}: bit-rot or torn write"

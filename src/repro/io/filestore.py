@@ -66,6 +66,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.io import checksum
 from repro.io.aio import count_syscalls, syscall_tape
 from repro.io.buffers import DIRECT_ALIGNMENT, BufferArena, CopyCounter
 from repro.io.errors import IntegrityError
@@ -262,7 +263,7 @@ class TensorFileStore(_TrafficBooks):
         tape = syscall_tape()
         try:
             with tape:
-                header = _FRAME_HEADER.pack(FRAME_MAGIC, nbytes, zlib.crc32(payload))
+                header = _FRAME_HEADER.pack(FRAME_MAGIC, nbytes, checksum.crc32(payload))
                 self._write_frame(path, header, payload)
         finally:
             if bounce is not None:
@@ -386,7 +387,7 @@ class TensorFileStore(_TrafficBooks):
             raise IntegrityError(
                 f"torn write: {label()} frames {length} payload bytes, found {max(0, payload_got)}"
             )
-        if zlib.crc32(memoryview(flat)) != crc:
+        if checksum.crc32(flat) != crc:
             raise IntegrityError(f"checksum mismatch for {label()}: bit-rot or torn write")
         data = flat.reshape(shape)
         self.copy_stats.count_copy(data.nbytes, avoided=1)  # the whole-file bytes slurp
