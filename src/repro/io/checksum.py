@@ -2,22 +2,20 @@
 
 :func:`crc32` returns exactly what ``zlib.crc32(buf, value)`` returns,
 so frames, chunk indexes and journals are unchanged; only the CPU per
-byte is (≈ 56 instead of ≈ 320 µs/MiB).  ``ctypes.PyDLL`` keeps the GIL:
-on one CPU a 1 MiB checksum ends sooner than the hand-off a released GIL
-would trigger.  ``c_char.from_buffer`` passes the address without a copy
-and dies as the call returns, leaving no buffer export behind.  zlib
-still runs without the library, for read-only buffers and under
-:data:`MIN_KERNEL_BYTES`; :data:`KERNEL` names the kernel in use.
+byte is (≈ 56 instead of ≈ 320 µs/MiB).  ``ctypes.CDLL`` releases the
+GIL for the call, as ``zlib.crc32`` does above 5 KiB, so a lane worker's
+checksum still runs beside the training thread on a second CPU.
+``c_char.from_buffer`` passes the address without a copy and dies as the
+call returns, leaving no buffer export behind.  zlib still runs without
+the library and for empty or read-only buffers; :data:`KERNEL` names
+the kernel in use.
 """
 
 import ctypes
 import zlib
 
-#: The crossover: near 4 KiB zlib's loop costs what the ctypes call does.
-MIN_KERNEL_BYTES = 4096
-
 try:
-    _kernel = ctypes.PyDLL("libdeflate.so.0").libdeflate_crc32
+    _kernel = ctypes.CDLL("libdeflate.so.0").libdeflate_crc32
     _kernel.argtypes = (ctypes.c_uint32, ctypes.c_void_p, ctypes.c_size_t)
     _kernel.restype = ctypes.c_uint32
 except (OSError, AttributeError):  # no library, or one without the symbol
@@ -30,6 +28,6 @@ def crc32(buf, value: int = 0) -> int:
     """``zlib.crc32(buf, value)`` for any C-contiguous buffer."""
     with memoryview(buf) as view:
         nbytes = view.nbytes
-        if _kernel is None or nbytes < MIN_KERNEL_BYTES or view.readonly:
+        if _kernel is None or not nbytes or view.readonly:
             return zlib.crc32(view, value)
         return _kernel(value, _byref(_anchor(view)), nbytes)

@@ -43,9 +43,11 @@ from repro.io.scheduler import IOScheduler
 from repro.io.tenancy import TenantContext, TenantRegistry
 from repro.serve import KVBlockPool
 
-#: 19,403 before ``io/checksum.py`` (+36: the libdeflate crc32 binding
+#: 19,403 before ``io/checksum.py`` (+34: the libdeflate crc32 binding
 #: the stores call, same values as ``zlib.crc32`` at ~1/5 the CPU a byte).
-SRC_LINE_CEILING = 19_439
+#: Folding both stores' crc comparisons into one helper there measured
+#: +3 more (19,440), so the comparisons stay where they were.
+SRC_LINE_CEILING = 19_437
 ENGINE_CONFIG_FIELD_CEILING = 15
 KV_POOL_PARAMETERS = ("engine", "block_tokens", "num_layers", "hbm_capacity_bytes", "strategy")
 TENSOR_CACHE_PARAMETERS = ("offloader", "policy", "registry", "prefetch_window", "scheduler")
