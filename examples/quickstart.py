@@ -196,10 +196,6 @@ def main(
             print(f"io backend [{engine_stats.io_backend}] lane {lane}: "
                   f"{ls.syscalls} syscalls over {ls.batches} batches "
                   f"({ls.batched_requests} requests batched)")
-        plane = engine_stats.dataplane
-        if plane.bounce_copies or plane.bounce_copies_skipped:
-            print(f"gds routing: bounce copies {plane.bounce_copies} "
-                  f"(skipped {plane.bounce_copies_skipped})")
     tracer = ssdtrain["tracer"]
     if tracer is not None:
         overlap = tracer.stats()

@@ -807,9 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--io-backend", choices=IO_BACKENDS, default="thread",
                 help="who settles finished requests: the lane worker "
-                     "(thread), a completion reaper (uring), or the reaper "
-                     "plus simulated GPUDirect-Storage routing in the SSD "
-                     "store (gds-sim)",
+                     "(thread) or a completion reaper (uring)",
             )
             p.add_argument(
                 "--io-direct", action="store_true",

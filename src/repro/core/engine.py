@@ -38,7 +38,6 @@ from repro.io.aio import IOLaneStats
 from repro.io.buffers import ArenaStats, DataPlaneStats
 from repro.io.chunkstore import ChunkedTensorStore
 from repro.io.filestore import TensorFileStore
-from repro.io.gds import GDSRegistry
 from repro.io.scheduler import IOScheduler, Priority, SchedulerStats
 from repro.io.tenancy import TenantRegistry, TenantStats
 from repro.io.uring import UringBackend
@@ -47,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.tensor_cache import TensorCache
 
 #: Lane execution backends an :class:`EngineConfig` may select.
-IO_BACKENDS = ("thread", "uring", "gds-sim")
+IO_BACKENDS = ("thread", "uring")
 
 #: The scheduler lanes each target queues on: a single-tier engine never
 #: submits to the other tier's lane, so it starts no workers for it.
@@ -123,11 +122,8 @@ class EngineConfig:
             quota admission + weighted fair-share dequeue.
         io_backend: who settles a finished request (:data:`IO_BACKENDS`).
             ``"thread"`` (default): the lane worker, inline; ``"uring"``:
-            a dedicated completion reaper; ``"gds-sim"``: the reaper,
-            plus a :class:`~repro.io.gds.GDSRegistry` shared by the SSD
-            offloader and its per-tensor store for simulated
-            GPUDirect-Storage routing.  The syscalls issued are the same
-            under all three.
+            a dedicated completion reaper.  The syscalls issued are the
+            same under both.
         io_deadlines: per-priority-class deadlines in seconds, e.g.
             ``{"BLOCKING_LOAD": 0.5}``; a watchdog abandons requests
             stuck past theirs (the hung-I/O failure mode, architecture
@@ -336,7 +332,7 @@ class Engine:
             lanes=TARGET_LANES[config.target],
             fifo=config.fifo_io,
             tenants=config.tenants,
-            backend=UringBackend() if config.io_backend in ("uring", "gds-sim") else None,
+            backend=UringBackend() if config.io_backend == "uring" else None,
             deadlines=config.io_deadlines,
         )
         try:
@@ -355,8 +351,6 @@ class Engine:
                 PinnedMemoryPool(cfg.cpu_pool_bytes),
                 throttle_bytes_per_s=cfg.throttle_bytes_per_s,
             )
-        # Pack-time registrations are what the per-tensor store routes on.
-        gds = GDSRegistry() if cfg.io_backend == "gds-sim" else None
         if cfg.chunk_bytes is not None:
             self.file_store = self.chunk_store = ChunkedTensorStore(
                 cfg.store_dir,
@@ -370,9 +364,8 @@ class Engine:
                 cfg.store_dir,
                 throttle_bytes_per_s=cfg.throttle_bytes_per_s,
                 direct=cfg.io_direct,
-                gds=gds,
             )
-        ssd = SSDOffloader(self.file_store, gds=gds)
+        ssd = SSDOffloader(self.file_store)
         if cfg.target == "ssd":
             return ssd
         self.tiered = TieredOffloader(

@@ -5,9 +5,7 @@ from a target":
 
 - :class:`SSDOffloader` — the primary target.  Persists tensors through a
   :class:`~repro.io.filestore.TensorFileStore` (real file I/O standing in
-  for kvikio/GDS) and, when given a
-  :class:`~repro.io.gds.GDSRegistry`, registers buffers with it the way
-  the CUDA-malloc hook library does.
+  for kvikio/GDS; the GDS path itself is modelled in :mod:`repro.io.gds`).
 - :class:`CPUOffloader` — host-memory target backed by a pre-allocated
   pinned pool whose size is fixed after profiling the first training step
   (Sec. III-A; the paper keeps it for future work on remote storage).
@@ -45,10 +43,8 @@ from repro.io.buffers import (
 )
 from repro.io.chunkstore import ChunkedTensorStore
 from repro.io.filestore import TensorFileStore, pace
-from repro.io.gds import GDSRegistry
 from repro.io.scheduler import IOScheduler
 from repro.io.tenancy import current_tenant
-from repro.tensor.tensor import Tensor
 
 
 class Offloader:
@@ -106,9 +102,6 @@ class Offloader:
         """Human-readable location (the record's "file path" column, Fig. 4)."""
         raise NotImplementedError
 
-    def register_tensor(self, tensor: Tensor) -> None:
-        """Pack-time GDS registration of the tensor's buffer (SSD path)."""
-
     def flush(self) -> None:
         """Force staged bytes to the device (chunked SSD store)."""
 
@@ -161,22 +154,12 @@ class SSDOffloader(Offloader):
             constructs it, and every store option is the store's.  A
             path (e.g. ``/mnt/md1``, the RAID0 array mount) means a
             default per-tensor store in that directory.
-        gds: registry emulating the CUDA-malloc-hook GDS registration
-            (``io_backend="gds-sim"``) — the same one the per-tensor
-            store routes writes on.  ``None`` (the default) makes
-            :meth:`register_tensor` a no-op.
     """
 
-    def __init__(self, store, gds: Optional[GDSRegistry] = None) -> None:
+    def __init__(self, store) -> None:
         if isinstance(store, (str, os.PathLike)):
-            store = TensorFileStore(store, gds=gds)
+            store = TensorFileStore(store)
         self.file_store = store
-        self.gds = gds
-
-    def register_tensor(self, tensor: Tensor) -> None:
-        """Register the tensor's buffer for GDS, as the malloc hook would."""
-        if self.gds is not None:
-            self.gds.register(tensor.untyped_storage())
 
     def store(self, tid: TensorID, data: np.ndarray) -> None:
         self.file_store.write(tid.filename(), data)

@@ -535,7 +535,6 @@ class TensorCache:
             self.accounting.offloaded_bytes += t.nbytes
             self.stats.stored_tensors += 1
             self.stats.stored_bytes += t.nbytes
-        self.offloader.register_tensor(t)
 
         def do_store(tensor: Tensor = t, record: ActivationRecord = rec) -> None:
             self.offloader.store(record.tid, tensor.data)

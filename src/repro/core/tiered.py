@@ -48,7 +48,6 @@ from repro.io.buffers import BufferLease, DataPlaneStats, owned_copy
 from repro.io.errors import PermanentIOError, is_enospc, retry_call
 from repro.io.scheduler import IORequest, IOScheduler, Priority
 from repro.io.tenancy import DEFAULT_TENANT, current_tenant
-from repro.tensor.tensor import Tensor
 
 logger = logging.getLogger(__name__)
 
@@ -403,10 +402,6 @@ class TieredOffloader(Offloader):
 
     def cpu_free_bytes(self) -> int:
         return max(0, self.cpu_capacity_bytes - self.pool.used)
-
-    def register_tensor(self, tensor: Tensor) -> None:
-        """GDS registration for the direct-to-SSD path."""
-        self.ssd.register_tensor(tensor)
 
     def tier_of(self, tid: TensorID) -> Tier:
         """Which tier currently holds ``tid`` (GPU if never stored).  No

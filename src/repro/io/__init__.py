@@ -11,8 +11,7 @@
   variant: many small tensors per fixed-size chunk file, one sequential
   write per chunk, refcounted space reclaim.
 - :mod:`~repro.io.gds` — GPUDirect Storage path model: direct GPU<->SSD
-  transfers vs. a CPU bounce buffer, plus the CUDA-malloc-hook registration
-  emulation (Sec. III-A).
+  transfers vs. a CPU bounce buffer (Sec. II-D), analytic only.
 - :mod:`~repro.io.errors` — the typed I/O failure taxonomy
   (transient / permanent / integrity) and the retry classification rule.
 - :mod:`~repro.io.faults` — seeded deterministic fault injection
@@ -64,7 +63,7 @@ from repro.io.errors import (
 from repro.io.faults import FaultInjector, FaultPlan, inject_faults
 from repro.io.fdtable import FDTable
 from repro.io.filestore import TensorFileStore
-from repro.io.gds import BounceBufferPath, DirectGDSPath, GDSRegistry
+from repro.io.gds import BounceBufferPath, DirectGDSPath
 from repro.io.health import LaneHealthTracker
 from repro.io.scheduler import (
     IORequest,
@@ -106,7 +105,6 @@ __all__ = [
     "TensorFileStore",
     "ChunkedTensorStore",
     "DEFAULT_CHUNK_BYTES",
-    "GDSRegistry",
     "DirectGDSPath",
     "BounceBufferPath",
     "TransientIOError",

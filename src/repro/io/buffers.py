@@ -111,16 +111,13 @@ class CopySnapshot:
     copies: int = 0
     bytes_copied: int = 0
     allocs_avoided: int = 0
-    bounce_copies: int = 0
-    bounce_copies_skipped: int = 0
     direct_fallbacks: int = 0
 
 
 class CopyCounter:
     """Thread-safe memcpy/allocation telemetry for one data-plane stage.
 
-    Also books the stage's staging *decisions*: GDS-sim bounce routing
-    (:meth:`count_bounce`) and ``O_DIRECT`` refusals
+    Also books the stage's one staging *decision*: ``O_DIRECT`` refusals
     (:meth:`count_direct_fallback`).
     """
 
@@ -139,14 +136,6 @@ class CopyCounter:
     def count_avoided(self, allocs: int = 1) -> None:
         with self._lock:
             self._snap.allocs_avoided += allocs
-
-    def count_bounce(self, skipped: bool) -> None:
-        """One GDS-sim routing decision: host bounce copy made or elided."""
-        with self._lock:
-            if skipped:
-                self._snap.bounce_copies_skipped += 1
-            else:
-                self._snap.bounce_copies += 1
 
     def count_direct_fallback(self) -> None:
         """One file the filesystem or device refused ``O_DIRECT`` for."""
@@ -416,12 +405,6 @@ class DataPlaneStats:
     arena_outstanding: int = 0
     arena_high_water_bytes: int = 0
     arena_retained_bytes: int = 0
-    #: GDS-sim routing books: host bounce-staging copies actually made
-    #: for unregistered storages, and the ones elided because the
-    #: storage was GDS-registered (the direct lane).  Zero unless the
-    #: SSD store routes on a registry (``io_backend="gds-sim"``).
-    bounce_copies: int = 0
-    bounce_copies_skipped: int = 0
     #: Files the filesystem or device refused ``O_DIRECT`` for
     #: (``io_direct=True``); each fell back to buffered I/O.
     direct_fallbacks: int = 0
@@ -434,8 +417,6 @@ class DataPlaneStats:
         self.copies += snap.copies
         self.bytes_copied += snap.bytes_copied
         self.allocs_avoided += snap.allocs_avoided
-        self.bounce_copies += snap.bounce_copies
-        self.bounce_copies_skipped += snap.bounce_copies_skipped
         self.direct_fallbacks += snap.direct_fallbacks
 
     def add_arena(self, stats: ArenaStats) -> None:
@@ -459,7 +440,5 @@ class DataPlaneStats:
         self.arena_outstanding += other.arena_outstanding
         self.arena_high_water_bytes += other.arena_high_water_bytes
         self.arena_retained_bytes += other.arena_retained_bytes
-        self.bounce_copies += other.bounce_copies
-        self.bounce_copies_skipped += other.bounce_copies_skipped
         self.direct_fallbacks += other.direct_fallbacks
         return self

@@ -41,15 +41,12 @@ the eliminated copies a printed number and ``write_syscalls``/
 ``read_syscalls`` (measured by the syscall tape, never assumed) the
 kernel round-trips.
 
-Two staging decisions belong to this store, and it books both on
+One staging decision belongs to this store, and it books it on
 ``copy_stats``: ``direct=True`` opens write descriptors ``O_DIRECT`` and
 stages each frame through an aligned arena lease (per-file fallback to
-buffered where the filesystem refuses), and a ``gds``
-:class:`~repro.io.gds.GDSRegistry` turns on simulated GPUDirect-Storage
-routing — arrays of registered storages go straight to disk, anything
-else is staged through a host bounce lease first.  Neither changes a
-byte on disk.  The store behaves the same on every thread and under
-every ``io_backend``.
+buffered where the filesystem refuses, counted on
+``direct_fallbacks``).  It changes no byte on disk.  The store behaves
+the same on every thread and under every ``io_backend``.
 """
 
 from __future__ import annotations
@@ -71,7 +68,6 @@ from repro.io.aio import count_syscalls, syscall_tape
 from repro.io.buffers import DIRECT_ALIGNMENT, BufferArena, CopyCounter
 from repro.io.errors import IntegrityError
 from repro.io.fdtable import FDTable, preadv_full, pwritev_full
-from repro.io.gds import GDSRegistry
 
 #: Checksum-frame header: magic, payload length (LE u64), crc32 (LE u32).
 FRAME_MAGIC = b"RPRO"
@@ -177,9 +173,6 @@ class TensorFileStore(_TrafficBooks):
         direct: open write descriptors with ``O_DIRECT`` where the
             platform and filesystem allow; refused files fall back to
             buffered I/O, counted on ``copy_stats.direct_fallbacks``.
-        gds: registry of GDS-registered storages; when given, writes are
-            routed past or through a host bounce buffer by registration
-            (``copy_stats.bounce_copies_skipped`` / ``bounce_copies``).
 
     Descriptors are closed by :meth:`close`/:meth:`clear`, or when a
     store nobody closed is collected.
@@ -194,7 +187,6 @@ class TensorFileStore(_TrafficBooks):
         root: Union[str, Path],
         throttle_bytes_per_s: Optional[float] = None,
         direct: bool = False,
-        gds: Optional[GDSRegistry] = None,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -203,12 +195,10 @@ class TensorFileStore(_TrafficBooks):
             raise ValueError(f"throttle must be positive: {throttle_bytes_per_s}")
         self.throttle_bytes_per_s = throttle_bytes_per_s
         self.direct = direct and hasattr(os, "O_DIRECT")
-        self.gds = gds
         self.copy_stats = CopyCounter()
         self.fds = FDTable()
-        #: Staging leases: aligned frames for ``O_DIRECT`` writes and
-        #: host bounce buffers for unregistered GDS-sim sources.
-        self.arena = BufferArena() if self.direct or gds is not None else None
+        #: Staging leases: aligned frames for ``O_DIRECT`` writes.
+        self.arena = BufferArena() if self.direct else None
         self._lock = threading.Lock()
         self._traffic = StoreTraffic()
 
@@ -231,9 +221,7 @@ class TensorFileStore(_TrafficBooks):
         view — the crc32 is computed over the view and no intermediate
         ``bytes`` object is ever built — and a reused descriptor is
         ``ftruncate``\\ d so no stale tail survives.  The resulting file
-        is bit-identical to ``frame_payload(data.tobytes())``.  With a
-        ``gds`` registry, registered source arrays go straight to disk
-        and unregistered ones are staged through a host bounce lease.
+        is bit-identical to ``frame_payload(data.tobytes())``.
 
         Contract: ``data`` must not mutate during the call.  The zero-copy
         path reads the source twice (crc pass, write pass) — a concurrent
@@ -249,25 +237,10 @@ class TensorFileStore(_TrafficBooks):
         if copied:
             self.copy_stats.count_copy(nbytes)
         payload = memoryview(contiguous.reshape(-1)).cast("B")
-        bounce = None
-        if self.gds is not None:
-            if self.gds.is_array_registered(data):
-                self.copy_stats.count_bounce(skipped=True)
-            else:
-                bounce = self.arena.lease(nbytes)
-                staged = bounce.view((nbytes,), np.uint8)
-                staged[:] = np.frombuffer(payload, dtype=np.uint8)
-                self.copy_stats.count_copy(nbytes)
-                self.copy_stats.count_bounce(skipped=False)
-                payload = memoryview(staged)
         tape = syscall_tape()
-        try:
-            with tape:
-                header = _FRAME_HEADER.pack(FRAME_MAGIC, nbytes, checksum.crc32(payload))
-                self._write_frame(path, header, payload)
-        finally:
-            if bounce is not None:
-                bounce.release()
+        with tape:
+            header = _FRAME_HEADER.pack(FRAME_MAGIC, nbytes, checksum.crc32(payload))
+            self._write_frame(path, header, payload)
         self.copy_stats.count_avoided(2)  # tobytes() + frame concat
         pace(self.throttle_bytes_per_s, nbytes, start)
         with self._lock:

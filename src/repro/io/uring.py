@@ -13,10 +13,9 @@ book of it) the adaptive controller folds into its latency estimate.
 
 That is all a backend decides.  What reaches the kernel — one
 ``pwritev``/``preadv`` per transfer over the store's own descriptor
-table, ``O_DIRECT`` staging, simulated-GDS routing — belongs to the
-stores (:mod:`repro.io.fdtable`, :mod:`repro.io.filestore`) and is
-identical under every ``io_backend``; ``"gds-sim"`` runs this backend
-with a :class:`~repro.io.gds.GDSRegistry` handed to the SSD store.
+table, ``O_DIRECT`` staging — belongs to the stores
+(:mod:`repro.io.fdtable`, :mod:`repro.io.filestore`) and is identical
+under every ``io_backend``.
 """
 
 from __future__ import annotations

@@ -186,7 +186,7 @@ _FRONT_END_STORES = [
           throttle_bytes_per_s=150e6),
      ChunkedTensorStore,
      dict(chunk_bytes=1 << 20, throttle_bytes_per_s=150e6, persistent=False)),
-    ("quickstart_gds", dict(target="ssd", io_backend="gds-sim", throttle_bytes_per_s=150e6),
+    ("quickstart_uring", dict(target="ssd", io_backend="uring", throttle_bytes_per_s=150e6),
      TensorFileStore, dict(direct=False, throttle_bytes_per_s=150e6, persistent=False)),
     ("quickstart_direct", dict(target="ssd", io_direct=True, throttle_bytes_per_s=150e6),
      TensorFileStore, dict(direct=True, throttle_bytes_per_s=150e6, persistent=False)),
@@ -224,10 +224,6 @@ def test_front_end_configs_build_the_store_they_built_before(
             assert store.roots == [tmp_path / name, *extra_roots]
         else:
             assert store.root == tmp_path / name
-            # gds-sim: one registry, shared by the offloader and its store.
-            assert (store.gds is not None) == (config.get("io_backend") == "gds-sim")
-            ssd = engine.tiered.ssd if engine.tiered is not None else engine.offloader
-            assert store.gds is ssd.gds
     finally:
         engine.shutdown()
 

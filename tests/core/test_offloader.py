@@ -24,21 +24,6 @@ def test_ssd_offloader_location_is_file_path(tmp_path):
     assert off.location(TID).endswith("t42_4x4.bin")
 
 
-def test_ssd_offloader_registers_gds(tmp_path):
-    from repro.io.gds import GDSRegistry
-    from repro.tensor.tensor import Tensor
-
-    off = SSDOffloader(tmp_path, gds=GDSRegistry())
-    t = Tensor(DATA.copy())
-    off.register_tensor(t)
-    assert off.gds.is_registered(t.untyped_storage())
-    assert off.file_store.gds is off.gds  # the store routes on it
-    # Without a registry there is no routing, and registering is a no-op.
-    plain = SSDOffloader(tmp_path / "plain")
-    plain.register_tensor(t)
-    assert plain.gds is None and plain.file_store.gds is None
-
-
 def test_ssd_offloader_shutdown_clears_files(tmp_path):
     off = SSDOffloader(tmp_path)
     off.store(TID, DATA)

@@ -12,14 +12,12 @@ from repro.io import (
     BounceBufferPath,
     ChunkedTensorStore,
     DirectGDSPath,
-    GDSRegistry,
     IORequest,
     IOScheduler,
     Priority,
     TensorFileStore,
 )
 from repro.io.aio import JobState
-from repro.tensor.tensor import Tensor
 
 
 # ------------------------------------------------- IOJob on a scheduler lane
@@ -364,28 +362,6 @@ def test_paced_chunk_store_overlaps_the_pacing_of_concurrent_flushes(tmp_path):
 
 
 # ------------------------------------------------------------------------- GDS
-def test_gds_registry_weak_membership():
-    registry = GDSRegistry()
-    t = Tensor(np.zeros(4, dtype=np.float32))
-    registry.register(t.untyped_storage())
-    assert registry.is_registered(t.untyped_storage())
-    registry.deregister(t.untyped_storage())
-    assert not registry.is_registered(t.untyped_storage())
-
-
-def test_gds_registry_does_not_pin_storage():
-    import gc
-
-    registry = GDSRegistry()
-    t = Tensor(np.zeros(4, dtype=np.float32))
-    registry.register(t.untyped_storage())
-    del t
-    gc.collect()
-    # WeakSet drops the entry; no way to query directly, but register_count
-    # stays (audit trail).
-    assert registry.register_count == 1
-
-
 def test_direct_path_bounded_by_slower_hop():
     array = RAID0Array(INTEL_OPTANE_P5800X_1600GB, num_ssds=4)
     path = DirectGDSPath(GPU_LINK_GEN4_X16, array)

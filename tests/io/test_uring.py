@@ -6,11 +6,12 @@ positioned-I/O path of both stores (bit-identical files, the torn-write
 / oversize / mismatch / bit-rot taxonomy, buffered and ``O_DIRECT``),
 the reaper backend under a live scheduler (books reconcile, reap lag
 recorded), backend equivalence on real training (losses, syscalls,
-bytes and files identical across thread/uring/gds-sim), and chaos on
+bytes and files identical across thread/uring), and chaos on
 the uring backend (seeded transient faults heal to bit-exact results;
 whole-batch failures leave every worker alive).
 """
 
+import errno
 import gc
 import mmap
 import os
@@ -32,7 +33,6 @@ from repro.device import GPU
 from repro.io import (
     ChunkedTensorStore,
     FDTable,
-    GDSRegistry,
     IORequest,
     IOScheduler,
     Priority,
@@ -40,6 +40,7 @@ from repro.io import (
     UringBackend,
 )
 from repro.io.aio import syscall_tape
+from repro.io.buffers import DIRECT_ALIGNMENT
 from repro.io.errors import IntegrityError
 from repro.io.faults import FaultPlan, inject_faults
 from repro.io.fdtable import preadv_full, pwritev_full
@@ -454,6 +455,94 @@ def test_filestore_odirect_write_bit_identical(tmp_path):
     store.close()
 
 
+# The three refusals below are forced, so they run on every filesystem:
+# an O_DIRECT open "granted" here is a buffered descriptor the table
+# books as direct, and a refused call raises EINVAL like the kernel does.
+def _einval(*_args, **_kwargs):
+    raise OSError(errno.EINVAL, "Invalid argument")
+
+
+def _open_without_direct(real_open):
+    def fake_open(path, flags, *args):
+        return real_open(path, flags & ~os.O_DIRECT, *args)
+
+    return fake_open
+
+
+def _direct_store(tmp_path):
+    if not hasattr(os, "O_DIRECT"):
+        pytest.skip("platform has no O_DIRECT")
+    return TensorFileStore(tmp_path, direct=True)
+
+
+def _assert_buffered_fallback(store, data):
+    assert store.copy_stats.snapshot().direct_fallbacks == 1
+    assert store.path_for("t").read_bytes() == frame_payload(data.tobytes())
+    assert np.array_equal(store.read("t", data.shape, data.dtype), data)
+    assert store.arena.stats().outstanding_bytes == 0
+    # The path's descriptor is buffered now: the next write reuses it.
+    with store.fds.borrow_write(str(store.path_for("t")), direct=True) as (_, direct, cached):
+        assert cached and not direct
+
+
+def test_filestore_odirect_refused_at_open_writes_buffered(tmp_path, monkeypatch):
+    store = _direct_store(tmp_path)
+    data = np.arange(100, dtype=np.float32)
+    real_open = os.open
+
+    def refuse_direct(path, flags, *args):
+        if flags & os.O_DIRECT:
+            _einval()
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", refuse_direct)
+    store.write("t", data)
+    monkeypatch.undo()
+    _assert_buffered_fallback(store, data)
+    assert store.arena.stats().leases == 0  # nothing was staged
+    store.close()
+
+
+def test_filestore_odirect_refused_pwrite_demotes_the_descriptor(tmp_path, monkeypatch):
+    store = _direct_store(tmp_path)
+    data = np.arange(100, dtype=np.float32)
+    monkeypatch.setattr(os, "open", _open_without_direct(os.open))
+    monkeypatch.setattr(os, "pwrite", _einval)
+    store.write("t", data)
+    monkeypatch.undo()
+    # The direct open, then the buffered reopen borrow_read made for it.
+    assert store.fds.opens == 2
+    _assert_buffered_fallback(store, data)
+    store.close()
+
+
+def test_filestore_partial_direct_write_surfaces_without_demoting(tmp_path, monkeypatch):
+    store = _direct_store(tmp_path)
+    data = np.arange(2048, dtype=np.float32)  # a frame of three 4 KiB blocks
+    real_pwrite = os.pwrite
+    calls = []
+
+    def one_block_then_einval(fd, buf, offset):
+        calls.append(offset)
+        if offset:
+            _einval()
+        return real_pwrite(fd, buf[:DIRECT_ALIGNMENT], offset)
+
+    monkeypatch.setattr(os, "open", _open_without_direct(os.open))
+    monkeypatch.setattr(os, "pwrite", one_block_then_einval)
+    with pytest.raises(OSError) as raised:
+        store.write("t", data)
+    monkeypatch.undo()
+    assert raised.value.errno == errno.EINVAL
+    assert calls == [0, DIRECT_ALIGNMENT]
+    assert store.copy_stats.snapshot().direct_fallbacks == 0
+    assert store.fds.opens == 1  # no buffered reopen
+    with store.fds.borrow_write(str(store.path_for("t")), direct=True) as (_, direct, cached):
+        assert cached and direct
+    assert store.arena.stats().outstanding_bytes == 0
+    store.close()
+
+
 # ------------------------------------------------------- backend + scheduler
 def _roundtrip(sched, store, n=12):
     data = np.arange(256, dtype=np.float32)
@@ -517,18 +606,14 @@ def test_uring_backend_books_reconcile_and_batch(tmp_path):
 def test_backends_issue_identical_syscalls_bytes_and_files(tmp_path):
     """A backend decides who settles a completion, never what reaches the
     kernel: the same requests cost the same syscalls, move the same bytes
-    and leave byte-identical files under thread, uring and gds-sim."""
+    and leave byte-identical files under thread and uring."""
     runs = {}
-    for name in ("thread", "uring", "gds-sim"):
+    for name in ("thread", "uring"):
         sched = IOScheduler(
             workers=2,
             backend=None if name == "thread" else UringBackend(),
         )
-        # gds-sim = the reaper plus a registry handed to the store; the
-        # round-trip's arrays are unregistered, so every write bounces.
-        store = TensorFileStore(
-            tmp_path / name, gds=GDSRegistry() if name == "gds-sim" else None
-        )
+        store = TensorFileStore(tmp_path / name)
         try:
             _roundtrip(sched, store)
             lane = sched.backend_stats_snapshot()["ssd"]
@@ -543,49 +628,8 @@ def test_backends_issue_identical_syscalls_bytes_and_files(tmp_path):
             lane.syscalls,
             {p.name: p.read_bytes() for p in sorted(store.root.iterdir())},
         )
-    assert runs["thread"] == runs["uring"] == runs["gds-sim"]
+    assert runs["thread"] == runs["uring"]
     assert runs["thread"][0] > 0 and runs["thread"][1] > 0
-
-
-def test_gds_sim_routes_registered_tensors_past_the_bounce(tmp_path):
-    from repro.tensor.tensor import Tensor
-
-    registry = GDSRegistry()
-    sched = IOScheduler(
-        workers=2, backend=UringBackend()
-    )
-    store = TensorFileStore(tmp_path, gds=registry)
-    registered = Tensor(np.arange(64, dtype=np.float32))
-    registry.register(registered.untyped_storage())
-    unregistered = np.ones(64, dtype=np.float32)
-    try:
-        for name, payload in (("reg", registered.data), ("unreg", unregistered)):
-            sched.submit(
-                IORequest(
-                    lambda n=name, p=payload: store.write(n, p),
-                    kind="store",
-                    priority=Priority.STORE,
-                    tensor_id=name,
-                    nbytes=payload.nbytes,
-                )
-            )
-        assert sched.drain(10)
-        books = store.copy_stats.snapshot()
-        assert books.bounce_copies_skipped == 1  # registered: direct
-        assert books.bounce_copies == 1  # unregistered: staged
-        # Bounce staging leases all returned to the arena.
-        assert store.arena.stats().outstanding_bytes == 0
-        # Both frames are bit-identical to the reference regardless of
-        # routing.
-        assert store.path_for("reg").read_bytes() == frame_payload(
-            registered.data.tobytes()
-        )
-        assert store.path_for("unreg").read_bytes() == frame_payload(
-            unregistered.tobytes()
-        )
-    finally:
-        sched.shutdown()
-        store.close()
 
 
 # ------------------------------------------------- engine config + end to end
@@ -605,28 +649,13 @@ def test_engine_config_validates_io_backend(tmp_path):
 
 def test_engine_builds_selected_backend(tmp_path):
     engine = build_engine(
-        EngineConfig(target="ssd", store_dir=tmp_path / "u", io_backend="uring")
-    )
-    try:
-        assert isinstance(engine.scheduler.backend, UringBackend)
-        assert engine.stats().io_backend == "uring"
-        # No registry, no routing: register_tensor is a no-op.
-        assert engine.offloader.gds is None
-        assert engine.offloader.file_store.gds is None
-    finally:
-        engine.shutdown()
-    engine = build_engine(
         EngineConfig(
-            target="ssd", store_dir=tmp_path / "g", io_backend="gds-sim", io_direct=True
+            target="ssd", store_dir=tmp_path / "u", io_backend="uring", io_direct=True
         )
     )
     try:
         assert isinstance(engine.scheduler.backend, UringBackend)
-        assert engine.stats().io_backend == "gds-sim"
-        # The store routes on the offloader's registry: pack-time
-        # registration is what sends stores past the bounce buffer.
-        assert engine.offloader.gds is not None
-        assert engine.offloader.file_store.gds is engine.offloader.gds
+        assert engine.stats().io_backend == "uring"
         assert engine.offloader.file_store.direct == hasattr(os, "O_DIRECT")
     finally:
         engine.shutdown()
@@ -682,25 +711,17 @@ def _train(tmp_path, name, io_backend="thread", plan=None):
 
 
 def test_backends_train_bit_exact(tmp_path):
-    """The acceptance: thread/uring/gds-sim produce identical losses on
-    real training and pay the same syscalls per store operation, with
-    every backend's request books reconciling exactly."""
-    thread_losses, _, thread_stats, _, thread_per_op = _train(tmp_path, "thread")
+    """The acceptance: thread/uring produce identical losses on real
+    training and pay the same syscalls per store operation, with every
+    backend's request books reconciling exactly."""
+    thread_losses, _, _, _, thread_per_op = _train(tmp_path, "thread")
     uring_losses, _, uring_stats, _, uring_per_op = _train(tmp_path, "uring", "uring")
-    gds_losses, _, gds_stats, _, gds_per_op = _train(tmp_path, "gds", "gds-sim")
     assert uring_losses == thread_losses
-    assert gds_losses == thread_losses
     # How many stores run (vs. being cancelled by data forwarding) is a
     # race by design; what one write and one read cost is not.
-    assert thread_per_op == uring_per_op == gds_per_op
+    assert thread_per_op == uring_per_op
     assert uring_stats.io_lanes["ssd"].syscalls > 0
     assert uring_stats.io_lanes["ssd"].reaped > 0
-    # Pack-time registration routes offloaded tensors past the bounce,
-    # and only a store that was handed a registry routes at all.
-    assert gds_stats.dataplane.bounce_copies_skipped > 0
-    for stats in (thread_stats, uring_stats):
-        assert stats.dataplane.bounce_copies == 0
-        assert stats.dataplane.bounce_copies_skipped == 0
 
 
 def test_thread_backend_books_but_never_reaps(tmp_path):

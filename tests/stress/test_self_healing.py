@@ -8,8 +8,8 @@ each proven with real file I/O:
    canary probes re-close the breaker, the tier is resurrected and
    losses stay bit-exact vs the fault-free run;
 2. **fault-injection parity** — the same transient-fault plan bites and
-   heals identically under all three lane backends (thread, uring,
-   gds-sim), with bit-exact results per backend *and* across backends;
+   heals identically under both lane backends (thread, uring), with
+   bit-exact results per backend *and* across backends;
 3. **ENOSPC survival** — a full device degrades stores to the CPU tier
    (after one compact-and-retry) without tripping the breaker and with
    zero failed requests;
@@ -167,8 +167,8 @@ def test_unhealed_device_stays_open(tmp_path):
     assert offloader.ssd_dead
 
 
-# --------------------------------------------- 3-backend chaos matrix
-@pytest.mark.parametrize("io_backend", ["thread", "uring", "gds-sim"])
+# --------------------------------------------- 2-backend chaos matrix
+@pytest.mark.parametrize("io_backend", ["thread", "uring"])
 def test_backend_chaos_matrix_bit_exact_recovery(tmp_path, io_backend):
     """Fault-injection parity: the injector wraps the store layer, so
     the same plan must fire (and heal) under the batched SQ/CQ paths
@@ -186,10 +186,10 @@ def test_backend_chaos_matrix_bit_exact_recovery(tmp_path, io_backend):
 
 
 def test_backends_agree_bit_exact(tmp_path):
-    """The recovered losses are identical across all three backends."""
+    """The recovered losses are identical across both backends."""
     plan_seed = 4
     results = {}
-    for io_backend in ("thread", "uring", "gds-sim"):
+    for io_backend in ("thread", "uring"):
         losses, _, _, _ = _train_engine(
             tmp_path,
             f"agree-{io_backend}",
@@ -197,7 +197,7 @@ def test_backends_agree_bit_exact(tmp_path):
             io_backend=io_backend,
         )
         results[io_backend] = losses
-    assert results["thread"] == results["uring"] == results["gds-sim"]
+    assert results["thread"] == results["uring"]
 
 
 # ------------------------------------------------------- ENOSPC survival
