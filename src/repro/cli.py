@@ -22,8 +22,6 @@ Usage::
                                          #   (Jain's index, weights, quotas)
     python -m repro kv                   # KV-cache paging vs HBM-only serving
                                          #   (p50/p99 TTFT, peak concurrency)
-    python -m repro serve                # supervised service: kill/restart,
-                                         #   manifest replay, live control, GC
 
 The functional quickstart drives any backend: ``--target ssd|cpu|tiered``
 plus ``--cpu-pool-bytes`` (CPU-tier capacity) and ``--chunk-bytes``
@@ -729,24 +727,6 @@ def cmd_kv(args: argparse.Namespace) -> None:
           f"reproduced p50/p99 exactly. ✓")
 
 
-def cmd_serve(args: argparse.Namespace) -> None:
-    """Supervised service-mode demo: crash recovery + endurance GC.
-
-    Runs the deterministic synthetic workload on a durable, supervised
-    engine, kills the engine mid-run, and asserts the supervisor
-    restarts it from the manifest journal with bit-exact losses, that a
-    budget change lands over the control bus without a restart, and
-    that chunk compaction reclaims dead bytes with exact books.
-    """
-    _example_main("serve_demo")(
-        steps=args.steps,
-        kill_step=args.kill_step if args.kill_step >= 0 else None,
-        budget_step=args.budget_step if args.budget_step >= 0 else None,
-        seed=args.seed,
-        store_dir=args.store_dir,
-    )
-
-
 COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
     "fig1": cmd_fig1,
     "fig2": cmd_fig2,
@@ -764,7 +744,6 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
     "faults": cmd_faults,
     "tenants": cmd_tenants,
     "kv": cmd_kv,
-    "serve": cmd_serve,
 }
 
 
@@ -846,25 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--hbm-kb", type=int, default=256,
                 help="simulated HBM KV budget in KiB (both modes)",
-            )
-        if name == "serve":
-            p.add_argument(
-                "--steps", type=int, default=10,
-                help="synthetic workload steps to run",
-            )
-            p.add_argument(
-                "--kill-step", type=int, default=4,
-                help="step at which the engine is killed (-1 = never)",
-            )
-            p.add_argument(
-                "--budget-step", type=int, default=6,
-                help="step at which a budget change is published over "
-                     "the control bus (-1 = never)",
-            )
-            p.add_argument("--seed", type=int, default=0, help="workload seed")
-            p.add_argument(
-                "--store-dir", default=None,
-                help="durable store directory (default: a fresh temp dir)",
             )
         if name in ("sched", "autotune"):
             p.add_argument(

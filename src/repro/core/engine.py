@@ -81,12 +81,6 @@ class EngineConfig:
             [:class:`~repro.io.chunkstore.ChunkedTensorStore`; ``None``
             builds a per-tensor
             :class:`~repro.io.filestore.TensorFileStore`].
-        durable: journal the chunk store's index to a manifest under
-            ``store_dir`` and replay it on construction — the crash
-            -recovery substrate of the service mode
-            (:mod:`repro.service`); the store then survives
-            :meth:`Engine.shutdown`.  Requires ``chunk_bytes``
-            [``ChunkedTensorStore``].
         store_roots: extra chunk-store directories; flushed chunks are
             write-leveled across them by cumulative bytes written.
             Requires ``chunk_bytes`` [``ChunkedTensorStore``].
@@ -110,8 +104,9 @@ class EngineConfig:
             load when there is room [``TieredOffloader``].
         probe_backoff_s: the SSD breaker's backoff before half-open
             canary probes, and the opt-in for store-path auto-probing
-            (tiered only); ``None`` leaves probing to the service
-            housekeeping loop [``TieredOffloader``].
+            (tiered only); ``None`` leaves probing to the caller of
+            :meth:`~repro.core.tiered.TieredOffloader.maybe_probe_ssd`
+            [``TieredOffloader``].
 
     I/O plane [all :class:`~repro.io.scheduler.IOScheduler`; its worker
     count, coalescing cap and retry budget are the scheduler's defaults]:
@@ -138,7 +133,6 @@ class EngineConfig:
     throttle_bytes_per_s: Optional[float] = None
     policy: Optional[OffloadPolicy] = None
     promote_on_load: bool = True
-    durable: bool = False
     store_roots: Any = None
     fifo_io: bool = False
     tenants: Optional[TenantRegistry] = None
@@ -190,12 +184,6 @@ class EngineConfig:
                 "io_direct applies to the per-tensor store; chunk files "
                 "(chunk_bytes) are always buffered"
             )
-        if self.durable and self.target not in ("ssd", "tiered"):
-            raise EngineConfigError(
-                "durable (manifest-journaled) stores require an ssd/tiered target"
-            )
-        if self.durable and self.chunk_bytes is None:
-            raise EngineConfigError("durable requires chunk_bytes (chunked store)")
         if self.store_roots and self.target not in ("ssd", "tiered"):
             raise EngineConfigError(
                 "store_roots (write-leveling) requires an ssd/tiered target"
@@ -239,25 +227,20 @@ class PoolBooks:
 
 @dataclass
 class EnduranceStats:
-    """SSD-endurance books of a chunked store (service-mode lifespan).
+    """SSD-endurance books of a chunked store.
 
     The paper's lifespan analysis (Fig. 5, ``bench_fig5_lifespan.py``)
-    projects SSD life from write volume; a week-long service needs the
-    *live* counterpart: how many bytes the engine is actually pushing,
-    how much of that is GC write amplification, and how evenly the
-    write-leveling spreads it across store roots.  All fields come
-    straight from the chunk store's books plus the engine's uptime.
+    projects SSD life from write volume; these are the *live*
+    counterpart: how many bytes the engine is actually pushing and how
+    evenly the write-leveling spreads them across store roots.  All
+    fields come straight from the chunk store's books plus the engine's
+    uptime.
     """
 
     bytes_written: int
     dead_bytes: int
     reclaimed_bytes: int
-    gc_runs: int
-    gc_bytes_rewritten: int
-    gc_reclaimed_dead_bytes: int
     root_bytes_written: tuple
-    manifest_records_replayed: int
-    replay_was_torn: bool
     uptime_s: float
 
     @property
@@ -356,7 +339,6 @@ class Engine:
                 cfg.store_dir,
                 chunk_bytes=cfg.chunk_bytes,
                 throttle_bytes_per_s=cfg.throttle_bytes_per_s,
-                durable=cfg.durable,
                 roots=cfg.store_roots,
             )
         else:
@@ -422,12 +404,7 @@ class Engine:
                 bytes_written=store.bytes_written,
                 dead_bytes=store.dead_bytes,
                 reclaimed_bytes=store.reclaimed_bytes,
-                gc_runs=store.gc_runs,
-                gc_bytes_rewritten=store.gc_bytes_rewritten,
-                gc_reclaimed_dead_bytes=store.gc_reclaimed_dead_bytes,
                 root_bytes_written=store.root_bytes_written,
-                manifest_records_replayed=store.manifest_records_replayed,
-                replay_was_torn=store.replay_was_torn,
                 uptime_s=time.monotonic() - self._started_at,
             )
         return snap
@@ -438,8 +415,8 @@ class Engine:
 
         Idempotent and leak-free: scheduler workers and the uring
         reaper are joined (not abandoned as daemons), the stores close
-        their descriptors, and a durable store keeps its files +
-        manifest while an ephemeral one is cleared.  A 20×-restart
+        their descriptors, and the store is cleared (activations are
+        scratch: nothing outlives the engine).  A 20×-restart
         regression test holds this to a thread/FD baseline.
         """
         if self._closed:

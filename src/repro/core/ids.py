@@ -45,21 +45,6 @@ class TensorID:
             name = self.__dict__["_filename"] = f"t{self.stamp}_{shape_part}"
         return name
 
-    @classmethod
-    def from_filename(cls, name: str) -> "TensorID":
-        """Invert :meth:`filename` — the durable chunk store's index is
-        keyed by filename, and a restarted tiered engine rebuilds its
-        tier map from it (see ``TieredOffloader``)."""
-        if not name.startswith("t") or "_" not in name:
-            raise ValueError(f"not a tensor filename: {name!r}")
-        stamp_part, shape_part = name[1:].split("_", 1)
-        shape: Tuple[int, ...]
-        if shape_part == "scalar":
-            shape = ()
-        else:
-            shape = tuple(int(dim) for dim in shape_part.split("x"))
-        return cls(stamp=int(stamp_part), shape=shape)
-
     def __str__(self) -> str:
         return self.filename()
 

@@ -102,9 +102,6 @@ class Offloader:
         """Human-readable location (the record's "file path" column, Fig. 4)."""
         raise NotImplementedError
 
-    def flush(self) -> None:
-        """Force staged bytes to the device (chunked SSD store)."""
-
     def stats_snapshot(self):
         """Tier-traffic counters (:class:`~repro.core.tiered.TierStats`);
         ``None`` on a single-tier backend."""
@@ -170,17 +167,9 @@ class SSDOffloader(Offloader):
     def location(self, tid: TensorID) -> str:
         return str(self.file_store.path_for(tid.filename()))
 
-    def flush(self) -> None:
-        self.file_store.flush()
-
     def shutdown(self) -> None:
-        # A durable (service-mode) store must survive the engine: close
-        # flushes and keeps the files + manifest for the next replay.
-        # Ephemeral stores keep the original leave-nothing-behind clear.
-        if self.file_store.persistent:
-            self.file_store.close()
-        else:
-            self.file_store.clear()
+        # Activations are scratch: nothing in the store outlives the engine.
+        self.file_store.clear()
 
 
 class PinnedMemoryPool:

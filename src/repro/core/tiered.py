@@ -74,8 +74,8 @@ class TierStats:
     #: budget — the failure-recovery path, not normal placement.
     failovers: int = 0
     failover_bytes: int = 0
-    #: ENOSPC events absorbed (root re-route, compact-and-retry, or CPU
-    #: degrade) without failing the step.
+    #: ENOSPC events that reached the tier (every store root full) and
+    #: degraded a direct store to the CPU tier without failing the step.
     enospc_events: int = 0
     #: Breaker probe rounds that re-closed and resurrected the SSD tier.
     resurrections: int = 0
@@ -94,13 +94,12 @@ class _State(enum.Enum):
 
 
 #: The transitions :meth:`_Entry.trans_state` admits; ``None`` is an
-#: entry no state was given yet.  A store lands in the pool, starts a
-#: direct write, or (restart) is replayed from a durable store; a
-#: demotion queues, is cancelled by a re-read or starts writing; a write
-#: lands, fails back into the pool, or — transient direct-store error,
-#: shutdown under the write — ends the entry.
+#: entry no state was given yet.  A store lands in the pool or starts a
+#: direct write; a demotion queues, is cancelled by a re-read or starts
+#: writing; a write lands, fails back into the pool, or — transient
+#: direct-store error, shutdown under the write — ends the entry.
 _LEGAL_TRANSITIONS = {
-    None: {_State.CPU, _State.STORING, _State.SSD},
+    None: {_State.CPU, _State.STORING},
     _State.CPU: {_State.QUEUED, _State.GONE},
     _State.QUEUED: {_State.CPU, _State.SPILLING, _State.GONE},
     _State.SPILLING: {_State.SSD, _State.CPU, _State.GONE},
@@ -253,28 +252,10 @@ class TieredOffloader(Offloader):
         self._free_watermark_bytes = 0
         #: Doubles as the breaker backoff *and* the opt-in for
         #: store-path auto-probing; ``None`` (the default) keeps the
-        #: conservative backoff and probes only when the service
-        #: housekeeping loop (or a test) calls :meth:`maybe_probe_ssd`.
+        #: conservative backoff and probes only when a caller (the
+        #: ``repro faults --heal`` demo, a test) calls :meth:`maybe_probe_ssd`.
         self.probe_backoff_s = probe_backoff_s
         self._health.breaker("ssd", backoff_s=probe_backoff_s)  # built with this backoff
-        if ssd.file_store.persistent:
-            self._rehydrate_table()
-
-    def _rehydrate_table(self) -> None:
-        """Seed the table from a replayed durable store.
-
-        The table is in-memory state; after a service restart every
-        replayed SSD-resident tensor would otherwise read as "never
-        stored".  Host-tier residents are genuinely gone (RAM died with
-        the process), so only the SSD side is rebuilt.
-        """
-        for name in self.ssd.file_store.tensor_ids():
-            try:
-                tid = TensorID.from_filename(name)
-            except ValueError:
-                continue  # foreign key in a shared store directory
-            entry = self._entries[tid] = _Entry(DEFAULT_TENANT)
-            entry.trans_state(_State.SSD)
 
     # ---------------------------------------------------------------- failover
     @property
@@ -504,34 +485,26 @@ class TieredOffloader(Offloader):
             with self._lock:
                 if self._entries.get(tid) is not entry:
                     return  # shut down under the write
-                landed = failure is None
+                if failure is None:
+                    self.stats.ssd_stored_tensors += 1
+                    self.stats.ssd_stored_bytes += entry.nbytes
+                    entry.trans_state(_State.SSD)
+                    return
                 if isinstance(failure, PermanentIOError):
                     # Tier failover: the device is gone, the bytes are in
                     # hand — land them in the pinned pool instead of
                     # failing the step.
                     logger.warning("SSD store failed for %s (%s); failing over", tid, failure)
                     self._health.mark_dead("ssd", entry.owner, "store failure")
-                elif failure is not None:
-                    # Resource exhaustion is not device death: the
-                    # breaker stays closed.  Compact to free dead bytes
-                    # and retry once; a genuinely full device degrades
-                    # this store to the CPU tier instead of failing the
-                    # step.
-                    self.stats.enospc_events += 1
-                    landed = self._retry_store_after_compaction(tid, data)
-                    if not landed:
-                        logger.warning(
-                            "SSD store of %s hit ENOSPC even after "
-                            "compaction; degrading to the CPU tier", tid,
-                        )
-                if landed:
-                    self.stats.ssd_stored_tensors += 1
-                    self.stats.ssd_stored_bytes += entry.nbytes
-                    entry.trans_state(_State.SSD)
                 else:
-                    self.stats.failovers += 1
-                    self.stats.failover_bytes += entry.nbytes
-                    self._store_cpu_locked(tid, entry, data)
+                    # Resource exhaustion is not device death: the
+                    # breaker stays closed, and this store degrades to
+                    # the CPU tier instead of failing the step.
+                    self.stats.enospc_events += 1
+                    logger.warning("SSD store of %s hit ENOSPC; degrading to the CPU tier", tid)
+                self.stats.failovers += 1
+                self.stats.failover_bytes += entry.nbytes
+                self._store_cpu_locked(tid, entry, data)
         finally:
             if entry.state is _State.STORING:
                 # Neither landed nor failed over (the write raised, or the
@@ -540,30 +513,6 @@ class TieredOffloader(Offloader):
                     if self._entries.get(tid) is entry:
                         del self._entries[tid]
                     entry.trans_state(_State.GONE)
-
-    def _retry_store_after_compaction(self, tid: TensorID, data) -> bool:
-        """ENOSPC recovery: force a GC pass to reclaim dead bytes, then
-        retry the SSD store once; True when the retry landed.  The one
-        SSD write under the tier lock: rare, and compaction mutates the
-        store index the books are being fixed against."""
-        # The one thing the two stores do not share: a per-tensor store
-        # holds no dead bytes (delete unlinks the file), so only the
-        # chunk store can compact.
-        compact = getattr(self.ssd.file_store, "compact", None)
-        if compact is None:
-            return False
-        logger.warning("SSD store of %s hit ENOSPC; compacting and retrying", tid)
-        try:
-            compact(max_dead_ratio=0.01)
-        except OSError:
-            return False  # compaction itself needs space it cannot get
-        try:
-            self.ssd.store(tid, data)
-        except OSError as exc:
-            if is_enospc(exc):
-                return False
-            raise
-        return True
 
     def _next_victim(self) -> Optional[Tuple[TensorID, _Entry]]:
         """The least recently used resident whose owner can still spill;
@@ -825,10 +774,6 @@ class TieredOffloader(Offloader):
             suffix = "!queued" if state is _State.QUEUED else ""
             return f"tier:ssd{suffix}:{self.ssd.location(tid)}"
         return f"tier:gpu:{tid.filename()}"
-
-    def flush(self) -> None:
-        """Flush a partially-filled SSD chunk, if the SSD tier is chunked."""
-        self.ssd.flush()
 
     def store_lane(self, tid: TensorID, nbytes: int) -> str:
         """Predict the lane from the policy's placement rule.

@@ -17,12 +17,12 @@ or what resurrection entails.  Breakers are built and tripped in one
 place, :class:`~repro.io.health.LaneHealthTracker` (one per lane, one
 per tenant whose own traffic bricked a lane);
 :class:`~repro.core.tiered.TieredOffloader` owns the canary write/read
-and the resurrection side effects;
-:class:`~repro.service.service.EngineService` publishes the transition
-events this class reports to its listeners.
+and the resurrection side effects; listeners
+(:meth:`~repro.io.health.LaneHealthTracker.add_breaker_listener`) see
+every transition.
 
 Thread-safety: all transitions happen under one lock; listeners fire
-*outside* the lock (a listener publishing to the control bus must not
+*outside* the lock (a listener that takes its own lock must not
 deadlock against a probe running on another thread).  The clock is
 injectable for deterministic tests.
 """

@@ -80,8 +80,8 @@ def is_enospc(exc: Optional[BaseException]) -> bool:
     ENOSPC gets its own lane through the taxonomy: it is not retryable
     (the bytes will not appear on their own), but it is *not* a device
     verdict either — a full root says nothing about the drive's health,
-    and the right response is write-leveling around the root plus
-    compaction, not lane death.
+    and the right response is write-leveling around the root, then the
+    CPU tier, not lane death.
     """
     return isinstance(exc, OSError) and exc.errno == errno.ENOSPC
 
@@ -110,7 +110,8 @@ def is_device_error(exc: Optional[BaseException]) -> bool:
         return False
     if is_enospc(exc):
         # Resource exhaustion, not device death: handled by the store's
-        # write-leveling/compaction path, must not brick lane health.
+        # root re-routing and the tier's CPU degrade, must not brick lane
+        # health.
         return False
     return not isinstance(exc, _NON_RETRYABLE_OSERRORS)
 

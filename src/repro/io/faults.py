@@ -336,7 +336,8 @@ class FaultInjector:
         :class:`~repro.io.errors.PermanentIOError` — because a full
         filesystem is resource exhaustion, not device death: the
         taxonomy (:func:`~repro.io.errors.is_enospc`) routes it to
-        compaction/degrade handling instead of lane-health verdicts.
+        root re-routing and the CPU degrade instead of lane-health
+        verdicts.
         """
         plan = self.plan
         if plan.enospc_after_bytes is None:

@@ -277,16 +277,12 @@ class FDTable:
                 if len(self._limbo) > LIMBO_FDS:
                     self._retire_locked(self._limbo.popleft())
 
-    def close_deleted(self) -> None:
-        """Close deleted files' descriptors now: an open unlinked file keeps its blocks."""
+    def close_all(self) -> None:
+        """Forget every descriptor, deleted files' too (an open unlinked
+        file keeps its blocks); the table stays usable."""
         with self._lock:
             while self._limbo:
                 self._retire_locked(self._limbo.popleft())
-
-    def close_all(self) -> None:
-        """Forget every descriptor; the table stays usable."""
-        self.close_deleted()
-        with self._lock:
             while self._entries:
                 self._retire_locked(self._entries.popitem()[1])
 

@@ -178,10 +178,6 @@ class TensorFileStore(_TrafficBooks):
     store nobody closed is collected.
     """
 
-    #: Nothing here outlives the object: shutdown clears the files (the
-    #: durable chunk store answers True and is closed instead).
-    persistent = False
-
     def __init__(
         self,
         root: Union[str, Path],

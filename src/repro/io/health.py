@@ -6,7 +6,7 @@ a :class:`LaneHealthTracker`; the tracker holds the stack's only
 device as a whole, one per (lane, tenant) for a tenant whose own traffic
 bricked it — and *dead* is nothing but "that breaker is not CLOSED".
 Whoever needs the verdict (the tiered offloader's placement, the
-adaptive controller's trim, the service's supervisor) reads it here;
+adaptive controller's trim) reads it here;
 whoever changes it (a permanent device error, a failure streak, a
 passed canary probe, an operator) changes it here.  What stays outside
 is what needs the device: the tiered offloader owns the canary
@@ -129,8 +129,7 @@ class LaneHealthTracker:
 
     def add_breaker_listener(self, listener: Listener) -> None:
         """Observe every breaker transition, ``listener(name, old, new,
-        reason)``, on every breaker, existing and future (the service
-        publishes these on its control bus)."""
+        reason)``, on every breaker, existing and future."""
         with self._lock:
             self._breaker_listeners.append(listener)
             breakers = list(self._breakers.values())

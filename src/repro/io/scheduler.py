@@ -1060,8 +1060,8 @@ class IOScheduler:
         # flight, so the backend can stop its reaper and close its FDs.
         self.backend.shutdown()
 
-    #: Closeable-resource alias; service restarts lean on it being
-    #: idempotent and actually joining every worker (no daemon leaks).
+    #: Closeable-resource alias: idempotent, and it joins every worker
+    #: (no daemon leaks).
     close = shutdown
 
     def __enter__(self) -> "IOScheduler":

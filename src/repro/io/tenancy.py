@@ -170,10 +170,6 @@ class TenantRegistry:
             self._stats[name] = TenantStats()
         return ctx
 
-    def get(self, name: str) -> TenantContext:
-        with self._lock:
-            return self._ensure_locked(name)
-
     def weight(self, name: str) -> float:
         with self._lock:
             ctx = self._tenants.get(name)

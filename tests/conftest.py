@@ -104,9 +104,8 @@ def _stop_tier_schedulers():
 # ------------------------------------------------- tier-lock discipline
 # ``TieredOffloader._lock`` is a metadata lock: device I/O never runs
 # under it and the cache's hooks never take it (docs/architecture.md
-# section 3).  These helpers turn that rule into a check a test can fail.
-#: The one SSD write allowed under the lock (rare ENOSPC recovery).
-_LOCKED_IO_ALLOWED = "_retry_store_after_compaction"
+# section 3).  These helpers turn that rule into a check a test can fail;
+# the rule has no exception.
 
 
 def guard_tier_lock(offloader, violations: list) -> None:
@@ -119,9 +118,8 @@ def guard_tier_lock(offloader, violations: list) -> None:
         def guarded(*args, _inner=inner, _op=op):
             if offloader._lock._is_owned():
                 stack = traceback.extract_stack()
-                if not any(frame.name == _LOCKED_IO_ALLOWED for frame in stack):
-                    callers = " <- ".join(frame.name for frame in reversed(stack[-6:-1]))
-                    violations.append(f"ssd.{_op} called under the tier lock: {callers}")
+                callers = " <- ".join(frame.name for frame in reversed(stack[-6:-1]))
+                violations.append(f"ssd.{_op} called under the tier lock: {callers}")
             return _inner(*args)
 
         setattr(offloader.ssd, op, guarded)

@@ -1,6 +1,8 @@
 """Engine facade: typed config validation, construction wiring and the
 one stats snapshot."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,8 @@ DATA = np.arange(256, dtype=np.float32)
         # offloaders take a built store and re-check nothing.
         (dict(target="ssd", store_dir="x", chunk_bytes=4096, io_direct=True),
          "io_direct applies to the per-tensor store"),
-        (dict(target="ssd", store_dir="x", durable=True), "durable requires chunk_bytes"),
+        (dict(target="cpu", store_roots=["y"]),
+         "store_roots .* requires an ssd/tiered target"),
         (dict(target="tiered", store_dir="x", cpu_pool_bytes=1, store_roots=["y"]),
          "store_roots .* requires chunk_bytes"),
         (dict(target="cpu", io_deadlines={"BLOCKING_LOAD": 0.0}),
@@ -163,41 +166,38 @@ def test_scheduler_starts_exactly_the_workers_it_is_given(workers):
 _FRONT_END_STORES = [
     # benchmarks/e2e/wl_train.py
     ("train_ssd", dict(target="ssd", throttle_bytes_per_s=100e6),
-     TensorFileStore, dict(direct=False, throttle_bytes_per_s=100e6, persistent=False)),
+     TensorFileStore, dict(direct=False, throttle_bytes_per_s=100e6)),
     ("train_tiered",
      dict(target="tiered", cpu_pool_bytes=4 << 20, chunk_bytes=1 << 20,
           io_backend="uring", throttle_bytes_per_s=100e6),
      ChunkedTensorStore,
-     dict(chunk_bytes=1 << 20, throttle_bytes_per_s=100e6, persistent=False)),
+     dict(chunk_bytes=1 << 20, throttle_bytes_per_s=100e6)),
     # benchmarks/e2e/wl_replay.py
     ("engine_replay", dict(target="ssd", chunk_bytes=4 << 20),
-     ChunkedTensorStore, dict(chunk_bytes=4 << 20, throttle_bytes_per_s=None, persistent=False)),
+     ChunkedTensorStore, dict(chunk_bytes=4 << 20, throttle_bytes_per_s=None)),
     # ServerConfig -> serve/server_sim.py (benchmarks/e2e/wl_kv.py, `repro kv`)
     ("kv_serve", dict(target="tiered", cpu_pool_bytes=4 << 20, promote_on_load=False),
-     TensorFileStore, dict(direct=False, throttle_bytes_per_s=None, persistent=False)),
-    # examples/serve_demo.py (`repro serve`, service/workload.py's engine)
-    ("serve", dict(target="ssd", chunk_bytes=8 << 10, durable=True),
-     ChunkedTensorStore, dict(chunk_bytes=8 << 10, throttle_bytes_per_s=None, persistent=True)),
+     TensorFileStore, dict(direct=False, throttle_bytes_per_s=None)),
     # examples/quickstart.py (`repro quickstart` and its flags)
     ("quickstart", dict(target="ssd", throttle_bytes_per_s=150e6),
-     TensorFileStore, dict(direct=False, throttle_bytes_per_s=150e6, persistent=False)),
+     TensorFileStore, dict(direct=False, throttle_bytes_per_s=150e6)),
     ("quickstart_tiered_chunked",
      dict(target="tiered", cpu_pool_bytes=64 << 10, chunk_bytes=1 << 20,
           throttle_bytes_per_s=150e6),
      ChunkedTensorStore,
-     dict(chunk_bytes=1 << 20, throttle_bytes_per_s=150e6, persistent=False)),
+     dict(chunk_bytes=1 << 20, throttle_bytes_per_s=150e6)),
     ("quickstart_uring", dict(target="ssd", io_backend="uring", throttle_bytes_per_s=150e6),
-     TensorFileStore, dict(direct=False, throttle_bytes_per_s=150e6, persistent=False)),
+     TensorFileStore, dict(direct=False, throttle_bytes_per_s=150e6)),
     ("quickstart_direct", dict(target="ssd", io_direct=True, throttle_bytes_per_s=150e6),
-     TensorFileStore, dict(direct=True, throttle_bytes_per_s=150e6, persistent=False)),
+     TensorFileStore, dict(direct=True, throttle_bytes_per_s=150e6)),
     # cli.py `repro faults`
     ("faults", dict(target="tiered", cpu_pool_bytes=64 << 10),
-     TensorFileStore, dict(direct=False, throttle_bytes_per_s=None, persistent=False)),
+     TensorFileStore, dict(direct=False, throttle_bytes_per_s=None)),
     ("faults_heal",
      dict(target="tiered", cpu_pool_bytes=64 << 10, chunk_bytes=32 << 10,
           store_roots=["root1"], probe_backoff_s=0.01),
      ChunkedTensorStore,
-     dict(chunk_bytes=32 << 10, throttle_bytes_per_s=None, persistent=False)),
+     dict(chunk_bytes=32 << 10, throttle_bytes_per_s=None)),
 ]
 
 
@@ -260,6 +260,22 @@ def test_engine_stats_aggregates_every_plane(tmp_path):
         assert snap.arena is not None
     finally:
         engine.shutdown()
+
+
+def test_endurance_books_project_the_daily_write_rate():
+    """Fig. 5's lifespan arithmetic on live books: bytes written over the
+    uptime, scaled to a day, then per GB of device capacity."""
+    from repro.core.engine import EnduranceStats
+
+    hour = EnduranceStats(
+        bytes_written=3 * 10**9, dead_bytes=0, reclaimed_bytes=0,
+        root_bytes_written=(3 * 10**9,), uptime_s=3600.0,
+    )
+    assert hour.write_rate_bytes_per_day == 72 * 10**9
+    assert hour.bytes_per_gb_day(1600 * 10**9) == 72 * 10**9 / 1600
+    with pytest.raises(ValueError, match="capacity_bytes must be positive"):
+        hour.bytes_per_gb_day(0)
+    assert replace(hour, uptime_s=0.0).write_rate_bytes_per_day == 0.0
 
 
 def test_stats_snapshot_is_detached(tmp_path):

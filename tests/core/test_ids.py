@@ -64,26 +64,6 @@ def test_filename_stable_and_filesystem_safe():
     assert str(TensorID(stamp=1, shape=())) == "t1_scalar"
 
 
-def test_from_filename_round_trip():
-    for tid in (
-        TensorID(stamp=123, shape=(4, 5)),
-        TensorID(stamp=0, shape=(1,)),
-        TensorID(stamp=1, shape=()),
-        TensorID(stamp=2**63, shape=(7, 1, 9)),
-    ):
-        assert TensorID.from_filename(tid.filename()) == tid
-
-
-def test_from_filename_rejects_foreign_keys():
-    # A durable store directory may hold non-tensor keys; the tiered
-    # rehydration path skips them instead of inventing ids.
-    import pytest
-
-    for name in ("chunk0.bin", "x123_4", "t123", "tabc_4", "t1_4xZ"):
-        with pytest.raises(ValueError):
-            TensorID.from_filename(name)
-
-
 def test_weight_recording_excludes_param():
     reg = TensorIDRegistry()
     w = Parameter(np.zeros((3, 5), dtype=np.float32))

@@ -75,6 +75,9 @@ def _entry_in(state):
 def test_entry_trans_state_admits_exactly_the_table():
     from repro.core.tiered import _LEGAL_TRANSITIONS, _State
 
+    # A new entry is stored into the pool or written directly; nothing
+    # is born on the SSD (there is no restart to replay it from).
+    assert _LEGAL_TRANSITIONS[None] == {_State.CPU, _State.STORING}
     for old, legal in _LEGAL_TRANSITIONS.items():
         for new in _State:
             entry = _entry_in(old)
@@ -665,41 +668,10 @@ def test_sync_direct_ssd_store_retries_transient_faults(tmp_path):
         off.shutdown()
 
 
-# --------------------------------------------------------- durable rehydration
-def test_durable_tiered_rehydrates_ssd_tier_map(tmp_path):
-    """A restarted durable tiered engine must remember which tensors
-    live on SSD — the replayed store index seeds the tier map, so loads
-    of pre-crash tensors hit SSD instead of raising 'never stored'."""
-    first = build_tier(
-        SSDOffloader(ChunkedTensorStore(tmp_path / "t", chunk_bytes=4096, durable=True)),
-        cpu_pool_bytes=4 * DATA.nbytes,
-    )
-    try:
-        for i in range(3):
-            first.store(_tid(i), DATA + i)
-            assert first.demote(_tid(i))  # force SSD residency
-        first.scheduler.drain()
-        first.flush()
-    finally:
-        first.shutdown()  # durable: close() keeps the chunk files
-
-    second = build_tier(
-        SSDOffloader(ChunkedTensorStore(tmp_path / "t", chunk_bytes=4096, durable=True)),
-        cpu_pool_bytes=4 * DATA.nbytes,
-    )
-    try:
-        for i in range(3):
-            assert second.tier_of(_tid(i)) is Tier.SSD
-            assert np.array_equal(
-                second.load(_tid(i), DATA.shape, DATA.dtype), DATA + i
-            )
-    finally:
-        second.shutdown()
-
-
+# ------------------------------------------------------------- scratch store
 def test_volatile_tiered_starts_empty(tmp_path):
-    """Without durable=True the store clears on shutdown, so a second
-    offloader on the same directory sees nothing — the pre-PR9 contract."""
+    """Activations are scratch: the store clears on shutdown, so a second
+    offloader on the same directory sees nothing."""
     first = build_tier(
         SSDOffloader(ChunkedTensorStore(tmp_path / "t", chunk_bytes=4096)),
         cpu_pool_bytes=4 * DATA.nbytes,

@@ -5,8 +5,7 @@ The kernel changes CPU per byte and nothing else, so every value is
 compared against ``zlib.crc32`` — including across stores written with
 one kernel and read with the other.  The count half pins ROADMAP 3(b)'s
 audit: between pack and disk every payload byte is checksummed once on
-the way down and once on the way up, and the compaction scrub once
-more, never twice.
+the way down and once on the way up, never twice.
 """
 
 from __future__ import annotations
@@ -123,23 +122,22 @@ def test_file_store_frames_equal_the_zlib_reference(tmp_path):
 
 
 @pytest.mark.parametrize("write_kernel_off", (True, False))
-def test_durable_chunk_store_reads_across_kernels(tmp_path, monkeypatch, write_kernel_off):
-    """Written with one kernel, replayed and read with the other."""
+def test_chunk_store_reads_across_kernels(tmp_path, monkeypatch, write_kernel_off):
+    """Written with one kernel, read back from one store with the other."""
     real = checksum._kernel
     tensors = {f"t{i}": _floats(4096 + 512 * i, seed=i) for i in range(6)}
 
     monkeypatch.setattr(checksum, "_kernel", None if write_kernel_off else real)
-    store = ChunkedTensorStore(tmp_path, chunk_bytes=48 << 10, durable=True)
+    store = ChunkedTensorStore(tmp_path, chunk_bytes=48 << 10)
     for tid, data in tensors.items():
         store.write(tid, data)
     store.flush()
-    store.close()
+    assert store.num_chunks > 0 and store.open_chunk_bytes == 0  # reads hit the files
 
     monkeypatch.setattr(checksum, "_kernel", real if write_kernel_off else None)
-    reopened = ChunkedTensorStore(tmp_path, chunk_bytes=48 << 10, durable=True)
     for tid, data in tensors.items():
-        np.testing.assert_array_equal(reopened.read(tid, data.shape, data.dtype), data)
-    reopened.close()
+        np.testing.assert_array_equal(store.read(tid, data.shape, data.dtype), data)
+    store.clear()
 
 
 # ------------------------------------- every payload byte, checksummed once
@@ -188,14 +186,6 @@ def test_chunk_store_checksums_each_payload_once_flushed_or_open(tmp_path, monke
     for tid, data in tensors.items():
         np.testing.assert_array_equal(store.read(tid, data.shape, data.dtype), data)
     assert counted.take() == (6, payload)
-
-    # The compaction scrub is the one deliberate re-check, counted apart.
-    store.flush()
-    counted.take()
-    for tid in ("t0", "t1", "t2"):
-        store.delete(tid)
-    assert store.compact(max_dead_ratio=0.5) > 0
-    assert counted.take() == (1, tensors["t3"].nbytes)  # the one live tensor moved
     store.close()
 
 

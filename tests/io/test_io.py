@@ -1,5 +1,6 @@
 """Tests for the async I/O substrate: jobs on a lane, file store, GDS paths."""
 
+import errno
 import threading
 import time
 
@@ -200,6 +201,20 @@ def test_filestore_delete_and_clear(tmp_path):
 
 
 # ----------------------------------------------------------- ChunkedTensorStore
+CHUNK = 4096
+ELEMS = 256  # 1 KiB float32 => 4 tensors per chunk
+
+
+def _tensor(i):
+    return np.random.default_rng(i).standard_normal(ELEMS).astype(np.float32)
+
+
+def _fill(store, n):
+    for i in range(n):
+        store.write(f"t{i}_{ELEMS}", _tensor(i))
+    store.flush()
+
+
 def test_chunkstore_roundtrip(tmp_path):
     store = ChunkedTensorStore(tmp_path, chunk_bytes=256)
     data = np.random.default_rng(0).standard_normal((4, 5)).astype(np.float32)
@@ -308,6 +323,101 @@ def test_chunkstore_validation(tmp_path):
         ChunkedTensorStore(tmp_path, chunk_bytes=0)
     with pytest.raises(ValueError):
         ChunkedTensorStore(tmp_path, throttle_bytes_per_s=0)
+
+
+def test_chunkstore_close_is_idempotent_and_keeps_data(tmp_path):
+    store = ChunkedTensorStore(tmp_path, chunk_bytes=CHUNK)
+    _fill(store, 4)
+    store.close()
+    store.close()
+    assert list(tmp_path.glob("chunk*.bin"))
+
+
+def test_chunkstore_leaves_no_files_after_clear(tmp_path):
+    """Scratch space: the store writes nothing but chunk files, and
+    ``clear`` (what shutdown calls) removes them all."""
+    store = ChunkedTensorStore(tmp_path, chunk_bytes=CHUNK)
+    _fill(store, 6)  # a full chunk and a half-full one, both flushed
+    store.close()
+    assert {p.name for p in tmp_path.iterdir()} == {"chunk0.bin", "chunk1.bin"}
+    store.clear()
+    assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------- FD-table invalidation
+def test_delete_then_read_misses_and_forgets_the_descriptor(tmp_path):
+    """Regression: a chunk unlinked by refcount-zero delete must drop
+    its cached descriptor — a stale fd would serve the deleted inode."""
+    store = ChunkedTensorStore(tmp_path, chunk_bytes=CHUNK)
+    _fill(store, 4)  # exactly one flushed chunk
+    path = store.path_for(f"t0_{ELEMS}")
+    store.read(f"t0_{ELEMS}", (ELEMS,), np.float32)
+    assert len(store.fds) == 1  # the flush's descriptor served the read
+    for i in range(4):
+        store.delete(f"t{i}_{ELEMS}")  # refcount 0 -> unlink
+    assert not path.exists()
+    assert len(store.fds) == 0
+    with pytest.raises(FileNotFoundError):
+        store.read(f"t0_{ELEMS}", (ELEMS,), np.float32)
+    store.clear()
+
+
+# ------------------------------------------------------------- write-leveling
+def test_write_leveling_spreads_chunks_across_roots(tmp_path):
+    roots = [tmp_path / "nvme1", tmp_path / "nvme2"]
+    store = ChunkedTensorStore(tmp_path / "nvme0", chunk_bytes=CHUNK, roots=roots)
+    _fill(store, 24)  # 6 chunks across 3 equal roots
+    per_root = store.root_bytes_written
+    assert len(per_root) == 3 and all(b > 0 for b in per_root)
+    assert max(per_root) - min(per_root) <= CHUNK  # leveled within one chunk
+    # Every tensor reads back from whichever root its chunk landed on.
+    for i in range(24):
+        assert np.array_equal(store.read(f"t{i}_{ELEMS}", (ELEMS,), np.float32), _tensor(i))
+    for root in [tmp_path / "nvme0", *roots]:
+        assert list(root.glob("chunk*.bin"))
+    store.clear()
+
+
+def test_single_root_layout_unchanged_by_leveling(tmp_path):
+    """Ties break to root 0: without extra roots (or with the primary
+    named again) chunks are numbered in flush order, each file holding
+    its tensors back to back in write order."""
+    for name, roots in (("a", None), ("b", [tmp_path / "b"])):
+        store = ChunkedTensorStore(tmp_path / name, chunk_bytes=CHUNK, roots=roots)
+        _fill(store, 8)
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["chunk0.bin", "chunk1.bin"]
+        for chunk in range(2):
+            expected = b"".join(_tensor(4 * chunk + i).tobytes() for i in range(4))
+            assert (tmp_path / name / f"chunk{chunk}.bin").read_bytes() == expected
+        store.clear()
+
+
+def test_a_full_root_is_written_again_once_its_chunks_are_reclaimed(tmp_path):
+    """Root 0 refuses writes past 8 KiB held.  Every tensor is deleted at
+    step end, so the root empties each step: it must leave the full set
+    then, and write-leveling must keep placing chunks on it."""
+    root0, root1 = tmp_path / "nvme0", tmp_path / "nvme1"
+    store = ChunkedTensorStore(root0, chunk_bytes=CHUNK, roots=[root1])
+
+    def gate(root_index, nbytes):
+        held = sum(p.stat().st_size for p in root0.glob("chunk*.bin"))
+        if root_index == 0 and held + nbytes > 2 * CHUNK:
+            raise OSError(errno.ENOSPC, "injected: root 0 full")
+
+    store.fault_gate = gate
+    data = np.ones(CHUNK // 4, dtype=np.float32)  # one chunk per tensor
+    written = []
+    for step in range(4):
+        for i in range(6):
+            store.write(f"s{step}_t{i}", data)
+        for i in range(6):
+            store.delete(f"s{step}_t{i}")
+        assert list(root0.glob("chunk*.bin")) == []
+        assert store.full_roots == (), f"step {step}: root 0 is empty but still marked full"
+        written.append(store.root_bytes_written[0])
+    assert store.enospc_root_skips >= 4  # the gate bit every step
+    assert all(later > earlier for earlier, later in zip(written, written[1:])), written
+    store.clear()
 
 
 # A paced chunk store models a slow device, not a slow index: the flush's

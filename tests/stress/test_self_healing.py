@@ -11,8 +11,7 @@ each proven with real file I/O:
    heals identically under both lane backends (thread, uring), with
    bit-exact results per backend *and* across backends;
 3. **ENOSPC survival** — a full device degrades stores to the CPU tier
-   (after one compact-and-retry) without tripping the breaker and with
-   zero failed requests;
+   without tripping the breaker and with zero failed requests;
 4. **combined failure** — the KV-serving workload under SSD brownout
    plus a tenant-wide transient retry storm: TTFT degrades boundedly,
    every user's KV bytes stay bit-exact, and the breaker stays CLOSED

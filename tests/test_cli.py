@@ -160,39 +160,16 @@ def test_demo_commands_run_their_own_assertions(argv, expected, capsys):
     assert expected in capsys.readouterr().out
 
 
-def test_serve_parser_args():
-    parser = build_parser()
-    args = parser.parse_args(
-        ["serve", "--steps", "6", "--kill-step", "2", "--budget-step", "-1",
-         "--seed", "7"]
-    )
-    assert (args.steps, args.kill_step, args.budget_step) == (6, 2, -1)
-    assert args.seed == 7 and args.store_dir is None
-
-
-def test_serve_command_runs_the_supervised_demo(tmp_path, capsys):
-    assert main(
-        ["serve", "--steps", "6", "--kill-step", "2", "--budget-step", "4",
-         "--store-dir", str(tmp_path / "store")]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "supervised restarts: 1" in out
-    assert "manifest records replayed" in out
-    assert "bit-exact" in out and "✓" in out
-
-
 def test_example_commands_run_outside_the_checkout(tmp_path):
-    """``serve`` and ``quickstart`` load their example by path, not as
-    the ``examples`` package of the working directory.  (Three steps is
-    the shortest run that leaves dead bytes for the demo's compaction.)"""
+    """``quickstart`` loads its example by path, not as the ``examples``
+    package of the working directory."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "serve", "--steps", "3",
-         "--kill-step", "-1", "--budget-step", "-1"],
+        [sys.executable, "-m", "repro", "quickstart"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "bit-exact" in proc.stdout
+    assert "losses identical" in proc.stdout
 
 
 def test_missing_example_names_the_file(tmp_path, monkeypatch):
