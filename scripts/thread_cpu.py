@@ -11,8 +11,9 @@ under ``uring``, the reaper — read from its own clock
 (``time.pthread_getcpuclockid``); idle = wall − main − workers, which on
 one CPU is the time nobody ran; and the CPU spent inside
 ``repro.io.checksum.crc32`` (the stores' checksum entry point),
-``os.pwritev``, ``os.preadv``, ``os.open``, ``os.close`` and
-``os.unlink``, timed by wrappers this tool installs in its own process
+``os.pwritev``, ``os.preadv``, ``os.open``, ``os.close``,
+``os.unlink`` and ``os.ftruncate`` (the one metadata call left on a
+recycled file's write path), timed by wrappers this tool installs in its own process
 (they add roughly a microsecond a call to the step they measure).
 
 The span tracer of ``run.py --trace 1`` says which *call* time sits in;
@@ -44,6 +45,7 @@ WRAPPED = (
     ("os", "open"),
     ("os", "close"),
     ("os", "unlink"),
+    ("os", "ftruncate"),
 )
 PER_STEP = ("wall_ms", "main_user_ms", "main_sys_ms", "workers_cpu_ms", "idle_ms", "main_minflt")
 

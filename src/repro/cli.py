@@ -791,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--io-direct", action="store_true",
                 help="per-tensor SSD store writes with O_DIRECT (falls "
-                     "back to buffered I/O per file if the filesystem "
+                     "back to buffered I/O once the filesystem "
                      "refuses; not with --chunk-bytes)",
             )
         if name == "tenants":

@@ -85,7 +85,7 @@ class EngineConfig:
             write-leveled across them by cumulative bytes written.
             Requires ``chunk_bytes`` [``ChunkedTensorStore``].
         io_direct: open write descriptors ``O_DIRECT`` — aligned staging
-            via arena leases, per-file fallback where the filesystem
+            via arena leases, buffered once the filesystem
             refuses.  Not with ``chunk_bytes`` (chunk files are
             buffered) [``TensorFileStore``].
         throttle_bytes_per_s: model a paced device [the store; the

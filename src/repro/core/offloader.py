@@ -118,8 +118,8 @@ class Offloader:
         """Drop ``tid``'s host buffer (backends with a pool)."""
 
     def release(self, tid: TensorID) -> None:
-        """Reclaim the backing space of one tensor (idempotent): delete
-        the file / decrement the chunk refcount, drop the host buffer."""
+        """Reclaim one tensor's backing space (idempotent, no filesystem
+        I/O): recycle its file / chunk refcount, drop the host buffer."""
         if self.file_store is not None:
             self.file_store.delete(tid.filename())
         self.evict(tid)
@@ -165,7 +165,9 @@ class SSDOffloader(Offloader):
         return self.file_store.read(tid.filename(), shape, dtype)
 
     def location(self, tid: TensorID) -> str:
-        return str(self.file_store.path_for(tid.filename()))
+        # No file yet (a chunk still staging) or any more (released).
+        path = self.file_store.path_for(tid.filename())
+        return str(path) if path is not None else f"unplaced:{tid.filename()}"
 
     def shutdown(self) -> None:
         # Activations are scratch: nothing in the store outlives the engine.

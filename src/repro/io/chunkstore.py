@@ -19,8 +19,11 @@ moving whole chunks between tiers.
   ranged read (seek + read) into the flushed chunk file;
 - every chunk keeps a **refcount** of the live tensors inside it;
   ``delete`` decrements it, and when a chunk's refcount hits zero its
-  file is unlinked — space is reclaimed at chunk granularity, like the
-  paper's per-step file deletion but amortized.
+  space is reclaimed at chunk granularity: the file joins its root's
+  free list, and the next chunk placed on that root rewrites it in
+  place (``ftruncate`` only when it shrinks or is new) through the descriptor the
+  store already holds — the paper's per-step file deletion, without the
+  ``unlink`` and the next step's ``open``.
 
 The store intentionally mirrors the :class:`TensorFileStore` API
 (``write`` / ``read`` / ``delete`` / ``clear`` / ``path_for`` + stats)
@@ -47,14 +50,14 @@ created empty and nothing in it outlives the process (a crashed run
 restarts from a model checkpoint, not from offloaded activations).
 ``roots`` spreads chunk placement across several store directories by
 cumulative bytes written (write-leveling); a root that returned
-``ENOSPC`` is skipped until one of its chunks is reclaimed.
+``ENOSPC`` is skipped until one of its chunks is reclaimed.  Files are
+removed only by :meth:`ChunkedTensorStore.clear`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,10 +66,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.io import checksum
-from repro.io.aio import count_syscalls, syscall_tape
+from repro.io.aio import syscall_tape
 from repro.io.buffers import CopyCounter
 from repro.io.errors import IntegrityError, is_enospc
-from repro.io.fdtable import FDTable, preadv_full, pwritev_full
+from repro.io.fdtable import FDTable, FilePool, preadv_full, pwritev_over
 from repro.io.filestore import StoreTraffic, _TrafficBooks, contiguous_view, pace
 
 #: Default chunk size: 4 MiB — large enough that a P5800X-class SSD sees
@@ -75,12 +78,15 @@ DEFAULT_CHUNK_BYTES = 4 * 2**20
 
 @dataclass
 class _ChunkMeta:
-    """Bookkeeping for one flushed chunk file."""
+    """Bookkeeping for one flushed chunk: its size, live tensors, and the
+    file it was written into (in ``roots[root_index]``)."""
 
     chunk_id: int
     total_bytes: int
     refcount: int
     live_bytes: int
+    root_index: int
+    path: str
 
 
 @dataclass
@@ -113,6 +119,8 @@ class ChunkedTensorStore(_TrafficBooks):
         roots: additional store directories for write-leveling; each
             flushed chunk lands in the directory with the least
             cumulative bytes written (the primary ``root`` is index 0).
+
+    A flush picks the root, then a file of its :class:`~repro.io.fdtable.FilePool`.
     """
 
     def __init__(
@@ -134,14 +142,10 @@ class ChunkedTensorStore(_TrafficBooks):
                 self.roots.append(extra)
         for directory in self.roots:
             directory.mkdir(parents=True, exist_ok=True)
-        self._root_dirs = [str(directory) for directory in self.roots]
         self.chunk_bytes = chunk_bytes
         self.throttle_bytes_per_s = throttle_bytes_per_s
         self.copy_stats = CopyCounter()
-        #: Descriptors of this store's chunk files; both unlink paths
-        #: (refcount-zero reclaim, :meth:`clear`) forget the chunk's
-        #: entry so an open descriptor can never outlive the unlink and
-        #: serve a deleted file's inode.
+        #: Descriptors of this store's chunk files, recycled ones included.
         self.fds = FDTable()
         #: Injectable per-root failure seam: ``fault_gate(root_index,
         #: nbytes)`` runs before every physical chunk write and may
@@ -155,44 +159,25 @@ class ChunkedTensorStore(_TrafficBooks):
         #: ENOSPC write failures absorbed by re-routing to another root.
         self.enospc_root_skips = 0
 
-        self._lock = threading.Lock()
-        self._next_chunk_id = 0
+        #: The table's lock: a tensor's lookup and its file's borrow are one.
+        self._lock = self.fds.lock
+        self._open_id = 0
         self._open_buf = bytearray()
         self._open_entries: Dict[str, _TensorLoc] = {}
         self._chunks: Dict[int, _ChunkMeta] = {}
         self._index: Dict[str, _TensorLoc] = {}
-        #: chunk_id -> index into ``roots`` (write-leveling placement),
-        #: and the chunk file's path: composed once, when the chunk is
-        #: placed (:meth:`_place_chunk_locked`).
-        self._chunk_root: Dict[int, int] = {}
-        self._chunk_paths: Dict[int, str] = {}
+        #: Per root, its chunk files, live and reclaimed.
+        self._pools = [FilePool(self.fds, str(directory), "chunk") for directory in self.roots]
         #: Cumulative bytes ever written per root — the write-leveling
         #: criterion.
         self._root_bytes: List[int] = [0] * len(self.roots)
 
         # Books, written under the lock; each reads as one int.
         self._traffic = StoreTraffic()
-        #: Bytes of chunk files unlinked after their refcount hit zero.
+        #: Bytes of chunks whose refcount hit zero (their files recycled).
         self.reclaimed_bytes = 0
         self._open_dead_bytes = 0
         self._closed = False
-        self._open_chunk_locked()
-
-    # ------------------------------------------------------------- placement
-    def _place_chunk_locked(self, chunk_id: int, root_index: int) -> None:
-        self._chunk_root[chunk_id] = root_index
-        self._chunk_paths[chunk_id] = f"{self._root_dirs[root_index]}/chunk{chunk_id}.bin"
-
-    def _forget_chunk_locked(self, chunk_id: int) -> None:
-        self._chunk_root.pop(chunk_id, None)
-        self._chunk_paths.pop(chunk_id, None)
-
-    def _open_chunk_locked(self) -> None:
-        """A fresh open chunk.  Its write-leveling placement is decided
-        now (so path_for is stable), not when it flushes."""
-        self._open_id = self._next_chunk_id
-        self._next_chunk_id += 1
-        self._place_chunk_locked(self._open_id, self._pick_root_locked())
 
     # ------------------------------------------------------------------ stats
     @property
@@ -236,9 +221,6 @@ class ChunkedTensorStore(_TrafficBooks):
             self.reclaimed_bytes = 0
 
     # ------------------------------------------------------------------- I/O
-    def _chunk_path(self, chunk_id: int) -> str:
-        return self._chunk_paths[chunk_id]
-
     def _pick_root_locked(self) -> int:
         """Write-leveling placement: the root with the least lifetime
         bytes written takes the next chunk (ties break to the lowest
@@ -253,21 +235,12 @@ class ChunkedTensorStore(_TrafficBooks):
             candidates = list(range(len(self.roots)))
         return min(candidates, key=lambda i: (self._root_bytes[i], i))
 
-    def path_for(self, tensor_id: str) -> Path:
-        """Chunk file holding (or destined to hold) ``tensor_id``."""
+    def path_for(self, tensor_id: str) -> Optional[Path]:
+        """Chunk file holding ``tensor_id``; None while it waits in the
+        open chunk (a flush picks the file) or is not held at all."""
         with self._lock:
-            loc = self._index.get(tensor_id) or self._open_entries.get(tensor_id)
-            chunk_id = loc.chunk_id if loc is not None else self._open_id
-            return Path(self._chunk_path(chunk_id))
-
-    def _unlink_chunk(self, path: str) -> None:
-        """Remove a chunk file, then forget its descriptor (that order:
-        a read racing the unlink must not re-cache the dead inode)."""
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass
-        self.fds.invalidate(path)
+            loc = self._index.get(tensor_id)
+            return Path(self._chunks[loc.chunk_id].path) if loc is not None else None
 
     def _flush_locked(self) -> Tuple[int, float]:
         """Write the open chunk as one file; caller holds the lock.
@@ -289,9 +262,9 @@ class ChunkedTensorStore(_TrafficBooks):
         nbytes = len(self._open_buf)
         start = time.monotonic()
         while True:
-            root_index = self._chunk_root[chunk_id]
+            root_index = self._pick_root_locked()
             try:
-                syscalls = self._write_chunk_locked(chunk_id)
+                path, syscalls = self._write_chunk_locked(root_index)
                 break
             except OSError as exc:
                 if not is_enospc(exc):
@@ -305,42 +278,49 @@ class ChunkedTensorStore(_TrafficBooks):
                 self.enospc_root_skips += 1
                 if len(self._full_roots) >= len(self.roots):
                     raise
-                self._place_chunk_locked(chunk_id, self._pick_root_locked())
         self._traffic.write_syscalls += syscalls
         self._chunks[chunk_id] = _ChunkMeta(
             chunk_id=chunk_id,
             total_bytes=nbytes,
             refcount=len(self._open_entries),
             live_bytes=sum(loc.nbytes for loc in self._open_entries.values()),
+            root_index=root_index,
+            path=path,
         )
         self._index.update(self._open_entries)
         self._open_entries = {}
         self._open_buf = bytearray()
         self._open_dead_bytes = 0  # holes now accounted via chunk metadata
-        self._root_bytes[self._chunk_root[chunk_id]] += nbytes
-        self._open_chunk_locked()
+        self._root_bytes[root_index] += nbytes
+        self._open_id += 1
         self._traffic.bytes_written += nbytes
         self._traffic.write_count += 1
         return nbytes, start
 
-    def _write_chunk_locked(self, chunk_id: int) -> int:
-        """One physical write of the open chunk (the flush loop's
-        retryable unit); returns the syscalls it cost.  The
-        ``fault_gate`` seam fires first, so injected per-root failures
-        surface exactly where a real full filesystem would."""
+    def _write_chunk_locked(self, root_index: int) -> Tuple[str, int]:
+        """One physical write of the open chunk into a file of
+        ``roots[root_index]`` (the flush loop's retryable unit); returns
+        the file and the syscalls it cost.  The ``fault_gate`` seam fires
+        first, so injected per-root failures surface exactly where a
+        real full filesystem would."""
         buf = self._open_buf
         if self.fault_gate is not None:
-            self.fault_gate(self._chunk_root[chunk_id], len(buf))
+            self.fault_gate(root_index, len(buf))
+        pool = self._pools[root_index]
+        path, held = pool.take(len(buf))
         tape = syscall_tape()
-        with tape, self.fds.borrow_write(self._chunk_path(chunk_id)) as (fd, _direct, cached):
-            pwritev_full(fd, [buf])
-            if cached:
-                # Chunk ids are never reissued, so only a retried flush
-                # can find its own torn first attempt here.
-                os.ftruncate(fd, len(buf))
-                count_syscalls(1)
+        try:
+            with tape:
+                entry = self.fds.take(path)
+                try:
+                    pwritev_over(entry.fd, [buf], held)
+                finally:
+                    self.fds.give_back(entry)
+        except BaseException:
+            pool.release(path, torn=True)
+            raise
         self.copy_stats.count_avoided(1)  # the bytes() payload temp
-        return tape.count
+        return path, tape.count
 
     def write(self, tensor_id: str, data: np.ndarray) -> None:
         """Append ``data`` to the open chunk; flush it when full.
@@ -393,41 +373,39 @@ class ChunkedTensorStore(_TrafficBooks):
         start = time.monotonic()
         dtype = np.dtype(dtype)
         expected = math.prod(shape) * dtype.itemsize
-        with self._lock:
-            open_loc = self._open_entries.get(tensor_id)
-            if open_loc is not None:
-                self._check_length(tensor_id, open_loc, expected)
-                # The staging buffer mutates under this lock only; copy
-                # out through a released-before-return window so the
-                # bytearray is never left with a live buffer export (a
-                # later extend() would raise BufferError on resize).
-                with memoryview(self._open_buf) as staging:
-                    window = staging[
-                        open_loc.offset : open_loc.offset + open_loc.nbytes
-                    ]
-                    try:
-                        self._verify(tensor_id, open_loc, window)
-                        data = np.frombuffer(window, dtype=dtype).reshape(shape).copy()
-                    finally:
-                        window.release()
-                self.copy_stats.count_copy(open_loc.nbytes, avoided=1)  # the bytes() slice temp
-                return data
-            loc = self._index.get(tensor_id)
-            if loc is None:
-                raise FileNotFoundError(f"no offloaded tensor {tensor_id!r} in chunk store")
-            path = self._chunk_path(loc.chunk_id)
-        self._check_length(tensor_id, loc, expected)
-        flat = np.empty(expected // dtype.itemsize, dtype)
-        view = memoryview(flat)
         tape = syscall_tape()
         with tape:
+            with self._lock:
+                loc = self._open_entries.get(tensor_id)
+                if loc is not None:
+                    self._check_length(tensor_id, loc, expected)
+                    # The staging buffer mutates under this lock only; copy
+                    # out through a released-before-return window so the
+                    # bytearray is never left with a live buffer export (a
+                    # later extend() would raise BufferError on resize).
+                    with memoryview(self._open_buf) as staging:
+                        window = staging[loc.offset : loc.offset + loc.nbytes]
+                        try:
+                            self._verify(tensor_id, loc, window)
+                            data = np.frombuffer(window, dtype=dtype).reshape(shape).copy()
+                        finally:
+                            window.release()
+                    self.copy_stats.count_copy(loc.nbytes, avoided=1)  # the bytes() slice temp
+                    return data
+                loc = self._index.get(tensor_id)
+                if loc is None:
+                    raise FileNotFoundError(f"no offloaded tensor {tensor_id!r} in chunk store")
+                self._check_length(tensor_id, loc, expected)
+                # Borrowed under the lookup's lock: a reclaim that races
+                # this read cannot hand the file to the next chunk.
+                entry = self.fds.take(self._chunks[loc.chunk_id].path, create=False)
+            flat = np.empty(expected // dtype.itemsize, dtype)
+            view = memoryview(flat)
             try:
-                with self.fds.borrow_read(path) as fd:
-                    got = preadv_full(fd, [view], offset=loc.offset)
-            except FileNotFoundError:
-                raise FileNotFoundError(
-                    f"no offloaded tensor {tensor_id!r} in chunk store"
-                ) from None
+                got = preadv_full(entry.fd, [view], offset=loc.offset)
+            finally:
+                with self._lock:
+                    self.fds.give_back(entry)
         if got != loc.nbytes:
             # The destination view is full-size whatever the file holds,
             # so the short-read case needs its own length check; the
@@ -496,15 +474,15 @@ class ChunkedTensorStore(_TrafficBooks):
         meta.refcount -= 1
         meta.live_bytes -= loc.nbytes
         if meta.refcount <= 0:
-            self._unlink_chunk(self._chunk_path(meta.chunk_id))
             self.reclaimed_bytes += meta.total_bytes
             del self._chunks[meta.chunk_id]
+            self._pools[meta.root_index].release(meta.path)
             # Its root has room again: let write-leveling place there.
-            self._full_roots.discard(self._chunk_root[meta.chunk_id])
-            self._forget_chunk_locked(meta.chunk_id)
+            self._full_roots.discard(meta.root_index)
 
     def delete(self, tensor_id: str) -> None:
-        """Drop one tensor; unlink its chunk once no live tensor remains."""
+        """Drop one tensor; recycle its chunk's file once no live tensor
+        remains."""
         with self._lock:
             self._delete_locked(tensor_id)
 
@@ -520,30 +498,28 @@ class ChunkedTensorStore(_TrafficBooks):
         pace(self.throttle_bytes_per_s, flushed, start)
 
     def clear(self) -> None:
-        """Remove every chunk file and reset the in-memory state.
+        """Remove every chunk file, live or free, and reset the in-memory
+        state.
 
         The destroyed chunks' bytes are booked as ``reclaimed_bytes``
         and the dead-byte holes they carried are zeroed — the explicit
         stats contract: after ``clear`` ``dead_bytes == 0`` and
-        ``reclaimed_bytes`` equals every chunk byte ever unlinked, exactly.
+        ``reclaimed_bytes`` equals every chunk byte ever written, exactly.
         """
         with self._lock:
             self._open_buf = bytearray()
             self._open_entries = {}
             self._open_dead_bytes = 0
             self._index = {}
-            chunk_ids = list(self._chunks)
             self.reclaimed_bytes += sum(
                 meta.total_bytes for meta in self._chunks.values()
             )
             self._chunks = {}
             self._full_roots.clear()
-            paths = [self._chunk_path(chunk_id) for chunk_id in chunk_ids]
-            for chunk_id in chunk_ids:
-                self._forget_chunk_locked(chunk_id)
+            paths = [path for pool in self._pools for path in pool.drain()]
+        self.fds.close_all()
         for path in paths:
             try:
                 os.unlink(path)
             except FileNotFoundError:
                 pass
-        self.fds.close_all()

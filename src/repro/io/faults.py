@@ -308,7 +308,7 @@ class FaultInjector:
         if not torn and not rot:
             return
         path = self._store.path_for(tensor_id)
-        if not path.exists():
+        if path is None or not path.exists():
             # Open-chunk writes have no backing file yet; nothing to rot.
             with self._lock:
                 self.fault_stats.skipped_corruptions += 1

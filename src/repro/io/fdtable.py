@@ -1,19 +1,20 @@
-"""Positioned I/O over store-owned descriptors.
+"""Positioned I/O over store-owned descriptors and recycled files.
 
 The one path from a store operation to the kernel: every file write is
 one ``os.pwritev`` and every read one ``os.preadv`` (:func:`pwritev_full`
 / :func:`preadv_full`, which resume short transfers) over a descriptor
 borrowed from the store's own :class:`FDTable` — pre-opened descriptors
-keyed by path (io_uring's fixed-file table), LRU-bounded, so the read
-that follows a write skips the ``open``/``close`` pair.
+keyed by path (io_uring's fixed-file table), LRU-bounded — into a file
+its :class:`FilePool` recycles, so a steady store opens, closes and
+unlinks nothing.
 
-Descriptors are **borrowed, not handed out**: :meth:`FDTable.borrow_write`
-/ :meth:`FDTable.borrow_read` return context managers, and a descriptor that
-is evicted (LRU) or invalidated (its file was deleted) while borrowed is
-closed only when its last borrower returns.  Without that rule another
-thread's eviction could close the fd mid-transfer, the kernel could hand
-the same number to the next ``open``, and a resumed short transfer would
-land in *another tensor's file*.
+Descriptors are **borrowed, not handed out**: a store takes one under
+the table's lock, in the same acquisition that finds the tensor's file.
+A descriptor evicted (LRU) or forgotten (:meth:`FDTable.close_all`)
+while borrowed is closed only when its last borrower returns: closed
+eagerly, its number could go to the next ``open`` and a resumed short
+transfer land in *another tensor's file*.  For the same reason a pool
+never recycles a file a transfer still runs on (:meth:`FDTable.busy`).
 """
 
 from __future__ import annotations
@@ -21,20 +22,18 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from collections import OrderedDict, deque
-from typing import Deque, List, Sequence
+from collections import OrderedDict
+from contextlib import contextmanager
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.io.aio import count_syscalls
 
-__all__ = ["FDTable", "MAX_OPEN_FDS", "preadv_full", "pwritev_full"]
+__all__ = ["FDTable", "FilePool", "MAX_OPEN_FDS", "preadv_full", "pwritev_full", "pwritev_over"]
 
 #: Descriptors a store keeps open at once.  Well inside the default
 #: 1024-fd soft limit even with a file store and a chunk store per
 #: engine; an evicted path simply reopens on its next touch.
 MAX_OPEN_FDS = 128
-
-#: Deleted files' descriptors held open until the next create (:meth:`FDTable.invalidate`).
-LIMBO_FDS = 32
 
 
 # --------------------------------------------------------------------------
@@ -81,6 +80,17 @@ def pwritev_full(fd: int, buffers: Sequence, offset: int = 0) -> int:
     return total
 
 
+def pwritev_over(fd: int, buffers: Sequence, held: Optional[int]) -> int:
+    """:func:`pwritev_full` from offset 0 into a recycled file that held
+    ``held`` bytes (None: unknown), then ``ftruncate`` the stale tail a
+    longer file would keep.  Returns the bytes written."""
+    total = pwritev_full(fd, buffers)
+    if held is None or held > total:
+        os.ftruncate(fd, total)
+        count_syscalls(1)
+    return total
+
+
 def preadv_full(fd: int, buffers: Sequence, offset: int = 0, probe: int = 0) -> int:
     """Fill ``buffers`` from ``offset`` via ``os.preadv``; stops at EOF.
 
@@ -112,34 +122,14 @@ def preadv_full(fd: int, buffers: Sequence, offset: int = 0, probe: int = 0) -> 
 
 
 class _FDEntry:
-    __slots__ = ("fd", "direct", "borrowers", "retired")
+    __slots__ = ("fd", "path", "direct", "borrowers")
 
-    def __init__(self, fd: int, direct: bool) -> None:
+    def __init__(self, fd: int, path: str, direct: bool) -> None:
         self.fd = fd
+        self.path = path
         self.direct = direct
         #: Transfers currently running on ``fd``.
         self.borrowers = 0
-        #: Dropped from the table (evicted / invalidated) while borrowed:
-        #: the last borrower to return closes it.
-        self.retired = False
-
-
-class _Borrow:
-    """One borrowed descriptor (taken when built): ``with`` yields
-    ``value`` and hands the descriptor back to its table on exit."""
-
-    __slots__ = ("table", "entry", "value")
-
-    def __init__(self, table: "FDTable", entry: _FDEntry, value) -> None:
-        self.table = table
-        self.entry = entry
-        self.value = value
-
-    def __enter__(self):
-        return self.value
-
-    def __exit__(self, *exc: object) -> None:
-        self.table._return(self.entry)
 
 
 def _close_fd(fd: int) -> None:
@@ -149,10 +139,10 @@ def _close_fd(fd: int) -> None:
         pass
 
 
-def _close_dropped(entries: "OrderedDict[str, _FDEntry]", limbo: "Deque[_FDEntry]") -> None:
+def _close_dropped(entries: "OrderedDict[str, _FDEntry]") -> None:
     """Finaliser of a table nobody closed.  A borrower holds a reference
     to its table, so none can be mid-transfer here."""
-    for entry in (*entries.values(), *limbo):
+    for entry in entries.values():
         _close_fd(entry.fd)
     entries.clear()
 
@@ -160,132 +150,173 @@ def _close_dropped(entries: "OrderedDict[str, _FDEntry]", limbo: "Deque[_FDEntry
 class FDTable:
     """A store's pre-opened file descriptors, keyed by path.
 
-    The LRU bound (``max_open``) keeps the table inside the process's fd
-    budget; stores build theirs with :data:`MAX_OPEN_FDS`, the argument
-    exists for the eviction tests.  A table dropped without
-    :meth:`close_all` closes its descriptors when it is collected.
+    :meth:`take`, :meth:`give_back` and :meth:`busy` run under ``lock``,
+    which the owning store also uses as its own.  The LRU bound
+    (``max_open``) keeps the table inside the process's fd budget;
+    stores build theirs with :data:`MAX_OPEN_FDS`, the argument exists
+    for the eviction tests.  A table dropped without :meth:`close_all`
+    closes its descriptors when it is collected.
     """
 
     def __init__(self, max_open: int = MAX_OPEN_FDS) -> None:
         if max_open < 1:
             raise ValueError(f"max_open must be >= 1: {max_open}")
         self.max_open = max_open
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()
         self._entries: "OrderedDict[str, _FDEntry]" = OrderedDict()
-        self._limbo: Deque[_FDEntry] = deque()
+        #: Entries dropped while borrowed: the last borrower closes them.
+        self._retired: List[_FDEntry] = []
         self.opens = 0
         self.closes = 0
-        weakref.finalize(self, _close_dropped, self._entries, self._limbo)
+        weakref.finalize(self, _close_dropped, self._entries)
 
     # ------------------------------------------------------------- internals
-    def _open_locked(self, path: str, flags: int, direct: bool = False) -> _FDEntry:
-        if flags & os.O_CREAT and self._limbo:
-            self._retire_locked(self._limbo.popleft(), counted=False)
-        fd = os.open(path, flags, 0o644)
+    def _open_locked(self, path: str, direct: bool, create: bool) -> _FDEntry:
+        flags = os.O_RDWR | os.O_CREAT if create else os.O_RDWR
+        fd = None
+        if direct:
+            try:
+                fd = os.open(path, flags | os.O_DIRECT, 0o644)
+            except OSError:
+                direct = False  # refused: the caller sees a buffered descriptor
+        if fd is None:
+            fd = os.open(path, flags, 0o644)
         count_syscalls(1)
         self.opens += 1
-        entry = self._entries[path] = _FDEntry(fd, direct)
+        entry = self._entries[path] = _FDEntry(fd, path, direct)
         while len(self._entries) > self.max_open:
-            _, evicted = self._entries.popitem(last=False)
-            self._retire_locked(evicted)
+            self._retire_locked(self._entries.popitem(last=False)[1])
         return entry
 
-    def _retire_locked(self, entry: _FDEntry, counted: bool = True) -> None:
+    def _retire_locked(self, entry: _FDEntry) -> None:
         """Close a descriptor the table no longer maps — now, or when
-        its last borrower returns.  A deleted file's close belongs to its
-        delete, not to the write it runs under: not ``counted`` there."""
+        its last borrower returns."""
         if entry.borrowers:
-            entry.retired = True
+            if entry not in self._retired:
+                self._retired.append(entry)
             return
         _close_fd(entry.fd)
-        count_syscalls(int(counted))
+        count_syscalls(1)
         self.closes += 1
 
-    def _return(self, entry: _FDEntry) -> None:
-        with self._lock:
-            entry.borrowers -= 1
-            if entry.retired:
-                self._retire_locked(entry)
+    # ------------------------------------------------- borrowing (under lock)
+    def take(self, path: str, direct: bool = False, create: bool = True) -> _FDEntry:
+        """Borrow ``path``'s descriptor; the caller holds ``lock``.
 
-    # -------------------------------------------------------------- borrowing
-    def borrow_write(self, path: str, direct: bool = False) -> _Borrow:
-        """Borrow a descriptor for writing ``path``.
-
-        Yields ``(fd, direct, cached)``: ``cached`` is whether the
-        descriptor was reused (the caller must ``ftruncate`` after a
-        reused write — a fresh descriptor opens with ``O_TRUNC``);
-        ``direct`` whether it carries ``O_DIRECT``.  A fresh open asks
-        for ``O_DIRECT`` when ``direct`` is set and falls back to a
-        buffered descriptor when the filesystem refuses (common on
-        tmpfs/overlayfs) — the caller sees ``direct=False, cached=False``.
+        ``direct`` asks for an ``O_DIRECT`` descriptor, else a buffered
+        one: a cached one of the other kind is replaced (a load needs a
+        buffered one, the file's next direct write ``O_DIRECT`` again;
+        docs/architecture.md §10).  A refused ``O_DIRECT`` open yields a
+        buffered one (``entry.direct`` False).  No ``O_TRUNC``: the store
+        decides when a recycled file is truncated.  Without ``create`` a
+        missing file raises :class:`FileNotFoundError`.
         """
-        with self._lock:
-            entry = self._entries.get(path)
-            cached = entry is not None
-            if cached:
-                self._entries.move_to_end(path)
-            else:
-                flags = os.O_RDWR | os.O_CREAT | os.O_TRUNC
-                if direct:
-                    try:
-                        entry = self._open_locked(path, flags | os.O_DIRECT, True)
-                    except OSError:
-                        pass  # refused: per-file fallback to buffered
-                if entry is None:
-                    entry = self._open_locked(path, flags)
-            entry.borrowers += 1
-        return _Borrow(self, entry, (entry.fd, entry.direct, cached))
+        entry = self._entries.get(path)
+        if entry is not None and entry.direct != direct:
+            del self._entries[path]
+            self._retire_locked(entry)
+            entry = None
+        if entry is None:
+            entry = self._open_locked(path, direct, create)
+        else:
+            self._entries.move_to_end(path)
+        entry.borrowers += 1
+        return entry
 
-    def borrow_read(self, path: str) -> _Borrow:
-        """Borrow a buffered (never ``O_DIRECT``) descriptor for ``path``.
+    def give_back(self, entry: _FDEntry) -> None:
+        """End a borrow from :meth:`take`; the caller holds ``lock``."""
+        entry.borrowers -= 1
+        if not entry.borrowers and entry in self._retired:
+            self._retired.remove(entry)
+            self._retire_locked(entry)
 
-        Loads land in caller-owned destination arrays whose alignment
-        nobody guarantees, so a cached direct descriptor is replaced by
-        a buffered one (docs/architecture.md §10).  Raises
-        :class:`FileNotFoundError` when the path does not exist and no
-        descriptor is cached.
-        """
-        with self._lock:
-            entry = self._entries.get(path)
-            if entry is not None and entry.direct:
-                del self._entries[path]
-                self._retire_locked(entry)
-                entry = None
-            if entry is None:
-                entry = self._open_locked(path, os.O_RDWR)
-            else:
-                self._entries.move_to_end(path)
-            entry.borrowers += 1
-        return _Borrow(self, entry, entry.fd)
+    def busy(self, path: str) -> bool:
+        """Whether a transfer still runs on ``path`` (through its current
+        descriptor or a retired one); the caller holds ``lock``."""
+        entry = self._entries.get(path)
+        if entry is not None and entry.borrowers:
+            return True
+        return any(retired.path == path for retired in self._retired)
 
-    # ------------------------------------------------------------ forgetting
-    def invalidate(self, path: str) -> None:
-        """Forget ``path``'s descriptor (its file was deleted).
-
-        It is closed when the next file is created (or past
-        :data:`LIMBO_FDS` of them, oldest first), not now: the last close
-        frees the file's page-cache pages, and freed right before a write
-        they are the pages that write gets.  Freed at delete time they
-        idle, a hypervisor that reclaims idle guest memory takes them,
-        and the next chunk write pays milliseconds per MiB to fault them
-        back (docs/architecture.md section 10).
-        """
-        with self._lock:
-            entry = self._entries.pop(path, None)
-            if entry is not None:
-                self._limbo.append(entry)
-                if len(self._limbo) > LIMBO_FDS:
-                    self._retire_locked(self._limbo.popleft())
+    @contextmanager
+    def borrow(self, path: str, direct: bool = False, create: bool = True):
+        """:meth:`take` and :meth:`give_back` around a ``with`` block that
+        gets the entry (``.fd``, ``.direct``); takes the lock itself."""
+        with self.lock:
+            entry = self.take(path, direct, create)
+        try:
+            yield entry
+        finally:
+            with self.lock:
+                self.give_back(entry)
 
     def close_all(self) -> None:
-        """Forget every descriptor, deleted files' too (an open unlinked
-        file keeps its blocks); the table stays usable."""
-        with self._lock:
-            while self._limbo:
-                self._retire_locked(self._limbo.popleft())
+        """Forget every descriptor; the table stays usable."""
+        with self.lock:
             while self._entries:
                 self._retire_locked(self._entries.popitem()[1])
 
     def __len__(self) -> int:
-        with self._lock:
+        with self.lock:
             return len(self._entries)
+
+
+# --------------------------------------------------------------------------
+# Recycled files
+# --------------------------------------------------------------------------
+
+
+class FilePool:
+    """The files a store writes over in place, in one directory.
+
+    ``sizes`` holds every file the pool has named (bytes on disk, None
+    after a failed write) until :meth:`drain`; a released file also waits
+    in a free list of its size for :meth:`take`.  Nothing is deleted
+    before :meth:`drain`, so the page cache of one write stays resident
+    for the next.  Runs under the lock of the store's :class:`FDTable`.
+    """
+
+    def __init__(self, fds: FDTable, directory: str, prefix: str) -> None:
+        self.fds = fds
+        self._prefix = f"{directory}/{prefix}"
+        self._named = 0
+        self.sizes: Dict[str, Optional[int]] = {}
+        self._free: Dict[Optional[int], List[str]] = {}
+
+    def take(self, size: int) -> Tuple[str, Optional[int]]:
+        """A file for a ``size``-byte write: a free one of that size,
+        else any free one, else a new name — never a file a transfer
+        still runs on (:meth:`FDTable.busy`), so a late reader finds the
+        bytes it looked up.  Returns the path and the bytes it held (for
+        :func:`pwritev_over`; None for a new name, which an earlier run
+        may have left longer); a failed write must ``release(path, torn=True)``."""
+        exact = self._free.get(size)
+        if exact and not self.fds.busy(exact[-1]):
+            path = exact.pop()
+        else:
+            path = self._take_any()
+        held = self.sizes.get(path)
+        self.sizes[path] = size
+        return path, held
+
+    def _take_any(self) -> str:
+        for paths in self._free.values():
+            for i, path in enumerate(paths):
+                if not self.fds.busy(path):
+                    return paths.pop(i)
+        self._named += 1
+        return f"{self._prefix}{self._named - 1}.bin"
+
+    def release(self, path: str, torn: bool = False) -> None:
+        """``path`` holds nothing live (``torn``: nothing known either):
+        free it for the next :meth:`take`."""
+        if torn:
+            self.sizes[path] = None
+        self._free.setdefault(self.sizes[path], []).append(path)
+
+    def drain(self) -> List[str]:
+        """Forget every file and return their paths, for the store to unlink."""
+        paths = list(self.sizes)
+        self.sizes.clear()
+        self._free.clear()
+        return paths

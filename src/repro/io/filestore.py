@@ -1,9 +1,12 @@
 """File-backed tensor persistence (the functional-mode "SSD").
 
-Writes tensor bytes to files under a directory (one file per tensor
-identifier, like the paper's ``/mnt/md1/t1.pt`` in Fig. 4) and reads them
-back.  Optional throttling emulates a bandwidth-limited device so tests can
-exercise stalls, backpressure, and forwarding races.
+Writes tensor bytes to files under a directory (one live tensor per
+file, like the paper's ``/mnt/md1/t1.pt`` in Fig. 4) and reads them
+back.  A released tensor's file is not deleted but **recycled**: the
+next write overwrites it in place, with no ``open``/``close``/``unlink``
+and into resident page cache (docs/architecture.md §10).  Optional
+throttling emulates a bandwidth-limited device so tests can exercise
+stalls, backpressure, and forwarding races.
 
 Every file carries a **checksum frame** so silent corruption surfaces as
 a typed :class:`~repro.io.errors.IntegrityError` instead of wrong
@@ -43,9 +46,11 @@ kernel round-trips.
 
 One staging decision belongs to this store, and it books it on
 ``copy_stats``: ``direct=True`` opens write descriptors ``O_DIRECT`` and
-stages each frame through an aligned arena lease (per-file fallback to
-buffered where the filesystem refuses, counted on
-``direct_fallbacks``).  It changes no byte on disk.  The store behaves
+stages each frame through an aligned arena lease (the store falls back
+to buffered writes once the filesystem refuses, counted on
+``direct_fallbacks``); a recycled file whose descriptor a load made
+buffered is reopened ``O_DIRECT`` for its next write.  It changes no
+byte on disk.  The store behaves
 the same on every thread and under every ``io_backend``.
 """
 
@@ -54,12 +59,11 @@ from __future__ import annotations
 import math
 import os
 import struct
-import threading
 import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -67,7 +71,7 @@ from repro.io import checksum
 from repro.io.aio import count_syscalls, syscall_tape
 from repro.io.buffers import DIRECT_ALIGNMENT, BufferArena, CopyCounter
 from repro.io.errors import IntegrityError
-from repro.io.fdtable import FDTable, preadv_full, pwritev_full
+from repro.io.fdtable import FDTable, FilePool, preadv_full, pwritev_over
 
 #: Checksum-frame header: magic, payload length (LE u64), crc32 (LE u32).
 FRAME_MAGIC = b"RPRO"
@@ -164,15 +168,21 @@ class _TrafficBooks:
 
 
 class TensorFileStore(_TrafficBooks):
-    """Stores numpy arrays as raw files, one per tensor id.
+    """Stores numpy arrays as framed files, one live tensor per file.
+
+    A released tensor's file is recycled (:class:`~repro.io.fdtable.FilePool`):
+    the store never holds more files than its peak number of live
+    tensors, names them by number (``f{n}.bin``; :meth:`path_for` says
+    which holds a tensor now) and removes them only in :meth:`clear`.
 
     Args:
         root: directory for tensor files (created if missing).
         throttle_bytes_per_s: if set, sleep so that transfers do not exceed
             this bandwidth — used to emulate slow SSDs in tests.
         direct: open write descriptors with ``O_DIRECT`` where the
-            platform and filesystem allow; refused files fall back to
-            buffered I/O, counted on ``copy_stats.direct_fallbacks``.
+            platform and filesystem allow; once the filesystem refuses,
+            the store writes buffered, counted on
+            ``copy_stats.direct_fallbacks``.
 
     Descriptors are closed by :meth:`close`/:meth:`clear`, or when a
     store nobody closed is collected.
@@ -191,12 +201,18 @@ class TensorFileStore(_TrafficBooks):
             raise ValueError(f"throttle must be positive: {throttle_bytes_per_s}")
         self.throttle_bytes_per_s = throttle_bytes_per_s
         self.direct = direct and hasattr(os, "O_DIRECT")
+        #: Whether writes still ask for ``O_DIRECT`` (False once refused).
+        self._write_direct = self.direct
         self.copy_stats = CopyCounter()
         self.fds = FDTable()
         #: Staging leases: aligned frames for ``O_DIRECT`` writes.
         self.arena = BufferArena() if self.direct else None
-        self._lock = threading.Lock()
+        #: The table's lock: a file lookup and its descriptor borrow are one.
+        self._lock = self.fds.lock
         self._traffic = StoreTraffic()
+        #: tensor id -> path of the file holding it.
+        self._files: Dict[str, str] = {}
+        self._pool = FilePool(self.fds, self._dir, "f")
 
     # ------------------------------------------------------------------ stats
     def reset_stats(self) -> None:
@@ -204,20 +220,22 @@ class TensorFileStore(_TrafficBooks):
             self._traffic = StoreTraffic()
 
     # ------------------------------------------------------------------- I/O
-    def _path(self, tensor_id: str) -> str:
-        return f"{self._dir}/{tensor_id}.bin"
-
-    def path_for(self, tensor_id: str) -> Path:
-        return Path(self._path(tensor_id))
+    def path_for(self, tensor_id: str) -> Optional[Path]:
+        """The file holding ``tensor_id`` now; None if the store holds none."""
+        with self._lock:
+            path = self._files.get(tensor_id)
+        return Path(path) if path is not None else None
 
     def write(self, tensor_id: str, data: np.ndarray) -> None:
-        """Persist ``data`` at :meth:`path_for` ``(tensor_id)``.
+        """Persist ``data`` as ``tensor_id`` in a recycled or new file.
 
         One ``pwritev`` carries the header and the tensor's contiguous
         view — the crc32 is computed over the view and no intermediate
-        ``bytes`` object is ever built — and a reused descriptor is
-        ``ftruncate``\\ d so no stale tail survives.  The resulting file
-        is bit-identical to ``frame_payload(data.tobytes())``.
+        ``bytes`` object is ever built — and a recycled file that was
+        longer is ``ftruncate``\\ d so no stale tail survives.  The
+        resulting file is bit-identical to ``frame_payload(data.tobytes())``.
+        A rewrite of a held ``tensor_id`` lands in another file and frees
+        the old one.
 
         Contract: ``data`` must not mutate during the call.  The zero-copy
         path reads the source twice (crc pass, write pass) — a concurrent
@@ -227,45 +245,53 @@ class TensorFileStore(_TrafficBooks):
         once packed, and mutable buffers (weights) never reach a store.
         """
         start = time.monotonic()
-        path = self._path(tensor_id)
         contiguous, copied = contiguous_view(data)
         nbytes = contiguous.nbytes
         if copied:
             self.copy_stats.count_copy(nbytes)
         payload = memoryview(contiguous.reshape(-1)).cast("B")
+        frame = FRAME_HEADER_BYTES + nbytes
         tape = syscall_tape()
         with tape:
             header = _FRAME_HEADER.pack(FRAME_MAGIC, nbytes, checksum.crc32(payload))
-            self._write_frame(path, header, payload)
+            with self._lock:
+                path, held = self._pool.take(frame)
+                try:
+                    entry = self.fds.take(path, self._write_direct)
+                except BaseException:
+                    self._pool.release(path, torn=True)
+                    raise
+            try:
+                self._write_frame(entry, header, payload, held)
+            except BaseException:
+                with self._lock:
+                    self.fds.give_back(entry)
+                    self._pool.release(path, torn=True)
+                raise
         self.copy_stats.count_avoided(2)  # tobytes() + frame concat
-        pace(self.throttle_bytes_per_s, nbytes, start)
         with self._lock:
+            self.fds.give_back(entry)
+            old = self._files.get(tensor_id)
+            self._files[tensor_id] = path
+            if old is not None:
+                self._pool.release(old)
             self._traffic.bytes_written += nbytes
             self._traffic.write_count += 1
             self._traffic.write_syscalls += tape.count
+        pace(self.throttle_bytes_per_s, nbytes, start)
 
-    def _write_frame(self, path: str, header: bytes, payload: memoryview) -> None:
-        with self.fds.borrow_write(path, direct=self.direct) as (fd, direct, cached):
-            if self.direct and not direct and not cached:
-                self.copy_stats.count_direct_fallback()  # refused at open
-            if not direct:
-                self._pwrite_buffered(fd, header, payload, truncate=cached)
-                return
-            if self._pwrite_direct(fd, header, payload):
-                return
-        # The O_DIRECT open succeeded but the device refused the write:
-        # demote this path's descriptor to buffered and carry on.
-        with self.fds.borrow_read(path) as fd:
-            self._pwrite_buffered(fd, header, payload, truncate=True)
-
-    @staticmethod
-    def _pwrite_buffered(fd: int, header: bytes, payload: memoryview, truncate: bool) -> None:
-        pwritev_full(fd, [header, payload])
-        if truncate:
-            # A fresh descriptor opened with O_TRUNC; a reused one must
-            # drop any longer stale frame.
-            os.ftruncate(fd, FRAME_HEADER_BYTES + payload.nbytes)
-            count_syscalls(1)
+    def _write_frame(self, entry, header: bytes, payload: memoryview, held) -> None:
+        if self._write_direct and not entry.direct:
+            self._write_direct = False  # refused at open
+            self.copy_stats.count_direct_fallback()
+        if not entry.direct:
+            pwritev_over(entry.fd, [header, payload], held)
+        elif not self._pwrite_direct(entry.fd, header, payload):
+            # The O_DIRECT open succeeded but the device refused the
+            # write: write this frame, and every later one, buffered.
+            self._write_direct = False
+            with self.fds.borrow(entry.path) as buffered:
+                pwritev_over(buffered.fd, [header, payload], None)
 
     def _pwrite_direct(self, fd: int, header: bytes, payload: memoryview) -> bool:
         """``O_DIRECT`` write: stage the frame into an aligned arena
@@ -316,11 +342,12 @@ class TensorFileStore(_TrafficBooks):
         GPU-reinstate boundary demands.  Overshooting into the probe
         means the file holds more than the frame claims, a shortfall
         means a torn write — both rejected before the payload is
-        trusted.  Missing-file detection rides the open (no separate
-        ``exists()`` stat).
+        trusted.  The file is looked up and its descriptor borrowed in
+        one acquisition of the store's lock, and a writer never takes a
+        borrowed file: a read racing the tensor's release and the reuse
+        of its file reads the released bytes, never the next tensor's.
         """
         start = time.monotonic()
-        path = self._path(tensor_id)
         dtype = np.dtype(dtype)
         numel = math.prod(shape)
         expected = numel * dtype.itemsize
@@ -329,11 +356,16 @@ class TensorFileStore(_TrafficBooks):
         probe = bytearray(1)
         tape = syscall_tape()
         with tape:
+            with self._lock:
+                path = self._files.get(tensor_id)
+                if path is None:
+                    raise FileNotFoundError(f"no offloaded tensor {tensor_id!r} in {self._dir}")
+                entry = self.fds.take(path, create=False)
             try:
-                with self.fds.borrow_read(path) as fd:
-                    got = preadv_full(fd, [header, memoryview(flat), probe], probe=1)
-            except FileNotFoundError:
-                raise FileNotFoundError(f"no offloaded tensor at {path}") from None
+                got = preadv_full(entry.fd, [header, memoryview(flat), probe], probe=1)
+            finally:
+                with self._lock:
+                    self.fds.give_back(entry)
         # How an error names the tensor: built only when one is raised.
         label = lambda: f"tensor {tensor_id!r} at {path}"
         length, crc = parse_frame_header(header, got, label)
@@ -368,17 +400,11 @@ class TensorFileStore(_TrafficBooks):
         return data
 
     def delete(self, tensor_id: str) -> None:
-        """Best-effort removal of an offloaded tensor file."""
-        path = self._path(tensor_id)
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass
-        # Unlink first, forget second: a read racing the delete (say, the
-        # late body of an abandoned load) either borrows the old descriptor — closed when it
-        # returns — or finds no file; it can never re-cache a descriptor
-        # of the unlinked inode for a later write to land in.
-        self.fds.invalidate(path)
+        """Release ``tensor_id``: its file joins the free pool (idempotent)."""
+        with self._lock:
+            path = self._files.pop(tensor_id, None)
+            if path is not None:
+                self._pool.release(path)
 
     def flush(self) -> None:
         """Every write already reached its file; nothing is staged."""
@@ -388,10 +414,13 @@ class TensorFileStore(_TrafficBooks):
         self.fds.close_all()
 
     def clear(self) -> None:
-        """Remove every tensor file (used between steps/tests)."""
-        for path in self.root.glob("*.bin"):
+        """Remove every file, live or free (at shutdown, and in tests)."""
+        with self._lock:
+            self._files.clear()
+            paths = self._pool.drain()
+        self.close()
+        for path in paths:
             try:
-                path.unlink()
+                os.unlink(path)
             except FileNotFoundError:
                 pass
-        self.close()

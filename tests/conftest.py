@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import traceback
 from collections import Counter
@@ -71,6 +72,14 @@ def make_cache(tmp_path):
     yield _make
     for cache in caches:
         cache.shutdown()
+
+
+def free_file_names(store) -> set:
+    """Names of the files a per-tensor store has released for reuse: a
+    released tensor's file is recycled, not unlinked, so "nothing live"
+    reads as "every file in the directory is free"."""
+    live = set(store._files.values())
+    return {os.path.basename(path) for path in store._pool.sizes if path not in live}
 
 
 # ------------------------------------------------------ hand-built tiers

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.ids import TensorID
 from repro.core.offloader import CPUOffloader, PinnedMemoryPool, SSDOffloader
+from repro.io.filestore import frame_payload
 
 TID = TensorID(stamp=42, shape=(4, 4))
 DATA = np.arange(16, dtype=np.float32).reshape(4, 4)
@@ -21,7 +22,12 @@ def test_ssd_offloader_roundtrip(tmp_path):
 def test_ssd_offloader_location_is_file_path(tmp_path):
     off = SSDOffloader(tmp_path)
     off.store(TID, DATA)
-    assert off.location(TID).endswith("t42_4x4.bin")
+    # Files are the store's, named by number: the location is the one
+    # holding the tensor's frame now.
+    with open(off.location(TID), "rb") as held:
+        assert held.read() == frame_payload(DATA.tobytes())
+    off.release(TID)
+    assert off.location(TID) == f"unplaced:{TID.filename()}"
 
 
 def test_ssd_offloader_shutdown_clears_files(tmp_path):

@@ -5,6 +5,7 @@ store is PENDING vs RUNNING), deadline promotion of pending prefetches,
 demotion cancellation in the tiered offloader, and the trace surface.
 """
 
+import os
 import threading
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.io import IORequest, IOScheduler, Priority
 from repro.io.aio import JobState
 from repro.io.trace import attach_tracer
 from repro.tensor.tensor import Tensor
-from tests.conftest import build_tier
+from tests.conftest import build_tier, free_file_names
 
 # No TieredOffloader built here may do device I/O under its tier lock.
 pytestmark = pytest.mark.usefixtures("tier_lock_discipline")
@@ -136,7 +137,10 @@ def test_forwarding_cancels_pending_store(gpu, tmp_path):
         offloader.release = lambda tid: (released.append(tid), original_release(tid))
         cache.on_step_end()
         assert sorted(released, key=str) == sorted((tid1, tid2), key=str)
-        assert list((tmp_path / "s").iterdir()) == []
+        # The two written files are released for reuse, none holds a tensor.
+        store = offloader.file_store
+        assert all(store.path_for(tid.filename()) is None for tid in (tid1, tid2))
+        assert set(os.listdir(tmp_path / "s")) == free_file_names(store) and len(store.fds) == 2
     finally:
         gate.set()
         cache.shutdown()

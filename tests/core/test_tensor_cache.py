@@ -7,6 +7,7 @@ and failure injection.
 """
 
 import gc
+import os
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.models import GPT
 from repro.nn.linear import Linear
 from repro.tensor import ops
 from repro.tensor.tensor import Tensor
+from tests.conftest import free_file_names
 
 
 def _run_model_step(model, gpu, cache=None, seed=42):
@@ -283,8 +285,12 @@ def test_step_end_releases_records_and_files(gpu, tiny_gpt_config, make_cache):
     cache.register_weights(model)
     cache.attach(model)
     _run_model_step(model, gpu, cache)
-    store_dir = cache.offloader.file_store.root
-    assert list(store_dir.glob("*.bin")) == []  # files deleted at step end
+    store = cache.offloader.file_store
+    files = set(os.listdir(store.root))
+    # Released at step end, not unlinked: every file is free for the next
+    # step's writes, and there are no more than the step stored.
+    assert files == free_file_names(store)
+    assert 0 < len(files) <= cache.stats.stored_tensors
     assert all(not t.records for t in cache._microbatches.values())
 
 
@@ -505,12 +511,16 @@ def test_step_end_releases_stores_whose_done_callback_runs_late(
                 ]
             cache.on_step_end()
             raced += len(set(tids) - set(late_callbacks))
-            on_disk = sum(p.stat().st_size for p in store.root.iterdir())
-            if chunk_bytes is None:
-                assert on_disk == 0, f"step {step} left files behind"
-            else:
+            # Every tensor of the step is released; its files are kept
+            # for reuse, never more than one step's four tensors need.
+            for tid in tids:
+                with pytest.raises(FileNotFoundError):
+                    store.read(tid.filename(), tid.shape, np.float32)
+            assert len(os.listdir(store.root)) <= 4, f"step {step} grew the store"
+            if chunk_bytes is not None:
                 assert store.num_chunks == 0 and store.open_chunk_bytes == 0
-                assert store.bytes_written == on_disk + store.reclaimed_bytes
+                # Live chunk bytes (none) + reclaimed == written.
+                assert store.bytes_written == store.reclaimed_bytes
         assert raced > 0, "no step end ever ran ahead of a store-done callback"
         assert cache.stats.stored_tensors == 80
     finally:

@@ -7,6 +7,8 @@ across tiers, end-to-end training equivalence), the ``build_engine``
 target axis, and the chunk-coalescing write-count win.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from repro.core import (
 from repro.core.ids import TensorID
 from repro.io import ChunkedTensorStore, TensorFileStore
 
-from tests.conftest import assert_tier_books, build_tier
+from tests.conftest import assert_tier_books, build_tier, free_file_names
 from tests.core.test_tensor_cache import _fresh_model, _run_model_step
 
 # No TieredOffloader built here may do device I/O under its tier lock.
@@ -210,11 +212,14 @@ def test_restore_across_tiers_drops_old_backing(tmp_path):
         off.store(_tid(1), DATA)
         off.demote(_tid(1))
         off.scheduler.drain()
-        ssd_path = off.ssd.file_store.path_for(_tid(1).filename())
+        ssd_store = off.ssd.file_store
+        ssd_path = ssd_store.path_for(_tid(1).filename())
         assert ssd_path.exists()
         off.store(_tid(1), DATA + 5)  # lands in CPU again
         assert off.tier_of(_tid(1)) is Tier.CPU
-        assert not ssd_path.exists()  # old SSD copy reclaimed
+        # Old SSD copy reclaimed: released, its file free for reuse.
+        assert ssd_store.path_for(_tid(1).filename()) is None
+        assert free_file_names(ssd_store) == {ssd_path.name}
         assert np.array_equal(off.load(_tid(1), (256,), np.float32), DATA + 5)
 
         # Same-tier CPU overwrite: frees the old bytes first, so the pool
@@ -573,7 +578,8 @@ def test_overlapping_probes_keep_their_own_canary(tmp_path):
         for tenant in (None, "t"):
             stats = health.breaker("ssd", tenant).stats
             assert (stats.probe_successes, stats.probe_failures) == (1, 0)
-        assert not list((tmp_path / "t").iterdir())  # both sentinels deleted
+        # Both sentinels released: the directory holds only free files.
+        assert set(os.listdir(tmp_path / "t")) == free_file_names(store)
     finally:
         off.shutdown()
 

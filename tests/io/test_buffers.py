@@ -185,8 +185,10 @@ def test_filestore_streaming_bytes_identical_to_legacy_frame(tmp_path):
     assert written == frame_payload(data.tobytes())
     assert unframe_payload(written, "t") == data.tobytes()
     np.testing.assert_array_equal(store.read("t", data.shape, data.dtype), data)
-    # Cross-read: the streaming reader accepts a hand-framed file.
+    # Cross-read: the streaming reader accepts a hand-framed file (framed
+    # into the file the store gave "u": files are named by the store).
     other = np.random.default_rng(4).random((31, 17)).astype(np.float32)
+    store.write("u", np.zeros_like(other))
     store.path_for("u").write_bytes(frame_payload(other.tobytes()))
     np.testing.assert_array_equal(store.read("u", other.shape, other.dtype), other)
 

@@ -19,6 +19,7 @@ from repro.io import (
     TensorFileStore,
 )
 from repro.io.aio import JobState
+from tests.conftest import free_file_names
 
 
 # ------------------------------------------------- IOJob on a scheduler lane
@@ -193,11 +194,17 @@ def test_filestore_delete_and_clear(tmp_path):
     store = TensorFileStore(tmp_path)
     store.write("a", np.zeros(4, dtype=np.float32))
     store.write("b", np.zeros(4, dtype=np.float32))
+    a_file = store.path_for("a")
     store.delete("a")
     store.delete("a")  # idempotent
-    assert not store.path_for("a").exists()
+    assert store.path_for("a") is None
+    with pytest.raises(FileNotFoundError):
+        store.read("a", (4,), np.float32)
+    assert free_file_names(store) == {a_file.name} and a_file.exists()  # kept for reuse
+    store.write("c", np.ones(4, dtype=np.float32))
+    assert store.path_for("c") == a_file and free_file_names(store) == set()
     store.clear()
-    assert not store.path_for("b").exists()
+    assert store.path_for("b") is None and list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------- ChunkedTensorStore
@@ -261,13 +268,21 @@ def test_chunkstore_refcount_reclaims_chunk(tmp_path):
     chunk_path = store.path_for("a")
     assert chunk_path.exists()
     store.delete("a")
-    assert chunk_path.exists()  # "b" still pins the chunk
+    assert store.path_for("b") == chunk_path  # "b" still pins the chunk
     assert store.reclaimed_bytes == 0
     store.delete("b")
-    assert not chunk_path.exists()  # refcount hit zero -> space reclaimed
+    # Refcount hit zero: space reclaimed, the file kept for the next chunk.
     assert store.reclaimed_bytes == 512
-    assert store.num_chunks == 0
+    assert store.num_chunks == 0 and store.path_for("b") is None
+    with pytest.raises(FileNotFoundError):
+        store.read("b", (64,), np.float32)
     store.delete("b")  # idempotent
+    opens = store.fds.opens
+    store.write("c", data + 1)
+    store.write("d", data + 2)  # the next chunk rewrites the file in place
+    assert store.path_for("c") == chunk_path and store.fds.opens == opens
+    assert chunk_path.read_bytes() == (data + 1).tobytes() + (data + 2).tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == [chunk_path.name]
 
 
 def test_chunkstore_delete_open_entry_never_writes(tmp_path):
@@ -344,22 +359,88 @@ def test_chunkstore_leaves_no_files_after_clear(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-# ----------------------------------------------------- FD-table invalidation
-def test_delete_then_read_misses_and_forgets_the_descriptor(tmp_path):
-    """Regression: a chunk unlinked by refcount-zero delete must drop
-    its cached descriptor — a stale fd would serve the deleted inode."""
+# ------------------------------------------------------------ file recycling
+def test_delete_then_read_misses_and_keeps_the_descriptor_for_reuse(tmp_path):
+    """A chunk reclaimed at refcount zero keeps its file and descriptor:
+    its tensors miss, and the next chunk is written through the same
+    descriptor — no open, no close, no unlink."""
     store = ChunkedTensorStore(tmp_path, chunk_bytes=CHUNK)
     _fill(store, 4)  # exactly one flushed chunk
     path = store.path_for(f"t0_{ELEMS}")
     store.read(f"t0_{ELEMS}", (ELEMS,), np.float32)
     assert len(store.fds) == 1  # the flush's descriptor served the read
     for i in range(4):
-        store.delete(f"t{i}_{ELEMS}")  # refcount 0 -> unlink
-    assert not path.exists()
-    assert len(store.fds) == 0
+        store.delete(f"t{i}_{ELEMS}")  # refcount 0 -> recycled
+    assert path.exists() and len(store.fds) == 1
     with pytest.raises(FileNotFoundError):
         store.read(f"t0_{ELEMS}", (ELEMS,), np.float32)
+    _fill(store, 4)
+    assert store.path_for(f"t0_{ELEMS}") == path
+    assert (store.fds.opens, store.fds.closes) == (1, 0)
+    assert np.array_equal(store.read(f"t3_{ELEMS}", (ELEMS,), np.float32), _tensor(3))
     store.clear()
+
+
+@pytest.mark.parametrize("kind", ["file", "chunk"])
+def test_a_late_reader_never_gets_the_next_tensors_bytes(tmp_path, kind, monkeypatch):
+    """The reader has found its tensor's file and borrowed the
+    descriptor, then stalls; meanwhile the tensor is released and a
+    same-size tensor written.  The writer must not take the borrowed
+    file (a file store's frame crc sits in the file, so a same-size
+    rewrite would pass every check): the reader gets its own bytes and
+    the new tensor lands in another file, and once the reader is done
+    the released file is recycled."""
+    import repro.io.chunkstore as chunk_module
+    import repro.io.filestore as file_module
+
+    module = chunk_module if kind == "chunk" else file_module
+    if kind == "chunk":
+        store = ChunkedTensorStore(tmp_path, chunk_bytes=ELEMS * 4)  # a chunk per tensor
+    else:
+        store = TensorFileStore(tmp_path)
+    store.write("a", _tensor(1))
+    store.flush()
+    a_file = store.path_for("a")
+    in_read, resume = threading.Event(), threading.Event()
+    real_preadv = module.preadv_full
+
+    def stalled_preadv(*args, **kwargs):
+        in_read.set()
+        assert resume.wait(10)
+        return real_preadv(*args, **kwargs)
+
+    monkeypatch.setattr(module, "preadv_full", stalled_preadv)
+    got = {}
+
+    def late_reader():
+        try:
+            got["a"] = store.read("a", (ELEMS,), np.float32)
+        except Exception as exc:  # reported by the asserts below
+            got["a"] = exc
+
+    reader = threading.Thread(target=late_reader)
+    reader.start()
+    try:
+        assert in_read.wait(10)
+        monkeypatch.setattr(module, "preadv_full", real_preadv)
+        store.delete("a")
+        store.write("b", _tensor(2))  # same size as "a"
+        store.flush()
+    finally:
+        resume.set()
+        reader.join(10)
+    assert not reader.is_alive()
+    assert isinstance(got["a"], np.ndarray), got["a"]
+    assert np.array_equal(got["a"], _tensor(1)), "the late reader got another tensor's bytes"
+    assert store.path_for("b") != a_file
+    store.write("c", _tensor(3))  # the reader is gone: its file is free again
+    store.flush()
+    assert store.path_for("c") == a_file
+    assert np.array_equal(store.read("c", (ELEMS,), np.float32), _tensor(3))
+    assert np.array_equal(store.read("b", (ELEMS,), np.float32), _tensor(2))
+    assert len(list(tmp_path.iterdir())) == 2  # never more files than peak live tensors
+    store.clear()
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------- write-leveling
@@ -392,16 +473,20 @@ def test_single_root_layout_unchanged_by_leveling(tmp_path):
         store.clear()
 
 
+def _live_chunk_bytes(store, root_index):
+    """Bytes of the live chunks on one root (the gate runs under the store's lock)."""
+    return sum(m.total_bytes for m in store._chunks.values() if m.root_index == root_index)
+
+
 def test_a_full_root_is_written_again_once_its_chunks_are_reclaimed(tmp_path):
-    """Root 0 refuses writes past 8 KiB held.  Every tensor is deleted at
-    step end, so the root empties each step: it must leave the full set
-    then, and write-leveling must keep placing chunks on it."""
+    """Root 0 refuses writes past 8 KiB of live chunks.  Every tensor is
+    deleted at step end, so the root empties each step: it must leave the
+    full set then, and write-leveling must keep placing chunks on it."""
     root0, root1 = tmp_path / "nvme0", tmp_path / "nvme1"
     store = ChunkedTensorStore(root0, chunk_bytes=CHUNK, roots=[root1])
 
     def gate(root_index, nbytes):
-        held = sum(p.stat().st_size for p in root0.glob("chunk*.bin"))
-        if root_index == 0 and held + nbytes > 2 * CHUNK:
+        if root_index == 0 and _live_chunk_bytes(store, 0) + nbytes > 2 * CHUNK:
             raise OSError(errno.ENOSPC, "injected: root 0 full")
 
     store.fault_gate = gate
@@ -412,7 +497,8 @@ def test_a_full_root_is_written_again_once_its_chunks_are_reclaimed(tmp_path):
             store.write(f"s{step}_t{i}", data)
         for i in range(6):
             store.delete(f"s{step}_t{i}")
-        assert list(root0.glob("chunk*.bin")) == []
+        with store.fds.lock:
+            assert _live_chunk_bytes(store, 0) == 0
         assert store.full_roots == (), f"step {step}: root 0 is empty but still marked full"
         written.append(store.root_bytes_written[0])
     assert store.enospc_root_skips >= 4  # the gate bit every step

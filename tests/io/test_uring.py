@@ -88,13 +88,13 @@ def test_vectored_helpers_count_syscalls(tmp_path):
 def test_fdtable_caches_descriptors(tmp_path):
     table = FDTable(max_open=8)
     path = str(tmp_path / "a.bin")
-    with table.borrow_write(path) as (fd, direct, cached):
-        assert not direct and not cached
-        os.write(fd, b"x")
-    with table.borrow_write(path) as (fd2, _, cached2):
-        assert fd2 == fd and cached2
-    with table.borrow_read(path) as rfd:
-        assert rfd == fd  # buffered entry is shared
+    with table.borrow(path) as entry:
+        assert not entry.direct and table.opens == 1
+        os.write(entry.fd, b"x")
+    with table.borrow(path) as again:
+        assert again.fd == entry.fd and table.opens == 1
+    with table.borrow(path, create=False) as read:
+        assert read.fd == entry.fd  # buffered entry is shared
     assert table.opens == 1
     table.close_all()
     assert len(table) == 0
@@ -105,85 +105,22 @@ def test_fdtable_lru_eviction(tmp_path):
     table = FDTable(max_open=2)
     paths = [str(tmp_path / f"{i}.bin") for i in range(3)]
     for p in paths:
-        with table.borrow_write(p):
+        with table.borrow(p):
             pass
     assert len(table) == 2
     assert table.closes == 1  # paths[0] evicted (least recently used)
-    # The evicted path transparently reopens (O_TRUNC: fresh file).
-    with table.borrow_write(paths[0]) as (_, _, cached):
-        assert not cached
+    # The evicted path transparently reopens, without truncating it.
+    with table.borrow(paths[1]) as entry:
+        os.write(entry.fd, b"kept")
+    with table.borrow(paths[2]):
+        pass
+    with table.borrow(paths[0]):
+        pass
     assert table.opens == 4
+    with table.borrow(paths[1], create=False) as entry:  # evicted by paths[0]: a reopen
+        assert os.pread(entry.fd, 4, 0) == b"kept"
+    assert table.opens == 5
     table.close_all()
-
-
-def test_fdtable_invalidate_forgets_deleted_paths(tmp_path):
-    table = FDTable()
-    path = str(tmp_path / "gone.bin")
-    with table.borrow_write(path):
-        pass
-    os.unlink(path)
-    table.invalidate(path)
-    with pytest.raises(FileNotFoundError):
-        with table.borrow_read(path):
-            pass
-    table.invalidate(path)  # idempotent on unknown paths
-    table.close_all()
-
-
-def _is_open(fd):
-    try:
-        os.fstat(fd)
-    except OSError:
-        return False
-    return True
-
-
-def test_fdtable_closes_a_deleted_files_descriptor_at_the_next_create(tmp_path):
-    """A deleted file's pages must be freed right before the next file's
-    first write, not at delete time (docs/architecture.md section 10)."""
-    table = FDTable()
-    paths = [str(tmp_path / f"dead{i}.bin") for i in range(3)]
-    fds = []
-    for i, path in enumerate(paths):
-        with table.borrow_write(path) as (fd, _, _):
-            os.write(fd, b"abc"[i : i + 1])
-            fds.append(fd)
-    for path in paths:
-        os.unlink(path)
-        table.invalidate(path)
-    # Forgotten by the table, the names gone, the descriptors still open.
-    assert len(table) == 0 and table.closes == 0 and list(tmp_path.iterdir()) == []
-    assert [os.pread(fd, 1, 0) for fd in fds] == [b"a", b"b", b"c"]
-    live = str(tmp_path / "live.bin")
-    with table.borrow_write(live):  # a create: closes the oldest, and only it
-        assert table.closes == 1
-        assert [os.pread(fd, 1, 0) for fd in fds[1:]] == [b"b", b"c"]
-    with table.borrow_read(live):  # not a create: closes nothing
-        pass
-    with table.borrow_write(live):  # cached descriptor, no open at all
-        pass
-    assert table.closes == 1
-    table.close_all()
-    assert table.opens == table.closes == 4 and not any(_is_open(fd) for fd in fds)
-
-
-def test_fdtable_holds_a_bounded_number_of_deleted_descriptors(tmp_path, monkeypatch):
-    monkeypatch.setattr("repro.io.fdtable.LIMBO_FDS", 2)
-    gc.collect()
-    before = _open_fds()
-    table = FDTable()
-    paths = [str(tmp_path / f"{i}.bin") for i in range(5)]
-    for path in paths:
-        with table.borrow_write(path):
-            pass
-    for path in paths:  # a step end: every file dies, none is born
-        os.unlink(path)
-        table.invalidate(path)
-    # Past the bound the oldest is closed at once.
-    assert (table.opens, table.closes) == (5, 3) and _open_fds() == before + 2
-    del table
-    gc.collect()  # a dropped table closes the waiting descriptors too
-    assert _open_fds() == before
 
 
 def test_fdtable_read_demotes_direct_descriptors(tmp_path):
@@ -191,21 +128,24 @@ def test_fdtable_read_demotes_direct_descriptors(tmp_path):
         pytest.skip("platform has no O_DIRECT")
     table = FDTable()
     path = str(tmp_path / "d.bin")
-    with table.borrow_write(path, direct=True) as (fd, direct, cached):
-        if not direct:
+    with table.borrow(path, direct=True) as entry:
+        if not entry.direct:
             # Refused at open: the caller sees a fresh buffered descriptor.
-            assert not cached and table.opens == 1
+            assert table.opens == 1
             pytest.skip("filesystem refused O_DIRECT")
         # O_DIRECT demands an aligned source; an anonymous mmap page is.
-        os.pwrite(fd, mmap.mmap(-1, 4096), 0)
+        os.pwrite(entry.fd, mmap.mmap(-1, 4096), 0)
     # Loads need a buffered descriptor (unaligned destination arrays):
     # the direct entry is closed and replaced by a fresh buffered open.
-    with table.borrow_read(path) as rfd:
+    with table.borrow(path, create=False) as read:
         assert (table.opens, table.closes) == (2, 1)
-        assert os.pread(rfd, 4, 0) == b"\0" * 4
-    # And the buffered entry replaced the direct one in the table.
-    with table.borrow_write(path, direct=True) as borrowed:
-        assert borrowed == (rfd, False, True)
+        assert os.pread(read.fd, 4, 0) == b"\0" * 4
+    # A buffered write shares the read's descriptor; the next direct
+    # write reopens the file O_DIRECT again.
+    with table.borrow(path) as write:
+        assert (write.fd, write.direct) == (read.fd, False)
+    with table.borrow(path, direct=True) as write:
+        assert write.direct and (table.opens, table.closes) == (3, 2)
     table.close_all()
 
 
@@ -214,8 +154,8 @@ def test_fdtable_validation():
         FDTable(max_open=0)
 
 
-@pytest.mark.parametrize("drop", ["evict", "invalidate"])
-def test_borrowed_descriptor_outlives_eviction_and_invalidate(tmp_path, drop):
+@pytest.mark.parametrize("drop", ["evict", "close_all"])
+def test_borrowed_descriptor_outlives_eviction_and_close_all(tmp_path, drop):
     """Descriptors are borrowed, not handed out: one dropped from the
     table mid-transfer is closed only when its borrower returns, so the
     fd number cannot be reused under the transfer and the bytes cannot
@@ -227,11 +167,11 @@ def test_borrowed_descriptor_outlives_eviction_and_invalidate(tmp_path, drop):
 
     def transfer():  # thread A: a two-part transfer into P
         try:
-            with table.borrow_write(p) as (fd, _, _):
-                pwritev_full(fd, [b"first-"])
+            with table.borrow(p) as entry:
+                pwritev_full(entry.fd, [b"first-"])
                 borrowed.set()
                 assert resume.wait(10)
-                pwritev_full(fd, [b"second"], offset=6)
+                pwritev_full(entry.fd, [b"second"], offset=6)
         except BaseException as exc:
             errors.append(exc)
 
@@ -241,18 +181,22 @@ def test_borrowed_descriptor_outlives_eviction_and_invalidate(tmp_path, drop):
     # Thread B, while A is mid-transfer: drop P from the table, then open
     # more files — a closed fd number would be handed to one of them.
     if drop == "evict":
-        with table.borrow_write(q) as (qfd, _, _):
-            pwritev_full(qfd, [b"Q"])
+        with table.borrow(q) as entry:
+            pwritev_full(entry.fd, [b"Q"])
     else:
-        table.invalidate(p)
+        table.close_all()
     assert table.closes == 0, "P's close must wait for its borrower"
-    with table.borrow_write(q) as (qfd, _, _):
-        pwritev_full(qfd, [b"Q"])
-    with table.borrow_write(r) as (rfd, _, _):
-        pwritev_full(rfd, [b"R"])
+    with table.lock:
+        assert table.busy(p), "a store must not recycle P under its borrower"
+    with table.borrow(q) as entry:
+        pwritev_full(entry.fd, [b"Q"])
+    with table.borrow(r) as entry:
+        pwritev_full(entry.fd, [b"R"])
     resume.set()
     a.join(10)
     assert not a.is_alive() and not errors
+    with table.lock:
+        assert not table.busy(p)
     assert (tmp_path / "p.bin").read_bytes() == b"first-second"
     assert (tmp_path / "q.bin").read_bytes() == b"Q"
     assert (tmp_path / "r.bin").read_bytes() == b"R"
@@ -275,10 +219,10 @@ def test_fdtable_thrash_never_crosses_files(tmp_path):
         back = bytearray(len(mine))
         try:
             for _ in range(rounds):
-                with table.borrow_write(path) as (fd, _, _):
-                    pwritev_full(fd, [mine[:256], mine[256:]])
-                with table.borrow_read(path) as fd:
-                    assert preadv_full(fd, [back]) == len(mine)
+                with table.borrow(path) as entry:
+                    pwritev_full(entry.fd, [mine[:256], mine[256:]])
+                with table.borrow(path, create=False) as entry:
+                    assert preadv_full(entry.fd, [back]) == len(mine)
                 assert back == mine
         except BaseException as exc:
             errors.append(exc)
@@ -403,10 +347,12 @@ def test_store_missing_tensor(tmp_path, kind):
     store = _written(kind, tmp_path)
     with pytest.raises(FileNotFoundError):
         store.read("nope", (1,), np.float32)
+    path = store.path_for("t")
     store.delete("t")
     with pytest.raises(FileNotFoundError):
         store.read("t", DATA.shape, DATA.dtype)
-    assert len(store.fds) == 0  # the delete forgot the descriptor
+    # Released, not unlinked: the file and its descriptor wait for reuse.
+    assert path.exists() and len(store.fds) == 1
     store.close()
 
 
@@ -426,12 +372,59 @@ def test_filestore_rejects_short_and_oversized_files(tmp_path, kind):
     store.close()
 
 
-def test_filestore_rewrite_drops_a_longer_stale_frame(tmp_path):
+def test_filestore_rewrite_drops_a_longer_stale_frame(tmp_path, monkeypatch):
     store = TensorFileStore(tmp_path)
-    store.write("t", np.ones(256, dtype=np.float32))
+    store.write("a", np.ones(256, dtype=np.float32))
+    longer = store.path_for("a")
+    store.delete("a")
+    truncates = []
+    real_ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, n: (truncates.append(n), real_ftruncate(fd, n)))
     short = np.arange(8, dtype=np.float32)
-    store.write("t", short)  # reuses the cached descriptor: must ftruncate
-    assert store.path_for("t").read_bytes() == frame_payload(short.tobytes())
+    store.write("b", short)  # recycles a's longer file: must ftruncate
+    assert store.path_for("b") == longer
+    assert truncates == [len(frame_payload(short.tobytes()))]
+    assert longer.read_bytes() == frame_payload(short.tobytes())
+    assert np.array_equal(store.read("b", short.shape, short.dtype), short)
+    store.close()
+
+
+def test_filestore_open_failure_frees_the_file_it_took(tmp_path, monkeypatch):
+    store = TensorFileStore(tmp_path)
+    real_take = store.fds.take
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.EMFILE, "too many open files")
+
+    monkeypatch.setattr(store.fds, "take", refuse)
+    with pytest.raises(OSError):
+        store.write("t", DATA)
+    monkeypatch.setattr(store.fds, "take", real_take)
+    store.write("t", DATA)  # the refused file went back to the pool
+    assert store.path_for("t").name == "f0.bin"
+    assert np.array_equal(store.read("t", DATA.shape, DATA.dtype), DATA)
+    store.close()
+
+
+@pytest.mark.parametrize("kind", ["file", "chunk"])
+def test_a_longer_file_left_by_an_earlier_run_is_truncated(tmp_path, kind):
+    # Files are named by number, so a store built in the directory of a
+    # run that crashed writes its first frame over that run's file.
+    for stale in ("f0.bin", "chunk0.bin"):
+        (tmp_path / stale).write_bytes(b"\xa5" * 4096)
+    if kind == "file":
+        store = TensorFileStore(tmp_path)
+    else:
+        store = ChunkedTensorStore(tmp_path, chunk_bytes=64)
+    data = np.arange(16, dtype=np.float32)
+    store.write("t", data)
+    store.flush()
+    assert store.path_for("t").name == ("f0.bin" if kind == "file" else "chunk0.bin")
+    if kind == "file":
+        assert store.path_for("t").read_bytes() == frame_payload(data.tobytes())
+    else:
+        assert store.path_for("t").stat().st_size == data.nbytes  # the chunk, no stale tail
+    assert np.array_equal(store.read("t", data.shape, data.dtype), data)
     store.close()
 
 
@@ -480,9 +473,13 @@ def _assert_buffered_fallback(store, data):
     assert store.path_for("t").read_bytes() == frame_payload(data.tobytes())
     assert np.array_equal(store.read("t", data.shape, data.dtype), data)
     assert store.arena.stats().outstanding_bytes == 0
-    # The path's descriptor is buffered now: the next write reuses it.
-    with store.fds.borrow_write(str(store.path_for("t")), direct=True) as (_, direct, cached):
-        assert cached and not direct
+    # The store writes buffered from now on: the next write recycles the
+    # file through its buffered descriptor, without an open.
+    opens = store.fds.opens
+    store.delete("t")
+    store.write("t", data)
+    assert store.fds.opens == opens and store.copy_stats.snapshot().direct_fallbacks == 1
+    assert store.path_for("t").read_bytes() == frame_payload(data.tobytes())
 
 
 def test_filestore_odirect_refused_at_open_writes_buffered(tmp_path, monkeypatch):
@@ -510,7 +507,7 @@ def test_filestore_odirect_refused_pwrite_demotes_the_descriptor(tmp_path, monke
     monkeypatch.setattr(os, "pwrite", _einval)
     store.write("t", data)
     monkeypatch.undo()
-    # The direct open, then the buffered reopen borrow_read made for it.
+    # The direct open, then the buffered reopen made for the retry.
     assert store.fds.opens == 2
     _assert_buffered_fallback(store, data)
     store.close()
@@ -537,9 +534,33 @@ def test_filestore_partial_direct_write_surfaces_without_demoting(tmp_path, monk
     assert calls == [0, DIRECT_ALIGNMENT]
     assert store.copy_stats.snapshot().direct_fallbacks == 0
     assert store.fds.opens == 1  # no buffered reopen
-    with store.fds.borrow_write(str(store.path_for("t")), direct=True) as (_, direct, cached):
-        assert cached and direct
+    assert store.path_for("t") is None  # a failed write holds nothing
+    # Still direct: the retry recycles the file through its O_DIRECT
+    # descriptor (a second aligned lease, no open), then drops the tail.
+    store.write("t", data)
+    assert store.fds.opens == 1 and store.arena.stats().aligned_leases == 2
+    assert store.path_for("t").read_bytes() == frame_payload(data.tobytes())
     assert store.arena.stats().outstanding_bytes == 0
+    store.close()
+
+
+def test_filestore_direct_write_stays_direct_after_a_load(tmp_path, monkeypatch):
+    """A load replaces the file's O_DIRECT descriptor with a buffered one;
+    the next step's write into the recycled file reopens it O_DIRECT and
+    stages through an aligned lease again."""
+    store = _direct_store(tmp_path)
+    monkeypatch.setattr(os, "open", _open_without_direct(os.open))
+    for step in range(2):
+        data = np.full(100, step, dtype=np.float32)
+        store.write("t", data)
+        assert np.array_equal(store.read("t", data.shape, data.dtype), data)
+        assert store.path_for("t").read_bytes() == frame_payload(data.tobytes())
+        store.delete("t")
+    assert store.arena.stats().aligned_leases == 2
+    assert store.copy_stats.snapshot().direct_fallbacks == 0
+    # direct, buffered for the load, direct again, buffered for the load.
+    assert (store.fds.opens, store.fds.closes) == (4, 3)
+    assert [p.name for p in tmp_path.iterdir()] == ["f0.bin"]
     store.close()
 
 
@@ -667,8 +688,9 @@ CONFIG = ModelConfig(
 STEPS = 3
 
 
-def _train(tmp_path, name, io_backend="thread", plan=None):
-    """Train the reference model on ``io_backend``; mirrors the chaos suite."""
+def _train(tmp_path, name, io_backend="thread", plan=None, after_first_step=None):
+    """Train the reference model on ``io_backend``; mirrors the chaos suite.
+    ``after_first_step`` runs where the steady-state books start."""
     gpu = GPU()
     model = GPT(CONFIG, rng=np.random.default_rng(0)).to(gpu)
     policy = OffloadPolicy(PolicyConfig(min_offload_numel=256))
@@ -691,37 +713,58 @@ def _train(tmp_path, name, io_backend="thread", plan=None):
         device=gpu,
     )
     losses = []
+    store = cache.offloader.file_store
     try:
-        for _ in range(STEPS):
+        for step in range(STEPS):
             losses.append(trainer.train_step([loader.next_batch()]).loss)
+            if step == 0:
+                store.reset_stats()  # per-operation costs: steady state only
+                files = store.fds.opens
+                if after_first_step is not None:
+                    after_first_step()
         stats = cache.scheduler.stats
         assert stats.submitted == stats.executed + stats.failed + stats.cancelled
         assert cache.scheduler.pending() == 0
         for worker in cache.scheduler._workers:
             assert worker.is_alive(), f"worker {worker.name} died"
         engine_stats = engine.stats()
-        store = cache.offloader.file_store
-        per_op = (
-            store.write_syscalls / store.write_count,
-            store.read_syscalls / store.read_count,
+        books = (
+            store.write_syscalls,
+            store.write_count,
+            store.read_syscalls,
+            store.read_count,
+            store.fds.opens - files,  # files created after the first step
         )
     finally:
         trainer.close()
-    return losses, stats, engine_stats, injector, per_op
+    return losses, stats, engine_stats, injector, books
 
 
-def test_backends_train_bit_exact(tmp_path):
+def test_backends_train_bit_exact(tmp_path, monkeypatch):
     """The acceptance: thread/uring produce identical losses on real
-    training and pay the same syscalls per store operation, with every
-    backend's request books reconciling exactly."""
-    thread_losses, _, _, _, thread_per_op = _train(tmp_path, "thread")
-    uring_losses, _, uring_stats, _, uring_per_op = _train(tmp_path, "uring", "uring")
-    assert uring_losses == thread_losses
-    # How many stores run (vs. being cancelled by data forwarding) is a
-    # race by design; what one write and one read cost is not.
-    assert thread_per_op == uring_per_op
-    assert uring_stats.io_lanes["ssd"].syscalls > 0
-    assert uring_stats.io_lanes["ssd"].reaped > 0
+    training and pay the same syscalls per store operation once the
+    first step has created the files, with every backend's request books
+    reconciling exactly."""
+    truncates = []
+    real_ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda *a: (truncates.append(a), real_ftruncate(*a))[1])
+    runs = {}
+    for name in ("thread", "uring"):
+        losses, _, engine_stats, _, books = _train(
+            tmp_path, name, name, after_first_step=truncates.clear
+        )
+        write_syscalls, writes, read_syscalls, reads, new_files = books
+        # How many stores run (vs. being cancelled by data forwarding) is a
+        # race by design, so a later step may store one tensor more than
+        # the files the first one left: recycling then opens and truncates
+        # a new file, or truncates a longer one.  What one write and one
+        # read cost is not.
+        per_write = (write_syscalls - new_files - len(truncates)) / writes
+        runs[name] = (losses, per_write, read_syscalls / reads)
+    assert runs["thread"] == runs["uring"]
+    assert runs["thread"][1:] == (1.0, 1.0)
+    assert engine_stats.io_lanes["ssd"].syscalls > 0  # the uring run's
+    assert engine_stats.io_lanes["ssd"].reaped > 0
 
 
 def test_thread_backend_books_but_never_reaps(tmp_path):
@@ -734,6 +777,60 @@ def test_thread_backend_books_but_never_reaps(tmp_path):
     assert busy, "the ssd lane must have executed batches"
     assert all(ls.syscalls > 0 for ls in busy)
     assert all(ls.reaped == 0 and ls.reap_lag_s == 0.0 for ls in lanes.values())
+
+
+@pytest.mark.parametrize(
+    "chunk_bytes, min_offload_numel",
+    [(None, 256), (128 << 10, 16384)],
+    ids=["file", "chunk"],
+)
+def test_steady_steps_open_close_and_truncate_nothing(
+    tmp_path, monkeypatch, chunk_bytes, min_offload_numel
+):
+    """Recycling's exact counts on three steps of a small GPT: once the
+    first step has created the files, a step opens, closes and truncates
+    nothing, and the file store writes each tensor with one ``pwritev``.
+    Every store lands before backward, so no forwarding race changes
+    which tensors reach the store from one step to the next.  The chunk
+    store offloads only the four 64 KiB MLP activations, two to a chunk:
+    with mixed sizes, which tensors share a chunk follows the two lane
+    workers' order, so chunk lengths (and with them truncates, and the
+    chunk count) can move from step to step."""
+    truncates = []
+    real_ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda *a: (truncates.append(a), real_ftruncate(*a))[1])
+    gpu = GPU()
+    model = GPT(CONFIG, rng=np.random.default_rng(0)).to(gpu)
+    loader = TokenBatchLoader(
+        SyntheticCorpus(vocab_size=CONFIG.vocab_size, seed=5),
+        batch_size=2,
+        seq_len=CONFIG.seq_len,
+        device=gpu,
+    )
+    policy = OffloadPolicy(PolicyConfig(min_offload_numel=min_offload_numel))
+    with build_engine(
+        target="ssd", store_dir=tmp_path, chunk_bytes=chunk_bytes, policy=policy
+    ) as engine:
+        cache = engine.cache()
+        cache.register_weights(model)
+        cache.attach(model)
+        store = engine.file_store
+        for step in range(3):
+            if step == 1:
+                first = (store.fds.opens, store.fds.closes, len(truncates))
+                store.reset_stats()
+            with cache:
+                loss = model(*loader.next_batch())
+                assert cache.scheduler.drain(10)
+                cache.on_backward_begin()
+                loss.backward()
+                cache.on_backward_end()
+            cache.on_step_end()
+            model.zero_grad()
+        assert first[0] > 0 and store.write_count > 0
+        assert (store.fds.opens, store.fds.closes, len(truncates)) == first
+        assert store.write_syscalls == store.write_count  # one pwritev each
+        cache.shutdown()
 
 
 @pytest.mark.parametrize("seed", (0, 1))

@@ -39,7 +39,7 @@ from repro.io.errors import PermanentIOError
 from repro.io.faults import FaultPlan, inject_faults
 from repro.io.scheduler import IOScheduler
 from repro.io.tenancy import DEFAULT_TENANT, tenant_scope
-from tests.conftest import assert_tier_books, build_tier, guard_tier_lock
+from tests.conftest import assert_tier_books, build_tier, free_file_names, guard_tier_lock
 
 F32 = np.dtype(np.float32)
 SMALL = (256,)  # 1 KiB: lands in the pool
@@ -237,7 +237,8 @@ class TieredModel(RuleBasedStateMachine):
         assert {e.state for e in off._entries.values()} <= {_State.CPU, _State.SSD}
         on_device = {t for t, e in off._entries.items() if e.state is _State.SSD}
         files = {os.path.basename(off.ssd.location(tid)) for tid in on_device}
-        assert set(os.listdir(self.dir)) == files
+        free = free_file_names(off.ssd.file_store)  # released, kept for reuse
+        assert set(os.listdir(self.dir)) == files | free and not files & free
         promote, off.promote_on_load = off.promote_on_load, False  # look, don't move
         try:
             for tid, data in self.expected.items():

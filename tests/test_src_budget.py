@@ -51,8 +51,10 @@ from repro.serve import KVBlockPool
 #: +3 more (19,440), so the comparisons stay where they were.  19,437
 #: before the GDS-sim lane (registry, bounce routing, its books) went.
 #: 19,288 before activations became scratch: the supervised service,
-#: the manifest journal, replay and chunk compaction went.
-SRC_LINE_CEILING = 17_764
+#: the manifest journal, replay and chunk compaction went.  17,764 before
+#: released store files were recycled in place (+36: the file pool and
+#: the one-acquisition borrow, less the limbo FIFO and the unlink paths).
+SRC_LINE_CEILING = 17_800
 ENGINE_CONFIG_FIELD_CEILING = 14
 KV_POOL_PARAMETERS = ("engine", "block_tokens", "num_layers", "hbm_capacity_bytes", "strategy")
 TENSOR_CACHE_PARAMETERS = ("offloader", "policy", "registry", "prefetch_window", "scheduler")
@@ -76,8 +78,9 @@ PROBED_FILES = (
 )
 #: ``except Exception`` sites across ``src/``.  Each is a last line of
 #: defence for a thread or a callback; a new one says why here.  (20
-#: before the service's six went.)
-BROAD_EXCEPT_CEILING = 14
+#: before the service's six went, 14 before the step end's release,
+#: which does no filesystem I/O since files are recycled, lost its.)
+BROAD_EXCEPT_CEILING = 13
 
 SRC = Path(__file__).parent.parent / "src"
 
