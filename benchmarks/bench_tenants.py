@@ -58,14 +58,15 @@ def test_tenant_fair_vs_fifo_jain_ab():
 
 
 def test_tenant_admission_quota_hot_path():
-    """The per-submit admission charge/refund cycle (quota-tracked
-    tenant) — pure CPU."""
+    """The per-request admission charge and cancelled-outcome refund
+    cycle (quota-tracked tenant) — pure CPU."""
     registry = TenantRegistry()
     registry.register("hot", byte_quota=1 << 40)
 
     def cycle():
         for _ in range(256):
             registry.admit("hot", 4096)
-            registry.refund("hot", 4096)
+            with registry.lock:
+                registry.finish_locked("hot", "cancelled", 4096)
 
     cycle()

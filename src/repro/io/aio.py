@@ -19,17 +19,17 @@ settles on the lane worker, inline; the reaper backend lives in
 :mod:`repro.io.uring`.  How the bytes reach the kernel is the stores'
 business (:mod:`repro.io.fdtable`) and the same under every backend.
 
-Backend contract (docs/architecture.md §10): for every request in the
-batch the loop (1) wins :meth:`IOJob.claim` before touching it — a lost
-claim means a canceller got there first and the request is skipped
-silently; (2) brackets the body with
-:meth:`IOScheduler.begin_request` / :meth:`IOScheduler.finish_request`
-(the books themselves are closed by the terminal transition,
-:meth:`IOJob._dispatch`, exactly once whoever caused it); (3) leaves every claimed request in a
-terminal state (DONE/FAILED) even when the body raises something
-unexpected — ``finish_request`` enforces this.  Retries happen inside
-the body via :func:`~repro.io.errors.retry_call`; a finished request is
-never re-run.
+Backend contract (docs/architecture.md §10), one pass per request:
+:meth:`IOBackend.run_batch` (1) wins :meth:`IOJob.claim` before touching
+a request — a lost claim means a canceller got there first and the
+request is skipped silently; (2) stamps it started and runs its body
+under the syscall tape, in the request's tenant scope; (3) hands the
+outcome to :meth:`IOBackend._settle`, which applies it (the terminal
+transition closes the scheduler's books in one pass, exactly once
+whoever caused it, then runs the done callbacks), leaves the request
+terminal even when something outside the body raised, and only then
+emits the ``done`` event.  Retries happen inside the body via
+:func:`~repro.io.errors.retry_call`; a finished request is never re-run.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import enum
 import logging
 import threading
+import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -107,6 +108,48 @@ class JobState(enum.Enum):
     CANCELLED = "cancelled"
 
 
+#: The states as module constants: the request path tests them a dozen
+#: times per request, and a member looked up on its Enum class costs
+#: ~0.17 us where a global costs ~0.01.
+PENDING, RUNNING, DONE, FAILED, CANCELLED = JobState
+
+
+class _Completion:
+    """``IOJob.done_event``: ``is_set`` / ``set`` / ``wait`` as on a
+    :class:`threading.Event`, without building one (a Condition and two
+    locks) for the many jobs nobody blocks on.  The Event is made by the
+    first thread that waits before the job is terminal.  That check and
+    every :meth:`set` run under the job's lock, so a waiter cannot miss
+    the set."""
+
+    __slots__ = ("_lock", "_set", "_event")
+
+    def __init__(self, lock: threading.Lock) -> None:
+        self._lock = lock
+        self._set = False
+        self._event: Optional[threading.Event] = None
+
+    def is_set(self) -> bool:
+        return self._set
+
+    def set(self) -> None:
+        """Mark the job terminal; the caller holds the job's lock."""
+        self._set = True
+        if self._event is not None:
+            self._event.set()
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        if self._set:
+            return True
+        with self._lock:
+            if self._set:
+                return True
+            if self._event is None:
+                self._event = threading.Event()
+            event = self._event
+        return event.wait(timeout)
+
+
 class IOJob:
     """A unit of I/O work with an observable state and completion event.
 
@@ -129,16 +172,16 @@ class IOJob:
     ) -> None:
         self.fn = fn
         self._label = label
-        self.state = JobState.PENDING
+        self.state = PENDING
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         #: Re-attempts actually performed (0 = first try succeeded/failed).
         self.attempts = 0
-        self.done_event = threading.Event()
         self._callbacks: List[Callable[["IOJob"], None]] = []
         self._lock = threading.Lock()
+        self.done_event = _Completion(self._lock)
 
     @property
     def label(self) -> str:
@@ -149,7 +192,7 @@ class IOJob:
         """Run ``cb(job)`` on completion (immediately if already done)."""
         run_now = False
         with self._lock:
-            if self.done_event.is_set():
+            if self.done_event._set:
                 run_now = True
             else:
                 self._callbacks.append(cb)
@@ -170,20 +213,14 @@ class IOJob:
         callbacks fire for cancelled jobs too (with ``state`` CANCELLED).
         """
         with self._lock:
-            if self.state is not JobState.PENDING:
+            if self.state is not PENDING:
                 return False
-            self.state = JobState.CANCELLED
+            self.state = CANCELLED
             self.fn = None  # drop closure refs, as a completed run would
-            callbacks = self._finish_locked()
+            callbacks, self._callbacks = self._callbacks, []
+            self.done_event.set()  # wakes the waiters; callbacks go to _dispatch
         self._dispatch(callbacks)
         return True
-
-    def _finish_locked(self) -> List[Callable[["IOJob"], None]]:
-        """The tail of every terminal transition (caller holds the lock):
-        wake the waiters, hand back the callbacks to :meth:`_dispatch`."""
-        callbacks, self._callbacks = self._callbacks, []
-        self.done_event.set()
-        return callbacks
 
     def _dispatch(self, callbacks: List[Callable[["IOJob"], None]]) -> None:
         """Called once, right after the terminal transition and outside
@@ -206,9 +243,9 @@ class IOJob:
         start/done events for it.
         """
         with self._lock:
-            if self.state is not JobState.PENDING:
+            if self.state is not PENDING:
                 return False
-            self.state = JobState.RUNNING
+            self.state = RUNNING
             return True
 
     def _count_retry(self, exc: BaseException, attempt: int) -> None:
@@ -248,11 +285,12 @@ class IOJob:
         when this call performed the transition.
         """
         with self._lock:
-            if self.done_event.is_set() or self.state is not JobState.RUNNING:
+            if self.done_event._set or self.state is not RUNNING:
                 return False
-            self.state = JobState.FAILED
+            self.state = FAILED
             self.error = error
-            callbacks = self._finish_locked()
+            callbacks, self._callbacks = self._callbacks, []
+            self.done_event.set()  # wakes the waiters; callbacks go to _dispatch
         self._dispatch(callbacks)
         return True
 
@@ -265,17 +303,18 @@ class IOJob:
         never interleave between the guard and the terminal write.
         """
         with self._lock:
-            if self.done_event.is_set():
+            if self.done_event._set:
                 self.fn = None  # the body returned; closure refs can go now
                 return
             if error is not None:
                 self.error = error
-                self.state = JobState.FAILED
+                self.state = FAILED
             else:
                 self.result = result
-                self.state = JobState.DONE
+                self.state = DONE
             self.fn = None  # drop closure refs so GPU buffers can be reclaimed
-            callbacks = self._finish_locked()
+            callbacks, self._callbacks = self._callbacks, []
+            self.done_event.set()  # wakes the waiters; callbacks go to _dispatch
         self._dispatch(callbacks)
 
     def run(self) -> None:
@@ -309,35 +348,33 @@ class IOLaneStats:
 
 
 class _Batch:
-    """What the members of one dequeued batch share while they settle."""
+    """What the members of one multi-request batch share while they settle."""
 
-    __slots__ = ("lane", "done_members")
+    __slots__ = ("done_members",)
 
-    def __init__(self, lane: str) -> None:
-        self.lane = lane
+    def __init__(self) -> None:
         self.done_members = 0
 
 
 class IOBackend:
     """The lane loop, and who settles a finished body.
 
-    :meth:`run_batch` is the only per-request loop in the stack: claim,
-    begin, run the body under the syscall tape, book the lane, hand the
-    outcome to :meth:`_hand_off`.  Subclasses differ only in that last
-    step — *which thread* runs :meth:`_settle` (apply the outcome, fire
-    done callbacks, finish, book coalescing, notify): the lane worker
-    itself (:class:`ThreadBackend`) or a reaper
-    (:class:`~repro.io.uring.UringBackend`).  The scheduler calls
-    :meth:`bind` once at construction and :meth:`shutdown` after its
-    workers have been joined (so no batch is in flight).
+    :meth:`run_batch` is the only per-request loop in the stack and
+    :meth:`_settle` its one settlement; subclasses differ only in
+    :meth:`_hand_off` — *which thread* settles: the lane worker itself
+    (:class:`ThreadBackend`) or a reaper
+    (:class:`~repro.io.uring.UringBackend`).  Both are the scheduler's
+    own request path, so they keep its books directly.  The scheduler
+    calls :meth:`bind` once at construction and :meth:`shutdown` after
+    its workers have been joined (so no batch is in flight).
     """
 
     name = "backend"
 
     def __init__(self) -> None:
         self.scheduler = None  # bound by IOScheduler.__init__
-        self._stats_lock = threading.Lock()
-        self._lanes: Dict[str, IOLaneStats] = defaultdict(IOLaneStats)  # under _stats_lock
+        self._lanes_lock = threading.Lock()
+        self._lanes: Dict[str, IOLaneStats] = defaultdict(IOLaneStats)  # under _lanes_lock
 
     def bind(self, scheduler) -> None:
         self.scheduler = scheduler
@@ -347,9 +384,9 @@ class IOBackend:
         (:meth:`IOScheduler.run_inline`) settles on the calling thread
         under every backend: the caller is about to read the outcome, so
         a reaper could only add a hand-off to it."""
-        batch = _Batch(lane)
+        sched = self.scheduler
+        batch = _Batch() if len(requests) > 1 else None
         hand_off = self._settle if inline else self._hand_off
-        begin = self.scheduler.begin_request
         claimed = 0
         for request in requests:
             if not request.claim():
@@ -358,7 +395,12 @@ class IOBackend:
             claimed += 1
             if claimed > 1:
                 request.coalesced = True
-            begin(request)
+            request.started_at = time.monotonic()
+            if sched._watchdog is not None:
+                with sched._inflight_lock:
+                    sched._inflight.add(request)
+            if sched._listeners:
+                sched._safe_notify("start", request)
             tape = syscall_tape()
             # One tenant scope for the body and — when this thread
             # settles — the settlement: placement, pool/arena accounting
@@ -371,7 +413,7 @@ class IOBackend:
                     result, error = None, exc
                 # Booked before the hand-off: settling wakes the waiter, and
                 # a reader that drained must find this request on the books.
-                with self._stats_lock:
+                with self._lanes_lock:
                     stats = self._lanes[lane]
                     stats.syscalls += tape.count
                     if claimed == 1:
@@ -383,34 +425,57 @@ class IOBackend:
                 hand_off(batch, request, result, error)
 
     def _hand_off(
-        self, batch: _Batch, request: "IOJob", result: Any, error: Optional[BaseException]
+        self, batch: Optional[_Batch], request: "IOJob", result: Any, error: Optional[BaseException]
     ) -> None:
         """Get :meth:`_settle` called with these arguments, once."""
         raise NotImplementedError
 
     def _settle(
-        self, batch: _Batch, request: "IOJob", result: Any, error: Optional[BaseException]
+        self, batch: Optional[_Batch], request: "IOJob", result: Any, error: Optional[BaseException]
     ) -> None:
-        """Apply a body's outcome: the terminal transition (which closes
-        the books and fires the done callbacks), then the ``done`` event.
-        The caller holds the request's tenant scope (:meth:`run_batch`,
-        or the reaper), so refunds/arena attribution land on its tenant."""
+        """Apply a claimed request's outcome; must not raise.
+
+        The terminal transition closes the books and fires the done
+        callbacks (:meth:`IOJob.complete`); then the request is stamped
+        finished, made terminal if something outside its body kept it
+        from getting there, booked as coalesced when it is a batch's
+        second or later DONE member, and announced with the ``done``
+        event.  The caller holds the request's tenant scope
+        (:meth:`run_batch`, or the reaper), so refunds and arena
+        attribution land on its tenant."""
         sched = self.scheduler
         try:
             request.complete(result, error)
         except Exception:
             logger.exception("request %s raised outside the job body", request.label)
-        finally:
-            sched.finish_request(request)
-        if request.state is JobState.DONE:
+        if not request.finished_at:  # a reaper stamps it at I/O completion
+            request.finished_at = time.monotonic()
+        if sched._watchdog is not None:
+            with sched._inflight_lock:
+                sched._inflight.discard(request)
+        if not request.done_event._set:
+            # complete() raised before its terminal transition: the last
+            # resort, so no waiter blocks on a request a worker touched.
+            stranded = request.error or RuntimeError(
+                f"request {request.label} left non-terminal by a settle failure"
+            )
+            try:
+                request.complete(None, stranded)
+            except Exception:
+                logger.exception("failing stranded request %s raised", request.label)
+                with request._lock:
+                    request.state, request.error = FAILED, stranded
+                    request.done_event.set()
+        if batch is not None and request.state is DONE:
             batch.done_members += 1
             if batch.done_members > 1:
                 sched.book_coalesced(batch.done_members, request.nbytes)
-        sched.notify_done(request)
+        if sched._listeners:
+            sched._safe_notify("done", request)
 
     def lane_stats(self) -> Dict[str, IOLaneStats]:
         """Non-destructive snapshot of the per-lane telemetry."""
-        with self._stats_lock:
+        with self._lanes_lock:
             return {lane: replace(stats) for lane, stats in self._lanes.items()}
 
     def shutdown(self) -> None:  # pragma: no cover - default is a no-op

@@ -44,7 +44,6 @@ _Key = Tuple[str, Optional[str]]  # (lane, tenant); tenant None is the lane as a
 class LaneHealthSnapshot:
     """Point-in-time health of one lane (read-only copy)."""
 
-    successes: int = 0
     failures: int = 0
     consecutive_failures: int = 0
     #: Filled from the breaker when the snapshot is taken.
@@ -58,9 +57,10 @@ def _key(lane: str, tenant: Optional[str]) -> _Key:
 
 
 class LaneHealthTracker:
-    """Per-lane failure/success bookkeeping and the dead-lane verdict.
+    """Per-lane failure bookkeeping and the dead-lane verdict.
 
-    Fed by the scheduler on every request completion.  A lane's breaker
+    Fed by the scheduler on every request completion; a success only
+    ends a failure streak.  A lane's breaker
     **trips** the moment any request fails with a
     :class:`~repro.io.errors.PermanentIOError`, after ``death_threshold``
     *consecutive* terminal failures (a device that fails everything is
@@ -184,10 +184,12 @@ class LaneHealthTracker:
 
     # ------------------------------------------------------------------ books
     def record_success(self, lane: str, tenant: str = DEFAULT_TENANT) -> None:
-        with self._lock:
-            book = self._book(_key(lane, tenant))
-            book.successes += 1
-            book.consecutive_failures = 0
+        """End the failure streak, if there is one: the common case, a
+        lane with no streak, reads one dict entry and takes no lock."""
+        book = self._books.get(_key(lane, tenant))
+        if book is not None and book.consecutive_failures:
+            with self._lock:
+                book.consecutive_failures = 0
 
     def record_failure(
         self, lane: str, permanent: bool = False, tenant: str = DEFAULT_TENANT

@@ -83,7 +83,8 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.io.aio import IOBackend, IOJob, IOLaneStats, JobState, ThreadBackend
+from repro.io.aio import CANCELLED, DONE, FAILED, PENDING, RUNNING
+from repro.io.aio import IOBackend, IOJob, IOLaneStats, ThreadBackend
 from repro.io.errors import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_RETRY_BACKOFF_S,
@@ -300,7 +301,7 @@ class _ClassRing:
                 self.idx = 0
             tenant = self.order[self.idx]
             queue = self.queues[tenant]
-            while queue and queue[0].state is not JobState.PENDING:
+            while queue and queue[0].state is not PENDING:
                 queue.popleft()  # cancelled while queued
                 dropped += 1
             if not queue:
@@ -420,7 +421,7 @@ class _FairQueue:
             queue = ring.queues.get(tenant)
             if queue is None:
                 continue
-            while queue and queue[0].state is not JobState.PENDING:
+            while queue and queue[0].state is not PENDING:
                 queue.popleft()
                 self.size -= 1
             if not queue:
@@ -529,7 +530,9 @@ class IOScheduler:
         #: Per-lane failure/death bookkeeping fed by request completions;
         #: the tiered offloader and the adaptive controller both read it.
         self.health = LaneHealthTracker()
-        self._stats_lock = threading.Lock()
+        #: The registry's books lock: one acquisition opens (or closes) a
+        #: request's global and tenant books.
+        self._stats_lock = self.tenants.lock
         # An Event, not a lock-guarded bool: worker loops read the flag
         # under their lane's condition while shutdown() runs under the
         # stats lock — a plain bool written under one lock and read under
@@ -550,6 +553,14 @@ class IOScheduler:
             )
             for lane in lanes
         }
+        #: In-flight (begun, not finished) requests the watchdog scans;
+        #: maintained only when a watchdog runs.  Guarded by _inflight_lock.
+        self._inflight: set = set()
+        self._inflight_lock = threading.Lock()
+        # The watchdog thread exists only when deadlines need it — a
+        # default-configured scheduler spawns no extra thread (the
+        # engine-lifecycle leak test counts on that).
+        self._watchdog: Optional[threading.Thread] = None
         self._workers: List[threading.Thread] = []
         for lane in self._lanes.values():
             for i in range(workers):
@@ -561,14 +572,6 @@ class IOScheduler:
                 )
                 self._workers.append(worker)
                 worker.start()
-        #: In-flight (begun, not finished) requests the watchdog scans;
-        #: maintained only when a watchdog runs.  Guarded by _inflight_lock.
-        self._inflight: set = set()
-        self._inflight_lock = threading.Lock()
-        # The watchdog thread exists only when deadlines need it — a
-        # default-configured scheduler spawns no extra thread (the
-        # engine-lifecycle leak test counts on that).
-        self._watchdog: Optional[threading.Thread] = None
         if self.deadlines:
             self._watchdog = threading.Thread(
                 target=self._watchdog_loop, name=f"{name}-watchdog", daemon=True
@@ -605,9 +608,7 @@ class IOScheduler:
         :class:`~repro.io.tenancy.TenantQuotaError` and is booked
         ``rejected`` on its tenant.
         """
-        lane = self._lane_of(request)  # validated before quota is charged
-        self._admit(request)
-        self._enqueue(request, lane)
+        self._open(request, queued=True)
         return request
 
     def run_inline(self, request: IORequest) -> IORequest:
@@ -623,25 +624,15 @@ class IOScheduler:
         on failure and the refusal after :meth:`shutdown` are
         :meth:`submit`'s, because the same code runs them.
         """
-        lane = self._lane_of(request)
-        self._admit(request)
-        self._enqueue(request, lane, queued=False)
-        self._run_batch(lane, [request], inline=True)
+        self._run_batch(self._open(request, queued=False), [request], inline=True)
         return request
 
-    def _admit(self, request: IORequest) -> None:
-        """Tenant admission: charge ``request`` to its tenant, or raise
-        :class:`~repro.io.tenancy.TenantQuotaError`."""
-        if self.tenants.admit(request.tenant, request.nbytes) == "reject":
-            raise TenantQuotaError(
-                f"tenant {request.tenant!r} over quota: {request.label} "
-                f"({request.nbytes} bytes) rejected"
-            )
-
-    def _enqueue(self, request: IORequest, lane: _Lane, queued: bool = True) -> None:
-        """Admission already charged: open the request's books (lane
-        ``pending``, the submit counters) and, unless the caller runs it
-        itself, queue it; :meth:`_close_books` closes them, once."""
+    def _open(self, request: IORequest, queued: bool) -> _Lane:
+        """Admit ``request`` and open its books — admission and the
+        submit counters in one acquisition of the books lock, then the
+        lane's ``pending`` — and, unless the caller runs it itself,
+        queue it.  :meth:`_close_books` closes them, once."""
+        lane = self._lane_of(request)
         # Requests without an explicit retry policy inherit the
         # scheduler's (an explicit 0 opts out — stateful bodies that
         # handle their own retries must not be blindly re-executed).
@@ -649,6 +640,15 @@ class IOScheduler:
             request.max_retries = self.max_retries
         if request.retry_backoff_s is None:
             request.retry_backoff_s = self.retry_backoff_s
+        tenant, nbytes, stats = request.tenant, request.nbytes, self.stats
+        cls = _CLASS_NAMES[request.priority]
+        with self._stats_lock:
+            if not self.tenants.admit_locked(tenant, nbytes):
+                raise TenantQuotaError(
+                    f"tenant {tenant!r} over quota: {request.label} ({nbytes} bytes) rejected"
+                )
+            stats.submitted += 1
+            stats.submitted_by_class[cls] = stats.submitted_by_class.get(cls, 0) + 1
         request.submitted_at = time.monotonic()
         with lane.lock:
             shut = self._shutdown.is_set()
@@ -660,54 +660,51 @@ class IOScheduler:
                     lane.queue.push(request)
                     lane.cond.notify()
         if shut:
-            # Admission already booked/charged this request; undo it so
-            # the per-tenant books stay exact through the refusal.
-            self.tenants.rollback_submitted(request.tenant, request.nbytes)
+            # Undo the admission and the counters: every book stays exact.
+            with self._stats_lock:
+                self.tenants.rollback_locked(tenant, nbytes)
+                stats.submitted -= 1
+                stats.submitted_by_class[cls] -= 1
+                if not stats.submitted_by_class[cls]:
+                    del stats.submitted_by_class[cls]
             raise RuntimeError(f"scheduler {self.name} is shut down")
-        with self._stats_lock:
-            self.stats.submitted += 1
-            by_class = self.stats.submitted_by_class
-            cls = _CLASS_NAMES[request.priority]
-            by_class[cls] = by_class.get(cls, 0) + 1
-        if request.done_event.is_set():
+        if request.done_event._set:
             # Cancelled ahead of (or while) being submitted: its dispatch
             # may have found no books to close.  Closing is once-only.
             self._close_books(request)
         if self._listeners:
             self._safe_notify("submit", request)
+        return lane
 
     def _close_books(self, request: IORequest) -> None:
-        """Close a terminal request's books, exactly once: the global
-        counters, the tenant's books and quota, lane health and, last
-        (a :meth:`drain` that returns finds the rest booked), the lane's
-        ``pending``.  Called by :meth:`IORequest._dispatch`."""
-        state = request.state
-        nbytes = request.nbytes
-        stats = self.stats
-        with self._stats_lock:
-            if request._scheduler is not self:
-                return  # already closed
-            request._scheduler = None
-            stats.retries += request.attempts
-            if state is JobState.DONE:
-                stats.executed += 1
-                outcome = "executed"
-            elif state is JobState.FAILED:
-                stats.failed += 1
-                stats.failed_bytes += nbytes
-                outcome = "failed"
-            else:
-                stats.cancelled += 1
-                stats.cancelled_bytes += nbytes
-                if request.kind in ("store", "demote"):
-                    stats.cancelled_stores += 1
-                outcome = "cancelled"
-        tenant = request.tenant
+        """Close a terminal request's books, exactly once: the global and
+        tenant outcome and the quota refund under one acquisition of the
+        books lock, then lane health, then — last, so a :meth:`drain` that
+        returns finds the rest booked, and whatever a step raised — the
+        lane's ``pending``.  Called by :meth:`IORequest._dispatch`."""
+        state, nbytes, tenant, stats = request.state, request.nbytes, request.tenant, self.stats
+        lane = self._lanes[request.lane]
         try:
-            self.tenants.note_finished(tenant, outcome, nbytes, retries=request.attempts)
-            if state is not JobState.DONE:
-                # The bytes never landed: refund the tenant's quota charge.
-                self.tenants.refund(tenant, nbytes)
+            with self._stats_lock:
+                if request._scheduler is not self:
+                    lane = None  # already closed, by another caller
+                    return
+                request._scheduler = None
+                stats.retries += request.attempts
+                if state is DONE:
+                    stats.executed += 1
+                    outcome = "executed"
+                elif state is FAILED:
+                    stats.failed += 1
+                    stats.failed_bytes += nbytes
+                    outcome = "failed"
+                else:
+                    stats.cancelled += 1
+                    stats.cancelled_bytes += nbytes
+                    if request.kind in ("store", "demote"):
+                        stats.cancelled_stores += 1
+                    outcome = "cancelled"
+                self.tenants.finish_locked(tenant, outcome, nbytes, request.attempts)
             # Health is learned only from requests that actually ran, and
             # only from *device-shaped* errors: a MemoryError (pool
             # capacity spike), a structural OSError (missing file,
@@ -718,24 +715,22 @@ class IOScheduler:
             # learns the truth despite the request completing DONE.
             # Verdicts are tenant-scoped: the default tenant drives the
             # lane's global verdict, any other tenant only its own.
-            if state is not JobState.CANCELLED:
-                error = request.error if state is JobState.FAILED else request.health_error
+            if state is not CANCELLED:
+                error = request.error if state is FAILED else request.health_error
                 if error is not None and is_device_error(error):
                     self.health.record_failure(
                         request.lane,
                         permanent=isinstance(error, PermanentIOError),
                         tenant=tenant,
                     )
-                elif state is JobState.DONE:
-                    self.health.record_success(request.lane, tenant=tenant)
+                elif state is DONE:
+                    self.health.record_success(request.lane, tenant)
         finally:
-            # Unconditional, whatever a tenant or health step raised: a
-            # skipped decrement turns into a drain() hang.
-            lane = self._lanes[request.lane]
-            with lane.lock:
-                lane.pending -= 1
-                if not lane.pending:
-                    lane.idle.notify_all()
+            if lane is not None:
+                with lane.lock:
+                    lane.pending -= 1
+                    if not lane.pending:
+                        lane.idle.notify_all()
 
     # ------------------------------------------------------ cancel / promote
     def cancel(self, request: IORequest) -> bool:
@@ -762,7 +757,7 @@ class IOScheduler:
             return False
         lane = self._lane_of(request)
         with lane.lock:
-            if request.state is not JobState.PENDING:
+            if request.state is not PENDING:
                 return False
             if int(priority) >= int(request.priority):
                 return False
@@ -847,26 +842,6 @@ class IOScheduler:
                     "scheduler listener raised on %r for %s", event, request.label
                 )
 
-    @staticmethod
-    def _force_terminal(request: IORequest) -> None:
-        """Last-resort guarantee that a claimed request reaches a
-        terminal state.  ``complete()`` fails the job on any body
-        exception, but a *done callback* raising mid-dispatch can
-        propagate out with the remaining callbacks unrun; re-finishing
-        is not possible (the state is already terminal), so this only
-        covers the theoretical claimed-but-never-finished hole — a
-        waiter must never block forever on a request a worker touched."""
-        if request.done_event.is_set():
-            return
-        error = request.error or RuntimeError(
-            f"request {request.label} left non-terminal by a callback failure"
-        )
-        try:
-            request.complete(None, error)
-        except Exception:
-            logger.exception("failing stranded request %s raised", request.label)
-            request.done_event.set()
-
     # ---------------------------------------------------- watchdog
     # Runs only when deadlines are configured: scans the in-flight set
     # and abandons requests stuck past their class's deadline.
@@ -903,47 +878,6 @@ class IOScheduler:
             with self._stats_lock:
                 self.stats.deadline_abandons += 1
             self._safe_notify("abandon", request)
-
-    # ---------------------------------------------------- backend hooks
-    # The installed IOBackend drives these for every request it claimed;
-    # together they are the whole bookkeeping contract (docs §10).  Kept
-    # as small public wrappers so a backend never reaches into the
-    # scheduler's locking discipline.
-
-    def begin_request(self, request: IORequest) -> None:
-        """Stamp a claimed request as started and tell the listeners.
-
-        Must be called exactly once per won :meth:`IOJob.claim`, before
-        the body runs.
-        """
-        request.started_at = time.monotonic()
-        if self._watchdog is not None:
-            with self._inflight_lock:
-                self._inflight.add(request)
-        if self._listeners:
-            self._safe_notify("start", request)
-
-    def finish_request(self, request: IORequest) -> None:
-        """Book a begun request as finished and force a terminal state.
-
-        Must be called exactly once per :meth:`begin_request`, after the
-        body's outcome has been applied (or when the backend gave up on
-        the request).  Guarantees the job is DONE/FAILED so no waiter
-        can block forever on a request a backend touched.
-        ``finished_at`` is stamped here unless the backend already did
-        (an SQ/CQ backend stamps it at I/O completion, before the reap).
-        """
-        if not request.finished_at:
-            request.finished_at = time.monotonic()
-        if self._watchdog is not None:
-            with self._inflight_lock:
-                self._inflight.discard(request)
-        self._force_terminal(request)
-
-    def notify_done(self, request: IORequest) -> None:
-        """Emit the ``"done"`` listener event for a finished request."""
-        if self._listeners:
-            self._safe_notify("done", request)
 
     def book_coalesced(self, done_members: int, nbytes: int) -> None:
         """Book a batch's ``done_members``-th DONE member as coalesced.
@@ -990,14 +924,14 @@ class IOScheduler:
     def _run_batch(self, lane: _Lane, batch: List[IORequest], inline: bool = False) -> None:
         """Hand a batch to the backend, which runs the members' bodies on
         this thread and settles them here or (unless ``inline``) on its
-        reaper; the scheduler's books are updated through the
-        begin/finish hooks.  The backend must not raise — but one
-        poisoned batch still must not kill the lane and hang drain() on
-        the work queued behind it, so the residual hazard is contained
-        here too."""
+        reaper.  The backend must not raise — but one poisoned batch
+        still must not kill the lane and hang drain() on the work queued
+        behind it, so a claimed member the backend left running, and
+        did not hand off (a hand-off stamps ``finished_at``), is failed
+        here, through the same settlement."""
         try:
             self.backend.run_batch(lane.name, batch, inline=inline)
-        except Exception:
+        except Exception as exc:
             logger.exception(
                 "backend %s raised on a %s batch; thread %s continues",
                 self.backend.name,
@@ -1005,11 +939,8 @@ class IOScheduler:
                 threading.current_thread().name,
             )
             for request in batch:
-                if request.state is JobState.RUNNING:
-                    try:
-                        self.finish_request(request)
-                    except Exception:
-                        self._force_terminal(request)
+                if request.state is RUNNING and not request.finished_at:
+                    self.backend._settle(None, request, None, exc)
 
     # ------------------------------------------------------------------- drain
     def pending(self, lane: Optional[str] = None) -> int:

@@ -45,12 +45,17 @@ DEFAULT_TENANT = "default"
 #: per ring visit (scaled by its weight).
 DEFAULT_DRR_QUANTUM_BYTES = 64 << 10
 
-_tls = threading.local()
+
+class _TenantState(threading.local):
+    tenant = DEFAULT_TENANT  # a class default: getattr's miss path costs ~0.6 us
+
+
+_tls = _TenantState()
 
 
 def current_tenant() -> str:
     """The tenant attributed to work submitted from this thread."""
-    return getattr(_tls, "tenant", DEFAULT_TENANT)
+    return _tls.tenant
 
 
 class tenant_scope:
@@ -71,15 +76,12 @@ class tenant_scope:
         self.name = name
 
     def __enter__(self) -> str:
-        self._previous = getattr(_tls, "tenant", None)
+        self._previous = _tls.tenant
         _tls.tenant = self.name
         return self.name
 
     def __exit__(self, *exc: object) -> None:
-        if self._previous is None:
-            del _tls.tenant
-        else:
-            _tls.tenant = self._previous
+        _tls.tenant = self._previous
 
 
 class TenantQuotaError(RuntimeError):
@@ -147,7 +149,11 @@ class TenantRegistry:
         if quantum_bytes < 1:
             raise ValueError(f"quantum_bytes must be >= 1: {quantum_bytes}")
         self.quantum_bytes = quantum_bytes
-        self._lock = threading.Lock()
+        #: The books lock.  The scheduler that owns the registry keeps its
+        #: global books under it too, so one acquisition opens (or
+        #: closes) a request's global and tenant books: the ``*_locked``
+        #: methods are for a caller that holds it.
+        self.lock = threading.Lock()
         self._tenants: Dict[str, TenantContext] = {}
         self._stats: Dict[str, TenantStats] = {}
 
@@ -157,21 +163,13 @@ class TenantRegistry:
     ) -> TenantContext:
         """Register (or replace, whole) a tenant's QoS contract."""
         ctx = tenant if isinstance(tenant, TenantContext) else TenantContext(tenant, **kwargs)
-        with self._lock:
+        with self.lock:
             self._tenants[ctx.name] = ctx
             self._stats.setdefault(ctx.name, TenantStats())
         return ctx
 
-    def _ensure_locked(self, name: str) -> TenantContext:
-        ctx = self._tenants.get(name)
-        if ctx is None:
-            ctx = self._tenants[name] = TenantContext(name)
-        if name not in self._stats:
-            self._stats[name] = TenantStats()
-        return ctx
-
     def weight(self, name: str) -> float:
-        with self._lock:
+        with self.lock:
             ctx = self._tenants.get(name)
             return ctx.weight if ctx is not None else 1.0
 
@@ -179,69 +177,67 @@ class TenantRegistry:
     def admit(self, name: str, nbytes: int) -> str:
         """Admission verdict for one submission: ``"ok"`` (charged and
         counted as submitted) or ``"reject"``."""
-        with self._lock:
-            ctx = self._ensure_locked(name)
-            stats = self._stats[name]
-            over = (
-                ctx.byte_quota is not None
-                and stats.quota_in_use_bytes + nbytes > ctx.byte_quota
-            )
-            if not over:
-                if ctx.byte_quota is not None:
-                    stats.quota_charged_bytes += nbytes
-                stats.submitted += 1
-                stats.submitted_bytes += nbytes
-                return "ok"
+        with self.lock:
+            return "ok" if self.admit_locked(name, nbytes) else "reject"
+
+    def admit_locked(self, name: str, nbytes: int) -> bool:
+        """:meth:`admit` under :attr:`lock`: True when admitted.  An
+        unknown tenant registers with the default contract."""
+        ctx = self._tenants.get(name)
+        if ctx is None:
+            ctx = self._tenants[name] = TenantContext(name)
+        stats = self._stats.get(name)
+        if stats is None:
+            stats = self._stats[name] = TenantStats()
+        quota = ctx.byte_quota
+        if quota is not None and stats.quota_in_use_bytes + nbytes > quota:
             stats.rejected += 1
             stats.rejected_bytes += nbytes
-            return "reject"
+            return False
+        if quota is not None:
+            stats.quota_charged_bytes += nbytes
+        stats.submitted += 1
+        stats.submitted_bytes += nbytes
+        return True
 
-    def rollback_submitted(self, name: str, nbytes: int) -> None:
+    def rollback_locked(self, name: str, nbytes: int) -> None:
         """Undo one admitted-but-never-enqueued submission (the
         scheduler refused it at the lane, e.g. shutdown raced)."""
-        with self._lock:
-            ctx = self._ensure_locked(name)
-            stats = self._stats[name]
-            stats.submitted -= 1
-            stats.submitted_bytes -= nbytes
-            if ctx.byte_quota is not None:
-                stats.quota_refunded_bytes += nbytes
-
-    def refund(self, name: str, nbytes: int) -> None:
-        """Return quota headroom for a request that never landed its
-        bytes (cancelled or failed)."""
-        with self._lock:
-            ctx = self._ensure_locked(name)
-            if ctx.byte_quota is not None:
-                self._stats[name].quota_refunded_bytes += nbytes
+        stats = self._stats[name]
+        stats.submitted -= 1
+        stats.submitted_bytes -= nbytes
+        if self._tenants[name].byte_quota is not None:
+            stats.quota_refunded_bytes += nbytes
 
     # -------------------------------------------------------------------- books
-    def note_finished(self, name: str, outcome: str, nbytes: int, retries: int = 0) -> None:
-        """Book one terminal request (outcome: executed/failed/cancelled)."""
-        with self._lock:
-            stats = self._stats.get(name)
-            if stats is None:
-                stats = self._stats[name] = TenantStats()
-            stats.retries += retries
-            if outcome == "executed":
-                stats.executed += 1
-                stats.executed_bytes += nbytes
-            elif outcome == "failed":
-                stats.failed += 1
-                stats.failed_bytes += nbytes
-            elif outcome == "cancelled":
-                stats.cancelled += 1
-                stats.cancelled_bytes += nbytes
-            else:
-                raise ValueError(f"unknown outcome {outcome!r}")
+    def finish_locked(self, name: str, outcome: str, nbytes: int, retries: int = 0) -> None:
+        """Book one terminal admitted request under :attr:`lock`
+        (outcome: executed/failed/cancelled).  A request that did not
+        execute never landed its bytes: its quota charge is refunded."""
+        stats = self._stats[name]
+        stats.retries += retries
+        if outcome == "executed":
+            stats.executed += 1
+            stats.executed_bytes += nbytes
+            return
+        if outcome == "failed":
+            stats.failed += 1
+            stats.failed_bytes += nbytes
+        elif outcome == "cancelled":
+            stats.cancelled += 1
+            stats.cancelled_bytes += nbytes
+        else:
+            raise ValueError(f"unknown outcome {outcome!r}")
+        if self._tenants[name].byte_quota is not None:
+            stats.quota_refunded_bytes += nbytes
 
     def stats_of(self, name: str) -> TenantStats:
-        with self._lock:
+        with self.lock:
             stats = self._stats.get(name, TenantStats())
             return TenantStats(**vars(stats))
 
     def stats_snapshot(self) -> Dict[str, TenantStats]:
-        with self._lock:
+        with self.lock:
             return {name: TenantStats(**vars(s)) for name, s in self._stats.items()}
 
 

@@ -34,7 +34,7 @@ logger = logging.getLogger(__name__)
 __all__ = ["UringBackend"]
 
 #: One completion-queue entry: the arguments of ``IOBackend._settle``.
-_CQE = Tuple[_Batch, IOJob, Any, Optional[BaseException]]
+_CQE = Tuple[Optional[_Batch], IOJob, Any, Optional[BaseException]]
 
 
 class UringBackend(IOBackend):
@@ -64,7 +64,7 @@ class UringBackend(IOBackend):
             self._reaper.start()
 
     # ------------------------------------------------------------ submission
-    def _hand_off(self, batch: _Batch, request: IOJob, result, error) -> None:
+    def _hand_off(self, batch: Optional[_Batch], request: IOJob, result, error) -> None:
         # The I/O is done now — finished_at marks device completion, the
         # reaper's stamp on top of it is pure completion-path latency.
         request.finished_at = time.monotonic()
@@ -81,10 +81,10 @@ class UringBackend(IOBackend):
                 if not self._cq:
                     return
                 cqe = self._cq.popleft()
-            batch, request = cqe[0], cqe[1]
+            request = cqe[1]
             lag = max(0.0, time.monotonic() - request.finished_at)
-            with self._stats_lock:
-                stats = self._lanes[batch.lane]
+            with self._lanes_lock:
+                stats = self._lanes[request.lane]
                 stats.reaped += 1
                 stats.reap_lag_s += lag
             try:
@@ -92,8 +92,6 @@ class UringBackend(IOBackend):
                     self._settle(*cqe)
             except Exception:  # pragma: no cover - reaper must survive
                 logger.exception("reaper failed on %s", request.label)
-                if not request.done_event.is_set():
-                    self.scheduler.finish_request(request)
 
     def shutdown(self) -> None:
         """Stop the reaper once its queue is empty (idempotent)."""

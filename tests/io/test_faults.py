@@ -471,14 +471,21 @@ def test_scheduler_feeds_lane_health():
     def boom():
         raise PermanentIOError("bricked")
 
+    def blip():
+        raise TransientIOError("blip")
+
     sched.submit(_req(boom, tid="bad"))
+    sched.submit(_req(blip, tid="blip", lane="cpu", max_retries=0))
+    assert sched.drain(5)
+    assert sched.health.snapshot()["cpu"].consecutive_failures == 1
     sched.submit(_req(lambda: None, tid="ok", lane="cpu"))
     assert sched.drain(5)
     assert sched.health.is_dead("ssd")  # permanent error = instant death
     assert not sched.health.is_dead("cpu")
-    assert _failures(sched.health) == {"ssd": 1}
-    snap = sched.health.snapshot()
-    assert snap["cpu"].successes == 1
+    assert _failures(sched.health) == {"ssd": 1, "cpu": 1}
+    cpu = sched.health.snapshot()["cpu"]
+    # The success ends the cpu lane's streak and leaves its failures and verdict alone.
+    assert (cpu.failures, cpu.consecutive_failures, cpu.dead) == (1, 0, False)
     sched.shutdown()
 
 
@@ -532,5 +539,6 @@ def test_done_request_with_health_error_reports_lane_failure():
     assert req.state is JobState.DONE
     assert sched.drain(5)
     assert _failures(sched.health) == {"ssd": 1}
-    assert sched.health.snapshot()["ssd"].successes == 0
+    # Booked as a failure, not a success: the streak it started stands.
+    assert sched.health.snapshot()["ssd"].consecutive_failures == 1
     sched.shutdown()

@@ -3,6 +3,7 @@
 import errno
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.io import (
     Priority,
     TensorFileStore,
 )
+from repro.io import aio
 from repro.io.aio import JobState
 from tests.conftest import free_file_names
 
@@ -146,6 +148,96 @@ def test_pool_validation():
         _sched(retry_backoff_s=-1.0)
     with pytest.raises(ValueError):
         IOScheduler(workers=-1)
+
+
+# ------------------------------------------------- the lazy completion event
+# ``done_event`` builds its threading.Event only for a thread that waits
+# before the job is terminal.  Each test parks a waiter inside that Event's
+# wait (an Event whose wait() says so first), then takes one terminal path
+# and checks the waiter wakes.
+class _ParkedWaiter:
+    """A thread blocked in ``job.wait``; ``parked`` is set from inside the
+    lazily built Event's wait, so the job is not yet terminal then."""
+
+    def __init__(self, monkeypatch, job) -> None:
+        parked = self.parked = threading.Event()
+
+        class _SaysWhenWaiting(threading.Event):
+            def wait(self, timeout=None):
+                parked.set()
+                return super().wait(timeout)
+
+        # Only the job module's view of ``threading`` changes.
+        monkeypatch.setattr(aio, "threading", SimpleNamespace(Event=_SaysWhenWaiting))
+        self.job, self.woke = job, []
+        self.thread = threading.Thread(target=lambda: self.woke.append(job.wait(10)))
+        self.thread.start()
+        assert parked.wait(10), "the waiter never reached the Event"
+        monkeypatch.undo()
+
+    def assert_woken(self) -> None:
+        self.thread.join(10)
+        assert not self.thread.is_alive() and self.woke == [True]
+        assert self.job.done_event.is_set()
+
+
+def test_a_parked_waiter_wakes_on_complete(monkeypatch):
+    job = aio.IOJob(lambda: 7)
+    assert job.claim()
+    waiter = _ParkedWaiter(monkeypatch, job)
+    job.complete(*job.run_body())
+    waiter.assert_woken()
+    assert (job.state, job.result) == (JobState.DONE, 7)
+
+
+def test_a_parked_waiter_wakes_on_cancel(monkeypatch):
+    job = aio.IOJob(lambda: 7)
+    waiter = _ParkedWaiter(monkeypatch, job)
+    assert job.cancel()
+    waiter.assert_woken()
+    assert job.state is JobState.CANCELLED
+
+
+def test_a_parked_waiter_wakes_on_abandon(monkeypatch):
+    job = aio.IOJob(lambda: 7)
+    assert job.claim()
+    waiter = _ParkedWaiter(monkeypatch, job)
+    assert job.abandon(TimeoutError("wedged"))
+    waiter.assert_woken()
+    assert job.state is JobState.FAILED
+    job.complete(7, None)  # the wedged body's late outcome is discarded
+    assert job.result is None and isinstance(job.error, TimeoutError)
+
+
+def test_a_parked_waiter_wakes_when_settling_cannot_complete(monkeypatch):
+    """The settle loop's last resort: ``complete`` raises every time, so
+    the request is failed and its event set directly."""
+    sched = IOScheduler(workers=0, lanes=("ssd",))
+    request = IORequest(lambda: 7, kind="load", priority=Priority.BLOCKING_LOAD, nbytes=8)
+    waiter = _ParkedWaiter(monkeypatch, request)
+
+    def broken(result, error):
+        raise RuntimeError("settle bug")
+
+    request.complete = broken
+    sched.run_inline(request)
+    waiter.assert_woken()
+    assert request.state is JobState.FAILED
+    assert "left non-terminal" in str(request.error)
+    # The books stay open (complete never ran): close them so shutdown drains.
+    sched._close_books(request)
+    sched.shutdown()
+    assert sched.stats.failed == 1
+
+
+def test_waiting_on_a_finished_job_builds_no_event():
+    job = aio.IOJob(lambda: 7)
+    job.run()
+    assert job.wait() and job.wait(0) and job.done_event.is_set()
+    assert job.done_event._event is None
+    pending = aio.IOJob(lambda: 7)
+    assert not pending.wait(0)  # a waiter that gives up still built one
+    assert pending.done_event._event is not None
 
 
 # --------------------------------------------------------------- TensorFileStore

@@ -26,38 +26,76 @@ import pytest
 
 from repro.core import EngineConfig, build_engine
 from repro.core.ids import TensorID
+from repro.io.aio import _Completion
+from repro.io.errors import TransientIOError
 from repro.io.scheduler import IORequest, IOScheduler, Priority
 from repro.io.tenancy import TenantRegistry, current_tenant, tenant_scope
 from repro.io.uring import UringBackend
 
 ROUND_TRIPS = 64
 #: Lock releases per request (submit + lane worker + wait), all threads,
-#: not counting the two a thread makes only when it really blocks or wakes
-#: another (``_HAND_OFF``): how often that happens is the machine's
-#: business (2.7-3.0 more before ISSUE 24, 2.6-2.9 after, on one CPU), the
-#: rest is the code's and the same every run: 20.6 before, 17.1 after,
-#: 16.5 once a chunk read finds its file and borrows the descriptor under
-#: one acquisition of the store's lock (the table's).
-LOCK_RELEASE_CEILING = 17.0
+#: not counting those a thread makes only when it really blocks or wakes
+#: another (:func:`_only_when_blocking`): how often that happens is the
+#: machine's business (2.7-3.0 more before the request path was trimmed,
+#: 2.6-2.9 after, on one CPU), the rest is the code's and the same every
+#: run: 20.6 before, 17.1 after, 16.5 once a chunk read finds its file and
+#: borrows the descriptor under one acquisition of the store's lock (the
+#: table's), 11.5 with one pass per request (a completion event only for
+#: a waiter, submit and close books under one acquisition of the books
+#: lock each, no lock for a success on a healthy lane).
+LOCK_RELEASE_CEILING = 11.6
 #: ``threading.py`` frames that release a lock per blocked/woken thread:
 #: ``Condition.wait`` giving the lock up, ``Condition.notify`` freeing a waiter.
 _HAND_OFF = ("_release_save", "notify")
+#: A job's completion event is built, waited on and set only for a thread
+#: that finds its job still running, so every release reached through
+#: these two frames is a blocked waiter's.  An Event a request built or
+#: set on any other path would still count.
+_WAITER_ONLY = (_Completion.wait.__code__, _Completion.set.__code__)
+
+
+def _only_when_blocking(frame) -> bool:
+    """Whether the lock release ``frame`` is about to make happens only
+    because a thread blocks or wakes another."""
+    code = frame.f_code
+    if code.co_name in _HAND_OFF and code.co_filename.endswith("/threading.py"):
+        return True
+    # _Completion.wait -> Event.wait -> Condition.wait -> _release_save
+    for _ in range(4):
+        if frame is None:
+            return False
+        if frame.f_code in _WAITER_ONLY:
+            return True
+        frame = frame.f_back
+    return False
+
+
 #: Python frames entered under ``src/repro`` per request (same window).
-#: 82.6 before ISSUE 24 (plus 9.25 into pathlib/contextlib), 64.7 after.
-#: 62.2 once a chunk read stopped building a context-manager object.
-SRC_CALL_CEILING = 63.0
+#: 82.6 before the request path was trimmed (plus 9.25 into
+#: pathlib/contextlib), 64.7 after, 62.2 once a chunk read stopped
+#: building a context-manager object, 56.7 with one pass per request.
+SRC_CALL_CEILING = 57.0
 #: The same two counts for the engine built with a tenant registry, where
 #: every queued dequeue used to take the registry lock for a bandwidth
 #: bucket nobody configured: 17.64 and 64.8 with it, 17.1 and 64.3 without,
-#: 16.5 and 62.3 with the chunk store's one-acquisition read.
-PER_TENANT_LOCK_RELEASE_CEILING = 17.0
-PER_TENANT_SRC_CALL_CEILING = 63.0
+#: 16.5 and 62.3 with the chunk store's one-acquisition read, 11.5 and
+#: 56.8 with one pass.
+PER_TENANT_LOCK_RELEASE_CEILING = 11.6
+PER_TENANT_SRC_CALL_CEILING = 57.0
 #: The per-tensor file store (``train_ssd``'s store): 17.5 and 74.0 while
 #: every store opened a new file and every release unlinked it, 17.0 and
 #: 68.04 since released files are recycled (the free-file pick rides the
-#: lock acquisition that borrows the descriptor).
-FILE_LOCK_RELEASE_CEILING = 17.0
-FILE_SRC_CALL_CEILING = 68.1
+#: lock acquisition that borrows the descriptor), 12.0 and 62.5 with one
+#: pass.
+FILE_LOCK_RELEASE_CEILING = 12.0
+FILE_SRC_CALL_CEILING = 63.0
+#: ``kv_serve``'s demand fetch: one ``BLOCKING_LOAD`` built and run by
+#: :meth:`~repro.io.scheduler.IOScheduler.run_inline` on the ``cpu`` lane
+#: of a tiered engine with a tenant registry, the tiered load included.
+#: 12.0 lock releases and 40.0 frames before one pass per request, 8.0
+#: and 33.0 after.
+INLINE_LOCK_RELEASE_CEILING = 8.0
+INLINE_SRC_CALL_CEILING = 33.0
 
 
 class _Census:
@@ -75,8 +113,7 @@ class _Census:
             return
         if event == "c_call":
             if getattr(arg, "__qualname__", "") in ("lock.__exit__", "lock.release"):
-                code = frame.f_code
-                if code.co_name in _HAND_OFF and code.co_filename.endswith("/threading.py"):
+                if _only_when_blocking(frame):
                     self.hand_off_releases += 1
                 else:
                     self.lock_releases += 1
@@ -211,6 +248,60 @@ def test_request_path_stays_under_the_committed_ceilings(
     )
 
 
+def test_an_inline_fetch_stays_under_the_committed_ceilings(tmp_path, census):
+    """The forwarding rule's read: the bytes are in the pinned pool, so
+    the request takes no queue slot and settles on the caller; what is
+    left is the request's own fixed cost around a ~5 us copy."""
+    rng = np.random.default_rng(0)
+    arrays = [rng.standard_normal(2048).astype(np.float32) for _ in range(ROUND_TRIPS)]
+    config = EngineConfig(
+        target="tiered",
+        store_dir=str(tmp_path),
+        cpu_pool_bytes=1 << 20,
+        tenants=TenantRegistry(),
+        promote_on_load=False,
+    )
+    with build_engine(config) as engine:
+        sched, off = engine.scheduler, engine.offloader
+        tids = [TensorID(stamp=i, shape=a.shape) for i, a in enumerate(arrays)]
+        for tid, a in zip(tids, arrays):
+            off.store(tid, a)
+
+        def fetch(tid, a, tenant):
+            request = IORequest(
+                lambda: off.load(tid, a.shape, a.dtype),
+                kind="load",
+                priority=Priority.BLOCKING_LOAD,
+                tensor_id=str(tid),
+                nbytes=a.nbytes,
+                lane=off.load_lane(tid),
+                label=f"kv-fetch:{tid.stamp}",
+                tenant=tenant,
+            )
+            sched.run_inline(request)
+            return request
+
+        for tid, a in zip(tids, arrays):  # warm-up: tenants registered
+            assert np.array_equal(fetch(tid, a, f"user{tid.stamp % 4}").result, a)
+        census.active = True
+        fetched = [fetch(tid, a, f"user{tid.stamp % 4}") for tid, a in zip(tids, arrays)]
+        census.active = False
+        stats = engine.stats()
+    assert all(request.lane == "cpu" and request.error is None for request in fetched)
+    assert stats.scheduler.submitted == stats.scheduler.executed == 2 * ROUND_TRIPS
+    per_request = census.lock_releases / ROUND_TRIPS
+    calls = census.src_calls / ROUND_TRIPS
+    assert census.hand_off_releases == 0  # nothing blocked, nothing woken
+    assert 0 < per_request <= INLINE_LOCK_RELEASE_CEILING, (
+        f"{per_request:.1f} lock releases per inline fetch, over the committed "
+        f"ceiling {INLINE_LOCK_RELEASE_CEILING}"
+    )
+    assert 0 < calls <= INLINE_SRC_CALL_CEILING, (
+        f"{calls:.1f} src/repro frames per inline fetch, over the committed "
+        f"ceiling {INLINE_SRC_CALL_CEILING}"
+    )
+
+
 # ----------------------------------------------------------- the invariants
 def _request(fn=lambda: None, **kwargs) -> IORequest:
     kwargs.setdefault("kind", "store")
@@ -291,6 +382,10 @@ def test_a_raising_done_callback_does_not_skip_the_books():
     assert (tenant.submitted, tenant.executed, tenant.cancelled) == (3, 2, 1)
 
 
+def _device_error():
+    raise TransientIOError("blip")
+
+
 def test_a_raising_books_step_still_releases_the_lane(monkeypatch):
     """``pending`` is decremented last, but unconditionally: whatever a
     tenant or health step raises, ``drain()`` (and so ``shutdown()``) returns."""
@@ -299,16 +394,23 @@ def test_a_raising_books_step_still_releases_the_lane(monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("books bug")
 
-        monkeypatch.setattr(sched.tenants, "note_finished", boom)
+        # The tenant's outcome, on the executed path and on the failed
+        # path, where the same step refunds the quota.
+        monkeypatch.setattr(sched.tenants, "finish_locked", boom)
         done = sched.submit(_request(tenant="t"))
         assert sched.drain(timeout=5) and done.error is None
-        monkeypatch.undo()
-        # The step that remains on the failed path: the quota refund.
-        monkeypatch.setattr(sched.tenants, "refund", boom)
         failed = sched.submit(_request(lambda: 1 / 0, tenant="t", max_retries=0))
         assert sched.drain(timeout=5) and sched.pending() == 0
         assert isinstance(failed.error, ZeroDivisionError)
-        assert sched.stats_snapshot().failed == 1
+        monkeypatch.undo()
+        # Lane health, on a success and on a device failure.
+        monkeypatch.setattr(sched.health, "record_success", boom)
+        monkeypatch.setattr(sched.health, "record_failure", boom)
+        sched.submit(_request(tenant="t"))
+        device = sched.submit(_request(_device_error, tenant="t", max_retries=0))
+        assert sched.drain(timeout=5) and sched.pending() == 0
+        assert isinstance(device.error, TransientIOError)
+        assert sched.stats_snapshot().failed == 2
 
 
 def test_a_request_cancelled_before_submit_still_balances_the_books():

@@ -744,10 +744,12 @@ def _books(sched, events, tracer):
     assert stats.submitted == stats.executed + stats.failed + stats.cancelled
     windows = {key: (use.count, use.nbytes) for key, use in tracer.channels().items()}
     health = {
-        lane: (s.successes, s.failures, s.dead) for lane, s in sched.health.snapshot().items()
+        lane: (s.failures, s.consecutive_failures, s.dead)
+        for lane, s in sched.health.snapshot().items()
     }
     tenant_health = {
-        key: (s.successes, s.failures) for key, s in sched.health.tenant_snapshot().items()
+        key: (s.failures, s.consecutive_failures)
+        for key, s in sched.health.tenant_snapshot().items()
     }
     backend = {
         lane: (s.batches, s.batched_requests, s.reaped)
@@ -868,6 +870,50 @@ def test_run_inline_settles_on_the_caller_under_the_reaper_backend():
         assert sched.backend_stats_snapshot()["cpu"].reaped == 1
         assert sched.stats.executed == 2
     finally:
+        sched.shutdown()
+
+
+def test_a_backend_raising_after_a_hand_off_leaves_the_member_to_its_reaper(monkeypatch):
+    """``_run_batch``'s containment fails only a member the backend left
+    running without handing it off: one already on the reaper's queue is
+    settled there, once, with one ``done`` event."""
+    backend = UringBackend()
+    sched = IOScheduler(workers=1, lanes=("ssd",), backend=backend)
+    gate, reaper_parked, behind_ran = threading.Event(), threading.Event(), threading.Event()
+    done = {}
+
+    def listener(event, request):
+        if event == "done":
+            done[request.tensor_id] = done.get(request.tensor_id, 0) + 1
+            if request.tensor_id == "park":  # hold the reaper here
+                reaper_parked.set()
+                gate.wait(5)
+
+    sched.add_listener(listener)
+    real_hand_off = backend._hand_off
+
+    def hand_off_then_raise(batch, request, result, error):
+        real_hand_off(batch, request, result, error)
+        if request.tensor_id == "victim":
+            raise RuntimeError("backend bug after the hand-off")
+
+    try:
+        sched.submit(_req(lambda: None, "load", Priority.BLOCKING_LOAD, 64, "park"))
+        assert reaper_parked.wait(5)
+        monkeypatch.setattr(backend, "_hand_off", hand_off_then_raise)
+        victim = sched.submit(_req(lambda: "v", "load", Priority.BLOCKING_LOAD, 64, "victim"))
+        # One worker: "behind" runs only once the victim's containment is over.
+        sched.submit(_req(behind_ran.set, "load", Priority.BLOCKING_LOAD, 64, "behind"))
+        assert behind_ran.wait(5)
+        assert victim.state is JobState.RUNNING  # queued for the reaper, not failed
+        gate.set()
+        assert sched.drain(5)
+        assert victim.state is JobState.DONE and victim.result == "v"
+        assert done == {"park": 1, "victim": 1, "behind": 1}
+        stats = sched.stats_snapshot()
+        assert (stats.executed, stats.failed) == (3, 0)
+    finally:
+        gate.set()
         sched.shutdown()
 
 

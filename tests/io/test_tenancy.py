@@ -139,11 +139,18 @@ def test_registry_quota_charge_and_refund_books():
     assert stats.rejected == 1 and stats.rejected_bytes == 60
     # Executed work stays charged (the quota is a cumulative admission
     # budget); only cancellations/failures refund.
-    reg.note_finished("q", "executed", 60, retries=0)
+    with reg.lock:
+        reg.finish_locked("q", "executed", 60, retries=0)
     assert reg.stats_of("q").quota_in_use_bytes == 60
     assert reg.admit("q", 60) == "reject"
-    reg.refund("q", 60)
-    assert reg.admit("q", 60) == "ok"
+    assert reg.admit("q", 40) == "ok"  # fills the quota
+    assert reg.admit("q", 40) == "reject"
+    with reg.lock:  # a cancelled (or failed) request's outcome carries its refund
+        reg.finish_locked("q", "cancelled", 40)
+    assert reg.admit("q", 40) == "ok"
+    stats = reg.stats_of("q")
+    assert (stats.submitted, stats.executed, stats.cancelled) == (3, 1, 1)
+    assert stats.quota_in_use_bytes == 100
 
 
 # ------------------------------------------------------- fairness bars
