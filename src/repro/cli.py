@@ -349,18 +349,26 @@ def cmd_autotune(args: argparse.Namespace) -> None:
           f"adaptive {sum(r.offloaded_bytes for r in adaptive.results[drift:]) / 2**30:.1f} GiB")
 
 
-def _faults_functional(args: argparse.Namespace) -> None:
-    """Functional chaos demo: train the same tiny GPT fault-free, under a
-    seeded transient-fault plan (retries heal it, losses bit-exact), and
-    with the SSD bricked mid-run (tiered CPU failover completes it)."""
+def _fault_rig(steps, plan=None, kill_before_step=None, heal_before_step=None,
+               fault_gate=None, **engine_options):
+    """Train the fault demos' tiny GPT for ``steps`` offloaded steps.
+
+    The engine is built from ``engine_options`` over a fresh store
+    directory; ``plan`` wraps its SSD store in a fault injector that is
+    killed / healed before the given steps, and ``fault_gate`` is
+    installed on its chunk store.  After a heal the rig drives the
+    breaker's probe rounds until the tier is back (or 5 s pass), so the
+    caller sees the settled state.  Returns ``(losses, injector, engine)``.
+    """
     import tempfile
+    import time
 
     import numpy as np
 
     from repro.core import EngineConfig, OffloadPolicy, PolicyConfig, build_engine
     from repro.data import SyntheticCorpus, TokenBatchLoader
     from repro.device import GPU
-    from repro.io.faults import FaultPlan, inject_faults
+    from repro.io.faults import inject_faults
     from repro.models import GPT
     from repro.optim import SGD
     from repro.train import Trainer
@@ -368,47 +376,65 @@ def _faults_functional(args: argparse.Namespace) -> None:
     config = ModelConfig(
         arch="gpt", hidden=64, num_layers=2, vocab_size=97, seq_len=32, head_dim=32
     )
+    gpu = GPU()
+    model = GPT(config, rng=np.random.default_rng(0)).to(gpu)
+    engine = build_engine(
+        EngineConfig(
+            store_dir=tempfile.mkdtemp(prefix="ssdtrain-faults-"),
+            policy=OffloadPolicy(PolicyConfig(min_offload_numel=256)),
+            **engine_options,
+        )
+    )
+    if fault_gate is not None:
+        engine.chunk_store.fault_gate = fault_gate
+    cache = engine.cache()
+    injector = inject_faults(engine.offloader, plan) if plan is not None else None
+    trainer = Trainer(model, SGD(model.parameters(), lr=1e-3), gpu,
+                      strategy=PlacementStrategy.OFFLOAD, cache=cache)
+    loader = TokenBatchLoader(
+        SyntheticCorpus(vocab_size=config.vocab_size, seed=11),
+        batch_size=2, seq_len=config.seq_len, device=gpu,
+    )
+    losses = []
+    try:
+        for step in range(steps):
+            if injector is not None and kill_before_step == step:
+                injector.kill()
+            if injector is not None and heal_before_step == step:
+                injector.heal()
+            losses.append(trainer.train_step([loader.next_batch()]).loss)
+        if heal_before_step is not None:
+            tier = engine.tiered
+            deadline = time.monotonic() + 5.0
+            while tier.ssd_dead and time.monotonic() < deadline:
+                tier.maybe_probe_ssd()
+                time.sleep(tier.probe_backoff_s)
+    finally:
+        trainer.close()
+    return losses, injector, engine
+
+
+def _faults_functional(args: argparse.Namespace) -> None:
+    """Functional chaos demo: train the same tiny GPT fault-free, under a
+    seeded transient-fault plan (retries heal it, losses bit-exact), and
+    with the SSD bricked mid-run (tiered CPU failover completes it)."""
+    from repro.io.faults import FaultPlan
+
     steps = 4
-
-    def run(plan=None, target="ssd", kill_before_step=None):
-        gpu = GPU()
-        model = GPT(config, rng=np.random.default_rng(0)).to(gpu)
-        policy = OffloadPolicy(PolicyConfig(min_offload_numel=256))
-        engine = build_engine(
-            EngineConfig(
-                target=target,
-                store_dir=tempfile.mkdtemp(prefix="ssdtrain-faults-"),
-                # Small pool: demotions to the (killable) SSD tier happen.
-                cpu_pool_bytes=(64 << 10) if target == "tiered" else None,
-                policy=policy,
-            )
-        )
-        cache = engine.cache()
-        injector = inject_faults(cache.offloader, plan) if plan is not None else None
-        trainer = Trainer(model, SGD(model.parameters(), lr=1e-3), gpu,
-                          strategy=PlacementStrategy.OFFLOAD, cache=cache)
-        loader = TokenBatchLoader(
-            SyntheticCorpus(vocab_size=config.vocab_size, seed=11),
-            batch_size=2, seq_len=config.seq_len, device=gpu,
-        )
-        losses = []
-        try:
-            for step in range(steps):
-                if injector is not None and kill_before_step == step:
-                    injector.kill()
-                losses.append(trainer.train_step([loader.next_batch()]).loss)
-        finally:
-            trainer.close()
-        return losses, injector, cache.scheduler.stats, getattr(cache.offloader, "stats", None)
-
-    clean, _, _, _ = run()
-    faulted, injector, sched, _ = run(plan=FaultPlan.transient(rate=0.2, seed=args.seed))
+    clean, _, _ = _fault_rig(steps, target="ssd")
+    faulted, injector, engine = _fault_rig(
+        steps, plan=FaultPlan.transient(rate=0.2, seed=args.seed), target="ssd"
+    )
+    sched = engine.scheduler.stats
     print(f"transient faults (rate 0.2, seed {args.seed}): "
           f"{injector.fault_stats.injected_transient} injected, "
           f"{sched.retries} retries, {sched.failed} failed")
-    dead, dead_inj, dead_sched, tier_stats = run(
-        plan=FaultPlan(seed=args.seed), target="tiered", kill_before_step=2
+    # Small pool: demotions to the (killable) SSD tier happen.
+    dead, dead_inj, dead_engine = _fault_rig(
+        steps, plan=FaultPlan(seed=args.seed), kill_before_step=2,
+        target="tiered", cpu_pool_bytes=64 << 10,
     )
+    tier_stats = dead_engine.tiered.stats
     print(f"SSD death before step 2 (tiered): "
           f"{dead_inj.fault_stats.permanent_failures} permanent failures, "
           f"{tier_stats.failovers} failovers "
@@ -437,88 +463,19 @@ def _faults_heal(args: argparse.Namespace) -> None:
     """
     import errno
     import tempfile
-    import time as _time
 
-    import numpy as np
+    from repro.io.faults import FaultPlan
 
-    from repro.core import EngineConfig, OffloadPolicy, PolicyConfig, build_engine
-    from repro.data import SyntheticCorpus, TokenBatchLoader
-    from repro.device import GPU
-    from repro.io.faults import FaultPlan, inject_faults
-    from repro.models import GPT
-    from repro.optim import SGD
-    from repro.train import Trainer
-
-    config = ModelConfig(
-        arch="gpt", hidden=64, num_layers=2, vocab_size=97, seq_len=32, head_dim=32
-    )
     steps = 6
-
-    def run(plan=None, kill_before_step=None, heal_before_step=None,
-            probe_backoff_s=None, enospc=False, root0_cap=None):
-        gpu = GPU()
-        model = GPT(config, rng=np.random.default_rng(0)).to(gpu)
-        policy = OffloadPolicy(PolicyConfig(min_offload_numel=256))
-        kwargs = {}
-        if enospc:
-            kwargs["chunk_bytes"] = 32 << 10
-            kwargs["store_roots"] = [tempfile.mkdtemp(prefix="ssdtrain-heal-root1-")]
-        engine = build_engine(
-            EngineConfig(
-                target="tiered",
-                store_dir=tempfile.mkdtemp(prefix="ssdtrain-heal-"),
-                cpu_pool_bytes=64 << 10,
-                policy=policy,
-                probe_backoff_s=probe_backoff_s,
-                **kwargs,
-            )
-        )
-        if root0_cap is not None:
-            budget = {"left": root0_cap}
-
-            def gate(root_index, nbytes, _b=budget):
-                if root_index == 0:
-                    _b["left"] -= nbytes
-                    if _b["left"] < 0:
-                        raise OSError(errno.ENOSPC, "injected: store root 0 full")
-
-            engine.chunk_store.fault_gate = gate
-        cache = engine.cache()
-        injector = inject_faults(cache.offloader, plan) if plan is not None else None
-        trainer = Trainer(model, SGD(model.parameters(), lr=1e-3), gpu,
-                          strategy=PlacementStrategy.OFFLOAD, cache=cache)
-        loader = TokenBatchLoader(
-            SyntheticCorpus(vocab_size=config.vocab_size, seed=11),
-            batch_size=2, seq_len=config.seq_len, device=gpu,
-        )
-        losses = []
-        try:
-            for step in range(steps):
-                if injector is not None and kill_before_step == step:
-                    injector.kill()
-                if injector is not None and heal_before_step == step:
-                    injector.heal()
-                losses.append(trainer.train_step([loader.next_batch()]).loss)
-            offloader = cache.offloader
-            if probe_backoff_s is not None and heal_before_step is not None:
-                # Settle: drive any outstanding probe rounds so the demo
-                # asserts on the post-resurrection state, not a race.
-                deadline = _time.monotonic() + 5.0
-                while offloader.ssd_dead and _time.monotonic() < deadline:
-                    offloader.maybe_probe_ssd()
-                    _time.sleep(probe_backoff_s)
-            return losses, injector, cache.scheduler.stats, offloader
-        finally:
-            trainer.close()
-
-    clean, _, _, _ = run()
+    tiered = {"target": "tiered", "cpu_pool_bytes": 64 << 10}
+    clean, _, _ = _fault_rig(steps, **tiered)
 
     # -- scenario A: die -> heal -> half-open probes resurrect the tier
-    healed, inj, _, off = run(
-        plan=FaultPlan(seed=args.seed), kill_before_step=1, heal_before_step=3,
-        probe_backoff_s=0.005,
+    healed, inj, engine = _fault_rig(
+        steps, plan=FaultPlan(seed=args.seed), kill_before_step=1, heal_before_step=3,
+        probe_backoff_s=0.005, **tiered,
     )
-    breaker = off.breaker
+    breaker = engine.tiered.breaker
     print(f"die->heal->resurrect: {inj.fault_stats.permanent_failures} permanent "
           f"failures, breaker trips {breaker.stats.trips}, probes "
           f"{breaker.stats.probes_allowed} ({breaker.stats.probe_successes} ok), "
@@ -526,12 +483,23 @@ def _faults_heal(args: argparse.Namespace) -> None:
           f"final state {breaker.state!r}")
     assert healed == clean, "die->heal cycle must keep losses bit-exact"
     assert breaker.stats.trips >= 1, "the kill must open the breaker"
-    assert not off.ssd_dead, "the healed SSD tier must be resurrected"
+    assert not engine.tiered.ssd_dead, "the healed SSD tier must be resurrected"
     assert breaker.stats.resurrections >= 1, "probes must re-close the breaker"
 
     # -- scenario B: ENOSPC on one store root -> re-route, zero failures
-    survived, _, c_sched, c_off = run(enospc=True, root0_cap=48 << 10)
-    store = c_off.file_store
+    root0_left = [48 << 10]
+
+    def gate(root_index, nbytes):
+        if root_index == 0:
+            root0_left[0] -= nbytes
+            if root0_left[0] < 0:
+                raise OSError(errno.ENOSPC, "injected: store root 0 full")
+
+    survived, _, c_engine = _fault_rig(
+        steps, fault_gate=gate, chunk_bytes=32 << 10,
+        store_roots=[tempfile.mkdtemp(prefix="ssdtrain-heal-root1-")], **tiered,
+    )
+    store, c_sched = c_engine.chunk_store, c_engine.scheduler.stats
     print(f"ENOSPC on root 0: {store.enospc_root_skips} re-routed writes, "
           f"full roots {store.full_roots}, {c_sched.failed} failed requests")
     assert survived == clean, "ENOSPC re-routing must keep losses bit-exact"

@@ -95,9 +95,8 @@ class EngineConfig:
             [:class:`~repro.core.offloader.PinnedMemoryPool` /
             :class:`~repro.core.tiered.TieredOffloader`].
         policy: the :class:`~repro.core.policy.OffloadPolicy`; built
-            fresh when ``None`` and shared between the offloader, the
-            cache and any paging front-end so per-tenant placement hooks
-            take effect everywhere [``TieredOffloader``, and
+            fresh when ``None`` and shared by the offloader and the
+            cache, which read one config [``TieredOffloader``, and
             :class:`~repro.core.tensor_cache.TensorCache` via
             :meth:`Engine.cache`].
         promote_on_load: copy SSD residents back into the pinned pool on

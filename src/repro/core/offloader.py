@@ -90,8 +90,13 @@ class Offloader:
         prediction from the tier holding it (called under a record lock)."""
         return "cpu" if self.tier_of(tid) is Tier.CPU else "ssd"
 
-    def store(self, tid: TensorID, data: np.ndarray) -> None:
-        """Synchronously persist ``data`` under ``tid`` (runs on a pool)."""
+    def store(self, tid: TensorID, data: np.ndarray, tier: Optional[Tier] = None) -> None:
+        """Synchronously persist ``data`` under ``tid`` (runs on a pool).
+
+        ``tier`` is the caller's placement (the KV pool's strategy);
+        ``None`` leaves it to the backend.  A single-tier backend has one
+        answer and stores there either way.
+        """
         raise NotImplementedError
 
     def load(self, tid: TensorID, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
@@ -158,7 +163,7 @@ class SSDOffloader(Offloader):
             store = TensorFileStore(store)
         self.file_store = store
 
-    def store(self, tid: TensorID, data: np.ndarray) -> None:
+    def store(self, tid: TensorID, data: np.ndarray, tier: Optional[Tier] = None) -> None:
         self.file_store.write(tid.filename(), data)
 
     def load(self, tid: TensorID, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
@@ -328,7 +333,7 @@ class CPUOffloader(Offloader):
             raise
         return copy, lease
 
-    def store(self, tid: TensorID, data: np.ndarray) -> None:
+    def store(self, tid: TensorID, data: np.ndarray, tier: Optional[Tier] = None) -> None:
         start = time.monotonic()
         owner = current_tenant()
         copy, lease = self.copy_in(data, owner)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 
 class Decision(enum.Enum):
@@ -93,14 +93,6 @@ class OffloadPolicy:
 
     def __init__(self, config: Optional[PolicyConfig] = None) -> None:
         self.config = config if config is not None else PolicyConfig()
-        #: Per-tenant placement overrides (multi-tenant runs): tenant name
-        #: -> ``fn(nbytes, cpu_free_bytes) -> Optional[Tier]``.  A hook
-        #: returning ``None`` falls through to the shared :meth:`place`
-        #: rule, so a tenant can special-case (say) "pin everything to
-        #: SSD" without re-implementing the default placement.
-        self._tenant_placers: Dict[
-            str, Callable[[int, Optional[int]], Optional[Tier]]
-        ] = {}
 
     def budget_reached(self, accounting: StepAccounting) -> bool:
         budget = self.config.offload_budget_bytes
@@ -170,50 +162,6 @@ class OffloadPolicy:
         if nbytes <= cpu_free_bytes:
             return Tier.CPU
         return Tier.SSD
-
-    def set_tenant_policy(
-        self,
-        tenant: str,
-        placer: Optional[Callable[[int, Optional[int]], Optional[Tier]]],
-    ) -> None:
-        """Install (or with ``None`` remove) a per-tenant placement hook.
-
-        The hook is called as ``placer(nbytes, cpu_free_bytes)`` and may
-        return a :class:`Tier` to force that placement for the tenant, or
-        ``None`` to defer to the shared :meth:`place` rule.
-        """
-        if placer is None:
-            self._tenant_placers.pop(tenant, None)
-        else:
-            self._tenant_placers[tenant] = placer
-
-    def tenant_policy(
-        self, tenant: str
-    ) -> Optional[Callable[[int, Optional[int]], Optional[Tier]]]:
-        """The per-tenant placement hook installed for ``tenant``, if any.
-
-        Introspection counterpart of :meth:`set_tenant_policy` — the KV
-        paging front-end uses it to install its placer idempotently (and
-        its tests to assert the hook is wired), without reaching into
-        the private table.
-        """
-        return self._tenant_placers.get(tenant)
-
-    def place_for(
-        self, tenant: str, *, nbytes: int, cpu_free_bytes: Optional[int]
-    ) -> Tier:
-        """Tier placement for one tensor owned by ``tenant``.
-
-        Consults the tenant's placement hook first (if any); tenants
-        without a hook — and hooks that return ``None`` — get the shared
-        :meth:`place` rule, so single-tenant behaviour is unchanged.
-        """
-        placer = self._tenant_placers.get(tenant)
-        if placer is not None:
-            tier = placer(nbytes, cpu_free_bytes)
-            if tier is not None:
-                return tier
-        return self.place(nbytes=nbytes, cpu_free_bytes=cpu_free_bytes)
 
     def keep_reason(
         self,

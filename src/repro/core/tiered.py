@@ -20,7 +20,9 @@ saves, repeated prefetch) hits host memory instead of the SSD.
 Placement is a policy decision
 (:meth:`~repro.core.policy.OffloadPolicy.place`): the pool takes any
 tensor under ``cpu_tier_max_tensor_bytes`` that the pool *could* hold;
-making room by demotion is this module's job.
+making room by demotion is this module's job.  A caller that has
+decided already (the KV pool's paging strategy) passes the tier to
+:meth:`store` instead.
 
 The class implements the full :class:`~repro.core.offloader.Offloader`
 API, so an unchanged :class:`~repro.core.tensor_cache.TensorCache` can
@@ -193,8 +195,8 @@ class TieredOffloader(Offloader):
 
     Args:
         ssd: the SSD tier, built — every store option (chunking,
-            durability, write-leveling, throttle, ``O_DIRECT``, GDS
-            routing) is the store's, decided by whoever constructed it.
+            write-leveling, throttle, ``O_DIRECT``) is the store's,
+            decided by whoever constructed it.
         cpu_pool_bytes: pinned pool capacity — the CPU tier's size.
         scheduler: the I/O scheduler the tier works on — a collaborator,
             not an option: demotion writes queue on its ssd lane at
@@ -404,20 +406,23 @@ class TieredOffloader(Offloader):
                     return
             idle.wait()
 
-    def _place(self, owner: str, nbytes: int) -> Tier:
+    def _place(self, owner: str, nbytes: int, tier: Optional[Tier] = None) -> Tier:
         """Where a store lands.
 
         With a dead SSD tier there is exactly one viable placement —
         judged per tenant: another tenant's verdict must not move this
-        one's.  Otherwise the policy sees the capacity the pool *could*
-        free: every resident is demotable.
+        one's.  Otherwise the caller's ``tier`` wins; without one the
+        policy sees the capacity the pool *could* free: every resident
+        is demotable.
         """
         if self._health.is_dead("ssd", owner):
             return Tier.CPU
-        return self.policy.place_for(owner, nbytes=nbytes, cpu_free_bytes=self.cpu_capacity_bytes)
+        if tier is not None:
+            return tier
+        return self.policy.place(nbytes=nbytes, cpu_free_bytes=self.cpu_capacity_bytes)
 
     # ------------------------------------------------------------------ store
-    def store(self, tid: TensorID, data: np.ndarray) -> None:
+    def store(self, tid: TensorID, data: np.ndarray, tier: Optional[Tier] = None) -> None:
         data = np.asarray(data)
         nbytes = data.nbytes
         owner = current_tenant()
@@ -429,7 +434,7 @@ class TieredOffloader(Offloader):
         if self.probe_backoff_s is not None and self._health.is_dead("ssd", owner):
             self.maybe_probe_ssd(owner)
         with self._locked_when_idle(tid):
-            placement = self._place(owner, nbytes)
+            placement = self._place(owner, nbytes, tier)
             # Re-store: drop the old backing copy first.  A cross-tier
             # move would otherwise leak it, and a CPU-tier overwrite must
             # free its old bytes *before* _make_room demotes for them.

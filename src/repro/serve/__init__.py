@@ -28,7 +28,6 @@ from repro.serve.paging import (
     BlockContext,
     LayerImportance,
     LookAheadBatch,
-    PagingPolicy,
     PagingStrategy,
     PreferHBM,
     SplitToken,
@@ -57,7 +56,6 @@ __all__ = [
     "KVServerSim",
     "LayerImportance",
     "LookAheadBatch",
-    "PagingPolicy",
     "PagingStrategy",
     "PreferHBM",
     "RequestTrace",

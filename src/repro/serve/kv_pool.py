@@ -13,9 +13,8 @@ tier holds it:
 - **engine** — everything paged out lands in the existing
   :class:`~repro.core.tiered.TieredOffloader` data plane (pinned CPU
   pool backed by the :class:`~repro.io.buffers.BufferArena`, spilling
-  to the SSD store), placed per block through the strategy's tier hint
-  via the per-tenant :meth:`~repro.core.policy.OffloadPolicy
-  .set_tenant_policy` hook.
+  to the SSD store), placed per block by the strategy: its tier is the
+  ``tier`` argument of the engine's ``store``.
 
 Page-outs and look-ahead prefetches run on the calling thread (under
 the block's tenant scope, so the PR 6 fair-share/quota books account KV
@@ -29,7 +28,7 @@ Sec. III-C2: a read that finds its bytes in memory never pays the I/O
 path): a block in the pinned pool is read on the calling thread
 (:meth:`~repro.io.scheduler.IOScheduler.run_inline` — no queue, no
 worker hand-off), a block on the SSD is queued on the ``ssd`` lane and
-waited for, where priority, deadlines and hedging do something.
+waited for, where priority and deadlines do something.
 
 A block's state is ``HBM`` or ``ENGINE`` (nothing is in flight when a
 caller looks), and :meth:`KVBlockPool._set_state` is the one place it
@@ -64,7 +63,7 @@ from repro.core.ids import TensorID
 from repro.core.policy import Tier
 from repro.io.scheduler import IORequest, Priority
 from repro.io.tenancy import DEFAULT_TENANT, tenant_scope
-from repro.serve.paging import BlockContext, PagingPolicy, PagingStrategy
+from repro.serve.paging import BlockContext, PagingStrategy, PreferHBM
 
 __all__ = ["BlockKey", "BlockMeta", "BlockState", "KVBlockPool", "KVPoolStats"]
 
@@ -229,7 +228,7 @@ class KVBlockPool:
         self.block_tokens = block_tokens
         self.num_layers = num_layers
         self.hbm_capacity_bytes = hbm_capacity_bytes
-        self.paging = PagingPolicy(strategy)
+        self.strategy = strategy if strategy is not None else PreferHBM()
         self.stats = KVPoolStats()
         self._lock = threading.RLock()
         self._table: Dict[BlockKey, BlockMeta] = {}
@@ -249,13 +248,12 @@ class KVBlockPool:
         user: str = DEFAULT_TENANT,
         context_tokens: int = 0,
     ) -> None:
-        """Register a request and wire its user's tenant placement hook."""
+        """Register a request; its blocks are booked to ``user``'s tenant."""
         with self._lock:
             if request_id in self._requests:
                 raise ValueError(f"request {request_id!r} already registered")
             context_blocks = max(1, -(-int(context_tokens) // self.block_tokens))
             self._requests[request_id] = _RequestEntry(user, context_blocks)
-        self.paging.install(self.engine.policy, user)
 
     def _entry(self, request_id: str) -> _RequestEntry:
         entry = self._requests.get(request_id)
@@ -269,8 +267,7 @@ class KVBlockPool:
 
         Placement is the strategy's call: ``Tier.GPU`` keeps the block
         HBM-resident (evicting colder residents if needed), ``CPU`` /
-        ``SSD`` page it out to the engine with that tier as the
-        per-tenant placement hint.
+        ``SSD`` page it out to that engine tier.
         """
         if not (0 <= layer < self.num_layers):
             raise ValueError(f"layer {layer} out of range for num_layers={self.num_layers}")
@@ -287,7 +284,7 @@ class KVBlockPool:
             entry.keys.append(key)
             self.stats.blocks_written += 1
             self.stats.bytes_written += meta.nbytes
-            tier = self.paging.strategy.place(meta.context())
+            tier = self.strategy.place(meta.context())
         if tier is Tier.GPU:
             self._admit_hbm(meta, data)
         else:
@@ -342,16 +339,14 @@ class KVBlockPool:
                 meta.last_access_seq = next(self._seq)
             else:
                 # Nothing evictable and no room: the new block itself
-                # pages out (its strategy tier hint, or pool-first)
+                # pages out (to its strategy tier, or pool-first)
                 # unless the engine still holds it.
                 meta.prefetched = False
                 overflow = not self._clean(meta)
         for victim, victim_data in to_evict:
-            hint = self.paging.strategy.eviction_tier(victim.context())
-            self._page_out(victim, victim_data, hint)
+            self._page_out(victim, victim_data, self.strategy.place(victim.context()))
         if overflow:
-            hint = self.paging.strategy.eviction_tier(meta.context())
-            self._page_out(meta, data, hint)
+            self._page_out(meta, data, self.strategy.place(meta.context()))
 
     def _pick_victim(self) -> Optional[BlockMeta]:
         """The resident the strategy evicts first.  ``last_access_seq``
@@ -359,18 +354,20 @@ class KVBlockPool:
         order the residents are handed over in."""
         if not self._resident:
             return None
-        ordered = self.paging.strategy.eviction_order(list(self._resident.values()))
+        ordered = self.strategy.eviction_order(list(self._resident.values()))
         return ordered[0] if ordered else None
 
     # ------------------------------------------------------------- page-out
-    def _page_out(self, meta: BlockMeta, data: np.ndarray, tier_hint: Optional[Tier]) -> None:
-        """Hand an engine-state block's bytes to the engine, inline."""
+    def _page_out(self, meta: BlockMeta, data: np.ndarray, tier: Tier) -> None:
+        """Hand an engine-state block's bytes to the engine, inline, to
+        the strategy's ``tier``; ``GPU`` (a block evicted under HBM
+        pressure) leaves the engine's placement rule to choose."""
         with self._lock:
             meta.engine_copy = True
             self.stats.writebacks += 1
             self.stats.writeback_bytes += meta.nbytes
-        with tenant_scope(meta.tenant), self.paging.hint(tier_hint):
-            self.engine.offloader.store(meta.tid, data)
+        with tenant_scope(meta.tenant):
+            self.engine.offloader.store(meta.tid, data, None if tier is Tier.GPU else tier)
 
     def _read_back(self, meta: BlockMeta) -> None:
         """The copy rule for a block just read back for HBM: keep the
@@ -395,7 +392,7 @@ class KVBlockPool:
         """
         offloader = self.engine.offloader
         issued = 0
-        for key in self.paging.strategy.prefetch_plan(schedule, self):
+        for key in self.strategy.prefetch_plan(schedule, self):
             meta = self._table.get(key)
             if meta is None:
                 continue

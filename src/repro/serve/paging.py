@@ -16,24 +16,19 @@ the data-placement simulator referenced in SNIPPETS.md §2: PreferHBM,
 SplitToken (position-split placement), LayerImportance (importance-
 ranked eviction) and LookAheadBatch (schedule-keyed prefetch).
 
-:class:`PagingPolicy` is the bridge into the engine: it installs a
-per-tenant placement hook through the *existing*
-:meth:`repro.core.policy.OffloadPolicy.set_tenant_policy` shape
-(``placer(nbytes, cpu_free_bytes) -> Optional[Tier]``).  The per-block
-tier the strategy chose travels to that hook through a thread-local
-hint set around the engine ``store`` call — the hook signature the
-training front-end already uses is untouched, and tenants without a
-hint fall back to the shared placement rule.
+:meth:`PagingStrategy.place` is the only tier decision: the pool
+passes its ``CPU``/``SSD`` answer straight to the engine's
+``offloader.store(tid, data, tier)``, and an answer of ``GPU`` for a
+block evicted under HBM pressure leaves the engine's own placement rule
+to choose.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from repro.core.policy import OffloadPolicy, Tier
+from repro.core.policy import Tier
 
 
 @dataclass(frozen=True)
@@ -61,9 +56,9 @@ class PagingStrategy:
 
     # ---------------------------------------------------------- placement
     def place(self, ctx: BlockContext) -> Tier:
-        """Tier for a freshly written block.  ``Tier.GPU`` means
-        HBM-resident; ``CPU``/``SSD`` page it out to the engine with
-        that tier as the per-tenant placement hint."""
+        """Tier for a block.  ``Tier.GPU`` means HBM-resident;
+        ``CPU``/``SSD`` page a fresh block out to that engine tier, and
+        send a block evicted under HBM pressure there too."""
         return Tier.GPU
 
     # ----------------------------------------------------------- eviction
@@ -75,12 +70,6 @@ class PagingStrategy:
         LRU on the access sequence number.
         """
         return sorted(resident, key=lambda meta: meta.last_access_seq)
-
-    #: Engine-tier hint for blocks evicted under HBM pressure (rather
-    #: than placed cold at write time).  ``None`` defers to the shared
-    #: pool-first placement rule.
-    def eviction_tier(self, ctx: BlockContext) -> Optional[Tier]:
-        return None
 
     # ----------------------------------------------------------- prefetch
     def prefetch_plan(self, schedule: Sequence[str], pool) -> List:
@@ -131,11 +120,6 @@ class SplitToken(PagingStrategy):
             return Tier.CPU
         return Tier.SSD
 
-    def eviction_tier(self, ctx: BlockContext) -> Optional[Tier]:
-        # A pressure-evicted block keeps its position-derived tier.
-        tier = self.place(ctx)
-        return None if tier is Tier.GPU else tier
-
 
 class LayerImportance(PagingStrategy):
     """Importance-ranked eviction: drop low-value layers' blocks first.
@@ -185,9 +169,6 @@ class LookAheadBatch(PagingStrategy):
     def eviction_order(self, resident: Sequence) -> List:
         return self.base.eviction_order(resident)
 
-    def eviction_tier(self, ctx: BlockContext) -> Optional[Tier]:
-        return self.base.eviction_tier(ctx)
-
     def prefetch_plan(self, schedule: Sequence[str], pool) -> List:
         keys: List = []
         for request_id in schedule[: self.depth]:
@@ -210,46 +191,3 @@ def make_strategy(name: str, **kwargs) -> PagingStrategy:
     if name == "lookahead":
         return LookAheadBatch(**kwargs)
     raise ValueError(f"unknown paging strategy {name!r}; expected one of {STRATEGIES}")
-
-
-class PagingPolicy:
-    """Bridges one :class:`PagingStrategy` into the engine's
-    :class:`~repro.core.policy.OffloadPolicy` per-tenant hook.
-
-    The strategy decides a per-*block* engine tier, but the engine hook
-    shape is per-*tenant* ``placer(nbytes, cpu_free_bytes)``.  The pool
-    therefore wraps each engine ``store`` in :meth:`hint`, parking the
-    block's tier in a thread-local the installed placer reads — valid
-    on whichever thread executes the store body (the caller inline, or
-    a scheduler worker running the request fn).
-    """
-
-    def __init__(self, strategy: Optional[PagingStrategy] = None) -> None:
-        self.strategy = strategy if strategy is not None else PreferHBM()
-        self._tls = threading.local()
-
-    @contextmanager
-    def hint(self, tier: Optional[Tier]) -> Iterator[None]:
-        """Scope a placement hint around one engine store call."""
-        previous = getattr(self._tls, "tier", None)
-        self._tls.tier = tier
-        try:
-            yield
-        finally:
-            self._tls.tier = previous
-
-    def engine_placer(
-        self, nbytes: int, cpu_free_bytes: Optional[int]
-    ) -> Optional[Tier]:
-        """The hook installed via ``OffloadPolicy.set_tenant_policy``."""
-        tier = getattr(self._tls, "tier", None)
-        if tier is None or tier is Tier.GPU:
-            return None  # defer to the shared placement rule
-        return tier
-
-    def install(self, policy: OffloadPolicy, tenant: str) -> None:
-        """Idempotently install the placer for one tenant."""
-        # Bound-method equality (not identity): ``self.engine_placer``
-        # is a fresh bound-method object on every attribute access.
-        if policy.tenant_policy(tenant) != self.engine_placer:
-            policy.set_tenant_policy(tenant, self.engine_placer)

@@ -410,41 +410,31 @@ def test_make_room_skips_dead_tenant_victims(tmp_path):
         off.shutdown()
 
 
-# ------------------------------------------------- placement hooks
+# ------------------------------------------------- caller's placement
 
 
-def test_policy_place_for_tenant_hook():
-    policy = OffloadPolicy()
-    default = policy.place(nbytes=100, cpu_free_bytes=1000)
-    assert default is Tier.CPU
-    policy.set_tenant_policy("cold", lambda nbytes, free: Tier.SSD)
-    assert policy.place_for("cold", nbytes=100, cpu_free_bytes=1000) is Tier.SSD
-    assert policy.place_for("other", nbytes=100, cpu_free_bytes=1000) is Tier.CPU
-    # A hook may defer with None (fall through to the shared rule).
-    policy.set_tenant_policy("picky",
-                             lambda nbytes, free: Tier.SSD if nbytes > 500 else None)
-    assert policy.place_for("picky", nbytes=100, cpu_free_bytes=1000) is Tier.CPU
-    assert policy.place_for("picky", nbytes=600, cpu_free_bytes=1000) is Tier.SSD
-    policy.set_tenant_policy("cold", None)  # removal restores the default
-    assert policy.place_for("cold", nbytes=100, cpu_free_bytes=1000) is Tier.CPU
-
-
-def test_tiered_store_honours_tenant_placement_hook(tmp_path):
+def test_tiered_store_honours_the_callers_tier_under_a_tenant_scope(tmp_path):
+    """``store(..., tier=...)`` overrides the pool-first rule for that
+    one store; a store without a tier, and ``store_lane``, still follow
+    the policy.  A tenant whose SSD is dead lands on CPU whatever the
+    caller asked for."""
     off = build_tier(tmp_path, cpu_pool_bytes=1 << 20)
-    off.policy.set_tenant_policy("cold", lambda nbytes, free: Tier.SSD)
     data = np.arange(128, dtype=np.float32)
-    tid_cold = TensorID(stamp=1, shape=data.shape)
-    tid_warm = TensorID(stamp=2, shape=data.shape)
+    tid_cold, tid_warm, tid_dead = (TensorID(stamp=i, shape=data.shape) for i in (1, 2, 3))
     try:
         with tenant_scope("cold"):
-            off.store(tid_cold, data)
+            off.store(tid_cold, data, tier=Tier.SSD)
+            assert off.store_lane(tid_cold, data.nbytes) == "cpu"
         with tenant_scope("warm"):
             off.store(tid_warm, data)
         assert off.tier_of(tid_cold) is Tier.SSD
         assert off.tier_of(tid_warm) is Tier.CPU
+        off.scheduler.health.mark_dead("ssd", "doomed")
+        with tenant_scope("doomed"):
+            off.store(tid_dead, data, tier=Tier.SSD)
+        assert off.tier_of(tid_dead) is Tier.CPU
         with tenant_scope("cold"):
-            assert off.store_lane(tid_cold, data.nbytes) == "ssd"
-        assert off.store_lane(tid_cold, data.nbytes) == "cpu"  # default scope
+            assert np.array_equal(off.load(tid_cold, data.shape, data.dtype), data)
     finally:
         off.shutdown()
 

@@ -177,7 +177,7 @@ class KVPoolModel(RuleBasedStateMachine):
             assert all(m.engine_copy == (tiers[m.key] is not Tier.GPU) for m in rows)
             assert pool.hbm_used_bytes == sum(m.nbytes for m in scan) <= pool.hbm_capacity_bytes
             if scan:
-                assert pool._pick_victim() is pool.paging.strategy.eviction_order(scan)[0]
+                assert pool._pick_victim() is pool.strategy.eviction_order(scan)[0]
             else:
                 assert pool._pick_victim() is None
         assert sum(pool.tier_census().values()) == len(live)

@@ -168,3 +168,44 @@ def test_kv_serve_quick_trace_exact_counters_are_pinned(tmp_path):
     # Demand fetches are the only scheduler traffic, and all of it is booked.
     books = result.engine_stats.scheduler
     assert (books.submitted, books.executed, books.failed, books.cancelled) == (582, 582, 0, 0)
+
+
+# ------------------------------------------------- the CLI's `repro kv` run
+#: ``repro kv --requests 8 [--strategy split-token]``'s paged run:
+#: pool books, census at peak, virtual TTFT and peak concurrency.
+#: ``split-token`` is the one shipped strategy that hands the engine a
+#: tier (``lookahead`` over ``PreferHBM`` always answers HBM).
+KV_CLI_PINS = {
+    "lookahead": {
+        "books": (94, 766, 180, 1129, 1156),
+        "census": {"cpu": 16, "hbm": 32, "ssd": 22},
+        "ttft": (0.1566574167100796, 0.18855619106104426),
+    },
+    "split-token": {
+        "books": (94, 980, 0, 947, 926),
+        "census": {"cpu": 14, "hbm": 32, "ssd": 24},
+        "ttft": (0.14472141671007988, 0.17862231852226174),
+    },
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(KV_CLI_PINS))
+def test_repro_kv_paged_run_is_pinned(tmp_path, strategy):
+    """Every number is a pure function of the call sequence on the
+    virtual clock, so a change to placement, eviction or prefetch moves
+    one here.  Update the pins on purpose."""
+    trace = RequestTrace.generate(TraceConfig(num_requests=8, seed=1234))
+    config = ServerConfig(
+        paged=True, strategy=strategy, hbm_capacity_bytes=256 << 10, store_dir=str(tmp_path)
+    )
+    result = KVServerSim(trace, config).run()
+    stats = result.pool_stats
+    pins = KV_CLI_PINS[strategy]
+    books = (
+        stats.blocks_written, stats.demand_fetches, stats.prefetch_hits,
+        stats.writebacks, stats.evictions,
+    )
+    assert books == pins["books"]
+    assert result.tier_census_peak == pins["census"]
+    assert (result.ttft_p50, result.ttft_p99) == pytest.approx(pins["ttft"], rel=1e-12)
+    assert (result.peak_concurrency, result.served, result.bit_exact_ok) == (6, 8, True)

@@ -22,12 +22,13 @@ nothing.  A probe
 (``getattr``/``hasattr`` asking a part what it is) means a layer does
 not say what it has; the budget is for the few that are deliberate.
 The count of ``except Exception`` sites is committed the same way.
-The last five tests pin shapes so they cannot grow back: one admission
+The last six tests pin shapes so they cannot grow back: one admission
 answer (a tenant's contract is a weight and a byte quota), one owner of
 degraded mode and one timer for it (class deadlines), one observation feed — producers keep cumulative books
 and emit events, consumers difference and aggregate — one simulated
-multi-step runner, and one queueing model (the simulator queues on the
-production scheduler).
+multi-step runner, one queueing model (the simulator queues on the
+production scheduler), and one input to a store's placement (the
+caller's tier argument, else the policy's rule).
 """
 
 import dataclasses
@@ -35,8 +36,9 @@ import inspect
 import re
 from pathlib import Path
 
-from repro.core.engine import EngineConfig
-from repro.core.offloader import SSDOffloader
+from repro.core.engine import EngineConfig, build_engine
+from repro.core.offloader import CPUOffloader, Offloader, SSDOffloader
+from repro.core.policy import OffloadPolicy
 from repro.core.tensor_cache import TensorCache
 from repro.core.tiered import TieredOffloader
 from repro.io.aio import IOBackend
@@ -57,7 +59,10 @@ from repro.serve import KVBlockPool
 #: the one-acquisition borrow, less the limbo FIFO and the unlink paths).
 #: 17,800 before one pass per request (the begin/finish/notify hooks and
 #: the scheduler's own stats lock went; a lazy completion event came).
-SRC_LINE_CEILING = 17_792
+#: 17,792 before a store's tier became an argument (the per-tenant
+#: placer registry, the KV pool's thread-local hint bridge and
+#: ``eviction_tier`` went; the CLI fault demos share one rig).
+SRC_LINE_CEILING = 17_650
 ENGINE_CONFIG_FIELD_CEILING = 14
 KV_POOL_PARAMETERS = ("engine", "block_tokens", "num_layers", "hbm_capacity_bytes", "strategy")
 TENSOR_CACHE_PARAMETERS = ("offloader", "policy", "registry", "prefetch_window", "scheduler")
@@ -257,3 +262,18 @@ def test_simulated_io_has_one_queue():
     assert "IOScheduler(" in sim
     assert _parameters(IOScheduler) == IO_SCHEDULER_PARAMETERS
     assert _construction_path_values() == 30
+
+
+def test_placement_has_one_input():
+    """A store's tier travels as an argument: the caller that decided it
+    (the KV pool's strategy) passes it to ``store``, and without one the
+    tiered offloader asks ``OffloadPolicy.place``.  No per-tenant placer
+    registry, no thread-local hint, no bridge object on the pool."""
+    for cls in (Offloader, SSDOffloader, CPUOffloader, TieredOffloader):
+        assert tuple(inspect.signature(cls.store).parameters) == ("self", "tid", "data", "tier")
+    for gone in ("set_tenant_policy", "tenant_policy", "place_for", "_tenant_placers"):
+        assert not hasattr(OffloadPolicy(), gone), gone
+    paging = (SRC / "repro" / "serve" / "paging.py").read_text()
+    assert "threading.local" not in paging and "eviction_tier" not in paging
+    with build_engine(EngineConfig(target="cpu")) as engine:
+        assert not hasattr(KVBlockPool(engine), "paging")
