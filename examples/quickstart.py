@@ -58,7 +58,6 @@ def run(
     chunk_bytes: Optional[int] = None,
     fifo_io: bool = False,
     io_backend: str = "thread",
-    io_direct: bool = False,
 ) -> dict:
     gpu = GPU()
     model = GPT(CONFIG, rng=np.random.default_rng(0)).to(gpu)
@@ -66,24 +65,24 @@ def run(
 
     cache = None
     tracer = None
+    store_dir = None
     if offload:
         # The "few lines added to the existing script" (paper Sec. III-A):
         # one EngineConfig selects the whole engine, engine.cache() hangs
         # the training front-end on it; the Trainer registers the
         # weights, attaches the hooks, and wires the scheduler hints.
-        store_dir = tempfile.mkdtemp(prefix="ssdtrain-quickstart-")
+        store_dir = tempfile.TemporaryDirectory(prefix="ssdtrain-quickstart-")
         policy = OffloadPolicy(PolicyConfig(min_offload_numel=1024))
         engine = build_engine(
             EngineConfig(
                 target=target,
-                store_dir=store_dir,
+                store_dir=store_dir.name,
                 cpu_pool_bytes=cpu_pool_bytes,
                 chunk_bytes=chunk_bytes,
                 throttle_bytes_per_s=STORE_THROTTLE_BYTES_PER_S,
                 policy=policy,  # one policy governs decide() and place()
                 fifo_io=fifo_io,
                 io_backend=io_backend,
-                io_direct=io_direct,
             )
         )
         cache = engine.cache()
@@ -116,13 +115,16 @@ def run(
             peaks.append(result.activation_peak_bytes)
             offloaded += result.offloaded_bytes
         if cache is not None:
-            tier_stats = getattr(cache.offloader, "stats", None)
+            tier_stats = engine.tiered.stats if engine.tiered is not None else None
             sched_stats = cache.scheduler.stats
             cache_stats = cache.stats
             engine_stats = engine.stats()
             dataplane = engine_stats.dataplane
     finally:
         trainer.close()
+        if store_dir is not None:
+            engine.shutdown()
+            store_dir.cleanup()
     return {
         "losses": losses,
         "peak": max(peaks[1:] or peaks),
@@ -142,14 +144,13 @@ def main(
     chunk_bytes: Optional[int] = None,
     fifo_io: bool = False,
     io_backend: str = "thread",
-    io_direct: bool = False,
 ) -> None:
     print(f"Training GPT (H={CONFIG.hidden}, L={CONFIG.num_layers}) for {STEPS} steps")
     print(f"offload target: {target}"
           + (f"  cpu_pool={cpu_pool_bytes}B" if cpu_pool_bytes is not None else "")
           + (f"  chunk={chunk_bytes}B" if chunk_bytes is not None else "")
           + ("  io=fifo" if fifo_io else "  io=priority")
-          + f"  backend={io_backend}" + ("+O_DIRECT" if io_direct else "")
+          + f"  backend={io_backend}"
           + "\n")
     baseline = run(offload=False)
     ssdtrain = run(
@@ -159,7 +160,6 @@ def main(
         chunk_bytes=chunk_bytes,
         fifo_io=fifo_io,
         io_backend=io_backend,
-        io_direct=io_direct,
     )
 
     print(f"{'step':>4} {'loss (keep)':>12} {'loss (SSDTrain)':>16}")

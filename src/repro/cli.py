@@ -209,7 +209,6 @@ def cmd_quickstart(args: argparse.Namespace) -> None:
         chunk_bytes=args.chunk_bytes,
         fifo_io=args.fifo_io,
         io_backend=args.io_backend,
-        io_direct=args.io_direct,
     )
 
 
@@ -354,11 +353,12 @@ def _fault_rig(steps, plan=None, kill_before_step=None, heal_before_step=None,
     """Train the fault demos' tiny GPT for ``steps`` offloaded steps.
 
     The engine is built from ``engine_options`` over a fresh store
-    directory; ``plan`` wraps its SSD store in a fault injector that is
-    killed / healed before the given steps, and ``fault_gate`` is
-    installed on its chunk store.  After a heal the rig drives the
-    breaker's probe rounds until the tier is back (or 5 s pass), so the
-    caller sees the settled state.  Returns ``(losses, injector, engine)``.
+    directory, removed once the engine is shut down; ``plan`` wraps its
+    SSD store in a fault injector that is killed / healed before the
+    given steps, and ``fault_gate`` is installed on its chunk store.
+    After a heal the rig drives the breaker's probe rounds until the
+    tier is back (or 5 s pass), so the caller sees the settled state.
+    Returns ``(losses, injector, engine)``; the engine is shut down.
     """
     import tempfile
     import time
@@ -378,9 +378,10 @@ def _fault_rig(steps, plan=None, kill_before_step=None, heal_before_step=None,
     )
     gpu = GPU()
     model = GPT(config, rng=np.random.default_rng(0)).to(gpu)
+    store_dir = tempfile.TemporaryDirectory(prefix="ssdtrain-faults-")
     engine = build_engine(
         EngineConfig(
-            store_dir=tempfile.mkdtemp(prefix="ssdtrain-faults-"),
+            store_dir=store_dir.name,
             policy=OffloadPolicy(PolicyConfig(min_offload_numel=256)),
             **engine_options,
         )
@@ -411,6 +412,8 @@ def _fault_rig(steps, plan=None, kill_before_step=None, heal_before_step=None,
                 time.sleep(tier.probe_backoff_s)
     finally:
         trainer.close()
+        engine.shutdown()
+        store_dir.cleanup()
     return losses, injector, engine
 
 
@@ -495,10 +498,10 @@ def _faults_heal(args: argparse.Namespace) -> None:
             if root0_left[0] < 0:
                 raise OSError(errno.ENOSPC, "injected: store root 0 full")
 
-    survived, _, c_engine = _fault_rig(
-        steps, fault_gate=gate, chunk_bytes=32 << 10,
-        store_roots=[tempfile.mkdtemp(prefix="ssdtrain-heal-root1-")], **tiered,
-    )
+    with tempfile.TemporaryDirectory(prefix="ssdtrain-heal-root1-") as root1:
+        survived, _, c_engine = _fault_rig(
+            steps, fault_gate=gate, chunk_bytes=32 << 10, store_roots=[root1], **tiered,
+        )
     store, c_sched = c_engine.chunk_store, c_engine.scheduler.stats
     print(f"ENOSPC on root 0: {store.enospc_root_skips} re-routed writes, "
           f"full roots {store.full_roots}, {c_sched.failed} failed requests")
@@ -755,12 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--io-backend", choices=IO_BACKENDS, default="thread",
                 help="who settles finished requests: the lane worker "
                      "(thread) or a completion reaper (uring)",
-            )
-            p.add_argument(
-                "--io-direct", action="store_true",
-                help="per-tensor SSD store writes with O_DIRECT (falls "
-                     "back to buffered I/O once the filesystem "
-                     "refuses; not with --chunk-bytes)",
             )
         if name == "tenants":
             p.add_argument(

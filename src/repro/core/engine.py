@@ -84,10 +84,6 @@ class EngineConfig:
         store_roots: extra chunk-store directories; flushed chunks are
             write-leveled across them by cumulative bytes written.
             Requires ``chunk_bytes`` [``ChunkedTensorStore``].
-        io_direct: open write descriptors ``O_DIRECT`` — aligned staging
-            via arena leases, buffered once the filesystem
-            refuses.  Not with ``chunk_bytes`` (chunk files are
-            buffered) [``TensorFileStore``].
         throttle_bytes_per_s: model a paced device [the store; the
             :class:`~repro.core.offloader.CPUOffloader` for ``cpu``].
         cpu_pool_bytes: pinned-pool capacity; ``None`` means unbounded
@@ -136,7 +132,6 @@ class EngineConfig:
     fifo_io: bool = False
     tenants: Optional[TenantRegistry] = None
     io_backend: str = "thread"
-    io_direct: bool = False
     io_deadlines: Optional[Dict[str, float]] = None
     probe_backoff_s: Optional[float] = None
 
@@ -173,15 +168,6 @@ class EngineConfig:
             raise EngineConfigError(
                 f"unknown io_backend {self.io_backend!r}; "
                 f"expected one of {IO_BACKENDS}"
-            )
-        if self.io_direct and self.target == "cpu":
-            raise EngineConfigError(
-                "io_direct applies to the ssd/tiered targets, not cpu"
-            )
-        if self.io_direct and self.chunk_bytes is not None:
-            raise EngineConfigError(
-                "io_direct applies to the per-tensor store; chunk files "
-                "(chunk_bytes) are always buffered"
             )
         if self.store_roots and self.target not in ("ssd", "tiered"):
             raise EngineConfigError(
@@ -344,7 +330,6 @@ class Engine:
             self.file_store = TensorFileStore(
                 cfg.store_dir,
                 throttle_bytes_per_s=cfg.throttle_bytes_per_s,
-                direct=cfg.io_direct,
             )
         ssd = SSDOffloader(self.file_store)
         if cfg.target == "ssd":

@@ -195,7 +195,7 @@ class TieredOffloader(Offloader):
 
     Args:
         ssd: the SSD tier, built — every store option (chunking,
-            write-leveling, throttle, ``O_DIRECT``) is the store's,
+            write-leveling, throttle) is the store's,
             decided by whoever constructed it.
         cpu_pool_bytes: pinned pool capacity — the CPU tier's size.
         scheduler: the I/O scheduler the tier works on — a collaborator,

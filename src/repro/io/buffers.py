@@ -13,7 +13,9 @@ storm of first-touch on cold pages.
 
 - **size-class bins** — buffers are pooled by power-of-two size class
   (floor :data:`MIN_SIZE_CLASS`), so a released 96 KiB buffer serves the
-  next 100 KiB lease without fragmentation bookkeeping;
+  next 100 KiB lease without fragmentation bookkeeping.  Every buffer is
+  a plain ``np.empty``: one population per class, with no address
+  alignment promised (nothing in the stack writes unbuffered);
 - **explicit lease/release** — :meth:`BufferArena.lease` hands out a
   :class:`BufferLease` whose lifetime the caller owns; ``release()`` is
   idempotent, so lifecycle code (scheduler terminal states, tier
@@ -49,15 +51,8 @@ import numpy as np
 
 from repro.io.tenancy import current_tenant
 
-#: Smallest size-class: leases below this share 4 KiB buffers (the page
-#: size — also the alignment unit the SSD path cares about).
+#: Smallest size-class: leases below this share 4 KiB buffers (the page size).
 MIN_SIZE_CLASS = 4096
-
-#: ``O_DIRECT`` buffer/offset/length alignment unit.  Every size class
-#: is a multiple of this by construction (power-of-two, floor 4 KiB) —
-#: only the buffer's *address* needs extra care, which ``aligned=True``
-#: leases provide.
-DIRECT_ALIGNMENT = 4096
 
 
 def size_class(nbytes: int) -> int:
@@ -82,7 +77,6 @@ class ArenaStats:
     high_water_bytes: int = 0  #: peak of outstanding_bytes
     retained_bytes: int = 0    #: free-list bytes currently pooled
     trimmed_buffers: int = 0   #: free buffers dropped to respect the cap
-    aligned_leases: int = 0    #: leases served from the O_DIRECT-aligned bins
     #: Live leases per owning tenant (emptied keys are dropped, so after
     #: a clean drain this is exactly ``{}`` — the per-tenant no-leak
     #: invariant the isolation chaos tests reconcile).
@@ -111,15 +105,10 @@ class CopySnapshot:
     copies: int = 0
     bytes_copied: int = 0
     allocs_avoided: int = 0
-    direct_fallbacks: int = 0
 
 
 class CopyCounter:
-    """Thread-safe memcpy/allocation telemetry for one data-plane stage.
-
-    Also books the stage's one staging *decision*: ``O_DIRECT`` refusals
-    (:meth:`count_direct_fallback`).
-    """
+    """Thread-safe memcpy/allocation telemetry for one data-plane stage."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -136,11 +125,6 @@ class CopyCounter:
     def count_avoided(self, allocs: int = 1) -> None:
         with self._lock:
             self._snap.allocs_avoided += allocs
-
-    def count_direct_fallback(self) -> None:
-        """One file the filesystem or device refused ``O_DIRECT`` for."""
-        with self._lock:
-            self._snap.direct_fallbacks += 1
 
     def snapshot(self) -> CopySnapshot:
         with self._lock:
@@ -173,7 +157,7 @@ class BufferLease:
     both call it without coordinating.
     """
 
-    __slots__ = ("arena", "array", "nbytes", "tenant", "aligned", "_released")
+    __slots__ = ("arena", "array", "nbytes", "tenant", "_released")
 
     def __init__(
         self,
@@ -181,14 +165,10 @@ class BufferLease:
         array: np.ndarray,
         nbytes: int,
         tenant: Optional[str] = None,
-        aligned: bool = False,
     ) -> None:
         self.arena = arena
         self.array = array
         self.nbytes = nbytes
-        #: Whether the buffer's address is DIRECT_ALIGNMENT-aligned (the
-        #: lease came from — and returns to — the aligned bins).
-        self.aligned = aligned
         #: Owning tenant (stamped at lease time from the leasing
         #: thread's scope) — the key the per-tenant arena accounting
         #: credits the release back to, however many hands the lease
@@ -235,11 +215,6 @@ class BufferArena:
         self.pool = pool
         self._lock = threading.Lock()
         self._free: Dict[int, List[np.ndarray]] = {}
-        #: O_DIRECT-aligned buffers pool separately: a plain ``np.empty``
-        #: has no address guarantee, so the two populations must never
-        #: mix (an aligned lease served an unaligned buffer would EINVAL
-        #: at ``pwrite`` time).
-        self._free_aligned: Dict[int, List[np.ndarray]] = {}
         self._stats = ArenaStats()
 
     # ------------------------------------------------------------------ stats
@@ -267,26 +242,17 @@ class BufferArena:
         return None
 
     # ------------------------------------------------------------------ lease
-    def lease(
-        self, nbytes: int, tenant: Optional[str] = None, aligned: bool = False
-    ) -> BufferLease:
+    def lease(self, nbytes: int, tenant: Optional[str] = None) -> BufferLease:
         """Lease a buffer of at least ``nbytes`` (size-class rounded).
 
         The lease is attributed to ``tenant`` (default: the calling
         thread's :func:`~repro.io.tenancy.current_tenant` scope) for
         the per-tenant outstanding books.
-
-        ``aligned=True`` guarantees the buffer's address is
-        :data:`DIRECT_ALIGNMENT`-aligned (the ``O_DIRECT`` requirement;
-        length and offset are already multiples by size-class
-        construction).  Aligned buffers pool in their own bins; the
-        over-allocation slack (one alignment unit per fresh buffer) is
-        not charged to the retention books.
         """
         cls = size_class(nbytes)
         owner = tenant if tenant is not None else current_tenant()
         with self._lock:
-            bin_ = (self._free_aligned if aligned else self._free).get(cls)
+            bin_ = self._free.get(cls)
             if bin_:
                 array = bin_.pop()
                 self._stats.hits += 1
@@ -294,8 +260,6 @@ class BufferArena:
             else:
                 array = None
                 self._stats.misses += 1
-            if aligned:
-                self._stats.aligned_leases += 1
             self._stats.leases += 1
             self._stats.outstanding += 1
             self._stats.outstanding_bytes += cls
@@ -308,15 +272,7 @@ class BufferArena:
             # Allocate outside the lock: np.empty of a large class can
             # fault pages, and concurrent leases must not serialize on it.
             try:
-                if aligned:
-                    # Over-allocate one alignment unit and slice to the
-                    # first aligned address; the slice view keeps the
-                    # base allocation alive for the buffer's lifetime.
-                    raw = np.empty(cls + DIRECT_ALIGNMENT, dtype=np.uint8)
-                    offset = (-raw.ctypes.data) % DIRECT_ALIGNMENT
-                    array = raw[offset : offset + cls]
-                else:
-                    array = np.empty(cls, dtype=np.uint8)
+                array = np.empty(cls, dtype=np.uint8)
             except BaseException:
                 # Roll the optimistic accounting back — a failed
                 # allocation must leave the books exact (no phantom
@@ -326,11 +282,9 @@ class BufferArena:
                     self._stats.misses -= 1
                     self._stats.outstanding -= 1
                     self._stats.outstanding_bytes -= cls
-                    if aligned:
-                        self._stats.aligned_leases -= 1
                     self._drop_tenant_outstanding_locked(owner)
                 raise
-        return BufferLease(self, array, nbytes, tenant=owner, aligned=aligned)
+        return BufferLease(self, array, nbytes, tenant=owner)
 
     def _drop_tenant_outstanding_locked(self, tenant: str) -> None:
         by_tenant = self._stats.outstanding_by_tenant
@@ -354,8 +308,7 @@ class BufferArena:
             self._drop_tenant_outstanding_locked(lease.tenant)
             cap = self.retention_cap_bytes
             if cap is None or self._stats.retained_bytes + cls <= cap:
-                free = self._free_aligned if lease.aligned else self._free
-                free.setdefault(cls, []).append(lease.array)
+                self._free.setdefault(cls, []).append(lease.array)
                 self._stats.retained_bytes += cls
             else:
                 self._stats.trimmed_buffers += 1
@@ -370,17 +323,16 @@ class BufferArena:
             raise ValueError(f"target_bytes must be >= 0: {target_bytes}")
         dropped = 0
         with self._lock:
-            for free in (self._free, self._free_aligned):
-                # Largest classes first: fewest drops to reach the target.
-                for cls in sorted(free, reverse=True):
-                    bin_ = free[cls]
-                    while bin_ and self._stats.retained_bytes > target_bytes:
-                        bin_.pop()
-                        self._stats.retained_bytes -= cls
-                        self._stats.trimmed_buffers += 1
-                        dropped += 1
-                    if not bin_:
-                        del free[cls]
+            # Largest classes first: fewest drops to reach the target.
+            for cls in sorted(self._free, reverse=True):
+                bin_ = self._free[cls]
+                while bin_ and self._stats.retained_bytes > target_bytes:
+                    bin_.pop()
+                    self._stats.retained_bytes -= cls
+                    self._stats.trimmed_buffers += 1
+                    dropped += 1
+                if not bin_:
+                    del self._free[cls]
         return dropped
 
 
@@ -405,9 +357,6 @@ class DataPlaneStats:
     arena_outstanding: int = 0
     arena_high_water_bytes: int = 0
     arena_retained_bytes: int = 0
-    #: Files the filesystem or device refused ``O_DIRECT`` for
-    #: (``io_direct=True``); each fell back to buffered I/O.
-    direct_fallbacks: int = 0
 
     @property
     def arena_hit_rate(self) -> float:
@@ -417,7 +366,6 @@ class DataPlaneStats:
         self.copies += snap.copies
         self.bytes_copied += snap.bytes_copied
         self.allocs_avoided += snap.allocs_avoided
-        self.direct_fallbacks += snap.direct_fallbacks
 
     def add_arena(self, stats: ArenaStats) -> None:
         self.arena_leases += stats.leases
@@ -440,5 +388,4 @@ class DataPlaneStats:
         self.arena_outstanding += other.arena_outstanding
         self.arena_high_water_bytes += other.arena_high_water_bytes
         self.arena_retained_bytes += other.arena_retained_bytes
-        self.direct_fallbacks += other.direct_fallbacks
         return self

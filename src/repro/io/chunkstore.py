@@ -38,9 +38,9 @@ for its chunk files and every transfer borrows a descriptor from it: a
 flush is one ``pwritev`` of the staging ``bytearray`` — no ``bytes``
 payload temporary — and a ranged read one ``preadv`` at the tensor's
 chunk offset straight into the destination array; open-chunk reads copy
-once out of a ``memoryview`` window over the staging buffer.  Chunk descriptors are always buffered (never
-``O_DIRECT``): the staging buffer is ordinary unaligned host memory and
-a flush is already one large sequential write.  ``copy_stats``
+once out of a ``memoryview`` window over the staging buffer.  Chunk
+descriptors are buffered, like every store descriptor: a flush is
+already one large sequential write.  ``copy_stats``
 (:class:`~repro.io.buffers.CopyCounter`) counts the copies made and the
 allocations avoided; ``write_syscalls``/``read_syscalls`` are measured
 by the syscall tape.

@@ -3,10 +3,11 @@
 The one path from a store operation to the kernel: every file write is
 one ``os.pwritev`` and every read one ``os.preadv`` (:func:`pwritev_full`
 / :func:`preadv_full`, which resume short transfers) over a descriptor
-borrowed from the store's own :class:`FDTable` — pre-opened descriptors
-keyed by path (io_uring's fixed-file table), LRU-bounded — into a file
-its :class:`FilePool` recycles, so a steady store opens, closes and
-unlinks nothing.
+borrowed from the store's own :class:`FDTable` — pre-opened buffered
+read-write descriptors, one per file whichever way it is used, keyed by
+path (io_uring's fixed-file table), LRU-bounded — into a file its
+:class:`FilePool` recycles, so a steady store opens, closes and unlinks
+nothing.
 
 Descriptors are **borrowed, not handed out**: a store takes one under
 the table's lock, in the same acquisition that finds the tensor's file.
@@ -23,7 +24,6 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.io.aio import count_syscalls
@@ -122,12 +122,11 @@ def preadv_full(fd: int, buffers: Sequence, offset: int = 0, probe: int = 0) -> 
 
 
 class _FDEntry:
-    __slots__ = ("fd", "path", "direct", "borrowers")
+    __slots__ = ("fd", "path", "borrowers")
 
-    def __init__(self, fd: int, path: str, direct: bool) -> None:
+    def __init__(self, fd: int, path: str) -> None:
         self.fd = fd
         self.path = path
-        self.direct = direct
         #: Transfers currently running on ``fd``.
         self.borrowers = 0
 
@@ -171,19 +170,11 @@ class FDTable:
         weakref.finalize(self, _close_dropped, self._entries)
 
     # ------------------------------------------------------------- internals
-    def _open_locked(self, path: str, direct: bool, create: bool) -> _FDEntry:
-        flags = os.O_RDWR | os.O_CREAT if create else os.O_RDWR
-        fd = None
-        if direct:
-            try:
-                fd = os.open(path, flags | os.O_DIRECT, 0o644)
-            except OSError:
-                direct = False  # refused: the caller sees a buffered descriptor
-        if fd is None:
-            fd = os.open(path, flags, 0o644)
+    def _open_locked(self, path: str, create: bool) -> _FDEntry:
+        fd = os.open(path, os.O_RDWR | os.O_CREAT if create else os.O_RDWR, 0o644)
         count_syscalls(1)
         self.opens += 1
-        entry = self._entries[path] = _FDEntry(fd, path, direct)
+        entry = self._entries[path] = _FDEntry(fd, path)
         while len(self._entries) > self.max_open:
             self._retire_locked(self._entries.popitem(last=False)[1])
         return entry
@@ -200,24 +191,17 @@ class FDTable:
         self.closes += 1
 
     # ------------------------------------------------- borrowing (under lock)
-    def take(self, path: str, direct: bool = False, create: bool = True) -> _FDEntry:
-        """Borrow ``path``'s descriptor; the caller holds ``lock``.
+    def take(self, path: str, create: bool = True) -> _FDEntry:
+        """Borrow ``path``'s descriptor (buffered, read-write; one per
+        file serves its writes and its loads); the caller holds ``lock``.
 
-        ``direct`` asks for an ``O_DIRECT`` descriptor, else a buffered
-        one: a cached one of the other kind is replaced (a load needs a
-        buffered one, the file's next direct write ``O_DIRECT`` again;
-        docs/architecture.md §10).  A refused ``O_DIRECT`` open yields a
-        buffered one (``entry.direct`` False).  No ``O_TRUNC``: the store
-        decides when a recycled file is truncated.  Without ``create`` a
-        missing file raises :class:`FileNotFoundError`.
+        No ``O_TRUNC``: the store decides when a recycled file is
+        truncated.  Without ``create`` a missing file raises
+        :class:`FileNotFoundError`.
         """
         entry = self._entries.get(path)
-        if entry is not None and entry.direct != direct:
-            del self._entries[path]
-            self._retire_locked(entry)
-            entry = None
         if entry is None:
-            entry = self._open_locked(path, direct, create)
+            entry = self._open_locked(path, create)
         else:
             self._entries.move_to_end(path)
         entry.borrowers += 1
@@ -237,18 +221,6 @@ class FDTable:
         if entry is not None and entry.borrowers:
             return True
         return any(retired.path == path for retired in self._retired)
-
-    @contextmanager
-    def borrow(self, path: str, direct: bool = False, create: bool = True):
-        """:meth:`take` and :meth:`give_back` around a ``with`` block that
-        gets the entry (``.fd``, ``.direct``); takes the lock itself."""
-        with self.lock:
-            entry = self.take(path, direct, create)
-        try:
-            yield entry
-        finally:
-            with self.lock:
-                self.give_back(entry)
 
     def close_all(self) -> None:
         """Forget every descriptor; the table stays usable."""

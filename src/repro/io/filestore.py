@@ -44,14 +44,12 @@ the eliminated copies a printed number and ``write_syscalls``/
 ``read_syscalls`` (measured by the syscall tape, never assumed) the
 kernel round-trips.
 
-One staging decision belongs to this store, and it books it on
-``copy_stats``: ``direct=True`` opens write descriptors ``O_DIRECT`` and
-stages each frame through an aligned arena lease (the store falls back
-to buffered writes once the filesystem refuses, counted on
-``direct_fallbacks``); a recycled file whose descriptor a load made
-buffered is reopened ``O_DIRECT`` for its next write.  It changes no
-byte on disk.  The store behaves
-the same on every thread and under every ``io_backend``.
+Every write is buffered: the kernel's page cache absorbs it and
+writeback reaches the device behind the caller (the paper's page-cache
+bypass is GPUDirect Storage, which :mod:`repro.io.gds` models
+analytically; docs/architecture.md §10 records why the store has no
+page-cache-bypassing write mode).  The store behaves the same on every
+thread and under every ``io_backend``.
 """
 
 from __future__ import annotations
@@ -68,8 +66,8 @@ from typing import Callable, Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.io import checksum
-from repro.io.aio import count_syscalls, syscall_tape
-from repro.io.buffers import DIRECT_ALIGNMENT, BufferArena, CopyCounter
+from repro.io.aio import syscall_tape
+from repro.io.buffers import CopyCounter
 from repro.io.errors import IntegrityError
 from repro.io.fdtable import FDTable, FilePool, preadv_full, pwritev_over
 
@@ -179,10 +177,6 @@ class TensorFileStore(_TrafficBooks):
         root: directory for tensor files (created if missing).
         throttle_bytes_per_s: if set, sleep so that transfers do not exceed
             this bandwidth — used to emulate slow SSDs in tests.
-        direct: open write descriptors with ``O_DIRECT`` where the
-            platform and filesystem allow; once the filesystem refuses,
-            the store writes buffered, counted on
-            ``copy_stats.direct_fallbacks``.
 
     Descriptors are closed by :meth:`close`/:meth:`clear`, or when a
     store nobody closed is collected.
@@ -192,7 +186,6 @@ class TensorFileStore(_TrafficBooks):
         self,
         root: Union[str, Path],
         throttle_bytes_per_s: Optional[float] = None,
-        direct: bool = False,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -200,13 +193,8 @@ class TensorFileStore(_TrafficBooks):
         if throttle_bytes_per_s is not None and throttle_bytes_per_s <= 0:
             raise ValueError(f"throttle must be positive: {throttle_bytes_per_s}")
         self.throttle_bytes_per_s = throttle_bytes_per_s
-        self.direct = direct and hasattr(os, "O_DIRECT")
-        #: Whether writes still ask for ``O_DIRECT`` (False once refused).
-        self._write_direct = self.direct
         self.copy_stats = CopyCounter()
         self.fds = FDTable()
-        #: Staging leases: aligned frames for ``O_DIRECT`` writes.
-        self.arena = BufferArena() if self.direct else None
         #: The table's lock: a file lookup and its descriptor borrow are one.
         self._lock = self.fds.lock
         self._traffic = StoreTraffic()
@@ -257,12 +245,12 @@ class TensorFileStore(_TrafficBooks):
             with self._lock:
                 path, held = self._pool.take(frame)
                 try:
-                    entry = self.fds.take(path, self._write_direct)
+                    entry = self.fds.take(path)
                 except BaseException:
                     self._pool.release(path, torn=True)
                     raise
             try:
-                self._write_frame(entry, header, payload, held)
+                pwritev_over(entry.fd, [header, payload], held)
             except BaseException:
                 with self._lock:
                     self.fds.give_back(entry)
@@ -279,58 +267,6 @@ class TensorFileStore(_TrafficBooks):
             self._traffic.write_count += 1
             self._traffic.write_syscalls += tape.count
         pace(self.throttle_bytes_per_s, nbytes, start)
-
-    def _write_frame(self, entry, header: bytes, payload: memoryview, held) -> None:
-        if self._write_direct and not entry.direct:
-            self._write_direct = False  # refused at open
-            self.copy_stats.count_direct_fallback()
-        if not entry.direct:
-            pwritev_over(entry.fd, [header, payload], held)
-        elif not self._pwrite_direct(entry.fd, header, payload):
-            # The O_DIRECT open succeeded but the device refused the
-            # write: write this frame, and every later one, buffered.
-            self._write_direct = False
-            with self.fds.borrow(entry.path) as buffered:
-                pwritev_over(buffered.fd, [header, payload], None)
-
-    def _pwrite_direct(self, fd: int, header: bytes, payload: memoryview) -> bool:
-        """``O_DIRECT`` write: stage the frame into an aligned arena
-        lease, zero-pad to the alignment unit, ``pwrite`` the padded
-        block, then ``ftruncate`` to the true frame length — the on-disk
-        bytes stay bit-identical to the buffered path.  Returns False to
-        demote (the device refused the write).
-        """
-        total = FRAME_HEADER_BYTES + payload.nbytes
-        padded = -(-total // DIRECT_ALIGNMENT) * DIRECT_ALIGNMENT
-        lease = self.arena.lease(padded, aligned=True)
-        try:
-            buf = lease.view((padded,), np.uint8)
-            buf[:FRAME_HEADER_BYTES] = np.frombuffer(header, dtype=np.uint8)
-            if total > FRAME_HEADER_BYTES:
-                buf[FRAME_HEADER_BYTES:total] = np.frombuffer(payload, dtype=np.uint8)
-            buf[total:] = 0
-            # The aligned staging copy is the O_DIRECT tax; counted so
-            # copy telemetry never under-reports.
-            self.copy_stats.count_copy(total - FRAME_HEADER_BYTES)
-            mv = memoryview(buf)
-            offset = 0
-            while offset < padded:
-                try:
-                    written = os.pwrite(fd, mv[offset:], offset)
-                except OSError:
-                    if offset:
-                        raise  # partial direct write: surface, don't demote
-                    self.copy_stats.count_direct_fallback()
-                    return False
-                count_syscalls(1)
-                if written <= 0:
-                    raise OSError(f"pwrite made no progress at offset {offset}")
-                offset += written
-            os.ftruncate(fd, total)
-            count_syscalls(1)
-            return True
-        finally:
-            lease.release()
 
     def read(self, tensor_id: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         """Read a tensor back as a fresh array of ``shape``/``dtype``.

@@ -13,7 +13,7 @@ book of it) the adaptive controller folds into its latency estimate.
 
 That is all a backend decides.  What reaches the kernel — one
 ``pwritev``/``preadv`` per transfer over the store's own descriptor
-table, ``O_DIRECT`` staging — belongs to the stores
+table — belongs to the stores
 (:mod:`repro.io.fdtable`, :mod:`repro.io.filestore`) and is identical
 under every ``io_backend``.
 """

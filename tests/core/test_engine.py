@@ -33,10 +33,10 @@ DATA = np.arange(256, dtype=np.float32)
         (dict(target="tiered", store_dir="x"),
          "tiered target requires cpu_pool_bytes"),
         (dict(target="cpu", cpu_pool_bytes=-1), "cpu_pool_bytes must be >= 0"),
+        (dict(target="ssd", store_dir="x", probe_backoff_s=0.01),
+         "probe_backoff_s .* requires the tiered target"),
         # Store-option combinations: validate() is their only judge — the
         # offloaders take a built store and re-check nothing.
-        (dict(target="ssd", store_dir="x", chunk_bytes=4096, io_direct=True),
-         "io_direct applies to the per-tensor store"),
         (dict(target="cpu", store_roots=["y"]),
          "store_roots .* requires an ssd/tiered target"),
         (dict(target="tiered", store_dir="x", cpu_pool_bytes=1, store_roots=["y"]),
@@ -166,7 +166,7 @@ def test_scheduler_starts_exactly_the_workers_it_is_given(workers):
 _FRONT_END_STORES = [
     # benchmarks/e2e/wl_train.py
     ("train_ssd", dict(target="ssd", throttle_bytes_per_s=100e6),
-     TensorFileStore, dict(direct=False, throttle_bytes_per_s=100e6)),
+     TensorFileStore, dict(throttle_bytes_per_s=100e6)),
     ("train_tiered",
      dict(target="tiered", cpu_pool_bytes=4 << 20, chunk_bytes=1 << 20,
           io_backend="uring", throttle_bytes_per_s=100e6),
@@ -177,22 +177,20 @@ _FRONT_END_STORES = [
      ChunkedTensorStore, dict(chunk_bytes=4 << 20, throttle_bytes_per_s=None)),
     # ServerConfig -> serve/server_sim.py (benchmarks/e2e/wl_kv.py, `repro kv`)
     ("kv_serve", dict(target="tiered", cpu_pool_bytes=4 << 20, promote_on_load=False),
-     TensorFileStore, dict(direct=False, throttle_bytes_per_s=None)),
+     TensorFileStore, dict(throttle_bytes_per_s=None)),
     # examples/quickstart.py (`repro quickstart` and its flags)
     ("quickstart", dict(target="ssd", throttle_bytes_per_s=150e6),
-     TensorFileStore, dict(direct=False, throttle_bytes_per_s=150e6)),
+     TensorFileStore, dict(throttle_bytes_per_s=150e6)),
     ("quickstart_tiered_chunked",
      dict(target="tiered", cpu_pool_bytes=64 << 10, chunk_bytes=1 << 20,
           throttle_bytes_per_s=150e6),
      ChunkedTensorStore,
      dict(chunk_bytes=1 << 20, throttle_bytes_per_s=150e6)),
     ("quickstart_uring", dict(target="ssd", io_backend="uring", throttle_bytes_per_s=150e6),
-     TensorFileStore, dict(direct=False, throttle_bytes_per_s=150e6)),
-    ("quickstart_direct", dict(target="ssd", io_direct=True, throttle_bytes_per_s=150e6),
-     TensorFileStore, dict(direct=True, throttle_bytes_per_s=150e6)),
+     TensorFileStore, dict(throttle_bytes_per_s=150e6)),
     # cli.py `repro faults`
     ("faults", dict(target="tiered", cpu_pool_bytes=64 << 10),
-     TensorFileStore, dict(direct=False, throttle_bytes_per_s=None)),
+     TensorFileStore, dict(throttle_bytes_per_s=None)),
     ("faults_heal",
      dict(target="tiered", cpu_pool_bytes=64 << 10, chunk_bytes=32 << 10,
           store_roots=["root1"], probe_backoff_s=0.01),

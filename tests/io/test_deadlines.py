@@ -8,11 +8,15 @@ deterministically here: no test waits out a real deadline.
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.core import EngineConfig, build_engine
+from repro.core.ids import TensorID
 from repro.io import IORequest, IOScheduler, Priority
 from repro.io.aio import JobState
 from repro.io.errors import DeadlineExceededError, is_device_error, is_retryable
+from repro.io.faults import FaultPlan, inject_faults
 
 
 def make_scheduler(**kwargs):
@@ -118,3 +122,56 @@ def test_late_body_outcome_discarded_after_abandon():
     finally:
         gate.set()
         sched.shutdown()
+
+
+def test_a_hung_store_read_is_abandoned_at_its_deadline(tmp_path):
+    """The watchdog's fault: a real store read that hangs (``hang_ops``)
+    on an engine with a ``BLOCKING_LOAD`` deadline.  The waiter gets the
+    deadline error while the read still sleeps; when the hang ends the
+    late result is discarded and the books still balance."""
+    deadline_s = 10.0
+    engine = build_engine(
+        EngineConfig(
+            target="ssd", store_dir=tmp_path, io_deadlines={"BLOCKING_LOAD": deadline_s}
+        )
+    )
+    try:
+        off, sched = engine.offloader, engine.scheduler
+        # Op 1 is the store, op 2 the blocking load.
+        injector = inject_faults(off, FaultPlan(hang_ops=(2,), hang_s=0.3))
+        data = np.arange(256, dtype=np.float32)
+        tid = TensorID(stamp=1, shape=data.shape)
+        store = sched.submit(
+            IORequest(
+                lambda: off.store(tid, data),
+                kind="store",
+                priority=Priority.STORE,
+                tensor_id=str(tid),
+                nbytes=data.nbytes,
+                lane=off.store_lane(tid, data.nbytes),
+            )
+        )
+        assert store.wait(5) and store.error is None
+        load = sched.submit(
+            _load(
+                lambda: off.load(tid, data.shape, data.dtype),
+                tensor_id=str(tid),
+                nbytes=data.nbytes,
+                lane=off.load_lane(tid),
+            )
+        )
+        give_up = time.monotonic() + 5
+        while not load.started_at and time.monotonic() < give_up:
+            time.sleep(0.001)
+        assert load.started_at
+        sched._watchdog_scan(now=load.started_at + deadline_s + 1)
+        assert load.wait(2)
+        assert isinstance(load.error, DeadlineExceededError)
+        assert sched.stats.deadline_abandons == 1
+        assert sched.drain(5)  # the hung read returns; its outcome is dropped
+        assert injector.fault_stats.ops == 2
+        stats = sched.stats
+        assert stats.submitted == stats.executed + stats.failed + stats.cancelled
+        assert load.state is JobState.FAILED and load.result is None
+    finally:
+        engine.shutdown()

@@ -86,9 +86,10 @@ PER_TENANT_SRC_CALL_CEILING = 57.0
 #: every store opened a new file and every release unlinked it, 17.0 and
 #: 68.04 since released files are recycled (the free-file pick rides the
 #: lock acquisition that borrows the descriptor), 12.0 and 62.5 with one
-#: pass.
+#: pass, 12.0 and 62.04 once a write called ``pwritev_over`` itself (no
+#: per-write direct-or-buffered dispatch frame).
 FILE_LOCK_RELEASE_CEILING = 12.0
-FILE_SRC_CALL_CEILING = 63.0
+FILE_SRC_CALL_CEILING = 62.1
 #: ``kv_serve``'s demand fetch: one ``BLOCKING_LOAD`` built and run by
 #: :meth:`~repro.io.scheduler.IOScheduler.run_inline` on the ``cpu`` lane
 #: of a tiered engine with a tenant registry, the tiered load included.

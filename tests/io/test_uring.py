@@ -1,9 +1,9 @@
 """Tests for the I/O plane below the scheduler, bottom-up.
 
 The vectored-syscall helpers, the stores' LRU FD table (borrow /
-deferred close, O_DIRECT grant/fallback/demotion, leak-freedom), the one
-positioned-I/O path of both stores (bit-identical files, the torn-write
-/ oversize / mismatch / bit-rot taxonomy, buffered and ``O_DIRECT``),
+deferred close, leak-freedom), the one positioned-I/O path of both
+stores (bit-identical files, the torn-write / oversize / mismatch /
+bit-rot taxonomy),
 the reaper backend under a live scheduler (books reconcile, reap lag
 recorded), backend equivalence on real training (losses, syscalls,
 bytes and files identical across thread/uring), and chaos on
@@ -13,10 +13,10 @@ whole-batch failures leave every worker alive).
 
 import errno
 import gc
-import mmap
 import os
 import sys
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -40,7 +40,6 @@ from repro.io import (
     UringBackend,
 )
 from repro.io.aio import syscall_tape
-from repro.io.buffers import DIRECT_ALIGNMENT
 from repro.io.errors import IntegrityError
 from repro.io.faults import FaultPlan, inject_faults
 from repro.io.fdtable import preadv_full, pwritev_full
@@ -85,16 +84,29 @@ def test_vectored_helpers_count_syscalls(tmp_path):
 
 
 # ------------------------------------------------------------------- FD table
+@contextmanager
+def _borrow(table, path, create=True):
+    """Take ``path``'s descriptor and give it back, each under the
+    table's lock, the way a store does around one transfer."""
+    with table.lock:
+        entry = table.take(path, create=create)
+    try:
+        yield entry
+    finally:
+        with table.lock:
+            table.give_back(entry)
+
+
 def test_fdtable_caches_descriptors(tmp_path):
     table = FDTable(max_open=8)
     path = str(tmp_path / "a.bin")
-    with table.borrow(path) as entry:
-        assert not entry.direct and table.opens == 1
+    with _borrow(table, path) as entry:
+        assert table.opens == 1
         os.write(entry.fd, b"x")
-    with table.borrow(path) as again:
+    with _borrow(table, path) as again:
         assert again.fd == entry.fd and table.opens == 1
-    with table.borrow(path, create=False) as read:
-        assert read.fd == entry.fd  # buffered entry is shared
+    with _borrow(table, path, create=False) as read:
+        assert read.fd == entry.fd  # one descriptor serves writes and reads
     assert table.opens == 1
     table.close_all()
     assert len(table) == 0
@@ -105,47 +117,21 @@ def test_fdtable_lru_eviction(tmp_path):
     table = FDTable(max_open=2)
     paths = [str(tmp_path / f"{i}.bin") for i in range(3)]
     for p in paths:
-        with table.borrow(p):
+        with _borrow(table, p):
             pass
     assert len(table) == 2
     assert table.closes == 1  # paths[0] evicted (least recently used)
     # The evicted path transparently reopens, without truncating it.
-    with table.borrow(paths[1]) as entry:
+    with _borrow(table, paths[1]) as entry:
         os.write(entry.fd, b"kept")
-    with table.borrow(paths[2]):
+    with _borrow(table, paths[2]):
         pass
-    with table.borrow(paths[0]):
+    with _borrow(table, paths[0]):
         pass
     assert table.opens == 4
-    with table.borrow(paths[1], create=False) as entry:  # evicted by paths[0]: a reopen
+    with _borrow(table, paths[1], create=False) as entry:  # evicted by paths[0]: a reopen
         assert os.pread(entry.fd, 4, 0) == b"kept"
     assert table.opens == 5
-    table.close_all()
-
-
-def test_fdtable_read_demotes_direct_descriptors(tmp_path):
-    if not hasattr(os, "O_DIRECT"):
-        pytest.skip("platform has no O_DIRECT")
-    table = FDTable()
-    path = str(tmp_path / "d.bin")
-    with table.borrow(path, direct=True) as entry:
-        if not entry.direct:
-            # Refused at open: the caller sees a fresh buffered descriptor.
-            assert table.opens == 1
-            pytest.skip("filesystem refused O_DIRECT")
-        # O_DIRECT demands an aligned source; an anonymous mmap page is.
-        os.pwrite(entry.fd, mmap.mmap(-1, 4096), 0)
-    # Loads need a buffered descriptor (unaligned destination arrays):
-    # the direct entry is closed and replaced by a fresh buffered open.
-    with table.borrow(path, create=False) as read:
-        assert (table.opens, table.closes) == (2, 1)
-        assert os.pread(read.fd, 4, 0) == b"\0" * 4
-    # A buffered write shares the read's descriptor; the next direct
-    # write reopens the file O_DIRECT again.
-    with table.borrow(path) as write:
-        assert (write.fd, write.direct) == (read.fd, False)
-    with table.borrow(path, direct=True) as write:
-        assert write.direct and (table.opens, table.closes) == (3, 2)
     table.close_all()
 
 
@@ -167,7 +153,7 @@ def test_borrowed_descriptor_outlives_eviction_and_close_all(tmp_path, drop):
 
     def transfer():  # thread A: a two-part transfer into P
         try:
-            with table.borrow(p) as entry:
+            with _borrow(table, p) as entry:
                 pwritev_full(entry.fd, [b"first-"])
                 borrowed.set()
                 assert resume.wait(10)
@@ -181,16 +167,16 @@ def test_borrowed_descriptor_outlives_eviction_and_close_all(tmp_path, drop):
     # Thread B, while A is mid-transfer: drop P from the table, then open
     # more files — a closed fd number would be handed to one of them.
     if drop == "evict":
-        with table.borrow(q) as entry:
+        with _borrow(table, q) as entry:
             pwritev_full(entry.fd, [b"Q"])
     else:
         table.close_all()
     assert table.closes == 0, "P's close must wait for its borrower"
     with table.lock:
         assert table.busy(p), "a store must not recycle P under its borrower"
-    with table.borrow(q) as entry:
+    with _borrow(table, q) as entry:
         pwritev_full(entry.fd, [b"Q"])
-    with table.borrow(r) as entry:
+    with _borrow(table, r) as entry:
         pwritev_full(entry.fd, [b"R"])
     resume.set()
     a.join(10)
@@ -219,9 +205,9 @@ def test_fdtable_thrash_never_crosses_files(tmp_path):
         back = bytearray(len(mine))
         try:
             for _ in range(rounds):
-                with table.borrow(path) as entry:
+                with _borrow(table, path) as entry:
                     pwritev_full(entry.fd, [mine[:256], mine[256:]])
-                with table.borrow(path, create=False) as entry:
+                with _borrow(table, path, create=False) as entry:
                     assert preadv_full(entry.fd, [back]) == len(mine)
                 assert back == mine
         except BaseException as exc:
@@ -272,7 +258,7 @@ DATA = np.random.default_rng(0).standard_normal((32, 8)).astype(np.float32)
 def _make_store(kind, root):
     if kind == "chunk":
         return ChunkedTensorStore(root, chunk_bytes=1 << 20)
-    return TensorFileStore(root, direct=kind == "file-direct")
+    return TensorFileStore(root)
 
 
 def _written(kind, root, names=("t",)):
@@ -286,7 +272,7 @@ def _written(kind, root, names=("t",)):
 
 
 #: Byte offset of the first tensor's payload inside its file.
-_PAYLOAD_AT = {"file-buffered": FRAME_HEADER_BYTES, "file-direct": FRAME_HEADER_BYTES, "chunk": 0}
+_PAYLOAD_AT = {"file-buffered": FRAME_HEADER_BYTES, "chunk": 0}
 
 STORE_KINDS = pytest.mark.parametrize("kind", sorted(_PAYLOAD_AT))
 
@@ -299,7 +285,7 @@ def test_store_files_are_the_reference_bytes(tmp_path, kind):
         # A chunk file is the tensors' raw bytes back to back.
         assert store.path_for("a").read_bytes() == DATA.tobytes() * len(names)
     else:
-        # Buffered or O_DIRECT (granted or refused): the reference frame.
+        # A per-tensor file is the reference frame.
         for name in names:
             assert store.path_for(name).read_bytes() == frame_payload(DATA.tobytes())
     for name in names:
@@ -356,9 +342,8 @@ def test_store_missing_tensor(tmp_path, kind):
     store.close()
 
 
-@pytest.mark.parametrize("kind", ["file-buffered", "file-direct"])
-def test_filestore_rejects_short_and_oversized_files(tmp_path, kind):
-    store = _written(kind, tmp_path)
+def test_filestore_rejects_short_and_oversized_files(tmp_path):
+    store = _written("file-buffered", tmp_path)
     path = store.path_for("t")
     raw = path.read_bytes()
     path.write_bytes(raw[: FRAME_HEADER_BYTES - 4])  # shorter than the header
@@ -425,142 +410,6 @@ def test_a_longer_file_left_by_an_earlier_run_is_truncated(tmp_path, kind):
     else:
         assert store.path_for("t").stat().st_size == data.nbytes  # the chunk, no stale tail
     assert np.array_equal(store.read("t", data.shape, data.dtype), data)
-    store.close()
-
-
-def test_filestore_odirect_write_bit_identical(tmp_path):
-    data = np.random.default_rng(1).standard_normal((100,)).astype(np.float32)
-    store = TensorFileStore(tmp_path, direct=True)
-    if not store.direct:
-        pytest.skip("platform has no O_DIRECT")
-    store.write("t", data)
-    back = store.read("t", data.shape, data.dtype)
-    assert np.array_equal(back, data)
-    # ftruncate after the padded direct write — or the buffered fallback:
-    # the on-disk frame is byte-identical to the reference either way.
-    assert store.path_for("t").read_bytes() == frame_payload(data.tobytes())
-    assert store.arena.stats().outstanding_bytes == 0
-    if store.copy_stats.snapshot().direct_fallbacks:
-        store.close()
-        pytest.skip("filesystem refused O_DIRECT")
-    # Aligned staging went through the arena, and every lease came back.
-    assert store.arena.stats().aligned_leases >= 1
-    store.close()
-
-
-# The three refusals below are forced, so they run on every filesystem:
-# an O_DIRECT open "granted" here is a buffered descriptor the table
-# books as direct, and a refused call raises EINVAL like the kernel does.
-def _einval(*_args, **_kwargs):
-    raise OSError(errno.EINVAL, "Invalid argument")
-
-
-def _open_without_direct(real_open):
-    def fake_open(path, flags, *args):
-        return real_open(path, flags & ~os.O_DIRECT, *args)
-
-    return fake_open
-
-
-def _direct_store(tmp_path):
-    if not hasattr(os, "O_DIRECT"):
-        pytest.skip("platform has no O_DIRECT")
-    return TensorFileStore(tmp_path, direct=True)
-
-
-def _assert_buffered_fallback(store, data):
-    assert store.copy_stats.snapshot().direct_fallbacks == 1
-    assert store.path_for("t").read_bytes() == frame_payload(data.tobytes())
-    assert np.array_equal(store.read("t", data.shape, data.dtype), data)
-    assert store.arena.stats().outstanding_bytes == 0
-    # The store writes buffered from now on: the next write recycles the
-    # file through its buffered descriptor, without an open.
-    opens = store.fds.opens
-    store.delete("t")
-    store.write("t", data)
-    assert store.fds.opens == opens and store.copy_stats.snapshot().direct_fallbacks == 1
-    assert store.path_for("t").read_bytes() == frame_payload(data.tobytes())
-
-
-def test_filestore_odirect_refused_at_open_writes_buffered(tmp_path, monkeypatch):
-    store = _direct_store(tmp_path)
-    data = np.arange(100, dtype=np.float32)
-    real_open = os.open
-
-    def refuse_direct(path, flags, *args):
-        if flags & os.O_DIRECT:
-            _einval()
-        return real_open(path, flags, *args)
-
-    monkeypatch.setattr(os, "open", refuse_direct)
-    store.write("t", data)
-    monkeypatch.undo()
-    _assert_buffered_fallback(store, data)
-    assert store.arena.stats().leases == 0  # nothing was staged
-    store.close()
-
-
-def test_filestore_odirect_refused_pwrite_demotes_the_descriptor(tmp_path, monkeypatch):
-    store = _direct_store(tmp_path)
-    data = np.arange(100, dtype=np.float32)
-    monkeypatch.setattr(os, "open", _open_without_direct(os.open))
-    monkeypatch.setattr(os, "pwrite", _einval)
-    store.write("t", data)
-    monkeypatch.undo()
-    # The direct open, then the buffered reopen made for the retry.
-    assert store.fds.opens == 2
-    _assert_buffered_fallback(store, data)
-    store.close()
-
-
-def test_filestore_partial_direct_write_surfaces_without_demoting(tmp_path, monkeypatch):
-    store = _direct_store(tmp_path)
-    data = np.arange(2048, dtype=np.float32)  # a frame of three 4 KiB blocks
-    real_pwrite = os.pwrite
-    calls = []
-
-    def one_block_then_einval(fd, buf, offset):
-        calls.append(offset)
-        if offset:
-            _einval()
-        return real_pwrite(fd, buf[:DIRECT_ALIGNMENT], offset)
-
-    monkeypatch.setattr(os, "open", _open_without_direct(os.open))
-    monkeypatch.setattr(os, "pwrite", one_block_then_einval)
-    with pytest.raises(OSError) as raised:
-        store.write("t", data)
-    monkeypatch.undo()
-    assert raised.value.errno == errno.EINVAL
-    assert calls == [0, DIRECT_ALIGNMENT]
-    assert store.copy_stats.snapshot().direct_fallbacks == 0
-    assert store.fds.opens == 1  # no buffered reopen
-    assert store.path_for("t") is None  # a failed write holds nothing
-    # Still direct: the retry recycles the file through its O_DIRECT
-    # descriptor (a second aligned lease, no open), then drops the tail.
-    store.write("t", data)
-    assert store.fds.opens == 1 and store.arena.stats().aligned_leases == 2
-    assert store.path_for("t").read_bytes() == frame_payload(data.tobytes())
-    assert store.arena.stats().outstanding_bytes == 0
-    store.close()
-
-
-def test_filestore_direct_write_stays_direct_after_a_load(tmp_path, monkeypatch):
-    """A load replaces the file's O_DIRECT descriptor with a buffered one;
-    the next step's write into the recycled file reopens it O_DIRECT and
-    stages through an aligned lease again."""
-    store = _direct_store(tmp_path)
-    monkeypatch.setattr(os, "open", _open_without_direct(os.open))
-    for step in range(2):
-        data = np.full(100, step, dtype=np.float32)
-        store.write("t", data)
-        assert np.array_equal(store.read("t", data.shape, data.dtype), data)
-        assert store.path_for("t").read_bytes() == frame_payload(data.tobytes())
-        store.delete("t")
-    assert store.arena.stats().aligned_leases == 2
-    assert store.copy_stats.snapshot().direct_fallbacks == 0
-    # direct, buffered for the load, direct again, buffered for the load.
-    assert (store.fds.opens, store.fds.closes) == (4, 3)
-    assert [p.name for p in tmp_path.iterdir()] == ["f0.bin"]
     store.close()
 
 
@@ -657,27 +506,17 @@ def test_backends_issue_identical_syscalls_bytes_and_files(tmp_path):
 def test_engine_config_validates_io_backend(tmp_path):
     with pytest.raises(EngineConfigError, match="io_backend"):
         EngineConfig(target="ssd", store_dir=tmp_path, io_backend="epoll").validate()
-    # io_direct is a property of the per-tensor SSD store: any backend
-    # may carry it, a target or store that would ignore it may not.
-    EngineConfig(target="ssd", store_dir=tmp_path, io_direct=True).validate()
-    with pytest.raises(EngineConfigError, match="io_direct"):
-        EngineConfig(target="cpu", io_direct=True).validate()
-    with pytest.raises(EngineConfigError, match="io_direct"):
-        EngineConfig(
-            target="ssd", store_dir=tmp_path, chunk_bytes=4096, io_direct=True
-        ).validate()
+    for backend in ("thread", "uring"):
+        EngineConfig(target="ssd", store_dir=tmp_path, io_backend=backend).validate()
 
 
 def test_engine_builds_selected_backend(tmp_path):
     engine = build_engine(
-        EngineConfig(
-            target="ssd", store_dir=tmp_path / "u", io_backend="uring", io_direct=True
-        )
+        EngineConfig(target="ssd", store_dir=tmp_path / "u", io_backend="uring")
     )
     try:
         assert isinstance(engine.scheduler.backend, UringBackend)
         assert engine.stats().io_backend == "uring"
-        assert engine.offloader.file_store.direct == hasattr(os, "O_DIRECT")
     finally:
         engine.shutdown()
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,8 @@ def out_has_one_data_row(out: str) -> bool:
 
 def test_parser_accepts_offload_target_axes():
     parser = build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["quickstart", "--io-direct"])
     args = parser.parse_args(
         ["quickstart", "--target", "tiered",
          "--cpu-pool-bytes", "262144", "--chunk-bytes", "65536"]
@@ -152,24 +155,31 @@ def test_autotune_scenario_axes(capsys):
     ],
     ids=["sched", "faults", "faults-functional", "faults-heal", "tenants", "fig6", "kv"],
 )
-def test_demo_commands_run_their_own_assertions(argv, expected, capsys):
+def test_demo_commands_run_their_own_assertions(argv, expected, capsys, tmp_path, monkeypatch):
     """The A/B and chaos demos assert their own claims (bit-exact
     losses, reconciled books, the fairness bars); running them here puts
-    those assertions in tier-1 instead of in one CI smoke step each."""
+    those assertions in tier-1 instead of in one CI smoke step each.
+    A demo that makes a store directory removes it when it is done."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     assert main(argv) == 0
     assert expected in capsys.readouterr().out
+    assert list(tmp_path.glob("ssdtrain-*")) == []
 
 
 def test_example_commands_run_outside_the_checkout(tmp_path):
     """``quickstart`` loads its example by path, not as the ``examples``
-    package of the working directory."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    package of the working directory, and removes the store directory
+    it made."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(SRC), TMPDIR=str(tmp))
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "quickstart"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "losses identical" in proc.stdout
+    assert list(tmp.glob("ssdtrain-*")) == []
 
 
 def test_missing_example_names_the_file(tmp_path, monkeypatch):

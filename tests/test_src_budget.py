@@ -13,7 +13,7 @@ The construction path (``EngineConfig`` -> ``TieredOffloader`` ->
 ``SSDOffloader`` / ``IOScheduler``) carried 60 settable values before
 PR 19, 37 before hedged reads and the brownout verdict were deleted,
 32 before the GDS-sim lane was deleted, 31 before ``durable`` was
-deleted, and carries 30 now.
+deleted, 30 before ``io_direct`` was deleted, and carries 29 now.
 ``TieredOffloader``'s ``scheduler`` is in its committed tuple but not
 in that count: it is a required collaborator (the object the tier
 queues its spills on and reads degraded mode from), not a value with
@@ -22,13 +22,14 @@ nothing.  A probe
 (``getattr``/``hasattr`` asking a part what it is) means a layer does
 not say what it has; the budget is for the few that are deliberate.
 The count of ``except Exception`` sites is committed the same way.
-The last six tests pin shapes so they cannot grow back: one admission
+The last seven tests pin shapes so they cannot grow back: one admission
 answer (a tenant's contract is a weight and a byte quota), one owner of
 degraded mode and one timer for it (class deadlines), one observation feed — producers keep cumulative books
 and emit events, consumers difference and aggregate — one simulated
 multi-step runner, one queueing model (the simulator queues on the
-production scheduler), and one input to a store's placement (the
-caller's tier argument, else the policy's rule).
+production scheduler), one input to a store's placement (the
+caller's tier argument, else the policy's rule), and one write path in
+the per-tensor store (buffered; no unbuffered mode or its fallback).
 """
 
 import dataclasses
@@ -62,8 +63,11 @@ from repro.serve import KVBlockPool
 #: 17,792 before a store's tier became an argument (the per-tenant
 #: placer registry, the KV pool's thread-local hint bridge and
 #: ``eviction_tier`` went; the CLI fault demos share one rig).
-SRC_LINE_CEILING = 17_650
-ENGINE_CONFIG_FIELD_CEILING = 14
+#: 17,650 before ``O_DIRECT`` went from every layer (the per-tensor
+#: store's direct write and fallback, the FD table's second kind of
+#: descriptor, the arena's aligned bins, ``io_direct`` and its flag).
+SRC_LINE_CEILING = 17_487
+ENGINE_CONFIG_FIELD_CEILING = 13
 KV_POOL_PARAMETERS = ("engine", "block_tokens", "num_layers", "hbm_capacity_bytes", "strategy")
 TENSOR_CACHE_PARAMETERS = ("offloader", "policy", "registry", "prefetch_window", "scheduler")
 SSD_OFFLOADER_PARAMETERS = ("store",)
@@ -130,7 +134,7 @@ def test_option_count_stays_under_the_committed_ceiling():
             "settable value is added to the committed tuple in this test, where a "
             "reviewer sees it"
         )
-    assert _construction_path_values() == 30
+    assert _construction_path_values() == 29
     scheduler = inspect.signature(TieredOffloader.__init__).parameters["scheduler"]
     assert scheduler.default is inspect.Parameter.empty  # required: never scheduler-less
 
@@ -140,7 +144,7 @@ def test_store_options_have_one_reader():
     them from ``core/engine.py`` — no offloader passes one on."""
     for store in (TensorFileStore, ChunkedTensorStore):
         assert "array" not in _parameters(store)
-    options = ("chunk_bytes", "store_roots", "io_direct", "throttle_bytes_per_s")
+    options = ("chunk_bytes", "store_roots", "throttle_bytes_per_s")
 
     for name in ("core/offloader.py", "core/tiered.py"):
         text = (SRC / "repro" / name).read_text()
@@ -261,7 +265,7 @@ def test_simulated_io_has_one_queue():
     assert not re.search(r"^\s*(import threading|from threading import)", sim, re.M)
     assert "IOScheduler(" in sim
     assert _parameters(IOScheduler) == IO_SCHEDULER_PARAMETERS
-    assert _construction_path_values() == 30
+    assert _construction_path_values() == 29
 
 
 def test_placement_has_one_input():
@@ -277,3 +281,18 @@ def test_placement_has_one_input():
     assert "threading.local" not in paging and "eviction_tier" not in paging
     with build_engine(EngineConfig(target="cpu")) as engine:
         assert not hasattr(KVBlockPool(engine), "paging")
+
+
+def test_the_per_tensor_store_has_one_write_path():
+    """Every store write is buffered, one ``pwritev`` over the file's one
+    descriptor: no ``O_DIRECT`` mode, no fallback from it, no second
+    kind of descriptor in the FD table and no aligned arena bins
+    (docs/architecture.md §10 records the A/B that retired them)."""
+    gone = re.compile(r"O_DIRECT|io_direct|direct_fallback|DIRECT_ALIGNMENT|aligned_leases")
+    hits = [
+        p.relative_to(SRC / "repro").as_posix()
+        for p in SRC.rglob("*.py")
+        if gone.search(p.read_text())
+    ]
+    assert hits == []
+    assert _parameters(TensorFileStore) == ("root", "throttle_bytes_per_s")
