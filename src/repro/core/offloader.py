@@ -54,6 +54,12 @@ class Offloader:
     the layers above read them (``None`` = this backend has none) and
     call the optional operations, which do nothing on a backend they do
     not apply to.
+
+    ``load(..., out=)`` fills and returns ``out`` when the caller
+    allocated the destination, else a fresh array.  Whoever hands a load
+    to another thread allocates it first, so the thread that frees the
+    array owns its memory; an ``out`` that cannot take the tensor in
+    place is a ``ValueError`` before any byte moves.
     """
 
     #: Tier reported for stored tensors; single-target backends are static,
@@ -99,8 +105,8 @@ class Offloader:
         """
         raise NotImplementedError
 
-    def load(self, tid: TensorID, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """Synchronously read the tensor back (runs on a pool)."""
+    def load(self, tid: TensorID, shape: Tuple[int, ...], dtype: np.dtype, out=None) -> np.ndarray:
+        """Synchronously read the tensor back into ``out`` (runs on a pool)."""
         raise NotImplementedError
 
     def location(self, tid: TensorID) -> str:
@@ -166,8 +172,14 @@ class SSDOffloader(Offloader):
     def store(self, tid: TensorID, data: np.ndarray, tier: Optional[Tier] = None) -> None:
         self.file_store.write(tid.filename(), data)
 
-    def load(self, tid: TensorID, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        return self.file_store.read(tid.filename(), shape, dtype)
+    def load(
+        self,
+        tid: TensorID,
+        shape: Tuple[int, ...],
+        dtype: np.dtype,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        return self.file_store.read(tid.filename(), shape, dtype, out=out)
 
     def location(self, tid: TensorID) -> str:
         # No file yet (a chunk still staging) or any more (released).
@@ -356,20 +368,25 @@ class CPUOffloader(Offloader):
             resident = self._residents.get(tid)
         return resident.owner if resident is not None else None
 
-    def load(self, tid: TensorID, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    def load(
+        self,
+        tid: TensorID,
+        shape: Tuple[int, ...],
+        dtype: np.dtype,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         start = time.monotonic()
         with self._lock:
             resident = self._residents.get(tid)
             if resident is None:
                 raise KeyError(f"tensor {tid} not in host pool")
-            # The single ownership copy at the GPU-reinstate boundary
-            # — a plain copy when the dtype already matches, one
-            # conversion copy otherwise (never astype *and* copy).
+            # The single copy at the GPU-reinstate boundary, into
+            # ``out`` when the caller allocated it (``owned_copy``).
             # Copied under the lock: an arena-backed buffer whose
             # lease a concurrent evict/overwrite releases may be
             # recycled by the next store, so reading it unlocked
             # could observe torn bytes.
-            data = owned_copy(resident.buf.reshape(shape), dtype, self.copy_stats)
+            data = owned_copy(resident.buf.reshape(shape), dtype, self.copy_stats, out=out)
         pace(self.throttle_bytes_per_s, data.nbytes, start)
         return data
 

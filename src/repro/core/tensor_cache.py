@@ -34,6 +34,8 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.ids import TensorID, TensorIDRegistry
 from repro.core.offloader import Offloader
 from repro.core.policy import Decision, KeepReason, OffloadPolicy, StepAccounting
@@ -733,9 +735,13 @@ class TensorCache:
         """Submit the tier read for ``rec``; caller holds ``rec.lock``."""
         rec.trans_state(RecordState.LOADING)
         self.stats.prefetch_issued += 1
+        # The destination is allocated here, on the thread that frees it
+        # in backward, so a lane worker's malloc arena never holds a
+        # step's loaded activations; the load (and any retry) fills it.
+        out = np.empty(rec.shape, rec.dtype)
 
         def do_load(record: ActivationRecord = rec) -> None:
-            data = self.offloader.load(record.tid, record.shape, record.dtype)
+            data = self.offloader.load(record.tid, record.shape, record.dtype, out=out)
             tensor = Tensor(data, device=self._device)
             with record.lock:
                 record.tensor = tensor

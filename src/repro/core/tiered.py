@@ -683,7 +683,13 @@ class TieredOffloader(Offloader):
         return entry is not None
 
     # ------------------------------------------------------------------- load
-    def load(self, tid: TensorID, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    def load(
+        self,
+        tid: TensorID,
+        shape: Tuple[int, ...],
+        dtype: np.dtype,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         with self._lock:
             entry = self._entries.get(tid)
             if entry is None:
@@ -693,7 +699,9 @@ class TieredOffloader(Offloader):
                 # single ownership copy at the GPU-reinstate boundary is
                 # made under the lock: a released lease's memory may be
                 # recycled by the next store.
-                data = owned_copy(entry.buf.reshape(shape), dtype, self.cpu.copy_stats)
+                data = owned_copy(
+                    entry.buf.reshape(shape), dtype, self.cpu.copy_stats, out=out
+                )
                 if entry.state is _State.CPU:
                     self._lru.move_to_end(tid)
                     self.stats.cpu_hits += 1
@@ -723,7 +731,7 @@ class TieredOffloader(Offloader):
             entry.sync_idle()
         data = None
         try:
-            data = self.ssd.load(tid, shape, dtype)
+            data = self.ssd.load(tid, shape, dtype, out=out)
         finally:
             with self._lock:
                 entry.readers -= 1

@@ -131,18 +131,48 @@ class CopyCounter:
             return replace(self._snap)
 
 
+def check_destination(out: np.ndarray, shape, dtype: np.dtype) -> np.ndarray:
+    """``out``, once it can take a ``shape``/``dtype`` load in place: a
+    C-contiguous, writable array of exactly that shape and dtype.
+
+    Anything else is the caller's bug, refused with a ``ValueError``
+    (non-retryable) before a byte moves or a book is touched.
+    """
+    if (
+        not isinstance(out, np.ndarray)
+        or out.shape != tuple(shape)
+        or out.dtype != dtype
+        or not out.flags.c_contiguous
+        or not out.flags.writeable
+    ):
+        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise ValueError(
+            f"a {np.dtype(dtype)} {tuple(shape)} load cannot fill {got}: its destination "
+            "must match exactly and be C-contiguous and writable"
+        )
+    return out
+
+
 def owned_copy(
-    view: np.ndarray, dtype: np.dtype, counter: Optional[CopyCounter] = None
+    view: np.ndarray,
+    dtype: np.dtype,
+    counter: Optional[CopyCounter] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The single ownership copy at a reinstate boundary.
 
-    Exactly one copy is performed: a plain ``copy()`` when the dtype
-    already matches (the old ``astype(dtype, copy=True)`` call sites
-    forced the conversion machinery even for the identity conversion), a
-    conversion copy otherwise — never a convert *and* a copy.
+    Exactly one copy is performed: into ``out`` when the caller allocated
+    the destination (:func:`check_destination` vets it first), else a
+    plain ``copy()`` when the dtype already matches (the old
+    ``astype(dtype, copy=True)`` call sites forced the conversion
+    machinery even for the identity conversion) or a conversion copy —
+    never a convert *and* a copy.
     """
     dtype = np.dtype(dtype)
-    out = view.copy() if view.dtype == dtype else view.astype(dtype)
+    if out is None:
+        out = view.copy() if view.dtype == dtype else view.astype(dtype)
+    else:
+        np.copyto(check_destination(out, view.shape, dtype), view, casting="unsafe")
     if counter is not None:
         counter.count_copy(out.nbytes)
     return out

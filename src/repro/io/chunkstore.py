@@ -67,7 +67,7 @@ import numpy as np
 
 from repro.io import checksum
 from repro.io.aio import syscall_tape
-from repro.io.buffers import CopyCounter
+from repro.io.buffers import CopyCounter, check_destination
 from repro.io.errors import IntegrityError, is_enospc
 from repro.io.fdtable import FDTable, FilePool, preadv_full, pwritev_over
 from repro.io.filestore import StoreTraffic, _TrafficBooks, contiguous_view, pace
@@ -360,8 +360,16 @@ class ChunkedTensorStore(_TrafficBooks):
             flushed, start = self._flush_locked()
         pace(self.throttle_bytes_per_s, flushed, start)
 
-    def read(self, tensor_id: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """Read a tensor back as a fresh array of ``shape``/``dtype``.
+    def read(
+        self,
+        tensor_id: str,
+        shape: Tuple[int, ...],
+        dtype: np.dtype,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Read a tensor back into ``out``, or into a fresh array of
+        ``shape``/``dtype`` when ``out`` is None (an ``out`` that cannot
+        take it in place is a ``ValueError`` before any byte moves).
 
         Tensors still in the open chunk are served from memory without
         any file I/O — one copy out of a ``memoryview`` window over the
@@ -373,6 +381,8 @@ class ChunkedTensorStore(_TrafficBooks):
         start = time.monotonic()
         dtype = np.dtype(dtype)
         expected = math.prod(shape) * dtype.itemsize
+        data = np.empty(shape, dtype) if out is None else check_destination(out, shape, dtype)
+        flat = data.reshape(-1)
         tape = syscall_tape()
         with tape:
             with self._lock:
@@ -387,7 +397,7 @@ class ChunkedTensorStore(_TrafficBooks):
                         window = staging[loc.offset : loc.offset + loc.nbytes]
                         try:
                             self._verify(tensor_id, loc, window)
-                            data = np.frombuffer(window, dtype=dtype).reshape(shape).copy()
+                            np.copyto(flat, np.frombuffer(window, dtype=dtype))
                         finally:
                             window.release()
                     self.copy_stats.count_copy(loc.nbytes, avoided=1)  # the bytes() slice temp
@@ -399,7 +409,6 @@ class ChunkedTensorStore(_TrafficBooks):
                 # Borrowed under the lookup's lock: a reclaim that races
                 # this read cannot hand the file to the next chunk.
                 entry = self.fds.take(self._chunks[loc.chunk_id].path, create=False)
-            flat = np.empty(expected // dtype.itemsize, dtype)
             view = memoryview(flat)
             try:
                 got = preadv_full(entry.fd, [view], offset=loc.offset)
@@ -415,7 +424,6 @@ class ChunkedTensorStore(_TrafficBooks):
                 f"in chunk {loc.chunk_id}, read {got}"
             )
         self._verify(tensor_id, loc, view)
-        data = flat.reshape(shape)
         self.copy_stats.count_copy(loc.nbytes, avoided=1)  # the ranged-read bytes temp
         pace(self.throttle_bytes_per_s, loc.nbytes, start)
         with self._lock:

@@ -363,11 +363,11 @@ class FaultInjector:
         self._store.write(tensor_id, data)
         self._corrupt_at_rest(tensor_id)
 
-    def read(self, tensor_id: str, shape, dtype):
+    def read(self, tensor_id: str, shape, dtype, out=None):
         spike = self._roll("read", tensor_id)
         if spike > 0:
             time.sleep(spike)
-        return self._store.read(tensor_id, shape, dtype)
+        return self._store.read(tensor_id, shape, dtype, out=out)
 
     def __getattr__(self, name: str):
         # delete/clear/flush/path_for/stats all pass straight through.

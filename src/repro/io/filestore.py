@@ -67,7 +67,7 @@ import numpy as np
 
 from repro.io import checksum
 from repro.io.aio import syscall_tape
-from repro.io.buffers import CopyCounter
+from repro.io.buffers import CopyCounter, check_destination
 from repro.io.errors import IntegrityError
 from repro.io.fdtable import FDTable, FilePool, preadv_full, pwritev_over
 
@@ -268,14 +268,23 @@ class TensorFileStore(_TrafficBooks):
             self._traffic.write_syscalls += tape.count
         pace(self.throttle_bytes_per_s, nbytes, start)
 
-    def read(self, tensor_id: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """Read a tensor back as a fresh array of ``shape``/``dtype``.
+    def read(
+        self,
+        tensor_id: str,
+        shape: Tuple[int, ...],
+        dtype: np.dtype,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Read a tensor back into ``out``, or into a fresh array of
+        ``shape``/``dtype`` when ``out`` is None.
 
         One ``preadv`` scatter fills the header, the destination array
         and a one-byte probe: one disk-to-array transfer — one syscall,
         the empty probe being the EOF answer — and the only allocation
-        is the returned array itself — the ownership copy the
-        GPU-reinstate boundary demands.  Overshooting into the probe
+        is the destination, none when the caller passed ``out`` (one
+        that cannot take the tensor in place is a ``ValueError`` before
+        any byte moves: :func:`~repro.io.buffers.check_destination`); a
+        retried read refills it.  Overshooting into the probe
         means the file holds more than the frame claims, a shortfall
         means a torn write — both rejected before the payload is
         trusted.  The file is looked up and its descriptor borrowed in
@@ -285,9 +294,9 @@ class TensorFileStore(_TrafficBooks):
         """
         start = time.monotonic()
         dtype = np.dtype(dtype)
-        numel = math.prod(shape)
-        expected = numel * dtype.itemsize
-        flat = np.empty(numel, dtype)
+        expected = math.prod(shape) * dtype.itemsize
+        data = np.empty(shape, dtype) if out is None else check_destination(out, shape, dtype)
+        flat = data.reshape(-1)
         header = bytearray(FRAME_HEADER_BYTES)
         probe = bytearray(1)
         tape = syscall_tape()
@@ -326,7 +335,6 @@ class TensorFileStore(_TrafficBooks):
             )
         if checksum.crc32(flat) != crc:
             raise IntegrityError(f"checksum mismatch for {label()}: bit-rot or torn write")
-        data = flat.reshape(shape)
         self.copy_stats.count_copy(data.nbytes, avoided=1)  # the whole-file bytes slurp
         pace(self.throttle_bytes_per_s, data.nbytes, start)
         with self._lock:

@@ -450,13 +450,17 @@ class KVBlockPool:
         offloader = self.engine.offloader
         scheduler = self.engine.scheduler
         tid, shape, dtype = meta.tid, meta.shape, meta.dtype
+        lane = offloader.load_lane(tid)
+        # A fetch handed to a lane worker reads into a destination this
+        # thread allocated, so the worker's malloc arena keeps none of it.
+        out = None if lane == "cpu" else np.empty(shape, dtype)
         request = IORequest(
-            lambda: offloader.load(tid, shape, dtype),
+            lambda: offloader.load(tid, shape, dtype, out=out),
             kind="load",
             priority=Priority.BLOCKING_LOAD,
             tensor_id=str(tid),
             nbytes=meta.nbytes,
-            lane=offloader.load_lane(tid),
+            lane=lane,
             label=f"kv-fetch:{meta.key.request_id}/{meta.key.layer}/{meta.key.index}",
             tenant=meta.tenant,
         )

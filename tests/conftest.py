@@ -124,12 +124,12 @@ def guard_tier_lock(offloader, violations: list) -> None:
     for op in ("store", "load"):
         inner = getattr(offloader.ssd, op)
 
-        def guarded(*args, _inner=inner, _op=op):
+        def guarded(*args, _inner=inner, _op=op, **kwargs):
             if offloader._lock._is_owned():
                 stack = traceback.extract_stack()
                 callers = " <- ".join(frame.name for frame in reversed(stack[-6:-1]))
                 violations.append(f"ssd.{_op} called under the tier lock: {callers}")
-            return _inner(*args)
+            return _inner(*args, **kwargs)
 
         setattr(offloader.ssd, op, guarded)
 

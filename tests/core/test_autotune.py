@@ -335,9 +335,9 @@ def test_cache_times_unpack_stall_and_adapter_feeds_it(gpu, tmp_path):
     original_load = offloader.load
     release = threading.Event()
 
-    def gated_load(tid, shape, dtype):
+    def gated_load(tid, shape, dtype, out=None):
         release.wait(5)  # held open until the timer fires (no bare sleep)
-        return original_load(tid, shape, dtype)
+        return original_load(tid, shape, dtype, out=out)
 
     cache = _cache(tmp_path, offloader=offloader)
     controller = AutotuneController()

@@ -60,10 +60,10 @@ def _gate_load(offloader):
     started = threading.Semaphore(0)
     original = offloader.load
 
-    def gated(tid, shape, dtype):
+    def gated(tid, shape, dtype, out=None):
         started.release()
         gate.wait(5)
-        return original(tid, shape, dtype)
+        return original(tid, shape, dtype, out=out)
 
     offloader.load = gated
     return gate, started

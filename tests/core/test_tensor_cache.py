@@ -8,6 +8,8 @@ and failure injection.
 
 import gc
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -164,13 +166,28 @@ def test_dedup_prevents_redundant_io(gpu, make_cache):
 
 # ------------------------------------------------------------------ forwarding
 def test_data_forwarding_on_slow_store(gpu, tmp_path):
-    """With a slow SSD, backward begins while stores are in flight; the
-    cache must return the in-memory reference instead of loading."""
-    offloader = SSDOffloader(TensorFileStore(tmp_path / "slow", throttle_bytes_per_s=2e6))
+    """Backward begins while stores are in flight — by construction: the
+    one ssd-lane worker is held inside the first store's write, so every
+    later store is still queued — and the cache must forward the
+    in-memory references instead of loading, cancelling the queued
+    stores.  The first cancel releases the held write; the wait has a
+    generous deadline, after which every held write fails, so a cache
+    that does not forward fails this test instead of hanging it."""
+    released = threading.Event()
+    deadline = time.monotonic() + 30.0
+
+    class HeldStore(TensorFileStore):
+        def write(self, tensor_id, data):
+            if not released.wait(max(0.0, deadline - time.monotonic())):
+                raise RuntimeError("no store was cancelled: backward did not forward")
+            super().write(tensor_id, data)
+
+    scheduler = IOScheduler(workers=1)
+    scheduler.add_listener(lambda event, request: event == "cancel" and released.set())
     cache = TensorCache(
-        offloader,
+        SSDOffloader(HeldStore(tmp_path / "slow")),
         policy=OffloadPolicy(PolicyConfig(min_offload_numel=64)),
-        scheduler=IOScheduler(workers=3),
+        scheduler=scheduler,
     )
     try:
         layer = Linear(64, 64, rng=np.random.default_rng(0)).to(gpu)
@@ -185,9 +202,11 @@ def test_data_forwarding_on_slow_store(gpu, tmp_path):
             loss.backward()  # stores still in flight: must forward
             cache.on_backward_end()
         assert cache.stats.forwarded_tensors >= 1
+        assert cache.stats.cancelled_stores >= 1
         assert x.grad is not None
         cache.on_step_end()
     finally:
+        released.set()
         cache.shutdown()
 
 
@@ -434,10 +453,10 @@ def test_deadline_abandoned_load_fails_the_unpack(gpu, tmp_path):
     entered, opened = threading.Event(), threading.Event()
     read = engine.file_store.read
 
-    def gated_read(*args):
+    def gated_read(*args, **kwargs):
         entered.set()
         assert opened.wait(10), "gate never opened"
-        return read(*args)
+        return read(*args, **kwargs)
 
     engine.file_store.read = gated_read
     x = Tensor(np.ones((64, 64), dtype=np.float32), device=gpu, requires_grad=True)

@@ -66,12 +66,12 @@ class _Gate:
         inner = getattr(target, name)
         arrivals = itertools.count()
 
-        def gated(*args):
+        def gated(*args, **kwargs):
             park = next(arrivals) < only_first
             self.entered.release()
             if park:
                 assert self.opened.wait(WAIT), "gate never opened"
-            return inner(*args)
+            return inner(*args, **kwargs)
 
         setattr(target, name, gated)
 

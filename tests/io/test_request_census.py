@@ -87,9 +87,11 @@ PER_TENANT_SRC_CALL_CEILING = 57.0
 #: 68.04 since released files are recycled (the free-file pick rides the
 #: lock acquisition that borrows the descriptor), 12.0 and 62.5 with one
 #: pass, 12.0 and 62.04 once a write called ``pwritev_over`` itself (no
-#: per-write direct-or-buffered dispatch frame).
+#: per-write direct-or-buffered dispatch frame), 12.0 and 62.54 once its
+#: loads read into a destination the submitting thread allocated, as the
+#: tensor cache's do (one ``check_destination`` frame per load).
 FILE_LOCK_RELEASE_CEILING = 12.0
-FILE_SRC_CALL_CEILING = 62.1
+FILE_SRC_CALL_CEILING = 62.6
 #: ``kv_serve``'s demand fetch: one ``BLOCKING_LOAD`` built and run by
 #: :meth:`~repro.io.scheduler.IOScheduler.run_inline` on the ``cpu`` lane
 #: of a tiered engine with a tenant registry, the tiered load included.
@@ -146,12 +148,13 @@ def census():
         threading.setprofile(previous[1])
 
 
-def _round_trips(engine, arrays, first_stamp: int, tenants=None) -> None:
+def _round_trips(engine, arrays, first_stamp: int, tenants=None, into=False) -> None:
     """Store every array, then load each back and release it — the
     ``engine_replay`` round, one request at a time on the load side.
     With ``tenants``, the first half of the arrays is stored and loaded
     under ``tenant_scope(tenants[0])`` and the second half under
-    ``tenants[1]``."""
+    ``tenants[1]``.  With ``into``, each load fills a destination this
+    thread allocated before submitting it, as the tensor cache's loads do."""
     if tenants is not None:
         half = len(arrays) // 2
         with tenant_scope(tenants[0]):
@@ -178,9 +181,10 @@ def _round_trips(engine, arrays, first_stamp: int, tenants=None) -> None:
         request.wait()
         assert request.error is None
     for tid, a in zip(tids, arrays):
+        out = np.empty(a.shape, a.dtype) if into else None
         request = sched.submit(
             IORequest(
-                lambda tid=tid, a=a: off.load(tid, a.shape, a.dtype),
+                lambda tid=tid, a=a, out=out: off.load(tid, a.shape, a.dtype, out=out),
                 kind="load",
                 priority=Priority.PREFETCH_LOAD,
                 tensor_id=str(tid),
@@ -210,7 +214,8 @@ def test_request_path_stays_under_the_committed_ceilings(
     tenant's subqueue (``kv_serve``'s path: one tenant per user);
     ``file`` is the per-tensor store, the paper's (and ``train_ssd``'s)
     path, where the warm-up round leaves every file free for the counted
-    round to recycle."""
+    round to recycle and loads fill a destination allocated before the
+    submit, as the tensor cache's do."""
     rng = np.random.default_rng(0)
     arrays = [rng.standard_normal(4096).astype(np.float32) for _ in range(ROUND_TRIPS)]
     # 256 KiB chunks: 16 tensors each, so flushes and ranged reads are on the path.
@@ -223,9 +228,10 @@ def test_request_path_stays_under_the_committed_ceilings(
     with build_engine(config) as engine:
         assert engine.scheduler.backend.name == "thread"
         # Warm-up: descriptors, first chunk.
-        _round_trips(engine, arrays, first_stamp=1, tenants=tenants)
+        into = chunk_bytes is None
+        _round_trips(engine, arrays, first_stamp=1, tenants=tenants, into=into)
         census.active = True
-        _round_trips(engine, arrays, first_stamp=1000, tenants=tenants)
+        _round_trips(engine, arrays, first_stamp=1000, tenants=tenants, into=into)
         census.active = False
         stats = engine.stats()
     requests = 2 * ROUND_TRIPS

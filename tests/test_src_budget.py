@@ -66,7 +66,10 @@ from repro.serve import KVBlockPool
 #: 17,650 before ``O_DIRECT`` went from every layer (the per-tensor
 #: store's direct write and fallback, the FD table's second kind of
 #: descriptor, the arena's aligned bins, ``io_direct`` and its flag).
-SRC_LINE_CEILING = 17_487
+#: 17,487 before loads filled a destination the caller allocated (+81:
+#: ``out=`` on every store ``read`` and offloader ``load``, most of it
+#: those signatures wrapped one parameter a line, and ``check_destination``).
+SRC_LINE_CEILING = 17_568
 ENGINE_CONFIG_FIELD_CEILING = 13
 KV_POOL_PARAMETERS = ("engine", "block_tokens", "num_layers", "hbm_capacity_bytes", "strategy")
 TENSOR_CACHE_PARAMETERS = ("offloader", "policy", "registry", "prefetch_window", "scheduler")
