@@ -7,16 +7,8 @@ the layer's forward inside backward.  See
 """
 
 from repro.checkpoint.checkpoint import checkpoint, checkpoint_sequential
-from repro.checkpoint.selective import (
-    attention_intermediate_bytes,
-    selective_checkpoint_attention,
-    selective_checkpoint_savings,
-)
 
 __all__ = [
     "checkpoint",
     "checkpoint_sequential",
-    "selective_checkpoint_attention",
-    "attention_intermediate_bytes",
-    "selective_checkpoint_savings",
 ]

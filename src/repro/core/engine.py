@@ -38,7 +38,7 @@ from repro.io.aio import IOLaneStats
 from repro.io.buffers import ArenaStats, DataPlaneStats
 from repro.io.chunkstore import ChunkedTensorStore
 from repro.io.filestore import TensorFileStore
-from repro.io.scheduler import IOScheduler, Priority, SchedulerStats
+from repro.io.scheduler import IOScheduler, SchedulerStats
 from repro.io.tenancy import TenantRegistry, TenantStats
 from repro.io.uring import UringBackend
 
@@ -114,11 +114,9 @@ class EngineConfig:
             ``"thread"`` (default): the lane worker, inline; ``"uring"``:
             a dedicated completion reaper.  The syscalls issued are the
             same under both.
-        io_deadlines: per-priority-class deadlines in seconds, e.g.
-            ``{"BLOCKING_LOAD": 0.5}``; a watchdog abandons requests
-            stuck past theirs (the hung-I/O failure mode, architecture
-            §12) instead of letting a wedged lane worker stall the step
-            forever.
+
+    No option times a request out: a request ends by its own body, or
+    by a cancel that reaches it still PENDING (architecture §12).
     """
 
     target: str = "tiered"
@@ -132,7 +130,6 @@ class EngineConfig:
     fifo_io: bool = False
     tenants: Optional[TenantRegistry] = None
     io_backend: str = "thread"
-    io_deadlines: Optional[Dict[str, float]] = None
     probe_backoff_s: Optional[float] = None
 
     def validate(self) -> None:
@@ -177,17 +174,6 @@ class EngineConfig:
             raise EngineConfigError(
                 "store_roots (write-leveling) requires chunk_bytes (chunked store)"
             )
-        if self.io_deadlines:
-            for cls, deadline in self.io_deadlines.items():
-                if cls not in Priority.__members__:
-                    raise EngineConfigError(
-                        f"io_deadlines names unknown priority class {cls!r}; "
-                        f"expected one of {tuple(Priority.__members__)}"
-                    )
-                if deadline <= 0:
-                    raise EngineConfigError(
-                        f"io_deadlines[{cls!r}] must be positive: {deadline}"
-                    )
         if self.probe_backoff_s is not None and self.probe_backoff_s <= 0:
             raise EngineConfigError(
                 f"probe_backoff_s must be positive: {self.probe_backoff_s}"
@@ -301,7 +287,6 @@ class Engine:
             fifo=config.fifo_io,
             tenants=config.tenants,
             backend=UringBackend() if config.io_backend == "uring" else None,
-            deadlines=config.io_deadlines,
         )
         try:
             self.offloader = self._build_offloader()

@@ -272,40 +272,14 @@ class IOJob:
             return None, exc
         return result, None
 
-    def abandon(self, error: BaseException) -> bool:
-        """Force a RUNNING job to FAILED without waiting for its body.
-
-        The watchdog's half of the deadline contract: the body may be
-        wedged in the kernel (a hung ``pwrite``), so nobody can make it
-        return — but the waiter must still unblock and failover.  The
-        job goes terminal with ``error``; when the wedged body finally
-        returns, :meth:`complete` sees the terminal state and discards
-        the late outcome.  ``fn`` is deliberately *not* dropped here —
-        the body is still executing and owns its closure.  Returns True
-        when this call performed the transition.
-        """
-        with self._lock:
-            if self.done_event._set or self.state is not RUNNING:
-                return False
-            self.state = FAILED
-            self.error = error
-            callbacks, self._callbacks = self._callbacks, []
-            self.done_event.set()  # wakes the waiters; callbacks go to _dispatch
-        self._dispatch(callbacks)
-        return True
-
     def complete(self, result: Any, error: Optional[BaseException]) -> None:
         """Apply a body outcome and finish — the CQ half.
 
-        Idempotent once terminal: a late body outcome arriving after
-        :meth:`abandon` is discarded — first completion wins.  The
-        check-and-transition is one critical section, so an abandon can
-        never interleave between the guard and the terminal write.
+        Called by whoever claimed the job, while it is RUNNING: a claimed
+        job has no other way to a terminal state (:meth:`cancel` reaches
+        only PENDING ones), so nothing can have ended it first.
         """
         with self._lock:
-            if self.done_event._set:
-                self.fn = None  # the body returned; closure refs can go now
-                return
             if error is not None:
                 self.error = error
                 self.state = FAILED
@@ -396,9 +370,6 @@ class IOBackend:
             if claimed > 1:
                 request.coalesced = True
             request.started_at = time.monotonic()
-            if sched._watchdog is not None:
-                with sched._inflight_lock:
-                    sched._inflight.add(request)
             if sched._listeners:
                 sched._safe_notify("start", request)
             tape = syscall_tape()
@@ -450,9 +421,6 @@ class IOBackend:
             logger.exception("request %s raised outside the job body", request.label)
         if not request.finished_at:  # a reaper stamps it at I/O completion
             request.finished_at = time.monotonic()
-        if sched._watchdog is not None:
-            with sched._inflight_lock:
-                sched._inflight.discard(request)
         if not request.done_event._set:
             # complete() raised before its terminal transition: the last
             # resort, so no waiter blocks on a request a worker touched.

@@ -343,28 +343,6 @@ class BufferArena:
             else:
                 self._stats.trimmed_buffers += 1
 
-    def trim(self, target_bytes: int = 0) -> int:
-        """Drop free buffers until retention <= ``target_bytes``.
-
-        Returns the number of buffers dropped.  Leased buffers are
-        untouched — only the warm free list shrinks.
-        """
-        if target_bytes < 0:
-            raise ValueError(f"target_bytes must be >= 0: {target_bytes}")
-        dropped = 0
-        with self._lock:
-            # Largest classes first: fewest drops to reach the target.
-            for cls in sorted(self._free, reverse=True):
-                bin_ = self._free[cls]
-                while bin_ and self._stats.retained_bytes > target_bytes:
-                    bin_.pop()
-                    self._stats.retained_bytes -= cls
-                    self._stats.trimmed_buffers += 1
-                    dropped += 1
-                if not bin_:
-                    del self._free[cls]
-        return dropped
-
 
 @dataclass
 class DataPlaneStats:

@@ -55,15 +55,6 @@ class IntegrityError(OSError):
     exhausts the budget and surfaces to the waiter."""
 
 
-class DeadlineExceededError(OSError):
-    """The request sat past its per-class deadline and was abandoned by
-    the scheduler watchdog.  Not retryable — the original body may still
-    be wedged in the kernel, and re-running it would double-occupy the
-    lane; recovery is failover.  It
-    *is* a device verdict: a lane that keeps eating deadlines is as dead
-    to the placement policy as one that returns ``EIO``."""
-
-
 #: OSError subclasses where the failure is structural, not device noise:
 #: retrying the identical call cannot change the outcome.
 _NON_RETRYABLE_OSERRORS = (
@@ -88,7 +79,7 @@ def is_enospc(exc: Optional[BaseException]) -> bool:
 
 def is_retryable(exc: BaseException) -> bool:
     """Whether one more attempt at the same operation can plausibly help."""
-    if isinstance(exc, (PermanentIOError, DeadlineExceededError)):
+    if isinstance(exc, PermanentIOError):
         return False
     if isinstance(exc, (TransientIOError, IntegrityError, TimeoutError)):
         return True

@@ -81,14 +81,6 @@ class FaultPlan:
     bit_rot_rate: float = 0.0
     #: Op count after which the device is permanently dead (None = never).
     dead_after_ops: Optional[int] = None
-    #: Hung I/O: 1-based op indices that sleep ``hang_s`` (deterministic),
-    #: plus a probabilistic ``hang_rate`` drawn per op.  A hang is the
-    #: wedged-``pwrite`` mode the scheduler watchdog's deadlines exist
-    #: for: the op *does* eventually complete, long after any sane
-    #: deadline.
-    hang_ops: Optional[Tuple[int, ...]] = None
-    hang_rate: float = 0.0
-    hang_s: float = 0.25
     #: Brownout: after ``brownout_after_ops`` operations every op sleeps
     #: an extra ``brownout_latency_s`` until :meth:`FaultInjector.heal`.
     #: The ops still succeed, so a brownout must not open the lane's
@@ -106,7 +98,6 @@ class FaultPlan:
             "latency_rate",
             "torn_write_rate",
             "bit_rot_rate",
-            "hang_rate",
         ):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -117,10 +108,6 @@ class FaultPlan:
             raise ValueError(f"latency_spike_s must be >= 0: {self.latency_spike_s}")
         if self.dead_after_ops is not None and self.dead_after_ops < 0:
             raise ValueError(f"dead_after_ops must be >= 0: {self.dead_after_ops}")
-        if self.hang_s < 0:
-            raise ValueError(f"hang_s must be >= 0: {self.hang_s}")
-        if self.hang_ops is not None and any(op < 1 for op in self.hang_ops):
-            raise ValueError(f"hang_ops indices are 1-based: {self.hang_ops}")
         if self.brownout_after_ops is not None and self.brownout_after_ops < 0:
             raise ValueError(
                 f"brownout_after_ops must be >= 0: {self.brownout_after_ops}"
@@ -218,7 +205,7 @@ class FaultInjector:
         The half of the die→heal→resurrect cycle the circuit breaker's
         canary probes exist to detect — healing the injector does *not*
         resurrect the tier by itself; the breaker has to notice.
-        Probabilistic per-op faults (transients, latency, hangs) keep
+        Probabilistic per-op faults (transients, latency) keep
         following the plan.
         """
         with self._lock:
@@ -279,11 +266,6 @@ class FaultInjector:
             if plan.latency_rate > 0 and self._rng.random() < plan.latency_rate:
                 self.fault_stats.injected_latency += 1
                 spike = plan.latency_spike_s
-            if plan.hang_s > 0 and (
-                (plan.hang_ops is not None and self.fault_stats.ops in plan.hang_ops)
-                or (plan.hang_rate > 0 and self._rng.random() < plan.hang_rate)
-            ):
-                spike = max(spike, plan.hang_s)
             if (
                 plan.brownout_after_ops is not None
                 and not self._healed

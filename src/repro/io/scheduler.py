@@ -60,17 +60,9 @@ retryable errors are re-attempted within the request's bounded
 retry-with-backoff budget before failing, and every outcome feeds the
 per-lane :class:`~repro.io.health.LaneHealthTracker` — the signal the tiered offloader
 uses to fail a dead SSD over to the CPU tier and the adaptive controller
-uses to trim the budget on a degraded lane.
-
-**Degraded modes** (architecture §12): per-class ``deadlines`` are the
-one degraded-mode timer.  With any configured the scheduler runs a
-watchdog thread over the in-flight set, and a request stuck past its
-class's deadline is *abandoned* — forced FAILED with
-:class:`~repro.io.errors.DeadlineExceededError` so the waiter unblocks
-and fails over, while the wedged body's eventual outcome is discarded
-(hung-I/O survival).  A slow but working device (brownout) is not a
-verdict: its requests simply take longer, and only errors and
-deadlines feed the lane's health.
+uses to trim the budget on a degraded lane.  A request ends by its own
+body, or by a cancel that reaches it still PENDING; nothing times a
+running one out, and a slow device is not a verdict (architecture §12).
 """
 
 from __future__ import annotations
@@ -88,7 +80,6 @@ from repro.io.aio import IOBackend, IOJob, IOLaneStats, ThreadBackend
 from repro.io.errors import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_RETRY_BACKOFF_S,
-    DeadlineExceededError,
     PermanentIOError,
     is_device_error,
 )
@@ -108,9 +99,6 @@ DEFAULT_COALESCE_BYTES = 1 << 20
 #: Default workers per lane (the paper's two pools of two, merged: any
 #: worker serves any class).
 DEFAULT_LANE_WORKERS = 4
-
-#: Seconds between watchdog scans of the in-flight set.
-WATCHDOG_INTERVAL_S = 0.005
 
 
 class Priority(enum.IntEnum):
@@ -191,8 +179,8 @@ class IORequest(IOJob):
         return self._label or f"{self.kind}:{self.tensor_id}"
 
     def _dispatch(self, callbacks: List[Callable[[IOJob], None]]) -> None:
-        """Whichever call made the request terminal (settle, cancel,
-        abandon) closes its books, before any done callback: a raising
+        """Whichever call made the request terminal (settle or cancel)
+        closes its books, before any done callback: a raising
         callback cannot skip them."""
         scheduler = self._scheduler
         if scheduler is not None:
@@ -232,9 +220,6 @@ class SchedulerStats:
     coalesced_batches: int = 0
     coalesced_requests: int = 0
     coalesced_bytes: int = 0
-    #: Requests force-failed by the watchdog for sitting past their
-    #: per-class deadline (hung-I/O failover).
-    deadline_abandons: int = 0
 
 
 class _ClassRing:
@@ -493,7 +478,6 @@ class IOScheduler:
         tenants: Optional[TenantRegistry] = None,
         name: str = "ssdtrain-io",
         backend: Optional[IOBackend] = None,
-        deadlines: Optional[Dict[str, float]] = None,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0: {workers}")
@@ -505,14 +489,6 @@ class IOScheduler:
             raise ValueError(f"max_retries must be >= 0: {max_retries}")
         if retry_backoff_s < 0:
             raise ValueError(f"retry_backoff_s must be >= 0: {retry_backoff_s}")
-        for cls, seconds in (deadlines or {}).items():
-            if cls not in Priority.__members__:
-                raise ValueError(
-                    f"unknown deadline class {cls!r}; expected one of "
-                    f"{tuple(Priority.__members__)}"
-                )
-            if seconds <= 0:
-                raise ValueError(f"deadline for {cls} must be positive: {seconds}")
         self.name = name
         self.fifo = fifo
         self.coalesce_bytes = coalesce_bytes
@@ -524,9 +500,6 @@ class IOScheduler:
         #: perturb the priority-then-submission order.
         self.tenants = tenants if tenants is not None else TenantRegistry()
         self.stats = SchedulerStats()
-        #: Per-class execution deadlines (Priority name -> seconds) the
-        #: watchdog abandons stuck requests against; empty = no deadlines.
-        self.deadlines: Dict[str, float] = dict(deadlines or {})
         #: Per-lane failure/death bookkeeping fed by request completions;
         #: the tiered offloader and the adaptive controller both read it.
         self.health = LaneHealthTracker()
@@ -553,14 +526,6 @@ class IOScheduler:
             )
             for lane in lanes
         }
-        #: In-flight (begun, not finished) requests the watchdog scans;
-        #: maintained only when a watchdog runs.  Guarded by _inflight_lock.
-        self._inflight: set = set()
-        self._inflight_lock = threading.Lock()
-        # The watchdog thread exists only when deadlines need it — a
-        # default-configured scheduler spawns no extra thread (the
-        # engine-lifecycle leak test counts on that).
-        self._watchdog: Optional[threading.Thread] = None
         self._workers: List[threading.Thread] = []
         for lane in self._lanes.values():
             for i in range(workers):
@@ -572,22 +537,16 @@ class IOScheduler:
                 )
                 self._workers.append(worker)
                 worker.start()
-        if self.deadlines:
-            self._watchdog = threading.Thread(
-                target=self._watchdog_loop, name=f"{name}-watchdog", daemon=True
-            )
-            self._watchdog.start()
 
     # --------------------------------------------------------------- listeners
     def add_listener(self, listener: Callable[[str, IORequest], None]) -> None:
         """Subscribe to scheduler events.
 
         ``listener(event, request)`` fires for ``"submit"``, ``"start"``,
-        ``"done"``, ``"cancel"``, ``"promote"`` and ``"abandon"`` (the
-        watchdog force-failed a request past its deadline), after the
-        fact, with no scheduler lock held.  ``"done"`` fires once per
-        executed request, after its books are closed: it is the only
-        completion telemetry the scheduler exports, and
+        ``"done"``, ``"cancel"`` and ``"promote"``, after the fact, with
+        no scheduler lock held.  ``"done"`` fires once per executed
+        request, after its books are closed: it is the only completion
+        telemetry the scheduler exports, and
         :class:`~repro.io.trace.IOTracer` the listener that aggregates it.
         """
         self._listeners.append(listener)
@@ -842,43 +801,6 @@ class IOScheduler:
                     "scheduler listener raised on %r for %s", event, request.label
                 )
 
-    # ---------------------------------------------------- watchdog
-    # Runs only when deadlines are configured: scans the in-flight set
-    # and abandons requests stuck past their class's deadline.
-
-    def _watchdog_loop(self) -> None:
-        while not self._shutdown.wait(WATCHDOG_INTERVAL_S):
-            try:
-                self._watchdog_scan()
-            except Exception:  # a scan bug must not kill the watchdog
-                logger.exception("scheduler %s watchdog scan raised", self.name)
-
-    def _watchdog_scan(self, now: Optional[float] = None) -> None:
-        """One pass over the in-flight set (public for deterministic tests
-        via an explicit ``now``)."""
-        now = time.monotonic() if now is None else now
-        with self._inflight_lock:
-            inflight = list(self._inflight)
-        for request in inflight:
-            if request.done_event.is_set() or not request.started_at:
-                continue
-            elapsed = now - request.started_at
-            deadline = self.deadlines.get(request.priority.name)
-            if deadline is not None and elapsed > deadline:
-                self._abandon(request, elapsed, deadline)
-
-    def _abandon(self, request: IORequest, elapsed: float, deadline: float) -> None:
-        """Force a stuck request FAILED; the wedged body's eventual
-        outcome is discarded by the job's first-completion-wins rule."""
-        error = DeadlineExceededError(
-            f"{request.label} exceeded its {deadline:.3f}s deadline on lane "
-            f"{request.lane!r} ({elapsed:.3f}s elapsed)"
-        )
-        if request.abandon(error):
-            with self._stats_lock:
-                self.stats.deadline_abandons += 1
-            self._safe_notify("abandon", request)
-
     def book_coalesced(self, done_members: int, nbytes: int) -> None:
         """Book a batch's ``done_members``-th DONE member as coalesced.
 
@@ -985,8 +907,6 @@ class IOScheduler:
                 lane.cond.notify_all()
         for worker in self._workers:
             worker.join(timeout=5)
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=5)
         # Only after the lane workers are gone: no batch can be in
         # flight, so the backend can stop its reaper and close its FDs.
         self.backend.shutdown()

@@ -62,10 +62,6 @@ class MultiHeadAttention(Module):
             self.kv_proj = None
         self.out_proj = Linear(hidden, hidden, rng=rng, dtype=dtype)
         self.dropout = Dropout(dropout)
-        # Overridable core kernel (selective checkpointing swaps this in
-        # repro.checkpoint.selective; with the fused kernel it changes
-        # little — the Sec. IV-C observation).
-        self._core_attention = ops.flash_attention
 
     def _split_heads(self, x: Tensor, seq: int, batch: int) -> Tensor:
         """(B, S, H) -> (B, heads, S, head_dim)."""
@@ -94,7 +90,7 @@ class MultiHeadAttention(Module):
             k = self._split_heads(k, seq, batch)
             v = self._split_heads(v, seq, batch)
 
-        attn = self._core_attention(q, k, v, causal=self.causal and not self.is_cross)
+        attn = ops.flash_attention(q, k, v, causal=self.causal and not self.is_cross)
         # (B, heads, S, d) -> (B, S, H)
         merged = attn.transpose(1, 2).reshape(batch, seq, hidden)
         return self.dropout(self.out_proj(merged))

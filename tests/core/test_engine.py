@@ -41,11 +41,6 @@ DATA = np.arange(256, dtype=np.float32)
          "store_roots .* requires an ssd/tiered target"),
         (dict(target="tiered", store_dir="x", cpu_pool_bytes=1, store_roots=["y"]),
          "store_roots .* requires chunk_bytes"),
-        (dict(target="cpu", io_deadlines={"BLOCKING_LOAD": 0.0}),
-         "must be positive"),
-        # An unknown class name is the config's error, not the scheduler's.
-        (dict(target="cpu", io_deadlines={"BLOCKING": 1.0}),
-         "unknown priority class 'BLOCKING'"),
     ],
 )
 def test_config_validation_is_typed(kwargs, message):

@@ -430,68 +430,6 @@ def test_illegal_transition_raises_and_leaves_record_untouched(gpu):
     assert kept.state is RecordState.CONSUMED and kept.tensor is None
 
 
-def test_deadline_abandoned_load_fails_the_unpack(gpu, tmp_path):
-    """A blocking load wedged in the device past its class deadline is
-    abandoned by the watchdog: the unpack raises the deadline error
-    instead of hanging, and the wedged read returning later leaves the
-    books whole."""
-    import threading
-
-    from repro.core import EngineConfig, build_engine
-    from repro.io.errors import DeadlineExceededError
-
-    engine = build_engine(
-        EngineConfig(
-            target="ssd",
-            store_dir=tmp_path / "wedged",
-            policy=OffloadPolicy(PolicyConfig(min_offload_numel=64)),
-            io_deadlines={"BLOCKING_LOAD": 60.0},
-        )
-    )
-    cache = engine.cache()
-    scheduler = engine.scheduler
-    entered, opened = threading.Event(), threading.Event()
-    read = engine.file_store.read
-
-    def gated_read(*args, **kwargs):
-        entered.set()
-        assert opened.wait(10), "gate never opened"
-        return read(*args, **kwargs)
-
-    engine.file_store.read = gated_read
-    x = Tensor(np.ones((64, 64), dtype=np.float32), device=gpu, requires_grad=True)
-    try:
-        tid = cache.pack_hook(x)
-        scheduler.drain(5)
-        outcome = {}
-
-        def unpack():
-            try:
-                cache.unpack_hook(tid)
-            except RuntimeError as exc:
-                outcome["error"] = exc
-
-        waiter = threading.Thread(target=unpack, daemon=True)
-        waiter.start()
-        assert entered.wait(10)  # the load is parked inside the device read
-        request = cache._find_record(tid).load_job
-        scheduler._watchdog_scan(now=request.started_at + 61)
-        waiter.join(10)
-        assert not waiter.is_alive()
-        assert isinstance(outcome["error"].__cause__, DeadlineExceededError)
-        assert scheduler.stats.deadline_abandons == 1
-        assert cache.stats.load_failures == 1
-        opened.set()
-        assert scheduler.drain(5)
-        stats = scheduler.stats
-        assert stats.submitted == stats.executed + stats.failed + stats.cancelled
-        cache.on_step_end()
-    finally:
-        opened.set()
-        cache.shutdown()
-        engine.shutdown()
-
-
 @pytest.mark.parametrize("chunk_bytes", [None, 64 * 1024])
 def test_step_end_releases_stores_whose_done_callback_runs_late(
     gpu, tmp_path, chunk_bytes

@@ -102,20 +102,6 @@ def test_retention_cap_tied_to_pinned_pool():
     assert arena.stats().retained_bytes == 2 * MIN_SIZE_CLASS
 
 
-def test_trim_drops_free_buffers_only():
-    arena = BufferArena()
-    held = arena.lease(100)
-    batch = [arena.lease(100) for _ in range(3)]
-    for lease in batch:
-        lease.release()
-    assert arena.stats().retained_bytes == 3 * MIN_SIZE_CLASS
-    dropped = arena.trim(MIN_SIZE_CLASS)
-    assert dropped == 2
-    assert arena.stats().retained_bytes == MIN_SIZE_CLASS
-    assert arena.stats().outstanding == 1  # the held lease is untouched
-    held.release()
-
-
 def test_concurrent_release_of_one_lease_returns_it_once():
     """release() is advertised as safe without coordination: racing
     releases of the SAME lease must return the buffer exactly once

@@ -198,14 +198,16 @@ def test_a_parked_waiter_wakes_on_cancel(monkeypatch):
     assert job.state is JobState.CANCELLED
 
 
-def test_a_parked_waiter_wakes_on_abandon(monkeypatch):
-    job = aio.IOJob(lambda: 7)
+def test_a_parked_waiter_wakes_on_a_failed_complete(monkeypatch):
+    def wedged():
+        raise TimeoutError("wedged")
+
+    job = aio.IOJob(wedged)
     assert job.claim()
     waiter = _ParkedWaiter(monkeypatch, job)
-    assert job.abandon(TimeoutError("wedged"))
+    job.complete(*job.run_body())
     waiter.assert_woken()
     assert job.state is JobState.FAILED
-    job.complete(7, None)  # the wedged body's late outcome is discarded
     assert job.result is None and isinstance(job.error, TimeoutError)
 
 

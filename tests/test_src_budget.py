@@ -13,7 +13,8 @@ The construction path (``EngineConfig`` -> ``TieredOffloader`` ->
 ``SSDOffloader`` / ``IOScheduler``) carried 60 settable values before
 PR 19, 37 before hedged reads and the brownout verdict were deleted,
 32 before the GDS-sim lane was deleted, 31 before ``durable`` was
-deleted, 30 before ``io_direct`` was deleted, and carries 29 now.
+deleted, 30 before ``io_direct`` was deleted, 29 before I/O deadlines
+were deleted, and carries 27 now.
 ``TieredOffloader``'s ``scheduler`` is in its committed tuple but not
 in that count: it is a required collaborator (the object the tier
 queues its spills on and reads degraded mode from), not a value with
@@ -24,7 +25,8 @@ not say what it has; the budget is for the few that are deliberate.
 The count of ``except Exception`` sites is committed the same way.
 The last seven tests pin shapes so they cannot grow back: one admission
 answer (a tenant's contract is a weight and a byte quota), one owner of
-degraded mode and one timer for it (class deadlines), one observation feed — producers keep cumulative books
+degraded mode and no timer in it (a request ends by its own body or a
+cancel while PENDING), one observation feed — producers keep cumulative books
 and emit events, consumers difference and aggregate — one simulated
 multi-step runner, one queueing model (the simulator queues on the
 production scheduler), one input to a store's placement (the
@@ -69,8 +71,10 @@ from repro.serve import KVBlockPool
 #: 17,487 before loads filled a destination the caller allocated (+81:
 #: ``out=`` on every store ``read`` and offloader ``load``, most of it
 #: those signatures wrapped one parameter a line, and ``check_destination``).
-SRC_LINE_CEILING = 17_568
-ENGINE_CONFIG_FIELD_CEILING = 13
+#: 17,568 before I/O deadlines (the watchdog, ``IOJob.abandon``, the hung
+#: fault mode), selective checkpointing and ``BufferArena.trim`` went.
+SRC_LINE_CEILING = 17_294
+ENGINE_CONFIG_FIELD_CEILING = 12
 KV_POOL_PARAMETERS = ("engine", "block_tokens", "num_layers", "hbm_capacity_bytes", "strategy")
 TENSOR_CACHE_PARAMETERS = ("offloader", "policy", "registry", "prefetch_window", "scheduler")
 SSD_OFFLOADER_PARAMETERS = ("store",)
@@ -81,7 +85,7 @@ TIERED_OFFLOADER_PARAMETERS = (
 COLLABORATORS = ("scheduler",)
 IO_SCHEDULER_PARAMETERS = (
     "workers", "lanes", "fifo", "coalesce_bytes", "max_retries", "retry_backoff_s",
-    "tenants", "name", "backend", "deadlines",
+    "tenants", "name", "backend",
 )
 #: ``getattr(``/``hasattr(`` occurrences allowed across the files that
 #: used to ask their parts what they were (33 before PR 19, 5 before
@@ -94,8 +98,9 @@ PROBED_FILES = (
 #: ``except Exception`` sites across ``src/``.  Each is a last line of
 #: defence for a thread or a callback; a new one says why here.  (20
 #: before the service's six went, 14 before the step end's release,
-#: which does no filesystem I/O since files are recycled, lost its.)
-BROAD_EXCEPT_CEILING = 13
+#: which does no filesystem I/O since files are recycled, lost its, 12
+#: before the deadline watchdog's scan loop went.)
+BROAD_EXCEPT_CEILING = 11
 
 SRC = Path(__file__).parent.parent / "src"
 
@@ -137,7 +142,7 @@ def test_option_count_stays_under_the_committed_ceiling():
             "settable value is added to the committed tuple in this test, where a "
             "reviewer sees it"
         )
-    assert _construction_path_values() == 29
+    assert _construction_path_values() == 27
     scheduler = inspect.signature(TieredOffloader.__init__).parameters["scheduler"]
     assert scheduler.default is inspect.Parameter.empty  # required: never scheduler-less
 
@@ -192,9 +197,9 @@ def test_degraded_mode_has_one_owner():
     """Lane health (``io/health.py``) builds every circuit breaker and
     is the only place "dead" is decided; the tier stores no copy of the
     verdict, flips no pool-wide overflow switch, and has no
-    scheduler-less mode to fall back to.  Class deadlines are the only
-    degraded-mode timer: no hedged duplicate reads, no latency-driven
-    "slow" verdict, nothing shed on one."""
+    scheduler-less mode to fall back to.  No degraded-mode timer exists:
+    no deadline watchdog abandons a running request, no hedged duplicate
+    reads, no latency-driven "slow" verdict, nothing shed on one."""
     sources = {p.relative_to(SRC / "repro").as_posix(): p.read_text() for p in SRC.rglob("*.py")}
     builders = [name for name, text in sources.items() if "CircuitBreaker(" in text]
     assert builders == ["io/health.py"]
@@ -211,6 +216,7 @@ def test_degraded_mode_has_one_owner():
     timers = re.compile(
         r"hedge|is_slow|slow_threshold|slow_trip|mark_slow|slow_lanes|record_duration"
         r"|slow_request|\bshed_(stores|bytes)\b|prefetch_shed|consecutive_slow"
+        r"|io_deadlines|_watchdog|\.abandon\(|DeadlineExceeded|deadline_abandons|hang_ops|hang_rate"
     )
     assert [name for name, text in sources.items() if timers.search(text)] == []
 
@@ -268,7 +274,7 @@ def test_simulated_io_has_one_queue():
     assert not re.search(r"^\s*(import threading|from threading import)", sim, re.M)
     assert "IOScheduler(" in sim
     assert _parameters(IOScheduler) == IO_SCHEDULER_PARAMETERS
-    assert _construction_path_values() == 29
+    assert _construction_path_values() == 27
 
 
 def test_placement_has_one_input():
