@@ -1,10 +1,9 @@
-"""Benchmarks for the online adaptive offload controller (extension).
+"""Benchmarks for the adaptive offload controller on the step simulator.
 
 Two surfaces:
 
 - the **controller hot path** — ``AutotuneController.observe`` runs once
-  per training step inside the training loop, so its cost must stay in
-  the microseconds;
+  per simulated step, so its cost must stay in the microseconds;
 - the **drift A/B** — the end-to-end value claim: under a 2x mid-run
   write-bandwidth drop the adaptive run's backward stall collapses
   versus the static one-shot budget, asserted here so the benchmark
@@ -28,7 +27,7 @@ GB = 1024**3
 
 def test_autotune_controller_hot_path():
     """Per-step cost of the feedback loop: fold an observation into the
-    EWMA bank, re-run the budget formula, size window + watermark."""
+    EWMA bank and re-run the budget formula."""
 
     def run():
         controller = AutotuneController()
@@ -43,11 +42,6 @@ def test_autotune_controller_hot_path():
                     write_busy_s=0.5,
                     read_bytes=int(READ * 0.5),
                     read_busy_s=0.5,
-                    read_count=64,
-                    stored_tensors=64,
-                    stored_bytes=int(bw * 0.5),
-                    cpu_stored_bytes=GB,
-                    cpu_pool_capacity_bytes=4 * GB,
                 )
             )
         return controller

@@ -8,6 +8,10 @@ per-step results plus the Fig. 5 projections as JSON/CSV.
 Usage::
 
     python examples/trace_and_export.py [output_dir]
+
+With ``output_dir`` the store and the exports stay there.  Without it
+the run works in a temporary directory, prints the exported per-step
+CSV, and removes the directory on exit.
 """
 
 from __future__ import annotations
@@ -34,9 +38,19 @@ CONFIG = ModelConfig(
 
 
 def main() -> None:
-    out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp(prefix="ssdtrain-report-"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if len(sys.argv) > 1:
+        out_dir = Path(sys.argv[1])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        run(out_dir)
+        return
+    with tempfile.TemporaryDirectory(prefix="ssdtrain-report-") as tmp:
+        steps_csv = run(Path(tmp))
+        print(f"\n{steps_csv.name} (removed with its directory on exit):")
+        print(steps_csv.read_text().rstrip())
 
+
+def run(out_dir: Path) -> Path:
+    """Train, trace and export into ``out_dir``; returns the steps CSV."""
     gpu = GPU()
     model = GPT(CONFIG, rng=np.random.default_rng(0)).to(gpu)
     cache = TensorCache(
@@ -94,6 +108,7 @@ def main() -> None:
     to_csv(results, path=steps_csv)
     to_json(project_all_fig5(), path=fig5_json)
     print(f"\nexported: {steps_json}\n          {steps_csv}\n          {fig5_json}")
+    return steps_csv
 
 
 if __name__ == "__main__":

@@ -274,10 +274,11 @@ def cmd_sched(args: argparse.Namespace) -> None:
 
 
 def cmd_autotune(args: argparse.Namespace) -> None:
-    """A/B the paper's one-shot offload budget against the online
-    adaptive controller under a bandwidth/workload drift scenario: the
-    budget is profiled once at full bandwidth, then the scenario pulls
-    the hardware out from under it and the controller re-sizes live."""
+    """A/B the paper's one-shot offload budget against the adaptive
+    controller on the step simulator under a bandwidth/workload drift
+    scenario: the budget is profiled once at full bandwidth, then the
+    scenario pulls the hardware out from under it and the controller
+    re-sizes between steps."""
     from repro.core.autotune import AutotuneController
     from repro.core.policy import OffloadPolicy, PolicyConfig
     from repro.sim import Scenario, StepConditions, build_segments, one_shot_budget, simulate_run

@@ -44,7 +44,7 @@ from repro.core.offloader import (
 )
 from repro.core.tiered import TieredOffloader, TierStats
 from repro.core.tensor_cache import ActivationRecord, CacheStats, RecordState, TensorCache
-from repro.core.adaptive import WorkloadProfile, choose_offload_budget, configure_policy
+from repro.core.adaptive import WorkloadProfile, choose_offload_budget
 from repro.core.autotune import (
     AutotuneController,
     ControllerConfig,
@@ -81,7 +81,6 @@ __all__ = [
     "RecordState",
     "WorkloadProfile",
     "choose_offload_budget",
-    "configure_policy",
     "AutotuneController",
     "ControllerConfig",
     "ControllerDecision",

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.policy import PolicyConfig
-
 
 @dataclass(frozen=True)
 class WorkloadProfile:
@@ -75,18 +73,3 @@ def choose_offload_budget(
     cap = int(min(write_cap, read_cap))
     return min(cap, profile.activation_bytes_per_step)
 
-
-def configure_policy(
-    profile: WorkloadProfile,
-    write_bandwidth_bytes_per_s: float,
-    base: Optional[PolicyConfig] = None,
-    **kwargs,
-) -> PolicyConfig:
-    """Build a :class:`PolicyConfig` with the adaptive budget installed."""
-    config = base if base is not None else PolicyConfig()
-    budget = choose_offload_budget(profile, write_bandwidth_bytes_per_s, **kwargs)
-    return PolicyConfig(
-        min_offload_numel=config.min_offload_numel,
-        offload_budget_bytes=budget,
-        keep_last_module=config.keep_last_module,
-    )

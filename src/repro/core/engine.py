@@ -15,8 +15,8 @@ Two front-ends share the offload stack — the original
   front-end drives the offloader/scheduler pair directly; callers that
   only need the synchronous backend take ``engine.offloader``.
 - :meth:`Engine.stats` returns one :class:`EngineStats` snapshot
-  aggregating every book non-destructively — reading it never steals the
-  adaptive controller's bandwidth windows or resets a counter.
+  aggregating every book non-destructively — reading it never steals
+  another observer's bandwidth windows or resets a counter.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ class EngineStats:
 
     Every field is a detached copy: mutating it (or the engine doing
     more work) affects nothing, and taking the snapshot never drains
-    the adaptive controller's completion windows.  Fields that do not
+    another observer's completion windows.  Fields that do not
     apply to the configured target stay ``None``/empty (e.g. ``tiers``
     for a pure-SSD engine).
     """

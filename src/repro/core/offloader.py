@@ -118,13 +118,6 @@ class Offloader:
         ``None`` on a single-tier backend."""
         return None
 
-    def set_free_watermark(self, nbytes: int) -> None:
-        """Target free headroom of the pinned pool (tiered backends)."""
-
-    def apply_watermark(self) -> int:
-        """Demote until the free watermark holds; tensors demoted."""
-        return 0
-
     def evict(self, tid: TensorID) -> None:
         """Drop ``tid``'s host buffer (backends with a pool)."""
 

@@ -101,11 +101,11 @@ class OffloadPolicy:
     def install_budget(self, budget_bytes: Optional[int]) -> Optional[int]:
         """Mutate the per-step offload budget in place; returns the old one.
 
-        This is the live re-sizing entry point of the adaptive controller
-        (:mod:`repro.core.autotune`): the paper sets the budget once from
-        a first profiled step, the controller re-runs the same formula
-        with *observed* bandwidth and installs the result here between
-        steps.  ``None`` removes the cap (offload everything eligible).
+        The paper sets the budget once from a first profiled step; the
+        simulator's adaptive controller (:mod:`repro.core.autotune`,
+        driven by ``simulate_run``) re-runs the same formula with
+        *observed* bandwidth and installs the result here between steps.
+        ``None`` removes the cap (offload everything eligible).
         Takes effect at the next ``decide()`` call — i.e. the next
         forward pass — since the budget is only consulted against the
         per-step accounting.

@@ -32,7 +32,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,8 +47,6 @@ from repro.tensor.saved_tensors import saved_tensors_hooks
 from repro.tensor.storage import Device
 from repro.tensor.tensor import Tensor
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.autotune import ControllerDecision
 
 logger = logging.getLogger(__name__)
 
@@ -174,7 +172,7 @@ class CacheStats:
     prefetch_issued: int = 0
     unpack_waits: int = 0
     #: Seconds backward spent blocked in unpack waiting for a load — the
-    #: engine's observed I/O stall (the adaptive controller's trim signal).
+    #: engine's observed I/O stall.
     unpack_wait_s: float = 0.0
     #: Stores cancelled while still queued because forwarding consumed the
     #: tensor first (``stored_*`` count submissions; subtract these for
@@ -392,26 +390,6 @@ class TensorCache:
         self._keep_all_hint = False
         self.accounting.reset()
 
-    # ----------------------------------------------------------- autotuning
-    def apply_autotune(self, decision: "ControllerDecision") -> None:
-        """Install a controller decision's knobs live, between steps.
-
-        ``offload_budget_bytes`` lands in the policy (only when the
-        decision says it re-tuned — a ``None`` budget would otherwise
-        remove the cap), ``prefetch_window`` replaces the cache's
-        look-ahead depth, and ``cpu_free_watermark_bytes`` re-targets a
-        tiered backend's free headroom (demoting LRU residents now, while
-        the lanes are idle, instead of inside the next forward burst).
-        """
-        if decision.retuned:
-            self.policy.install_budget(decision.offload_budget_bytes)
-        if decision.prefetch_window is not None:
-            self.prefetch_window = max(1, int(decision.prefetch_window))
-        watermark = decision.cpu_free_watermark_bytes
-        if watermark is not None:
-            self.offloader.set_free_watermark(watermark)
-            self.offloader.apply_watermark()
-
     # ----------------------------------------------------------- fwd hooks
     def _forward_pre_hook(self, module: Module, inputs: Tuple[Any, ...]) -> None:
         if flags.in_backward():
@@ -576,8 +554,8 @@ class TensorCache:
                     # failure still shows up in the stats/health surface.
                     # The pack-time offload accounting is reversed to
                     # kept: the bytes moved nothing, so they must not
-                    # consume offload budget or feed the controller as
-                    # store traffic that never happened.
+                    # consume offload budget or count as store traffic
+                    # that never happened.
                     with self._counter_lock:
                         self.stats.store_failures += 1
                         self.stats.stored_tensors -= 1
@@ -623,9 +601,8 @@ class TensorCache:
         # deadline-promote) the load at the head of its lane.
         self._ensure_available(rec, blocking=True)
         if not rec.loaded_event.is_set():
-            # Backward is stalled on I/O: count it and time it — the
-            # adaptive controller reads the accumulated wait as the
-            # step's stall signal and trims the budget accordingly.
+            # Backward is stalled on I/O: count it and time it (the
+            # accumulated wait is the step's stall).
             self.stats.unpack_waits += 1
             begin = time.monotonic()
             rec.loaded_event.wait()
@@ -679,8 +656,7 @@ class TensorCache:
                 # paths where forwarding actually happens — the fallback
                 # reload below is a cache miss, and counting it as a
                 # forwarding hit would overstate both the stats surface
-                # and the per-step accounting the adaptive controller
-                # feeds on.
+                # and the per-step accounting.
                 job = rec.store_job
                 if (
                     job is not None

@@ -248,10 +248,6 @@ class TieredOffloader(Offloader):
         #: class only reads the verdict, reports the failures it absorbs
         #: (``mark_dead``) and runs the canary that re-closes a breaker.
         self._health = scheduler.health
-        #: Target free headroom the pool keeps between steps (bytes);
-        #: installed by the adaptive controller, enforced on demand by
-        #: :meth:`apply_watermark`.  0 = no proactive demotion.
-        self._free_watermark_bytes = 0
         #: Doubles as the breaker backoff *and* the opt-in for
         #: store-path auto-probing; ``None`` (the default) keeps the
         #: conservative backoff and probes only when a caller (the
@@ -313,7 +309,7 @@ class TieredOffloader(Offloader):
             # The close is the revival (placement reads the breaker);
             # the lane forgets the streak that tripped it.  A tenant's
             # own verdict survives a global resurrection, and the pool
-            # drains under its cap at the next watermark application.
+            # drains under its cap as the next CPU stores make room.
             self._health.revive("ssd", tenant if tenant is not None else DEFAULT_TENANT)
             with self._lock:
                 self.stats.resurrections += 1
@@ -635,43 +631,6 @@ class TieredOffloader(Offloader):
         self.scheduler.cancel(entry.spill)
         self.stats.cancelled_demotions += 1
         self.stats.cancelled_demotion_bytes += entry.nbytes
-
-    @property
-    def free_watermark_bytes(self) -> int:
-        return self._free_watermark_bytes
-
-    def set_free_watermark(self, nbytes: int) -> None:
-        """Set the free-headroom target the pool maintains between steps.
-
-        The adaptive controller raises the watermark when the next step's
-        forward burst would outrun the SSD drain rate — proactively
-        demoting cold residents while the lanes are idle is cheaper than
-        demoting them inside the burst, on the store critical path.  The
-        value is clamped to the pool capacity; it takes effect at the
-        next :meth:`apply_watermark` call.
-        """
-        if nbytes < 0:
-            raise ValueError(f"watermark must be >= 0: {nbytes}")
-        self._free_watermark_bytes = min(int(nbytes), self.cpu_capacity_bytes)
-
-    def apply_watermark(self) -> int:
-        """Demote LRU residents until free headroom meets the watermark.
-
-        Returns the number of tensors demoted.  The SSD writes queue at
-        DEMOTION priority (behind every load), so applying the watermark
-        between steps costs idle-lane time only — and each spill stays
-        cancellable until it runs.  Headroom is counted from the cap, so
-        a pool that degraded mode left over it is drained back under.
-        """
-        demoted = 0
-        with self._lock:
-            while self.cpu_capacity_bytes - self.pool.used < self._free_watermark_bytes:
-                victim = self._next_victim()
-                if victim is None:
-                    break
-                self._demote_locked(*victim)
-                demoted += 1
-        return demoted
 
     def demote(self, tid: TensorID) -> bool:
         """Explicitly spill one CPU-resident tensor to SSD; True when its

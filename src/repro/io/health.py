@@ -5,8 +5,8 @@ a :class:`LaneHealthTracker`; the tracker holds the stack's only
 :class:`~repro.io.breaker.CircuitBreaker`\\ s — one per lane for the
 device as a whole, one per (lane, tenant) for a tenant whose own traffic
 bricked it — and *dead* is nothing but "that breaker is not CLOSED".
-Whoever needs the verdict (the tiered offloader's placement, the
-adaptive controller's trim) reads it here;
+Whoever needs the verdict (the tiered offloader's placement) reads it
+here;
 whoever changes it (a permanent device error, a failure streak, a
 passed canary probe, an operator) changes it here.  What stays outside
 is what needs the device: the tiered offloader owns the canary
@@ -14,8 +14,7 @@ write/read that drives a half-open breaker
 (:meth:`~repro.core.tiered.TieredOffloader.maybe_probe_ssd`).
 
 The books are cumulative and reading them changes nothing: producers
-keep totals, consumers take differences.  The adaptive controller's
-"failures this step" is its own subtraction of two snapshots.
+keep totals, consumers take differences of two snapshots.
 
 Lock order: the tracker's lock and each breaker's lock are leaves —
 nothing else is taken under them, and breaker listeners fire with
@@ -74,7 +73,7 @@ class LaneHealthTracker:
     - :meth:`is_dead` / :meth:`dead_lanes` — routing: the tiered
       offloader steers placements off a dead ``ssd`` lane (CPU failover);
     - :meth:`snapshot` / :meth:`tenant_snapshot` — the cumulative books
-      (the adaptive controller's trim signal is a difference of two).
+      (a consumer's "failures this step" is a difference of two).
 
     **Tenant scoping** (isolation, architecture §8):
     ``is_dead(lane, tenant)`` is the union — a lane is dead *for a

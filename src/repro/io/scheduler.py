@@ -31,8 +31,8 @@ backward critical path.  This module replaces the pools with one
   says what a finished request did once: the ``"done"`` listener event
   carries the request with its three time stamps.  Whoever wants
   bandwidths or busy time listens and aggregates
-  (:class:`~repro.io.trace.IOTracer`; the adaptive controller hangs a
-  private one here), so observing costs nothing while nobody does.
+  (:class:`~repro.io.trace.IOTracer`), so observing costs nothing
+  while nobody does.
 
 ``fifo=True`` collapses every class into submission order — the paper's
 original behaviour — which keeps an apples-to-apples baseline for the
@@ -59,8 +59,7 @@ drained, and the blocking waiter sees the error instead of a hang),
 retryable errors are re-attempted within the request's bounded
 retry-with-backoff budget before failing, and every outcome feeds the
 per-lane :class:`~repro.io.health.LaneHealthTracker` — the signal the tiered offloader
-uses to fail a dead SSD over to the CPU tier and the adaptive controller
-uses to trim the budget on a degraded lane.  A request ends by its own
+uses to fail a dead SSD over to the CPU tier.  A request ends by its own
 body, or by a cancel that reaches it still PENDING; nothing times a
 running one out, and a slow device is not a verdict (architecture §12).
 """
@@ -501,7 +500,7 @@ class IOScheduler:
         self.tenants = tenants if tenants is not None else TenantRegistry()
         self.stats = SchedulerStats()
         #: Per-lane failure/death bookkeeping fed by request completions;
-        #: the tiered offloader and the adaptive controller both read it.
+        #: the tiered offloader reads it.
         self.health = LaneHealthTracker()
         #: The registry's books lock: one acquisition opens (or closes) a
         #: request's global and tenant books.

@@ -7,10 +7,9 @@ listener event, carrying the request with its ``started_at`` /
 interval per executed request (``store``, ``load`` and the tiered
 backend's ``demote`` SSD writes alike) plus ``cancel`` / ``promote``
 point events, and answers per (lane, channel) what moved and for how
-long.  A real offloaded run renders as a Fig. 2-style timeline, and the
-adaptive controller (:mod:`repro.core.autotune`) reads its observed
-bandwidths off a private tracer.  Nothing on the offloader is touched,
-and any number of tracers on one scheduler see the same events.
+long.  A real offloaded run renders as a Fig. 2-style timeline.
+Nothing on the offloader is touched, and any number of tracers on one
+scheduler see the same events.
 """
 
 from __future__ import annotations

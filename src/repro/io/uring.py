@@ -9,7 +9,7 @@ completion-queue entry — and a dedicated **reaper** thread is the
 *completion* side: it settles each outcome (terminal job state, done
 callbacks, lease release, health/tenant books) in submission order and
 books the reap lag (``IOLaneStats.reaped`` / ``reap_lag_s``, the one
-book of it) the adaptive controller folds into its latency estimate.
+book of it), which the benchmark's per-layer rows read.
 
 That is all a backend decides.  What reaches the kernel — one
 ``pwritev``/``preadv`` per transfer over the store's own descriptor

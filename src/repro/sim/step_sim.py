@@ -725,17 +725,15 @@ class RunResult:
 def _observation_from_sim(result: SimResult) -> StepObservation:
     """Translate one simulated step into the controller's feed.
 
-    Bandwidth is *observed* the same way the engine observes it —
-    bytes moved over channel-busy seconds off the timeline — so the
-    controller sees the per-op latency tax, not the configured constant.
+    Bandwidth is *observed* — bytes moved over channel-busy seconds off
+    the timeline — so the controller sees the per-op latency tax, not
+    the configured constant.
     CPU-tier lanes are merged in when present (the controller's budget
     then reflects the blended drain rate the workload actually gets).
     """
     timeline = result.timeline
     write_busy = timeline.lane_busy_time("store") + timeline.lane_busy_time("cpu_store")
     read_busy = timeline.lane_busy_time("load") + timeline.lane_busy_time("cpu_load")
-    stored_tensors = sum(1 for e in timeline.events if e.lane in ("store", "cpu_store"))
-    read_count = sum(1 for e in timeline.events if e.lane in ("load", "cpu_load"))
     return StepObservation(
         forward_time_s=result.forward_time_s,
         backward_time_s=result.backward_time_s,
@@ -744,9 +742,6 @@ def _observation_from_sim(result: SimResult) -> StepObservation:
         write_busy_s=write_busy,
         read_bytes=result.loaded_bytes,
         read_busy_s=read_busy,
-        read_count=read_count,
-        stored_tensors=stored_tensors,
-        stored_bytes=result.offloaded_bytes,
         stall_time_s=result.io_stall_time_s,
     )
 
@@ -789,9 +784,8 @@ def simulate_run(
     policy carries stays in force for the whole run (the paper's one-shot
     sizing).  With a controller, each step's timeline is folded into the
     EWMA estimators and a re-tuned budget is installed into the (shared,
-    mutable) policy before the next step — the same
-    ``observe -> choose_offload_budget -> install`` loop the functional
-    engine runs, minus the engine.
+    mutable) policy before the next step: an
+    ``observe -> choose_offload_budget -> install`` loop.
 
     Every step queues on one shared FIFO SSD lane (``io_mode="fifo"``):
     there a stale budget's store backlog, retry replays and latency

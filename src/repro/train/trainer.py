@@ -21,7 +21,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.autotune import AutotuneController, ControllerDecision
 from repro.core.hints import SchedulerHints, patch_schedule
 from repro.core.tensor_cache import CacheStats, TensorCache
 from repro.device.gpu import GPU
@@ -53,12 +52,6 @@ class StepResult:
     offloaded_bytes: int = 0
     loaded_bytes: int = 0
     forwarded_tensors: int = 0
-    #: The offload budget in force after this step (None = uncapped /
-    #: no cache); moves between steps when an autotune controller is
-    #: attached.
-    offload_budget_bytes: Optional[int] = None
-    #: The controller's decision for this step (None without a controller).
-    autotune_decision: Optional[ControllerDecision] = None
 
     def model_throughput_tflops(self) -> float:
         """Fig. 7 y-axis: algorithmic FLOPs / step time, in TFLOP/s."""
@@ -80,13 +73,6 @@ class Trainer:
             schedule and manages the cache lifecycle per step.
         num_microbatches: gradient-accumulation factor; the loss of each
             micro-batch is scaled by ``1/num_microbatches``.
-        controller: optional online adaptive controller
-            (:class:`~repro.core.autotune.AutotuneController`); hooked at
-            the end of every step, it re-runs the offload budget formula
-            with the observed forward/backward windows and the
-            scheduler's observed per-lane bandwidth, and installs the
-            result (budget, prefetch window, tiered watermark) for the
-            next step.  Requires a cache.
     """
 
     def __init__(
@@ -97,23 +83,17 @@ class Trainer:
         strategy: PlacementStrategy = PlacementStrategy.KEEP,
         cache: Optional[TensorCache] = None,
         num_microbatches: int = 1,
-        controller: Optional[AutotuneController] = None,
     ) -> None:
         if strategy is PlacementStrategy.OFFLOAD and cache is None:
             raise ValueError("OFFLOAD strategy requires a TensorCache")
         if strategy is not PlacementStrategy.OFFLOAD and cache is not None:
             raise ValueError(f"cache given but strategy is {strategy.value}")
-        if controller is not None and cache is None:
-            raise ValueError("an autotune controller requires a TensorCache")
         self.model = model
         self.optimizer = optimizer
         self.gpu = gpu
         self.strategy = strategy
         self.cache = cache
         self.num_microbatches = num_microbatches
-        self.controller = controller
-        if controller is not None:
-            controller.attach(cache)  # before step 0, so it is observed
         self.hints = SchedulerHints(cache) if cache is not None else None
         self._cache_attached = False
         self.step_count = 0
@@ -154,22 +134,15 @@ class Trainer:
 
         losses: List[float] = []
         scale = 1.0 / self.num_microbatches
-        # Observed forward/backward windows — the controller re-runs the
-        # budget formula with these instead of the profiled assumptions.
-        phase_times = {"forward": 0.0, "backward": 0.0}
 
         def forward_fn(index: int) -> Tensor:
-            begin = time.perf_counter()
             loss = self.model(*microbatch_data[index])
             if self.num_microbatches > 1:
                 loss = loss * scale
-            phase_times["forward"] += time.perf_counter() - begin
             return loss
 
         def backward_fn(index: int, loss: Tensor) -> None:
-            begin = time.perf_counter()
             loss.backward()
-            phase_times["backward"] += time.perf_counter() - begin
             losses.append(loss.item())
 
         def optimizer_fn() -> None:
@@ -193,18 +166,8 @@ class Trainer:
             schedule.run_step()
         elapsed = time.perf_counter() - start
 
-        decision = None
-        if self.controller is not None:
-            decision = self.controller.on_step_end(
-                forward_time_s=phase_times["forward"],
-                backward_time_s=phase_times["backward"],
-            )
-
         self.step_count += 1
         stats = self.cache.stats.since(stats_before) if self.cache else stats_before
-        budget = (
-            self.cache.policy.config.offload_budget_bytes if self.cache else None
-        )
         return StepResult(
             loss=float(np.sum(losses)),
             step_time_s=elapsed,
@@ -215,6 +178,4 @@ class Trainer:
             offloaded_bytes=stats.stored_bytes,
             loaded_bytes=stats.loaded_bytes,
             forwarded_tensors=stats.forwarded_tensors,
-            offload_budget_bytes=budget,
-            autotune_decision=decision,
         )

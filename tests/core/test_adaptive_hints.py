@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.adaptive import WorkloadProfile, choose_offload_budget, configure_policy
+from repro.core.adaptive import WorkloadProfile, choose_offload_budget
 from repro.core.hints import SchedulerHints, Stage, patch_schedule
-from repro.core.policy import PolicyConfig
 from repro.train.schedule import MicrobatchSchedule
 
 
@@ -49,13 +48,6 @@ def test_budget_validation():
         choose_offload_budget(profile, 0)
     with pytest.raises(ValueError):
         choose_offload_budget(profile, 1e9, safety_factor=2.0)
-
-
-def test_configure_policy_installs_budget():
-    profile = WorkloadProfile(10**12, 1.0, 2.0)
-    config = configure_policy(profile, 1e9, base=PolicyConfig(min_offload_numel=7))
-    assert config.offload_budget_bytes == pytest.approx(2e9, rel=0.01)
-    assert config.min_offload_numel == 7
 
 
 # ----------------------------------------------------------------------- hints

@@ -405,6 +405,33 @@ def test_failed_store_recovery_reverses_offload_accounting(gpu, make_cache):
     assert cache.accounting.kept_bytes == x.nbytes
 
 
+def test_cache_times_the_unpack_stall(gpu, make_cache):
+    """Backward blocking in unpack on a load is the engine's I/O stall:
+    the cache counts it and times it (``unpack_waits`` /
+    ``unpack_wait_s``)."""
+    cache = make_cache()
+    offloader = cache.offloader
+    original_load = offloader.load
+    release = threading.Event()
+
+    def gated_load(tid, shape, dtype, out=None):
+        release.wait(5)  # held open until the timer fires (no bare sleep)
+        return original_load(tid, shape, dtype, out=out)
+
+    data = np.random.default_rng(0).standard_normal((64, 64)).astype(np.float32)
+    x = Tensor(data, device=gpu, requires_grad=True)
+    with cache:
+        tid = cache.pack_hook(x)
+        cache.scheduler.drain(5)  # OFFLOADED: the unpack must reload
+        offloader.load = gated_load
+        timer = threading.Timer(0.05, release.set)
+        timer.start()
+        cache.unpack_hook(tid)  # blocks ~50 ms until the gate opens
+        timer.join()
+    assert cache.stats.unpack_wait_s > 0.03
+    assert cache.stats.unpack_waits == 1
+
+
 # ------------------------------------------------------------ the state machine
 def test_illegal_transition_raises_and_leaves_record_untouched(gpu):
     from repro.core import ActivationRecord, RecordState

@@ -585,10 +585,10 @@ def test_overlapping_probes_keep_their_own_canary(tmp_path):
 
 
 @pytest.mark.parametrize("tenant", [None, "doomed"])
-def test_watermark_never_demotes_into_an_open_breaker(tmp_path, tenant):
-    """Proactive demotion picks its victims the way pool pressure does:
-    with the SSD written off — for everyone, or for the tenant that owns
-    every resident — the watermark writes nothing and moves nothing."""
+def test_pool_pressure_never_demotes_into_an_open_breaker(tmp_path, tenant):
+    """With the SSD written off — for everyone, or for the tenant that
+    owns every resident — a store into the full pool picks no victim:
+    it writes nothing, moves nothing, and lands over the cap."""
     from repro.io.tenancy import DEFAULT_TENANT, tenant_scope
 
     off = build_tier(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=4 * DATA.nbytes)
@@ -601,10 +601,12 @@ def test_watermark_never_demotes_into_an_open_breaker(tmp_path, tenant):
                 off.store(_tid(i), DATA + i)
         off.scheduler.health.mark_dead("ssd", tenant)
         assert off.ssd_dead_for(tenant or DEFAULT_TENANT)
-        off.set_free_watermark(2 * DATA.nbytes)
-        assert off.apply_watermark() == 0
+        with tenant_scope(tenant or DEFAULT_TENANT):
+            off.store(_tid(4), DATA + 4)
+        assert off.scheduler.drain(5)
         assert not writes
-        assert all(off.tier_of(_tid(i)) is Tier.CPU for i in range(4))
+        assert all(off.tier_of(_tid(i)) is Tier.CPU for i in range(5))
+        assert off.pool.overflow_bytes == DATA.nbytes
         assert_tier_books(off)
     finally:
         off.shutdown()

@@ -1,6 +1,7 @@
 """End-to-end integration: the full SSDTrain stack on real training runs."""
 
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from repro.core import (
     SSDOffloader,
     TensorCache,
     WorkloadProfile,
-    configure_policy,
+    choose_offload_budget,
 )
 from repro.data import SyntheticCorpus, TokenBatchLoader
 from repro.device import MemoryTag
@@ -131,12 +132,10 @@ def test_adaptive_budget_from_profiled_step(gpu, tmp_path):
             forward_time_s=profile_step.step_time_s / 3,
             backward_time_s=2 * profile_step.step_time_s / 3,
         )
-        new_config = configure_policy(
-            profile,
-            write_bandwidth_bytes_per_s=100e6,
-            base=trainer.cache.policy.config,
+        new_config = replace(
+            trainer.cache.policy.config,
+            offload_budget_bytes=choose_offload_budget(profile, write_bandwidth_bytes_per_s=100e6),
         )
-        assert new_config.offload_budget_bytes is not None
         trainer.cache.policy.config = new_config
         result = trainer.train_step([loader.next_batch()])
         assert result.offloaded_bytes <= new_config.offload_budget_bytes + 64 * 1024

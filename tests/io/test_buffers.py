@@ -479,7 +479,7 @@ def test_failed_demotion_reinstates_lease_with_exact_books(tmp_path, sched):
 # ----------------------------------------------------- property: no leaks
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["store", "load", "release", "restore", "watermark"]),
+        st.sampled_from(["store", "load", "release", "restore", "demote"]),
         st.integers(min_value=0, max_value=7),
     ),
     min_size=1,
@@ -490,7 +490,7 @@ _OPS = st.lists(
 @settings(deadline=None, max_examples=25)
 @given(_OPS)
 def test_arena_leases_always_reconcile(ops):
-    """Random store/load/release/re-store/watermark interleavings over
+    """Random store/load/release/re-store/demote interleavings over
     the tiered hierarchy: after a drain the arena books must balance —
     ``leased == released + outstanding``, every outstanding lease a live
     resident or parked spill, and shutdown returns everything."""
@@ -512,9 +512,8 @@ def test_arena_leases_always_reconcile(ops):
                 elif op == "release" and i in stored:
                     off.release(_tid(i))
                     stored.discard(i)
-                elif op == "watermark":
-                    off.set_free_watermark(2 * DATA.nbytes)
-                    off.apply_watermark()
+                elif op == "demote":
+                    off.demote(_tid(i))
             assert sched.drain(10)
             assert_tier_books(off)
             off.shutdown()

@@ -18,8 +18,10 @@ identity.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -148,6 +150,22 @@ def census():
         threading.setprofile(previous[1])
 
 
+@contextmanager
+def _counting(census):
+    """One census window that counts only its own requests: earlier
+    tests' garbage is collected before it opens, and no collection runs
+    inside it, so no finaliser (a dropped ``FDTable``'s, an
+    ``UntypedStorage.__del__``) lands its frames in the count."""
+    gc.collect()
+    gc.disable()
+    census.active = True
+    try:
+        yield
+    finally:
+        census.active = False
+        gc.enable()
+
+
 def _round_trips(engine, arrays, first_stamp: int, tenants=None, into=False) -> None:
     """Store every array, then load each back and release it — the
     ``engine_replay`` round, one request at a time on the load side.
@@ -230,9 +248,8 @@ def test_request_path_stays_under_the_committed_ceilings(
         # Warm-up: descriptors, first chunk.
         into = chunk_bytes is None
         _round_trips(engine, arrays, first_stamp=1, tenants=tenants, into=into)
-        census.active = True
-        _round_trips(engine, arrays, first_stamp=1000, tenants=tenants, into=into)
-        census.active = False
+        with _counting(census):
+            _round_trips(engine, arrays, first_stamp=1000, tenants=tenants, into=into)
         stats = engine.stats()
     requests = 2 * ROUND_TRIPS
     assert stats.scheduler.submitted == stats.scheduler.executed == 2 * requests
@@ -290,9 +307,8 @@ def test_an_inline_fetch_stays_under_the_committed_ceilings(tmp_path, census):
 
         for tid, a in zip(tids, arrays):  # warm-up: tenants registered
             assert np.array_equal(fetch(tid, a, f"user{tid.stamp % 4}").result, a)
-        census.active = True
-        fetched = [fetch(tid, a, f"user{tid.stamp % 4}") for tid, a in zip(tids, arrays)]
-        census.active = False
+        with _counting(census):
+            fetched = [fetch(tid, a, f"user{tid.stamp % 4}") for tid, a in zip(tids, arrays)]
         stats = engine.stats()
     assert all(request.lane == "cpu" and request.error is None for request in fetched)
     assert stats.scheduler.submitted == stats.scheduler.executed == 2 * ROUND_TRIPS

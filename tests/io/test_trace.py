@@ -11,7 +11,6 @@ from repro.core import (
     TensorCache,
     build_engine,
 )
-from repro.core.autotune import AutotuneController
 from repro.io.trace import IOTracer, attach_tracer
 from repro.models import GPT, ModelConfig
 from repro.optim import SGD
@@ -126,12 +125,11 @@ def test_traced_run_matches_untraced(gpu, tmp_path):
     assert run(False) == pytest.approx(run(True), abs=1e-7)
 
 
-def _tiered_run(gpu, tmp_path, steps=3, controller=None):
+def _tiered_run(gpu, tmp_path, steps=3):
     """Three trainer steps on a tiered engine whose 64 KiB pool is
     smaller than one step's activations: most bytes reach the SSD as
     background demotions, which never cross ``offloader.store``.
-    Returns the tier counters, the trace, and what ``controller`` (when
-    given) observed per step plus once more after shutdown."""
+    Returns the tier counters and the trace."""
     config = ModelConfig(
         arch="gpt", hidden=64, num_layers=2, vocab_size=61, seq_len=16, head_dim=16
     )
@@ -146,36 +144,30 @@ def _tiered_run(gpu, tmp_path, steps=3, controller=None):
     )
     tracer = attach_tracer(engine)
     cache = engine.cache()
-    if controller is not None:
-        controller.attach(cache)
     model = GPT(config, rng=np.random.default_rng(0)).to(gpu)
     trainer = Trainer(
         model, SGD(model.parameters(), lr=1e-3), gpu,
         strategy=PlacementStrategy.OFFLOAD, cache=cache,
     )
     rng = np.random.default_rng(1)
-    observed = []
     try:
         for _ in range(steps):
             tokens = Tensor(rng.integers(0, 61, (2, 16)).astype(np.int64), device=gpu)
             targets = Tensor(rng.integers(0, 61, (2, 16)).astype(np.int64), device=gpu)
-            result = trainer.train_step([(tokens, targets)])
-            if controller is not None:
-                half = result.step_time_s / 2
-                observed.append(controller.step_observation(half, half))
+            trainer.train_step([(tokens, targets)])
     finally:
         trainer.close()
         engine.shutdown()  # workers joined: every done event is traced
-    if controller is not None:  # a done event that trailed the last drain
-        observed.append(controller.step_observation(0.0, 0.0))
-    return engine.stats().tiers, tracer, observed
+    return engine.stats().tiers, tracer
 
 
 def test_tiered_demotions_are_traced(gpu, tmp_path):
     """Regression: the tracer used to wrap ``offloader.store/load``, so a
     tiered engine's SSD writes (``_run_demotion -> ssd.store``) left no
-    event and the reported store bandwidth was the pinned-pool memcpy's."""
-    tiers, tracer, _ = _tiered_run(gpu, tmp_path)
+    event and the reported store bandwidth was the pinned-pool memcpy's.
+    The traced write channel is every lane's: the pool memcpys, the
+    direct SSD stores *and* the background demotions."""
+    tiers, tracer = _tiered_run(gpu, tmp_path)
     demotes = [e for e in tracer.events if e.kind == "demote"]
     assert tiers.demoted_bytes > 0
     assert (
@@ -186,23 +178,12 @@ def test_tiered_demotions_are_traced(gpu, tmp_path):
     assert all(e.end_s >= e.start_s for e in tracer.events)
     ssd_write = tracer.channels()["ssd", "write"]
     assert ssd_write.nbytes >= sum(e.nbytes for e in demotes) and ssd_write.busy_s > 0
+    assert (
+        tracer.stats().store_bytes
+        == tiers.cpu_stored_bytes + tiers.ssd_stored_bytes + sum(e.nbytes for e in demotes)
+    )
     assert any(
         row.startswith("demote |") and "d" in row[8:]
         for row in tracer.render_ascii().splitlines()
     )
 
-
-def test_controller_on_a_tiered_run_observes_the_demotion_writes(gpu, tmp_path):
-    """The observed write channel is every lane's: the pool memcpys, the
-    direct SSD stores *and* the background demotions."""
-    tiers, tracer, observed = _tiered_run(gpu, tmp_path, controller=AutotuneController())
-    demoted = sum(e.nbytes for e in tracer.events if e.kind == "demote")
-    assert demoted > 0
-    assert (
-        sum(obs.write_bytes for obs in observed)
-        == tiers.cpu_stored_bytes + tiers.ssd_stored_bytes + demoted
-        == tracer.stats().store_bytes
-    )
-    assert all(obs.write_bytes > 0 and obs.write_busy_s > 0 for obs in observed[:3])
-    assert sum(obs.cpu_stored_bytes for obs in observed) == tiers.cpu_stored_bytes
-    assert all(obs.cpu_pool_capacity_bytes == 64 << 10 for obs in observed)

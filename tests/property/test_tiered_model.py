@@ -3,7 +3,7 @@
 hypothesis drives an offloader on a one-worker scheduler, drained after
 every rule (spills run in queue order and have landed before the next
 rule, so every run is deterministic and shrinkable), with random
-stores, loads, releases, demotions, watermarks, SSD faults, lane
+stores, loads, releases, demotions, SSD faults, lane
 failures and probes, against a ``dict`` of what each tensor must read
 back as.  After every rule the offloader must agree with the dict bit
 for bit, its books must balance
@@ -152,18 +152,6 @@ class TieredModel(RuleBasedStateMachine):
         if resident:  # a failed spill put the only copy back in the pool
             assert self.off.tier_of(_tid(i)) is (Tier.SSD if lands else Tier.CPU)
 
-    @rule(tensors=st.integers(min_value=0, max_value=POOL_TENSORS))
-    def watermark(self, tensors):
-        self.off.set_free_watermark(tensors * self.off.cpu_capacity_bytes // POOL_TENSORS)
-        written_off = self.off.ssd_dead
-        demoted = self.off.apply_watermark()
-        # Applying the watermark also pays the pool's debt back, as far
-        # as anyone can spill.
-        assert self.off._next_victim() is None or self.off.pool.overflow_bytes == 0
-        self._settle()
-        if written_off:
-            assert demoted == 0
-
     @rule()
     def kill_ssd(self):
         self.injector.kill()
@@ -226,12 +214,14 @@ class TieredModel(RuleBasedStateMachine):
         assert off.dead_tenants == set(self.health.dead_tenants("ssd"))
         # The pool goes (further) over its cap only with bytes that have
         # nowhere else to go: a failover or a reinstated spill, or a
-        # store while nothing can spill.
+        # store that found nothing to spill, or spilled every victim it
+        # had and still did not fit.
         overflow, failovers = off.pool.overflow_bytes, off.stats.failovers
+        could_spill = off._next_victim() is not None
         if overflow > self.overflow:
-            assert failovers > self.failovers or not self.could_spill
+            assert failovers > self.failovers or not (self.could_spill and could_spill)
         self.overflow, self.failovers = overflow, failovers
-        self.could_spill = off._next_victim() is not None
+        self.could_spill = could_spill
         # Drained: between rules every tensor is at rest, and the device
         # holds exactly the SSD-state ones (a tensor lives in one tier).
         assert {e.state for e in off._entries.values()} <= {_State.CPU, _State.SSD}

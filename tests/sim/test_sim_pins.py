@@ -77,17 +77,17 @@ def test_adaptive_step_drop_run_is_pinned():
         7040594335, 5982597112, 5085145395, 5085145395, 3242004741, 2701771695,
     ]
     decisions = [
-        (d.retuned, d.offload_budget_bytes, d.prefetch_window,
+        (d.retuned, d.offload_budget_bytes,
          d.write_bandwidth_bytes_per_s, d.read_bandwidth_bytes_per_s)
         for d in run.decisions
     ]
     assert repr(decisions) == (
-        "[(True, 5982597112, 5, 6098055103.780248, 7197425999.879887), "
-        "(True, 5085145395, 5, 6097980575.017513, 7197425999.879889), "
-        "(False, 5085145395, 5, 6098066447.07672, 7197425999.879887), "
-        "(True, 3242004741, 4, 4573802228.446318, 7196997204.325521), "
-        "(True, 2701771695, 4, 3811644457.3293753, 7196782806.548338), "
-        "(True, 2431626590, 4, 3430525247.827586, 7196675607.659746)]"
+        "[(True, 5982597112, 6098055103.780248, 7197425999.879887), "
+        "(True, 5085145395, 6097980575.017513, 7197425999.879889), "
+        "(False, 5085145395, 6098066447.07672, 7197425999.879887), "
+        "(True, 3242004741, 4573802228.446318, 7196997204.325521), "
+        "(True, 2701771695, 3811644457.3293753, 7196782806.548338), "
+        "(True, 2431626590, 3430525247.827586, 7196675607.659746)]"
     )
     assert repr([r.io_stall_time_s for r in run.results]) == (
         "[0.33410155645632567, 0.07000668170222712, 0.0, 0.4603982672759983, 0.0, 0.0]"

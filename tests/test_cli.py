@@ -168,18 +168,23 @@ def test_demo_commands_run_their_own_assertions(argv, expected, capsys, tmp_path
 
 def test_example_commands_run_outside_the_checkout(tmp_path):
     """``quickstart`` loads its example by path, not as the ``examples``
-    package of the working directory, and removes the store directory
-    it made."""
+    package of the working directory; each example removes the
+    temporary directory it made."""
     tmp = tmp_path / "tmp"
     tmp.mkdir()
     env = dict(os.environ, PYTHONPATH=str(SRC), TMPDIR=str(tmp))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "quickstart"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    examples = (
+        (["-m", "repro", "quickstart"], "losses identical"),
+        ([str(SRC.parent / "examples" / "trace_and_export.py")], "steps.csv"),
     )
-    assert proc.returncode == 0, proc.stderr
-    assert "losses identical" in proc.stdout
-    assert list(tmp.glob("ssdtrain-*")) == []
+    for command, expected in examples:
+        proc = subprocess.run(
+            [sys.executable, *command],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert expected in proc.stdout
+        assert list(tmp.glob("ssdtrain-*")) == [], command
 
 
 def test_missing_example_names_the_file(tmp_path, monkeypatch):
