@@ -633,13 +633,13 @@ class TieredOffloader(Offloader):
         self.stats.cancelled_demotion_bytes += entry.nbytes
 
     def demote(self, tid: TensorID) -> bool:
-        """Explicitly spill one CPU-resident tensor to SSD; True when its
-        pool bytes were reclaimed and the write queued."""
+        """Queue a pool resident's spill unless the SSD is dead for its owner; True if queued."""
         with self._lock:
             entry = self._lru.get(tid)
-            if entry is not None:
+            demotable = entry is not None and not self._health.is_dead("ssd", entry.owner)
+            if demotable:
                 self._demote_locked(tid, entry)
-        return entry is not None
+        return demotable
 
     # ------------------------------------------------------------------- load
     def load(

@@ -199,7 +199,16 @@ class IOJob:
         if run_now:
             cb(self)
 
+    #: The scheduler whose books a queued request is open on
+    #: (:class:`~repro.io.scheduler.IORequest`); a plain job has none.
+    _scheduler: Any = None
+
     def wait(self, timeout: Optional[float] = None) -> bool:
+        """Without a ``timeout``, a request no lane worker has claimed
+        yet runs on this thread first (``IOScheduler._run_waited``)."""
+        scheduler = self._scheduler
+        if timeout is None and scheduler is not None and self.state is PENDING:
+            scheduler._run_waited(self)
         return self.done_event.wait(timeout)
 
     def cancel(self) -> bool:

@@ -22,6 +22,9 @@ backward critical path.  This module replaces the pools with one
   data forwarding is cancelled while still PENDING
   (:meth:`~repro.io.aio.IOJob.cancel`), reclaiming its queue slot and
   the SSD write it would have issued;
+- **a waiter runs its own request** — :meth:`~repro.io.aio.IOJob.wait` without a
+  timeout runs a request no worker has claimed yet on the waiting
+  thread, instead of waking a worker and being woken by it;
 - **write coalescing** — a worker that dequeues a small store drains the
   adjacent small stores queued behind it and runs them back-to-back as
   one batch, so a :class:`~repro.io.chunkstore.ChunkedTensorStore`
@@ -374,8 +377,8 @@ class _FairQueue:
         return None
 
     def remove(self, request: IORequest) -> bool:
-        """Unlink a queued request (promotion re-push); False when it
-        is not queued here (already popped)."""
+        """Unlink a queued request (a promotion's re-push, or a waiter
+        running it); False when it is not queued here (already popped)."""
         cls, tenant = self._keys(request)
         ring = self.classes.get(cls)
         if ring is None:
@@ -439,7 +442,8 @@ class IOScheduler:
             class — that is what lets a blocking load overtake the store
             backlog).  ``0`` starts none: the caller is every lane's one
             worker and serves it with :meth:`serve_next` (the simulator
-            runs the scheduler on a virtual clock this way).
+            runs the scheduler on a virtual clock this way), or runs a
+            request by waiting on it.
         lanes: tier names to create lanes for; a request naming any
             other lane is refused at submit.
         fifo: ignore priority classes and dequeue in submission order
@@ -841,6 +845,23 @@ class IOScheduler:
             return False
         self._run_batch(lane, batch, inline=True)
         return True
+
+    def _run_waited(self, request: IORequest) -> None:
+        """Run a request its caller is about to block on, on the caller,
+        as :meth:`serve_next` runs a batch, if it is still queued: out of
+        the lane's dequeue order, but with the queued path's books, events
+        and claim-vs-cancel race.  One a worker popped stays the worker's.
+        FIFO mode keeps submission order: the lane's workers run it, or,
+        with none, the waiter serves the lane in order up to its own."""
+        lane = self._lanes[request.lane]
+        if self.fifo:
+            while not self._workers and request.state is PENDING and self.serve_next(lane.name):
+                pass
+            return
+        with lane.lock:
+            if request.state is not PENDING or not lane.queue.remove(request):
+                return
+        self._run_batch(lane, [request], inline=True)
 
     def _run_batch(self, lane: _Lane, batch: List[IORequest], inline: bool = False) -> None:
         """Hand a batch to the backend, which runs the members' bodies on

@@ -103,6 +103,34 @@ def build_tier(store, cpu_pool_bytes: int, scheduler=None, **kwargs):
     return TieredOffloader(ssd, cpu_pool_bytes, scheduler, **kwargs)
 
 
+def block_workers(sched, gate: threading.Event, lane: str = "ssd") -> None:
+    """Park every worker of ``sched``'s ``lane`` on ``gate`` so later
+    submissions stay queued: a waiter then runs its own request.
+
+    The gate jobs are blocking loads: they dequeue first and — unlike
+    zero-byte stores — can never be coalesced into a batch with the
+    requests under test.  The barrier returns only once every gate job
+    is claimed by a worker (no timing guess; a stuck scheduler trips the
+    barrier timeout loudly instead of flaking).
+    """
+    from repro.io.scheduler import IORequest, Priority
+
+    n = sum(w.name.startswith(f"{sched.name}-{lane}-") for w in sched._workers)
+    barrier = threading.Barrier(n + 1)
+
+    def hold():
+        barrier.wait(5)
+        gate.wait(5)
+
+    for _ in range(n):
+        sched.submit(
+            IORequest(
+                hold, kind="load", priority=Priority.BLOCKING_LOAD, tensor_id="gate", lane=lane
+            )
+        )
+    barrier.wait(5)  # every worker is now inside a gate job
+
+
 @pytest.fixture(autouse=True)
 def _stop_tier_schedulers():
     yield

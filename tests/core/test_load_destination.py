@@ -20,7 +20,7 @@ from repro.core.offloader import CPUOffloader, SSDOffloader
 from repro.core.policy import Tier
 from repro.io.scheduler import IORequest, IOScheduler, Priority
 from repro.models import GPT
-from tests.conftest import build_tier
+from tests.conftest import block_workers, build_tier
 
 SHAPE = (32, 32)
 NBYTES = 32 * 32 * 4
@@ -169,7 +169,9 @@ def test_no_lane_worker_allocates_a_load_destination(
 
 def test_a_queued_kv_fetch_reads_into_the_callers_array(tmp_path, monkeypatch):
     """``KVBlockPool``'s demand fetch allocates the destination of the
-    fetch it queues on the ``ssd`` lane; the one it runs inline on the
+    fetch it queues on the ``ssd`` lane, since a lane worker may claim
+    it before the waiting caller does; with every ssd worker busy the
+    caller runs it, into that array.  The fetch it runs inline on the
     ``cpu`` lane reads as before."""
     from repro.serve import SplitToken
     from tests.serve.test_kv_pool import BLOCK_TOKENS, make_pool, payload
@@ -177,6 +179,7 @@ def test_a_queued_kv_fetch_reads_into_the_callers_array(tmp_path, monkeypatch):
     engine = build_engine(
         EngineConfig(target="tiered", store_dir=str(tmp_path), cpu_pool_bytes=1 << 20)
     )
+    gate = threading.Event()
     try:
         pool = make_pool(engine, strategy=SplitToken(hbm_recent_blocks=1, cpu_window_blocks=1))
         pool.begin_request("r1", user="alice", context_tokens=3 * BLOCK_TOKENS)
@@ -191,12 +194,14 @@ def test_a_queued_kv_fetch_reads_into_the_callers_array(tmp_path, monkeypatch):
             return real_load(*args, **kwargs)
 
         monkeypatch.setattr(engine.offloader, "load", load)
+        block_workers(engine.scheduler, gate)
         assert np.array_equal(pool.fetch("r1", 0, cpu_key.index), originals[1])
         fetched = pool.fetch("r1", 0, ssd_key.index)
         assert np.array_equal(fetched, originals[0])
         (cpu_thread, cpu_out), (ssd_thread, ssd_out) = seen
         assert cpu_thread is threading.current_thread() and cpu_out is None
-        assert ssd_thread is not threading.current_thread() and ssd_out is fetched
+        assert ssd_thread is threading.current_thread() and ssd_out is fetched
     finally:
+        gate.set()
         engine.shutdown()
 

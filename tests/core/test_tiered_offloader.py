@@ -612,6 +612,36 @@ def test_pool_pressure_never_demotes_into_an_open_breaker(tmp_path, tenant):
         off.shutdown()
 
 
+@pytest.mark.parametrize("dead", [None, "doomed"], ids=["global", "tenant"])
+def test_explicit_demote_never_writes_into_an_open_breaker(tmp_path, dead):
+    """``demote`` obeys pool pressure's rule: with the SSD written off
+    for a tensor's owner it queues nothing and returns False, and the
+    tensor stays in the pool; a tenant-scoped verdict leaves another
+    tenant's tensor demotable."""
+    from repro.io.tenancy import tenant_scope
+
+    off = build_tier(SSDOffloader(tmp_path / "t"), cpu_pool_bytes=4 * DATA.nbytes)
+    writes = []
+    ssd_store = off.ssd.store
+    off.ssd.store = lambda tid, data: (writes.append(tid), ssd_store(tid, data))
+    try:
+        for i, owner in enumerate(("doomed", "other")):
+            with tenant_scope(owner):
+                off.store(_tid(i), DATA + i)
+        off.scheduler.health.mark_dead("ssd", dead)
+        assert not off.demote(_tid(0))
+        assert off.demote(_tid(1)) is (dead is not None)
+        assert off.scheduler.drain(5)
+        assert off.tier_of(_tid(0)) is Tier.CPU
+        assert off.tier_of(_tid(1)) is (Tier.CPU if dead is None else Tier.SSD)
+        assert writes == ([] if dead is None else [_tid(1)])
+        assert off.stats.demotions == (0 if dead is None else 1)
+        assert np.array_equal(off.load(_tid(0), DATA.shape, DATA.dtype), DATA)
+        assert_tier_books(off)
+    finally:
+        off.shutdown()
+
+
 def test_failed_over_demotion_still_feeds_ssd_lane_health(tmp_path):
     """Review regression: a demotion whose SSD write exhausted its
     retries and was reinstated into the CPU tier completes DONE — the

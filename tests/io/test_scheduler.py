@@ -24,34 +24,13 @@ from repro.io import (
 )
 from repro.io.aio import JobState
 from repro.io.trace import IOTracer
+from tests.conftest import block_workers
 
 
 def _req(fn, kind="store", priority=Priority.STORE, nbytes=0, tid="t", lane="ssd", tenant=None):
     return IORequest(
         fn, kind=kind, priority=priority, tensor_id=tid, nbytes=nbytes, lane=lane, tenant=tenant
     )
-
-
-def _block_workers(sched, gate, n=2, lane="ssd"):
-    """Park ``n`` workers on ``gate`` so later submissions stay queued.
-
-    The gate jobs are blocking loads: they dequeue first and — unlike
-    zero-byte stores — can never be coalesced into a batch with the
-    requests under test.  The barrier returns only once every gate job
-    is claimed by a worker (no timing guess; a stuck scheduler trips the
-    barrier timeout loudly instead of flaking).
-    """
-    barrier = threading.Barrier(n + 1)
-
-    def hold():
-        barrier.wait(5)
-        gate.wait(5)
-
-    for _ in range(n):
-        sched.submit(
-            _req(hold, kind="load", priority=Priority.BLOCKING_LOAD, lane=lane)
-        )
-    barrier.wait(5)  # every worker is now inside a gate job
 
 
 def make_scheduler(**kwargs):
@@ -94,7 +73,7 @@ def test_priority_inversion_blocking_load_overtakes_stores():
     gate = threading.Event()
     sched = IOScheduler(workers=2, lanes=("ssd",))
     # Occupy both workers so subsequent submissions stay queued.
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
     for i in range(6):
         sched.submit(_req(lambda i=i: order.append(f"s{i}"), nbytes=64, tid=f"s{i}"))
     load = sched.submit(
@@ -120,7 +99,7 @@ def test_fifo_mode_preserves_submission_order():
     sched = IOScheduler(
         workers=2, lanes=("ssd",), fifo=True
     )
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
     for i in range(6):
         sched.submit(_req(lambda i=i: order.append(f"s{i}"), tid=f"s{i}"))
     sched.submit(
@@ -147,7 +126,7 @@ def test_priority_scheduler_cuts_blocking_load_latency_vs_fifo():
             fifo=fifo,
             coalesce_bytes=0,
         )
-        _block_workers(sched, gate)
+        block_workers(sched, gate)
         for i in range(6):
             sched.submit(_req(lambda: time.sleep(0.02), tid=f"s{i}"))
         t0 = time.monotonic()
@@ -171,7 +150,7 @@ def test_cancel_pending_store_never_runs():
     ran = []
     gate = threading.Event()
     sched = IOScheduler(workers=2, lanes=("ssd",))
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
     victim = sched.submit(_req(lambda: ran.append("victim"), nbytes=128, tid="v"))
     assert sched.cancel(victim)
     assert victim.state is JobState.CANCELLED
@@ -207,7 +186,7 @@ def test_cancel_running_store_fails():
 def test_cancelled_request_fires_done_callback():
     gate = threading.Event()
     sched = IOScheduler(workers=2, lanes=("ssd",))
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
     seen = []
     job = sched.submit(_req(lambda: None))
     job.add_done_callback(lambda j: seen.append(j.state))
@@ -223,7 +202,7 @@ def test_promote_pending_prefetch_overtakes_stores():
     order = []
     gate = threading.Event()
     sched = IOScheduler(workers=2, lanes=("ssd",))
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
     # Demotions sit between loads and stores: a pending prefetch behind a
     # demotion overtakes it once promoted to the blocking class.
     sched.submit(_req(lambda: order.append("demote"), kind="demote", priority=Priority.DEMOTION))
@@ -265,7 +244,7 @@ def test_small_stores_coalesce_into_one_chunk(tmp_path):
         lanes=("ssd",),
         coalesce_bytes=1 << 20,
     )
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
     data = np.ones((256,), dtype=np.float32)  # 1 KiB each
     for i in range(16):
         sched.submit(
@@ -291,7 +270,7 @@ def test_oversized_store_runs_alone(tmp_path):
     sched = IOScheduler(
         workers=2, lanes=("ssd",), coalesce_bytes=1024
     )
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
     sched.submit(_req(lambda: None, nbytes=4096))  # > coalesce_bytes
     sched.submit(_req(lambda: None, nbytes=4096))
     gate.set()
@@ -314,7 +293,7 @@ def test_lanes_are_independent():
     """A store backlog on the SSD lane never delays the CPU lane."""
     gate = threading.Event()
     sched = IOScheduler(workers=2)
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
     cpu_done = threading.Event()
     sched.submit(_req(cpu_done.set, lane="cpu"))
     assert cpu_done.wait(2)  # ran while the SSD lane was still gated
@@ -351,7 +330,7 @@ def test_cancelled_batch_member_not_counted_as_coalesced():
     gate = threading.Event()
     ran = []
     sched = IOScheduler(workers=2, lanes=("ssd",))
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
 
     def head_fn():
         head_started.set()
@@ -385,7 +364,7 @@ def test_batch_of_one_survivor_counts_no_coalescing():
     head_gate = threading.Event()
     gate = threading.Event()
     sched = IOScheduler(workers=2, lanes=("ssd",))
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
 
     def head_fn():
         head_started.set()
@@ -413,7 +392,7 @@ def test_promoted_request_stale_heap_entry_runs_once():
     gate = threading.Event()
     ran = []
     sched = IOScheduler(workers=2, lanes=("ssd",))
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
     prefetch = sched.submit(
         _req(lambda: ran.append("load"), kind="load", priority=Priority.PREFETCH_LOAD)
     )
@@ -434,7 +413,7 @@ def test_stale_entry_skipped_inside_batch_scan():
     gate = threading.Event()
     ran = []
     sched = IOScheduler(workers=2, lanes=("ssd",))
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
     head = sched.submit(_req(lambda: ran.append("head"), nbytes=64, tid="head"))
     sched.submit(_req(lambda: ran.append("b"), nbytes=16, tid="b"))
     sched.submit(_req(lambda: ran.append("c"), nbytes=16, tid="c"))
@@ -463,7 +442,7 @@ def test_lone_tenant_large_request_served_without_drr_rounds():
         raise AssertionError("a ring of one must not run DRR rounds")
 
     sched.tenants.weight = no_weight
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
     big = sched.submit(_req(lambda: ran.append("big"), nbytes=4 << 20, tid="big"))
     small = sched.submit(_req(lambda: ran.append("small"), nbytes=64, tid="small"))
     gate.set()
@@ -590,6 +569,163 @@ def test_workers_zero_shutdown_finishes_queued_work_without_hanging():
     assert sched.pending() == 0 and sched.stats.executed == 4
 
 
+# ------------------------------------------------ a waiter runs its request
+# ``IORequest.wait()`` without a timeout runs a request no lane worker
+# has claimed yet on the waiting thread, through the queued path's own
+# books, events and claim-vs-cancel race.
+def test_a_waiter_runs_its_request_on_a_scheduler_without_workers():
+    """``submit(r).wait()`` on ``workers=0`` returns ``r`` DONE instead
+    of blocking forever; a helper thread keeps a regression a failure."""
+    sched = IOScheduler(workers=0)
+    seen = {}
+
+    def waiter():
+        load = _req(threading.get_ident, kind="load", priority=Priority.BLOCKING_LOAD)
+        request = sched.submit(load)
+        seen["waited"] = request.wait()
+        seen["request"] = request
+
+    thread = threading.Thread(target=waiter, daemon=True)
+    thread.start()
+    thread.join(5)
+    try:
+        assert not thread.is_alive(), "wait() on a workers=0 scheduler deadlocked"
+        request = seen["request"]
+        assert seen["waited"] and request.state is JobState.DONE
+        assert request.result == thread.ident
+        assert sched.pending() == 0 and sched.stats.executed == 1
+    finally:
+        sched.shutdown()
+
+
+@pytest.mark.parametrize("backend", [None, UringBackend], ids=["thread", "uring"])
+def test_a_waiter_runs_an_unclaimed_request_on_its_own_thread(backend):
+    """Every worker is held, so nobody else can run ``r``: the waiter
+    does, in ``r``'s tenant scope, with one event of each kind, and
+    settles it itself under either backend."""
+    from repro.io.tenancy import current_tenant
+
+    sched = make_scheduler(tenants=TenantRegistry(), backend=backend() if backend else None)
+    gate = threading.Event()
+    events, ran = [], []
+    try:
+        block_workers(sched, gate)
+        sched.add_listener(lambda event, req: events.append((event, req.tensor_id)))
+        body = lambda: ran.append((threading.get_ident(), current_tenant())) or "ok"
+        request = sched.submit(_req(body, "load", Priority.PREFETCH_LOAD, tid="r", tenant="t"))
+        assert request.wait() and request.result == "ok"
+        assert ran == [(threading.get_ident(), "t")]
+        assert current_tenant() == "default"  # the scope ended with the body
+        gate.set()
+        assert sched.drain(5) and sched.pending() == 0
+        assert [event for event, tid in events if tid == "r"] == ["submit", "start", "done"]
+        stats = sched.stats_snapshot()
+        assert stats.submitted == stats.executed == 3  # two gates and r
+        assert sched.tenants.stats_of("t").executed == 1
+        assert sched.backend_stats_snapshot()["ssd"].reaped == (2 if backend else 0)  # the gates
+    finally:
+        gate.set()
+        sched.shutdown()
+
+
+def test_a_waiter_runs_nothing_cancelled_and_a_timed_wait_runs_nothing():
+    sched = make_scheduler()
+    gate = threading.Event()
+    ran = []
+    try:
+        block_workers(sched, gate)
+        cancelled = sched.submit(_req(lambda: ran.append("cancelled"), tid="c"))
+        assert sched.cancel(cancelled)
+        assert cancelled.wait() and cancelled.state is JobState.CANCELLED
+        timed = sched.submit(_req(lambda: ran.append(threading.get_ident()), tid="w"))
+        assert not timed.wait(timeout=0.05)
+        assert timed.state is JobState.PENDING and ran == []
+        gate.set()
+        assert timed.wait(5) and ran and ran[0] != threading.get_ident()  # a worker ran it
+        assert sched.drain(5)
+        stats = sched.stats_snapshot()
+        assert (stats.submitted, stats.executed, stats.cancelled) == (4, 3, 1)
+    finally:
+        gate.set()
+        sched.shutdown()
+
+
+def test_submit_and_wait_runs_each_body_exactly_once():
+    """Waiters race free workers for 500 requests, loads and coalescible
+    stores, under a shortened switch interval: whoever claims, each
+    body runs once and the books reconcile."""
+    import sys
+
+    sched = make_scheduler(tenants=TenantRegistry())
+    runs = [0] * 500
+
+    def request(i):
+        kind, priority = ("store", Priority.STORE) if i % 2 else ("load", Priority.PREFETCH_LOAD)
+        return _req(lambda: runs.__setitem__(i, runs[i] + 1), kind, priority, 64, f"t{i}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for i in range(0, len(runs), 2):
+            pair = [sched.submit(request(i)), sched.submit(request(i + 1))]
+            for submitted in pair:
+                assert submitted.wait() and submitted.state is JobState.DONE
+        assert sched.drain(5) and sched.pending() == 0
+    finally:
+        sys.setswitchinterval(interval)
+        sched.shutdown()
+    assert runs == [1] * len(runs)
+    stats = sched.stats_snapshot()
+    assert stats.submitted == stats.executed == len(runs)
+    assert (stats.failed, stats.cancelled) == (0, 0)
+    assert sched.tenants.stats_of("default").executed == len(runs)
+
+
+def test_a_fifo_waiter_leaves_its_request_in_submission_order():
+    """FIFO mode keeps strict submission order: an untimed wait on a
+    queued urgent load does not run it ahead of the store before it."""
+    sched = make_scheduler(fifo=True, workers=1)
+    gate = threading.Event()
+    order = []
+    try:
+        block_workers(sched, gate)
+        first = sched.submit(_req(lambda: order.append("a"), tid="a"))
+        body = lambda: order.append(("b", threading.get_ident()))
+        second = sched.submit(_req(body, "load", Priority.BLOCKING_LOAD, tid="b"))
+        waiter = threading.Thread(target=second.wait, daemon=True)
+        waiter.start()
+        waiter.join(0.2)
+        assert waiter.is_alive() and order == []  # the waiter did not run b
+        gate.set()
+        waiter.join(5)
+        assert not waiter.is_alive() and first.state is second.state is JobState.DONE
+        assert order[0] == "a" and order[1][0] == "b" and order[1][1] != waiter.ident
+    finally:
+        gate.set()
+        sched.shutdown()
+
+
+def test_a_fifo_waiter_without_workers_serves_the_lane_in_order():
+    """With ``workers=0`` the FIFO waiter is the lane's worker: it runs
+    every request queued before its own, in order, then its own."""
+    sched = IOScheduler(workers=0, fifo=True)
+    order = []
+    requests = [
+        sched.submit(_req(lambda: order.append("a"), tid="a")),
+        sched.submit(_req(lambda: order.append("b"), "load", Priority.BLOCKING_LOAD, tid="b")),
+        sched.submit(_req(lambda: order.append("c"), tid="c")),
+    ]
+    waiter = threading.Thread(target=requests[1].wait, daemon=True)
+    waiter.start()
+    waiter.join(5)
+    try:
+        assert not waiter.is_alive(), "wait() on a workers=0 FIFO scheduler deadlocked"
+        assert order == ["a", "b"] and requests[2].state is JobState.PENDING
+        assert sched.pending() == 1
+    finally:
+        sched.shutdown()
+
+
 # ------------------------------------------------------ completion telemetry
 # The scheduler exports one thing per executed request, the "done"
 # event; IOTracer is the listener that aggregates it per (lane, channel).
@@ -636,7 +772,7 @@ def test_cancelled_requests_never_reach_completion_stats():
     gate = threading.Event()
     sched = IOScheduler(workers=2, lanes=("ssd",))
     tracer = _traced(sched)
-    _block_workers(sched, gate)
+    block_workers(sched, gate)
     victim = sched.submit(_req(lambda: None, nbytes=4096, tid="v"))
     assert sched.cancel(victim)
     gate.set()

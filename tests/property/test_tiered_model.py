@@ -145,11 +145,13 @@ class TieredModel(RuleBasedStateMachine):
 
     @rule(i=TENSORS)
     def demote(self, i):
-        resident = self.off.tier_of(_tid(i)) is Tier.CPU
+        """Only a tensor whose owner can still spill is demoted: the SSD
+        dead for that owner pins it in the pool, as pool pressure does."""
+        demotable = self.off.tier_of(_tid(i)) is Tier.CPU and not self.off.ssd_dead_for(_owner(i))
         lands = self._writable()
-        assert self.off.demote(_tid(i)) == resident
+        assert self.off.demote(_tid(i)) == demotable
         self._settle()
-        if resident:  # a failed spill put the only copy back in the pool
+        if demotable:  # a failed spill put the only copy back in the pool
             assert self.off.tier_of(_tid(i)) is (Tier.SSD if lands else Tier.CPU)
 
     @rule()

@@ -260,9 +260,12 @@ def test_demand_fetch_clears_a_stale_prefetched_flag(engine):
 # ------------------------------------------------------------- demand path
 def test_demand_fetch_runs_where_the_bytes_are(engine, monkeypatch):
     """A block in the pinned pool is read on the calling thread; a block
-    on the SSD is queued on the ssd lane.  Both are BLOCKING_LOADs on
+    on the SSD is queued on the ssd lane and awaited, so with every ssd
+    worker busy the waiter runs it itself.  Both are BLOCKING_LOADs on
     the scheduler's books."""
     import threading
+
+    from tests.conftest import block_workers
 
     threads = []  # the thread every offloader.load body ran on
     real_load = engine.offloader.load
@@ -278,22 +281,28 @@ def test_demand_fetch_runs_where_the_bytes_are(engine, monkeypatch):
     originals = [payload(20 + i) for i in range(3)]
     ssd_key, cpu_key, _ = [pool.append_block("r1", 0, data) for data in originals]
     assert (pool.block_tier(ssd_key), pool.block_tier(cpu_key)) == ("ssd", "cpu")
+    gate = threading.Event()
+    block_workers(engine.scheduler, gate)  # before the listener: its gates stay out of events
+    gates = engine.scheduler.stats_snapshot().submitted
     monkeypatch.setattr(engine.offloader, "load", load)
     events = []
     engine.scheduler.add_listener(lambda event, req: events.append((event, req.lane)))
+    try:
+        assert np.array_equal(pool.fetch("r1", 0, cpu_key.index), originals[1])
+        assert threads == [threading.current_thread()]
+        assert events == [("submit", "cpu"), ("start", "cpu"), ("done", "cpu")]
 
-    assert np.array_equal(pool.fetch("r1", 0, cpu_key.index), originals[1])
-    assert threads == [threading.current_thread()]
-    assert events == [("submit", "cpu"), ("start", "cpu"), ("done", "cpu")]
-
-    assert np.array_equal(pool.fetch("r1", 0, ssd_key.index), originals[0])
-    assert threads[1] is not threading.current_thread()
-    assert "-ssd-" in threads[1].name  # a lane worker of the ssd lane
-    assert events[3:] == [("submit", "ssd"), ("start", "ssd"), ("done", "ssd")]
+        assert np.array_equal(pool.fetch("r1", 0, ssd_key.index), originals[0])
+        assert threads == [threading.current_thread()] * 2
+        assert events[3:] == [("submit", "ssd"), ("start", "ssd"), ("done", "ssd")]
+    finally:
+        gate.set()
+    assert engine.scheduler.drain(5)
 
     books = engine.scheduler.stats_snapshot()
-    assert books.submitted_by_class == {"BLOCKING_LOAD": 2}
-    assert (books.submitted, books.executed, engine.scheduler.pending()) == (2, 2, 0)
+    assert books.submitted_by_class == {"BLOCKING_LOAD": 2 + gates}
+    assert books.submitted == books.executed == 2 + gates
+    assert engine.scheduler.pending() == 0
     assert engine.stats().tenants["alice"].executed == 2
     assert pool.stats.demand_fetches == 2
 

@@ -80,7 +80,11 @@ from repro.train import Trainer
 #: 17,294 before the live half of the adaptive controller went (its
 #: engine adapter, ``Trainer(controller=)``, ``apply_autotune``, the
 #: tier watermark and ``configure_policy``): only the simulator re-sizes.
-SRC_LINE_CEILING = 16_935
+#: 16,935 before a waiter ran its own queued request (+30: the helping
+#: ``IOJob.wait`` and ``IOScheduler._run_waited`` with its FIFO rule, most
+#: of it their docstrings, and ``TieredOffloader.demote`` obeying the
+#: dead-tier rule).
+SRC_LINE_CEILING = 16_965
 ENGINE_CONFIG_FIELD_CEILING = 12
 KV_POOL_PARAMETERS = ("engine", "block_tokens", "num_layers", "hbm_capacity_bytes", "strategy")
 TENSOR_CACHE_PARAMETERS = ("offloader", "policy", "registry", "prefetch_window", "scheduler")
